@@ -57,14 +57,10 @@ def _modulus_or_exit(raw: int) -> Modulus:
 
 
 def _render_pretty(m: Modulus) -> str:
-    s = full_spectrum(m)
-    items: list[tuple[float, str]] = []
-    for v, c in s.integer_part:
-        items.append((float(v), f"{v}^{c}" if c > 1 else f"{v}"))
-    for r in s.residual_roots():
-        items.append((r, f"~{r:.6f}"))
-    items.sort(key=lambda t: -t[0])
-    return " ".join(tok for _, tok in items)
+    return " ".join(
+        f"~{v:.6f}" if isinstance(v, float) else f"{v}^{c}" if c > 1 else f"{v}"
+        for v, c in reversed(full_spectrum(m).ascending)
+    )
 
 
 def _render_csv(m: Modulus, out: TextIO) -> None:
@@ -72,7 +68,7 @@ def _render_csv(m: Modulus, out: TextIO) -> None:
     out.write("value,multiplicity,exact\n")
     for v, c in s.integer_part:
         out.write(f"{v},{c},true\n")
-    for r in s.residual_roots():
+    for r in s.residual_values:
         out.write(f"{r!r},1,false\n")
 
 

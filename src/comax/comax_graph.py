@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -33,18 +33,14 @@ class DivisorClass:
     kind: ClassKind
 
 
+def _divisor_class(m: Modulus, d: int) -> DivisorClass:
+    kind: ClassKind = "unit" if d == 1 else "zero" if d == m.n else "proper"
+    return DivisorClass(divisor=d, size=m.class_size(d), kind=kind)
+
+
 def classes(m: Modulus) -> list[DivisorClass]:
     """All divisor classes of Z_n, one per divisor of n (unit d=1 ... zero d=n)."""
-    out = []
-    for d in divisors(m.n):
-        if d == 1:
-            kind: ClassKind = "unit"
-        elif d == m.n:
-            kind = "zero"
-        else:
-            kind = "proper"
-        out.append(DivisorClass(divisor=d, size=m.class_size(d), kind=kind))
-    return out
+    return [_divisor_class(m, d) for d in divisors(m.n)]
 
 
 @dataclass(frozen=True)
@@ -77,14 +73,7 @@ def _check_label(m: Modulus, x: int) -> None:
 def class_of(m: Modulus, x: int) -> DivisorClass:
     """The divisor class containing vertex x (the class of d = gcd(x, n))."""
     _check_label(m, x)
-    d = math.gcd(x, m.n)
-    if d == 1:
-        kind: ClassKind = "unit"
-    elif d == m.n:
-        kind = "zero"
-    else:
-        kind = "proper"
-    return DivisorClass(divisor=d, size=m.class_size(d), kind=kind)
+    return _divisor_class(m, math.gcd(x, m.n))
 
 
 def adjacent(m: Modulus, x: int, y: int) -> bool:
@@ -128,14 +117,20 @@ def dense_laplacian(m: Modulus, limit: int | None = None) -> np.ndarray:
     return np.diag(adj.sum(axis=1)) - adj
 
 
+def _edges_among(m: Modulus, verts: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Edges (u, v) with u < v of the subgraph induced on ascending ``verts``,
+    lexicographic order."""
+    gcds = [math.gcd(x, m.n) for x in verts]
+    for i, u in enumerate(verts):
+        gu = gcds[i]
+        for j in range(i + 1, len(verts)):
+            if math.gcd(gu, gcds[j]) == 1:
+                yield (u, verts[j])
+
+
 def full_edges(m: Modulus) -> Iterator[tuple[int, int]]:
     """Edges (u, v) with u < v of the comaximal graph, lexicographic order."""
-    gcds = [math.gcd(x, m.n) for x in range(m.n)]
-    for u in range(m.n):
-        gu = gcds[u]
-        for v in range(u + 1, m.n):
-            if math.gcd(gu, gcds[v]) == 1:
-                yield (u, v)
+    yield from _edges_among(m, range(m.n))
 
 
 def g2_vertices(m: Modulus) -> list[int]:
@@ -145,12 +140,7 @@ def g2_vertices(m: Modulus) -> list[int]:
 
 def g2_edges(m: Modulus) -> Iterator[tuple[int, int]]:
     """Edges (u, v) with u < v of G2, lexicographic order."""
-    verts = g2_vertices(m)
-    gcds = {x: math.gcd(x, m.n) for x in verts}
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            if math.gcd(gcds[u], gcds[v]) == 1:
-                yield (u, v)
+    yield from _edges_among(m, g2_vertices(m))
 
 
 def class_summary(m: Modulus) -> list[dict]:

@@ -219,9 +219,7 @@ def kappa_g2_bound(
     Computed by max-flow on the explicit G2; capped (default 128 vertices).
     ``agrees`` means the bound holds; the note records tightness.
     """
-    if not m.is_squarefree or m.is_prime:
-        raise ValueError(f"kappa(G2) bound needs squarefree composite n, got {m.n}")
-    bound = euler_phi(m.n // m.distinct_primes[-1])
+    bound = g2_kappa_bound_value(m)
     g2_size = m.n - m.phi - 1
     if g2_size > kappa_limit:
         raise OracleLimitExceeded(

@@ -9,7 +9,6 @@ bug, so these paths deliberately share no spectral shortcuts with it.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable
@@ -17,7 +16,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from . import config
-from .comax_graph import dense_laplacian, g2_edges, g2_vertices
+from .comax_graph import dense_laplacian, full_edges, g2_edges, g2_vertices
 from .polynomial import IntPoly, char_poly_matrix
 from .ring_divisors import Modulus
 
@@ -107,13 +106,7 @@ class SimpleGraph:
 
 def full_graph(m: Modulus) -> SimpleGraph:
     """Explicit comaximal graph of Z_n."""
-    g = SimpleGraph(range(m.n))
-    gcds = [math.gcd(x, m.n) for x in range(m.n)]
-    for u in range(m.n):
-        for v in range(u + 1, m.n):
-            if math.gcd(gcds[u], gcds[v]) == 1:
-                g.add_edge(u, v)
-    return g
+    return SimpleGraph(range(m.n), full_edges(m))
 
 
 def g2_graph(m: Modulus) -> SimpleGraph:

@@ -2,9 +2,8 @@
 
 Characteristic polynomials are computed by evaluating det(xI - B) at the
 integer points x = 0..w with Bareiss (fraction-free) elimination and
-interpolating exactly; integer roots are then split off with the rational
-root theorem (monic, so every rational root is an integer) and exact
-synthetic division.
+interpolating exactly; integer roots are then split off by exact synthetic
+division at caller-supplied candidates.
 """
 
 from __future__ import annotations
@@ -12,13 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
-
-# Trailing coefficients up to this size get factored outright when no root
-# bound is supplied; larger ones need a caller-provided bound.
-_FACTOR_CANDIDATE_LIMIT = 10**12
-_SCAN_CANDIDATE_LIMIT = 10**7
 
 
 class IntPoly:
@@ -214,110 +206,29 @@ def char_poly_matrix(matrix: Sequence[Sequence[int]]) -> IntPoly:
     return out
 
 
-def _candidate_roots(trailing: int, bound: int | None, cauchy: int) -> list[int]:
-    """Positive candidate integer roots: divisors of |trailing| up to the bound."""
-    a0 = abs(trailing)
-    if bound is None:
-        if a0 <= _FACTOR_CANDIDATE_LIMIT:
-            divs = set()
-            d = 1
-            while d * d <= a0:
-                if a0 % d == 0:
-                    divs.add(d)
-                    divs.add(a0 // d)
-                d += 1
-            return sorted(v for v in divs if v <= cauchy)
-        if cauchy > _SCAN_CANDIDATE_LIMIT:
-            raise ValueError(
-                "trailing coefficient too large to factor; pass root_bound"
-            )
-        bound = cauchy
-    limit = min(bound, cauchy, a0)
-    return [r for r in range(1, limit + 1) if a0 % r == 0]
-
-
 def extract_integer_roots(
-    p: IntPoly, root_bound: int | None = None
+    p: IntPoly, candidates: Iterable[int]
 ) -> tuple[list[tuple[int, int]], IntPoly]:
     """Split a monic integer polynomial into integer roots and a residual.
 
     Returns (roots, residual) with roots as (value, multiplicity) pairs
-    sorted ascending and residual free of integer roots, such that
-    prod (x - r)^mult * residual == p.  Monicity makes the divisor-of-trailing
-    candidate set complete.  ``root_bound``, when given, must bound the
-    absolute value of every integer root (e.g. a Laplacian spectral range);
-    it lets huge trailing coefficients be handled without factoring them.
+    sorted ascending, such that prod (x - r)^mult * residual == p.  Only the
+    given candidates are tried, each decided by exact synthetic division, so
+    the residual is free of integer roots exactly when the candidates cover
+    every integer root of p.
     """
     if not p.is_monic:
         raise ValueError("expected a monic polynomial")
     roots: list[tuple[int, int]] = []
     rem = p
-    # strip x^k first: roots at 0
-    k = 0
-    while k <= rem.degree and rem.coeffs[k] == 0:
-        k += 1
-    if k > 0:
-        roots.append((0, k))
-        rem = IntPoly(rem.coeffs[k:])
-    if rem.degree == 0:
-        return roots, rem
-    cauchy = 1 + max(abs(c) for c in rem.coeffs[:-1])
-    for cand in _candidate_roots(rem.coeffs[0], root_bound, cauchy):
-        for r in (cand, -cand):
-            mult = 0
-            while rem.degree > 0:
-                q, remainder = rem.divide_linear(r)
-                if remainder != 0:
-                    break
-                rem = q
-                mult += 1
-            if mult:
-                roots.append((r, mult))
-            if rem.degree == 0:
+    for r in sorted(set(candidates)):
+        mult = 0
+        while rem.degree > 0:
+            q, remainder = rem.divide_linear(r)
+            if remainder != 0:
                 break
-        if rem.degree == 0:
-            break
-    roots.sort()
+            rem = q
+            mult += 1
+        if mult:
+            roots.append((r, mult))
     return roots, rem
-
-
-def real_roots_numeric(p: IntPoly) -> list[float]:
-    """Approximate real roots of p, ascending (intended for residuals of
-    characteristic polynomials of symmetric-similar matrices, whose roots
-    are all real).
-
-    The polynomial is first recentered (exactly) at its integer mean root,
-    which undoes argument shifts and keeps coefficients small enough for
-    float64; companion-matrix roots are then polished with a few Newton
-    steps against the exact integer coefficients.  Accuracy is far inside
-    1e-6 at desk scale.
-    """
-    if p.degree == 0:
-        return []
-    # mean of the roots is -a_{d-1}/d for a monic polynomial
-    center = round(Fraction(-p.coeffs[-2], p.coeffs[-1] * p.degree))
-    if center != 0:
-        recentered = p.shift_argument(-center)
-        return [r + center for r in real_roots_numeric(recentered)]
-    coeffs_desc = [float(c) for c in reversed(p.coeffs)]
-    raw = np.roots(coeffs_desc)
-    deriv_desc = [
-        float(c * d) for d, c in enumerate(p.coeffs) if d > 0
-    ][::-1]
-
-    def horner(cs: list[float], t: float) -> float:
-        v = 0.0
-        for c in cs:
-            v = v * t + c
-        return v
-
-    out = []
-    for z in raw:
-        t = float(z.real)
-        for _ in range(3):
-            d = horner(deriv_desc, t)
-            if d == 0.0:
-                break
-            t -= horner(coeffs_desc, t) / d
-        out.append(t)
-    return sorted(out)

@@ -10,6 +10,7 @@ up.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -57,21 +58,13 @@ def compute_record(n: int, timing: bool = False) -> ScanRecord:
     )
 
 
-def _compute_plain(n: int) -> ScanRecord:
-    return compute_record(n, timing=False)
-
-
-def _compute_timed(n: int) -> ScanRecord:
-    return compute_record(n, timing=True)
-
-
 def scan_range(
     start: int, stop: int, workers: int = 1, timing: bool = False
 ) -> Iterator[ScanRecord]:
     """Records for start..stop inclusive, ascending, fanned out to a worker pool."""
     if start < 3 or stop < start:
         raise ValueError(f"invalid scan range {start}..{stop}")
-    worker = _compute_timed if timing else _compute_plain
+    worker = functools.partial(compute_record, timing=timing)
     ns = range(start, stop + 1)
     if workers <= 1:
         for n in ns:

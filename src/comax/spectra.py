@@ -11,8 +11,8 @@ Its Laplacian spectrum therefore splits into
   * the spectrum of a w x w quotient matrix B.
 B has B[i][i] = N_{d_i} and B[i][j] = -phi(n/d_j) for coprime d_i, d_j; it is
 the diagonal similarity D^-1 M D (D = diag(sqrt of class sizes)) of the
-symmetric quotient M, so its spectrum is real while all arithmetic stays in
-the integers.
+symmetric quotient M, so its spectrum is real.  The characteristic
+polynomial of B is exact; the numeric eigenvalues come from eigvalsh of M.
 
 The full graph is the join of a clique on the units with (G2 plus the
 isolated zero vertex), which contributes eigenvalue n with multiplicity
@@ -25,13 +25,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .polynomial import (
-    IntPoly,
-    char_poly_matrix,
-    extract_integer_roots,
-    real_roots_numeric,
-)
+import numpy as np
+
+from .polynomial import IntPoly, char_poly_matrix, extract_integer_roots
 from .ring_divisors import Modulus, euler_phi, is_prime
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def coprimality_graph(m: Modulus) -> dict[int, tuple[int, ...]]:
@@ -97,19 +96,26 @@ class SpectrumMultiset:
     descending eigenvalue.  ``residual`` is a monic integer polynomial with
     no integer roots whose real roots (with multiplicity) are the remaining
     eigenvalues; it is the constant 1 exactly when the spectrum is integral.
+    ``residual_values`` holds those roots numerically, ascending.
     """
 
     integer_part: tuple[tuple[int, int], ...]
     residual: IntPoly
+    residual_values: tuple[float, ...] = ()
 
     @classmethod
     def from_counter(
-        cls, counts: Counter, residual: IntPoly | None = None
+        cls,
+        counts: Counter,
+        residual: IntPoly | None = None,
+        residual_values: tuple[float, ...] = (),
     ) -> "SpectrumMultiset":
         pairs = tuple(
             (v, c) for v, c in sorted(counts.items(), reverse=True) if c > 0
         )
-        return cls(pairs, residual if residual is not None else IntPoly.one())
+        return cls(
+            pairs, residual if residual is not None else IntPoly.one(), residual_values
+        )
 
     @property
     def size(self) -> int:
@@ -120,6 +126,15 @@ class SpectrumMultiset:
     def is_integral(self) -> bool:
         return self.residual.degree == 0
 
+    @property
+    def ascending(self) -> list[tuple[int | float, int]]:
+        """(value, multiplicity) pairs, ascending: exact integers, then each
+        residual root as a float of multiplicity 1."""
+        return sorted(
+            list(self.integer_part) + [(r, 1) for r in self.residual_values],
+            key=lambda e: e[0],
+        )
+
     def as_counter(self) -> Counter:
         return Counter(dict(self.integer_part))
 
@@ -129,33 +144,20 @@ class SpectrumMultiset:
                 return c
         return 0
 
-    def residual_roots(self) -> list[float]:
-        return real_roots_numeric(self.residual)
-
     def values_ascending(self) -> list[float]:
         """All eigenvalues expanded with multiplicity, ascending floats."""
-        out: list[float] = []
-        for v, c in self.integer_part:
-            out.extend([float(v)] * c)
-        out.extend(self.residual_roots())
-        out.sort()
-        return out
+        return [float(v) for v, c in self.ascending for _ in range(c)]
 
     def second_smallest(self) -> int | float:
         """Second-smallest eigenvalue counting multiplicity (exact if integer)."""
-        entries: list[tuple[float, int, int | float]] = []
-        for v, c in self.integer_part:
-            entries.append((float(v), c, v))
-        for r in self.residual_roots():
-            entries.append((r, 1, r))
-        entries.sort(key=lambda e: e[0])
+        entries = self.ascending
         if not entries:
             raise ValueError("empty spectrum")
         if entries[0][1] >= 2:
-            return entries[0][2]
+            return entries[0][0]
         if len(entries) < 2:
             raise ValueError("spectrum has fewer than two eigenvalues")
-        return entries[1][2]
+        return entries[1][0]
 
     def largest_below_radius(self) -> int | float:
         """Largest eigenvalue strictly below the spectral radius.
@@ -164,24 +166,41 @@ class SpectrumMultiset:
         so the multiset second-largest would trivially equal n; the quantity
         of interest is the top of the shifted G2 spectrum.
         """
-        values: list[int | float] = [v for v, _ in self.integer_part]
-        values.extend(self.residual_roots())
-        if len(values) < 2:
+        entries = self.ascending
+        if len(entries) < 2:
             raise ValueError("spectrum has no eigenvalue below the radius")
-        top = max(values, key=float)
-        below = [v for v in values if float(v) < float(top)]
+        below = [v for v, _ in entries if v < entries[-1][0]]
         if not below:
             raise ValueError("all eigenvalues equal the radius")
-        return max(below, key=float)
+        return below[-1]
+
+
+def _symmetric_quotient(q: QuotientMatrix) -> np.ndarray:
+    """The symmetric quotient M = D B D^-1, D = diag(sqrt of class sizes).
+
+    Same diagonal as B; M[i][j] = -sqrt(sizes[i] * sizes[j]) wherever B has
+    an off-diagonal entry.
+    """
+    b = np.array(q.entries, dtype=np.float64)
+    sizes = np.array(q.sizes, dtype=np.float64)
+    return np.where(b < 0, -np.sqrt(np.outer(sizes, sizes)), b)
 
 
 def g2_spectrum(m: Modulus) -> SpectrumMultiset:
     """Exact Laplacian spectrum of G2 (empty multiset for prime n).
 
     Per divisor class: the class degree with multiplicity (class size - 1);
-    the quotient matrix contributes the rest.  Integer roots of the quotient
-    characteristic polynomial are extracted exactly; whatever remains is the
-    residual.  Total size is n - phi(n) - 1.
+    the quotient matrix contributes the rest.  Its eigenvalues come once
+    from ``eigvalsh`` of the symmetric quotient: rounded, they are the
+    integer-root candidates that exact synthetic division confirms or
+    rejects, and the eigenvalues left after removing each confirmed root are
+    the residual roots.  Total size is n - phi(n) - 1.
+
+    Raises ArithmeticError if an invariant fails: the eigensolver error
+    bound w * ||B||_inf * eps is below 1/2 (so rounding reaches every
+    integer eigenvalue), each integer root has a numeric eigenvalue within
+    that bound, the residual roots sum to the exact coefficient (Vieta), and
+    every root lies in [0, n - phi(n) - 1].
     """
     q = g2_quotient(m)
     counts: Counter = Counter()
@@ -191,17 +210,32 @@ def g2_spectrum(m: Modulus) -> SpectrumMultiset:
             counts[q.entries[i][i]] += mult
     if q.w == 0:
         return SpectrumMultiset.from_counter(counts)
-    poly = char_poly(q)
-    # quotient eigenvalues are Laplacian eigenvalues of G2, hence in
-    # [0, n - phi(n) - 1]
-    roots, residual = extract_integer_roots(poly, root_bound=m.n - m.phi - 1)
+    top = m.n - m.phi - 1
+    # every row of B sums to zero, so ||B||_inf is twice its largest diagonal
+    tol = q.w * 2 * max(q.entries[i][i] for i in range(q.w)) * _EPS
+
+    def fail(what: str) -> ArithmeticError:
+        return ArithmeticError(f"n={m.n}: {what}")
+
+    if tol >= 0.5:
+        raise fail(f"eigensolver error bound {tol:.3g} cannot separate integers")
+    values = np.linalg.eigvalsh(_symmetric_quotient(q)).tolist()
+    roots, residual = extract_integer_roots(char_poly(q), map(round, values))
     for r, mult in roots:
-        if r < 0:
-            raise ArithmeticError(
-                f"negative Laplacian eigenvalue {r} for n={m.n}: inconsistent state"
-            )
+        if not 0 <= r <= top:
+            raise fail(f"integer eigenvalue {r} outside [0, {top}]")
+        for _ in range(mult):
+            nearest = min(range(len(values)), key=lambda k: abs(values[k] - r))
+            if abs(values[nearest] - r) > tol:
+                raise fail(f"integer eigenvalue {r} has no numeric match")
+            del values[nearest]
         counts[r] += mult
-    return SpectrumMultiset.from_counter(counts, residual)
+    exact_sum = -residual.coeffs[-2] if residual.degree else 0
+    if abs(math.fsum(values) - exact_sum) > (len(values) + 1) * tol:
+        raise fail("residual roots disagree with the exact coefficient sum")
+    if values and not (-tol <= values[0] and values[-1] <= top + tol):
+        raise fail(f"residual root outside [0, {top}]")
+    return SpectrumMultiset.from_counter(counts, residual, tuple(values))
 
 
 def full_spectrum(m: Modulus) -> SpectrumMultiset:
@@ -219,7 +253,9 @@ def full_spectrum(m: Modulus) -> SpectrumMultiset:
         if g2.residual.degree == 0
         else g2.residual.shift_argument(m.phi)
     )
-    return SpectrumMultiset.from_counter(counts, residual)
+    return SpectrumMultiset.from_counter(
+        counts, residual, tuple(v + m.phi for v in g2.residual_values)
+    )
 
 
 def closed_form_prime(p: int) -> SpectrumMultiset:

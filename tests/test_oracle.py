@@ -144,6 +144,17 @@ def test_min_vertex_cut_double_oracle_structured():
         assert min_vertex_cut(g) == brute_force_vertex_cut(g)
 
 
+def test_full_graph_matches_dense_laplacian():
+    for n in (6, 12, 30, 49):
+        adjacency = -dense_laplacian(Modulus.of(n))
+        np.fill_diagonal(adjacency, 0)
+        g = full_graph(Modulus.of(n))
+        assert g.vertices == list(range(n))
+        assert all(
+            (v in g.adj[u]) == bool(adjacency[u, v]) for u in range(n) for v in range(n)
+        )
+
+
 def test_connected_components_examples():
     assert connected_components(g2_graph(Modulus.of(30))) == 1
     assert connected_components(g2_graph(Modulus.of(12))) == 2

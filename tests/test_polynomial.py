@@ -7,7 +7,6 @@ from comax.polynomial import (
     bareiss_det,
     char_poly_matrix,
     extract_integer_roots,
-    real_roots_numeric,
 )
 
 
@@ -110,40 +109,41 @@ def test_char_poly_random_vs_sympy():
 
 
 def test_extract_integer_roots_examples():
-    roots, residual = extract_integer_roots(IntPoly((0, 0, 12, -8, 1)))
+    roots, residual = extract_integer_roots(IntPoly((0, 0, 12, -8, 1)), range(-10, 11))
     assert roots == [(0, 2), (2, 1), (6, 1)]
     assert residual == IntPoly.one()
 
-    roots, residual = extract_integer_roots(IntPoly((-2, 0, 1)))
+    roots, residual = extract_integer_roots(IntPoly((-2, 0, 1)), range(-3, 4))
     assert roots == []
     assert residual == IntPoly((-2, 0, 1))
 
-    roots, residual = extract_integer_roots(IntPoly((-5, 1)))
+    roots, residual = extract_integer_roots(IntPoly((-5, 1)), range(-6, 7))
     assert roots == [(5, 1)]
     assert residual == IntPoly.one()
 
 
 def test_extract_integer_roots_negative_and_reconstruction():
     p = IntPoly.from_roots([(-3, 2), (1, 1), (7, 1)]) * IntPoly((-2, 0, 1))
-    roots, residual = extract_integer_roots(p)
+    roots, residual = extract_integer_roots(p, range(-10, 11))
     assert roots == [(-3, 2), (1, 1), (7, 1)]
     assert residual == IntPoly((-2, 0, 1))
     assert IntPoly.from_roots(roots) * residual == p
 
 
-def test_extract_integer_roots_with_bound():
+def test_extract_integer_roots_only_tries_candidates():
     p = IntPoly.from_roots([(4, 3), (9, 1)])
-    roots, residual = extract_integer_roots(p, root_bound=10)
+    roots, residual = extract_integer_roots(p, range(-10, 11))
     assert roots == [(4, 3), (9, 1)]
     assert residual == IntPoly.one()
-    # a wrong bound silently misses roots beyond it, by contract
-    roots, _ = extract_integer_roots(p, root_bound=5)
+    # a root outside the candidates is not found, by contract
+    roots, residual = extract_integer_roots(p, range(0, 6))
     assert roots == [(4, 3)]
+    assert residual == IntPoly.x_minus(9)
 
 
 def test_extract_integer_roots_requires_monic():
     with pytest.raises(ValueError):
-        extract_integer_roots(IntPoly((1, 2)))
+        extract_integer_roots(IntPoly((1, 2)), range(-2, 3))
 
 
 def test_extract_integer_roots_random_reconstruction():
@@ -155,25 +155,6 @@ def test_extract_integer_roots_random_reconstruction():
         p = IntPoly.from_roots(sorted(roots.items()))
         if rng.random() < 0.5:
             p = p * IntPoly((1, 1, 1))  # irreducible over the rationals
-        found, residual = extract_integer_roots(p)
+        found, residual = extract_integer_roots(p, range(-8, 9))
         assert dict(found) == roots
         assert IntPoly.from_roots(found) * residual == p
-
-
-def test_real_roots_numeric():
-    p = IntPoly((-2, 0, 1))  # sqrt(2)
-    roots = real_roots_numeric(p)
-    assert len(roots) == 2
-    assert abs(roots[0] + 2**0.5) < 1e-12
-    assert abs(roots[1] - 2**0.5) < 1e-12
-    assert real_roots_numeric(IntPoly.one()) == []
-
-
-def test_real_roots_numeric_survives_argument_shifts():
-    # a far-from-origin argument shift blows up the coefficients; the
-    # recentering step must keep root accuracy
-    base = IntPoly((-2, 0, 1)) * IntPoly((-3, 0, 1)) * IntPoly((-7, 0, 1))
-    shifted = base.shift_argument(1000)  # roots now 1000 +/- sqrt(2|3|7)
-    roots = real_roots_numeric(shifted)
-    expected = sorted(1000 + s * v**0.5 for v in (2, 3, 7) for s in (1, -1))
-    assert max(abs(a - b) for a, b in zip(roots, expected)) < 1e-9

@@ -110,6 +110,12 @@ def test_cli_verify_composite():
     assert "all executed checks agree" in out
 
 
+def test_cli_verify_matches_dense_oracle_at_2310(capsys):
+    # degree-29 residual: its printed roots must meet the dense oracle at 1e-6
+    assert main(["verify", "2310"]) == 0
+    assert "[ok ] spectrum-vs-dense-oracle" in capsys.readouterr().out
+
+
 def test_cli_verify_prime():
     code, out, _ = run_cli("verify", "7")
     assert code == 0, out

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from collections import Counter
 
@@ -6,7 +8,7 @@ import pytest
 
 from comax.comax_graph import degree, dense_laplacian
 from comax.polynomial import IntPoly
-from comax.ring_divisors import Modulus
+from comax.ring_divisors import Modulus, euler_phi
 from comax.spectra import (
     SpectrumMultiset,
     closed_form_prime,
@@ -147,7 +149,7 @@ def test_full_spectrum_trace_matches_degree_sum():
         m = Modulus.of(n)
         s = full_spectrum(m)
         trace = sum(v * c for v, c in s.integer_part) + round(
-            sum(s.residual_roots())
+            sum(s.residual_values)
         )
         assert trace == sum(degree(m, x) for x in range(n))
 
@@ -169,7 +171,7 @@ def test_quotient_spectrum_matches_symmetric_form():
         s = g2_spectrum(Modulus.of(n))
         quotient_roots = sorted(
             [float(v) for v, c in s.integer_part for _ in range(c)]
-            + s.residual_roots()
+            + list(s.residual_values)
         )
         # remove the class-branch eigenvalues, keeping only quotient roots
         class_part = Counter()
@@ -306,3 +308,41 @@ def test_full_spectrum_rejects_small_n():
 def test_spectrum_multiset_from_counter_drops_zero_counts():
     s = SpectrumMultiset.from_counter(Counter({4: 2, 3: 0, 0: 1}))
     assert s.integer_part == ((4, 2), (0, 1))
+
+
+@functools.cache
+def _spectrum_of(n: int):
+    return full_spectrum(Modulus.of(n))
+
+
+def _symmetric_quotient_spectrum(n: int) -> np.ndarray:
+    """All n eigenvalues, ascending, rebuilt from the divisors alone: 0, n
+    with multiplicity phi(n), each class degree plus phi(n) with multiplicity
+    (class size - 1), and eigvalsh of the symmetric quotient
+    (S_ij = -sqrt(size_i * size_j) for coprime divisors) plus phi(n)."""
+    phi = euler_phi(n)
+    ds = [d for d in range(2, n) if n % d == 0]
+    sizes = [euler_phi(n // d) for d in ds]
+    sym = np.zeros((len(ds), len(ds)))
+    for i, j in itertools.permutations(range(len(ds)), 2):
+        if math.gcd(ds[i], ds[j]) == 1:
+            sym[i, j] = -math.sqrt(sizes[i] * sizes[j])
+            sym[i, i] += sizes[j]
+    values = [0.0] + [float(n)] * phi
+    for i, size in enumerate(sizes):
+        values += [sym[i, i] + phi] * (size - 1)
+    return np.sort(np.concatenate([values, np.linalg.eigvalsh(sym) + phi]))
+
+
+@pytest.mark.parametrize("n", [2310, 30030])
+def test_residual_roots_match_symmetric_quotient_at_scale(n):
+    s = _spectrum_of(n)
+    ours = np.array(s.values_ascending())
+    assert np.max(np.abs(ours - _symmetric_quotient_spectrum(n))) < 1e-6
+    assert len(s.residual_values) == s.residual.degree > 0
+
+
+def test_every_eigenvalue_within_laplacian_range():
+    values = _spectrum_of(30030).values_ascending()
+    assert len(values) == 30030
+    assert 0 <= values[0] and values[-1] <= 30030
