@@ -1,10 +1,13 @@
-"""Independent brute-force ground truth.
+"""Brute-force ground truth on the full graph.
 
 Nothing in here knows about the quotient decomposition: spectra come from a
 dense symmetric eigensolver or from the exact characteristic polynomial of
-the full Laplacian, and connectivity quantities come from traversal and
+the full n x n Laplacian, and connectivity quantities come from traversal and
 vertex-capacity max-flow.  Disagreement with the quotient pipeline means a
-bug, so these paths deliberately share no spectral shortcuts with it.
+bug, so these paths share no spectral shortcut with it.  The one exception is
+the exact charpoly kernel ``char_poly_matrix``, used by both on different
+matrices; the tests check that kernel independently, against sympy and
+against ``bareiss_det`` at random points.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ def numeric_spectrum(laplacian: np.ndarray) -> DenseSpectrum:
 def exact_char_poly_full(m: Modulus, limit: int = config.EXACT_CHARPOLY_LIMIT) -> IntPoly:
     """Exact characteristic polynomial of the full n x n Laplacian.
 
-    Pure determinant work on the dense matrix; capped (default 64) because
-    the cost grows like n^4 with big-integer coefficients.
+    The exact charpoly kernel run on the dense matrix rather than on the
+    quotient; capped (default 64) to keep the dense matrix small.
     """
     if m.n > limit:
         raise OracleLimitExceeded(f"n={m.n} exceeds exact char poly limit {limit}")

@@ -1,16 +1,22 @@
-"""Exact integer polynomials and the fraction-free linear algebra behind them.
+"""Exact integer polynomials and the exact linear algebra behind them.
 
-Characteristic polynomials are computed by evaluating det(xI - B) at the
-integer points x = 0..w with Bareiss (fraction-free) elimination and
-interpolating exactly; integer roots are then split off by exact synthetic
-division at caller-supplied candidates.
+Characteristic polynomials are computed multimodularly: the matrix is reduced
+modulo word-size primes, each residue matrix is brought to upper Hessenberg
+form by a similarity over F_p, its characteristic polynomial is read off the
+Hessenberg recurrence (Cohen, *A Course in Computational Algebraic Number
+Theory*, Alg. 2.2.9), and the coefficients are recombined by the Chinese
+remainder theorem up to a proven Hadamard bound (the multimodular scheme of
+Dumas, Pernet & Wan, ISSAC 2005).  Integer roots are then split off by exact
+synthetic division at caller-supplied candidates.  ``bareiss_det``
+(fraction-free elimination) is an independent exact determinant.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class IntPoly:
@@ -167,42 +173,152 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 61 < n < 4759123141 (bases 2, 7, 61)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# bits -> the largest primes below 2**bits, descending.  A longer list
+# replaces a shorter one and no list is changed in place, so callers in any
+# thread may share them.
+_PRIMES: dict[int, list[int]] = {}
+
+
+def _word_primes(w: int, count: int) -> list[int]:
+    """The ``count`` largest primes below 2**bits, for the largest bits with
+    w * 4**bits < 2**63, so that w * (p - 1)**2 < 2**63 for each of them."""
+    bits = math.isqrt((2**63 - 1) // w).bit_length() - 1
+    found = _PRIMES.get(bits, [])
+    if len(found) < count:
+        found = list(found)
+        cand = found[-1] - 2 if found else (1 << bits) - 1
+        while len(found) < count:
+            if _is_prime(cand):
+                found.append(cand)
+            cand -= 2
+        _PRIMES[bits] = found
+    return found[:count]
+
+
+# int64 entries per (k, w, w) stack of residue matrices (128 KiB): primes go
+# through _char_poly_mod in batches of this size, so the working memory stays
+# that of a few matrices however many primes the bound needs.
+_BATCH_CELLS = 1 << 14
+
+
+def _char_poly_mod(h: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """Characteristic polynomial of each ``h[b]`` modulo ``mods[b]``.
+
+    ``h`` is a (k, w, w) int64 stack with entries in [0, mods[b]); it is
+    overwritten.  Each matrix is brought to upper Hessenberg form by a
+    similarity over F_p, with its own pivots, and then run through the
+    Hessenberg recurrence (Cohen, Alg. 2.2.9).  Returns the (k, w + 1)
+    residues, constant term first.  Every product-sum below has at most w
+    terms below (p - 1)**2, so the caller's w * (p - 1)**2 < 2**63 keeps the
+    int64 arithmetic exact.
+    """
+    k, w, _ = h.shape
+    p = mods[:, None]
+    primes = mods.tolist()
+    for c in range(w - 2):
+        r = c + 1
+        if not h[:, r, c].all():
+            # pivot: the first nonzero entry of column c from row r down
+            first = (h[:, r:, c] != 0).argmax(axis=1)
+            swap = np.flatnonzero(first)
+            if swap.size:
+                s = r + first[swap]
+                h[swap, r], h[swap, s] = h[swap, s], h[swap, r]
+                h[swap, :, r], h[swap, :, s] = h[swap, :, s], h[swap, :, r]
+        inv = [pow(a, -1, q) if a else 0 for a, q in zip(h[:, r, c].tolist(), primes)]
+        u = h[:, r + 1 :, c] * np.array(inv, dtype=np.int64)[:, None] % p
+        # rows r+1.. -= u * row r, then column r += the u-combination of columns r+1..
+        h[:, r + 1 :, c:] -= u[:, :, None] * h[:, r, None, c:]
+        h[:, r + 1 :, c:] %= p[:, :, None]
+        h[:, :, r] += (h[:, :, r + 1 :] @ u[:, :, None])[:, :, 0]
+        h[:, :, r] %= p
+    # poly[:, m] is the charpoly of the leading m x m block; run[:, i] holds
+    # the product of the subdiagonal entries h[j, j-1] for i < j < m.
+    poly = np.zeros((k, w + 1, w + 1), dtype=np.int64)
+    poly[:, 0, 0] = 1
+    run = np.zeros((k, w), dtype=np.int64)
+    for m in range(1, w + 1):
+        if m > 1:
+            run[:, : m - 2] *= h[:, m - 1, m - 2, None]
+            run[:, : m - 2] %= p
+            run[:, m - 2] = h[:, m - 1, m - 2]
+        t = h[:, : m - 1, m - 1] * run[:, : m - 1] % p
+        acc = h[:, m - 1, m - 1, None] * poly[:, m - 1, :m]
+        acc += (t[:, None, :] @ poly[:, : m - 1, :m])[:, 0]
+        poly[:, m, 1 : m + 1] = poly[:, m - 1, :m]
+        poly[:, m, :m] -= acc % p
+        poly[:, m, :m] %= p
+    return poly[:, w]
+
+
 def char_poly_matrix(matrix: Sequence[Sequence[int]]) -> IntPoly:
     """Monic characteristic polynomial det(xI - B) of an integer matrix, exact.
 
-    Evaluates the determinant at x = 0..w via Bareiss and interpolates with
-    Newton divided differences over Fractions; the result is asserted to be
-    integral and monic.
+    Multimodular: B is reduced modulo word-size primes p, chosen with
+    w * (p - 1)**2 < 2**63 so that numpy int64 arithmetic stays exact, and
+    the charpoly of every residue matrix comes from ``_char_poly_mod``, many
+    primes to a batch.  Reduction mod p commutes with the charpoly and
+    Hessenberg reduction is a similarity over F_p, so every prime is good.
+    Primes are taken until their product M exceeds 2 * prod_i (2 +
+    isqrt(||row_i||^2)), a Hadamard bound on the sum of the principal minors
+    of each size and hence on every coefficient; the CRT value is then read
+    as the residue in (-M/2, M/2].  The result is checked to be monic of
+    degree w with x^(w-1) coefficient -trace(B).
     """
-    w = len(matrix)
+    rows = [[int(v) for v in row] for row in matrix]
+    w = len(rows)
+    if any(len(row) != w for row in rows):
+        raise ValueError("matrix must be square")
     if w == 0:
         return IntPoly.one()
-    values = []
-    for x in range(w + 1):
-        shifted = [
-            [(x if i == j else 0) - int(matrix[i][j]) for j in range(w)]
-            for i in range(w)
-        ]
-        values.append(bareiss_det(shifted))
-    coef = [Fraction(v) for v in values]
-    for j in range(1, w + 1):
-        for i in range(w, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / j  # nodes 0..w are unit-spaced
-    poly = [Fraction(0)] * (w + 1)
-    basis = [Fraction(1)]  # running product (x-0)(x-1)...(x-(i-1))
-    for i in range(w + 1):
-        for d, b in enumerate(basis):
-            poly[d] += coef[i] * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for d, b in enumerate(basis):
-            nxt[d] -= b * i
-            nxt[d + 1] += b
-        basis = nxt
-    if any(f.denominator != 1 for f in poly):
-        raise ArithmeticError("interpolated characteristic polynomial not integral")
-    out = IntPoly(int(f) for f in poly)
+    norms = [sum(v * v for v in row) for row in rows]
+    bound = 2 * math.prod(2 + math.isqrt(s) for s in norms)
+    primes: list[int] = []
+    modulus = 1
+    while modulus <= bound:
+        primes = _word_primes(w, len(primes) + 1)
+        modulus *= primes[-1]
+    # numpy reduces the entries when every |entry| < 2**63, Python otherwise
+    entries = np.array(rows, dtype=np.int64) if max(norms) < 1 << 126 else None
+    batch = max(1, _BATCH_CELLS // (w * w))
+    residues: list[list[int]] = []
+    for i in range(0, len(primes), batch):
+        chunk = primes[i : i + batch]
+        mods = np.array(chunk, dtype=np.int64)
+        if entries is not None:
+            stack = entries[None] % mods[:, None, None]
+        else:
+            stack = np.array([[[v % q for v in row] for row in rows] for q in chunk], dtype=np.int64)
+        residues += _char_poly_mod(stack, mods).tolist()
+    basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    coeffs = []
+    for column in zip(*residues):
+        v = sum(r * e for r, e in zip(column, basis)) % modulus
+        coeffs.append(v - modulus if 2 * v > modulus else v)
+    out = IntPoly(coeffs)
     if not out.is_monic or out.degree != w:
         raise ArithmeticError("characteristic polynomial must be monic of degree w")
+    if out.coeffs[w - 1] != -sum(rows[i][i] for i in range(w)):
+        raise ArithmeticError("x^(w-1) coefficient of the characteristic polynomial is not -trace")
     return out
 
 

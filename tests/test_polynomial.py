@@ -1,13 +1,17 @@
+import math
 import random
 
 import pytest
 
+from comax import polynomial
 from comax.polynomial import (
     IntPoly,
     bareiss_det,
     char_poly_matrix,
     extract_integer_roots,
 )
+from comax.ring_divisors import Modulus
+from comax.spectra import g2_quotient
 
 
 def test_intpoly_basics():
@@ -88,24 +92,127 @@ def test_bareiss_random_vs_expansion():
         assert bareiss_det(m) == det_expansion(m)
 
 
+def _sympy_char_poly(matrix):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    return tuple(int(c) for c in DomainMatrix.from_list(matrix, sympy.ZZ).charpoly())[::-1]
+
+
 def test_char_poly_examples():
     b12 = [[2, -2, 0, 0], [-2, 4, -2, 0], [0, -2, 2, 0], [0, 0, 0, 0]]
     assert char_poly_matrix(b12).coeffs == (0, 0, 12, -8, 1)
     assert char_poly_matrix([]) == IntPoly.one()
     assert char_poly_matrix([[5]]).coeffs == (-5, 1)
+    with pytest.raises(ValueError):
+        char_poly_matrix([[1, 2], [3]])
+
+
+def test_char_poly_small_sizes_with_huge_entries():
+    big = 2**70
+    for a in (0, 1, -7, big, -big, 3 * big + 1):
+        assert char_poly_matrix([[a]]).coeffs == (-a, 1)
+    for a, b, c, d in ((1, 2, 3, 4), (big, -big, big + 5, -3), (-big, big, big, big)):
+        assert char_poly_matrix([[a, b], [c, d]]).coeffs == (a * d - b * c, -(a + d), 1)
 
 
 def test_char_poly_random_vs_sympy():
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
     rng = random.Random(42)
     for _ in range(25):
-        k = rng.randrange(1, 7)
-        m = [[rng.randrange(-6, 7) for _ in range(k)] for _ in range(k)]
-        ours = char_poly_matrix(m)
-        theirs = DomainMatrix.from_list(m, sympy.ZZ).charpoly()
-        assert list(ours.coeffs) == [int(c) for c in theirs][::-1]
+        k = rng.randrange(1, 13)
+        m = [[rng.randrange(-10**6, 10**6 + 1) for _ in range(k)] for _ in range(k)]
+        assert char_poly_matrix(m).coeffs == _sympy_char_poly(m)
+
+
+def test_char_poly_entries_beyond_int64_vs_sympy():
+    rng = random.Random(5)
+    for k in (3, 5, 8):
+        m = [[rng.randrange(-2**70, 2**70 + 1) for _ in range(k)] for _ in range(k)]
+        m[0][0] = 2**70
+        assert char_poly_matrix(m).coeffs == _sympy_char_poly(m)
+
+
+def test_char_poly_matches_bareiss_at_points_on_quotients():
+    rng = random.Random(11)
+    for n in (2310, 5040, 15120, 30030):
+        b = g2_quotient(Modulus.of(n)).entries
+        p = char_poly_matrix(b)
+        for x in (rng.randrange(-n, n) for _ in range(3)):
+            shifted = [[(x if i == j else 0) - v for j, v in enumerate(row)]
+                       for i, row in enumerate(b)]
+            assert p(x) == bareiss_det(shifted)
+
+
+def test_char_poly_without_hessenberg_pivots():
+    rng = random.Random(3)
+    for w in (3, 6, 9):
+        diag = [rng.randrange(-50, 51) for _ in range(w)]
+        upper = [[diag[i] if i == j else (rng.randrange(-9, 10) if j > i else 0)
+                  for j in range(w)] for i in range(w)]
+        lower = [list(col) for col in zip(*upper)]
+        expected = IntPoly.from_roots((d, 1) for d in diag)
+        assert char_poly_matrix(upper) == expected
+        assert char_poly_matrix(lower) == expected
+        # block diagonal: the charpoly is the product of the blocks'
+        a = [[rng.randrange(-9, 10) for _ in range(w)] for _ in range(w)]
+        c = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(2)]
+        block = [row + [0, 0] for row in a] + [[0] * w + row for row in c]
+        assert char_poly_matrix(block) == char_poly_matrix(a) * char_poly_matrix(c)
+        # a permutation similarity leaves the charpoly unchanged
+        perm = list(range(w))
+        rng.shuffle(perm)
+        assert char_poly_matrix([[upper[i][j] for j in perm] for i in perm]) == expected
+        perm = list(range(w + 2))
+        rng.shuffle(perm)
+        permuted = [[block[i][j] for j in perm] for i in perm]
+        assert char_poly_matrix(permuted) == char_poly_matrix(block)
+
+
+def test_char_poly_multiple_of_first_prime():
+    # every entry vanishes modulo the first prime, so the other primes carry it
+    rng = random.Random(8)
+    for w in (1, 4, 7):
+        p0 = polynomial._word_primes(w, 1)[0]
+        a = [[rng.randrange(-5, 6) for _ in range(w)] for _ in range(w)]
+        scaled = [[p0 * v for v in row] for row in a]
+        base = char_poly_matrix(a).coeffs
+        assert char_poly_matrix(scaled).coeffs == tuple(
+            c * p0 ** (w - k) for k, c in enumerate(base)
+        )
+
+
+def test_char_poly_scalar_matrix_near_the_bound():
+    # (x - c)^w: the constant term c^w sits just below the bound 2 * (2 + |c|)^w
+    for c in (2**40 - 3, -(2**40) + 5, 10**18, 2**64 + 1):
+        for w in (1, 5, 20):
+            m = [[c if i == j else 0 for j in range(w)] for i in range(w)]
+            assert char_poly_matrix(m) == IntPoly.linear_power(c, w)
+    # |c| + 2 just below the first prime p0: one prime would hold |c| but not its sign
+    p0 = polynomial._word_primes(1, 1)[0]
+    for c in (p0 - 3, 3 - p0):
+        assert char_poly_matrix([[c]]).coeffs == (-c, 1)
+
+
+def test_word_primes_keep_int64_products_exact():
+    for w in (1, 2, 3, 64, 78, 1000, 10**6):
+        primes = polynomial._word_primes(w, 4)
+        assert primes == sorted(set(primes), reverse=True)
+        for p in primes:
+            assert w * (p - 1) ** 2 < 2**63
+            assert p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+
+def test_char_poly_checks_the_trace(monkeypatch):
+    kernel = polynomial._char_poly_mod
+
+    def off_by_one_trace(h, mods):
+        out = kernel(h, mods)
+        out[:, -2] = (out[:, -2] + 1) % mods
+        return out
+
+    monkeypatch.setattr(polynomial, "_char_poly_mod", off_by_one_trace)
+    with pytest.raises(ArithmeticError):
+        char_poly_matrix([[1, 2], [3, 4]])
 
 
 def test_extract_integer_roots_examples():
