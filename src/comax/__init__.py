@@ -1,12 +1,13 @@
 """Exact Laplacian spectra of comaximal graphs of Z_n.
 
-The spectrum of the comaximal graph on Z_n decomposes through the divisor
-classes A_d = {x : gcd(x, n) = d}: the graph is a clique on the units joined
-onto the non-units, and the non-unit core is a blow-up of the divisor
-coprimality graph by null classes.  Everything reduces to a w x w integer
-quotient matrix (w = number of proper divisors), handled in exact
-arithmetic; brute-force numeric and combinatorial oracles cross-check every
-claim.
+The spectrum of the comaximal graph on Z_n decomposes through the
+prime-support cells C_r = {x : rad(gcd(x, n)) = r}, one per squarefree
+divisor r of n: the graph is a clique on the units (r = 1) joined onto the
+non-units, and the non-unit core is a blow-up of the coprimality graph on
+the labels r > 1 by null cells.  Everything reduces to a w x w integer
+quotient matrix (w <= 2^omega - 1 nonempty cells, omega the number of
+distinct primes of n), handled in exact arithmetic; brute-force numeric and
+combinatorial oracles cross-check every claim.
 """
 
 from .comax_graph import (
@@ -56,7 +57,6 @@ from .spectra import (
     closed_form_prime,
     closed_form_prime_power,
     closed_form_two_primes,
-    coprimality_graph,
     full_char_poly,
     full_spectrum,
     g2_char_poly,
@@ -93,7 +93,6 @@ __all__ = [
     "compute_record",
     "components_vs_radical",
     "connected_components",
-    "coprimality_graph",
     "degree",
     "dense_laplacian",
     "euler_phi",

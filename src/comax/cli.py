@@ -33,10 +33,10 @@ from .oracle import (
 )
 from .ring_divisors import Modulus
 from .spectra import (
+    SpectrumMultiset,
     closed_form_prime,
     closed_form_prime_power,
     closed_form_two_primes,
-    full_char_poly,
     full_spectrum,
     spectrum_json_dict,
 )
@@ -104,28 +104,28 @@ class _Verifier:
         self.result(rep.theorem, rep.agrees, detail)
 
 
-def _verify_spectrum_vs_oracle(v: _Verifier, m: Modulus) -> None:
+def _verify_spectrum_vs_oracle(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
     name = "spectrum-vs-dense-oracle"
     if m.n > config.dense_limit():
         v.skip(name, f"n exceeds dense limit {config.dense_limit()}")
         return
-    ours = full_spectrum(m).values_ascending()
+    ours = s.values_ascending()
     dense = numeric_spectrum(dense_laplacian(m)).eigenvalues
     worst = max(abs(a - b) for a, b in zip(ours, dense))
     v.result(name, len(ours) == len(dense) and worst <= _SPECTRUM_TOL,
              f"max deviation {worst:.2e}")
 
 
-def _verify_char_poly(v: _Verifier, m: Modulus) -> None:
+def _verify_char_poly(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
     name = "charpoly-join-identity"
     if m.n > config.EXACT_CHARPOLY_LIMIT:
         v.skip(name, f"n exceeds exact limit {config.EXACT_CHARPOLY_LIMIT}")
         return
-    v.result(name, exact_char_poly_full(m) == full_char_poly(m),
+    v.result(name, exact_char_poly_full(m) == s.polynomial(),
              "dense determinant equals join formula coefficient-for-coefficient")
 
 
-def _verify_closed_form(v: _Verifier, m: Modulus) -> None:
+def _verify_closed_form(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
     name = "closed-form-spectrum"
     if m.omega > 2:
         v.skip(name, "no closed form for three or more distinct primes")
@@ -137,17 +137,15 @@ def _verify_closed_form(v: _Verifier, m: Modulus) -> None:
     else:
         (p, a), (q, b) = m.factorization
         expected = closed_form_two_primes(p, q, a, b)
-    actual = full_spectrum(m)
-    same = actual.as_counter() == expected.as_counter() and actual.is_integral
+    same = s.as_counter() == expected.as_counter() and s.is_integral
     v.result(name, same, "matches spectrum from the quotient pipeline")
 
 
-def _verify_connectivity(v: _Verifier, m: Modulus) -> None:
-    spectrum = full_spectrum(m)
+def _verify_connectivity(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
     if m.is_prime:
         v.skip("algebraic-connectivity", "complete graph for prime n")
     else:
-        v.report(algebraic_connectivity(m, spectrum))
+        v.report(algebraic_connectivity(m, s))
     try:
         v.report(vertex_connectivity(m))
     except OracleLimitExceeded as exc:
@@ -156,17 +154,17 @@ def _verify_connectivity(v: _Verifier, m: Modulus) -> None:
         v.skip("second-largest-eigenvalue", "complete graph for prime n")
         v.skip("g2-connected-iff-squarefree", "G2 is empty")
         v.skip("phi-multiplicity", "G2 is empty")
-        radius, _ = multiplicity_reports(m, spectrum)
+        radius, _ = multiplicity_reports(m, s)
         v.report(radius)
     else:
-        v.report(second_largest_report(m, spectrum))
+        v.report(second_largest_report(m, s))
         first, second = g2_connectivity_report(m)
         v.report(first)
         if second is not None:
             v.report(second)
         else:
             v.skip("g2-complement-connected", "claim stated for squarefree n only")
-        radius, phi_mult = multiplicity_reports(m, spectrum)
+        radius, phi_mult = multiplicity_reports(m, s)
         v.report(radius)
         v.report(phi_mult)
     if m.is_squarefree and not m.is_prime:
@@ -181,10 +179,11 @@ def _verify_connectivity(v: _Verifier, m: Modulus) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     m = _modulus_or_exit(args.n)
     v = _Verifier()
-    _verify_spectrum_vs_oracle(v, m)
-    _verify_char_poly(v, m)
-    _verify_closed_form(v, m)
-    _verify_connectivity(v, m)
+    spectrum = full_spectrum(m)
+    _verify_spectrum_vs_oracle(v, m, spectrum)
+    _verify_char_poly(v, m, spectrum)
+    _verify_closed_form(v, m, spectrum)
+    _verify_connectivity(v, m, spectrum)
     if v.failed:
         print(f"verify {m.n}: FAILED ({', '.join(v.failed)})")
         return EXIT_DISAGREE

@@ -1,16 +1,17 @@
-"""Laplacian spectra of comaximal graphs via the divisor-class quotient.
+"""Laplacian spectra of comaximal graphs via the prime-support quotient.
 
-The nonzero non-units of Z_n split into divisor classes A_d (one per proper
-divisor d, size phi(n/d)); classes are pairwise completely adjacent or
-completely non-adjacent according to coprimality of their divisors, so the
-partition is equitable and the induced subgraph G2 is a blow-up of the
-divisor coprimality graph H by null graphs.
+The nonzero non-units of Z_n split into cells C_r = {x : rad(gcd(x, n)) = r},
+one per squarefree divisor r > 1 of n (at most 2^omega - 1).  Two elements
+are adjacent exactly when their cell labels are coprime, so the partition is
+equitable and each cell induces a null graph; it merges the divisor classes
+A_d = {x : gcd(x, n) = d} of one prime support, whose neighbourhoods are
+identical.
 
-Its Laplacian spectrum therefore splits into
-  * the class degree N_d with multiplicity (size of A_d) - 1, per class, and
-  * the spectrum of a w x w quotient matrix B.
-B has B[i][i] = N_{d_i} and B[i][j] = -phi(n/d_j) for coprime d_i, d_j; it is
-the diagonal similarity D^-1 M D (D = diag(sqrt of class sizes)) of the
+The Laplacian spectrum of the induced subgraph G2 therefore splits into
+  * the cell degree N_r with multiplicity |C_r| - 1, per cell, and
+  * the spectrum of a w x w quotient matrix B over the w nonempty cells.
+B has B[i][i] = N_{r_i} and B[i][j] = -|C_{r_j}| for coprime r_i, r_j; it is
+the diagonal similarity D^-1 M D (D = diag(sqrt of cell sizes)) of the
 symmetric quotient M, so its spectrum is real.  The characteristic
 polynomial of B is exact; the numeric eigenvalues come from eigvalsh of M.
 
@@ -33,25 +34,14 @@ from .ring_divisors import Modulus, euler_phi, is_prime
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def coprimality_graph(m: Modulus) -> dict[int, tuple[int, ...]]:
-    """The divisor coprimality graph H on the proper divisors of n.
-
-    Maps each proper divisor to the sorted tuple of proper divisors coprime
-    to it; d-e is an edge iff gcd(d, e) = 1.
-    """
-    ds = m.proper_divisors
-    return {
-        d: tuple(e for e in ds if e != d and math.gcd(d, e) == 1) for d in ds
-    }
-
-
 @dataclass(frozen=True)
 class QuotientMatrix:
-    """Integer quotient matrix B of G2 over the divisor-class partition.
+    """Integer quotient matrix B of G2 over its nonempty cells.
 
-    ``sizes[i]`` is the class size phi(n/d_i); the diagonal entry is the
-    class degree N_{d_i} (every vertex of A_{d_i} has exactly N_{d_i}
-    neighbors in G2), and B[i][j] = -sizes[j] when gcd(d_i, d_j) = 1.
+    ``divisors`` holds the cell labels r_i, ascending (for squarefree n, the
+    proper divisors); ``sizes[i]`` is |C_{r_i}|; the diagonal entry is the
+    cell degree N_{r_i} (every vertex of C_{r_i} has exactly N_{r_i}
+    neighbors in G2), and B[i][j] = -sizes[j] when gcd(r_i, r_j) = 1.
     """
 
     divisors: tuple[int, ...]
@@ -67,9 +57,22 @@ class QuotientMatrix:
 
 
 def g2_quotient(m: Modulus) -> QuotientMatrix:
-    """Build the quotient matrix B for G2 (empty for prime n)."""
-    ds = m.proper_divisors
-    sizes = tuple(m.class_size(d) for d in ds)
+    """Build the quotient matrix B of G2 over its nonempty cells (empty for prime n).
+
+    Cell sizes come off the exponent vector by the Chinese remainder
+    theorem: modulo p^a, x has p^(a-1) residues divisible by p and
+    phi(p^a) units.  The cell of rad(n) holds 0, which is not in G2.
+    """
+    cells = {1: 1}
+    for p, a in m.factorization:
+        grown = {}
+        for r, size in cells.items():
+            grown[r] = size * p ** (a - 1) * (p - 1)
+            grown[r * p] = size * p ** (a - 1)
+        cells = grown
+    cells[m.radical] -= 1
+    ds = tuple(sorted(r for r, size in cells.items() if r > 1 and size > 0))
+    sizes = tuple(cells[r] for r in ds)
     rows = []
     for i, di in enumerate(ds):
         row = [0] * len(ds)
@@ -80,7 +83,7 @@ def g2_quotient(m: Modulus) -> QuotientMatrix:
                 diag += sizes[j]
         row[i] = diag
         rows.append(tuple(row))
-    return QuotientMatrix(divisors=tuple(ds), sizes=sizes, entries=tuple(rows))
+    return QuotientMatrix(divisors=ds, sizes=sizes, entries=tuple(rows))
 
 
 def char_poly(q: QuotientMatrix) -> IntPoly:
@@ -135,6 +138,10 @@ class SpectrumMultiset:
             key=lambda e: e[0],
         )
 
+    def polynomial(self) -> IntPoly:
+        """The monic integer polynomial whose roots are exactly this spectrum."""
+        return IntPoly.from_roots(self.integer_part) * self.residual
+
     def as_counter(self) -> Counter:
         return Counter(dict(self.integer_part))
 
@@ -176,7 +183,7 @@ class SpectrumMultiset:
 
 
 def _symmetric_quotient(q: QuotientMatrix) -> np.ndarray:
-    """The symmetric quotient M = D B D^-1, D = diag(sqrt of class sizes).
+    """The symmetric quotient M = D B D^-1, D = diag(sqrt of cell sizes).
 
     Same diagonal as B; M[i][j] = -sqrt(sizes[i] * sizes[j]) wherever B has
     an off-diagonal entry.
@@ -189,7 +196,7 @@ def _symmetric_quotient(q: QuotientMatrix) -> np.ndarray:
 def g2_spectrum(m: Modulus) -> SpectrumMultiset:
     """Exact Laplacian spectrum of G2 (empty multiset for prime n).
 
-    Per divisor class: the class degree with multiplicity (class size - 1);
+    Per cell: the cell degree with multiplicity (cell size - 1);
     the quotient matrix contributes the rest.  Its eigenvalues come once
     from ``eigvalsh`` of the symmetric quotient: rounded, they are the
     integer-root candidates that exact synthetic division confirms or
@@ -248,13 +255,10 @@ def full_spectrum(m: Modulus) -> SpectrumMultiset:
     counts = Counter({0: 1, m.n: m.phi})
     for v, c in g2.integer_part:
         counts[v + m.phi] += c
-    residual = (
-        g2.residual
-        if g2.residual.degree == 0
-        else g2.residual.shift_argument(m.phi)
-    )
     return SpectrumMultiset.from_counter(
-        counts, residual, tuple(v + m.phi for v in g2.residual_values)
+        counts,
+        g2.residual.shift_argument(m.phi),
+        tuple(v + m.phi for v in g2.residual_values),
     )
 
 
@@ -306,26 +310,16 @@ def closed_form_two_primes(p: int, q: int, alpha: int, beta: int) -> SpectrumMul
 
 
 def g2_char_poly(m: Modulus) -> IntPoly:
-    """Exact characteristic polynomial of the Laplacian of G2.
-
-    Product of the per-class linear factors (x - N_d)^(size-1) with the
-    quotient characteristic polynomial; degree n - phi(n) - 1.
-    """
-    q = g2_quotient(m)
-    out = IntPoly.one()
-    for i in range(q.w):
-        mult = q.sizes[i] - 1
-        if mult > 0:
-            out = out * IntPoly.linear_power(q.entries[i][i], mult)
-    return out * char_poly(q)
+    """Exact characteristic polynomial of the Laplacian of G2, read off its
+    spectrum; degree n - phi(n) - 1."""
+    return g2_spectrum(m).polynomial()
 
 
 def full_char_poly(m: Modulus) -> IntPoly:
-    """Exact characteristic polynomial of the full Laplacian: the join formula
-    x * (x - n)^phi(n) * mu(G2, x - phi(n)), assembled without touching the
-    dense matrix."""
-    out = IntPoly((0, 1)) * IntPoly.linear_power(m.n, m.phi)
-    return out * g2_char_poly(m).shift_argument(m.phi)
+    """Exact characteristic polynomial of the full Laplacian, read off its
+    spectrum: the join formula x * (x - n)^phi(n) * mu(G2, x - phi(n)),
+    assembled without touching the dense matrix."""
+    return full_spectrum(m).polynomial()
 
 
 def is_laplacian_integral(m: Modulus) -> bool:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from comax import ring_divisors
 from comax.ring_divisors import (
     Modulus,
     divisors,
@@ -109,6 +110,21 @@ def test_modulus_construction():
         Modulus.of(2)
     with pytest.raises(ValueError):
         m.class_size(5)
+
+
+def test_modulus_factorizes_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(ring_divisors, "factorize", counting)
+    for n in (12, 13, 360, 30030):
+        calls.clear()
+        m = Modulus.of(n)
+        assert calls == [n]
+        assert m.proper_divisors == tuple(proper_divisors(n))
 
 
 def test_modulus_prime():

@@ -14,7 +14,6 @@ from comax.spectra import (
     closed_form_prime,
     closed_form_prime_power,
     closed_form_two_primes,
-    coprimality_graph,
     char_poly,
     full_char_poly,
     full_spectrum,
@@ -26,32 +25,33 @@ from comax.spectra import (
 )
 
 
-def test_coprimality_graph_examples():
-    h30 = coprimality_graph(Modulus.of(30))
-    edges = {
-        (d, e) for d, nbrs in h30.items() for e in nbrs if d < e
-    }
-    # p,q,r = 2,3,5: edges p-q, p-r, q-r, p-qr, q-pr, r-pq
-    assert edges == {(2, 3), (2, 5), (3, 5), (2, 15), (3, 10), (5, 6)}
-
-    h8 = coprimality_graph(Modulus.of(8))
-    assert h8 == {2: (), 4: ()}
-
-    h12 = coprimality_graph(Modulus.of(12))
-    edges12 = {(d, e) for d, nbrs in h12.items() for e in nbrs if d < e}
-    assert edges12 == {(2, 3), (3, 4)}
-
-
 def test_g2_quotient_12():
+    # cells by prime support: {2, 4, 8, 10} -> 2, {3, 9} -> 3, {6} -> 6 (0 is not in G2)
     q = g2_quotient(Modulus.of(12))
-    assert q.divisors == (2, 3, 4, 6)
-    assert q.sizes == (2, 2, 2, 1)
+    assert q.divisors == (2, 3, 6)
+    assert q.sizes == (4, 2, 1)
     assert q.entries == (
-        (2, -2, 0, 0),
-        (-2, 4, -2, 0),
-        (0, -2, 2, 0),
-        (0, 0, 0, 0),
+        (2, -2, 0),
+        (-4, 4, 0),
+        (0, 0, 0),
     )
+
+
+def test_g2_quotient_cells_by_prime_support():
+    # every cell against a direct count of x in 1..n-1 by rad(gcd(x, n))
+    for n in range(3, 400):
+        m = Modulus.of(n)
+        counts = Counter(
+            math.prod(p for p in m.distinct_primes if math.gcd(x, n) % p == 0)
+            for x in range(1, n)
+        )
+        del counts[1]
+        q = g2_quotient(m)
+        assert dict(zip(q.divisors, q.sizes)) == dict(counts), n
+        assert q.divisors == tuple(sorted(counts))
+        assert q.w <= 2**m.omega - 1
+    assert g2_quotient(Modulus.of(55440)).w == 31
+    assert g2_quotient(Modulus.of(720720)).w == 63
 
 
 def test_g2_quotient_prime_is_empty():
