@@ -1,79 +1,30 @@
-"""The comaximal graph of Z_n: adjacency, divisor classes, degrees, dense export.
+"""The comaximal graph of Z_n: adjacency, degrees, edges, classes, dense export.
 
 Vertices are the ring elements 0..n-1.  Two distinct vertices x, y are
 adjacent exactly when the ideals they generate sum to the whole ring, which
 for Z_n reduces to gcd(gcd(x, n), gcd(y, n)) = 1 (with gcd(0, n) = n).
 
-The graph is never materialized for spectral work; adjacency comes from
-gcds, and the divisor classes A_d = {x : gcd(x, n) = d} carry everything the
-quotient method needs.  The dense Laplacian exists only to feed the
-brute-force oracle.
+The graph is never materialized for spectral work: adjacency and degrees
+come from gcds, and the spectrum comes from the prime-support quotient in
+``spectra``.  The divisor classes A_d = {x : gcd(x, n) = d} appear only in
+the ``graph n classes`` summary.  The dense Laplacian and the edge lists
+exist only to feed the brute-force oracles and the exports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import config
-from .ring_divisors import Modulus, divisors
-
-ClassKind = Literal["unit", "proper", "zero"]
-
-
-@dataclass(frozen=True)
-class DivisorClass:
-    """One cell A_d of the divisor-class partition of Z_n."""
-
-    divisor: int
-    size: int
-    kind: ClassKind
-
-
-def _divisor_class(m: Modulus, d: int) -> DivisorClass:
-    kind: ClassKind = "unit" if d == 1 else "zero" if d == m.n else "proper"
-    return DivisorClass(divisor=d, size=m.class_size(d), kind=kind)
-
-
-def classes(m: Modulus) -> list[DivisorClass]:
-    """All divisor classes of Z_n, one per divisor of n (unit d=1 ... zero d=n)."""
-    return [_divisor_class(m, d) for d in divisors(m.n)]
-
-
-@dataclass(frozen=True)
-class ComaximalGraph:
-    """The graph as a modulus plus its covering divisor-class partition.
-
-    The class sizes always sum to n; the unit class induces a clique and
-    every other class a null graph, so this object is the whole structural
-    story without ever materializing edges.
-    """
-
-    modulus: Modulus
-    classes: tuple[DivisorClass, ...]
-
-    @classmethod
-    def of(cls, n: int) -> "ComaximalGraph":
-        m = Modulus.of(n)
-        return cls(modulus=m, classes=tuple(classes(m)))
-
-    @property
-    def vertex_count(self) -> int:
-        return self.modulus.n
+from .ring_divisors import Modulus, divisors, euler_phi
 
 
 def _check_label(m: Modulus, x: int) -> None:
     if not 0 <= x < m.n:
         raise ValueError(f"vertex label {x} out of range 0..{m.n - 1}")
-
-
-def class_of(m: Modulus, x: int) -> DivisorClass:
-    """The divisor class containing vertex x (the class of d = gcd(x, n))."""
-    _check_label(m, x)
-    return _divisor_class(m, math.gcd(x, m.n))
 
 
 def adjacent(m: Modulus, x: int, y: int) -> bool:
@@ -91,24 +42,23 @@ def adjacent(m: Modulus, x: int, y: int) -> bool:
 
 
 def degree(m: Modulus, x: int) -> int:
-    """Degree of vertex x, computed from class data alone."""
+    """Degree of vertex x: the y in Z_n divisible by no prime of gcd(x, n),
+    n * prod_{p | gcd(x, n)} (1 - 1/p) of them, less x itself when x is a unit."""
     _check_label(m, x)
     d = math.gcd(x, m.n)
-    if d == 1:
-        return m.n - 1
-    if d == m.n:
-        return m.phi
-    return m.phi + sum(
-        m.class_size(e) for e in m.proper_divisors if math.gcd(d, e) == 1
-    )
+    count = m.n
+    for p in m.distinct_primes:
+        if d % p == 0:
+            count = count // p * (p - 1)
+    return count - 1 if d == 1 else count
 
 
-def dense_laplacian(m: Modulus, limit: int | None = None) -> np.ndarray:
+def dense_laplacian(m: Modulus) -> np.ndarray:
     """Dense integer Laplacian L = D - A of the comaximal graph (oracle input).
 
     Refuses n above the dense limit (default 4096, COMAX_DENSE_LIMIT override).
     """
-    cap = config.dense_limit() if limit is None else limit
+    cap = config.dense_limit()
     if m.n > cap:
         raise ValueError(f"n={m.n} exceeds dense limit {cap}")
     g = np.gcd(np.arange(m.n, dtype=np.int64), m.n)
@@ -144,7 +94,8 @@ def g2_edges(m: Modulus) -> Iterator[tuple[int, int]]:
 
 
 def class_summary(m: Modulus) -> list[dict]:
-    """JSON-ready summary of the divisor-class structure.
+    """JSON-ready summary of the divisor classes A_d = {x : gcd(x, n) = d},
+    one row per divisor d of n, ascending, with |A_d| = phi(n / d).
 
     ``neighbors`` lists the divisors e whose whole class is adjacent to the
     class of d (all-or-nothing between classes).  The unit class lists itself
@@ -152,15 +103,10 @@ def class_summary(m: Modulus) -> list[dict]:
     """
     out = []
     all_divs = divisors(m.n)
-    for cls in ComaximalGraph.of(m.n).classes:
-        d = cls.divisor
-        neighbors = []
-        for e in all_divs:
-            if e == d:
-                if d == 1 and cls.size >= 2:
-                    neighbors.append(e)
-                continue
-            if math.gcd(d, e) == 1:
-                neighbors.append(e)
-        out.append({"divisor": d, "size": cls.size, "neighbors": neighbors})
+    for d in all_divs:
+        size = euler_phi(m.n // d)
+        neighbors = [
+            e for e in all_divs if math.gcd(d, e) == 1 and (e != d or size >= 2)
+        ]
+        out.append({"divisor": d, "size": size, "neighbors": neighbors})
     return out

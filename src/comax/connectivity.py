@@ -26,7 +26,7 @@ from .oracle import (
     min_vertex_cut,
 )
 from .ring_divisors import Modulus, euler_phi
-from .spectra import SpectrumMultiset, full_spectrum, g2_spectrum
+from .spectra import SpectrumMultiset, full_spectrum
 
 _TOL = 1e-6
 
@@ -80,21 +80,19 @@ def algebraic_connectivity(
     )
 
 
-def vertex_connectivity(
-    m: Modulus, cut_limit: int = config.FULL_CUT_LIMIT
-) -> TheoremReport:
+def vertex_connectivity(m: Modulus) -> TheoremReport:
     """Minimum vertex cut of the full graph vs the claimed phi(n).
 
     For prime n the graph is complete and the cut is n - 1 by convention,
-    which matches phi.  The max-flow oracle is capped (default 60 vertices).
+    which matches phi.  The max-flow oracle is capped (at 60 vertices).
     """
     if m.is_prime:
         computed = m.n - 1
         note = "complete graph: n-1 by convention"
     else:
-        if m.n > cut_limit:
+        if m.n > config.FULL_CUT_LIMIT:
             raise OracleLimitExceeded(
-                f"n={m.n} exceeds vertex cut oracle limit {cut_limit}"
+                f"n={m.n} exceeds vertex cut oracle limit {config.FULL_CUT_LIMIT}"
             )
         computed = min_vertex_cut(full_graph(m))
         note = ""
@@ -176,12 +174,13 @@ def multiplicity_reports(
     """Multiplicity of the radius n (claimed phi(n)) and of the value phi(n)
     (claimed n / rad(n)).
 
-    The phi-multiplicity is measured on the eigenvalue *value*; if it ever
-    differed from the zero-multiplicity of the G2 spectrum (a branch other
-    than the G2 kernel landing exactly on phi(n)), the report flags the
-    collision instead of failing.  The claim itself is the classical one
-    and genuinely fails at prime powers, where G2 contributes one fewer
-    kernel dimension than n / rad(n).
+    The value phi(n) can only come from the kernel of G2: the join shifts
+    the G2 spectrum, which lies in [0, n - phi(n) - 1], up by phi(n), and
+    adds only one 0 and the radius n, neither equal to phi(n).  So the
+    computed multiplicity is the dimension of the G2 kernel, which is the
+    number of components of G2.  The claim
+    is the classical one and genuinely fails at prime powers, where G2 is a
+    null graph on n / rad(n) - 1 vertices.
     """
     s = full_spectrum(m) if spectrum is None else spectrum
     radius = TheoremReport(
@@ -193,37 +192,27 @@ def multiplicity_reports(
     )
     claimed_phi_mult = m.n // m.radical
     computed_phi_mult = s.multiplicity_of(m.phi)
-    kernel = g2_spectrum(m).multiplicity_of(0)
-    collision = computed_phi_mult != kernel
     phi_report = TheoremReport(
         theorem="phi-multiplicity",
         n=m.n,
         claimed=claimed_phi_mult,
         computed=computed_phi_mult,
-        agrees=collision or claimed_phi_mult == computed_phi_mult,
-        note=(
-            f"value collision: phi(n) multiplicity {computed_phi_mult} != "
-            f"G2 kernel {kernel}"
-            if collision
-            else ""
-        ),
+        agrees=claimed_phi_mult == computed_phi_mult,
     )
     return radius, phi_report
 
 
-def kappa_g2_bound(
-    m: Modulus, kappa_limit: int = config.G2_KAPPA_LIMIT
-) -> TheoremReport:
+def kappa_g2_bound(m: Modulus) -> TheoremReport:
     """Vertex connectivity of G2 against the bound phi(n / p_max), squarefree n.
 
-    Computed by max-flow on the explicit G2; capped (default 128 vertices).
+    Computed by max-flow on the explicit G2; capped (at 128 vertices).
     ``agrees`` means the bound holds; the note records tightness.
     """
     bound = g2_kappa_bound_value(m)
     g2_size = m.n - m.phi - 1
-    if g2_size > kappa_limit:
+    if g2_size > config.G2_KAPPA_LIMIT:
         raise OracleLimitExceeded(
-            f"|V(G2)|={g2_size} exceeds kappa oracle limit {kappa_limit}"
+            f"|V(G2)|={g2_size} exceeds kappa oracle limit {config.G2_KAPPA_LIMIT}"
         )
     computed = min_vertex_cut(g2_graph(m))
     return TheoremReport(

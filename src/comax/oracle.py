@@ -58,12 +58,13 @@ def numeric_spectrum(laplacian: np.ndarray) -> DenseSpectrum:
     return DenseSpectrum(eigenvalues=tuple(float(v) for v in eig), backward_error=bound)
 
 
-def exact_char_poly_full(m: Modulus, limit: int = config.EXACT_CHARPOLY_LIMIT) -> IntPoly:
+def exact_char_poly_full(m: Modulus) -> IntPoly:
     """Exact characteristic polynomial of the full n x n Laplacian.
 
     The exact charpoly kernel run on the dense matrix rather than on the
-    quotient; capped (default 64) to keep the dense matrix small.
+    quotient; capped (at 64) to keep the dense matrix small.
     """
+    limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
         raise OracleLimitExceeded(f"n={m.n} exceeds exact char poly limit {limit}")
     lap = dense_laplacian(m)

@@ -1,4 +1,4 @@
-"""Number-theoretic substrate: factorization, totient, and the divisor lattice of n.
+"""Number-theoretic substrate: factorization, totient, radical and divisors of n.
 
 Everything here is exact integer arithmetic.  Factorization is plain trial
 division, which is ample for the desk-scale moduli this package targets: a
@@ -56,22 +56,11 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     if n < 1:
         raise ValueError(f"divisors needs n >= 1, got {n}")
-    return _divisors_of(factorize(n) if n > 1 else ())
-
-
-def _divisors_of(factorization) -> list[int]:
-    """All divisors of the integer with this factorization, ascending."""
     ds = [1]
-    for p, a in factorization:
-        ds = [d * p**k for d in ds for k in range(a + 1)]
+    if n > 1:
+        for p, a in factorize(n):
+            ds = [d * p**k for d in ds for k in range(a + 1)]
     return sorted(ds)
-
-
-def proper_divisors(n: int) -> list[int]:
-    """Divisors d of n with 1 < d < n, ascending.  Empty for prime n."""
-    if n < 3:
-        raise ValueError(f"proper_divisors needs n >= 3, got {n}")
-    return divisors(n)[1:-1]
 
 
 def radical(n: int) -> int:
@@ -93,17 +82,16 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus n >= 3 together with its divisor-lattice data.
+    """A modulus n >= 3 with its factorization, totient and radical.
 
-    Constructed once via :meth:`Modulus.of`; every downstream computation
-    consumes this object instead of refactorizing.
+    Constructed once via :meth:`Modulus.of`, which factorizes n once; every
+    downstream computation consumes this object instead of refactorizing.
     """
 
     n: int
     factorization: tuple[tuple[int, int], ...]
     phi: int
     radical: int
-    proper_divisors: tuple[int, ...]
 
     @classmethod
     def of(cls, n: int) -> "Modulus":
@@ -115,18 +103,7 @@ class Modulus:
         for p, _ in fac:
             rad *= p
             phi = phi // p * (p - 1)
-        return cls(
-            n=n,
-            factorization=fac,
-            phi=phi,
-            radical=rad,
-            proper_divisors=tuple(_divisors_of(fac)[1:-1]),
-        )
-
-    @property
-    def w(self) -> int:
-        """Number of proper divisors of n."""
-        return len(self.proper_divisors)
+        return cls(n=n, factorization=fac, phi=phi, radical=rad)
 
     @property
     def distinct_primes(self) -> tuple[int, ...]:
@@ -139,17 +116,11 @@ class Modulus:
 
     @property
     def is_prime(self) -> bool:
-        return self.w == 0
+        return self.factorization == ((self.n, 1),)
 
     @property
     def is_squarefree(self) -> bool:
         return self.radical == self.n
-
-    def class_size(self, d: int) -> int:
-        """Size of the divisor class of d, i.e. #{x in Z_n : gcd(x, n) = d} = phi(n/d)."""
-        if d < 1 or self.n % d != 0:
-            raise ValueError(f"{d} does not divide {self.n}")
-        return euler_phi(self.n // d)
 
     def factorization_str(self) -> str:
         """Render the factorization like "2^2*3"."""

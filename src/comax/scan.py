@@ -10,9 +10,10 @@ up.
 
 from __future__ import annotations
 
-import functools
 import json
+import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
@@ -30,6 +31,9 @@ CSV_COLUMNS = (
 )
 
 FILTERS = ("all", "integral", "nonintegral")
+
+# moduli per task handed to a worker process
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -58,21 +62,37 @@ def compute_record(n: int, timing: bool = False) -> ScanRecord:
     )
 
 
+def _compute_chunk(ns: range, timing: bool) -> list[ScanRecord]:
+    return [compute_record(n, timing) for n in ns]
+
+
 def scan_range(
     start: int, stop: int, workers: int = 1, timing: bool = False
 ) -> Iterator[ScanRecord]:
-    """Records for start..stop inclusive, ascending, fanned out to a worker pool."""
+    """Records for start..stop inclusive, ascending, fanned out to a worker pool.
+
+    The pool gets at most one process per CPU and per chunk of moduli.
+    Chunks are submitted through a window of at most 2 * workers pending
+    results and yielded in submission order, so memory stays flat in the
+    range length and the output is the same for every worker count.
+    """
     if start < 3 or stop < start:
         raise ValueError(f"invalid scan range {start}..{stop}")
-    worker = functools.partial(compute_record, timing=timing)
     ns = range(start, stop + 1)
+    chunks = range(0, len(ns), _CHUNK)
+    workers = min(workers, os.cpu_count() or 1, len(chunks))
     if workers <= 1:
         for n in ns:
-            yield worker(n)
+            yield compute_record(n, timing)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # executor.map preserves submission order, so output stays ascending
-        yield from pool.map(worker, ns, chunksize=32)
+        pending: deque = deque()
+        for i in chunks:
+            pending.append(pool.submit(_compute_chunk, ns[i : i + _CHUNK], timing))
+            if len(pending) == 2 * workers:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
 
 
 def apply_filter(records: Iterable[ScanRecord], which: str) -> Iterator[ScanRecord]:

@@ -86,11 +86,6 @@ def g2_quotient(m: Modulus) -> QuotientMatrix:
     return QuotientMatrix(divisors=ds, sizes=sizes, entries=tuple(rows))
 
 
-def char_poly(q: QuotientMatrix) -> IntPoly:
-    """Exact characteristic polynomial det(xI - B) of a quotient matrix."""
-    return char_poly_matrix(q.entries)
-
-
 @dataclass(frozen=True)
 class SpectrumMultiset:
     """Exact Laplacian spectrum: integer eigenvalues plus a residual polynomial.
@@ -227,7 +222,9 @@ def g2_spectrum(m: Modulus) -> SpectrumMultiset:
     if tol >= 0.5:
         raise fail(f"eigensolver error bound {tol:.3g} cannot separate integers")
     values = np.linalg.eigvalsh(_symmetric_quotient(q)).tolist()
-    roots, residual = extract_integer_roots(char_poly(q), map(round, values))
+    roots, residual = extract_integer_roots(
+        char_poly_matrix(q.entries), map(round, values)
+    )
     for r, mult in roots:
         if not 0 <= r <= top:
             raise fail(f"integer eigenvalue {r} outside [0, {top}]")
@@ -307,19 +304,6 @@ def closed_form_two_primes(p: int, q: int, alpha: int, beta: int) -> SpectrumMul
     counts[(t + 1) * (p + q - 2) + phi] += 1
     counts[0] += 1
     return SpectrumMultiset.from_counter(counts)
-
-
-def g2_char_poly(m: Modulus) -> IntPoly:
-    """Exact characteristic polynomial of the Laplacian of G2, read off its
-    spectrum; degree n - phi(n) - 1."""
-    return g2_spectrum(m).polynomial()
-
-
-def full_char_poly(m: Modulus) -> IntPoly:
-    """Exact characteristic polynomial of the full Laplacian, read off its
-    spectrum: the join formula x * (x - n)^phi(n) * mu(G2, x - phi(n)),
-    assembled without touching the dense matrix."""
-    return full_spectrum(m).polynomial()
 
 
 def is_laplacian_integral(m: Modulus) -> bool:

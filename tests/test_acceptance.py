@@ -30,7 +30,6 @@ from comax.spectra import (
     closed_form_prime,
     closed_form_prime_power,
     closed_form_two_primes,
-    full_char_poly,
     full_spectrum,
     g2_quotient,
     is_laplacian_integral,
@@ -78,7 +77,7 @@ def test_criterion_02_join_identity_bit_exact():
     violations = []
     for n in range(3, 65):
         m = Modulus.of(n)
-        if exact_char_poly_full(m) != full_char_poly(m):
+        if exact_char_poly_full(m) != full_spectrum(m).polynomial():
             violations.append(n)
     report(
         "C2 charpoly join identity 3..64 bit-exact",

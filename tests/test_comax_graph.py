@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 
 from comax.comax_graph import (
-    ComaximalGraph,
     adjacent,
-    class_of,
     class_summary,
-    classes,
     degree,
     dense_laplacian,
     full_edges,
@@ -78,37 +75,15 @@ def test_adjacent_matches_ideal_sum_oracle_sampled():
         assert adjacent(m, x, y) == ideal_sum_is_whole_ring(n, x, y), (n, x, y)
 
 
-def test_class_of():
-    m = Modulus.of(12)
-    assert class_of(m, 10).divisor == 2
-    assert class_of(m, 0).divisor == 12
-    assert class_of(m, 0).kind == "zero"
-    assert class_of(m, 7).divisor == 1
-    assert class_of(m, 7).kind == "unit"
-    assert class_of(m, 8).kind == "proper"
-    with pytest.raises(ValueError):
-        class_of(m, 12)
-
-
 def test_class_sizes_cover_ring():
     for n in range(3, 120):
         m = Modulus.of(n)
-        cls = classes(m)
-        assert sum(c.size for c in cls) == n
-        unit = next(c for c in cls if c.kind == "unit")
-        zero = next(c for c in cls if c.kind == "zero")
-        assert unit.size == m.phi
-        assert zero.size == 1
-
-
-def test_comaximal_graph_aggregate():
-    g = ComaximalGraph.of(12)
-    assert g.vertex_count == 12
-    assert g.modulus.phi == 4
-    assert sum(c.size for c in g.classes) == 12
-    assert [c.kind for c in g.classes] == [
-        "unit", "proper", "proper", "proper", "proper", "zero",
-    ]
+        rows = class_summary(m)
+        assert sum(r["size"] for r in rows) == n
+        unit = next(r for r in rows if r["divisor"] == 1)
+        zero = next(r for r in rows if r["divisor"] == n)
+        assert unit["size"] == m.phi
+        assert zero["size"] == 1
 
 
 def test_degree_examples():
@@ -180,8 +155,6 @@ def test_dense_laplacian_structure():
 
 
 def test_dense_laplacian_limit(monkeypatch):
-    with pytest.raises(ValueError):
-        dense_laplacian(Modulus.of(100), limit=99)
     monkeypatch.setenv("COMAX_DENSE_LIMIT", "50")
     with pytest.raises(ValueError):
         dense_laplacian(Modulus.of(100))

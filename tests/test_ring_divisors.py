@@ -9,7 +9,6 @@ from comax.ring_divisors import (
     euler_phi,
     factorize,
     is_prime,
-    proper_divisors,
     radical,
 )
 
@@ -54,11 +53,11 @@ def test_euler_phi_matches_gcd_count():
 
 
 def test_proper_divisors_examples():
-    assert proper_divisors(12) == [2, 3, 4, 6]
-    assert proper_divisors(13) == []
-    assert proper_divisors(30) == [2, 3, 5, 6, 10, 15]
+    assert divisors(12)[1:-1] == [2, 3, 4, 6]
+    assert divisors(13)[1:-1] == []
+    assert divisors(30)[1:-1] == [2, 3, 5, 6, 10, 15]
     with pytest.raises(ValueError):
-        proper_divisors(2)
+        divisors(0)
 
 
 def test_proper_divisor_count_formula():
@@ -67,7 +66,7 @@ def test_proper_divisor_count_formula():
         expected = 1
         for _, a in factorize(n):
             expected *= a + 1
-        assert len(proper_divisors(n)) == expected - 2
+        assert len(divisors(n)[1:-1]) == expected - 2
 
 
 def test_radical_examples():
@@ -99,17 +98,14 @@ def test_modulus_construction():
     assert m.n == 12
     assert m.phi == 4
     assert m.radical == 6
-    assert m.proper_divisors == (2, 3, 4, 6)
-    assert m.w == 4
+    assert m.factorization == ((2, 2), (3, 1))
+    assert m.omega == 2
     assert m.distinct_primes == (2, 3)
     assert not m.is_prime
     assert not m.is_squarefree
-    assert m.class_size(2) == euler_phi(6)
     assert m.factorization_str() == "2^2*3"
     with pytest.raises(ValueError):
         Modulus.of(2)
-    with pytest.raises(ValueError):
-        m.class_size(5)
 
 
 def test_modulus_factorizes_once(monkeypatch):
@@ -124,12 +120,14 @@ def test_modulus_factorizes_once(monkeypatch):
         calls.clear()
         m = Modulus.of(n)
         assert calls == [n]
-        assert m.proper_divisors == tuple(proper_divisors(n))
+        assert m.factorization == tuple(factorize(n))
 
 
 def test_modulus_prime():
     m = Modulus.of(13)
     assert m.is_prime
-    assert m.w == 0
+    assert m.factorization == ((13, 1),)
     assert m.phi == 12
     assert m.is_squarefree
+    for n in range(3, 500):
+        assert Modulus.of(n).is_prime == is_prime(n), n

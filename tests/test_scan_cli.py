@@ -1,12 +1,16 @@
 import io
 import json
+import math
+import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Executor, Future
 from pathlib import Path
 
 import pytest
 
+from comax import scan, spectra
 from comax.cli import main
 from comax.scan import apply_filter, compute_record, scan_range, write_csv, write_json
 
@@ -57,6 +61,68 @@ def test_scan_workers_deterministic():
     multi = io.StringIO()
     write_csv(scan_range(3, 120, workers=4), multi)
     assert solo.getvalue() == multi.getvalue()
+
+
+@pytest.fixture
+def sync_pool(monkeypatch):
+    """Replace the scan's process pool with one that runs each task when it
+    is submitted and counts submissions; no process is started."""
+    pools = []
+
+    class SyncPool(Executor):
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.submitted = 0
+            pools.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.submitted += 1
+            future = Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", SyncPool)
+    return pools
+
+
+def test_parallel_scan_submits_through_a_bounded_window(sync_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    records = scan_range(3, 5000, workers=2)
+    assert next(records).n == 3
+    (pool,) = sync_pool
+    assert pool.max_workers == 2
+    assert pool.submitted <= 2 * pool.max_workers
+    records.close()
+    sync_pool.clear()
+    assert list(scan_range(3, 400, workers=2)) == list(scan_range(3, 400))
+    (pool,) = sync_pool
+    assert pool.submitted == math.ceil(398 / 32)
+
+
+def test_parallel_scan_caps_workers(sync_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert list(scan_range(3, 400, workers=5000)) == list(scan_range(3, 400))
+    assert [p.max_workers for p in sync_pool] == [2]
+    sync_pool.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    list(scan_range(3, 70, workers=5000))  # 68 moduli: 3 chunks of at most 32
+    assert [p.max_workers for p in sync_pool] == [3]
+    sync_pool.clear()
+    list(scan_range(3, 34, workers=8))  # one chunk: serial, no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    list(scan_range(3, 400, workers=8))  # CPU count unknown: serial
+    assert sync_pool == []
+
+
+def test_integral_exactly_when_at_most_two_primes():
+    # the paper proves omega(n) <= 2 integral; this checks the converse over 3..5000
+    records = list(scan_range(3, 5000))
+    assert len(records) == 4998
+    assert sum(r.laplacian_integral for r in records) == 2897
+    mismatches = [
+        r.n for r in records if r.laplacian_integral != (r.distinct_prime_count <= 2)
+    ]
+    assert mismatches == []
 
 
 def test_write_json_roundtrip():
@@ -115,6 +181,19 @@ def test_cli_verify_matches_dense_oracle_at_2310(capsys):
     # degree-29 residual: its printed roots must meet the dense oracle at 1e-6
     assert main(["verify", "2310"]) == 0
     assert "[ok ] spectrum-vs-dense-oracle" in capsys.readouterr().out
+
+
+def test_cli_verify_builds_the_g2_quotient_once(monkeypatch, capsys):
+    calls = []
+    real = spectra.g2_quotient
+
+    def counting(m):
+        calls.append(m.n)
+        return real(m)
+
+    monkeypatch.setattr(spectra, "g2_quotient", counting)
+    assert main(["verify", "30"]) == 0
+    assert calls == [30]
 
 
 def test_cli_verify_prime():

@@ -7,17 +7,14 @@ import numpy as np
 import pytest
 
 from comax.comax_graph import degree, dense_laplacian
-from comax.polynomial import IntPoly
+from comax.polynomial import IntPoly, char_poly_matrix
 from comax.ring_divisors import Modulus, euler_phi
 from comax.spectra import (
     SpectrumMultiset,
     closed_form_prime,
     closed_form_prime_power,
     closed_form_two_primes,
-    char_poly,
-    full_char_poly,
     full_spectrum,
-    g2_char_poly,
     g2_quotient,
     g2_spectrum,
     is_laplacian_integral,
@@ -57,7 +54,7 @@ def test_g2_quotient_cells_by_prime_support():
 def test_g2_quotient_prime_is_empty():
     q = g2_quotient(Modulus.of(7))
     assert q.w == 0
-    assert char_poly(q) == IntPoly.one()
+    assert char_poly_matrix(q.entries) == IntPoly.one()
 
 
 def test_g2_quotient_pqr_closed_formulas():
@@ -253,9 +250,9 @@ def test_residual_has_no_integer_roots():
 def test_g2_char_poly_degree_and_shift():
     for n in (6, 12, 30, 45):
         m = Modulus.of(n)
-        gp = g2_char_poly(m)
+        gp = g2_spectrum(m).polynomial()
         assert gp.degree == n - m.phi - 1
-        fp = full_char_poly(m)
+        fp = full_spectrum(m).polynomial()
         assert fp.degree == n
         assert fp.is_monic
         # join formula evaluated at a point
