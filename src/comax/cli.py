@@ -25,8 +25,9 @@ from .connectivity import (
 )
 from .oracle import (
     OracleLimitExceeded,
-    connected_components,
+    count_components,
     exact_char_poly_full,
+    g2_adjacency,
     g2_graph,
     min_vertex_cut,
     numeric_spectrum,
@@ -158,12 +159,17 @@ def _verify_connectivity(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
         v.report(radius)
     else:
         v.report(second_largest_report(m, s))
-        first, second = g2_connectivity_report(m)
-        v.report(first)
-        if second is not None:
-            v.report(second)
+        try:
+            first, second = g2_connectivity_report(m)
+        except OracleLimitExceeded as exc:
+            v.skip("g2-connected-iff-squarefree", str(exc))
+            v.skip("g2-complement-connected", str(exc))
         else:
-            v.skip("g2-complement-connected", "claim stated for squarefree n only")
+            v.report(first)
+            if second is not None:
+                v.report(second)
+            else:
+                v.skip("g2-complement-connected", "claim stated for squarefree n only")
         radius, phi_mult = multiplicity_reports(m, s)
         v.report(radius)
         v.report(phi_mult)
@@ -234,7 +240,11 @@ def cmd_g2(args: argparse.Namespace) -> int:
             print(f"{u} {w}")
         return EXIT_OK
     if args.action == "components":
-        print(connected_components(g2_graph(m)))
+        try:
+            print(count_components(g2_adjacency(m)))
+        except OracleLimitExceeded as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_USAGE
         return EXIT_OK
     # kappa
     size = m.n - m.phi - 1

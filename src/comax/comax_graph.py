@@ -7,8 +7,9 @@ for Z_n reduces to gcd(gcd(x, n), gcd(y, n)) = 1 (with gcd(0, n) = n).
 The graph is never materialized for spectral work: adjacency and degrees
 come from gcds, and the spectrum comes from the prime-support quotient in
 ``spectra``.  The divisor classes A_d = {x : gcd(x, n) = d} appear only in
-the ``graph n classes`` summary.  The dense Laplacian and the edge lists
-exist only to feed the brute-force oracles and the exports.
+the ``graph n classes`` summary.  The boolean adjacency matrix, the dense
+Laplacian built from it and the edge lists exist only to feed the
+brute-force oracles and the exports.
 """
 
 from __future__ import annotations
@@ -53,18 +54,34 @@ def degree(m: Modulus, x: int) -> int:
     return count - 1 if d == 1 else count
 
 
+def adjacency(m: Modulus, verts: Sequence[int]) -> np.ndarray:
+    """Boolean adjacency matrix of the subgraph induced on ``verts``.
+
+    Element-gcd arithmetic only: g = gcd(x, n) per vertex, a coprimality
+    table over the distinct g values, and that table indexed by each
+    vertex's position among them.  The diagonal is False.
+    """
+    g = np.gcd(np.asarray(verts, dtype=np.int64), m.n)
+    labels, index = np.unique(g, return_inverse=True)
+    table = np.gcd.outer(labels, labels) == 1
+    adj = table[np.ix_(index, index)]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
 def dense_laplacian(m: Modulus) -> np.ndarray:
-    """Dense integer Laplacian L = D - A of the comaximal graph (oracle input).
+    """Dense integer Laplacian L = D - A of the comaximal graph (oracle input),
+    built from the boolean gcd adjacency of all n vertices.
 
     Refuses n above the dense limit (default 4096, COMAX_DENSE_LIMIT override).
     """
     cap = config.dense_limit()
     if m.n > cap:
         raise ValueError(f"n={m.n} exceeds dense limit {cap}")
-    g = np.gcd(np.arange(m.n, dtype=np.int64), m.n)
-    adj = (np.gcd.outer(g, g) == 1).astype(np.int64)
-    np.fill_diagonal(adj, 0)
-    return np.diag(adj.sum(axis=1)) - adj
+    adj = adjacency(m, range(m.n))
+    lap = np.negative(adj, dtype=np.int64)
+    np.fill_diagonal(lap, adj.sum(axis=1))
+    return lap
 
 
 def _edges_among(m: Modulus, verts: Sequence[int]) -> Iterator[tuple[int, int]]:

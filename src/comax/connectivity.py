@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 from . import config
 from .oracle import (
     OracleLimitExceeded,
-    connected_components,
+    complement,
+    count_components,
     full_graph,
+    g2_adjacency,
     g2_graph,
     min_vertex_cut,
 )
@@ -113,12 +115,13 @@ def g2_connectivity_report(
 
     The complement claim is only made where a claim exists: disconnected for
     a product of two primes, connected for three or more; for non-squarefree
-    n the second report is None.
+    n the second report is None.  Both are counted on the boolean G2
+    adjacency, so G2 above the dense limit raises OracleLimitExceeded.
     """
     if m.is_prime:
         raise ValueError(f"G2 is empty for prime n={m.n}")
-    g2 = g2_graph(m)
-    comps = connected_components(g2)
+    adj = g2_adjacency(m)
+    comps = count_components(adj)
     first = TheoremReport(
         theorem="g2-connected-iff-squarefree",
         n=m.n,
@@ -128,7 +131,7 @@ def g2_connectivity_report(
     )
     if not m.is_squarefree:
         return first, None
-    comp_connected = connected_components(g2.complement()) == 1
+    comp_connected = count_components(complement(adj)) == 1
     claimed = m.omega > 2
     second = TheoremReport(
         theorem="g2-complement-connected",
@@ -236,11 +239,11 @@ def components_vs_radical(m: Modulus) -> TheoremReport:
     """Component count of G2 vs the classical n / rad(n) claim.
 
     Genuinely off by one at prime powers, where the isolated multiples of
-    rad(n) are the whole of G2.
+    rad(n) are the whole of G2.  Capped like ``g2_connectivity_report``.
     """
     if m.is_prime:
         raise ValueError(f"G2 is empty for prime n={m.n}")
-    comps = connected_components(g2_graph(m))
+    comps = count_components(g2_adjacency(m))
     claimed = m.n // m.radical
     return TheoremReport(
         theorem="g2-component-count",

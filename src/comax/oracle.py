@@ -1,13 +1,17 @@
 """Brute-force ground truth on the full graph.
 
-Nothing in here knows about the quotient decomposition: spectra come from a
-dense symmetric eigensolver or from the exact characteristic polynomial of
-the full n x n Laplacian, and connectivity quantities come from traversal and
-vertex-capacity max-flow.  Disagreement with the quotient pipeline means a
-bug, so these paths share no spectral shortcut with it.  The one exception is
-the exact charpoly kernel ``char_poly_matrix``, used by both on different
-matrices; the tests check that kernel independently, against sympy and
-against ``bareiss_det`` at random points.
+Nothing in here knows about the quotient decomposition.  Every dense oracle
+starts from one boolean adjacency matrix computed from element gcds
+(``comax_graph.adjacency``): spectra come from a dense symmetric eigensolver
+or from the exact characteristic polynomial of the full n x n Laplacian
+built on it, and component counts (of G2 and of its complement) come from a
+frontier traversal of that matrix.  ``SimpleGraph`` adjacency sets remain
+only for the vertex-capacity max-flow of the minimum vertex cut, which is
+capped at a few hundred vertices.  Disagreement with the quotient pipeline
+means a bug, so these paths share no spectral shortcut with it.  The one
+exception is the exact charpoly kernel ``char_poly_matrix``, used by both on
+different matrices; the tests check that kernel independently, against sympy
+and against ``bareiss_det`` at random points.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from . import config
-from .comax_graph import dense_laplacian, full_edges, g2_edges, g2_vertices
+from .comax_graph import adjacency, dense_laplacian, full_edges, g2_edges, g2_vertices
 from .polynomial import IntPoly, char_poly_matrix
 from .ring_divisors import Modulus
 
@@ -72,7 +76,8 @@ def exact_char_poly_full(m: Modulus) -> IntPoly:
 
 
 class SimpleGraph:
-    """Small undirected graph on hashable vertex labels, adjacency-set based."""
+    """Small undirected graph on hashable vertex labels, adjacency-set based:
+    the input of the capped minimum vertex cut."""
 
     def __init__(self, vertices: Iterable[Hashable], edges: Iterable[tuple] = ()):
         self.vertices = list(vertices)
@@ -98,14 +103,6 @@ class SimpleGraph:
 
     def is_complete(self) -> bool:
         return all(len(self.adj[v]) == self.n - 1 for v in self.vertices)
-
-    def complement(self) -> "SimpleGraph":
-        g = SimpleGraph(self.vertices)
-        for i, u in enumerate(self.vertices):
-            for v in self.vertices[i + 1 :]:
-                if v not in self.adj[u]:
-                    g.add_edge(u, v)
-        return g
 
 
 def full_graph(m: Modulus) -> SimpleGraph:
@@ -134,6 +131,39 @@ def connected_components(g: SimpleGraph) -> int:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
+    return count
+
+
+def g2_adjacency(m: Modulus) -> np.ndarray:
+    """Boolean adjacency of G2 (ascending nonzero non-units), capped at the
+    dense limit on its n - phi(n) - 1 vertices."""
+    size = m.n - m.phi - 1
+    cap = config.dense_limit()
+    if size > cap:
+        raise OracleLimitExceeded(f"|V(G2)|={size} exceeds dense limit {cap}")
+    return adjacency(m, g2_vertices(m))
+
+
+def complement(adj: np.ndarray) -> np.ndarray:
+    """Boolean adjacency of the complement graph (False diagonal)."""
+    out = ~adj
+    np.fill_diagonal(out, False)
+    return out
+
+
+def count_components(adj: np.ndarray) -> int:
+    """Number of connected components of a boolean adjacency matrix, by
+    frontier traversal: each step adds the unseen neighbours of the whole
+    frontier at once."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    count = 0
+    while not seen.all():
+        frontier = np.zeros_like(seen)
+        frontier[np.argmin(seen)] = True
+        while frontier.any():
+            seen |= frontier
+            frontier = adj[frontier].any(axis=0) & ~seen
+        count += 1
     return count
 
 

@@ -52,9 +52,6 @@ class QuotientMatrix:
     def w(self) -> int:
         return len(self.divisors)
 
-    def class_degree(self, d: int) -> int:
-        return self.entries[self.divisors.index(d)][self.divisors.index(d)]
-
 
 def g2_quotient(m: Modulus) -> QuotientMatrix:
     """Build the quotient matrix B of G2 over its nonempty cells (empty for prime n).

@@ -4,12 +4,16 @@ import random
 import numpy as np
 import pytest
 
+from comax.cli import main
 from comax.oracle import (
     OracleLimitExceeded,
     SimpleGraph,
+    complement,
     connected_components,
+    count_components,
     exact_char_poly_full,
     full_graph,
+    g2_adjacency,
     g2_graph,
     min_vertex_cut,
     numeric_spectrum,
@@ -163,7 +167,68 @@ def test_connected_components_examples():
 
 
 def test_complement():
-    g = SimpleGraph(range(4), [(0, 1), (2, 3)])
-    c = g.complement()
-    assert c.edge_count() == 4
-    assert 1 not in c.adj[0] and 3 in c.adj[0]
+    adj = np.zeros((4, 4), dtype=bool)
+    adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = True
+    c = complement(adj)
+    assert c.sum() // 2 == 4
+    assert not c.diagonal().any()
+    assert not c[0, 1] and c[0, 3]
+
+
+def disjoint_cliques(*sizes: int) -> np.ndarray:
+    adj = np.zeros((sum(sizes), sum(sizes)), dtype=bool)
+    start = 0
+    for size in sizes:
+        adj[start : start + size, start : start + size] = True
+        start += size
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def test_count_components_hand_cases():
+    assert count_components(np.zeros((0, 0), dtype=bool)) == 0
+    assert count_components(np.zeros((5, 5), dtype=bool)) == 5
+    assert count_components(complement(np.zeros((5, 5), dtype=bool))) == 1
+    two_cliques = disjoint_cliques(3, 4)
+    assert count_components(two_cliques) == 2
+    # the complement of two disjoint cliques is complete bipartite
+    assert count_components(complement(two_cliques)) == 1
+    assert count_components(disjoint_cliques(1, 2, 1)) == 3
+    # a path 0-1-2-3 is found through several frontier steps
+    path = np.zeros((4, 4), dtype=bool)
+    for u in range(3):
+        path[u, u + 1] = path[u + 1, u] = True
+    assert count_components(path) == 1
+
+
+def test_count_components_matches_simple_graph():
+    for n in range(4, 301):
+        m = Modulus.of(n)
+        if m.is_prime:
+            continue
+        g = g2_graph(m)
+        adj = g2_adjacency(m)
+        assert adj.shape == (g.n, g.n)
+        assert adj.sum() // 2 == g.edge_count(), n
+        assert count_components(adj) == connected_components(g), n
+        co = SimpleGraph(g.vertices)
+        for i, u in enumerate(g.vertices):
+            for v in g.vertices[i + 1 :]:
+                if v not in g.adj[u]:
+                    co.add_edge(u, v)
+        assert count_components(complement(adj)) == connected_components(co), n
+
+
+def test_g2_oracles_capped_at_dense_limit(monkeypatch, capsys):
+    monkeypatch.setenv("COMAX_DENSE_LIMIT", "100")
+    with pytest.raises(OracleLimitExceeded):
+        g2_adjacency(Modulus.of(210))  # |V(G2)| = 161
+    assert g2_adjacency(Modulus.of(120)).shape == (87, 87)
+    assert main(["verify", "210"]) == 0
+    out = capsys.readouterr().out
+    assert "[skip] g2-connected-iff-squarefree: |V(G2)|=161 exceeds dense limit 100" in out
+    assert "[skip] g2-complement-connected: |V(G2)|=161 exceeds dense limit 100" in out
+    assert main(["g2", "210", "components"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "|V(G2)|=161 exceeds dense limit 100" in captured.err

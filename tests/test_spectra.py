@@ -68,7 +68,10 @@ def test_g2_quotient_pqr_closed_formulas():
         assert diag[p] == (p - 1) * (q + r - 1)
         assert diag[q] == (q - 1) * (p + r - 1)
         assert diag[r] == (r - 1) * (p + q - 1)
-        assert qm.class_degree(p) == diag[p]
+        # the degree of class p is the total size of its coprime cells
+        row = qm.divisors.index(p)
+        off_diagonal = [b for j, b in enumerate(qm.entries[row]) if j != row]
+        assert -sum(off_diagonal) == diag[p]
         assert diag[p * q] == (p - 1) * (q - 1)
         assert diag[p * r] == (p - 1) * (r - 1)
         assert diag[q * r] == (q - 1) * (r - 1)
