@@ -27,7 +27,7 @@ from .oracle import (
     g2_graph,
     min_vertex_cut,
 )
-from .ring_divisors import Modulus, euler_phi
+from .ring_divisors import Modulus
 from .spectra import SpectrumMultiset, full_spectrum
 
 _TOL = 1e-6
@@ -229,10 +229,10 @@ def kappa_g2_bound(m: Modulus) -> TheoremReport:
 
 
 def g2_kappa_bound_value(m: Modulus) -> int:
-    """The bound phi(n / p_max) itself (squarefree composite n)."""
+    """The bound phi(n / p_max) = phi(n) / (p_max - 1) itself (squarefree composite n)."""
     if not m.is_squarefree or m.is_prime:
         raise ValueError(f"bound defined for squarefree composite n, got {m.n}")
-    return euler_phi(m.n // m.distinct_primes[-1])
+    return m.phi // (m.distinct_primes[-1] - 1)
 
 
 def components_vs_radical(m: Modulus) -> TheoremReport:

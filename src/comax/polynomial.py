@@ -6,9 +6,12 @@ form by a similarity over F_p, its characteristic polynomial is read off the
 Hessenberg recurrence (Cohen, *A Course in Computational Algebraic Number
 Theory*, Alg. 2.2.9), and the coefficients are recombined by the Chinese
 remainder theorem up to a proven Hadamard bound (the multimodular scheme of
-Dumas, Pernet & Wan, ISSAC 2005).  Integer roots are then split off by exact
-synthetic division at caller-supplied candidates.  ``bareiss_det``
-(fraction-free elimination) is an independent exact determinant.
+Dumas, Pernet & Wan, ISSAC 2005).  ``char_polys`` runs the residue matrices
+of many matrices of one size, each with its own primes, through one
+vectorised pass; ``char_poly_matrix`` is its one-matrix case.  Integer roots
+are then split off by exact synthetic division at caller-supplied
+candidates.  ``bareiss_det`` (fraction-free elimination) is an independent
+exact determinant.
 """
 
 from __future__ import annotations
@@ -214,9 +217,9 @@ def _word_primes(w: int, count: int) -> list[int]:
     return found[:count]
 
 
-# int64 entries per (k, w, w) stack of residue matrices (128 KiB): primes go
-# through _char_poly_mod in batches of this size, so the working memory stays
-# that of a few matrices however many primes the bound needs.
+# int64 entries per (k, w, w) stack of residue matrices (128 KiB): residues go
+# through _char_poly_mod in slices of this size, so the working memory stays
+# that of a few matrices however many matrices and primes a call needs.
 _BATCH_CELLS = 1 << 14
 
 
@@ -270,56 +273,97 @@ def _char_poly_mod(h: np.ndarray, mods: np.ndarray) -> np.ndarray:
     return poly[:, w]
 
 
-def char_poly_matrix(matrix: Sequence[Sequence[int]]) -> IntPoly:
-    """Monic characteristic polynomial det(xI - B) of an integer matrix, exact.
+class CharPolyError(ArithmeticError):
+    """A characteristic polynomial failed its check; ``index`` is the position
+    of its matrix in the list handed to ``char_polys``."""
 
-    Multimodular: B is reduced modulo word-size primes p, chosen with
-    w * (p - 1)**2 < 2**63 so that numpy int64 arithmetic stays exact, and
-    the charpoly of every residue matrix comes from ``_char_poly_mod``, many
-    primes to a batch.  Reduction mod p commutes with the charpoly and
-    Hessenberg reduction is a similarity over F_p, so every prime is good.
-    Primes are taken until their product M exceeds 2 * prod_i (2 +
-    isqrt(||row_i||^2)), a Hadamard bound on the sum of the principal minors
-    of each size and hence on every coefficient; the CRT value is then read
-    as the residue in (-M/2, M/2].  The result is checked to be monic of
-    degree w with x^(w-1) coefficient -trace(B).
+    def __init__(self, index: int, what: str):
+        super().__init__(f"matrix {index}: {what}")
+        self.index = index
+        self.what = what
+
+
+def char_polys(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPoly]:
+    """Monic characteristic polynomials det(xI - B) of integer matrices, exact.
+
+    Multimodular: each w x w matrix B is reduced modulo word-size primes p,
+    chosen with w * (p - 1)**2 < 2**63 so that numpy int64 arithmetic stays
+    exact, and the residue matrices of all matrices of one size w go through
+    ``_char_poly_mod`` as one stack, in slices of ``_BATCH_CELLS`` entries.
+    Reduction mod p commutes with the charpoly and Hessenberg reduction is a
+    similarity over F_p, so every prime is good.  Each matrix takes its own
+    primes until their product M exceeds 2 * prod_i (2 + isqrt(||row_i||^2)),
+    a Hadamard bound on the sum of the principal minors of each size and
+    hence on every coefficient; its CRT value is then read as the residue in
+    (-M/2, M/2].  Each result is checked to be monic of degree w with
+    x^(w-1) coefficient -trace(B); a failure raises CharPolyError.
     """
-    rows = [[int(v) for v in row] for row in matrix]
-    w = len(rows)
-    if any(len(row) != w for row in rows):
-        raise ValueError("matrix must be square")
-    if w == 0:
-        return IntPoly.one()
-    norms = [sum(v * v for v in row) for row in rows]
-    bound = 2 * math.prod(2 + math.isqrt(s) for s in norms)
-    primes: list[int] = []
-    modulus = 1
-    while modulus <= bound:
-        primes = _word_primes(w, len(primes) + 1)
-        modulus *= primes[-1]
-    # numpy reduces the entries when every |entry| < 2**63, Python otherwise
-    entries = np.array(rows, dtype=np.int64) if max(norms) < 1 << 126 else None
-    batch = max(1, _BATCH_CELLS // (w * w))
-    residues: list[list[int]] = []
-    for i in range(0, len(primes), batch):
-        chunk = primes[i : i + batch]
-        mods = np.array(chunk, dtype=np.int64)
-        if entries is not None:
-            stack = entries[None] % mods[:, None, None]
-        else:
-            stack = np.array([[[v % q for v in row] for row in rows] for q in chunk], dtype=np.int64)
-        residues += _char_poly_mod(stack, mods).tolist()
-    basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
-    coeffs = []
-    for column in zip(*residues):
-        v = sum(r * e for r, e in zip(column, basis)) % modulus
-        coeffs.append(v - modulus if 2 * v > modulus else v)
-    out = IntPoly(coeffs)
-    if not out.is_monic or out.degree != w:
-        raise ArithmeticError("characteristic polynomial must be monic of degree w")
-    if out.coeffs[w - 1] != -sum(rows[i][i] for i in range(w)):
-        raise ArithmeticError("x^(w-1) coefficient of the characteristic polynomial is not -trace")
+    mats = [[[int(v) for v in row] for row in matrix] for matrix in matrices]
+    out = [IntPoly.one()] * len(mats)
+    by_size: dict[int, list[int]] = {}
+    for i, rows in enumerate(mats):
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        if rows:
+            by_size.setdefault(len(rows), []).append(i)
+    for w, members in by_size.items():
+        counts: list[int] = []  # primes per matrix
+        fits: list[bool] = []
+        primes = _word_primes(w, 1)
+        for i in members:
+            norms = [sum(v * v for v in row) for row in mats[i]]
+            bound = 2 * math.prod(2 + math.isqrt(s) for s in norms)
+            count, modulus = 0, 1
+            while modulus <= bound:
+                if count == len(primes):
+                    primes = _word_primes(w, 2 * count)
+                modulus *= primes[count]
+                count += 1
+            counts.append(count)
+            # numpy reduces the entries when every |entry| < 2**63, Python otherwise
+            fits.append(max(norms) < 1 << 126)
+        # residue matrix j of the group is matrix members[owner[j]] modulo mods[j]
+        owner = np.repeat(np.arange(len(members)), counts)
+        mods = np.array([q for c in counts for q in primes[:c]], dtype=np.int64)
+        zero = [[0] * w] * w
+        entries = np.array(
+            [mats[i] if ok else zero for i, ok in zip(members, fits)], dtype=np.int64
+        )
+        residues = np.empty((len(mods), w + 1), dtype=np.int64)
+        batch = max(1, _BATCH_CELLS // (w * w))
+        for s in range(0, len(mods), batch):
+            part = slice(s, s + batch)
+            stack = entries[owner[part]] % mods[part, None, None]
+            for j, k in enumerate(owner[part].tolist()):
+                if not fits[k]:
+                    q = int(mods[s + j])
+                    stack[j] = [[v % q for v in row] for row in mats[members[k]]]
+            residues[part] = _char_poly_mod(stack, mods[part])
+        done = 0
+        for i, count in zip(members, counts):
+            rows = mats[i]
+            moduli = primes[:count]
+            modulus = math.prod(moduli)
+            basis = [modulus // q * pow(modulus // q, -1, q) for q in moduli]
+            coeffs = []
+            for column in zip(*residues[done : done + count].tolist()):
+                v = sum(r * e for r, e in zip(column, basis)) % modulus
+                coeffs.append(v - modulus if 2 * v > modulus else v)
+            done += count
+            poly = IntPoly(coeffs)
+            if not poly.is_monic or poly.degree != w:
+                raise CharPolyError(i, "characteristic polynomial must be monic of degree w")
+            if poly.coeffs[w - 1] != -sum(rows[r][r] for r in range(w)):
+                raise CharPolyError(
+                    i, "x^(w-1) coefficient of the characteristic polynomial is not -trace"
+                )
+            out[i] = poly
     return out
+
+
+def char_poly_matrix(matrix: Sequence[Sequence[int]]) -> IntPoly:
+    """Monic characteristic polynomial of one integer matrix: ``char_polys([matrix])[0]``."""
+    return char_polys([matrix])[0]
 
 
 def extract_integer_roots(

@@ -1,11 +1,13 @@
 """Range scanner for Laplacian integrality.
 
-Each n is an independent task (the quotient pipeline only, no dense
-oracles); results are emitted in ascending n regardless of worker count, so
-scan output is reproducible byte for byte.  Per-record timing is therefore
-disabled by default: with ``timing=True`` the wall_time_ms column carries
-real measurements and the byte-determinism guarantee is deliberately given
-up.
+The range is cut into chunks of consecutive n, and each chunk is one batch
+of the quotient pipeline (no dense oracles): one ``g2_spectra`` call, so the
+small quotients of many moduli share each numpy kernel call.  Results are
+emitted in ascending n regardless of chunk size or worker count, so scan
+output is reproducible byte for byte.  Per-record timing is therefore
+disabled by default: with ``timing=True`` every modulus is a chunk of its
+own, the wall_time_ms column carries real measurements, and the
+byte-determinism guarantee is deliberately given up.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .ring_divisors import Modulus
-from .spectra import full_spectrum
+from .spectra import g2_spectra
 
 CSV_COLUMNS = (
     "n",
@@ -32,8 +34,8 @@ CSV_COLUMNS = (
 
 FILTERS = ("all", "integral", "nonintegral")
 
-# moduli per task handed to a worker process
-_CHUNK = 32
+# consecutive moduli per batch, and per task handed to a worker process
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -47,34 +49,48 @@ class ScanRecord:
 
 
 def compute_record(n: int, timing: bool = False) -> ScanRecord:
-    """Scan one modulus: integrality and residual degree via the quotient path."""
-    start = time.perf_counter() if timing else 0.0
-    m = Modulus.of(n)
-    spectrum = full_spectrum(m)
-    elapsed_ms = int((time.perf_counter() - start) * 1000) if timing else 0
-    return ScanRecord(
-        n=n,
-        factorization=m.factorization_str(),
-        laplacian_integral=spectrum.is_integral,
-        distinct_prime_count=m.omega,
-        residual_degree=spectrum.residual.degree,
-        wall_time_ms=elapsed_ms,
-    )
+    """Scan one modulus: the chunk of one."""
+    return _compute_chunk(range(n, n + 1), timing)[0]
 
 
 def _compute_chunk(ns: range, timing: bool) -> list[ScanRecord]:
-    return [compute_record(n, timing) for n in ns]
+    """Records for consecutive moduli, from one ``g2_spectra`` call.
+
+    Integrality and the residual degree are those of the G2 spectrum: the
+    full spectrum adds only integer eigenvalues and shifts G2's by phi(n).
+    With ``timing`` every modulus is a chunk of its own, so wall_time_ms
+    times one n.
+    """
+    if timing and len(ns) > 1:
+        return [rec for n in ns for rec in _compute_chunk(range(n, n + 1), timing)]
+    start = time.perf_counter()
+    moduli = [Modulus.of(n) for n in ns]
+    spectra = g2_spectra(moduli)
+    elapsed_ms = int((time.perf_counter() - start) * 1000) if timing else 0
+    return [
+        ScanRecord(
+            n=m.n,
+            factorization=m.factorization_str(),
+            laplacian_integral=s.is_integral,
+            distinct_prime_count=m.omega,
+            residual_degree=s.residual.degree,
+            wall_time_ms=elapsed_ms,
+        )
+        for m, s in zip(moduli, spectra)
+    ]
 
 
 def scan_range(
     start: int, stop: int, workers: int = 1, timing: bool = False
 ) -> Iterator[ScanRecord]:
-    """Records for start..stop inclusive, ascending, fanned out to a worker pool.
+    """Records for start..stop inclusive, ascending, in chunks of consecutive n.
 
-    The pool gets at most one process per CPU and per chunk of moduli.
-    Chunks are submitted through a window of at most 2 * workers pending
-    results and yielded in submission order, so memory stays flat in the
-    range length and the output is the same for every worker count.
+    Each chunk is one batch of the quotient pipeline, computed in this
+    process or, with workers > 1, by a pool of at most one process per CPU
+    and per chunk.  Chunks are submitted through a window of at most
+    2 * workers pending results and yielded in submission order, so memory
+    stays flat in the range length and the output is the same for every
+    worker count.
     """
     if start < 3 or stop < start:
         raise ValueError(f"invalid scan range {start}..{stop}")
@@ -82,8 +98,8 @@ def scan_range(
     chunks = range(0, len(ns), _CHUNK)
     workers = min(workers, os.cpu_count() or 1, len(chunks))
     if workers <= 1:
-        for n in ns:
-            yield compute_record(n, timing)
+        for i in chunks:
+            yield from _compute_chunk(ns[i : i + _CHUNK], timing)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()

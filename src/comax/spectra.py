@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .polynomial import IntPoly, char_poly_matrix, extract_integer_roots
-from .ring_divisors import Modulus, euler_phi, is_prime
+from .polynomial import CharPolyError, IntPoly, char_polys, extract_integer_roots
+from .ring_divisors import Modulus, is_prime
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -174,41 +175,63 @@ class SpectrumMultiset:
         return below[-1]
 
 
-def _symmetric_quotient(q: QuotientMatrix) -> np.ndarray:
-    """The symmetric quotient M = D B D^-1, D = diag(sqrt of cell sizes).
+def _symmetric_quotients(qs: Sequence[QuotientMatrix]) -> np.ndarray:
+    """The symmetric quotients M = D B D^-1, D = diag(sqrt of cell sizes),
+    stacked for quotients of one size.
 
     Same diagonal as B; M[i][j] = -sqrt(sizes[i] * sizes[j]) wherever B has
     an off-diagonal entry.
     """
-    b = np.array(q.entries, dtype=np.float64)
-    sizes = np.array(q.sizes, dtype=np.float64)
-    return np.where(b < 0, -np.sqrt(np.outer(sizes, sizes)), b)
+    b = np.array([q.entries for q in qs], dtype=np.float64)
+    sizes = np.array([q.sizes for q in qs], dtype=np.float64)
+    return np.where(b < 0, -np.sqrt(sizes[:, :, None] * sizes[:, None, :]), b)
 
 
-def g2_spectrum(m: Modulus) -> SpectrumMultiset:
-    """Exact Laplacian spectrum of G2 (empty multiset for prime n).
+def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
+    """Exact Laplacian spectra of G2, one per modulus (empty multiset for prime n).
 
-    Per cell: the cell degree with multiplicity (cell size - 1);
-    the quotient matrix contributes the rest.  Its eigenvalues come once
-    from ``eigvalsh`` of the symmetric quotient: rounded, they are the
-    integer-root candidates that exact synthetic division confirms or
-    rejects, and the eigenvalues left after removing each confirmed root are
-    the residual roots.  Total size is n - phi(n) - 1.
+    Per cell: the cell degree with multiplicity (cell size - 1); the
+    quotient matrix contributes the rest.  The quotients of one size w share
+    one ``char_polys`` call and one stacked ``eigvalsh`` of their symmetric
+    quotients.  Rounded, each modulus's eigenvalues are the integer-root
+    candidates that exact synthetic division confirms or rejects, and the
+    eigenvalues left after removing each confirmed root are the residual
+    roots.  Total size is n - phi(n) - 1.
 
-    Raises ArithmeticError if an invariant fails: the eigensolver error
-    bound w * ||B||_inf * eps is below 1/2 (so rounding reaches every
-    integer eigenvalue), each integer root has a numeric eigenvalue within
-    that bound, the residual roots sum to the exact coefficient (Vieta), and
-    every root lies in [0, n - phi(n) - 1].
+    Raises ArithmeticError naming the modulus if an invariant fails: its
+    charpoly check, the eigensolver error bound w * ||B||_inf * eps is below
+    1/2 (so rounding reaches every integer eigenvalue), each integer root has
+    a numeric eigenvalue within that bound, the residual roots sum to the
+    exact coefficient (Vieta), and every root lies in [0, n - phi(n) - 1].
     """
-    q = g2_quotient(m)
+    quotients = [g2_quotient(m) for m in moduli]
+    out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
+    by_size: dict[int, list[int]] = {}
+    for i, q in enumerate(quotients):
+        if q.w:
+            by_size.setdefault(q.w, []).append(i)
+    for members in by_size.values():
+        qs = [quotients[i] for i in members]
+        try:
+            polys = char_polys([q.entries for q in qs])
+        except CharPolyError as exc:
+            raise ArithmeticError(f"n={moduli[members[exc.index]].n}: {exc.what}") from exc
+        values = np.linalg.eigvalsh(_symmetric_quotients(qs)).tolist()
+        for i, q, p, vs in zip(members, qs, polys, values):
+            out[i] = _split_spectrum(moduli[i], q, p, vs)
+    return out
+
+
+def _split_spectrum(
+    m: Modulus, q: QuotientMatrix, p: IntPoly, values: list[float]
+) -> SpectrumMultiset:
+    """G2 spectrum of one modulus from its quotient, the quotient's exact
+    charpoly ``p`` and its eigenvalues ``values`` (ascending, consumed)."""
     counts: Counter = Counter()
     for i in range(q.w):
         mult = q.sizes[i] - 1
         if mult > 0:
             counts[q.entries[i][i]] += mult
-    if q.w == 0:
-        return SpectrumMultiset.from_counter(counts)
     top = m.n - m.phi - 1
     # every row of B sums to zero, so ||B||_inf is twice its largest diagonal
     tol = q.w * 2 * max(q.entries[i][i] for i in range(q.w)) * _EPS
@@ -218,10 +241,7 @@ def g2_spectrum(m: Modulus) -> SpectrumMultiset:
 
     if tol >= 0.5:
         raise fail(f"eigensolver error bound {tol:.3g} cannot separate integers")
-    values = np.linalg.eigvalsh(_symmetric_quotient(q)).tolist()
-    roots, residual = extract_integer_roots(
-        char_poly_matrix(q.entries), map(round, values)
-    )
+    roots, residual = extract_integer_roots(p, map(round, values))
     for r, mult in roots:
         if not 0 <= r <= top:
             raise fail(f"integer eigenvalue {r} outside [0, {top}]")
@@ -237,6 +257,11 @@ def g2_spectrum(m: Modulus) -> SpectrumMultiset:
     if values and not (-tol <= values[0] and values[-1] <= top + tol):
         raise fail(f"residual root outside [0, {top}]")
     return SpectrumMultiset.from_counter(counts, residual, tuple(values))
+
+
+def g2_spectrum(m: Modulus) -> SpectrumMultiset:
+    """Exact Laplacian spectrum of G2: ``g2_spectra([m])[0]``."""
+    return g2_spectra([m])[0]
 
 
 def full_spectrum(m: Modulus) -> SpectrumMultiset:
@@ -270,7 +295,7 @@ def closed_form_prime_power(p: int, m: int) -> SpectrumMultiset:
     if m < 2:
         raise ValueError(f"exponent must be >= 2, got {m}")
     n = p**m
-    phi = euler_phi(n)
+    phi = n // p * (p - 1)
     return SpectrumMultiset.from_counter(
         Counter({n: phi, phi: n - phi - 1, 0: 1})
     )
@@ -291,8 +316,8 @@ def closed_form_two_primes(p: int, q: int, alpha: int, beta: int) -> SpectrumMul
     if alpha < 1 or beta < 1:
         raise ValueError("exponents must be >= 1")
     n = p**alpha * q**beta
-    phi = euler_phi(n)
     t = p ** (alpha - 1) * q ** (beta - 1) - 1
+    phi = (t + 1) * (p - 1) * (q - 1)
     counts = Counter()
     counts[n] += phi
     counts[(t + 1) * (p - 1) + phi] += (t + 1) * (q - 1) - 1

@@ -5,9 +5,11 @@ import pytest
 
 from comax import polynomial
 from comax.polynomial import (
+    CharPolyError,
     IntPoly,
     bareiss_det,
     char_poly_matrix,
+    char_polys,
     extract_integer_roots,
 )
 from comax.ring_divisors import Modulus
@@ -213,6 +215,48 @@ def test_char_poly_checks_the_trace(monkeypatch):
     monkeypatch.setattr(polynomial, "_char_poly_mod", off_by_one_trace)
     with pytest.raises(ArithmeticError):
         char_poly_matrix([[1, 2], [3, 4]])
+
+
+def _mixed_batch():
+    """Matrices of sizes 0 to 30, mixed within each size: small entries (one
+    prime each) next to entries near 2**62 (many primes each), one matrix
+    with entries beyond int64, and two G2 quotients."""
+    rng = random.Random(8)
+    out = []
+    for k in (3, 1, 5, 3, 0, 9, 5, 2, 3):
+        top = rng.choice((9, 2**62))
+        out.append([[rng.randrange(-top, top + 1) for _ in range(k)] for _ in range(k)])
+    out.append([[2**70 + 3 * i - j for j in range(3)] for i in range(3)])
+    out += g2_quotient(Modulus.of(2310)).entries, g2_quotient(Modulus.of(12)).entries
+    return out
+
+
+def test_char_polys_match_one_matrix_at_a_time():
+    batch = _mixed_batch()
+    assert sorted({len(m) for m in batch}) == [0, 1, 2, 3, 5, 9, 30]
+    assert char_polys(batch) == [char_poly_matrix(m) for m in batch]
+    assert char_polys(batch[::-1]) == char_polys(batch)[::-1]
+    assert char_polys([]) == []
+    with pytest.raises(ValueError):
+        char_polys([[[1]], [[1, 2], [3]]])
+
+
+def test_char_polys_checks_the_trace_of_each_matrix(monkeypatch):
+    kernel = polynomial._char_poly_mod
+
+    def off_by_one_trace_of_second(h, mods):
+        out = kernel(h, mods)
+        if h.shape[1] == 2:
+            out[1, -2] = (out[1, -2] + 1) % mods[1]
+        return out
+
+    monkeypatch.setattr(polynomial, "_char_poly_mod", off_by_one_trace_of_second)
+    batch = [[[1, 2], [3, 4]], [[1, 2, 0], [0, 1, 0], [5, 0, 2]], [[5, 6], [7, 8]]]
+    with pytest.raises(CharPolyError) as caught:
+        char_polys(batch)
+    assert caught.value.index == 2
+    assert isinstance(caught.value, ArithmeticError)
+    assert "matrix 2" in str(caught.value)
 
 
 def test_extract_integer_roots_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -96,7 +97,7 @@ def test_parallel_scan_submits_through_a_bounded_window(sync_pool, monkeypatch):
     sync_pool.clear()
     assert list(scan_range(3, 400, workers=2)) == list(scan_range(3, 400))
     (pool,) = sync_pool
-    assert pool.submitted == math.ceil(398 / 32)
+    assert pool.submitted == math.ceil(398 / scan._CHUNK)
 
 
 def test_parallel_scan_caps_workers(sync_pool, monkeypatch):
@@ -105,13 +106,34 @@ def test_parallel_scan_caps_workers(sync_pool, monkeypatch):
     assert [p.max_workers for p in sync_pool] == [2]
     sync_pool.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    list(scan_range(3, 70, workers=5000))  # 68 moduli: 3 chunks of at most 32
+    list(scan_range(3, 6 + 2 * scan._CHUNK, workers=5000))  # 3 chunks, the last of 4 moduli
     assert [p.max_workers for p in sync_pool] == [3]
     sync_pool.clear()
-    list(scan_range(3, 34, workers=8))  # one chunk: serial, no pool
+    list(scan_range(3, 2 + scan._CHUNK, workers=8))  # one chunk: serial, no pool
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     list(scan_range(3, 400, workers=8))  # CPU count unknown: serial
     assert sync_pool == []
+
+
+def test_timed_scan_batches_one_modulus_at_a_time(sync_pool, monkeypatch):
+    batches = []
+    real = scan.g2_spectra
+
+    def recording(moduli):
+        batches.append(len(moduli))
+        return real(moduli)
+
+    monkeypatch.setattr(scan, "g2_spectra", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    untimed = list(scan_range(3, 300))
+    assert max(batches) > 1
+    for workers in (1, 2):
+        batches.clear()
+        timed = list(scan_range(3, 300, workers=workers, timing=True))
+        assert batches == [1] * 298
+        assert [dataclasses.replace(r, wall_time_ms=0) for r in timed] == untimed
+        assert all(type(r.wall_time_ms) is int and r.wall_time_ms >= 0 for r in timed)
+    assert [p.max_workers for p in sync_pool] == [2]
 
 
 def test_integral_exactly_when_at_most_two_primes():

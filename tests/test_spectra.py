@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from comax import polynomial
 from comax.comax_graph import degree, dense_laplacian
 from comax.polynomial import IntPoly, char_poly_matrix
 from comax.ring_divisors import Modulus, euler_phi
@@ -16,6 +17,7 @@ from comax.spectra import (
     closed_form_two_primes,
     full_spectrum,
     g2_quotient,
+    g2_spectra,
     g2_spectrum,
     is_laplacian_integral,
     spectrum_json_dict,
@@ -298,6 +300,34 @@ def test_spectrum_json_schema():
     assert d30["laplacian_integral"] is False
     assert d30["residual_poly"][-1] == 1  # monic, constant term first
     assert len(d30["residual_poly"]) == 5
+
+
+def test_g2_spectra_match_one_modulus_at_a_time():
+    moduli = [Modulus.of(n) for n in [*range(3, 2001), 30030, 510510, 720720, 999999]]
+    for m, batched in zip(moduli, g2_spectra(moduli), strict=True):
+        alone = g2_spectrum(m)
+        assert batched.integer_part == alone.integer_part, m.n
+        assert batched.residual == alone.residual, m.n
+        q = g2_quotient(m)
+        tol = q.w * 2 * max((q.entries[i][i] for i in range(q.w)), default=0) * np.finfo(float).eps
+        assert len(batched.residual_values) == len(alone.residual_values), m.n
+        for a, b in zip(batched.residual_values, alone.residual_values):
+            assert abs(a - b) <= tol, m.n
+
+
+def test_g2_spectra_names_the_modulus_whose_charpoly_fails(monkeypatch):
+    kernel = polynomial._char_poly_mod
+    w30 = g2_quotient(Modulus.of(30)).w
+
+    def off_by_one_trace(h, mods):
+        out = kernel(h, mods)
+        if h.shape[1] == w30:
+            out[:, -2] = (out[:, -2] + 1) % mods
+        return out
+
+    monkeypatch.setattr(polynomial, "_char_poly_mod", off_by_one_trace)
+    with pytest.raises(ArithmeticError, match=r"^n=30: x\^\(w-1\) coefficient"):
+        g2_spectra([Modulus.of(n) for n in (12, 29, 30, 36)])
 
 
 def test_full_spectrum_rejects_small_n():
