@@ -28,16 +28,13 @@ from .oracle import (
     count_components,
     exact_char_poly_full,
     g2_adjacency,
-    g2_graph,
     min_vertex_cut,
     numeric_spectrum,
 )
 from .ring_divisors import Modulus
 from .spectra import (
     SpectrumMultiset,
-    closed_form_prime,
-    closed_form_prime_power,
-    closed_form_two_primes,
+    closed_form_spectrum,
     full_spectrum,
     spectrum_json_dict,
 )
@@ -128,16 +125,10 @@ def _verify_char_poly(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
 
 def _verify_closed_form(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
     name = "closed-form-spectrum"
-    if m.omega > 2:
+    expected = closed_form_spectrum(m)
+    if expected is None:
         v.skip(name, "no closed form for three or more distinct primes")
         return
-    if m.is_prime:
-        expected = closed_form_prime(m.n)
-    elif m.omega == 1:
-        expected = closed_form_prime_power(*m.factorization[0])
-    else:
-        (p, a), (q, b) = m.factorization
-        expected = closed_form_two_primes(p, q, a, b)
     same = s.as_counter() == expected.as_counter() and s.is_integral
     v.result(name, same, "matches spectrum from the quotient pipeline")
 
@@ -239,22 +230,22 @@ def cmd_g2(args: argparse.Namespace) -> int:
         for u, w in g2_edges(m):
             print(f"{u} {w}")
         return EXIT_OK
-    if args.action == "components":
-        try:
-            print(count_components(g2_adjacency(m)))
-        except OracleLimitExceeded as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_USAGE
-        return EXIT_OK
-    # kappa
     size = m.n - m.phi - 1
-    if size > config.G2_KAPPA_LIMIT:
+    if args.action == "kappa" and size > config.G2_KAPPA_LIMIT:
         print(
             f"|V(G2)|={size} exceeds kappa limit {config.G2_KAPPA_LIMIT}",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    computed = min_vertex_cut(g2_graph(m))
+    try:
+        adj = g2_adjacency(m)
+    except OracleLimitExceeded as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    if args.action == "components":
+        print(count_components(adj))
+        return EXIT_OK
+    computed = min_vertex_cut(adj)
     if m.is_squarefree:
         bound = g2_kappa_bound_value(m)
         tight = "tight" if computed == bound else "strict"

@@ -7,9 +7,11 @@ for Z_n reduces to gcd(gcd(x, n), gcd(y, n)) = 1 (with gcd(0, n) = n).
 The graph is never materialized for spectral work: adjacency and degrees
 come from gcds, and the spectrum comes from the prime-support quotient in
 ``spectra``.  The divisor classes A_d = {x : gcd(x, n) = d} appear only in
-the ``graph n classes`` summary.  The boolean adjacency matrix, the dense
-Laplacian built from it and the edge lists exist only to feed the
-brute-force oracles and the exports.
+the ``graph n classes`` summary.  Outside the scalar ``adjacent`` and
+``degree``, one edge rule serves every graph consumer: a coprimality table
+over the distinct gcd(x, n).  The boolean adjacency matrix indexes it whole
+and feeds the dense Laplacian and every brute-force oracle; the edge exports
+read its upper triangle one row at a time, so they stream in O(n) memory.
 """
 
 from __future__ import annotations
@@ -54,16 +56,18 @@ def degree(m: Modulus, x: int) -> int:
     return count - 1 if d == 1 else count
 
 
-def adjacency(m: Modulus, verts: Sequence[int]) -> np.ndarray:
-    """Boolean adjacency matrix of the subgraph induced on ``verts``.
-
-    Element-gcd arithmetic only: g = gcd(x, n) per vertex, a coprimality
-    table over the distinct g values, and that table indexed by each
-    vertex's position among them.  The diagonal is False.
-    """
+def _gcd_table(m: Modulus, verts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The one edge rule: the coprimality table over the distinct g = gcd(x, n)
+    of ``verts``, and each vertex's index into it."""
     g = np.gcd(np.asarray(verts, dtype=np.int64), m.n)
     labels, index = np.unique(g, return_inverse=True)
-    table = np.gcd.outer(labels, labels) == 1
+    return np.gcd.outer(labels, labels) == 1, index
+
+
+def adjacency(m: Modulus, verts: Sequence[int]) -> np.ndarray:
+    """Boolean adjacency matrix of the subgraph induced on ``verts``: the gcd
+    table indexed by each vertex's position in it, with a False diagonal."""
+    table, index = _gcd_table(m, verts)
     adj = table[np.ix_(index, index)]
     np.fill_diagonal(adj, False)
     return adj
@@ -86,13 +90,11 @@ def dense_laplacian(m: Modulus) -> np.ndarray:
 
 def _edges_among(m: Modulus, verts: Sequence[int]) -> Iterator[tuple[int, int]]:
     """Edges (u, v) with u < v of the subgraph induced on ascending ``verts``,
-    lexicographic order."""
-    gcds = [math.gcd(x, m.n) for x in verts]
+    lexicographic order: the gcd table's upper triangle, one row at a time."""
+    table, index = _gcd_table(m, verts)
     for i, u in enumerate(verts):
-        gu = gcds[i]
-        for j in range(i + 1, len(verts)):
-            if math.gcd(gu, gcds[j]) == 1:
-                yield (u, verts[j])
+        for j in np.flatnonzero(table[index[i], index[i + 1 :]]).tolist():
+            yield (u, verts[i + 1 + j])
 
 
 def full_edges(m: Modulus) -> Iterator[tuple[int, int]]:

@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import config
+from .comax_graph import adjacency
 from .oracle import (
     OracleLimitExceeded,
     complement,
     count_components,
-    full_graph,
     g2_adjacency,
-    g2_graph,
     min_vertex_cut,
 )
 from .ring_divisors import Modulus
@@ -96,7 +95,7 @@ def vertex_connectivity(m: Modulus) -> TheoremReport:
             raise OracleLimitExceeded(
                 f"n={m.n} exceeds vertex cut oracle limit {config.FULL_CUT_LIMIT}"
             )
-        computed = min_vertex_cut(full_graph(m))
+        computed = min_vertex_cut(adjacency(m, range(m.n)))
         note = ""
     return TheoremReport(
         theorem="vertex-connectivity",
@@ -208,7 +207,7 @@ def multiplicity_reports(
 def kappa_g2_bound(m: Modulus) -> TheoremReport:
     """Vertex connectivity of G2 against the bound phi(n / p_max), squarefree n.
 
-    Computed by max-flow on the explicit G2; capped (at 128 vertices).
+    Computed by max-flow on the boolean G2 adjacency; capped (at 128 vertices).
     ``agrees`` means the bound holds; the note records tightness.
     """
     bound = g2_kappa_bound_value(m)
@@ -217,7 +216,7 @@ def kappa_g2_bound(m: Modulus) -> TheoremReport:
         raise OracleLimitExceeded(
             f"|V(G2)|={g2_size} exceeds kappa oracle limit {config.G2_KAPPA_LIMIT}"
         )
-    computed = min_vertex_cut(g2_graph(m))
+    computed = min_vertex_cut(g2_adjacency(m))
     return TheoremReport(
         theorem="kappa-g2-bound",
         n=m.n,
@@ -233,22 +232,3 @@ def g2_kappa_bound_value(m: Modulus) -> int:
     if not m.is_squarefree or m.is_prime:
         raise ValueError(f"bound defined for squarefree composite n, got {m.n}")
     return m.phi // (m.distinct_primes[-1] - 1)
-
-
-def components_vs_radical(m: Modulus) -> TheoremReport:
-    """Component count of G2 vs the classical n / rad(n) claim.
-
-    Genuinely off by one at prime powers, where the isolated multiples of
-    rad(n) are the whole of G2.  Capped like ``g2_connectivity_report``.
-    """
-    if m.is_prime:
-        raise ValueError(f"G2 is empty for prime n={m.n}")
-    comps = count_components(g2_adjacency(m))
-    claimed = m.n // m.radical
-    return TheoremReport(
-        theorem="g2-component-count",
-        n=m.n,
-        claimed=claimed,
-        computed=comps,
-        agrees=claimed == comps,
-    )

@@ -4,26 +4,25 @@ Nothing in here knows about the quotient decomposition.  Every dense oracle
 starts from one boolean adjacency matrix computed from element gcds
 (``comax_graph.adjacency``): spectra come from a dense symmetric eigensolver
 or from the exact characteristic polynomial of the full n x n Laplacian
-built on it, and component counts (of G2 and of its complement) come from a
-frontier traversal of that matrix.  ``SimpleGraph`` adjacency sets remain
-only for the vertex-capacity max-flow of the minimum vertex cut, which is
-capped at a few hundred vertices.  Disagreement with the quotient pipeline
-means a bug, so these paths share no spectral shortcut with it.  The one
-exception is the exact charpoly kernel ``char_poly_matrix``, used by both on
-different matrices; the tests check that kernel independently, against sympy
-and against ``bareiss_det`` at random points.
+built on it, component counts (of G2 and of its complement) come from a
+frontier traversal of that matrix, and the minimum vertex cut runs a
+vertex-capacity max-flow on a network read off it, capped at a few hundred
+vertices.  Disagreement with the quotient pipeline means a bug, so these
+paths share no spectral shortcut with it.  The one exception is the exact
+charpoly kernel ``char_poly_matrix``, used by both on different matrices;
+the tests check that kernel independently, against sympy and against
+``bareiss_det`` at random points.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable
 
 import numpy as np
 
 from . import config
-from .comax_graph import adjacency, dense_laplacian, full_edges, g2_edges, g2_vertices
+from .comax_graph import adjacency, dense_laplacian, g2_vertices
 from .polynomial import IntPoly, char_poly_matrix
 from .ring_divisors import Modulus
 
@@ -73,65 +72,6 @@ def exact_char_poly_full(m: Modulus) -> IntPoly:
         raise OracleLimitExceeded(f"n={m.n} exceeds exact char poly limit {limit}")
     lap = dense_laplacian(m)
     return char_poly_matrix([[int(v) for v in row] for row in lap])
-
-
-class SimpleGraph:
-    """Small undirected graph on hashable vertex labels, adjacency-set based:
-    the input of the capped minimum vertex cut."""
-
-    def __init__(self, vertices: Iterable[Hashable], edges: Iterable[tuple] = ()):
-        self.vertices = list(vertices)
-        self.adj: dict[Hashable, set] = {v: set() for v in self.vertices}
-        for u, v in edges:
-            self.add_edge(u, v)
-
-    def add_edge(self, u: Hashable, v: Hashable) -> None:
-        if u == v:
-            raise ValueError("no self-loops")
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj.values()) // 2
-
-    def degree(self, v: Hashable) -> int:
-        return len(self.adj[v])
-
-    def is_complete(self) -> bool:
-        return all(len(self.adj[v]) == self.n - 1 for v in self.vertices)
-
-
-def full_graph(m: Modulus) -> SimpleGraph:
-    """Explicit comaximal graph of Z_n."""
-    return SimpleGraph(range(m.n), full_edges(m))
-
-
-def g2_graph(m: Modulus) -> SimpleGraph:
-    """Explicit G2: induced subgraph on the nonzero non-units."""
-    return SimpleGraph(g2_vertices(m), g2_edges(m))
-
-
-def connected_components(g: SimpleGraph) -> int:
-    """Number of connected components, by traversal."""
-    seen: set = set()
-    count = 0
-    for start in g.vertices:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return count
 
 
 def g2_adjacency(m: Modulus) -> np.ndarray:
@@ -216,56 +156,54 @@ class _Dinic:
         return 0
 
 
-def _disjoint_paths(g: SimpleGraph, s: Hashable, t: Hashable, limit: int) -> int:
+def _disjoint_paths(adj: np.ndarray, s: int, t: int, limit: int) -> int:
     """Max internally vertex-disjoint s-t paths (vertex-splitting max-flow),
     truncated at ``limit``."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    size = 2 * g.n  # v_in = 2i, v_out = 2i + 1
-    net = _Dinic(size)
-    for v, i in index.items():
-        net.add_edge(2 * i, 2 * i + 1, 1)
-    for u in g.vertices:
-        for v in g.adj[u]:
-            net.add_edge(2 * index[u] + 1, 2 * index[v], 1)
-    return net.max_flow(2 * index[s] + 1, 2 * index[t], limit)
+    n = adj.shape[0]
+    net = _Dinic(2 * n)  # v_in = 2v, v_out = 2v + 1
+    for v in range(n):
+        net.add_edge(2 * v, 2 * v + 1, 1)
+    for u, v in np.argwhere(adj).tolist():
+        net.add_edge(2 * u + 1, 2 * v, 1)
+    return net.max_flow(2 * s + 1, 2 * t, limit)
 
 
-def min_vertex_cut(g: SimpleGraph) -> int:
-    """Vertex connectivity of g by Menger max-flow over non-adjacent pairs.
+def min_vertex_cut(adj: np.ndarray) -> int:
+    """Vertex connectivity of the graph with boolean adjacency ``adj``, by
+    Menger max-flow over non-adjacent pairs.
 
     Complete graphs return n - 1 by convention (no separating set exists);
     disconnected graphs return 0.  The pair search is reduced to a minimum
     degree vertex v: any minimum separator avoiding v is found on a pair
     (v, non-neighbor), and one containing v on a pair of non-adjacent
-    neighbors of v.  Pairs whose common-neighborhood size already reaches
-    the best cut found so far are skipped, since the flow between them
-    cannot be smaller; this keeps the result exact while avoiding almost
-    every flow computation on dense class-structured graphs.
+    neighbors of v.  Pairs whose common-neighborhood size (read off one
+    integer product adj @ adj) already reaches the best cut found so far are
+    skipped, since the flow between them cannot be smaller; this keeps the
+    result exact while avoiding almost every flow computation on dense
+    class-structured graphs.
     """
-    n = g.n
+    n = adj.shape[0]
     if n > config.VERTEX_CUT_LIMIT:
         raise OracleLimitExceeded(
             f"{n} vertices exceeds vertex cut limit {config.VERTEX_CUT_LIMIT}"
         )
-    if n <= 1 or connected_components(g) > 1:
+    if n <= 1 or count_components(adj) > 1:
         return 0
-    if g.is_complete():
+    degree = adj.sum(axis=1).tolist()
+    best = min(degree)
+    if best == n - 1:
         return n - 1
-    v = min(g.vertices, key=g.degree)
-    best = g.degree(v)  # N(v) separates v from the (nonempty) rest
-    neighbors = g.adj[v]
-    for t in g.vertices:
-        if t == v or t in neighbors:
+    v = degree.index(best)  # N(v) separates v from the (nonempty) rest
+    counts = adj.astype(np.int64)
+    common = (counts @ counts).tolist()
+    for t in np.flatnonzero(~adj[v]).tolist():
+        if t == v or common[v][t] >= best:
             continue
-        if len(neighbors & g.adj[t]) >= best:
-            continue
-        best = min(best, _disjoint_paths(g, v, t, best))
-    nb = sorted(neighbors, key=lambda u: g.degree(u))
+        best = min(best, _disjoint_paths(adj, v, t, best))
+    nb = sorted(np.flatnonzero(adj[v]).tolist(), key=degree.__getitem__)
     for i, x in enumerate(nb):
         for y in nb[i + 1 :]:
-            if y in g.adj[x]:
+            if adj[x, y] or common[x][y] >= best:
                 continue
-            if len(g.adj[x] & g.adj[y]) >= best:
-                continue
-            best = min(best, _disjoint_paths(g, x, y, best))
+            best = min(best, _disjoint_paths(adj, x, y, best))
     return best

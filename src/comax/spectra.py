@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomial import CharPolyError, IntPoly, char_polys, extract_integer_roots
-from .ring_divisors import Modulus, is_prime
+from .ring_divisors import Modulus
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -281,43 +281,25 @@ def full_spectrum(m: Modulus) -> SpectrumMultiset:
     )
 
 
-def closed_form_prime(p: int) -> SpectrumMultiset:
-    """Spectrum for prime n = p: the graph is the complete graph K_p."""
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"{p} is not a prime >= 3")
-    return SpectrumMultiset.from_counter(Counter({p: p - 1, 0: 1}))
+def closed_form_spectrum(m: Modulus) -> SpectrumMultiset | None:
+    """Closed-form spectrum for n with at most two distinct primes, else None.
 
-
-def closed_form_prime_power(p: int, m: int) -> SpectrumMultiset:
-    """Spectrum for n = p^m, m >= 2: clique joined onto a null graph."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 2:
-        raise ValueError(f"exponent must be >= 2, got {m}")
-    n = p**m
-    phi = n // p * (p - 1)
-    return SpectrumMultiset.from_counter(
-        Counter({n: phi, phi: n - phi - 1, 0: 1})
-    )
-
-
-def closed_form_two_primes(p: int, q: int, alpha: int, beta: int) -> SpectrumMultiset:
-    """Spectrum for n = p^alpha * q^beta with primes p < q and alpha, beta >= 1.
-
-    With t = p^(alpha-1) * q^(beta-1) - 1, G2 is the join of two null graphs
-    (the p-pure and q-pure classes, sizes (t+1)(q-1) and (t+1)(p-1)) plus t
-    isolated vertices.  Entries whose multiplicity vanishes (only
+    For n = p^alpha the graph is a clique on the phi(n) units joined onto a
+    null graph on the n - phi(n) non-units, so the value phi(n) has
+    multiplicity n - phi(n) - 1 (zero for prime n, which ``from_counter``
+    drops).  For n = p^alpha * q^beta,
+    p < q, with t = p^(alpha-1) * q^(beta-1) - 1, G2 is the join of two null
+    graphs (the p-pure and q-pure classes, sizes (t+1)(q-1) and (t+1)(p-1))
+    plus t isolated vertices.  Entries whose multiplicity vanishes (only
     (t+1)(p-1)-1 when p=2, alpha=beta=1) are dropped.
     """
-    if not (is_prime(p) and is_prime(q)):
-        raise ValueError("p and q must be prime")
-    if p >= q:
-        raise ValueError(f"need p < q, got p={p}, q={q}")
-    if alpha < 1 or beta < 1:
-        raise ValueError("exponents must be >= 1")
-    n = p**alpha * q**beta
-    t = p ** (alpha - 1) * q ** (beta - 1) - 1
-    phi = (t + 1) * (p - 1) * (q - 1)
+    n, phi = m.n, m.phi
+    if m.omega == 1:
+        return SpectrumMultiset.from_counter(Counter({n: phi, phi: n - phi - 1, 0: 1}))
+    if m.omega > 2:
+        return None
+    p, q = m.distinct_primes
+    t = n // (p * q) - 1
     counts = Counter()
     counts[n] += phi
     counts[(t + 1) * (p - 1) + phi] += (t + 1) * (q - 1) - 1

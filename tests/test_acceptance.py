@@ -15,24 +15,19 @@ import sys
 import time
 from pathlib import Path
 
-from comax.comax_graph import dense_laplacian
+from comax.comax_graph import adjacency, dense_laplacian
 from comax.connectivity import multiplicity_reports
 from comax.oracle import (
     complement,
-    connected_components,
     count_components,
     exact_char_poly_full,
-    full_graph,
     g2_adjacency,
-    g2_graph,
     min_vertex_cut,
     numeric_spectrum,
 )
 from comax.ring_divisors import Modulus, euler_phi
 from comax.spectra import (
-    closed_form_prime,
-    closed_form_prime_power,
-    closed_form_two_primes,
+    closed_form_spectrum,
     full_spectrum,
     g2_quotient,
     is_laplacian_integral,
@@ -99,13 +94,7 @@ def test_criterion_03_closed_forms_to_2000():
         if m.omega > 2:
             continue
         checked += 1
-        if m.is_prime:
-            expected = closed_form_prime(n)
-        elif m.omega == 1:
-            expected = closed_form_prime_power(*m.factorization[0])
-        else:
-            (p, a), (q, b) = m.factorization
-            expected = closed_form_two_primes(p, q, a, b)
+        expected = closed_form_spectrum(m)
         actual = full_spectrum(m)
         if actual.as_counter() != expected.as_counter() or not actual.is_integral:
             violations.append(n)
@@ -130,13 +119,14 @@ def test_criterion_04_connectivity_equalities():
     primes = 0
     for n in range(3, 61):
         m = Modulus.of(n)
-        g = full_graph(m)
-        cut = min_vertex_cut(g)
+        adj = adjacency(m, range(n))
+        cut = min_vertex_cut(adj)
         lam = full_spectrum(m).second_smallest()
         if cut != m.phi:
             violations.append((n, "cut", cut, m.phi))
-        if g.is_complete() != m.is_prime:
-            violations.append((n, "complete", g.is_complete()))
+        complete = bool(adj.sum() == n * (n - 1))
+        if complete != m.is_prime:
+            violations.append((n, "complete", complete))
         if m.is_prime:
             primes += 1
             expected = n
@@ -228,8 +218,8 @@ def test_criterion_07_g2_structure():
         m = Modulus.of(n)
         if m.is_prime:
             continue
-        g2 = g2_graph(m)
-        comps = connected_components(g2)
+        g2 = g2_adjacency(m)
+        comps = count_components(g2)
         if m.omega >= 2:
             if (comps == 1) != m.is_squarefree:
                 violations.append((n, "connected-iff-squarefree", comps))
@@ -237,12 +227,12 @@ def test_criterion_07_g2_structure():
                 violations.append((n, "component-count", comps, n // m.radical))
         else:
             prime_powers += 1
-            if g2.edge_count() != 0:
-                violations.append((n, "prime-power edges", g2.edge_count()))
+            if g2.sum() // 2 != 0:
+                violations.append((n, "prime-power edges", g2.sum() // 2))
             if comps != n // m.radical - 1:
                 violations.append((n, "prime-power components", comps))
         if m.is_squarefree and m.omega >= 3:
-            if count_components(complement(g2_adjacency(m))) != 1:
+            if count_components(complement(g2)) != 1:
                 violations.append((n, "complement-disconnected"))
     assert prime_powers == 17
     report(
@@ -266,7 +256,7 @@ def test_criterion_08_kappa_g2_bound():
         if m.n - m.phi - 1 > 128:
             continue
         checked += 1
-        kappa = min_vertex_cut(g2_graph(m))
+        kappa = min_vertex_cut(g2_adjacency(m))
         bound = euler_phi(n // m.distinct_primes[-1])
         if kappa > bound:
             violations.append((n, kappa, bound))

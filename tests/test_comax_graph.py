@@ -173,6 +173,19 @@ def test_edge_lists():
     assert g2e == [(2, 3), (3, 4)]
 
 
+def scalar_edges(m: Modulus, verts: list[int]) -> list[tuple[int, int]]:
+    return [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :] if adjacent(m, u, v)]
+
+
+def test_edge_exports_match_scalar_adjacent():
+    # the exports read the gcd table row by row; the reference is the scalar
+    # pairwise definition, in lexicographic order
+    for n in list(range(3, 61)) + [210]:
+        m = Modulus.of(n)
+        assert list(full_edges(m)) == scalar_edges(m, list(range(n))), n
+        assert list(g2_edges(m)) == scalar_edges(m, g2_vertices(m)), n
+
+
 def test_degree_sum_is_twice_edge_count():
     for n in (6, 12, 15, 30, 49, 60):
         m = Modulus.of(n)

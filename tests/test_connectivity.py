@@ -2,7 +2,6 @@ import pytest
 
 from comax.connectivity import (
     algebraic_connectivity,
-    components_vs_radical,
     g2_connectivity_report,
     kappa_g2_bound,
     multiplicity_reports,
@@ -134,13 +133,6 @@ def test_kappa_g2_bound():
         kappa_g2_bound(Modulus.of(12))
     with pytest.raises(OracleLimitExceeded):
         kappa_g2_bound(Modulus.of(2310))
-
-
-def test_components_vs_radical():
-    ok = components_vs_radical(Modulus.of(12))
-    assert (ok.claimed, ok.computed, ok.agrees) == (2, 2, True)
-    boundary = components_vs_radical(Modulus.of(9))
-    assert (boundary.claimed, boundary.computed, boundary.agrees) == (3, 2, False)
 
 
 def test_report_json_shape():

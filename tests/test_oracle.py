@@ -7,45 +7,46 @@ import pytest
 from comax.cli import main
 from comax.oracle import (
     OracleLimitExceeded,
-    SimpleGraph,
     complement,
-    connected_components,
     count_components,
     exact_char_poly_full,
-    full_graph,
     g2_adjacency,
-    g2_graph,
     min_vertex_cut,
     numeric_spectrum,
 )
-from comax.comax_graph import dense_laplacian
+from comax.comax_graph import adjacency, adjacent, dense_laplacian, g2_vertices
 from comax.polynomial import IntPoly, bareiss_det
 from comax.ring_divisors import Modulus
 
 
-def brute_force_vertex_cut(g: SimpleGraph) -> int:
+def brute_force_vertex_cut(adj: np.ndarray) -> int:
     """Exhaustive subset-removal search; only sane for tiny graphs."""
-    if connected_components(g) > 1:
+    n = adj.shape[0]
+    if count_components(adj) > 1:
         return 0
-    if g.is_complete():
-        return g.n - 1
-    for k in range(1, g.n - 1):
-        for removed in itertools.combinations(g.vertices, k):
-            keep = [v for v in g.vertices if v not in removed]
-            sub = SimpleGraph(keep)
-            removed_set = set(removed)
-            for u in keep:
-                for v in g.adj[u]:
-                    if v in removed_set or v <= u:
-                        continue
-                    sub.add_edge(u, v)
-            if connected_components(sub) > 1:
+    if adj.sum() == n * (n - 1):
+        return n - 1
+    for k in range(1, n - 1):
+        for removed in itertools.combinations(range(n), k):
+            keep = [v for v in range(n) if v not in removed]
+            if count_components(adj[np.ix_(keep, keep)]) > 1:
                 return k
-    return g.n - 1
+    return n - 1
 
 
-def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(range(n), itertools.combinations(range(n), 2))
+def complete_graph(n: int) -> np.ndarray:
+    return complement(np.zeros((n, n), dtype=bool))
+
+
+def graph_from_edges(n: int, edges) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return adj
+
+
+def full_adjacency(n: int) -> np.ndarray:
+    return adjacency(Modulus.of(n), range(n))
 
 
 def test_numeric_spectrum_examples():
@@ -105,65 +106,58 @@ def test_exact_char_poly_point_evaluation():
 
 def test_min_vertex_cut_examples():
     k4_minus_edge = complete_graph(4)
-    k4_minus_edge.adj[0].discard(1)
-    k4_minus_edge.adj[1].discard(0)
+    k4_minus_edge[0, 1] = k4_minus_edge[1, 0] = False
     assert min_vertex_cut(k4_minus_edge) == 2
 
-    assert min_vertex_cut(full_graph(Modulus.of(6))) == 2
+    assert min_vertex_cut(full_adjacency(6)) == 2
 
-    star = SimpleGraph(range(5), [(0, i) for i in range(1, 5)])
+    star = graph_from_edges(5, [(0, i) for i in range(1, 5)])
     assert min_vertex_cut(star) == 1
+
+    # two triangles sharing vertex 4: the pair (0, 2) has one common
+    # neighbour, one less than the minimum degree, and its flow is the cut
+    bowtie = graph_from_edges(5, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
+    assert min_vertex_cut(bowtie) == 1
 
 
 def test_min_vertex_cut_conventions():
     assert min_vertex_cut(complete_graph(5)) == 4
-    disconnected = SimpleGraph(range(4), [(0, 1), (2, 3)])
+    disconnected = graph_from_edges(4, [(0, 1), (2, 3)])
     assert min_vertex_cut(disconnected) == 0
-    assert min_vertex_cut(SimpleGraph([0])) == 0
+    assert min_vertex_cut(np.zeros((1, 1), dtype=bool)) == 0
     with pytest.raises(OracleLimitExceeded):
-        min_vertex_cut(SimpleGraph(range(300)))
+        min_vertex_cut(np.zeros((300, 300), dtype=bool))
 
 
 def test_min_vertex_cut_double_oracle_random():
     rng = random.Random(20240811)
     for _ in range(40):
         n = rng.randrange(4, 11)
-        g = SimpleGraph(range(n))
+        adj = np.zeros((n, n), dtype=bool)
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < 0.45:
-                    g.add_edge(u, v)
-        assert min_vertex_cut(g) == brute_force_vertex_cut(g), (
+                    adj[u, v] = adj[v, u] = True
+        assert min_vertex_cut(adj) == brute_force_vertex_cut(adj), (
             n,
-            sorted((u, v) for u in g.adj for v in g.adj[u] if u < v),
+            np.argwhere(np.triu(adj)).tolist(),
         )
 
 
 def test_min_vertex_cut_double_oracle_structured():
     for n in (6, 10, 12):
-        g = full_graph(Modulus.of(n))
-        assert min_vertex_cut(g) == brute_force_vertex_cut(g)
+        adj = full_adjacency(n)
+        assert min_vertex_cut(adj) == brute_force_vertex_cut(adj)
     for n in (12, 15, 16):
-        g = g2_graph(Modulus.of(n))
-        assert min_vertex_cut(g) == brute_force_vertex_cut(g)
+        adj = g2_adjacency(Modulus.of(n))
+        assert min_vertex_cut(adj) == brute_force_vertex_cut(adj)
 
 
-def test_full_graph_matches_dense_laplacian():
-    for n in (6, 12, 30, 49):
-        adjacency = -dense_laplacian(Modulus.of(n))
-        np.fill_diagonal(adjacency, 0)
-        g = full_graph(Modulus.of(n))
-        assert g.vertices == list(range(n))
-        assert all(
-            (v in g.adj[u]) == bool(adjacency[u, v]) for u in range(n) for v in range(n)
-        )
-
-
-def test_connected_components_examples():
-    assert connected_components(g2_graph(Modulus.of(30))) == 1
-    assert connected_components(g2_graph(Modulus.of(12))) == 2
-    assert connected_components(SimpleGraph(range(5))) == 5
-    assert connected_components(SimpleGraph([])) == 0
+def test_count_components_examples():
+    assert count_components(g2_adjacency(Modulus.of(30))) == 1
+    assert count_components(g2_adjacency(Modulus.of(12))) == 2
+    assert count_components(np.zeros((5, 5), dtype=bool)) == 5
+    assert count_components(np.zeros((0, 0), dtype=bool)) == 0
 
 
 def test_complement():
@@ -201,22 +195,46 @@ def test_count_components_hand_cases():
     assert count_components(path) == 1
 
 
+def set_components(adj: dict) -> int:
+    """Components of an adjacency-set graph, by stack traversal."""
+    seen: set = set()
+    count = 0
+    for start in adj:
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return count
+
+
 def test_count_components_matches_simple_graph():
+    # the reference graphs are filled pair by pair from the scalar
+    # ``adjacent``, which the ideal-sum tests pin to the ring definition
     for n in range(4, 301):
         m = Modulus.of(n)
         if m.is_prime:
             continue
-        g = g2_graph(m)
+        verts = g2_vertices(m)
+        g2 = {u: set() for u in verts}
+        co = {u: set() for u in verts}
+        edges = 0
+        for i, u in enumerate(verts):
+            for v in verts[i + 1 :]:
+                target = g2 if adjacent(m, u, v) else co
+                target[u].add(v)
+                target[v].add(u)
+                edges += target is g2
         adj = g2_adjacency(m)
-        assert adj.shape == (g.n, g.n)
-        assert adj.sum() // 2 == g.edge_count(), n
-        assert count_components(adj) == connected_components(g), n
-        co = SimpleGraph(g.vertices)
-        for i, u in enumerate(g.vertices):
-            for v in g.vertices[i + 1 :]:
-                if v not in g.adj[u]:
-                    co.add_edge(u, v)
-        assert count_components(complement(adj)) == connected_components(co), n
+        assert adj.shape == (len(verts), len(verts))
+        assert adj.sum() // 2 == edges, n
+        assert count_components(adj) == set_components(g2), n
+        assert count_components(complement(adj)) == set_components(co), n
 
 
 def test_g2_oracles_capped_at_dense_limit(monkeypatch, capsys):

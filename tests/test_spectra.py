@@ -12,9 +12,7 @@ from comax.polynomial import IntPoly, char_poly_matrix
 from comax.ring_divisors import Modulus, euler_phi
 from comax.spectra import (
     SpectrumMultiset,
-    closed_form_prime,
-    closed_form_prime_power,
-    closed_form_two_primes,
+    closed_form_spectrum,
     full_spectrum,
     g2_quotient,
     g2_spectra,
@@ -191,45 +189,34 @@ def test_quotient_spectrum_matches_symmetric_form():
         ) < 1e-7, n
 
 
+def closed_form_counter(n: int) -> Counter:
+    return closed_form_spectrum(Modulus.of(n)).as_counter()
+
+
 def test_closed_form_prime():
-    assert closed_form_prime(3).as_counter() == Counter({3: 2, 0: 1})
-    assert closed_form_prime(5).as_counter() == Counter({5: 4, 0: 1})
-    assert closed_form_prime(13).as_counter() == Counter({13: 12, 0: 1})
-    with pytest.raises(ValueError):
-        closed_form_prime(12)
+    assert closed_form_counter(3) == Counter({3: 2, 0: 1})
+    assert closed_form_counter(5) == Counter({5: 4, 0: 1})
+    assert closed_form_counter(13) == Counter({13: 12, 0: 1})
 
 
 def test_closed_form_prime_power():
-    assert closed_form_prime_power(2, 2).as_counter() == Counter({4: 2, 2: 1, 0: 1})
-    assert closed_form_prime_power(3, 2).as_counter() == Counter({9: 6, 6: 2, 0: 1})
-    assert closed_form_prime_power(2, 3).as_counter() == Counter({8: 4, 4: 3, 0: 1})
-    with pytest.raises(ValueError):
-        closed_form_prime_power(2, 1)
-    with pytest.raises(ValueError):
-        closed_form_prime_power(4, 2)
+    assert closed_form_counter(4) == Counter({4: 2, 2: 1, 0: 1})
+    assert closed_form_counter(9) == Counter({9: 6, 6: 2, 0: 1})
+    assert closed_form_counter(8) == Counter({8: 4, 4: 3, 0: 1})
 
 
 def test_closed_form_two_primes():
-    assert closed_form_two_primes(2, 3, 1, 1).as_counter() == Counter(
-        {6: 2, 5: 1, 3: 1, 2: 1, 0: 1}
-    )
-    assert (
-        closed_form_two_primes(2, 3, 2, 1).as_counter()
-        == full_spectrum(Modulus.of(12)).as_counter()
-    )
+    assert closed_form_counter(6) == Counter({6: 2, 5: 1, 3: 1, 2: 1, 0: 1})
+    assert closed_form_counter(12) == full_spectrum(Modulus.of(12)).as_counter()
     # n = 15: trace must equal the degree sum (184), pinning the top value 14
-    s15 = closed_form_two_primes(3, 5, 1, 1)
+    s15 = closed_form_spectrum(Modulus.of(15))
     assert s15.as_counter() == Counter({15: 8, 14: 1, 12: 1, 10: 3, 8: 1, 0: 1})
     m15 = Modulus.of(15)
     assert sum(v * c for v, c in s15.integer_part) == sum(
         degree(m15, x) for x in range(15)
     )
-    with pytest.raises(ValueError):
-        closed_form_two_primes(3, 3, 1, 1)
-    with pytest.raises(ValueError):
-        closed_form_two_primes(5, 3, 1, 1)
-    with pytest.raises(ValueError):
-        closed_form_two_primes(2, 3, 0, 1)
+    # three or more distinct primes have no closed form
+    assert closed_form_spectrum(Modulus.of(30)) is None
 
 
 def test_laplacian_integral_examples():
