@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import config
-from .ring_divisors import Modulus, divisors, euler_phi
+from .ring_divisors import Modulus
 
 
 def _check_label(m: Modulus, x: int) -> None:
@@ -120,12 +120,18 @@ def class_summary(m: Modulus) -> list[dict]:
     class of d (all-or-nothing between classes).  The unit class lists itself
     when it has at least two members, since units form a clique.
     """
+    rows = [(1, 1)]  # (d, phi(n / d)), one prime power of n at a time
+    for p, a in m.factorization:
+        rows = [
+            (d * p**k, size * (p ** (a - k - 1) * (p - 1) if k < a else 1))
+            for d, size in rows
+            for k in range(a + 1)
+        ]
+    rows.sort()
     out = []
-    all_divs = divisors(m.n)
-    for d in all_divs:
-        size = euler_phi(m.n // d)
+    for d, size in rows:
         neighbors = [
-            e for e in all_divs if math.gcd(d, e) == 1 and (e != d or size >= 2)
+            e for e, _ in rows if math.gcd(d, e) == 1 and (e != d or size >= 2)
         ]
         out.append({"divisor": d, "size": size, "neighbors": neighbors})
     return out

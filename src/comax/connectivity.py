@@ -15,7 +15,7 @@ non-squarefree n for squarefree-only claims) as skips, not failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import config
 from .comax_graph import adjacency
@@ -38,20 +38,10 @@ class TheoremReport:
     and whether they agree (exact for integers, 1e-6 for floats)."""
 
     theorem: str
-    n: int
     claimed: object
     computed: object
     agrees: bool
-    note: str = field(default="")
-
-    def json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "theorem": self.theorem,
-            "claimed": self.claimed,
-            "computed": self.computed,
-            "agrees": self.agrees,
-        }
+    note: str = ""
 
 
 def _values_agree(claimed, computed) -> bool:
@@ -73,7 +63,6 @@ def algebraic_connectivity(
     claimed = m.phi
     return TheoremReport(
         theorem="algebraic-connectivity",
-        n=m.n,
         claimed=claimed,
         computed=computed,
         agrees=_values_agree(claimed, computed),
@@ -99,7 +88,6 @@ def vertex_connectivity(m: Modulus) -> TheoremReport:
         note = ""
     return TheoremReport(
         theorem="vertex-connectivity",
-        n=m.n,
         claimed=m.phi,
         computed=computed,
         agrees=m.phi == computed,
@@ -123,7 +111,6 @@ def g2_connectivity_report(
     comps = count_components(adj)
     first = TheoremReport(
         theorem="g2-connected-iff-squarefree",
-        n=m.n,
         claimed=m.is_squarefree,
         computed=comps == 1,
         agrees=m.is_squarefree == (comps == 1),
@@ -134,7 +121,6 @@ def g2_connectivity_report(
     claimed = m.omega > 2
     second = TheoremReport(
         theorem="g2-complement-connected",
-        n=m.n,
         claimed=claimed,
         computed=comp_connected,
         agrees=claimed == comp_connected,
@@ -163,7 +149,6 @@ def second_largest_report(
         within = lam2 <= m.n - 1 + _TOL
     return TheoremReport(
         theorem="second-largest-eigenvalue",
-        n=m.n,
         claimed=f"== {m.n - 1}" if is_pq else f"< {m.n - 1}",
         computed=lam2,
         agrees=within and (equal == is_pq),
@@ -187,7 +172,6 @@ def multiplicity_reports(
     s = full_spectrum(m) if spectrum is None else spectrum
     radius = TheoremReport(
         theorem="spectral-radius-multiplicity",
-        n=m.n,
         claimed=m.phi,
         computed=s.multiplicity_of(m.n),
         agrees=m.phi == s.multiplicity_of(m.n),
@@ -196,7 +180,6 @@ def multiplicity_reports(
     computed_phi_mult = s.multiplicity_of(m.phi)
     phi_report = TheoremReport(
         theorem="phi-multiplicity",
-        n=m.n,
         claimed=claimed_phi_mult,
         computed=computed_phi_mult,
         agrees=claimed_phi_mult == computed_phi_mult,
@@ -219,7 +202,6 @@ def kappa_g2_bound(m: Modulus) -> TheoremReport:
     computed = min_vertex_cut(g2_adjacency(m))
     return TheoremReport(
         theorem="kappa-g2-bound",
-        n=m.n,
         claimed=f"<= {bound}",
         computed=computed,
         agrees=computed <= bound,

@@ -5,10 +5,11 @@ starts from one boolean adjacency matrix computed from element gcds
 (``comax_graph.adjacency``): spectra come from a dense symmetric eigensolver
 or from the exact characteristic polynomial of the full n x n Laplacian
 built on it, component counts (of G2 and of its complement) come from a
-frontier traversal of that matrix, and the minimum vertex cut runs a
-vertex-capacity max-flow on a network read off it, capped at a few hundred
-vertices.  Disagreement with the quotient pipeline means a bug, so these
-paths share no spectral shortcut with it.  The one exception is the exact
+frontier traversal of that matrix, and the minimum vertex cut counts
+vertex-disjoint paths by shortest augmenting paths on a vertex-split
+residual matrix read off it, capped at a few hundred vertices.
+Disagreement with the quotient pipeline means a bug, so these paths share
+no spectral shortcut with it.  The one exception is the exact
 charpoly kernel ``char_poly_matrix``, used by both on different matrices;
 the tests check that kernel independently, against sympy and against
 ``bareiss_det`` at random points.
@@ -16,7 +17,6 @@ the tests check that kernel independently, against sympy and against
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,65 +107,39 @@ def count_components(adj: np.ndarray) -> int:
     return count
 
 
-class _Dinic:
-    """Unit-style max-flow on an integer-capacity digraph (adjacency lists)."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.graph: list[list[list[int]]] = [[] for _ in range(size)]  # [to, cap, rev]
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        """Max flow from s to t, stopping early once ``limit`` is reached."""
-        flow = 0
-        while flow < limit:
-            level = [-1] * self.size
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for e in self.graph[u]:
-                    if e[1] > 0 and level[e[0]] < 0:
-                        level[e[0]] = level[u] + 1
-                        queue.append(e[0])
-            if level[t] < 0:
-                break
-            it = [0] * self.size
-            while flow < limit:
-                pushed = self._dfs(s, t, level, it)
-                if not pushed:
-                    break
-                flow += pushed
-        return flow
-
-    def _dfs(self, u: int, t: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return 1
-        while it[u] < len(self.graph[u]):
-            e = self.graph[u][it[u]]
-            v = e[0]
-            if e[1] > 0 and level[v] == level[u] + 1:
-                if self._dfs(v, t, level, it):
-                    e[1] -= 1
-                    self.graph[v][e[2]][1] += 1
-                    return 1
-            it[u] += 1
-        return 0
-
-
 def _disjoint_paths(adj: np.ndarray, s: int, t: int, limit: int) -> int:
-    """Max internally vertex-disjoint s-t paths (vertex-splitting max-flow),
-    truncated at ``limit``."""
+    """Max internally vertex-disjoint s-t paths, truncated at ``limit``.
+
+    Vertex splitting (v_in = 2v, v_out = 2v + 1, one unit through each
+    vertex) turns them into unit flow from s_out to t_in.  Each round finds
+    one shortest augmenting path by frontier BFS on the residual capacity
+    matrix and reverses it.
+    """
     n = adj.shape[0]
-    net = _Dinic(2 * n)  # v_in = 2v, v_out = 2v + 1
-    for v in range(n):
-        net.add_edge(2 * v, 2 * v + 1, 1)
-    for u, v in np.argwhere(adj).tolist():
-        net.add_edge(2 * u + 1, 2 * v, 1)
-    return net.max_flow(2 * s + 1, 2 * t, limit)
+    cap = np.zeros((2 * n, 2 * n), dtype=np.int8)
+    cap[2 * np.arange(n), 2 * np.arange(n) + 1] = 1
+    u, v = np.nonzero(adj)
+    cap[2 * u + 1, 2 * v] = 1
+    source, sink = 2 * s + 1, 2 * t
+    flow = 0
+    while flow < limit:
+        parent = np.full(2 * n, -1)
+        parent[source] = source
+        frontier = np.array([source])
+        while frontier.size and parent[sink] < 0:
+            reach = (cap[frontier] > 0) & (parent < 0)
+            new = np.flatnonzero(reach.any(axis=0))
+            parent[new] = frontier[reach[:, new].argmax(axis=0)]
+            frontier = new
+        if parent[sink] < 0:
+            break
+        x = sink
+        while x != source:
+            cap[parent[x], x] -= 1
+            cap[x, parent[x]] += 1
+            x = parent[x]
+        flow += 1
+    return flow
 
 
 def min_vertex_cut(adj: np.ndarray) -> int:

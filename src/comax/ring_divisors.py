@@ -1,4 +1,5 @@
-"""Number-theoretic substrate: factorization, totient, radical and divisors of n.
+"""Number-theoretic substrate: the factorization of n, and the ``Modulus``
+that carries it with the totient and the radical.
 
 Everything here is exact integer arithmetic.  Factorization is plain trial
 division, which is ample for the desk-scale moduli this package targets: a
@@ -38,46 +39,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if m > 1:
         out.append((m, 1))
     return out
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient: count of 1 <= k <= n with gcd(k, n) = 1."""
-    if n < 1:
-        raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    if n == 1:
-        return 1
-    out = n
-    for p, _ in factorize(n):
-        out = out // p * (p - 1)
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    if n < 1:
-        raise ValueError(f"divisors needs n >= 1, got {n}")
-    ds = [1]
-    if n > 1:
-        for p, a in factorize(n):
-            ds = [d * p**k for d in ds for k in range(a + 1)]
-    return sorted(ds)
-
-
-def radical(n: int) -> int:
-    """Product of the distinct prime factors of n >= 2."""
-    if n < 2:
-        raise ValueError(f"radical needs n >= 2, got {n}")
-    out = 1
-    for p, _ in factorize(n):
-        out *= p
-    return out
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = factorize(n)
-    return len(f) == 1 and f[0][1] == 1
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,6 @@ class ScanRecord:
     wall_time_ms: int
 
 
-def compute_record(n: int, timing: bool = False) -> ScanRecord:
-    """Scan one modulus: the chunk of one."""
-    return _compute_chunk(range(n, n + 1), timing)[0]
-
-
 def _compute_chunk(ns: range, timing: bool) -> list[ScanRecord]:
     """Records for consecutive moduli, from one ``g2_spectra`` call.
 

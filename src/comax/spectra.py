@@ -315,9 +315,9 @@ def is_laplacian_integral(m: Modulus) -> bool:
     return full_spectrum(m).is_integral
 
 
-def spectrum_json_dict(m: Modulus, spectrum: SpectrumMultiset | None = None) -> dict:
+def spectrum_json_dict(m: Modulus) -> dict:
     """Spectrum rendered as the stable JSON schema."""
-    s = full_spectrum(m) if spectrum is None else spectrum
+    s = full_spectrum(m)
     return {
         "n": m.n,
         "phi": m.phi,

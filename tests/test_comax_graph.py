@@ -86,6 +86,28 @@ def test_class_sizes_cover_ring():
         assert zero["size"] == 1
 
 
+def test_class_summary_matches_definition():
+    # row by row from the classes A_d = {x : gcd(x, n) = d} listed element by
+    # element, and from the scalar ``adjacent`` between two distinct members
+    for n in list(range(3, 301)) + [2310]:
+        m = Modulus.of(n)
+        members: dict[int, list[int]] = {}
+        for x in range(n):
+            members.setdefault(math.gcd(x, n), []).append(x)
+        rows = class_summary(m)
+        assert [r["divisor"] for r in rows] == sorted(members), n
+        for r in rows:
+            d = r["divisor"]
+            assert r["size"] == len(members[d]), (n, d)
+            x = members[d][0]
+            expected = []
+            for e in sorted(members):
+                others = [y for y in members[e] if y != x]
+                if others and adjacent(m, x, others[0]):
+                    expected.append(e)
+            assert r["neighbors"] == expected, (n, d)
+
+
 def test_degree_examples():
     m6 = Modulus.of(6)
     assert degree(m6, 1) == 5

@@ -133,14 +133,3 @@ def test_kappa_g2_bound():
         kappa_g2_bound(Modulus.of(12))
     with pytest.raises(OracleLimitExceeded):
         kappa_g2_bound(Modulus.of(2310))
-
-
-def test_report_json_shape():
-    rep = algebraic_connectivity(Modulus.of(6))
-    assert rep.json_dict() == {
-        "n": 6,
-        "theorem": "algebraic-connectivity",
-        "claimed": 2,
-        "computed": 2,
-        "agrees": True,
-    }

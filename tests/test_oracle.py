@@ -213,7 +213,7 @@ def set_components(adj: dict) -> int:
     return count
 
 
-def test_count_components_matches_simple_graph():
+def test_count_components_matches_set_traversal():
     # the reference graphs are filled pair by pair from the scalar
     # ``adjacent``, which the ideal-sum tests pin to the ring definition
     for n in range(4, 301):

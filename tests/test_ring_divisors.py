@@ -3,14 +3,11 @@ import math
 import pytest
 
 from comax import ring_divisors
-from comax.ring_divisors import (
-    Modulus,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-    radical,
-)
+from comax.ring_divisors import Modulus, factorize
+
+
+def brute_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, n))
 
 
 def test_factorize_examples():
@@ -25,7 +22,7 @@ def test_factorize_reconstructs_and_sorts():
         prod = 1
         for p, a in fac:
             assert a >= 1
-            assert is_prime(p)
+            assert factorize(p) == [(p, 1)]
             prod *= p**a
         assert prod == n
         assert [p for p, _ in fac] == sorted({p for p, _ in fac})
@@ -39,58 +36,31 @@ def test_factorize_rejects_small():
 
 
 def test_euler_phi_examples():
-    assert euler_phi(12) == 4
-    assert euler_phi(7) == 6
-    assert euler_phi(1) == 1
-    with pytest.raises(ValueError):
-        euler_phi(0)
+    assert Modulus.of(12).phi == 4
+    assert Modulus.of(7).phi == 6
+    assert Modulus.of(30).phi == 8
 
 
 def test_euler_phi_matches_gcd_count():
-    for n in range(1, 400):
+    for n in range(3, 400):
         direct = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-        assert euler_phi(n) == direct
-
-
-def test_proper_divisors_examples():
-    assert divisors(12)[1:-1] == [2, 3, 4, 6]
-    assert divisors(13)[1:-1] == []
-    assert divisors(30)[1:-1] == [2, 3, 5, 6, 10, 15]
-    with pytest.raises(ValueError):
-        divisors(0)
-
-
-def test_proper_divisor_count_formula():
-    # number of divisors is the product of (exponent + 1)
-    for n in range(3, 1000):
-        expected = 1
-        for _, a in factorize(n):
-            expected *= a + 1
-        assert len(divisors(n)[1:-1]) == expected - 2
+        assert Modulus.of(n).phi == direct, n
 
 
 def test_radical_examples():
-    assert radical(12) == 6
-    assert radical(30) == 30
-    assert radical(8) == 2
-    with pytest.raises(ValueError):
-        radical(1)
+    assert Modulus.of(12).radical == 6
+    assert Modulus.of(30).radical == 30
+    assert Modulus.of(8).radical == 2
 
 
 def test_radical_divides_and_detects_squarefree():
-    for n in range(2, 500):
-        r = radical(n)
-        assert n % r == 0
-        squarefree = all(a == 1 for _, a in factorize(n))
-        assert (r == n) == squarefree
-
-
-def test_divisors_sorted_unique():
-    for n in range(1, 300):
-        ds = divisors(n)
-        assert ds == sorted(set(ds))
-        assert all(n % d == 0 for d in ds)
-        assert ds[0] == 1 and ds[-1] == n
+    for n in range(3, 500):
+        m = Modulus.of(n)
+        assert m.radical == math.prod(
+            p for p in range(2, n + 1) if n % p == 0 and brute_is_prime(p)
+        ), n
+        squarefree = all(n % (k * k) for k in range(2, n + 1))
+        assert m.is_squarefree == squarefree, n
 
 
 def test_modulus_construction():
@@ -130,4 +100,4 @@ def test_modulus_prime():
     assert m.phi == 12
     assert m.is_squarefree
     for n in range(3, 500):
-        assert Modulus.of(n).is_prime == is_prime(n), n
+        assert Modulus.of(n).is_prime == brute_is_prime(n), n

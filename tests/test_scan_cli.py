@@ -13,7 +13,7 @@ import pytest
 
 from comax import scan, spectra
 from comax.cli import main
-from comax.scan import apply_filter, compute_record, scan_range, write_csv, write_json
+from comax.scan import apply_filter, scan_range, write_csv, write_json
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -26,7 +26,7 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 
 
 def test_compute_record():
-    rec = compute_record(12)
+    rec = next(scan_range(12, 12))
     assert rec.n == 12
     assert rec.factorization == "2^2*3"
     assert rec.laplacian_integral is True
@@ -34,7 +34,7 @@ def test_compute_record():
     assert rec.residual_degree == 0
     assert rec.wall_time_ms == 0
 
-    rec30 = compute_record(30)
+    rec30 = next(scan_range(30, 30))
     assert rec30.laplacian_integral is False
     assert rec30.residual_degree == 4
     assert (rec30.residual_degree == 0) == rec30.laplacian_integral
@@ -308,7 +308,7 @@ def test_nonintegral_scan_hits_still_verify_clean():
     # non-integrality is about the nature of the roots, not an error: every
     # n a scan flags non-integral must still agree with the dense oracle
     for n in (30, 60, 210):
-        assert not compute_record(n).laplacian_integral
+        assert not next(scan_range(n, n)).laplacian_integral
         code, out, _ = run_cli("verify", str(n))
         assert code == 0, (n, out)
 
