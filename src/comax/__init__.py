@@ -22,7 +22,6 @@ from .spectra import (
     full_spectrum,
     g2_quotient,
     g2_spectrum,
-    is_laplacian_integral,
 )
 
 __version__ = "0.1.0"
@@ -36,6 +35,5 @@ __all__ = [
     "full_spectrum",
     "g2_quotient",
     "g2_spectrum",
-    "is_laplacian_integral",
     "scan_range",
 ]

@@ -1,17 +1,16 @@
-"""The comaximal graph of Z_n: adjacency, degrees, edges, classes, dense export.
+"""The comaximal graph of Z_n: adjacency, edges, classes, dense export.
 
 Vertices are the ring elements 0..n-1.  Two distinct vertices x, y are
 adjacent exactly when the ideals they generate sum to the whole ring, which
 for Z_n reduces to gcd(gcd(x, n), gcd(y, n)) = 1 (with gcd(0, n) = n).
 
-The graph is never materialized for spectral work: adjacency and degrees
-come from gcds, and the spectrum comes from the prime-support quotient in
-``spectra``.  The divisor classes A_d = {x : gcd(x, n) = d} appear only in
-the ``graph n classes`` summary.  Outside the scalar ``adjacent`` and
-``degree``, one edge rule serves every graph consumer: a coprimality table
-over the distinct gcd(x, n).  The boolean adjacency matrix indexes it whole
-and feeds the dense Laplacian and every brute-force oracle; the edge exports
-read its upper triangle one row at a time, so they stream in O(n) memory.
+The graph is never materialized for spectral work: the spectrum comes from
+the prime-support quotient in ``spectra``.  The divisor classes
+A_d = {x : gcd(x, n) = d} appear only in the ``graph n classes`` summary.
+One edge rule serves every graph consumer: a coprimality table over the
+distinct gcd(x, n).  The boolean adjacency matrix indexes it whole and feeds
+the dense Laplacian and every brute-force oracle; the edge exports read its
+upper triangle one row at a time, so they stream in O(n) memory.
 """
 
 from __future__ import annotations
@@ -23,37 +22,6 @@ import numpy as np
 
 from . import config
 from .ring_divisors import Modulus
-
-
-def _check_label(m: Modulus, x: int) -> None:
-    if not 0 <= x < m.n:
-        raise ValueError(f"vertex label {x} out of range 0..{m.n - 1}")
-
-
-def adjacent(m: Modulus, x: int, y: int) -> bool:
-    """Whether x and y are adjacent in the comaximal graph of Z_n.
-
-    Single formula covering all cases: x != y and the divisor classes of x
-    and y are coprime.  Units (class 1) are adjacent to everything; 0
-    (class n) only to units.
-    """
-    _check_label(m, x)
-    _check_label(m, y)
-    if x == y:
-        return False
-    return math.gcd(math.gcd(x, m.n), math.gcd(y, m.n)) == 1
-
-
-def degree(m: Modulus, x: int) -> int:
-    """Degree of vertex x: the y in Z_n divisible by no prime of gcd(x, n),
-    n * prod_{p | gcd(x, n)} (1 - 1/p) of them, less x itself when x is a unit."""
-    _check_label(m, x)
-    d = math.gcd(x, m.n)
-    count = m.n
-    for p in m.distinct_primes:
-        if d % p == 0:
-            count = count // p * (p - 1)
-    return count - 1 if d == 1 else count
 
 
 def _gcd_table(m: Modulus, verts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -77,11 +45,10 @@ def dense_laplacian(m: Modulus) -> np.ndarray:
     """Dense integer Laplacian L = D - A of the comaximal graph (oracle input),
     built from the boolean gcd adjacency of all n vertices.
 
-    Refuses n above the dense limit (default 4096, COMAX_DENSE_LIMIT override).
+    Refuses n above the dense limit ``config.DENSE_LIMIT``.
     """
-    cap = config.dense_limit()
-    if m.n > cap:
-        raise ValueError(f"n={m.n} exceeds dense limit {cap}")
+    if m.n > config.DENSE_LIMIT:
+        raise ValueError(f"n={m.n} exceeds dense limit {config.DENSE_LIMIT}")
     adj = adjacency(m, range(m.n))
     lap = np.negative(adj, dtype=np.int64)
     np.fill_diagonal(lap, adj.sum(axis=1))

@@ -2,25 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
-DEFAULT_DENSE_LIMIT = 4096
+DENSE_LIMIT = 4096
 EXACT_CHARPOLY_LIMIT = 64
 VERTEX_CUT_LIMIT = 256
 G2_KAPPA_LIMIT = 128
 FULL_CUT_LIMIT = 60
 SCAN_LIMIT = 10**6
-
-
-def dense_limit() -> int:
-    """Max vertex count for dense matrices; override with COMAX_DENSE_LIMIT."""
-    raw = os.environ.get("COMAX_DENSE_LIMIT")
-    if raw is None:
-        return DEFAULT_DENSE_LIMIT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"COMAX_DENSE_LIMIT must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"COMAX_DENSE_LIMIT must be positive, got {value}")
-    return value

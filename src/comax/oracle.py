@@ -11,13 +11,11 @@ residual matrix read off it, capped at a few hundred vertices.
 Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it.  The one exception is the exact
 charpoly kernel ``char_poly_matrix``, used by both on different matrices;
-the tests check that kernel independently, against sympy and against
-``bareiss_det`` at random points.
+the tests check that kernel independently, against sympy and against a
+fraction-free determinant of their own at random points.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,34 +29,19 @@ class OracleLimitExceeded(Exception):
     """Raised when an input is beyond the configured brute-force size caps."""
 
 
-@dataclass(frozen=True)
-class DenseSpectrum:
-    """Numeric eigenvalues of a dense Laplacian, ascending, with an error bound."""
-
-    eigenvalues: tuple[float, ...]
-    backward_error: float
-
-
-def numeric_spectrum(laplacian: np.ndarray) -> DenseSpectrum:
-    """All eigenvalues of a dense symmetric integer matrix, ascending.
-
-    Uses a backward-stable symmetric eigensolver (orthogonal similarity);
-    the reported bound is a conservative estimate of the absolute eigenvalue
-    error, far below the 1e-6 comparison tolerances used elsewhere.
-    """
+def numeric_spectrum(laplacian: np.ndarray) -> tuple[float, ...]:
+    """All eigenvalues of a dense symmetric integer matrix, ascending, from a
+    backward-stable symmetric eigensolver (orthogonal similarity)."""
     mat = np.asarray(laplacian)
-    n = mat.shape[0]
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     if not np.array_equal(mat, mat.T):
         raise ValueError("matrix must be symmetric")
-    cap = config.dense_limit()
-    if n > cap:
-        raise OracleLimitExceeded(f"size {n} exceeds dense limit {cap}")
-    eig = np.linalg.eigvalsh(mat.astype(np.float64))
-    norm = float(np.abs(mat).sum(axis=1).max()) if n else 0.0
-    bound = max(n, 1) * norm * np.finfo(np.float64).eps
-    return DenseSpectrum(eigenvalues=tuple(float(v) for v in eig), backward_error=bound)
+    if mat.shape[0] > config.DENSE_LIMIT:
+        raise OracleLimitExceeded(
+            f"size {mat.shape[0]} exceeds dense limit {config.DENSE_LIMIT}"
+        )
+    return tuple(float(v) for v in np.linalg.eigvalsh(mat.astype(np.float64)))
 
 
 def exact_char_poly_full(m: Modulus) -> IntPoly:
@@ -70,17 +53,17 @@ def exact_char_poly_full(m: Modulus) -> IntPoly:
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
         raise OracleLimitExceeded(f"n={m.n} exceeds exact char poly limit {limit}")
-    lap = dense_laplacian(m)
-    return char_poly_matrix([[int(v) for v in row] for row in lap])
+    return char_poly_matrix(dense_laplacian(m))
 
 
 def g2_adjacency(m: Modulus) -> np.ndarray:
     """Boolean adjacency of G2 (ascending nonzero non-units), capped at the
     dense limit on its n - phi(n) - 1 vertices."""
     size = m.n - m.phi - 1
-    cap = config.dense_limit()
-    if size > cap:
-        raise OracleLimitExceeded(f"|V(G2)|={size} exceeds dense limit {cap}")
+    if size > config.DENSE_LIMIT:
+        raise OracleLimitExceeded(
+            f"|V(G2)|={size} exceeds dense limit {config.DENSE_LIMIT}"
+        )
     return adjacency(m, g2_vertices(m))
 
 

@@ -10,8 +10,7 @@ Dumas, Pernet & Wan, ISSAC 2005).  ``char_polys`` runs the residue matrices
 of many matrices of one size, each with its own primes, through one
 vectorised pass; ``char_poly_matrix`` is its one-matrix case.  Integer roots
 are then split off by exact synthetic division at caller-supplied
-candidates.  ``bareiss_det`` (fraction-free elimination) is an independent
-exact determinant.
+candidates.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class IntPoly:
     @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
-
-    @classmethod
-    def x_minus(cls, r: int) -> "IntPoly":
-        return cls((-r, 1))
 
     @classmethod
     def linear_power(cls, root: int, mult: int) -> "IntPoly":
@@ -139,41 +134,6 @@ class IntPoly:
         for sign, base in terms[1:]:
             text += f" {sign} {base}"
         return text
-
-
-def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
-
-    Every division below is exact (Bareiss invariant), so the computation
-    stays in the integers.  The empty matrix has determinant 1.
-    """
-    k = len(matrix)
-    if k == 0:
-        return 1
-    a = [list(map(int, row)) for row in matrix]
-    if any(len(row) != k for row in a):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, k):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[i][i]
-        row_i = a[i]
-        for r in range(i + 1, k):
-            row_r = a[r]
-            ari = row_r[i]
-            for c in range(i + 1, k):
-                row_r[c] = (piv * row_r[c] - ari * row_i[c]) // prev
-            row_r[i] = 0
-        prev = piv
-    return sign * a[-1][-1]
 
 
 def _is_prime(n: int) -> bool:

@@ -133,10 +133,13 @@ def write_csv(records: Iterable[ScanRecord], out: TextIO) -> tuple[int, int]:
 
 
 def write_json(records: Iterable[ScanRecord], out: TextIO) -> tuple[int, int]:
-    """Write records as a JSON array; returns (total, integral) counts."""
-    rows = [asdict(rec) for rec in records]
-    json.dump(rows, out, indent=1)
-    out.write("\n")
-    total = len(rows)
-    integral = sum(1 for r in rows if r["laplacian_integral"])
+    """Write records as a JSON array, one record at a time, in the layout of
+    ``json.dump(rows, out, indent=1)``; returns (total, integral) counts."""
+    total = integral = 0
+    for rec in records:
+        out.write("[" if total == 0 else ",")
+        out.write("\n " + json.dumps(asdict(rec), indent=1).replace("\n", "\n "))
+        total += 1
+        integral += rec.laplacian_integral
+    out.write("\n]\n" if total else "[]\n")
     return total, integral

@@ -310,11 +310,6 @@ def closed_form_spectrum(m: Modulus) -> SpectrumMultiset | None:
     return SpectrumMultiset.from_counter(counts)
 
 
-def is_laplacian_integral(m: Modulus) -> bool:
-    """Whether every Laplacian eigenvalue of the comaximal graph is an integer."""
-    return full_spectrum(m).is_integral
-
-
 def spectrum_json_dict(m: Modulus) -> dict:
     """Spectrum rendered as the stable JSON schema."""
     s = full_spectrum(m)

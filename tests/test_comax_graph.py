@@ -4,16 +4,17 @@ import random
 import numpy as np
 import pytest
 
+from comax import config
 from comax.comax_graph import (
-    adjacent,
+    adjacency,
     class_summary,
-    degree,
     dense_laplacian,
     full_edges,
     g2_edges,
     g2_vertices,
 )
 from comax.ring_divisors import Modulus
+from reference import adjacent, degree
 
 
 def ideal_sum_is_whole_ring(n: int, x: int, y: int) -> bool:
@@ -35,44 +36,35 @@ def ideal_sum_is_whole_ring(n: int, x: int, y: int) -> bool:
 
 
 def test_adjacent_examples():
-    m6 = Modulus.of(6)
-    assert adjacent(m6, 1, 4)  # unit adjacent to everything
-    assert not adjacent(m6, 0, 2)  # zero sees only units
-    assert adjacent(m6, 2, 3)
-    assert not adjacent(m6, 2, 4)
-
-
-def test_adjacent_rejects_bad_labels():
-    m = Modulus.of(6)
-    with pytest.raises(ValueError):
-        adjacent(m, 0, 6)
-    with pytest.raises(ValueError):
-        adjacent(m, -1, 2)
-    assert not adjacent(m, 3, 3)
+    adj = adjacency(Modulus.of(6), range(6))
+    assert adj[1, 4]  # unit adjacent to everything
+    assert not adj[0, 2]  # zero sees only units
+    assert adj[2, 3]
+    assert not adj[2, 4]
+    assert not adj[3, 3]
 
 
 def test_adjacent_matches_ideal_sum_oracle_exhaustive():
+    # pins both the program's adjacency and the scalar reference the other
+    # tests build on to the ring definition
     for n in range(3, 61):
-        m = Modulus.of(n)
+        adj = adjacency(Modulus.of(n), range(n))
         for x in range(n):
             for y in range(x + 1, n):
-                assert adjacent(m, x, y) == ideal_sum_is_whole_ring(n, x, y), (
-                    n,
-                    x,
-                    y,
-                )
+                whole = ideal_sum_is_whole_ring(n, x, y)
+                assert adj[x, y] == whole == adjacent(n, x, y), (n, x, y)
 
 
 def test_adjacent_matches_ideal_sum_oracle_sampled():
     rng = random.Random(20240811)
     for _ in range(400):
         n = rng.randrange(61, 201)
-        m = Modulus.of(n)
         x = rng.randrange(n)
         y = rng.randrange(n)
         if x == y:
             continue
-        assert adjacent(m, x, y) == ideal_sum_is_whole_ring(n, x, y), (n, x, y)
+        adj = adjacency(Modulus.of(n), range(n))
+        assert adj[x, y] == ideal_sum_is_whole_ring(n, x, y), (n, x, y)
 
 
 def test_class_sizes_cover_ring():
@@ -103,33 +95,35 @@ def test_class_summary_matches_definition():
             expected = []
             for e in sorted(members):
                 others = [y for y in members[e] if y != x]
-                if others and adjacent(m, x, others[0]):
+                if others and adjacent(n, x, others[0]):
                     expected.append(e)
             assert r["neighbors"] == expected, (n, d)
 
 
 def test_degree_examples():
-    m6 = Modulus.of(6)
-    assert degree(m6, 1) == 5
-    assert degree(m6, 0) == 2
-    m12 = Modulus.of(12)
-    by_enumeration = sum(1 for y in range(12) if adjacent(m12, 3, y))
+    assert dense_laplacian(Modulus.of(6)).diagonal().tolist() == [2, 5, 3, 4, 3, 5]
+    assert degree(6, 1) == 5
+    assert degree(6, 0) == 2
+    by_enumeration = sum(1 for y in range(12) if adjacent(12, 3, y))
     assert by_enumeration == 8
-    assert degree(m12, 3) == 8
+    assert degree(12, 3) == 8
+    assert dense_laplacian(Modulus.of(12))[3, 3] == 8
 
 
 def test_degree_matches_enumeration():
+    # the program's degrees (the Laplacian diagonal) against the closed form
+    # n * prod_{p | gcd(x, n)} (1 - 1/p), less 1 for units, and both against
+    # a count of the reference adjacency
     for n in range(3, 80):
-        m = Modulus.of(n)
+        diagonal = dense_laplacian(Modulus.of(n)).diagonal().tolist()
         for x in range(n):
-            assert degree(m, x) == sum(
-                1 for y in range(n) if adjacent(m, x, y)
-            ), (n, x)
+            by_enumeration = sum(1 for y in range(n) if adjacent(n, x, y))
+            assert diagonal[x] == degree(n, x) == by_enumeration, (n, x)
 
 
 def test_no_adjacency_within_a_class():
     for n in (12, 30, 36, 60):
-        m = Modulus.of(n)
+        adj = adjacency(Modulus.of(n), range(n))
         byclass: dict[int, list[int]] = {}
         for x in range(n):
             byclass.setdefault(math.gcd(x, n), []).append(x)
@@ -138,21 +132,19 @@ def test_no_adjacency_within_a_class():
                 continue  # units form a clique instead
             for i, x in enumerate(members):
                 for y in members[i + 1 :]:
-                    assert not adjacent(m, x, y)
+                    assert not adj[x, y]
 
 
 def test_between_class_adjacency_is_all_or_nothing():
     for n in (12, 30, 36, 45):
-        m = Modulus.of(n)
+        adj = adjacency(Modulus.of(n), range(n))
         byclass: dict[int, list[int]] = {}
         for x in range(n):
             byclass.setdefault(math.gcd(x, n), []).append(x)
         divs = sorted(byclass)
         for i, d in enumerate(divs):
             for e in divs[i + 1 :]:
-                flags = {
-                    adjacent(m, x, y) for x in byclass[d] for y in byclass[e]
-                }
+                flags = {bool(adj[x, y]) for x in byclass[d] for y in byclass[e]}
                 assert len(flags) == 1, (n, d, e)
 
 
@@ -169,18 +161,18 @@ def test_dense_laplacian_structure():
         assert np.array_equal(lap, lap.T)
         assert lap.sum(axis=1).tolist() == [0] * n
         for x in range(n):
-            assert lap[x, x] == degree(m, x)
+            assert lap[x, x] == degree(n, x)
             for y in range(n):
                 if x != y:
-                    assert lap[x, y] == (-1 if adjacent(m, x, y) else 0)
+                    assert lap[x, y] == (-1 if adjacent(n, x, y) else 0)
     assert dense_laplacian(Modulus.of(6)).trace() == 22
 
 
 def test_dense_laplacian_limit(monkeypatch):
-    monkeypatch.setenv("COMAX_DENSE_LIMIT", "50")
+    monkeypatch.setattr(config, "DENSE_LIMIT", 50)
     with pytest.raises(ValueError):
         dense_laplacian(Modulus.of(100))
-    monkeypatch.setenv("COMAX_DENSE_LIMIT", "200")
+    monkeypatch.setattr(config, "DENSE_LIMIT", 200)
     assert dense_laplacian(Modulus.of(100)).shape == (100, 100)
 
 
@@ -195,8 +187,8 @@ def test_edge_lists():
     assert g2e == [(2, 3), (3, 4)]
 
 
-def scalar_edges(m: Modulus, verts: list[int]) -> list[tuple[int, int]]:
-    return [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :] if adjacent(m, u, v)]
+def scalar_edges(n: int, verts: list[int]) -> list[tuple[int, int]]:
+    return [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :] if adjacent(n, u, v)]
 
 
 def test_edge_exports_match_scalar_adjacent():
@@ -204,14 +196,14 @@ def test_edge_exports_match_scalar_adjacent():
     # pairwise definition, in lexicographic order
     for n in list(range(3, 61)) + [210]:
         m = Modulus.of(n)
-        assert list(full_edges(m)) == scalar_edges(m, list(range(n))), n
-        assert list(g2_edges(m)) == scalar_edges(m, g2_vertices(m)), n
+        assert list(full_edges(m)) == scalar_edges(n, list(range(n))), n
+        assert list(g2_edges(m)) == scalar_edges(n, g2_vertices(m)), n
 
 
 def test_degree_sum_is_twice_edge_count():
     for n in (6, 12, 15, 30, 49, 60):
         m = Modulus.of(n)
-        degree_sum = sum(degree(m, x) for x in range(n))
+        degree_sum = sum(degree(n, x) for x in range(n))
         assert degree_sum == 2 * len(list(full_edges(m)))
         assert degree_sum == dense_laplacian(m).trace()
 

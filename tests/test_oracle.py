@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from comax import config
 from comax.cli import main
 from comax.oracle import (
     OracleLimitExceeded,
@@ -14,9 +15,10 @@ from comax.oracle import (
     min_vertex_cut,
     numeric_spectrum,
 )
-from comax.comax_graph import adjacency, adjacent, dense_laplacian, g2_vertices
-from comax.polynomial import IntPoly, bareiss_det
+from comax.comax_graph import adjacency, dense_laplacian, g2_vertices
+from comax.polynomial import IntPoly
 from comax.ring_divisors import Modulus
+from reference import adjacent, bareiss_det
 
 
 def brute_force_vertex_cut(adj: np.ndarray) -> int:
@@ -51,31 +53,29 @@ def full_adjacency(n: int) -> np.ndarray:
 
 def test_numeric_spectrum_examples():
     k3 = np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
-    s = numeric_spectrum(k3)
-    assert np.allclose(s.eigenvalues, [0, 3, 3])
-    assert s.backward_error < 1e-10
+    assert np.allclose(numeric_spectrum(k3), [0, 3, 3])
 
     z4 = numeric_spectrum(dense_laplacian(Modulus.of(4)))
-    assert np.allclose(z4.eigenvalues, [0, 2, 4, 4])
+    assert np.allclose(z4, [0, 2, 4, 4])
 
     zeros = numeric_spectrum(np.zeros((5, 5), dtype=np.int64))
-    assert zeros.eigenvalues == (0, 0, 0, 0, 0)
+    assert zeros == (0, 0, 0, 0, 0)
 
 
 def test_numeric_spectrum_laplacian_invariants():
     for n in (6, 12, 30, 60):
         lap = dense_laplacian(Modulus.of(n))
         s = numeric_spectrum(lap)
-        assert len(s.eigenvalues) == n
-        assert list(s.eigenvalues) == sorted(s.eigenvalues)
-        assert s.eigenvalues[0] >= -1e-9 * n
-        assert abs(sum(s.eigenvalues) - lap.trace()) <= 1e-6 * max(1, lap.trace())
+        assert len(s) == n
+        assert list(s) == sorted(s)
+        assert s[0] >= -1e-9 * n
+        assert abs(sum(s) - lap.trace()) <= 1e-6 * max(1, lap.trace())
 
 
 def test_numeric_spectrum_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError):
         numeric_spectrum(np.array([[0, 1], [2, 0]]))
-    monkeypatch.setenv("COMAX_DENSE_LIMIT", "3")
+    monkeypatch.setattr(config, "DENSE_LIMIT", 3)
     with pytest.raises(OracleLimitExceeded):
         numeric_spectrum(np.zeros((4, 4), dtype=np.int64))
 
@@ -214,7 +214,7 @@ def set_components(adj: dict) -> int:
 
 
 def test_count_components_matches_set_traversal():
-    # the reference graphs are filled pair by pair from the scalar
+    # the reference graphs are filled pair by pair from the scalar reference
     # ``adjacent``, which the ideal-sum tests pin to the ring definition
     for n in range(4, 301):
         m = Modulus.of(n)
@@ -226,7 +226,7 @@ def test_count_components_matches_set_traversal():
         edges = 0
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:
-                target = g2 if adjacent(m, u, v) else co
+                target = g2 if adjacent(n, u, v) else co
                 target[u].add(v)
                 target[v].add(u)
                 edges += target is g2
@@ -238,7 +238,7 @@ def test_count_components_matches_set_traversal():
 
 
 def test_g2_oracles_capped_at_dense_limit(monkeypatch, capsys):
-    monkeypatch.setenv("COMAX_DENSE_LIMIT", "100")
+    monkeypatch.setattr(config, "DENSE_LIMIT", 100)
     with pytest.raises(OracleLimitExceeded):
         g2_adjacency(Modulus.of(210))  # |V(G2)| = 161
     assert g2_adjacency(Modulus.of(120)).shape == (87, 87)

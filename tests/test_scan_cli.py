@@ -166,6 +166,35 @@ def test_write_json_roundtrip():
     )
 
 
+def test_write_json_matches_one_dump():
+    # the streamed layout is that of one json.dumps of the whole list, also
+    # for an empty result (3..29 has no non-integral n)
+    for records in (
+        list(scan_range(3, 300)),
+        list(apply_filter(scan_range(3, 300), "nonintegral")),
+        list(apply_filter(scan_range(3, 29), "nonintegral")),
+    ):
+        buf = io.StringIO()
+        counts = write_json(records, buf)
+        rows = [dataclasses.asdict(r) for r in records]
+        assert buf.getvalue() == json.dumps(rows, indent=1) + "\n"
+        assert counts == (len(records), sum(r.laplacian_integral for r in records))
+    assert records == []
+
+
+def test_write_json_streams():
+    buf = io.StringIO()
+    records = list(scan_range(3, 5))
+
+    def source():
+        for i, rec in enumerate(records):
+            if i == 1:
+                assert '"n": 3' in buf.getvalue()  # the first record is out
+            yield rec
+
+    assert write_json(source(), buf) == (3, 3)
+
+
 def test_cli_spectrum_pretty(capsys):
     assert main(["spectrum", "6", "--format", "pretty"]) == 0
     assert capsys.readouterr().out.strip() == "6^2 5 3 2 0"
