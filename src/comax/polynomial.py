@@ -177,10 +177,10 @@ def _word_primes(w: int, count: int) -> list[int]:
     return found[:count]
 
 
-# int64 entries per (k, w, w) stack of residue matrices (128 KiB): residues go
+# int64 entries per (k, w, w) stack of residue matrices (512 KiB): residues go
 # through _char_poly_mod in slices of this size, so the working memory stays
-# that of a few matrices however many matrices and primes a call needs.
-_BATCH_CELLS = 1 << 14
+# bounded however many matrices and primes a call needs.
+_BATCH_CELLS = 1 << 16
 
 
 def _char_poly_mod(h: np.ndarray, mods: np.ndarray) -> np.ndarray:

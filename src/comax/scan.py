@@ -1,13 +1,23 @@
 """Range scanner for Laplacian integrality.
 
-The range is cut into chunks of consecutive n, and each chunk is one batch
-of the quotient pipeline (no dense oracles): one ``g2_spectra`` call, so the
-small quotients of many moduli share each numpy kernel call.  Results are
-emitted in ascending n regardless of chunk size or worker count, so scan
-output is reproducible byte for byte.  Per-record timing is therefore
-disabled by default: with ``timing=True`` every modulus is a chunk of its
-own, the wall_time_ms column carries real measurements, and the
-byte-determinism guarantee is deliberately given up.
+Only squarefree n are computed.  For k = n / rad(n) > 1, the G2 quotient of
+n is k times that of rad(n) plus one isolated zero cell, so n has the
+integrality and the residual degree of rad(n); every other row is filled
+from rad(n)'s row.  The residual degrees of the computed n are kept in a
+table of one byte per n up to the end of the range (a degree is at most
+w <= 127 for n <= 10^6).  rad(n) <= n / 2 and rows are handled in ascending n, so the
+row a fill reads is always computed first; radicals below the start of the
+range are computed in a pre-pass.
+
+The range is cut into chunks of consecutive n, and the squarefree n of a
+chunk are one batch of the quotient pipeline (no dense oracles): one
+``g2_spectra`` call, so the small quotients of many moduli share each numpy
+kernel call.  Results are emitted in ascending n regardless of chunk size or
+worker count, so scan output is reproducible byte for byte.  Per-record
+timing is therefore disabled by default: with ``timing=True`` every modulus
+is a chunk of its own, the wall_time_ms column carries real measurements
+(for a filled row, the time of its fill), and the byte-determinism
+guarantee is deliberately given up.
 """
 
 from __future__ import annotations
@@ -17,8 +27,8 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, TextIO
+from dataclasses import asdict, dataclass, replace
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .ring_divisors import Modulus
 from .spectra import g2_spectra
@@ -48,31 +58,71 @@ class ScanRecord:
     wall_time_ms: int
 
 
-def _compute_chunk(ns: range, timing: bool) -> list[ScanRecord]:
-    """Records for consecutive moduli, from one ``g2_spectra`` call.
+def _compute_chunk(ns: Sequence[int], timing: bool) -> list[tuple[ScanRecord, int]]:
+    """(record, rad(n)) for each of the moduli ``ns``, from one ``g2_spectra``
+    call on the squarefree ones.
 
     Integrality and the residual degree are those of the G2 spectrum: the
     full spectrum adds only integer eigenvalues and shifts G2's by phi(n).
-    With ``timing`` every modulus is a chunk of its own, so wall_time_ms
-    times one n.
+    The record of a squarefree n (rad(n) == n) is complete; any other
+    record carries rad(n) in place of its residual degree, for
+    ``scan_range`` to fill.  With ``timing`` every modulus is a chunk of its
+    own, so wall_time_ms times one n.
     """
     if timing and len(ns) > 1:
-        return [rec for n in ns for rec in _compute_chunk(range(n, n + 1), timing)]
+        return [row for n in ns for row in _compute_chunk([n], timing)]
     start = time.perf_counter()
     moduli = [Modulus.of(n) for n in ns]
-    spectra = g2_spectra(moduli)
+    squarefree = [m for m in moduli if m.is_squarefree]
+    spectra = iter(g2_spectra(squarefree) if squarefree else [])
     elapsed_ms = int((time.perf_counter() - start) * 1000) if timing else 0
-    return [
-        ScanRecord(
+    rows = []
+    for m in moduli:
+        degree = next(spectra).residual.degree if m.is_squarefree else m.radical
+        record = ScanRecord(
             n=m.n,
             factorization=m.factorization_str(),
-            laplacian_integral=s.is_integral,
+            laplacian_integral=degree == 0,
             distinct_prime_count=m.omega,
-            residual_degree=s.residual.degree,
+            residual_degree=degree,
             wall_time_ms=elapsed_ms,
         )
-        for m, s in zip(moduli, spectra)
-    ]
+        rows.append((record, m.radical))
+    return rows
+
+
+def _radicals_below(ns: range) -> list[int]:
+    """The radicals below ``ns.start`` with two or more primes of the n in
+    ``ns``, ascending: the only rows a fill can read that the scan of ``ns``
+    does not compute (a prime radical gives residual degree 0, the table's
+    initial value)."""
+    if ns.start <= 6:  # 6 is the least squarefree number with two primes
+        return []
+    return sorted(
+        {m.radical for m in map(Modulus.of, ns) if m.omega > 1 and m.radical < ns.start}
+    )
+
+
+def _chunk_rows(
+    tasks: Sequence[Sequence[int]], workers: int, timing: bool
+) -> Iterator[list[tuple[ScanRecord, int]]]:
+    """``_compute_chunk`` of each task, in task order, computed in this process
+    or, with workers > 1, by a pool of at most one process per CPU and per
+    task.  Tasks are submitted through a window of at most 2 * workers
+    pending results, so memory stays flat in the number of tasks."""
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        for ns in tasks:
+            yield _compute_chunk(ns, timing)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for ns in tasks:
+            pending.append(pool.submit(_compute_chunk, ns, timing))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def scan_range(
@@ -80,30 +130,37 @@ def scan_range(
 ) -> Iterator[ScanRecord]:
     """Records for start..stop inclusive, ascending, in chunks of consecutive n.
 
-    Each chunk is one batch of the quotient pipeline, computed in this
-    process or, with workers > 1, by a pool of at most one process per CPU
-    and per chunk.  Chunks are submitted through a window of at most
-    2 * workers pending results and yielded in submission order, so memory
-    stays flat in the range length and the output is the same for every
-    worker count.
+    The squarefree n of each chunk are one batch of the quotient pipeline,
+    computed in this process or by up to ``workers`` processes; every other
+    row takes its integrality and residual degree from rad(n)'s row.  The
+    output is the same for every worker count.
     """
     if start < 3 or stop < start:
         raise ValueError(f"invalid scan range {start}..{stop}")
     ns = range(start, stop + 1)
-    chunks = range(0, len(ns), _CHUNK)
-    workers = min(workers, os.cpu_count() or 1, len(chunks))
-    if workers <= 1:
-        for i in chunks:
-            yield from _compute_chunk(ns[i : i + _CHUNK], timing)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for i in chunks:
-            pending.append(pool.submit(_compute_chunk, ns[i : i + _CHUNK], timing))
-            if len(pending) == 2 * workers:
-                yield from pending.popleft().result()
-        while pending:
-            yield from pending.popleft().result()
+    below = _radicals_below(ns)
+    tasks = [below[i : i + _CHUNK] for i in range(0, len(below), _CHUNK)]
+    first = len(tasks)
+    tasks += [ns[i : i + _CHUNK] for i in range(0, len(ns), _CHUNK)]
+    # residual degree of each computed n, by n: one byte is enough, as the
+    # degree is at most w <= 127 for n <= 10^6
+    degrees = bytearray(stop + 1)
+    for t, rows in enumerate(_chunk_rows(tasks, workers, timing)):
+        for record, rad in rows:
+            if rad == record.n:
+                degrees[rad] = record.residual_degree
+            else:
+                filled = time.perf_counter()
+                degree = degrees[rad]
+                elapsed_ms = int((time.perf_counter() - filled) * 1000) if timing else 0
+                record = replace(
+                    record,
+                    laplacian_integral=degree == 0,
+                    residual_degree=degree,
+                    wall_time_ms=elapsed_ms,
+                )
+            if t >= first:
+                yield record
 
 
 def apply_filter(records: Iterable[ScanRecord], which: str) -> Iterator[ScanRecord]:

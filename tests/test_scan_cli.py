@@ -13,7 +13,10 @@ import pytest
 
 from comax import scan, spectra
 from comax.cli import main
-from comax.scan import apply_filter, scan_range, write_csv, write_json
+from comax.ring_divisors import Modulus
+from comax.scan import ScanRecord, apply_filter, scan_range, write_csv, write_json
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "scan_3_2000.csv"
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -130,10 +133,43 @@ def test_timed_scan_batches_one_modulus_at_a_time(sync_pool, monkeypatch):
     for workers in (1, 2):
         batches.clear()
         timed = list(scan_range(3, 300, workers=workers, timing=True))
-        assert batches == [1] * 298
+        assert batches == [1] * 181
         assert [dataclasses.replace(r, wall_time_ms=0) for r in timed] == untimed
         assert all(type(r.wall_time_ms) is int and r.wall_time_ms >= 0 for r in timed)
     assert [p.max_workers for p in sync_pool] == [2]
+
+
+def test_window_above_three_matches_golden_rows(sync_pool, monkeypatch):
+    # rows such as 1020 (radical 510) are filled from radicals below the
+    # window, which only the pre-pass computes
+    header, *rows = GOLDEN.read_text().splitlines(keepends=True)
+    want = header + "".join(r for r in rows if int(r.split(",")[0]) >= 1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in (1, 2):
+        buf = io.StringIO()
+        write_csv(scan_range(1000, 2000, workers=workers), buf)
+        assert buf.getvalue() == want
+    assert [p.max_workers for p in sync_pool] == [2]
+
+
+def test_window_near_scan_limit_matches_each_spectrum():
+    start = 999401
+    records = list(scan_range(start, 1000000))
+    assert [r.n for r in records] == list(range(start, 1000001))
+    from_below = 0
+    for rec in records:
+        m = Modulus.of(rec.n)
+        s = spectra.g2_spectrum(m)
+        assert rec == ScanRecord(
+            n=m.n,
+            factorization=m.factorization_str(),
+            laplacian_integral=s.is_integral,
+            distinct_prime_count=m.omega,
+            residual_degree=s.residual.degree,
+            wall_time_ms=0,
+        )
+        from_below += m.omega > 2 and m.radical < start
+    assert from_below == 188
 
 
 def test_integral_exactly_when_at_most_two_primes():

@@ -300,6 +300,27 @@ def test_g2_spectra_match_one_modulus_at_a_time():
             assert abs(a - b) <= tol, m.n
 
 
+def test_non_squarefree_spectrum_is_that_of_its_radical():
+    # k = n / rad(n) > 1: the G2 quotient of n is k * B_rad(n) plus an
+    # isolated zero cell, so the residual of n is k^d * p_rad(x / k); the scan
+    # fills every non-squarefree row from rad(n) on this identity
+    checked = 0
+    for n in range(3, 3001):
+        m = Modulus.of(n)
+        if m.is_squarefree or m.radical < 3:
+            continue
+        k = n // m.radical
+        ours = g2_spectrum(m)
+        rad = g2_spectrum(Modulus.of(m.radical))
+        d = rad.residual.degree
+        scaled = tuple(c * k ** (d - i) for i, c in enumerate(rad.residual.coeffs))
+        assert ours.residual.coeffs == scaled, n
+        assert ours.residual.degree == d, n
+        assert ours.is_integral == rad.is_integral, n
+        checked += 1
+    assert checked == 1166
+
+
 def test_g2_spectra_names_the_modulus_whose_charpoly_fails(monkeypatch):
     kernel = polynomial._char_poly_mod
     w30 = g2_quotient(Modulus.of(30)).w
