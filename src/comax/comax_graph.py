@@ -9,7 +9,8 @@ the prime-support quotient in ``spectra``.  The divisor classes
 A_d = {x : gcd(x, n) = d} appear only in the ``graph n classes`` summary.
 One edge rule serves every graph consumer: a coprimality table over the
 distinct gcd(x, n).  The boolean adjacency matrix indexes it whole and feeds
-the dense Laplacian and every brute-force oracle; the edge exports read its
+the dense Laplacian (float64 with integer entries, built once for the
+eigensolver) and every brute-force oracle; the edge exports read its
 upper triangle one row at a time, so they stream in O(n) memory.
 """
 
@@ -42,15 +43,18 @@ def adjacency(m: Modulus, verts: Sequence[int]) -> np.ndarray:
 
 
 def dense_laplacian(m: Modulus) -> np.ndarray:
-    """Dense integer Laplacian L = D - A of the comaximal graph (oracle input),
-    built from the boolean gcd adjacency of all n vertices.
+    """Dense Laplacian L = D - A of the comaximal graph (oracle input), built
+    from the boolean gcd adjacency of all n vertices.
 
-    Refuses n above the dense limit ``config.DENSE_LIMIT``.
+    The matrix is float64, the eigensolver's own type, so it reaches
+    ``eigvalsh`` without a copy.  Every entry is an integer of magnitude
+    below n <= ``config.DENSE_LIMIT``, which float64 holds exactly.  Refuses
+    n above that limit.
     """
     if m.n > config.DENSE_LIMIT:
         raise ValueError(f"n={m.n} exceeds dense limit {config.DENSE_LIMIT}")
     adj = adjacency(m, range(m.n))
-    lap = np.negative(adj, dtype=np.int64)
+    lap = np.negative(adj, dtype=np.float64)
     np.fill_diagonal(lap, adj.sum(axis=1))
     return lap
 

@@ -4,10 +4,12 @@ Nothing in here knows about the quotient decomposition.  Every dense oracle
 starts from one boolean adjacency matrix computed from element gcds
 (``comax_graph.adjacency``): spectra come from a dense symmetric eigensolver
 or from the exact characteristic polynomial of the full n x n Laplacian
-built on it, component counts (of G2 and of its complement) come from a
-frontier traversal of that matrix, and the minimum vertex cut counts
-vertex-disjoint paths by shortest augmenting paths on a vertex-split
-residual matrix read off it, capped at a few hundred vertices.
+built on it (float64 with integer entries, which the eigensolver reads
+without a copy and the exact kernel takes as int64), component counts (of
+G2 and of its complement) come from a frontier traversal of that matrix,
+and the minimum vertex cut counts vertex-disjoint paths by shortest
+augmenting paths on a vertex-split residual matrix read off it, capped at a
+few hundred vertices.
 Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it.  The one exception is the exact
 charpoly kernel ``char_poly_matrix``, used by both on different matrices;
@@ -30,30 +32,37 @@ class OracleLimitExceeded(Exception):
 
 
 def numeric_spectrum(laplacian: np.ndarray) -> tuple[float, ...]:
-    """All eigenvalues of a dense symmetric integer matrix, ascending, from a
-    backward-stable symmetric eigensolver (orthogonal similarity)."""
-    mat = np.asarray(laplacian)
+    """All eigenvalues of a dense symmetric integer-valued matrix, ascending,
+    from a backward-stable symmetric eigensolver (orthogonal similarity).
+
+    A float64 matrix, such as ``dense_laplacian``'s, is used as it is; any
+    other is converted once.  The solver's working copy is then the only
+    other n x n float array alive.
+    """
+    mat = np.asarray(laplacian, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(mat, mat.T):
-        raise ValueError("matrix must be symmetric")
     if mat.shape[0] > config.DENSE_LIMIT:
         raise OracleLimitExceeded(
             f"size {mat.shape[0]} exceeds dense limit {config.DENSE_LIMIT}"
         )
-    return tuple(float(v) for v in np.linalg.eigvalsh(mat.astype(np.float64)))
+    if not np.array_equal(mat, mat.T):
+        raise ValueError("matrix must be symmetric")
+    return tuple(float(v) for v in np.linalg.eigvalsh(mat))
 
 
 def exact_char_poly_full(m: Modulus) -> IntPoly:
     """Exact characteristic polynomial of the full n x n Laplacian.
 
     The exact charpoly kernel run on the dense matrix rather than on the
-    quotient; capped (at 64) to keep the dense matrix small.
+    quotient; capped (at 64) to keep the dense matrix small.  The float64
+    Laplacian's integer entries are converted to int64 first, as the kernel
+    takes integers only.
     """
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
         raise OracleLimitExceeded(f"n={m.n} exceeds exact char poly limit {limit}")
-    return char_poly_matrix(dense_laplacian(m))
+    return char_poly_matrix(dense_laplacian(m).astype(np.int64))
 
 
 def g2_adjacency(m: Modulus) -> np.ndarray:

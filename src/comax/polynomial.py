@@ -243,6 +243,15 @@ class CharPolyError(ArithmeticError):
         self.what = what
 
 
+def _int_row(row: Sequence[int]) -> list[int]:
+    """The entries of ``row`` as Python ints; ValueError if one is not integral."""
+    entries = list(row)
+    ints = [int(v) for v in entries]
+    if ints != entries:
+        raise ValueError("matrix entries must be integers")
+    return ints
+
+
 def char_polys(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPoly]:
     """Monic characteristic polynomials det(xI - B) of integer matrices, exact.
 
@@ -256,9 +265,11 @@ def char_polys(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPoly]:
     a Hadamard bound on the sum of the principal minors of each size and
     hence on every coefficient; its CRT value is then read as the residue in
     (-M/2, M/2].  Each result is checked to be monic of degree w with
-    x^(w-1) coefficient -trace(B); a failure raises CharPolyError.
+    x^(w-1) coefficient -trace(B); a failure raises CharPolyError.  An entry
+    that is not an integer, such as the float 0.5, raises ValueError rather
+    than being truncated.
     """
-    mats = [[[int(v) for v in row] for row in matrix] for matrix in matrices]
+    mats = [[_int_row(row) for row in matrix] for matrix in matrices]
     out = [IntPoly.one()] * len(mats)
     by_size: dict[int, list[int]] = {}
     for i, rows in enumerate(mats):

@@ -4,10 +4,12 @@ Only squarefree n are computed.  For k = n / rad(n) > 1, the G2 quotient of
 n is k times that of rad(n) plus one isolated zero cell, so n has the
 integrality and the residual degree of rad(n); every other row is filled
 from rad(n)'s row.  The residual degrees of the computed n are kept in a
-table of one byte per n up to the end of the range (a degree is at most
-w <= 127 for n <= 10^6).  rad(n) <= n / 2 and rows are handled in ascending n, so the
-row a fill reads is always computed first; radicals below the start of the
-range are computed in a pre-pass.
+table of one byte per n of the range, indexed by n - start (a degree is at
+most w <= 127 for n <= 10^6).  rad(n) <= n / 2 and rows are handled in
+ascending n, so the row a fill reads is always computed first.  The
+radicals below the start of the range come from a segmented sieve over the
+range; they are computed in a pre-pass, and their degrees kept in a table
+of their own, by position in their ascending list.
 
 The range is cut into chunks of consecutive n, and the squarefree n of a
 chunk are one batch of the quotient pipeline (no dense oracles): one
@@ -22,13 +24,17 @@ guarantee is deliberately given up.
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .ring_divisors import Modulus
 from .spectra import g2_spectra
@@ -46,6 +52,8 @@ FILTERS = ("all", "integral", "nonintegral")
 
 # consecutive moduli per batch, and per task handed to a worker process
 _CHUNK = 128
+# consecutive n per block of the radical pre-pass sieve (0.5 MiB per int64 array)
+_SIEVE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,13 +102,40 @@ def _compute_chunk(ns: Sequence[int], timing: bool) -> list[tuple[ScanRecord, in
 def _radicals_below(ns: range) -> list[int]:
     """The radicals below ``ns.start`` with two or more primes of the n in
     ``ns``, ascending: the only rows a fill can read that the scan of ``ns``
-    does not compute (a prime radical gives residual degree 0, the table's
-    initial value)."""
+    does not compute (a prime radical gives residual degree 0).
+
+    A segmented sieve over ``ns``, in blocks of ``_SIEVE_BLOCK`` n: each
+    prime p <= isqrt(max n) multiplies rad and counts omega along its
+    multiples, and each prime power divides p out of a remainder once; a
+    remainder left above 1 is one more prime.
+    """
     if ns.start <= 6:  # 6 is the least squarefree number with two primes
         return []
-    return sorted(
-        {m.radical for m in map(Modulus.of, ns) if m.omega > 1 and m.radical < ns.start}
-    )
+    top = ns[-1]
+    root = math.isqrt(top)
+    sieve = np.ones(root + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve).tolist()
+    found: set[int] = set()
+    for lo in range(ns.start, ns.stop, _SIEVE_BLOCK):
+        rest = np.arange(lo, min(lo + _SIEVE_BLOCK, ns.stop), dtype=np.int64)
+        rad = np.ones_like(rest)
+        omega = np.zeros(len(rest), dtype=np.int8)
+        for p in primes:
+            rad[-lo % p :: p] *= p
+            omega[-lo % p :: p] += 1
+            q = p
+            while q <= top:
+                rest[-lo % q :: q] //= p
+                q *= p
+        left = rest > 1
+        rad[left] *= rest[left]
+        omega += left
+        found.update(rad[(omega > 1) & (rad < ns.start)].tolist())
+    return sorted(found)
 
 
 def _chunk_rows(
@@ -142,16 +177,26 @@ def scan_range(
     tasks = [below[i : i + _CHUNK] for i in range(0, len(below), _CHUNK)]
     first = len(tasks)
     tasks += [ns[i : i + _CHUNK] for i in range(0, len(ns), _CHUNK)]
-    # residual degree of each computed n, by n: one byte is enough, as the
-    # degree is at most w <= 127 for n <= 10^6
-    degrees = bytearray(stop + 1)
+    # residual degree of each computed n: of the pre-pass radicals by their
+    # position in ``below``, of the window by n - start; one byte is enough,
+    # as the degree is at most w <= 127 for n <= 10^6
+    below_degrees = bytearray(len(below))
+    degrees = bytearray(len(ns))
     for t, rows in enumerate(_chunk_rows(tasks, workers, timing)):
-        for record, rad in rows:
+        for i, (record, rad) in enumerate(rows):
+            if t < first:
+                below_degrees[t * _CHUNK + i] = record.residual_degree
+                continue
             if rad == record.n:
-                degrees[rad] = record.residual_degree
+                degrees[rad - start] = record.residual_degree
             else:
                 filled = time.perf_counter()
-                degree = degrees[rad]
+                if rad >= start:
+                    degree = degrees[rad - start]
+                else:  # a prime radical is not in ``below``: degree 0
+                    at = bisect.bisect_left(below, rad)
+                    found = at < len(below) and below[at] == rad
+                    degree = below_degrees[at] if found else 0
                 elapsed_ms = int((time.perf_counter() - filled) * 1000) if timing else 0
                 record = replace(
                     record,
@@ -159,8 +204,7 @@ def scan_range(
                     residual_degree=degree,
                     wall_time_ms=elapsed_ms,
                 )
-            if t >= first:
-                yield record
+            yield record
 
 
 def apply_filter(records: Iterable[ScanRecord], which: str) -> Iterator[ScanRecord]:

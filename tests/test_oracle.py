@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,27 @@ def test_numeric_spectrum_rejects_bad_input(monkeypatch):
     monkeypatch.setattr(config, "DENSE_LIMIT", 3)
     with pytest.raises(OracleLimitExceeded):
         numeric_spectrum(np.zeros((4, 4), dtype=np.int64))
+
+
+def test_dense_spectrum_holds_one_float_laplacian():
+    # tracemalloc sees numpy buffers but not the eigensolver's internal
+    # working copy: the solve must not copy the float64 Laplacian, and
+    # building plus solving must hold it once
+    m = Modulus.of(1155)
+    lap = dense_laplacian(m)
+    tracemalloc.start()
+    try:
+        numeric_spectrum(lap)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        del lap
+        tracemalloc.reset_peak()
+        lap = dense_laplacian(m)
+        numeric_spectrum(lap)
+        both_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solve_peak < lap.nbytes / 2
+    assert both_peak < 1.5 * lap.nbytes
 
 
 def test_exact_char_poly_examples():

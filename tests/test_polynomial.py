@@ -108,6 +108,12 @@ def test_char_poly_examples():
     assert char_poly_matrix([[5]]).coeffs == (-5, 1)
     with pytest.raises(ValueError):
         char_poly_matrix([[1, 2], [3]])
+    # a float entry is read only when it is integral, never truncated
+    with pytest.raises(ValueError):
+        char_poly_matrix([[0.5]])
+    with pytest.raises(ValueError):
+        char_poly_matrix([[2.0, -1.0], [-1.0, 2.25]])
+    assert char_poly_matrix([[2.0, -1.0], [-1.0, 2.0]]).coeffs == (3, -4, 1)
 
 
 def test_char_poly_small_sizes_with_huge_entries():

@@ -6,12 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Executor, Future
 from pathlib import Path
 
 import pytest
 
-from comax import scan, spectra
+from comax import polynomial, scan, spectra
 from comax.cli import main
 from comax.ring_divisors import Modulus
 from comax.scan import ScanRecord, apply_filter, scan_range, write_csv, write_json
@@ -152,24 +153,61 @@ def test_window_above_three_matches_golden_rows(sync_pool, monkeypatch):
     assert [p.max_workers for p in sync_pool] == [2]
 
 
+def spectrum_record(n: int) -> ScanRecord:
+    """The scan record of n from its own G2 spectrum, no fill."""
+    m = Modulus.of(n)
+    s = spectra.g2_spectrum(m)
+    return ScanRecord(
+        n=n,
+        factorization=m.factorization_str(),
+        laplacian_integral=s.is_integral,
+        distinct_prime_count=m.omega,
+        residual_degree=s.residual.degree,
+        wall_time_ms=0,
+    )
+
+
 def test_window_near_scan_limit_matches_each_spectrum():
     start = 999401
     records = list(scan_range(start, 1000000))
-    assert [r.n for r in records] == list(range(start, 1000001))
-    from_below = 0
-    for rec in records:
-        m = Modulus.of(rec.n)
-        s = spectra.g2_spectrum(m)
-        assert rec == ScanRecord(
-            n=m.n,
-            factorization=m.factorization_str(),
-            laplacian_integral=s.is_integral,
-            distinct_prime_count=m.omega,
-            residual_degree=s.residual.degree,
-            wall_time_ms=0,
-        )
-        from_below += m.omega > 2 and m.radical < start
-    assert from_below == 188
+    assert records == [spectrum_record(n) for n in range(start, 1000001)]
+    moduli = map(Modulus.of, range(start, 1000001))
+    assert sum(m.omega > 2 and m.radical < start for m in moduli) == 188
+
+
+def radicals_below_by_modulus(ns: range) -> list[int]:
+    return sorted(
+        {m.radical for m in map(Modulus.of, ns) if m.omega > 1 and m.radical < ns.start}
+    )
+
+
+def test_radical_sieve_matches_modulus_definition(monkeypatch):
+    windows = [range(s, s + 300) for s in range(3, 8)]
+    windows += [range(1000, 2001), range(990001, 1000001)]
+    want = [radicals_below_by_modulus(ns) for ns in windows]
+    assert len(want[-1]) == 3917
+    # one block per window, then blocks that split every window
+    for block in (scan._SIEVE_BLOCK, 97):
+        monkeypatch.setattr(scan, "_SIEVE_BLOCK", block)
+        assert [scan._radicals_below(ns) for ns in windows] == want
+
+
+def test_far_window_fill_table_is_sized_by_the_window(monkeypatch):
+    # a window far above the scan limit keeps one byte per n of the window
+    # (and per pre-pass radical), not per n below its end.  The charpoly
+    # kernel's working set, a few stacks of _BATCH_CELLS int64 entries
+    # (about 2 MiB at the default), is shrunk so that the traced peak is
+    # the scan's own
+    monkeypatch.setattr(polynomial, "_BATCH_CELLS", 1 << 12)
+    start = 10**8
+    tracemalloc.start()
+    try:
+        records = list(scan_range(start, start + 99))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert records == [spectrum_record(n) for n in range(start, start + 100)]
 
 
 def test_integral_exactly_when_at_most_two_primes():
