@@ -27,7 +27,7 @@ from .oracle import (
     min_vertex_cut,
 )
 from .ring_divisors import Modulus
-from .spectra import SpectrumMultiset, full_spectrum
+from .spectra import SpectrumMultiset
 
 _TOL = 1e-6
 
@@ -50,16 +50,13 @@ def _values_agree(claimed, computed) -> bool:
     return abs(float(claimed) - float(computed)) <= _TOL
 
 
-def algebraic_connectivity(
-    m: Modulus, spectrum: SpectrumMultiset | None = None
-) -> TheoremReport:
+def algebraic_connectivity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:
     """Second-smallest Laplacian eigenvalue vs the claimed phi(n).
 
     The claim holds for composite n; for prime n the graph is complete and
     the computed value is n, so the report honestly disagrees there.
     """
-    s = full_spectrum(m) if spectrum is None else spectrum
-    computed = s.second_smallest()
+    computed = spectrum.second_smallest()
     claimed = m.phi
     return TheoremReport(
         theorem="algebraic-connectivity",
@@ -128,9 +125,7 @@ def g2_connectivity_report(
     return first, second
 
 
-def second_largest_report(
-    m: Modulus, spectrum: SpectrumMultiset | None = None
-) -> TheoremReport:
+def second_largest_report(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:
     """Largest eigenvalue below the spectral radius: <= n-1, equal iff n = pq.
 
     Composite n only; for prime n the spectrum is {n, 0} and the law does
@@ -138,8 +133,7 @@ def second_largest_report(
     """
     if m.is_prime:
         raise ValueError(f"second-largest law applies to composite n, got prime {m.n}")
-    s = full_spectrum(m) if spectrum is None else spectrum
-    lam2 = s.largest_below_radius()
+    lam2 = spectrum.largest_below_radius()
     is_pq = m.omega == 2 and m.is_squarefree
     if isinstance(lam2, int):
         equal = lam2 == m.n - 1
@@ -156,7 +150,7 @@ def second_largest_report(
 
 
 def multiplicity_reports(
-    m: Modulus, spectrum: SpectrumMultiset | None = None
+    m: Modulus, spectrum: SpectrumMultiset
 ) -> tuple[TheoremReport, TheoremReport]:
     """Multiplicity of the radius n (claimed phi(n)) and of the value phi(n)
     (claimed n / rad(n)).
@@ -169,15 +163,14 @@ def multiplicity_reports(
     is the classical one and genuinely fails at prime powers, where G2 is a
     null graph on n / rad(n) - 1 vertices.
     """
-    s = full_spectrum(m) if spectrum is None else spectrum
     radius = TheoremReport(
         theorem="spectral-radius-multiplicity",
         claimed=m.phi,
-        computed=s.multiplicity_of(m.n),
-        agrees=m.phi == s.multiplicity_of(m.n),
+        computed=spectrum.multiplicity_of(m.n),
+        agrees=m.phi == spectrum.multiplicity_of(m.n),
     )
     claimed_phi_mult = m.n // m.radical
-    computed_phi_mult = s.multiplicity_of(m.phi)
+    computed_phi_mult = spectrum.multiplicity_of(m.phi)
     phi_report = TheoremReport(
         theorem="phi-multiplicity",
         claimed=claimed_phi_mult,

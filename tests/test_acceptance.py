@@ -185,7 +185,7 @@ def test_criterion_06_multiplicities():
     prime_powers = 0
     for n in range(3, 501):
         m = Modulus.of(n)
-        radius, phi_mult = multiplicity_reports(m)
+        radius, phi_mult = multiplicity_reports(m, full_spectrum(m))
         per_radical = n // m.radical
         if not radius.agrees:
             violations.append((n, "radius", radius.computed, radius.claimed))

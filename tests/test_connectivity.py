@@ -10,20 +10,26 @@ from comax.connectivity import (
 )
 from comax.oracle import OracleLimitExceeded
 from comax.ring_divisors import Modulus
+from comax.spectra import full_spectrum
+
+
+def with_spectrum(n: int):
+    m = Modulus.of(n)
+    return m, full_spectrum(m)
 
 
 def test_algebraic_connectivity_composite():
-    r6 = algebraic_connectivity(Modulus.of(6))
+    r6 = algebraic_connectivity(*with_spectrum(6))
     assert (r6.claimed, r6.computed, r6.agrees) == (2, 2, True)
-    r9 = algebraic_connectivity(Modulus.of(9))
+    r9 = algebraic_connectivity(*with_spectrum(9))
     assert (r9.claimed, r9.computed, r9.agrees) == (6, 6, True)
-    r30 = algebraic_connectivity(Modulus.of(30))
+    r30 = algebraic_connectivity(*with_spectrum(30))
     assert (r30.claimed, r30.computed, r30.agrees) == (8, 8, True)
 
 
 def test_algebraic_connectivity_prime_boundary():
     # complete graph: second-smallest eigenvalue is n, not phi(n) = n - 1
-    r = algebraic_connectivity(Modulus.of(7))
+    r = algebraic_connectivity(*with_spectrum(7))
     assert r.claimed == 6
     assert r.computed == 7
     assert not r.agrees
@@ -71,14 +77,14 @@ def test_g2_connectivity_single_vertex_boundary():
 
 
 def test_second_largest_report():
-    r15 = second_largest_report(Modulus.of(15))
+    r15 = second_largest_report(*with_spectrum(15))
     assert r15.computed == 14 and r15.agrees
-    r12 = second_largest_report(Modulus.of(12))
+    r12 = second_largest_report(*with_spectrum(12))
     assert r12.computed == 10 and r12.agrees
-    r8 = second_largest_report(Modulus.of(8))
+    r8 = second_largest_report(*with_spectrum(8))
     assert r8.computed == 4 and r8.agrees
     with pytest.raises(ValueError):
-        second_largest_report(Modulus.of(7))
+        second_largest_report(*with_spectrum(7))
 
 
 def test_second_largest_both_directions():
@@ -86,16 +92,16 @@ def test_second_largest_both_directions():
         m = Modulus.of(n)
         if m.is_prime:
             continue
-        r = second_largest_report(m)
+        r = second_largest_report(m, full_spectrum(m))
         assert r.agrees, (n, r)
 
 
 def test_multiplicity_reports():
-    radius, phi_mult = multiplicity_reports(Modulus.of(12))
+    radius, phi_mult = multiplicity_reports(*with_spectrum(12))
     assert (radius.claimed, radius.computed, radius.agrees) == (4, 4, True)
     assert (phi_mult.claimed, phi_mult.computed, phi_mult.agrees) == (2, 2, True)
 
-    radius, phi_mult = multiplicity_reports(Modulus.of(30))
+    radius, phi_mult = multiplicity_reports(*with_spectrum(30))
     assert (radius.claimed, radius.computed) == (8, 8)
     assert (phi_mult.claimed, phi_mult.computed, phi_mult.agrees) == (1, 1, True)
 
@@ -103,7 +109,7 @@ def test_multiplicity_reports():
 def test_multiplicity_prime_power_boundary():
     # n = 9: spectrum is {9^6, 6^2, 0}, so the value phi(9) = 6 has
     # multiplicity 2 while the n/rad(n) formula claims 3
-    radius, phi_mult = multiplicity_reports(Modulus.of(9))
+    radius, phi_mult = multiplicity_reports(*with_spectrum(9))
     assert radius.agrees
     assert phi_mult.claimed == 3
     assert phi_mult.computed == 2
@@ -113,7 +119,7 @@ def test_multiplicity_prime_power_boundary():
 
 def test_multiplicity_never_collides_in_range():
     for n in range(3, 300):
-        _, phi_mult = multiplicity_reports(Modulus.of(n))
+        _, phi_mult = multiplicity_reports(*with_spectrum(n))
         assert phi_mult.note == "", n
 
 

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from concurrent.futures import Executor, Future
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -141,16 +142,42 @@ def test_timed_scan_batches_one_modulus_at_a_time(sync_pool, monkeypatch):
 
 
 def test_window_above_three_matches_golden_rows(sync_pool, monkeypatch):
-    # rows such as 1020 (radical 510) are filled from radicals below the
-    # window, which only the pre-pass computes
+    # rows such as 1020 (radical 510) read a radical below the window, which
+    # their own chunk computes; timed, every modulus is a chunk of its own
     header, *rows = GOLDEN.read_text().splitlines(keepends=True)
     want = header + "".join(r for r in rows if int(r.split(",")[0]) >= 1000)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for workers in (1, 2):
-        buf = io.StringIO()
-        write_csv(scan_range(1000, 2000, workers=workers), buf)
-        assert buf.getvalue() == want
-    assert [p.max_workers for p in sync_pool] == [2]
+        for timing in (False, True):
+            records = scan_range(1000, 2000, workers=workers, timing=timing)
+            buf = io.StringIO()
+            write_csv((dataclasses.replace(r, wall_time_ms=0) for r in records), buf)
+            assert buf.getvalue() == want
+    assert [p.max_workers for p in sync_pool] == [2, 2]
+
+
+def test_window_chunks_compute_their_own_radicals_below(monkeypatch):
+    calls = []
+    real = scan.g2_spectra
+
+    def recording(moduli):
+        calls.append([m.n for m in moduli])
+        return real(moduli)
+
+    monkeypatch.setattr(scan, "g2_spectra", recording)
+    start = 1000
+    window = range(start, 2001)
+    chunks = [window[i : i + scan._CHUNK] for i in range(0, len(window), scan._CHUNK)]
+    list(scan_range(start, 2000))
+    assert len(calls) == len(chunks)
+    for ns, chunk in zip(calls, chunks):
+        assert all(Modulus.of(n).is_squarefree for n in ns)
+        assert len(set(ns)) == len(ns)
+        assert [n for n in ns if n >= start] == [
+            n for n in chunk if Modulus.of(n).is_squarefree
+        ]
+    # 1020 = 2^2 * 3 * 5 * 17 reads 510, which the first chunk computes
+    assert 510 in calls[0]
 
 
 def spectrum_record(n: int) -> ScanRecord:
@@ -175,29 +202,11 @@ def test_window_near_scan_limit_matches_each_spectrum():
     assert sum(m.omega > 2 and m.radical < start for m in moduli) == 188
 
 
-def radicals_below_by_modulus(ns: range) -> list[int]:
-    return sorted(
-        {m.radical for m in map(Modulus.of, ns) if m.omega > 1 and m.radical < ns.start}
-    )
-
-
-def test_radical_sieve_matches_modulus_definition(monkeypatch):
-    windows = [range(s, s + 300) for s in range(3, 8)]
-    windows += [range(1000, 2001), range(990001, 1000001)]
-    want = [radicals_below_by_modulus(ns) for ns in windows]
-    assert len(want[-1]) == 3917
-    # one block per window, then blocks that split every window
-    for block in (scan._SIEVE_BLOCK, 97):
-        monkeypatch.setattr(scan, "_SIEVE_BLOCK", block)
-        assert [scan._radicals_below(ns) for ns in windows] == want
-
-
 def test_far_window_fill_table_is_sized_by_the_window(monkeypatch):
-    # a window far above the scan limit keeps one byte per n of the window
-    # (and per pre-pass radical), not per n below its end.  The charpoly
-    # kernel's working set, a few stacks of _BATCH_CELLS int64 entries
-    # (about 2 MiB at the default), is shrunk so that the traced peak is
-    # the scan's own
+    # a window far above the scan limit keeps two bytes per n of the window,
+    # not per n below its end.  The charpoly kernel's working set, a few
+    # stacks of _BATCH_CELLS int64 entries (about 2 MiB at the default), is
+    # shrunk so that the traced peak is the scan's own
     monkeypatch.setattr(polynomial, "_BATCH_CELLS", 1 << 12)
     start = 10**8
     tracemalloc.start()
@@ -208,6 +217,20 @@ def test_far_window_fill_table_is_sized_by_the_window(monkeypatch):
         tracemalloc.stop()
     assert peak < 2 << 20
     assert records == [spectrum_record(n) for n in range(start, start + 100)]
+
+
+def test_fill_table_holds_degrees_above_255(monkeypatch):
+    # squarefree n with omega >= 9 (from 223092870) have w = 510 and residual
+    # degrees above one byte; 60 = 2^2 * 3 * 5 is filled from 30's entry
+    def degree_300(moduli):
+        residual = SimpleNamespace(degree=300)
+        return [SimpleNamespace(residual=residual) for _ in moduli]
+
+    monkeypatch.setattr(scan, "g2_spectra", degree_300)
+    records = list(scan_range(30, 60))
+    assert (records[0].n, records[0].residual_degree) == (30, 300)
+    assert (records[-1].n, records[-1].residual_degree) == (60, 300)
+    assert not records[-1].laplacian_integral
 
 
 def test_integral_exactly_when_at_most_two_primes():
