@@ -1,7 +1,8 @@
 """Command-line surface: spectrum, verify, scan, g2, graph.
 
-Exit codes: 0 success, 1 verification disagreement, 2 usage error, 3 I/O
-error.
+Exit codes: 0 success, 1 verification disagreement or an n the exact
+pipeline refuses (its ArithmeticError printed as one stderr line), 2 usage
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -310,7 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ArithmeticError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DISAGREE
 
 
 if __name__ == "__main__":

@@ -135,12 +135,8 @@ def second_largest_report(m: Modulus, spectrum: SpectrumMultiset) -> TheoremRepo
         raise ValueError(f"second-largest law applies to composite n, got prime {m.n}")
     lam2 = spectrum.largest_below_radius()
     is_pq = m.omega == 2 and m.is_squarefree
-    if isinstance(lam2, int):
-        equal = lam2 == m.n - 1
-        within = lam2 <= m.n - 1
-    else:
-        equal = abs(lam2 - (m.n - 1)) <= _TOL
-        within = lam2 <= m.n - 1 + _TOL
+    equal = _values_agree(lam2, m.n - 1)
+    within = lam2 <= m.n - 1 or equal
     return TheoremReport(
         theorem="second-largest-eigenvalue",
         claimed=f"== {m.n - 1}" if is_pq else f"< {m.n - 1}",

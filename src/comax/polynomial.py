@@ -7,9 +7,9 @@ Hessenberg recurrence (Cohen, *A Course in Computational Algebraic Number
 Theory*, Alg. 2.2.9), and the coefficients are recombined by the Chinese
 remainder theorem up to a proven Hadamard bound (the multimodular scheme of
 Dumas, Pernet & Wan, ISSAC 2005).  ``char_polys`` runs the residue matrices
-of many matrices of one size, each with its own primes, through one
-vectorised pass; ``char_poly_matrix`` is its one-matrix case.  Integer roots
-are then split off by exact synthetic division at caller-supplied
+of a stack of int64 matrices of one size, all modulo one list of primes,
+through one vectorised pass; ``char_poly_matrix`` is its one-matrix case.
+Integer roots are then split off by exact synthetic division at caller-supplied
 candidates.
 """
 
@@ -161,20 +161,25 @@ def _is_prime(n: int) -> bool:
 _PRIMES: dict[int, list[int]] = {}
 
 
-def _word_primes(w: int, count: int) -> list[int]:
-    """The ``count`` largest primes below 2**bits, for the largest bits with
-    w * 4**bits < 2**63, so that w * (p - 1)**2 < 2**63 for each of them."""
+def _word_primes(w: int, bound: int) -> list[int]:
+    """The fewest of the largest primes below 2**bits whose product exceeds
+    ``bound``, for the largest bits with w * 4**bits < 2**63, so that
+    w * (p - 1)**2 < 2**63 for each of them."""
     bits = math.isqrt((2**63 - 1) // w).bit_length() - 1
-    found = _PRIMES.get(bits, [])
-    if len(found) < count:
-        found = list(found)
-        cand = found[-1] - 2 if found else (1 << bits) - 1
-        while len(found) < count:
-            if _is_prime(cand):
-                found.append(cand)
-            cand -= 2
-        _PRIMES[bits] = found
-    return found[:count]
+    primes = _PRIMES.get(bits, [])
+    count, modulus = 0, 1
+    while modulus <= bound:
+        if count == len(primes):
+            primes = list(primes)  # doubled as a new list; see _PRIMES
+            cand = primes[-1] - 2 if primes else (1 << bits) - 1
+            while len(primes) <= 2 * count:
+                if _is_prime(cand):
+                    primes.append(cand)
+                cand -= 2
+            _PRIMES[bits] = primes
+        modulus *= primes[count]
+        count += 1
+    return primes[:count]
 
 
 # int64 entries per (k, w, w) stack of residue matrices (512 KiB): residues go
@@ -243,92 +248,62 @@ class CharPolyError(ArithmeticError):
         self.what = what
 
 
-def _int_row(row: Sequence[int]) -> list[int]:
-    """The entries of ``row`` as Python ints; ValueError if one is not integral."""
-    entries = list(row)
-    ints = [int(v) for v in entries]
-    if ints != entries:
-        raise ValueError("matrix entries must be integers")
-    return ints
-
-
 def char_polys(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPoly]:
-    """Monic characteristic polynomials det(xI - B) of integer matrices, exact.
+    """Monic characteristic polynomials det(xI - B) of int64 matrices of one
+    size w, exact.
 
-    Multimodular: each w x w matrix B is reduced modulo word-size primes p,
+    Multimodular: the (k, w, w) stack is reduced modulo word-size primes p,
     chosen with w * (p - 1)**2 < 2**63 so that numpy int64 arithmetic stays
-    exact, and the residue matrices of all matrices of one size w go through
-    ``_char_poly_mod`` as one stack, in slices of ``_BATCH_CELLS`` entries.
-    Reduction mod p commutes with the charpoly and Hessenberg reduction is a
-    similarity over F_p, so every prime is good.  Each matrix takes its own
-    primes until their product M exceeds 2 * prod_i (2 + isqrt(||row_i||^2)),
-    a Hadamard bound on the sum of the principal minors of each size and
-    hence on every coefficient; its CRT value is then read as the residue in
-    (-M/2, M/2].  Each result is checked to be monic of degree w with
-    x^(w-1) coefficient -trace(B); a failure raises CharPolyError.  An entry
-    that is not an integer, such as the float 0.5, raises ValueError rather
-    than being truncated.
+    exact; residue row j, matrix j // c modulo prime j % c, goes through
+    ``_char_poly_mod`` in slices of ``_BATCH_CELLS`` entries.  Reduction mod
+    p commutes with the charpoly and Hessenberg reduction is a similarity
+    over F_p, so every prime is good.  The c primes are one list whose
+    product M exceeds the largest 2 * prod_i (2 + isqrt(||row_i||^2)) of the
+    stack, a Hadamard bound on the sum of the principal minors of each size
+    and hence on every coefficient; one CRT basis reads each coefficient as
+    the residue in (-M/2, M/2].  Each result is checked to be monic of
+    degree w with x^(w-1) coefficient -trace(B); a failure raises
+    CharPolyError.  Ragged or mixed-size input, and any entry that is not an
+    int64 integer (a float, or 2**63 and beyond), raise ValueError.
     """
-    mats = [[_int_row(row) for row in matrix] for matrix in matrices]
-    out = [IntPoly.one()] * len(mats)
-    by_size: dict[int, list[int]] = {}
+    stack = np.asarray(matrices)
+    if not len(stack) or stack.shape[1:] in ((0,), (0, 0)):  # none, or of size 0
+        return [IntPoly.one()] * len(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError("matrices must be square and of one size")
+    if stack.dtype.kind != "i":
+        raise ValueError(f"matrix entries must be int64 integers, not {stack.dtype}")
+    stack = stack.astype(np.int64, copy=False)
+    k, w, _ = stack.shape
+    mats = stack.tolist()
+    bound = max(
+        2 * math.prod(2 + math.isqrt(sum(v * v for v in row)) for row in rows)
+        for rows in mats
+    )
+    primes = _word_primes(w, bound)
+    c = len(primes)
+    residues = np.empty((k * c, w + 1), dtype=np.int64)
+    batch = max(1, _BATCH_CELLS // (w * w))
+    for s in range(0, k * c, batch):
+        j = np.arange(s, min(s + batch, k * c))
+        mods = np.array(primes, dtype=np.int64)[j % c]
+        residues[j] = _char_poly_mod(stack[j // c] % mods[:, None, None], mods)
+    modulus = math.prod(primes)
+    basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    out = []
     for i, rows in enumerate(mats):
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
-        if rows:
-            by_size.setdefault(len(rows), []).append(i)
-    for w, members in by_size.items():
-        counts: list[int] = []  # primes per matrix
-        fits: list[bool] = []
-        primes = _word_primes(w, 1)
-        for i in members:
-            norms = [sum(v * v for v in row) for row in mats[i]]
-            bound = 2 * math.prod(2 + math.isqrt(s) for s in norms)
-            count, modulus = 0, 1
-            while modulus <= bound:
-                if count == len(primes):
-                    primes = _word_primes(w, 2 * count)
-                modulus *= primes[count]
-                count += 1
-            counts.append(count)
-            # numpy reduces the entries when every |entry| < 2**63, Python otherwise
-            fits.append(max(norms) < 1 << 126)
-        # residue matrix j of the group is matrix members[owner[j]] modulo mods[j]
-        owner = np.repeat(np.arange(len(members)), counts)
-        mods = np.array([q for c in counts for q in primes[:c]], dtype=np.int64)
-        zero = [[0] * w] * w
-        entries = np.array(
-            [mats[i] if ok else zero for i, ok in zip(members, fits)], dtype=np.int64
-        )
-        residues = np.empty((len(mods), w + 1), dtype=np.int64)
-        batch = max(1, _BATCH_CELLS // (w * w))
-        for s in range(0, len(mods), batch):
-            part = slice(s, s + batch)
-            stack = entries[owner[part]] % mods[part, None, None]
-            for j, k in enumerate(owner[part].tolist()):
-                if not fits[k]:
-                    q = int(mods[s + j])
-                    stack[j] = [[v % q for v in row] for row in mats[members[k]]]
-            residues[part] = _char_poly_mod(stack, mods[part])
-        done = 0
-        for i, count in zip(members, counts):
-            rows = mats[i]
-            moduli = primes[:count]
-            modulus = math.prod(moduli)
-            basis = [modulus // q * pow(modulus // q, -1, q) for q in moduli]
-            coeffs = []
-            for column in zip(*residues[done : done + count].tolist()):
-                v = sum(r * e for r, e in zip(column, basis)) % modulus
-                coeffs.append(v - modulus if 2 * v > modulus else v)
-            done += count
-            poly = IntPoly(coeffs)
-            if not poly.is_monic or poly.degree != w:
-                raise CharPolyError(i, "characteristic polynomial must be monic of degree w")
-            if poly.coeffs[w - 1] != -sum(rows[r][r] for r in range(w)):
-                raise CharPolyError(
-                    i, "x^(w-1) coefficient of the characteristic polynomial is not -trace"
-                )
-            out[i] = poly
+        coeffs = []
+        for column in zip(*residues[i * c : (i + 1) * c].tolist()):
+            v = sum(r * e for r, e in zip(column, basis)) % modulus
+            coeffs.append(v - modulus if 2 * v > modulus else v)
+        poly = IntPoly(coeffs)
+        if not poly.is_monic or poly.degree != w:
+            raise CharPolyError(i, "characteristic polynomial must be monic of degree w")
+        if poly.coeffs[w - 1] != -sum(rows[r][r] for r in range(w)):
+            raise CharPolyError(
+                i, "x^(w-1) coefficient of the characteristic polynomial is not -trace"
+            )
+        out.append(poly)
     return out
 
 

@@ -191,25 +191,34 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
     """Exact Laplacian spectra of G2, one per modulus (empty multiset for prime n).
 
     Per cell: the cell degree with multiplicity (cell size - 1); the
-    quotient matrix contributes the rest.  The quotients of one size w share
-    one ``char_polys`` call and one stacked ``eigvalsh`` of their symmetric
-    quotients.  Rounded, each modulus's eigenvalues are the integer-root
-    candidates that exact synthetic division confirms or rejects, and the
-    eigenvalues left after removing each confirmed root are the residual
-    roots.  Total size is n - phi(n) - 1.
+    quotient matrix contributes the rest.  Each quotient's eigensolver error
+    bound w * ||B||_inf * eps is checked to be below 1/2 (so rounding reaches
+    every integer eigenvalue) before any charpoly is computed; then the
+    quotients of one size w share one ``char_polys`` call and one stacked
+    ``eigvalsh`` of their symmetric quotients.  Rounded, each modulus's
+    eigenvalues are the integer-root candidates that exact synthetic
+    division confirms or rejects, and the eigenvalues left after removing
+    each confirmed root are the residual roots.  Total size is n - phi(n) - 1.
 
-    Raises ArithmeticError naming the modulus if an invariant fails: its
-    charpoly check, the eigensolver error bound w * ||B||_inf * eps is below
-    1/2 (so rounding reaches every integer eigenvalue), each integer root has
-    a numeric eigenvalue within that bound, the residual roots sum to the
-    exact coefficient (Vieta), and every root lies in [0, n - phi(n) - 1].
+    Raises ArithmeticError naming the modulus if an invariant fails: that
+    error bound, its charpoly check, each integer root has a numeric
+    eigenvalue within the bound, the residual roots sum to the exact
+    coefficient (Vieta), and every root lies in [0, n - phi(n) - 1].
     """
     quotients = [g2_quotient(m) for m in moduli]
-    out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
+    tols: list[float] = []
     by_size: dict[int, list[int]] = {}
-    for i, q in enumerate(quotients):
+    for i, (m, q) in enumerate(zip(moduli, quotients)):
+        # every row of B sums to zero, so ||B||_inf is twice its largest diagonal
+        diag = max((q.entries[j][j] for j in range(q.w)), default=0)
+        tols.append(q.w * 2 * diag * _EPS)
+        if tols[i] >= 0.5:
+            raise ArithmeticError(
+                f"n={m.n}: eigensolver error bound {tols[i]:.3g} cannot separate integers"
+            )
         if q.w:
             by_size.setdefault(q.w, []).append(i)
+    out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
     for members in by_size.values():
         qs = [quotients[i] for i in members]
         try:
@@ -218,29 +227,26 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
             raise ArithmeticError(f"n={moduli[members[exc.index]].n}: {exc.what}") from exc
         values = np.linalg.eigvalsh(_symmetric_quotients(qs)).tolist()
         for i, q, p, vs in zip(members, qs, polys, values):
-            out[i] = _split_spectrum(moduli[i], q, p, vs)
+            out[i] = _split_spectrum(moduli[i], q, p, vs, tols[i])
     return out
 
 
 def _split_spectrum(
-    m: Modulus, q: QuotientMatrix, p: IntPoly, values: list[float]
+    m: Modulus, q: QuotientMatrix, p: IntPoly, values: list[float], tol: float
 ) -> SpectrumMultiset:
     """G2 spectrum of one modulus from its quotient, the quotient's exact
-    charpoly ``p`` and its eigenvalues ``values`` (ascending, consumed)."""
+    charpoly ``p``, its eigenvalues ``values`` (ascending, consumed) and
+    their error bound ``tol``."""
     counts: Counter = Counter()
     for i in range(q.w):
         mult = q.sizes[i] - 1
         if mult > 0:
             counts[q.entries[i][i]] += mult
     top = m.n - m.phi - 1
-    # every row of B sums to zero, so ||B||_inf is twice its largest diagonal
-    tol = q.w * 2 * max(q.entries[i][i] for i in range(q.w)) * _EPS
 
     def fail(what: str) -> ArithmeticError:
         return ArithmeticError(f"n={m.n}: {what}")
 
-    if tol >= 0.5:
-        raise fail(f"eigensolver error bound {tol:.3g} cannot separate integers")
     roots, residual = extract_integer_roots(p, map(round, values))
     for r, mult in roots:
         if not 0 <= r <= top:

@@ -108,20 +108,25 @@ def test_char_poly_examples():
     assert char_poly_matrix([[5]]).coeffs == (-5, 1)
     with pytest.raises(ValueError):
         char_poly_matrix([[1, 2], [3]])
-    # a float entry is read only when it is integral, never truncated
+    # a float entry is refused, never truncated
     with pytest.raises(ValueError):
         char_poly_matrix([[0.5]])
     with pytest.raises(ValueError):
         char_poly_matrix([[2.0, -1.0], [-1.0, 2.25]])
-    assert char_poly_matrix([[2.0, -1.0], [-1.0, 2.0]]).coeffs == (3, -4, 1)
 
 
 def test_char_poly_small_sizes_with_huge_entries():
-    big = 2**70
-    for a in (0, 1, -7, big, -big, 3 * big + 1):
+    big = 2**63 - 1
+    for a in (0, 1, -7, big, -big, -big - 1, 2**62 + 5):
         assert char_poly_matrix([[a]]).coeffs == (-a, 1)
-    for a, b, c, d in ((1, 2, 3, 4), (big, -big, big + 5, -3), (-big, big, big, big)):
+    for a, b, c, d in (
+        (1, 2, 3, 4), (big, -big, 2**62 + 5, -3), (-big, big, big, big), (-big - 1, big, 1, 0)
+    ):
         assert char_poly_matrix([[a, b], [c, d]]).coeffs == (a * d - b * c, -(a + d), 1)
+    # entries beyond int64 and floats are refused, never wrapped or truncated
+    for bad in ([[2**63]], [[-(2**63) - 1]], [[2**70]], [[1, 2**63], [-1, 0]], [[2.0]]):
+        with pytest.raises(ValueError):
+            char_poly_matrix(bad)
 
 
 def test_char_poly_random_vs_sympy():
@@ -135,9 +140,16 @@ def test_char_poly_random_vs_sympy():
 def test_char_poly_entries_beyond_int64_vs_sympy():
     rng = random.Random(5)
     for k in (3, 5, 8):
-        m = [[rng.randrange(-2**70, 2**70 + 1) for _ in range(k)] for _ in range(k)]
-        m[0][0] = 2**70
+        m = [[rng.randrange(-(2**63) + 1, 2**63) for _ in range(k)] for _ in range(k)]
+        m[0][0] = 2**63 - 1
+        m[k - 1][0] = -(2**63)
         assert char_poly_matrix(m).coeffs == _sympy_char_poly(m)
+        # one step past the edge: the kernel takes int64 entries only
+        for v in (2**63, 2**70):
+            with pytest.raises(ValueError):
+                char_poly_matrix([row[:-1] + [v] for row in m])
+        with pytest.raises(ValueError):
+            char_poly_matrix([[float(v) for v in row] for row in m])
 
 
 def test_char_poly_matches_bareiss_at_points_on_quotients():
@@ -191,7 +203,7 @@ def test_char_poly_multiple_of_first_prime():
 
 def test_char_poly_scalar_matrix_near_the_bound():
     # (x - c)^w: the constant term c^w sits just below the bound 2 * (2 + |c|)^w
-    for c in (2**40 - 3, -(2**40) + 5, 10**18, 2**64 + 1):
+    for c in (2**40 - 3, -(2**40) + 5, 10**18, 2**63 - 1):
         for w in (1, 5, 20):
             m = [[c if i == j else 0 for j in range(w)] for i in range(w)]
             assert char_poly_matrix(m) == IntPoly.linear_power(c, w)
@@ -203,7 +215,9 @@ def test_char_poly_scalar_matrix_near_the_bound():
 
 def test_word_primes_keep_int64_products_exact():
     for w in (1, 2, 3, 64, 78, 1000, 10**6):
-        primes = polynomial._word_primes(w, 4)
+        primes = polynomial._word_primes(w, 2**100)
+        # the fewest primes whose product exceeds the bound
+        assert math.prod(primes[:-1]) <= 2**100 < math.prod(primes)
         assert primes == sorted(set(primes), reverse=True)
         for p in primes:
             assert w * (p - 1) ** 2 < 2**63
@@ -223,26 +237,32 @@ def test_char_poly_checks_the_trace(monkeypatch):
         char_poly_matrix([[1, 2], [3, 4]])
 
 
-def _mixed_batch():
-    """Matrices of sizes 0 to 30, mixed within each size: small entries (one
-    prime each) next to entries near 2**62 (many primes each), one matrix
-    with entries beyond int64, and two G2 quotients."""
+def _batches():
+    """One batch per size, each mixing small entries (one prime) with entries
+    near 2**62 (many primes), so matrices with very different Hadamard bounds
+    share one list of primes; sizes 3 and 30 add G2 quotients."""
     rng = random.Random(8)
-    out = []
-    for k in (3, 1, 5, 3, 0, 9, 5, 2, 3):
-        top = rng.choice((9, 2**62))
-        out.append([[rng.randrange(-top, top + 1) for _ in range(k)] for _ in range(k)])
-    out.append([[2**70 + 3 * i - j for j in range(3)] for i in range(3)])
-    out += g2_quotient(Modulus.of(2310)).entries, g2_quotient(Modulus.of(12)).entries
-    return out
+    batches = {0: [[], []]}
+    for k in (1, 2, 3, 5, 9, 30):
+        batches[k] = [
+            [[rng.randrange(-top, top + 1) for _ in range(k)] for _ in range(k)]
+            for top in (9, 2**62, 9, 2**62 - 1)
+        ]
+    batches[3].append([[2**62 + 3 * i - j for j in range(3)] for i in range(3)])
+    for n, k in ((12, 3), (2310, 30), (2730, 30)):
+        batches[k].append(g2_quotient(Modulus.of(n)).entries)
+    return batches
 
 
 def test_char_polys_match_one_matrix_at_a_time():
-    batch = _mixed_batch()
-    assert sorted({len(m) for m in batch}) == [0, 1, 2, 3, 5, 9, 30]
-    assert char_polys(batch) == [char_poly_matrix(m) for m in batch]
-    assert char_polys(batch[::-1]) == char_polys(batch)[::-1]
+    batches = _batches()
+    assert sorted(batches) == [0, 1, 2, 3, 5, 9, 30]
+    for k, batch in batches.items():
+        assert char_polys(batch) == [char_poly_matrix(m) for m in batch], k
+        assert char_polys(batch[::-1]) == char_polys(batch)[::-1], k
     assert char_polys([]) == []
+    with pytest.raises(ValueError):
+        char_polys([[[1]], [[1, 2], [3, 4]]])
     with pytest.raises(ValueError):
         char_polys([[[1]], [[1, 2], [3]]])
 
@@ -250,14 +270,14 @@ def test_char_polys_match_one_matrix_at_a_time():
 def test_char_polys_checks_the_trace_of_each_matrix(monkeypatch):
     kernel = polynomial._char_poly_mod
 
-    def off_by_one_trace_of_second(h, mods):
+    def off_by_one_trace_of_third(h, mods):
         out = kernel(h, mods)
-        if h.shape[1] == 2:
-            out[1, -2] = (out[1, -2] + 1) % mods[1]
+        c = len(mods) // 3  # one slice: c residues of each matrix, in order
+        out[2 * c :, -2] = (out[2 * c :, -2] + 1) % mods[2 * c :]
         return out
 
-    monkeypatch.setattr(polynomial, "_char_poly_mod", off_by_one_trace_of_second)
-    batch = [[[1, 2], [3, 4]], [[1, 2, 0], [0, 1, 0], [5, 0, 2]], [[5, 6], [7, 8]]]
+    monkeypatch.setattr(polynomial, "_char_poly_mod", off_by_one_trace_of_third)
+    batch = [[[1, 2], [3, 4]], [[1, 2], [0, 1]], [[5, 6], [7, 8]]]
     with pytest.raises(CharPolyError) as caught:
         char_polys(batch)
     assert caught.value.index == 2

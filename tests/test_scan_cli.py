@@ -319,6 +319,14 @@ def test_cli_spectrum_rejects_small_n():
     assert "at least 3" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_cli_refused_modulus_is_one_stderr_line(command, capsys):
+    assert main([command, str(3 * 2**70)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot separate integers" in err
+
+
 def test_cli_verify_composite():
     code, out, _ = run_cli("verify", "12")
     assert code == 0, out

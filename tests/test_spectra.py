@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from comax import polynomial
+from comax import polynomial, spectra
 from comax.comax_graph import dense_laplacian
 from comax.polynomial import IntPoly, char_poly_matrix
 from comax.ring_divisors import Modulus
@@ -334,6 +334,17 @@ def test_g2_spectra_names_the_modulus_whose_charpoly_fails(monkeypatch):
     monkeypatch.setattr(polynomial, "_char_poly_mod", off_by_one_trace)
     with pytest.raises(ArithmeticError, match=r"^n=30: x\^\(w-1\) coefficient"):
         g2_spectra([Modulus.of(n) for n in (12, 29, 30, 36)])
+
+
+def test_g2_spectrum_refuses_a_quotient_before_its_charpoly(monkeypatch):
+    # 3 * 2**70: w * ||B||_inf * eps is far above 1/2, so no charpoly is computed
+    def no_kernel(matrices):
+        raise AssertionError("char_polys ran on a refused quotient")
+
+    monkeypatch.setattr(spectra, "char_polys", no_kernel)
+    n = 3 * 2**70
+    with pytest.raises(ArithmeticError, match=rf"^n={n}: eigensolver error bound .* cannot separate"):
+        g2_spectrum(Modulus.of(n))
 
 
 def test_full_spectrum_rejects_small_n():
