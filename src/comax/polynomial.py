@@ -8,7 +8,8 @@ Theory*, Alg. 2.2.9), and the coefficients are recombined by the Chinese
 remainder theorem up to a proven Hadamard bound (the multimodular scheme of
 Dumas, Pernet & Wan, ISSAC 2005).  ``char_polys`` runs the residue matrices
 of a stack of int64 matrices of one size, all modulo one list of primes,
-through one vectorised pass; ``char_poly_matrix`` is its one-matrix case.
+through one vectorised pass; ``char_poly_matrix`` is its one-matrix case, and
+``char_polys_mod`` runs the same pass modulo its first prime alone.
 Integer roots are then split off by exact synthetic division at caller-supplied
 candidates.
 """
@@ -238,6 +239,32 @@ def _char_poly_mod(h: np.ndarray, mods: np.ndarray) -> np.ndarray:
     return poly[:, w]
 
 
+def _residues(stack: np.ndarray, primes: list[int]) -> np.ndarray:
+    """The (k * c, w + 1) charpoly residues of a (k, w, w) int64 stack modulo
+    c primes: row j is that of matrix j // c modulo prime j % c, computed by
+    ``_char_poly_mod`` in slices of ``_BATCH_CELLS`` entries."""
+    k, w, _ = stack.shape
+    c = len(primes)
+    residues = np.empty((k * c, w + 1), dtype=np.int64)
+    batch = max(1, _BATCH_CELLS // (w * w))
+    for s in range(0, k * c, batch):
+        j = np.arange(s, min(s + batch, k * c))
+        mods = np.array(primes, dtype=np.int64)[j % c]
+        residues[j] = _char_poly_mod(stack[j // c] % mods[:, None, None], mods)
+    return residues
+
+
+def char_polys_mod(stack: np.ndarray) -> tuple[int, np.ndarray]:
+    """Characteristic polynomials of a (k, w, w) int64 stack, w > 0, modulo
+    one word-size prime q, the first prime ``char_polys`` takes for size w.
+
+    Returns q and the (k, w + 1) residues in [0, q), constant term first.
+    Unchecked: the caller asserts what it needs of them.
+    """
+    q = _word_primes(stack.shape[1], 1)[0]
+    return q, _residues(stack, [q])
+
+
 class CharPolyError(ArithmeticError):
     """A characteristic polynomial failed its check; ``index`` is the position
     of its matrix in the list handed to ``char_polys``."""
@@ -282,12 +309,7 @@ def char_polys(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPoly]:
     )
     primes = _word_primes(w, bound)
     c = len(primes)
-    residues = np.empty((k * c, w + 1), dtype=np.int64)
-    batch = max(1, _BATCH_CELLS // (w * w))
-    for s in range(0, k * c, batch):
-        j = np.arange(s, min(s + batch, k * c))
-        mods = np.array(primes, dtype=np.int64)[j % c]
-        residues[j] = _char_poly_mod(stack[j // c] % mods[:, None, None], mods)
+    residues = _residues(stack, primes)
     modulus = math.prod(primes)
     basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
     out = []

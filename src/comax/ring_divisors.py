@@ -3,8 +3,8 @@ that carries it with the totient and the radical.
 
 Everything here is exact integer arithmetic.  Factorization is plain trial
 division, which is ample for the desk-scale moduli this package targets: a
-scan of 3..10^6 (the scan limit) with 2 workers took 141 s on a 2-CPU Xeon
-VM, factorization included.
+scan of 3..10^6 (the scan limit) with 2 workers took 59-69 s on a 2-CPU
+Xeon VM, factorization included.
 """
 
 from __future__ import annotations

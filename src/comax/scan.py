@@ -6,14 +6,14 @@ integrality and the residual degree of rad(n); every other row takes them
 from rad(n)'s row.
 
 The range is cut into chunks of consecutive n, and each chunk is one batch
-of the quotient pipeline (no dense oracles): one ``g2_spectra`` call on the
-squarefree n of the chunk and on the composite radicals below the start of
-the range that its other n have, so the small quotients of many moduli
-share each numpy kernel call.  A row whose radical lies in the range, below
-the row, is filled from a table of the residual degrees of the range,
-indexed by n - start; rad(n) <= n / 2 and rows are handled in ascending n,
-so the entry a fill reads is always written first.  Results are emitted in
-ascending n regardless of chunk size or worker count, so scan output is
+of the quotient pipeline (no dense oracles): one ``g2_residual_degrees``
+call on the squarefree n of the chunk and on the composite radicals below
+the start of the range that its other n have, so the small quotients of
+many moduli share each numpy kernel call.  A row whose radical lies in
+the range, below the row, is filled from a table of the residual degrees
+of the range, indexed by n - start; rad(n) <= n / 2 and rows are handled
+in ascending n, so the entry a fill reads is always written first.
+Results are emitted in ascending n regardless of chunk size or worker count, so scan output is
 reproducible byte for byte.  Per-record timing is therefore disabled by
 default: with ``timing=True`` every modulus is a chunk of its own, the
 wall_time_ms column carries real measurements (for a filled row, that of
@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .ring_divisors import Modulus
-from .spectra import g2_spectra
+from .spectra import g2_residual_degrees
 
 CSV_COLUMNS = (
     "n",
@@ -64,8 +64,9 @@ def _compute_chunk(
     ns: Sequence[int], start: int, timing: bool
 ) -> list[tuple[ScanRecord, int]]:
     """(record, rad(n)) for each of the moduli ``ns`` of a range that begins
-    at ``start``, from one ``g2_spectra`` call on the squarefree ones and on
-    the distinct composite radicals below ``start`` of the others.
+    at ``start``, from one ``g2_residual_degrees`` call on the squarefree
+    ones and on the distinct composite radicals below ``start`` of the
+    others.
 
     Integrality and the residual degree are those of the G2 spectrum: the
     full spectrum adds only integer eigenvalues and shifts G2's by phi(n).
@@ -80,8 +81,8 @@ def _compute_chunk(
     moduli = [Modulus.of(n) for n in ns]
     below = sorted({m.radical for m in moduli if m.omega > 1 and m.radical < start})
     batch = [m for m in moduli if m.is_squarefree] + [Modulus.of(r) for r in below]
-    spectra = g2_spectra(batch) if batch else []
-    degrees = {m.n: s.residual.degree for m, s in zip(batch, spectra)}
+    found = g2_residual_degrees(batch) if batch else []
+    degrees = dict(zip((m.n for m in batch), found))
     elapsed_ms = int((time.perf_counter() - began) * 1000) if timing else 0
     rows = []
     for m in moduli:

@@ -15,6 +15,13 @@ the diagonal similarity D^-1 M D (D = diag(sqrt of cell sizes)) of the
 symmetric quotient M, so its spectrum is real.  The characteristic
 polynomial of B is exact; the numeric eigenvalues come from eigvalsh of M.
 
+The scan needs only the residual degree, and ``g2_residual_degrees``
+decides it for most squarefree n from the charpoly modulo one prime:
+B 1 = 0, so 0 is always a root; when it is simple and the charpoly is
+nonzero modulo that prime at every other rounded eigenvalue, 0 is the only
+integer root and the residual degree is w - 1.  Any other modulus takes
+the exact path of ``g2_spectra``.
+
 The full graph is the join of a clique on the units with (G2 plus the
 isolated zero vertex), which contributes eigenvalue n with multiplicity
 phi(n), one 0, and shifts everything from G2 up by phi(n).
@@ -29,7 +36,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomial import CharPolyError, IntPoly, char_polys, extract_integer_roots
+from .polynomial import (
+    CharPolyError,
+    IntPoly,
+    char_polys,
+    char_polys_mod,
+    extract_integer_roots,
+)
 from .ring_divisors import Modulus
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -187,23 +200,17 @@ def _symmetric_quotients(qs: Sequence[QuotientMatrix]) -> np.ndarray:
     return np.where(b < 0, -np.sqrt(sizes[:, :, None] * sizes[:, None, :]), b)
 
 
-def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
-    """Exact Laplacian spectra of G2, one per modulus (empty multiset for prime n).
+def _size_groups(
+    moduli: Sequence[Modulus],
+) -> list[tuple[list[int], list[QuotientMatrix], list[float], np.ndarray]]:
+    """The quotients of ``moduli`` grouped by size w > 0: per group, the
+    member indices, their quotients, their eigensolver error bounds tol and
+    the (members, w) eigenvalues, ascending, of one stacked ``eigvalsh`` of
+    their symmetric quotients.
 
-    Per cell: the cell degree with multiplicity (cell size - 1); the
-    quotient matrix contributes the rest.  Each quotient's eigensolver error
-    bound w * ||B||_inf * eps is checked to be below 1/2 (so rounding reaches
-    every integer eigenvalue) before any charpoly is computed; then the
-    quotients of one size w share one ``char_polys`` call and one stacked
-    ``eigvalsh`` of their symmetric quotients.  Rounded, each modulus's
-    eigenvalues are the integer-root candidates that exact synthetic
-    division confirms or rejects, and the eigenvalues left after removing
-    each confirmed root are the residual roots.  Total size is n - phi(n) - 1.
-
-    Raises ArithmeticError naming the modulus if an invariant fails: that
-    error bound, its charpoly check, each integer root has a numeric
-    eigenvalue within the bound, the residual roots sum to the exact
-    coefficient (Vieta), and every root lies in [0, n - phi(n) - 1].
+    Every bound tol = w * ||B||_inf * eps is checked to be below 1/2 (so
+    rounding reaches every integer eigenvalue) before any group is solved;
+    raises ArithmeticError naming the first modulus that fails.
     """
     quotients = [g2_quotient(m) for m in moduli]
     tols: list[float] = []
@@ -218,17 +225,146 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
             )
         if q.w:
             by_size.setdefault(q.w, []).append(i)
-    out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
+    groups = []
     for members in by_size.values():
         qs = [quotients[i] for i in members]
-        try:
-            polys = char_polys([q.entries for q in qs])
-        except CharPolyError as exc:
-            raise ArithmeticError(f"n={moduli[members[exc.index]].n}: {exc.what}") from exc
-        values = np.linalg.eigvalsh(_symmetric_quotients(qs)).tolist()
-        for i, q, p, vs in zip(members, qs, polys, values):
-            out[i] = _split_spectrum(moduli[i], q, p, vs, tols[i])
+        values = np.linalg.eigvalsh(_symmetric_quotients(qs))
+        groups.append((members, qs, [tols[i] for i in members], values))
+    return groups
+
+
+def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
+    """Exact Laplacian spectra of G2, one per modulus (empty multiset for prime n).
+
+    Per cell: the cell degree with multiplicity (cell size - 1); the
+    quotient matrix contributes the rest.  The quotients of one size w
+    share one stacked ``eigvalsh`` (``_size_groups``, which first refuses
+    every quotient whose eigensolver error bound reaches 1/2) and one
+    ``char_polys`` call.  Rounded, each modulus's eigenvalues are the
+    integer-root candidates that exact synthetic division confirms or
+    rejects, and the eigenvalues left after removing each confirmed root
+    are the residual roots.  Total size is n - phi(n) - 1.
+
+    Raises ArithmeticError naming the modulus if an invariant fails: that
+    error bound, its charpoly check, each integer root has a numeric
+    eigenvalue within the bound, the residual roots sum to the exact
+    coefficient (Vieta), and every root lies in [0, n - phi(n) - 1].
+    """
+    out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
+    for members, qs, tols, values in _size_groups(moduli):
+        group = [moduli[i] for i in members]
+        for i, s in zip(members, _full_spectra(group, qs, tols, values.tolist())):
+            out[i] = s
     return out
+
+
+def _full_spectra(
+    moduli: Sequence[Modulus],
+    qs: Sequence[QuotientMatrix],
+    tols: Sequence[float],
+    values: list[list[float]],
+) -> list[SpectrumMultiset]:
+    """G2 spectra of moduli whose quotients have one size, from one exact
+    ``char_polys`` call and their eigenvalues ``values`` (consumed)."""
+    try:
+        polys = char_polys([q.entries for q in qs])
+    except CharPolyError as exc:
+        raise ArithmeticError(f"n={moduli[exc.index].n}: {exc.what}") from exc
+    return [_split_spectrum(*args) for args in zip(moduli, qs, polys, values, tols)]
+
+
+def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
+    """The residual degree of each modulus's G2 spectrum, as ``g2_spectra``
+    gives it, deciding most quotients of size w > 2 from one prime.
+
+    ``_size_groups`` builds, refuses and solves the quotients as for
+    ``g2_spectra``.  Each group of size w > 2 then takes its charpolys p
+    modulo one word prime q (``char_polys_mod``).  B 1 = 0, so p(0) = 0;
+    if c_1 is nonzero mod q, 0 is a simple root; and if p(r) is nonzero
+    mod q at every nonzero rounded eigenvalue r, the complete list of
+    integer-root candidates while tol < 1/2, then 0 is the only integer
+    root and the residual degree is exactly w - 1.  Every other modulus,
+    and every quotient of size w <= 2, goes through ``_full_spectra``.
+
+    Raises ArithmeticError naming the modulus if an invariant of
+    ``g2_spectra`` fails, or on the decision path if the residues are not
+    monic, c_(w-1) is not -trace(B) mod q or c_0 is not 0 mod q, an
+    eigenvalue lies outside [-tol, n - phi(n) - 1 + tol], or the
+    eigenvalues do not sum to trace(B) within w * tol.
+    """
+    degrees = [0] * len(moduli)
+    for members, qs, tols, values in _size_groups(moduli):
+        group = [moduli[i] for i in members]
+        w = qs[0].w
+        if w > 2:
+            decided = _one_prime_decisions(group, qs, tols, values)
+        else:
+            decided = np.zeros(len(members), dtype=bool)
+        for j in np.flatnonzero(decided).tolist():
+            degrees[members[j]] = w - 1
+        full = np.flatnonzero(~decided).tolist()
+        if full:
+            spectra = _full_spectra(
+                [group[j] for j in full],
+                [qs[j] for j in full],
+                [tols[j] for j in full],
+                values[full].tolist(),
+            )
+            for j, s in zip(full, spectra):
+                degrees[members[j]] = s.residual.degree
+    return degrees
+
+
+def _one_prime_decisions(
+    moduli: Sequence[Modulus],
+    qs: Sequence[QuotientMatrix],
+    tols: Sequence[float],
+    values: np.ndarray,
+) -> np.ndarray:
+    """Per modulus of one quotient size w, whether 0 is provably its only
+    integer eigenvalue of B, after checking the invariants listed in
+    ``g2_residual_degrees``."""
+    b = np.array([q.entries for q in qs], dtype=np.int64)
+    w = b.shape[1]
+    prime, residues = char_polys_mod(b)
+    trace = np.trace(b, axis1=1, axis2=2)
+    tol = np.array(tols)
+    top = np.array([m.n - m.phi - 1 for m in moduli], dtype=np.float64)
+    checks = (
+        (residues[:, w] == 1, "characteristic polynomial residue is not monic"),
+        (residues[:, w - 1] == -trace % prime, "x^(w-1) residue is not -trace"),
+        (residues[:, 0] == 0, "constant residue is not 0"),
+        (
+            (values[:, 0] >= -tol) & (values[:, -1] <= top + tol),
+            "eigenvalue outside [0, n - phi(n) - 1]",
+        ),
+        (
+            np.abs(values.sum(axis=1) - trace) <= w * tol,
+            "eigenvalues disagree with the trace",
+        ),
+    )
+    for ok, what in checks:
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise ArithmeticError(f"n={moduli[bad[0]].n}: {what}")
+    candidates = np.rint(values).astype(np.int64)
+    return _zero_is_the_only_integer_root(residues, prime, candidates)
+
+
+def _zero_is_the_only_integer_root(
+    residues: np.ndarray, prime: int, candidates: np.ndarray
+) -> np.ndarray:
+    """Per row of charpoly residues mod ``prime`` (constant term first), with
+    p(0) = 0 known: whether c_1 is nonzero mod ``prime`` and p is nonzero mod
+    ``prime`` at each nonzero candidate of that row's ``candidates``.
+
+    Horner over int64: each product is below prime**2, under 2**63.
+    """
+    r = candidates % prime
+    acc = np.zeros_like(r)
+    for c in residues[:, ::-1].T:
+        acc = (acc * r + c[:, None]) % prime
+    return (residues[:, 1] != 0) & ((acc != 0) | (candidates == 0)).all(axis=1)
 
 
 def _split_spectrum(

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from comax import polynomial
@@ -9,6 +10,7 @@ from comax.polynomial import (
     IntPoly,
     char_poly_matrix,
     char_polys,
+    char_polys_mod,
     extract_integer_roots,
 )
 from comax.ring_divisors import Modulus
@@ -265,6 +267,17 @@ def test_char_polys_match_one_matrix_at_a_time():
         char_polys([[[1]], [[1, 2], [3, 4]]])
     with pytest.raises(ValueError):
         char_polys([[[1]], [[1, 2], [3]]])
+
+
+def test_char_polys_mod_are_the_char_polys_modulo_their_first_prime():
+    for k, batch in _batches().items():
+        if not k:
+            continue
+        q, residues = char_polys_mod(np.array(batch, dtype=np.int64))
+        assert q == polynomial._word_primes(k, 1)[0], k
+        assert residues.shape == (len(batch), k + 1), k
+        want = [[c % q for c in p.coeffs] for p in char_polys(batch)]
+        assert residues.tolist() == want, k
 
 
 def test_char_polys_checks_the_trace_of_each_matrix(monkeypatch):

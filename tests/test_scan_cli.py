@@ -9,8 +9,8 @@ import sys
 import tracemalloc
 from concurrent.futures import Executor, Future
 from pathlib import Path
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from comax import polynomial, scan, spectra
@@ -122,13 +122,13 @@ def test_parallel_scan_caps_workers(sync_pool, monkeypatch):
 
 def test_timed_scan_batches_one_modulus_at_a_time(sync_pool, monkeypatch):
     batches = []
-    real = scan.g2_spectra
+    real = scan.g2_residual_degrees
 
     def recording(moduli):
         batches.append(len(moduli))
         return real(moduli)
 
-    monkeypatch.setattr(scan, "g2_spectra", recording)
+    monkeypatch.setattr(scan, "g2_residual_degrees", recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     untimed = list(scan_range(3, 300))
     assert max(batches) > 1
@@ -158,13 +158,13 @@ def test_window_above_three_matches_golden_rows(sync_pool, monkeypatch):
 
 def test_window_chunks_compute_their_own_radicals_below(monkeypatch):
     calls = []
-    real = scan.g2_spectra
+    real = scan.g2_residual_degrees
 
     def recording(moduli):
         calls.append([m.n for m in moduli])
         return real(moduli)
 
-    monkeypatch.setattr(scan, "g2_spectra", recording)
+    monkeypatch.setattr(scan, "g2_residual_degrees", recording)
     start = 1000
     window = range(start, 2001)
     chunks = [window[i : i + scan._CHUNK] for i in range(0, len(window), scan._CHUNK)]
@@ -178,6 +178,23 @@ def test_window_chunks_compute_their_own_radicals_below(monkeypatch):
         ]
     # 1020 = 2^2 * 3 * 5 * 17 reads 510, which the first chunk computes
     assert 510 in calls[0]
+
+
+def test_scan_on_the_full_path_alone_matches_golden(monkeypatch):
+    # no modulus decided from one prime: every residual degree comes from its
+    # exact charpoly, as before the one-prime rule
+    decided = []
+    real = spectra._zero_is_the_only_integer_root
+
+    def undecided(residues, prime, candidates):
+        decided.append(int(real(residues, prime, candidates).sum()))
+        return np.zeros(len(residues), dtype=bool)
+
+    monkeypatch.setattr(spectra, "_zero_is_the_only_integer_root", undecided)
+    buf = io.StringIO()
+    write_csv(scan_range(3, 2000), buf)
+    assert buf.getvalue() == GOLDEN.read_text()
+    assert sum(decided) > 0
 
 
 def spectrum_record(n: int) -> ScanRecord:
@@ -223,10 +240,9 @@ def test_fill_table_holds_degrees_above_255(monkeypatch):
     # squarefree n with omega >= 9 (from 223092870) have w = 510 and residual
     # degrees above one byte; 60 = 2^2 * 3 * 5 is filled from 30's entry
     def degree_300(moduli):
-        residual = SimpleNamespace(degree=300)
-        return [SimpleNamespace(residual=residual) for _ in moduli]
+        return [300] * len(moduli)
 
-    monkeypatch.setattr(scan, "g2_spectra", degree_300)
+    monkeypatch.setattr(scan, "g2_residual_degrees", degree_300)
     records = list(scan_range(30, 60))
     assert (records[0].n, records[0].residual_degree) == (30, 300)
     assert (records[-1].n, records[-1].residual_degree) == (60, 300)

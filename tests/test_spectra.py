@@ -15,6 +15,7 @@ from comax.spectra import (
     closed_form_spectrum,
     full_spectrum,
     g2_quotient,
+    g2_residual_degrees,
     g2_spectra,
     g2_spectrum,
     spectrum_json_dict,
@@ -342,9 +343,95 @@ def test_g2_spectrum_refuses_a_quotient_before_its_charpoly(monkeypatch):
         raise AssertionError("char_polys ran on a refused quotient")
 
     monkeypatch.setattr(spectra, "char_polys", no_kernel)
+    monkeypatch.setattr(spectra, "char_polys_mod", no_kernel)
     n = 3 * 2**70
     with pytest.raises(ArithmeticError, match=rf"^n={n}: eigensolver error bound .* cannot separate"):
         g2_spectrum(Modulus.of(n))
+    with pytest.raises(ArithmeticError, match=rf"^n={n}: eigensolver error bound .* cannot separate"):
+        g2_residual_degrees([Modulus.of(30), Modulus.of(n)])
+
+
+# (t + 1)(2t + 1)(4t^2 + 1) with all three factors prime: the quotient has
+# the integer eigenvalue 4t^3 besides 0, so the one-prime rule cannot decide it
+FAMILY_TS = (1, 2, 18, 78, 198, 210)
+
+
+def test_g2_residual_degrees_match_g2_spectrum():
+    moduli = [
+        m for m in map(Modulus.of, range(3, 5001)) if m.is_squarefree and m.omega > 1
+    ]
+    family = [Modulus.of((t + 1) * (2 * t + 1) * (4 * t * t + 1)) for t in FAMILY_TS]
+    assert all(m.omega == 3 for m in family)
+    for batch in (moduli, family):
+        want = [g2_spectrum(m).residual.degree for m in batch]
+        assert g2_residual_degrees(batch) == want
+    assert g2_residual_degrees(family) == [4] * len(FAMILY_TS)
+    assert g2_residual_degrees([]) == []
+    # prime, prime-power and non-squarefree moduli too
+    others = [Modulus.of(n) for n in (3, 4, 8, 9, 12, 60, 210, 420, 2310, 4620)]
+    assert g2_residual_degrees(others) == [g2_spectrum(m).residual.degree for m in others]
+
+
+def test_one_prime_rule_leaves_only_the_family_to_the_full_path(monkeypatch):
+    full = []
+    real = spectra._full_spectra
+
+    def recording(moduli, *rest):
+        full.extend(m.n for m in moduli if m.omega >= 3)
+        return real(moduli, *rest)
+
+    monkeypatch.setattr(spectra, "_full_spectra", recording)
+    # the scan's moduli: a non-squarefree quotient has a zero cell, so 0 is a
+    # double root there and every such modulus takes the full path
+    g2_residual_degrees([m for m in map(Modulus.of, range(3, 5001)) if m.is_squarefree])
+    assert sorted(full) == [30, 255]
+
+
+@pytest.mark.parametrize(
+    "column, what",
+    [
+        (6, "not monic"),
+        (5, r"x\^\(w-1\) residue is not -trace"),
+        (0, "constant residue is not 0"),
+    ],
+)
+def test_one_prime_rule_names_the_modulus_whose_residue_fails(monkeypatch, column, what):
+    real = spectra.char_polys_mod
+    b42 = g2_quotient(Modulus.of(42)).entries
+
+    def corrupted(stack):
+        q, residues = real(stack)
+        for i, b in enumerate(stack.tolist()):
+            if tuple(map(tuple, b)) == b42:
+                residues[i, column] = (residues[i, column] + 1) % q
+        return q, residues
+
+    monkeypatch.setattr(spectra, "char_polys_mod", corrupted)
+    with pytest.raises(ArithmeticError, match=rf"^n=42: .*{what}"):
+        g2_residual_degrees([Modulus.of(n) for n in (12, 29, 30, 42, 66)])
+
+
+@pytest.mark.parametrize(
+    "index, by, what",
+    [
+        (0, -1.0, r"eigenvalue outside \[0, n - phi\(n\) - 1\]"),
+        (3, 0.1, "eigenvalues disagree with the trace"),
+    ],
+)
+def test_one_prime_rule_names_the_modulus_whose_eigenvalues_fail(monkeypatch, index, by, what):
+    real = np.linalg.eigvalsh
+    b42 = [list(r) for r in g2_quotient(Modulus.of(42)).entries]
+
+    def moved(stack):
+        values = real(stack)
+        for i, m in enumerate(stack):
+            if np.array_equal(np.diag(m), np.diag(b42)):
+                values[i, index] += by
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    with pytest.raises(ArithmeticError, match=rf"^n=42: {what}"):
+        g2_residual_degrees([Modulus.of(n) for n in (12, 29, 30, 42, 66)])
 
 
 def test_full_spectrum_rejects_small_n():
