@@ -10,6 +10,7 @@ Xeon VM, factorization included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -45,8 +46,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
 class Modulus:
     """A modulus n >= 3 with its factorization, totient and radical.
 
-    Constructed once via :meth:`Modulus.of`, which factorizes n once; every
-    downstream computation consumes this object instead of refactorizing.
+    Constructed once via :meth:`Modulus.of`, which factorizes n once, or via
+    :meth:`Modulus.from_factorization` from known primes; every downstream
+    computation consumes this object instead of refactorizing.
     """
 
     n: int
@@ -58,12 +60,15 @@ class Modulus:
     def of(cls, n: int) -> "Modulus":
         if n < 3:
             raise ValueError(f"modulus must be at least 3, got {n}")
-        fac = tuple(factorize(n))
-        rad = 1
-        phi = n
-        for p, _ in fac:
-            rad *= p
-            phi = phi // p * (p - 1)
+        return cls.from_factorization(factorize(n))
+
+    @classmethod
+    def from_factorization(cls, fac: Iterable[tuple[int, int]]) -> "Modulus":
+        """The modulus of (prime, exponent) pairs, primes ascending, unfactorized."""
+        fac = tuple(fac)
+        n = phi = rad = 1
+        for p, a in fac:
+            n, phi, rad = n * p**a, phi * p ** (a - 1) * (p - 1), rad * p
         return cls(n=n, factorization=fac, phi=phi, radical=rad)
 
     @property

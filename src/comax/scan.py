@@ -66,7 +66,7 @@ def _compute_chunk(
     """(record, rad(n)) for each of the moduli ``ns`` of a range that begins
     at ``start``, from one ``g2_residual_degrees`` call on the squarefree
     ones and on the distinct composite radicals below ``start`` of the
-    others.
+    others, each built from the primes of n without factorizing it again.
 
     Integrality and the residual degree are those of the G2 spectrum: the
     full spectrum adds only integer eigenvalues and shifts G2's by phi(n).
@@ -79,8 +79,9 @@ def _compute_chunk(
         return [row for n in ns for row in _compute_chunk([n], start, timing)]
     began = time.perf_counter()
     moduli = [Modulus.of(n) for n in ns]
-    below = sorted({m.radical for m in moduli if m.omega > 1 and m.radical < start})
-    batch = [m for m in moduli if m.is_squarefree] + [Modulus.of(r) for r in below]
+    below = {m.radical: m.distinct_primes for m in moduli if m.omega > 1 and m.radical < start}
+    radicals = [Modulus.from_factorization((p, 1) for p in below[r]) for r in sorted(below)]
+    batch = [m for m in moduli if m.is_squarefree] + radicals
     found = g2_residual_degrees(batch) if batch else []
     degrees = dict(zip((m.n for m in batch), found))
     elapsed_ms = int((time.perf_counter() - began) * 1000) if timing else 0

@@ -1,17 +1,22 @@
 """Laplacian spectra of comaximal graphs via the prime-support quotient.
 
-The nonzero non-units of Z_n split into cells C_r = {x : rad(gcd(x, n)) = r},
-one per squarefree divisor r > 1 of n (at most 2^omega - 1).  Two elements
-are adjacent exactly when their cell labels are coprime, so the partition is
-equitable and each cell induces a null graph; it merges the divisor classes
-A_d = {x : gcd(x, n) = d} of one prime support, whose neighbourhoods are
-identical.
+The nonzero non-units of Z_n split into cells C_S = {x : rad(gcd(x, n)) = r},
+one per squarefree divisor r > 1 of n with prime support S (at most
+2^omega - 1).  Two elements are adjacent exactly when their supports are
+disjoint, S & T = 0, so the partition is equitable and each cell induces a
+null graph; it merges the divisor classes A_d = {x : gcd(x, n) = d} of one
+prime support, whose neighbourhoods are identical.  With n = prod p^a, the
+Chinese remainder theorem gives both cell invariants in closed form:
+  * |C_S| = prod_{p in S} p^(a-1) * prod_{p not in S} phi(p^a), less 1 for
+    the cell of rad(n), which holds 0;
+  * the cell degree N_S = prod_{p in S} phi(p^a) * prod_{p not in S} p^a
+    - phi(n), the y with support disjoint from S less the units.
 
 The Laplacian spectrum of the induced subgraph G2 therefore splits into
-  * the cell degree N_r with multiplicity |C_r| - 1, per cell, and
+  * the cell degree N_S with multiplicity |C_S| - 1, per cell, and
   * the spectrum of a w x w quotient matrix B over the w nonempty cells.
-B has B[i][i] = N_{r_i} and B[i][j] = -|C_{r_j}| for coprime r_i, r_j; it is
-the diagonal similarity D^-1 M D (D = diag(sqrt of cell sizes)) of the
+B has B[i][i] = N_{S_i} and B[i][j] = -|C_{S_j}| for disjoint S_i, S_j; it
+is the diagonal similarity D^-1 M D (D = diag(sqrt of cell sizes)) of the
 symmetric quotient M, so its spectrum is real.  The characteristic
 polynomial of B is exact; the numeric eigenvalues come from eigvalsh of M.
 
@@ -67,34 +72,34 @@ class QuotientMatrix:
         return len(self.divisors)
 
 
-def g2_quotient(m: Modulus) -> QuotientMatrix:
-    """Build the quotient matrix B of G2 over its nonempty cells (empty for prime n).
+def _cells(m: Modulus) -> list[tuple[int, int, int, int]]:
+    """The nonempty cells of G2 as (r, S, |C_S|, N_S), ascending by label r
+    (none for prime n), with S the prime support of r as a bitmask over
+    ``m.factorization``.
 
-    Cell sizes come off the exponent vector by the Chinese remainder
-    theorem: modulo p^a, x has p^(a-1) residues divisible by p and
-    phi(p^a) units.  The cell of rad(n) holds 0, which is not in G2.
+    Python ints: the closed forms of the module docstring, grown one prime
+    power p^a at a time over the supports.  Until the units are taken off,
+    the degree slot counts every y whose support is disjoint from S.
     """
-    cells = {1: 1}
-    for p, a in m.factorization:
-        grown = {}
-        for r, size in cells.items():
-            grown[r] = size * p ** (a - 1) * (p - 1)
-            grown[r * p] = size * p ** (a - 1)
-        cells = grown
-    cells[m.radical] -= 1
-    ds = tuple(sorted(r for r, size in cells.items() if r > 1 and size > 0))
-    sizes = tuple(cells[r] for r in ds)
-    rows = []
-    for i, di in enumerate(ds):
-        row = [0] * len(ds)
-        diag = 0
-        for j, dj in enumerate(ds):
-            if i != j and math.gcd(di, dj) == 1:
-                row[j] = -sizes[j]
-                diag += sizes[j]
-        row[i] = diag
-        rows.append(tuple(row))
-    return QuotientMatrix(divisors=ds, sizes=sizes, entries=tuple(rows))
+    cells = [(1, 0, 1, 1)]
+    for i, (p, a) in enumerate(m.factorization):
+        below, units = p ** (a - 1), p ** (a - 1) * (p - 1)
+        cells = [(r, s, size * units, deg * p**a) for r, s, size, deg in cells] + [
+            (r * p, s | 1 << i, size * below, deg * units) for r, s, size, deg in cells
+        ]
+    rad = (1 << m.omega) - 1  # the support of rad(n), whose cell holds 0
+    cells = [(r, s, size - (s == rad), deg - m.phi) for r, s, size, deg in cells if s]
+    return sorted(c for c in cells if c[2])
+
+
+def g2_quotient(m: Modulus) -> QuotientMatrix:
+    """The quotient matrix B of G2 over its ``_cells`` (empty for prime n)."""
+    cells = _cells(m)
+    rows = tuple(
+        tuple(deg if s == t else 0 if s & t else -size for _, t, size, _ in cells)
+        for _, s, _, deg in cells
+    )
+    return QuotientMatrix(tuple(c[0] for c in cells), tuple(c[2] for c in cells), rows)
 
 
 @dataclass(frozen=True)
@@ -188,48 +193,63 @@ class SpectrumMultiset:
         return below[-1]
 
 
-def _symmetric_quotients(qs: Sequence[QuotientMatrix]) -> np.ndarray:
-    """The symmetric quotients M = D B D^-1, D = diag(sqrt of cell sizes),
-    stacked for quotients of one size.
-
-    Same diagonal as B; M[i][j] = -sqrt(sizes[i] * sizes[j]) wherever B has
-    an off-diagonal entry.
-    """
-    b = np.array([q.entries for q in qs], dtype=np.float64)
-    sizes = np.array([q.sizes for q in qs], dtype=np.float64)
-    return np.where(b < 0, -np.sqrt(sizes[:, :, None] * sizes[:, None, :]), b)
+def _check(moduli: Sequence[Modulus], checks) -> None:
+    """Raise ArithmeticError naming the first of ``moduli`` that fails one of
+    the ``checks``, (per-modulus boolean array, what failed) pairs, in order."""
+    for ok, what in checks:
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise ArithmeticError(f"n={moduli[bad[0]].n}: {what}")
 
 
-def _size_groups(
-    moduli: Sequence[Modulus],
-) -> list[tuple[list[int], list[QuotientMatrix], list[float], np.ndarray]]:
+def _size_groups(moduli: Sequence[Modulus]) -> list[tuple]:
     """The quotients of ``moduli`` grouped by size w > 0: per group, the
-    member indices, their quotients, their eigensolver error bounds tol and
-    the (members, w) eigenvalues, ascending, of one stacked ``eigvalsh`` of
-    their symmetric quotients.
+    member indices, the members, their ``_cells``, the (members, w, w)
+    int64 stack of their quotients B, their eigensolver error bounds tol and
+    the eigenvalues, ascending, of one stacked ``eigvalsh`` of their
+    symmetric quotients M.
 
     Every bound tol = w * ||B||_inf * eps is checked to be below 1/2 (so
-    rounding reaches every integer eigenvalue) before any group is solved;
-    raises ArithmeticError naming the first modulus that fails.
+    rounding reaches every integer eigenvalue) before any array is built;
+    then every eigenvalue is checked to lie in [-tol, n - phi(n) - 1 + tol],
+    and the eigenvalues of each B to sum to trace(B) within w * tol.
+    Raises ArithmeticError naming the first modulus that fails.
     """
-    quotients = [g2_quotient(m) for m in moduli]
+    cells = [_cells(m) for m in moduli]
     tols: list[float] = []
     by_size: dict[int, list[int]] = {}
-    for i, (m, q) in enumerate(zip(moduli, quotients)):
-        # every row of B sums to zero, so ||B||_inf is twice its largest diagonal
-        diag = max((q.entries[j][j] for j in range(q.w)), default=0)
-        tols.append(q.w * 2 * diag * _EPS)
+    for i, (m, cs) in enumerate(zip(moduli, cells)):
+        # every row of B sums to zero, so ||B||_inf is twice its largest degree
+        tols.append(len(cs) * 2 * max((c[3] for c in cs), default=0) * _EPS)
         if tols[i] >= 0.5:
             raise ArithmeticError(
                 f"n={m.n}: eigensolver error bound {tols[i]:.3g} cannot separate integers"
             )
-        if q.w:
-            by_size.setdefault(q.w, []).append(i)
+        if cs:
+            by_size.setdefault(len(cs), []).append(i)
     groups = []
-    for members in by_size.values():
-        qs = [quotients[i] for i in members]
-        values = np.linalg.eigvalsh(_symmetric_quotients(qs))
-        groups.append((members, qs, [tols[i] for i in members], values))
+    for w, members in by_size.items():
+        ms, cs = [moduli[i] for i in members], [cells[i] for i in members]
+        bits, degs = (np.array([[c[k] for c in row] for row in cs]) for k in (1, 3))
+        # the cell of degree 0, rad(n)'s for non-squarefree n, has no
+        # neighbour: its size, which may pass any float, enters no entry
+        sizes = np.array([[c[2] if c[3] else 0 for c in row] for row in cs])
+        joined = (bits[:, :, None] & bits[:, None, :]) == 0
+        b = np.where(joined, -sizes[:, None, :], 0)
+        f = sizes.astype(np.float64)
+        sym = np.where(joined, -np.sqrt(f[:, :, None] * f[:, None, :]), 0.0)
+        b[:, range(w), range(w)] = sym[:, range(w), range(w)] = degs
+        values = np.linalg.eigvalsh(sym)
+        tol = np.array([tols[i] for i in members])
+        # in Python floats and ints, since n - phi(n) - 1 may pass any float
+        top = values[:, -1].tolist()
+        fits = [v - t <= m.n - m.phi - 1 for v, t, m in zip(top, tol.tolist(), ms)]
+        trace = degs.sum(axis=1)
+        _check(ms, (
+            ((values[:, 0] >= -tol) & np.array(fits), "eigenvalue outside [0, n - phi(n) - 1]"),
+            (np.abs(values.sum(axis=1) - trace) <= w * tol, "eigenvalues disagree with the trace"),
+        ))
+        groups.append((members, ms, cs, b, tol, values))
     return groups
 
 
@@ -238,117 +258,77 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
 
     Per cell: the cell degree with multiplicity (cell size - 1); the
     quotient matrix contributes the rest.  The quotients of one size w
-    share one stacked ``eigvalsh`` (``_size_groups``, which first refuses
-    every quotient whose eigensolver error bound reaches 1/2) and one
-    ``char_polys`` call.  Rounded, each modulus's eigenvalues are the
-    integer-root candidates that exact synthetic division confirms or
-    rejects, and the eigenvalues left after removing each confirmed root
-    are the residual roots.  Total size is n - phi(n) - 1.
+    share one stacked ``eigvalsh`` (``_size_groups``, which refuses and
+    checks them) and one ``char_polys`` call.  Rounded, each modulus's
+    eigenvalues are the integer-root candidates that exact synthetic
+    division confirms or rejects, and the eigenvalues left after removing
+    each confirmed root are the residual roots.  Total size is
+    n - phi(n) - 1.
 
-    Raises ArithmeticError naming the modulus if an invariant fails: that
-    error bound, its charpoly check, each integer root has a numeric
-    eigenvalue within the bound, the residual roots sum to the exact
-    coefficient (Vieta), and every root lies in [0, n - phi(n) - 1].
+    Raises ArithmeticError naming the modulus if an invariant fails: the
+    checks of ``_size_groups``, its charpoly check, each integer root has a
+    numeric eigenvalue within the bound, and the residual roots sum to the
+    exact coefficient (Vieta).
     """
     out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
-    for members, qs, tols, values in _size_groups(moduli):
-        group = [moduli[i] for i in members]
-        for i, s in zip(members, _full_spectra(group, qs, tols, values.tolist())):
+    for members, *group in _size_groups(moduli):
+        for i, s in zip(members, _full_spectra(*group)):
             out[i] = s
     return out
 
 
 def _full_spectra(
-    moduli: Sequence[Modulus],
-    qs: Sequence[QuotientMatrix],
-    tols: Sequence[float],
-    values: list[list[float]],
+    moduli: Sequence[Modulus], cells: list, b: np.ndarray, tols: np.ndarray, values: np.ndarray
 ) -> list[SpectrumMultiset]:
     """G2 spectra of moduli whose quotients have one size, from one exact
-    ``char_polys`` call and their eigenvalues ``values`` (consumed)."""
+    ``char_polys`` call on their stack ``b`` and their eigenvalues."""
     try:
-        polys = char_polys([q.entries for q in qs])
+        polys = char_polys(b)
     except CharPolyError as exc:
         raise ArithmeticError(f"n={moduli[exc.index].n}: {exc.what}") from exc
-    return [_split_spectrum(*args) for args in zip(moduli, qs, polys, values, tols)]
+    rows = zip(moduli, cells, polys, values.tolist(), tols.tolist())
+    return [_split_spectrum(*row) for row in rows]
 
 
 def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
     """The residual degree of each modulus's G2 spectrum, as ``g2_spectra``
-    gives it, deciding most quotients of size w > 2 from one prime.
+    gives it, deciding most quotients from one prime.
 
-    ``_size_groups`` builds, refuses and solves the quotients as for
-    ``g2_spectra``.  Each group of size w > 2 then takes its charpolys p
-    modulo one word prime q (``char_polys_mod``).  B 1 = 0, so p(0) = 0;
-    if c_1 is nonzero mod q, 0 is a simple root; and if p(r) is nonzero
-    mod q at every nonzero rounded eigenvalue r, the complete list of
-    integer-root candidates while tol < 1/2, then 0 is the only integer
-    root and the residual degree is exactly w - 1.  Every other modulus,
-    and every quotient of size w <= 2, goes through ``_full_spectra``.
+    ``_size_groups`` builds, refuses, solves and checks the quotients as for
+    ``g2_spectra``.  Each group then takes its charpolys p modulo one word
+    prime q (``char_polys_mod``).  B 1 = 0, so p(0) = 0; if c_1 is nonzero
+    mod q, 0 is a simple root; and if p(r) is nonzero mod q at every
+    nonzero rounded eigenvalue r, the complete list of integer-root
+    candidates while tol < 1/2, then 0 is the only integer root and the
+    residual degree is exactly w - 1.  That decides every w = 1 quotient
+    (B = [[0]]); every other modulus, among them each w = 2 quotient (roots
+    0 and trace(B)), goes through ``_full_spectra``.
 
     Raises ArithmeticError naming the modulus if an invariant of
-    ``g2_spectra`` fails, or on the decision path if the residues are not
-    monic, c_(w-1) is not -trace(B) mod q or c_0 is not 0 mod q, an
-    eigenvalue lies outside [-tol, n - phi(n) - 1 + tol], or the
-    eigenvalues do not sum to trace(B) within w * tol.
+    ``g2_spectra`` fails, or if the residues are not monic, c_(w-1) is not
+    -trace(B) mod q or c_0 is not 0 mod q.
     """
     degrees = [0] * len(moduli)
-    for members, qs, tols, values in _size_groups(moduli):
-        group = [moduli[i] for i in members]
-        w = qs[0].w
-        if w > 2:
-            decided = _one_prime_decisions(group, qs, tols, values)
-        else:
-            decided = np.zeros(len(members), dtype=bool)
+    for members, ms, cells, b, tols, values in _size_groups(moduli):
+        w = b.shape[1]
+        prime, residues = char_polys_mod(b)
+        trace = np.trace(b, axis1=1, axis2=2)
+        _check(ms, (
+            (residues[:, w] == 1, "characteristic polynomial residue is not monic"),
+            (residues[:, w - 1] == -trace % prime, "x^(w-1) residue is not -trace"),
+            (residues[:, 0] == 0, "constant residue is not 0"),
+        ))
+        candidates = np.rint(values).astype(np.int64)
+        decided = _zero_is_the_only_integer_root(residues, prime, candidates)
         for j in np.flatnonzero(decided).tolist():
             degrees[members[j]] = w - 1
         full = np.flatnonzero(~decided).tolist()
-        if full:
-            spectra = _full_spectra(
-                [group[j] for j in full],
-                [qs[j] for j in full],
-                [tols[j] for j in full],
-                values[full].tolist(),
-            )
-            for j, s in zip(full, spectra):
-                degrees[members[j]] = s.residual.degree
+        spectra = _full_spectra(
+            [ms[j] for j in full], [cells[j] for j in full], b[full], tols[full], values[full]
+        )
+        for j, s in zip(full, spectra):
+            degrees[members[j]] = s.residual.degree
     return degrees
-
-
-def _one_prime_decisions(
-    moduli: Sequence[Modulus],
-    qs: Sequence[QuotientMatrix],
-    tols: Sequence[float],
-    values: np.ndarray,
-) -> np.ndarray:
-    """Per modulus of one quotient size w, whether 0 is provably its only
-    integer eigenvalue of B, after checking the invariants listed in
-    ``g2_residual_degrees``."""
-    b = np.array([q.entries for q in qs], dtype=np.int64)
-    w = b.shape[1]
-    prime, residues = char_polys_mod(b)
-    trace = np.trace(b, axis1=1, axis2=2)
-    tol = np.array(tols)
-    top = np.array([m.n - m.phi - 1 for m in moduli], dtype=np.float64)
-    checks = (
-        (residues[:, w] == 1, "characteristic polynomial residue is not monic"),
-        (residues[:, w - 1] == -trace % prime, "x^(w-1) residue is not -trace"),
-        (residues[:, 0] == 0, "constant residue is not 0"),
-        (
-            (values[:, 0] >= -tol) & (values[:, -1] <= top + tol),
-            "eigenvalue outside [0, n - phi(n) - 1]",
-        ),
-        (
-            np.abs(values.sum(axis=1) - trace) <= w * tol,
-            "eigenvalues disagree with the trace",
-        ),
-    )
-    for ok, what in checks:
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            raise ArithmeticError(f"n={moduli[bad[0]].n}: {what}")
-    candidates = np.rint(values).astype(np.int64)
-    return _zero_is_the_only_integer_root(residues, prime, candidates)
 
 
 def _zero_is_the_only_integer_root(
@@ -368,36 +348,25 @@ def _zero_is_the_only_integer_root(
 
 
 def _split_spectrum(
-    m: Modulus, q: QuotientMatrix, p: IntPoly, values: list[float], tol: float
+    m: Modulus, cells: list, p: IntPoly, values: list[float], tol: float
 ) -> SpectrumMultiset:
-    """G2 spectrum of one modulus from its quotient, the quotient's exact
+    """G2 spectrum of one modulus from its ``_cells``, its quotient's exact
     charpoly ``p``, its eigenvalues ``values`` (ascending, consumed) and
     their error bound ``tol``."""
     counts: Counter = Counter()
-    for i in range(q.w):
-        mult = q.sizes[i] - 1
-        if mult > 0:
-            counts[q.entries[i][i]] += mult
-    top = m.n - m.phi - 1
-
-    def fail(what: str) -> ArithmeticError:
-        return ArithmeticError(f"n={m.n}: {what}")
-
+    for _, _, size, deg in cells:
+        counts[deg] += size - 1
     roots, residual = extract_integer_roots(p, map(round, values))
     for r, mult in roots:
-        if not 0 <= r <= top:
-            raise fail(f"integer eigenvalue {r} outside [0, {top}]")
         for _ in range(mult):
             nearest = min(range(len(values)), key=lambda k: abs(values[k] - r))
             if abs(values[nearest] - r) > tol:
-                raise fail(f"integer eigenvalue {r} has no numeric match")
+                raise ArithmeticError(f"n={m.n}: integer eigenvalue {r} has no numeric match")
             del values[nearest]
         counts[r] += mult
     exact_sum = -residual.coeffs[-2] if residual.degree else 0
     if abs(math.fsum(values) - exact_sum) > (len(values) + 1) * tol:
-        raise fail("residual roots disagree with the exact coefficient sum")
-    if values and not (-tol <= values[0] and values[-1] <= top + tol):
-        raise fail(f"residual root outside [0, {top}]")
+        raise ArithmeticError(f"n={m.n}: residual roots disagree with the exact coefficient sum")
     return SpectrumMultiset.from_counter(counts, residual, tuple(values))
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from comax import polynomial, scan, spectra
+from comax import polynomial, ring_divisors, scan, spectra
 from comax.cli import main
 from comax.ring_divisors import Modulus
 from comax.scan import ScanRecord, apply_filter, scan_range, write_csv, write_json
@@ -178,6 +178,23 @@ def test_window_chunks_compute_their_own_radicals_below(monkeypatch):
         ]
     # 1020 = 2^2 * 3 * 5 * 17 reads 510, which the first chunk computes
     assert 510 in calls[0]
+
+
+def test_chunk_factorizes_each_modulus_once(monkeypatch):
+    # the radicals below the window are built from the primes of their n
+    calls = []
+    real = ring_divisors.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(ring_divisors, "factorize", counting)
+    ns = range(1000, 1000 + scan._CHUNK)
+    rows = scan._compute_chunk(ns, 1000, False)
+    assert calls == list(ns)
+    assert 510 in {rad for _, rad in rows}  # 1020 = 2^2 * 3 * 5 * 17
+    assert [record for record, _ in rows] == [spectrum_record(n) for n in ns]
 
 
 def test_scan_on_the_full_path_alone_matches_golden(monkeypatch):
@@ -357,13 +374,13 @@ def test_cli_verify_matches_dense_oracle_at_2310(capsys):
 
 def test_cli_verify_builds_the_g2_quotient_once(monkeypatch, capsys):
     calls = []
-    real = spectra.g2_quotient
+    real = spectra._cells
 
     def counting(m):
         calls.append(m.n)
         return real(m)
 
-    monkeypatch.setattr(spectra, "g2_quotient", counting)
+    monkeypatch.setattr(spectra, "_cells", counting)
     assert main(["verify", "30"]) == 0
     assert calls == [30]
 

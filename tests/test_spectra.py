@@ -36,20 +36,40 @@ def test_g2_quotient_12():
 
 
 def test_g2_quotient_cells_by_prime_support():
-    # every cell against a direct count of x in 1..n-1 by rad(gcd(x, n))
+    # every cell against a direct count of x in 1..n-1 by rad(gcd(x, n)), and
+    # every cell degree against the G2 degree of each x in the cell: its
+    # degree in the whole graph less the units
     for n in range(3, 400):
         m = Modulus.of(n)
-        counts = Counter(
-            math.prod(p for p in m.distinct_primes if math.gcd(x, n) % p == 0)
+        labels = {
+            x: math.prod(p for p in m.distinct_primes if math.gcd(x, n) % p == 0)
             for x in range(1, n)
-        )
-        del counts[1]
+        }
+        counts = Counter(labels.values())
+        units = counts.pop(1)
         q = g2_quotient(m)
         assert dict(zip(q.divisors, q.sizes)) == dict(counts), n
         assert q.divisors == tuple(sorted(counts))
         assert q.w <= 2**m.omega - 1
+        for x, r in labels.items():
+            if r > 1:
+                i = q.divisors.index(r)
+                assert q.entries[i][i] == degree(n, x) - units, (n, x)
     assert g2_quotient(Modulus.of(55440)).w == 31
     assert g2_quotient(Modulus.of(720720)).w == 63
+
+
+@pytest.mark.parametrize("p, a", [(3, 700), (2, 100)])
+def test_prime_power_beyond_float_range_has_its_closed_form(p, a):
+    # one cell, of size p^(a-1) - 1 (past the float range at 3^700), and
+    # no neighbour in G2: the size must not enter a float or int64 array
+    m = Modulus.of(p**a)
+    q = g2_quotient(m)
+    assert q.divisors == (p,)
+    assert q.sizes == (p ** (a - 1) - 1,)
+    assert q.entries == ((0,),)
+    assert full_spectrum(m) == closed_form_spectrum(m)
+    assert g2_residual_degrees([m]) == [0]
 
 
 def test_g2_quotient_prime_is_empty():
@@ -419,6 +439,7 @@ def test_one_prime_rule_names_the_modulus_whose_residue_fails(monkeypatch, colum
     ],
 )
 def test_one_prime_rule_names_the_modulus_whose_eigenvalues_fail(monkeypatch, index, by, what):
+    # the eigenvalue checks run for every modulus, on the scan and spectrum paths
     real = np.linalg.eigvalsh
     b42 = [list(r) for r in g2_quotient(Modulus.of(42)).entries]
 
@@ -430,8 +451,11 @@ def test_one_prime_rule_names_the_modulus_whose_eigenvalues_fail(monkeypatch, in
         return values
 
     monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    moduli = [Modulus.of(n) for n in (12, 29, 30, 42, 66)]
     with pytest.raises(ArithmeticError, match=rf"^n=42: {what}"):
-        g2_residual_degrees([Modulus.of(n) for n in (12, 29, 30, 42, 66)])
+        g2_residual_degrees(moduli)
+    with pytest.raises(ArithmeticError, match=rf"^n=42: {what}"):
+        g2_spectra(moduli)
 
 
 def test_full_spectrum_rejects_small_n():
