@@ -11,10 +11,13 @@ and the minimum vertex cut counts vertex-disjoint paths by shortest
 augmenting paths on a vertex-split residual matrix read off it, capped at a
 few hundred vertices.
 Disagreement with the quotient pipeline means a bug, so these paths share
-no spectral shortcut with it.  The one exception is the exact
-charpoly kernel ``char_poly_matrix``, used by both on different matrices;
-the tests check that kernel independently, against sympy and against a
-fraction-free determinant of their own at random points.
+no spectral shortcut with it.  The one exception is the dense exact
+charpoly kernel ``char_poly_matrix``, which this module and the pipeline's
+quotients with at most five distinct primes use on different matrices;
+from six primes on, production takes the structured kernel and shares no
+kernel with the oracle.  The tests check the dense kernel independently,
+against sympy and against a fraction-free determinant of their own at
+random points.
 """
 
 from __future__ import annotations

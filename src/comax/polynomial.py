@@ -1,15 +1,28 @@
 """Exact integer polynomials and the exact linear algebra behind them.
 
 Characteristic polynomials are computed multimodularly: the matrix is reduced
-modulo word-size primes, each residue matrix is brought to upper Hessenberg
-form by a similarity over F_p, its characteristic polynomial is read off the
-Hessenberg recurrence (Cohen, *A Course in Computational Algebraic Number
-Theory*, Alg. 2.2.9), and the coefficients are recombined by the Chinese
+modulo word-size primes, the characteristic polynomial of each residue matrix
+is found over F_p, and the coefficients are recombined by the Chinese
 remainder theorem up to a proven Hadamard bound (the multimodular scheme of
-Dumas, Pernet & Wan, ISSAC 2005).  ``char_polys`` runs the residue matrices
-of a stack of int64 matrices of one size, all modulo one list of primes,
-through one vectorised pass; ``char_poly_matrix`` is its one-matrix case, and
-``char_polys_mod`` runs the same pass modulo its first prime alone.
+Dumas, Pernet & Wan, ISSAC 2005).  Two kernels give the residues, and both
+feed the one recombination, which checks every result:
+  * the dense kernel brings each residue matrix to upper Hessenberg form by
+    a similarity over F_p and reads its characteristic polynomial off the
+    Hessenberg recurrence (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 2.2.9).  ``char_polys`` runs the residue matrices
+    of a stack of int64 matrices of one size, all modulo one list of
+    primes, through one vectorised pass; ``char_poly_matrix`` is its
+    one-matrix case, and ``char_polys_mod`` runs the same pass modulo its
+    first prime alone;
+  * the structured kernel, ``structured_char_polys``, takes matrices whose
+    off-diagonal entry (i, j) is 0 unless the bitmask supports of i and j
+    are disjoint, and then depends on j alone, as the G2 quotients' do.  A
+    product with such a matrix is a subset-sum transform over the 2**omega
+    masks, and Wiedemann's method (IEEE Trans. Inf. Theory 32, 1986) with
+    Berlekamp-Massey gives the charpoly modulo each prime from 2w products.
+    A matrix for which Berlekamp-Massey finds a generator of lower degree
+    modulo some prime (a repeated eigenvalue, or an unlucky projection)
+    takes the dense kernel instead.
 Integer roots are then split off by exact synthetic division at caller-supplied
 candidates.
 """
@@ -184,7 +197,8 @@ def _word_primes(w: int, bound: int) -> list[int]:
 
 
 # int64 entries per (k, w, w) stack of residue matrices (512 KiB): residues go
-# through _char_poly_mod in slices of this size, so the working memory stays
+# through _char_poly_mod in slices of this size, and through the structured
+# kernel in slices of this many mask entries, so the working memory stays
 # bounded however many matrices and primes a call needs.
 _BATCH_CELLS = 1 << 16
 
@@ -296,24 +310,44 @@ def char_polys(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPoly]:
     stack = np.asarray(matrices)
     if not len(stack) or stack.shape[1:] in ((0,), (0, 0)):  # none, or of size 0
         return [IntPoly.one()] * len(stack)
+    stack = _int64_stack(stack)
+    primes = _word_primes(stack.shape[1], _hadamard_bound(stack))
+    return _recombine(stack, primes, _residues(stack, primes))
+
+
+def _int64_stack(stack: np.ndarray) -> np.ndarray:
+    """A nonempty (k, w, w) stack of integer matrices as int64; ValueError
+    for ragged, non-square or mixed-size input and for any entry that is not
+    an int64 integer."""
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("matrices must be square and of one size")
     if stack.dtype.kind != "i":
         raise ValueError(f"matrix entries must be int64 integers, not {stack.dtype}")
-    stack = stack.astype(np.int64, copy=False)
-    k, w, _ = stack.shape
-    mats = stack.tolist()
-    bound = max(
+    return stack.astype(np.int64, copy=False)
+
+
+def _hadamard_bound(stack: np.ndarray) -> int:
+    """The largest 2 * prod_i (2 + isqrt(||row_i||^2)) of the stack: a bound
+    on every coefficient of every characteristic polynomial in it."""
+    return max(
         2 * math.prod(2 + math.isqrt(sum(v * v for v in row)) for row in rows)
-        for rows in mats
+        for rows in stack.tolist()
     )
-    primes = _word_primes(w, bound)
+
+
+def _recombine(stack: np.ndarray, primes: list[int], residues: np.ndarray) -> list[IntPoly]:
+    """The exact characteristic polynomials of a (k, w, w) stack from their
+    (k * c, w + 1) residues modulo c primes (row j: matrix j // c, prime
+    j % c) whose product exceeds ``_hadamard_bound``: one CRT basis, each
+    coefficient read in (-M/2, M/2], each result checked to be monic of
+    degree w with x^(w-1) coefficient -trace(B); a failure raises
+    CharPolyError."""
+    w = stack.shape[1]
     c = len(primes)
-    residues = _residues(stack, primes)
     modulus = math.prod(primes)
     basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
     out = []
-    for i, rows in enumerate(mats):
+    for i, diagonal in enumerate(stack.diagonal(axis1=1, axis2=2).tolist()):
         coeffs = []
         for column in zip(*residues[i * c : (i + 1) * c].tolist()):
             v = sum(r * e for r, e in zip(column, basis)) % modulus
@@ -321,7 +355,7 @@ def char_polys(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPoly]:
         poly = IntPoly(coeffs)
         if not poly.is_monic or poly.degree != w:
             raise CharPolyError(i, "characteristic polynomial must be monic of degree w")
-        if poly.coeffs[w - 1] != -sum(rows[r][r] for r in range(w)):
+        if poly.coeffs[w - 1] != -sum(diagonal):
             raise CharPolyError(
                 i, "x^(w-1) coefficient of the characteristic polynomial is not -trace"
             )
@@ -332,6 +366,185 @@ def char_polys(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPoly]:
 def char_poly_matrix(matrix: Sequence[Sequence[int]]) -> IntPoly:
     """Monic characteristic polynomial of one integer matrix: ``char_polys([matrix])[0]``."""
     return char_polys([matrix])[0]
+
+
+def structured_char_polys(
+    matrices: Sequence[Sequence[Sequence[int]]], supports: Sequence[Sequence[int]]
+) -> list[IntPoly]:
+    """``char_polys`` of int64 matrices of one size w whose cells carry
+    bitmask supports, with each entry B[i][j], i != j, 0 where the supports
+    of i and j meet and one value e_j per column where they are disjoint.
+    The G2 quotients have this form, and a product with one costs
+    O(omega * 2**omega), not w**2.
+
+    The residues modulo each prime come from ``_structured_residues``; a
+    matrix for which any prime leaves them incomplete has all its residues
+    taken from the dense kernel instead, modulo the same primes.  The
+    Hadamard bound, the CRT and the checks are those of ``char_polys``, and
+    the primes keep w + 1 products below (p - 1)**2 within int64.  Input not
+    of this form raises ValueError.
+    """
+    stack = _int64_stack(np.asarray(matrices))
+    k, w, _ = stack.shape
+    primes = _word_primes(w + 1, _hadamard_bound(stack))
+    c = len(primes)
+    residues, complete = _structured_residues(stack, supports, primes)
+    dense = np.flatnonzero(~complete.reshape(k, c).all(axis=1))
+    if dense.size:
+        residues[(dense[:, None] * c + np.arange(c)).ravel()] = _residues(stack[dense], primes)
+    return _recombine(stack, primes, residues)
+
+
+def _projections(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wiedemann's projections u and v over the ``size`` support masks: two
+    fixed integer sequences of the mask index below 2**16, so that every run
+    takes the same path."""
+    masks = np.arange(size, dtype=np.int64)
+    return (masks * 40503 + 12345) % 65521, (masks * masks * 9973 + masks * 31 + 7) % 65519
+
+
+def _structured_residues(
+    stack: np.ndarray, supports: Sequence[Sequence[int]], primes: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (k * c, w + 1) charpoly residues of a (k, w, w) stack of the form
+    of ``structured_char_polys`` modulo c primes, row j being matrix j // c
+    modulo prime j % c, and per row whether it is complete.
+
+    The supports must be positive, distinct within a matrix and fill at
+    least half of the 2**omega masks.  A cell disjoint from no other is
+    isolated: it stays out of the Wiedemann space and adds the factor
+    (x - its diagonal).  The matrices are laid out over all 2**omega masks;
+    a mask that is no cell gets e = 0 and diagonal 0, and the projections u
+    and v are 0 there and at the isolated cells, so the Krylov space is
+    that of the other d cells.  Then B x = diagonal * x + Z(e * x) read at
+    the complement mask, which is the reversed index, with Z the subset-sum
+    transform (``_krylov_sequence``).  Berlekamp-Massey on s_j = u^T B^j v,
+    j < 2w, gives the generator f of the sequence; f divides the minimal
+    polynomial of B mod p, which divides its characteristic polynomial, so
+    deg f = d means f is that polynomial and the row is complete.  Rows go
+    through in slices of ``_BATCH_CELLS`` mask entries.
+    """
+    k, w, _ = stack.shape
+    masks = np.asarray(supports)
+    if masks.shape != (k, w) or masks.dtype.kind != "i" or (masks <= 0).any():
+        raise ValueError("supports must be one positive integer bitmask per cell")
+    size = 1 << int(masks.max()).bit_length()
+    ordered = np.sort(masks, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any() or size > 2 * w + 2:
+        raise ValueError("supports must be distinct and fill half of their masks")
+    masks = masks.astype(np.int64)
+    disjoint = (masks[:, :, None] & masks[:, None, :]) == 0
+    isolated = ~disjoint.any(axis=1)
+    first = disjoint.argmax(axis=1)[:, None, :]
+    column = np.where(isolated, 0, np.take_along_axis(stack, first, axis=1)[:, 0])
+    diagonal = stack.diagonal(axis1=1, axis2=2)
+    built = np.where(disjoint, column[:, None, :], 0)
+    built[:, range(w), range(w)] = diagonal
+    if not np.array_equal(built, stack):
+        raise ValueError("matrices must be 0 where supports meet and one value per column elsewhere")
+    e, diag = (np.zeros((k, size), dtype=np.int64) for _ in range(2))
+    np.put_along_axis(e, masks, column, axis=1)
+    np.put_along_axis(diag, masks, diagonal, axis=1)
+    live = np.zeros((k, size), dtype=bool)
+    np.put_along_axis(live, masks, ~isolated, axis=1)
+    u, v = (np.where(live, proj, 0) for proj in _projections(size))
+    factors = np.flatnonzero(isolated.any(axis=0))
+    c = len(primes)
+    residues = np.empty((k * c, w + 1), dtype=np.int64)
+    complete = np.empty(k * c, dtype=bool)
+    batch = max(1, _BATCH_CELLS // size)
+    for s in range(0, k * c, batch):
+        j = np.arange(s, min(s + batch, k * c))
+        i = j // c
+        p = np.array(primes, dtype=np.int64)[j % c, None]
+        seq = _krylov_sequence(e[i] % p, diag[i] % p, u[i], v[i], p, 2 * w)
+        # poly is x**(w - deg f) * f, its leading coefficient not yet 1
+        poly, degree = _berlekamp_massey(seq, p, w)
+        complete[j] = degree == w - isolated[i].sum(axis=1)
+        for f in factors:  # each isolated cell turns one factor x into (x - t)
+            t = diagonal[i, f, None] % p
+            down = np.zeros_like(poly)
+            down[:, :-1] = poly[:, 1:]
+            poly = np.where(isolated[i, f, None], (poly - t * down) % p, poly)
+        lead = [pow(a, -1, q) for a, q in zip(poly[:, -1].tolist(), p[:, 0].tolist())]
+        residues[j] = poly * np.array(lead, dtype=np.int64)[:, None] % p
+    return residues, complete
+
+
+def _krylov_sequence(
+    e: np.ndarray, diag: np.ndarray, u: np.ndarray, v: np.ndarray, p: np.ndarray, terms: int
+) -> np.ndarray:
+    """The (rows, terms) sequences s_j = u^T B^j v mod p of the structured
+    matrices laid out by ``_structured_residues``, every array
+    (rows, 2**omega) with ``e`` and ``diag`` reduced mod p and u, v below
+    2**16.
+
+    One product costs one subset-sum transform: y = e * x, then for each
+    bit, y[S | bit] += y[S] over the S without it, in place on slice views;
+    then B x = diag * x + y at the complement mask, reduced mod p once.  The
+    sum a cell reads at its complement runs over the cells disjoint from it,
+    so with its diagonal term it adds at most w products below p**2; the
+    sums at masks no cell reads may wrap, and nothing reads them.
+    """
+    rows, size = e.shape
+    # masks along axis 0 and rows along axis 1, so that every slice view
+    # below is contiguous in runs of at least ``rows``
+    e, diag, u = (np.ascontiguousarray(a.T) for a in (e, diag, u))
+    q = p.T
+    x = np.ascontiguousarray(v.T) % q
+    y = np.empty_like(x)
+    halves = []
+    for bit in range(size.bit_length() - 1):
+        pairs = y.reshape(size >> (bit + 1), 2, 1 << bit, rows)
+        halves.append((pairs[:, 1], pairs[:, 0]))
+    complement = y[::-1]
+    seq = np.empty((terms, rows), dtype=np.int64)
+    for j in range(terms):
+        np.einsum("ij,ij->j", x, u, out=seq[j])
+        np.multiply(e, x, out=y)
+        for high, low in halves:
+            np.add(high, low, out=high)
+        np.multiply(x, diag, out=x)
+        np.add(x, complement, out=x)
+        np.remainder(x, q, out=x)
+    return (seq % q).T
+
+
+def _berlekamp_massey(seq: np.ndarray, p: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``seq`` (rows, 2w) mod p, a sequence generated by a
+    matrix of size at most w: its minimal generator f, of degree L, as the
+    (rows, w + 1) coefficients of x**(w - L) * f, constant term first, with
+    leading coefficient nonzero but not 1, and L.
+
+    Inversion-free: the update C <- b C - d x**m B scales the connection
+    polynomial C by the last nonzero discrepancy b instead of dividing by
+    it, and every row takes its own branch through ``np.where``.  f is
+    x**L C(1/x), so C read backwards is x**(w - L) * f.  At step n, C has
+    degree at most L and x**m B at most n + 1 - L, so only that prefix is
+    touched; the discrepancy sums at most w + 1 products below p**2.
+    """
+    rows, terms = seq.shape
+    conn = np.zeros((rows, w + 1), dtype=np.int64)
+    conn[:, 0] = 1
+    shifted = np.zeros_like(conn)  # x**m B: C before its last length change, times x**m
+    shifted[:, 1] = 1
+    scale = np.ones((rows, 1), dtype=np.int64)
+    length = np.zeros(rows, dtype=np.int64)
+    # back[:, terms - 1 - n + i] = s_(n - i), and 0 for n - i < 0
+    back = np.zeros((rows, terms + w), dtype=np.int64)
+    back[:, :terms] = seq[:, ::-1]
+    for n in range(terms):
+        top = min(w + 1, max(int(length.max()), n + 1 - int(length.min())) + 1)
+        start = terms - 1 - n
+        d = np.einsum("ij,ij->i", conn[:, :top], back[:, start : start + top]) % p[:, 0]
+        grow = (d != 0) & (2 * length <= n)
+        end = min(top, w)
+        moved = np.where(grow[:, None], conn[:, :end], shifted[:, :end])
+        conn[:, :top] = (scale * conn[:, :top] - d[:, None] * shifted[:, :top]) % p
+        shifted[:, 1 : end + 1] = moved
+        length = np.where(grow, n + 1 - length, length)
+        scale = np.where(grow[:, None], d[:, None], scale)
+    return conn[:, ::-1], length
 
 
 def extract_integer_roots(

@@ -12,9 +12,10 @@ from comax.polynomial import (
     char_polys,
     char_polys_mod,
     extract_integer_roots,
+    structured_char_polys,
 )
 from comax.ring_divisors import Modulus
-from comax.spectra import g2_quotient
+from comax.spectra import _cells, g2_quotient
 from reference import bareiss_det
 
 
@@ -296,6 +297,100 @@ def test_char_polys_checks_the_trace_of_each_matrix(monkeypatch):
     assert caught.value.index == 2
     assert isinstance(caught.value, ArithmeticError)
     assert "matrix 2" in str(caught.value)
+
+
+# the first 20 squarefree and the first 10 other n with six distinct primes
+OMEGA_6_SQUAREFREE = (
+    30030, 39270, 43890, 46410, 51870, 53130, 62790, 66990, 67830, 71610,
+    72930, 79170, 81510, 82110, 84630, 85470, 91770, 94710, 98670, 99330,
+)
+OMEGA_6_OTHER = (60060, 78540, 87780, 90090, 92820, 103740, 106260, 117810, 120120, 125580)
+
+
+def _quotients(ns):
+    """The G2 quotients of ``ns`` as one int64 stack, with their cell supports."""
+    moduli = [Modulus.of(n) for n in ns]
+    stack = np.array([g2_quotient(m).entries for m in moduli], dtype=np.int64)
+    return stack, [[s for _, s, _, _ in _cells(m)] for m in moduli]
+
+
+def test_structured_char_polys_equal_char_polys_at_six_primes():
+    for ns, sizes in ((OMEGA_6_SQUAREFREE, (62,)), (OMEGA_6_OTHER, (63,))):
+        moduli = [Modulus.of(n) for n in ns]
+        assert all(m.omega == 6 for m in moduli)
+        assert {m.is_squarefree for m in moduli} == {ns == OMEGA_6_SQUAREFREE}
+        stack, supports = _quotients(ns)
+        assert stack.shape[1:] == sizes * 2
+        assert structured_char_polys(stack, supports) == char_polys(stack)
+
+
+@pytest.mark.parametrize("n", [510510, 9699690, 223092870])
+def test_structured_residues_equal_the_dense_kernel_modulo_one_prime(n):
+    # omega = 7, 8, 9: one prime of the dense kernel checks the structured one
+    stack, supports = _quotients([n])
+    q, want = char_polys_mod(stack)
+    got, complete = polynomial._structured_residues(stack, supports, [q])
+    assert complete.all()
+    assert got.tolist() == want.tolist()
+
+
+def _structured(rng, omega, isolated_top):
+    """A random matrix of the structured form over the nonempty masks below
+    2**omega, in shuffled order; the mask of every prime is left out, or
+    kept as an isolated cell with diagonal ``isolated_top``."""
+    masks = list(range(1, 2**omega - 1)) + ([2**omega - 1] if isolated_top is not None else [])
+    rng.shuffle(masks)
+    column = {s: rng.randrange(-50, 51) for s in masks}
+    rows = [
+        [(rng.randrange(-99, 100) if s != 2**omega - 1 else isolated_top) if s == t
+         else (column[t] if not s & t else 0) for t in masks]
+        for s in masks
+    ]
+    return rows, masks
+
+
+def test_structured_char_polys_of_random_structured_matrices():
+    rng = random.Random(21)
+    for omega in (2, 3, 4, 6):
+        for top in (None, 0, -7):
+            batch = [_structured(rng, omega, top) for _ in range(3)]
+            stack = [rows for rows, _ in batch]
+            assert structured_char_polys(stack, [m for _, m in batch]) == char_polys(stack)
+
+
+def test_structured_char_polys_with_repeated_eigenvalues_take_the_dense_kernel(monkeypatch):
+    # a diagonal matrix with repeated values is derogatory: its minimal
+    # polynomial, and so the generator Berlekamp-Massey finds, falls short of
+    # w, and that matrix alone goes through the dense kernel
+    dense = []
+    kernel = polynomial._residues
+
+    def recording(stack, primes):
+        dense.append(stack.tolist())
+        return kernel(stack, primes)
+
+    monkeypatch.setattr(polynomial, "_residues", recording)
+    generic, masks = _structured(random.Random(4), 3, None)
+    repeated = [[(5, 5, 7, 7, 9, 9)[i] if i == j else 0 for j in range(6)] for i in range(6)]
+    got = structured_char_polys([generic, repeated], [masks, [1, 2, 3, 4, 5, 6]])
+    assert dense == [[repeated]]
+    assert got == [char_poly_matrix(generic), IntPoly.from_roots([(5, 2), (7, 2), (9, 2)])]
+
+
+def test_structured_char_polys_refuse_other_input():
+    rows, masks = _structured(random.Random(5), 3, None)
+    stack = np.array([rows])
+    assert structured_char_polys(stack, [masks]) == char_polys(stack)
+    for bad in ([masks[:-1]], [[0] + masks[1:]], [masks[:-1] + masks[:1]], [[m * 4 for m in masks]]):
+        with pytest.raises(ValueError, match="supports"):
+            structured_char_polys(stack, bad)
+    moved = stack.copy()
+    s, t = next((s, t) for s in range(6) for t in range(6) if s != t and masks[s] & masks[t])
+    moved[0, s, t] = 1  # an entry where the supports meet
+    with pytest.raises(ValueError, match="where supports meet"):
+        structured_char_polys(moved, [masks])
+    with pytest.raises(ValueError):
+        structured_char_polys(stack.astype(float), [masks])
 
 
 def test_extract_integer_roots_examples():

@@ -360,6 +360,22 @@ def test_cli_refused_modulus_is_one_stderr_line(command, capsys):
     assert err.count("\n") == 1 and "cannot separate integers" in err
 
 
+@pytest.mark.parametrize(
+    "n, bound",
+    [
+        (3 * 2**70, "1.57e+06"),
+        # w * ||B||_inf = 3 * 2 * (2 * 3**699), beyond the float range once times eps
+        (2 * 3**700, "8.58e+318"),
+    ],
+    ids=["3*2^70", "2*3^700"],
+)
+def test_cli_refusal_states_the_bound_at_any_size(n, bound, capsys):
+    assert main(["spectrum", str(n)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"n={n}: eigensolver error bound {bound} cannot separate integers\n"
+
+
 def test_cli_verify_composite():
     code, out, _ = run_cli("verify", "12")
     assert code == 0, out

@@ -357,13 +357,71 @@ def test_g2_spectra_names_the_modulus_whose_charpoly_fails(monkeypatch):
         g2_spectra([Modulus.of(n) for n in (12, 29, 30, 36)])
 
 
+def test_quotients_with_six_primes_or_more_take_the_structured_kernel(monkeypatch):
+    sizes = {"dense": [], "structured": []}
+    dense, structured = spectra.char_polys, spectra.structured_char_polys
+
+    def recording_dense(stack):
+        sizes["dense"].append(np.shape(stack)[1])
+        return dense(stack)
+
+    def recording_structured(stack, supports):
+        sizes["structured"].append(np.shape(stack)[1])
+        return structured(stack, supports)
+
+    monkeypatch.setattr(spectra, "char_polys", recording_dense)
+    monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
+    g2_spectra([Modulus.of(n) for n in (12, 2310, 30030, 60060, 510510)])
+    assert sorted(sizes["dense"]) == [3, 30]
+    assert sorted(sizes["structured"]) == [62, 63, 126]
+
+
+def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
+    # zero projections make every Krylov sequence 0: Berlekamp-Massey returns
+    # the generator 1, of degree 0 < w, so each modulus takes the dense kernel
+    moduli = [Modulus.of(n) for n in (30030, 39270, 60060)]
+    want = g2_spectra(moduli)
+    calls = []
+    kernel = polynomial._char_poly_mod
+
+    def recording(h, mods):
+        calls.append(h.shape[1])
+        return kernel(h, mods)
+
+    monkeypatch.setattr(polynomial, "_char_poly_mod", recording)
+    assert g2_spectra(moduli) == want
+    assert not calls
+    monkeypatch.setattr(polynomial, "_projections", lambda size: (np.zeros(size, dtype=np.int64),) * 2)
+    assert g2_spectra(moduli) == want
+    assert set(calls) == {62, 63}
+
+
+def test_g2_spectra_names_the_modulus_whose_structured_charpoly_fails(monkeypatch):
+    residues = polynomial._structured_residues
+    b = g2_quotient(Modulus.of(39270)).entries
+
+    def off_by_one_trace(stack, supports, primes):
+        out, complete = residues(stack, supports, primes)
+        c = len(primes)
+        for i, m in enumerate(stack.tolist()):
+            if tuple(map(tuple, m)) == b:
+                rows = slice(i * c, (i + 1) * c)
+                out[rows, -2] = (out[rows, -2] + 1) % np.array(primes)
+        return out, complete
+
+    monkeypatch.setattr(polynomial, "_structured_residues", off_by_one_trace)
+    with pytest.raises(ArithmeticError, match=r"^n=39270: x\^\(w-1\) coefficient"):
+        g2_spectra([Modulus.of(n) for n in (12, 30030, 39270, 43890)])
+
+
 def test_g2_spectrum_refuses_a_quotient_before_its_charpoly(monkeypatch):
     # 3 * 2**70: w * ||B||_inf * eps is far above 1/2, so no charpoly is computed
-    def no_kernel(matrices):
-        raise AssertionError("char_polys ran on a refused quotient")
+    def no_kernel(*matrices_and_supports):
+        raise AssertionError("a charpoly kernel ran on a refused quotient")
 
     monkeypatch.setattr(spectra, "char_polys", no_kernel)
     monkeypatch.setattr(spectra, "char_polys_mod", no_kernel)
+    monkeypatch.setattr(spectra, "structured_char_polys", no_kernel)
     n = 3 * 2**70
     with pytest.raises(ArithmeticError, match=rf"^n={n}: eigensolver error bound .* cannot separate"):
         g2_spectrum(Modulus.of(n))
