@@ -74,7 +74,19 @@ def _render_csv(m: Modulus, out: TextIO) -> None:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     m = _modulus_or_exit(args.n)
     if args.format == "json":
-        json.dump(spectrum_json_dict(m), sys.stdout, indent=1)
+        data = spectrum_json_dict(m)
+        # the residual's exact coefficients pass Python's default limit on
+        # int-to-str digits from omega = 10 on; before 3.10.7 there is none
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            json.dump(data, sys.stdout, indent=1)
+        else:
+            limit = sys.get_int_max_str_digits()
+            set_limit(0)
+            try:
+                json.dump(data, sys.stdout, indent=1)
+            finally:
+                set_limit(limit)
         sys.stdout.write("\n")
     elif args.format == "csv":
         _render_csv(m, sys.stdout)

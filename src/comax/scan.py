@@ -5,14 +5,15 @@ n is k times that of rad(n) plus one isolated zero cell, so n has the
 integrality and the residual degree of rad(n); every other row takes them
 from rad(n)'s row.
 
-The range is cut into chunks of consecutive n, and each chunk is one batch
-of the quotient pipeline (no dense oracles): one ``g2_residual_degrees``
-call on the squarefree n of the chunk and on the composite radicals below
-the start of the range that its other n have, so the small quotients of
-many moduli share each numpy kernel call.  A row whose radical lies in
-the range, below the row, is filled from a table of the residual degrees
-of the range, indexed by n - start; rad(n) <= n / 2 and rows are handled
-in ascending n, so the entry a fill reads is always written first.
+The range is cut into chunks of consecutive n.  Each chunk is factorized by
+one ``factorize_range`` sieve and is one batch of the quotient pipeline (no
+dense oracles): one ``g2_residual_degrees`` call on the squarefree n of the
+chunk and on the composite radicals below the start of the range that its
+other n have, so the small quotients of many moduli share each numpy
+kernel call.  A row whose radical lies in the range, below the row, is
+filled from a table of the residual degrees of the range, indexed by
+n - start; rad(n) <= n / 2 and rows are handled in ascending n, so the
+entry a fill reads is always written first.
 Results are emitted in ascending n regardless of chunk size or worker count, so scan output is
 reproducible byte for byte.  Per-record timing is therefore disabled by
 default: with ``timing=True`` every modulus is a chunk of its own, the
@@ -32,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .ring_divisors import Modulus
+from .ring_divisors import Modulus, factorize_range
 from .spectra import g2_residual_degrees
 
 CSV_COLUMNS = (
@@ -63,10 +64,11 @@ class ScanRecord:
 def _compute_chunk(
     ns: Sequence[int], start: int, timing: bool
 ) -> list[tuple[ScanRecord, int]]:
-    """(record, rad(n)) for each of the moduli ``ns`` of a range that begins
-    at ``start``, from one ``g2_residual_degrees`` call on the squarefree
-    ones and on the distinct composite radicals below ``start`` of the
-    others, each built from the primes of n without factorizing it again.
+    """(record, rad(n)) for each of the consecutive moduli ``ns`` of a range
+    that begins at ``start``, all factorized by one ``factorize_range``
+    sieve, from one ``g2_residual_degrees`` call on the squarefree ones and
+    on the distinct composite radicals below ``start`` of the others, each
+    built from the primes of n without factorizing it again.
 
     Integrality and the residual degree are those of the G2 spectrum: the
     full spectrum adds only integer eigenvalues and shifts G2's by phi(n).
@@ -78,7 +80,7 @@ def _compute_chunk(
     if timing and len(ns) > 1:
         return [row for n in ns for row in _compute_chunk([n], start, timing)]
     began = time.perf_counter()
-    moduli = [Modulus.of(n) for n in ns]
+    moduli = [Modulus.from_factorization(f) for f in factorize_range(ns[0], ns[-1])]
     below = {m.radical: m.distinct_primes for m in moduli if m.omega > 1 and m.radical < start}
     radicals = [Modulus.from_factorization((p, 1) for p in below[r]) for r in sorted(below)]
     batch = [m for m in moduli if m.is_squarefree] + radicals

@@ -25,11 +25,14 @@ of rad(n) of a non-squarefree n meets every other cell, and only adds the
 factor x.  Smaller quotients take the dense kernel.
 
 The scan needs only the residual degree, and ``g2_residual_degrees``
-decides it for most squarefree n from the charpoly modulo one prime:
-B 1 = 0, so 0 is always a root; when it is simple and the charpoly is
-nonzero modulo that prime at every other rounded eigenvalue, 0 is the only
-integer root and the residual degree is w - 1.  Any other modulus takes
-the exact path of ``g2_spectra``.
+decides it without the exact charpoly for most n.  Every row of B sums to
+zero, B 1 = 0, so 0 is always a root.  With at most two distinct primes
+(w <= 3) B is [[0]], or a 2 x 2 block with eigenvalues 0 and its trace
+plus, for non-squarefree n, the isolated cell of rad(n): the residual
+degree is 0 and no charpoly is taken.  Above, when 0 is a simple root and
+the charpoly modulo one prime is nonzero at every other rounded eigenvalue,
+0 is the only integer root and the residual degree is w - 1.  Any other
+modulus takes the exact path of ``g2_spectra``.
 
 The full graph is the join of a clique on the units with (G2 plus the
 isolated zero vertex), which contributes eigenvalue n with multiplicity
@@ -321,17 +324,19 @@ def _full_spectra(
 
 def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
     """The residual degree of each modulus's G2 spectrum, as ``g2_spectra``
-    gives it, deciding most quotients from one prime.
+    gives it, deciding most quotients without their exact charpoly.
 
     ``_size_groups`` builds, refuses, solves and checks the quotients as for
-    ``g2_spectra``.  Each group then takes its charpolys p modulo one word
-    prime q (``char_polys_mod``).  B 1 = 0, so p(0) = 0; if c_1 is nonzero
-    mod q, 0 is a simple root; and if p(r) is nonzero mod q at every
-    nonzero rounded eigenvalue r, the complete list of integer-root
-    candidates while tol < 1/2, then 0 is the only integer root and the
-    residual degree is exactly w - 1.  That decides every w = 1 quotient
-    (B = [[0]]); every other modulus, among them each w = 2 quotient (roots
-    0 and trace(B)), goes through ``_full_spectra``.
+    ``g2_spectra``.  A group of w <= 3, whose members have at most two
+    distinct primes, is then integral without a charpoly: B 1 = 0, so B is
+    [[0]] (w = 1), has eigenvalues 0 and trace(B) (w = 2), or is such a
+    block plus the degree-0 cell of rad(n) (w = 3, n non-squarefree).
+    Every larger group takes its charpolys p modulo one word prime q
+    (``char_polys_mod``).  p(0) = 0; if c_1 is nonzero mod q, 0 is a simple
+    root; and if p(r) is nonzero mod q at every nonzero rounded eigenvalue
+    r, the complete list of integer-root candidates while tol < 1/2, then 0
+    is the only integer root and the residual degree is exactly w - 1.
+    Every other modulus goes through ``_full_spectra``.
 
     Raises ArithmeticError naming the modulus if an invariant of
     ``g2_spectra`` fails, or if the residues are not monic, c_(w-1) is not
@@ -340,6 +345,8 @@ def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
     degrees = [0] * len(moduli)
     for members, ms, cells, b, tols, values in _size_groups(moduli):
         w = b.shape[1]
+        if w <= 3:
+            continue
         prime, residues = char_polys_mod(b)
         trace = np.trace(b, axis1=1, axis2=2)
         _check(ms, (

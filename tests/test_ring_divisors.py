@@ -3,7 +3,7 @@ import math
 import pytest
 
 from comax import ring_divisors
-from comax.ring_divisors import Modulus, factorize
+from comax.ring_divisors import Modulus, factorize, factorize_range
 
 
 def brute_is_prime(n: int) -> bool:
@@ -33,6 +33,28 @@ def test_factorize_rejects_small():
         factorize(1)
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2, 5000),
+        (999001, 1000000),
+        (9999001, 10000000),
+        (961, 1100),  # starts at 31^2
+        (997, 997),  # a prime
+        (961, 961),  # a prime square
+        (2, 2),
+    ],
+)
+def test_factorize_range_matches_factorize(lo, hi):
+    assert factorize_range(lo, hi) == [factorize(n) for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 10), (0, 0), (-5, 3), (10, 9)])
+def test_factorize_range_rejects_bad_windows(lo, hi):
+    with pytest.raises(ValueError):
+        factorize_range(lo, hi)
 
 
 def test_euler_phi_examples():

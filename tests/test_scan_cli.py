@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from comax import polynomial, ring_divisors, scan, spectra
+from comax import cli, polynomial, ring_divisors, scan, spectra
 from comax.cli import main
 from comax.ring_divisors import Modulus
 from comax.scan import ScanRecord, apply_filter, scan_range, write_csv, write_json
@@ -181,18 +181,24 @@ def test_window_chunks_compute_their_own_radicals_below(monkeypatch):
 
 
 def test_chunk_factorizes_each_modulus_once(monkeypatch):
-    # the radicals below the window are built from the primes of their n
+    # one sieve over the chunk; the radicals below the window are built from
+    # the primes of their n
     calls = []
-    real = ring_divisors.factorize
+    real = scan.factorize_range
 
-    def counting(n):
-        calls.append(n)
-        return real(n)
+    def counting(lo, hi):
+        calls.append((lo, hi))
+        return real(lo, hi)
 
-    monkeypatch.setattr(ring_divisors, "factorize", counting)
+    def refused(n):
+        raise AssertionError(f"the chunk factorized {n} on its own")
+
+    monkeypatch.setattr(scan, "factorize_range", counting)
+    monkeypatch.setattr(ring_divisors, "factorize", refused)
     ns = range(1000, 1000 + scan._CHUNK)
     rows = scan._compute_chunk(ns, 1000, False)
-    assert calls == list(ns)
+    monkeypatch.undo()
+    assert calls == [(ns[0], ns[-1])]
     assert 510 in {rad for _, rad in rows}  # 1020 = 2^2 * 3 * 5 * 17
     assert [record for record, _ in rows] == [spectrum_record(n) for n in ns]
 
@@ -336,6 +342,20 @@ def test_cli_spectrum_json(capsys):
     assert data["integer_eigenvalues"] == [[4, 2], [2, 1], [0, 1]]
     assert data["laplacian_integral"] is True
     assert data["residual_poly"] is None
+
+
+def test_cli_spectrum_json_prints_coefficients_of_any_length(monkeypatch, capsys):
+    # omega = 10 residuals have coefficients beyond Python's default limit
+    # of 4300 digits for int-to-str conversion
+    big = 7 * (10**5000 - 1) // 9
+    monkeypatch.setattr(
+        cli, "spectrum_json_dict", lambda m: {"n": m.n, "residual_poly": [big, 1]}
+    )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["spectrum", "15", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert f'"residual_poly": [\n  {"7" * 5000},\n  1\n ]' in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_cli_spectrum_csv(capsys):

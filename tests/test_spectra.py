@@ -465,6 +465,22 @@ def test_one_prime_rule_leaves_only_the_family_to_the_full_path(monkeypatch):
     assert sorted(full) == [30, 255]
 
 
+def test_at_most_two_primes_take_no_charpoly(monkeypatch):
+    # B 1 = 0: B = [[0]], a 2 x 2 block with eigenvalues 0 and trace(B), or
+    # that block plus the isolated cell of rad(n); every degree is 0
+    def no_charpoly(*args):
+        raise AssertionError("a quotient with at most two primes took a charpoly")
+
+    moduli = [m for m in map(Modulus.of, range(3, 5001)) if m.omega <= 2]
+    assert {m.omega for m in moduli} == {1, 2}
+    assert any(m.omega == 2 and not m.is_squarefree for m in moduli)
+    want = [g2_spectrum(m).residual.degree for m in moduli]
+    assert want == [0] * len(moduli)
+    monkeypatch.setattr(spectra, "char_polys_mod", no_charpoly)
+    monkeypatch.setattr(spectra, "_full_spectra", no_charpoly)
+    assert g2_residual_degrees(moduli) == want
+
+
 @pytest.mark.parametrize(
     "column, what",
     [
@@ -497,23 +513,26 @@ def test_one_prime_rule_names_the_modulus_whose_residue_fails(monkeypatch, colum
     ],
 )
 def test_one_prime_rule_names_the_modulus_whose_eigenvalues_fail(monkeypatch, index, by, what):
-    # the eigenvalue checks run for every modulus, on the scan and spectrum paths
+    # the eigenvalue checks run for every modulus, on the scan and spectrum
+    # paths, also for the w = 2 quotient of 15 that the scan decides without
+    # a charpoly; its top eigenvalue is n - phi(n) - 1, so only 0 moves there
     real = np.linalg.eigvalsh
-    b42 = [list(r) for r in g2_quotient(Modulus.of(42)).entries]
+    moduli = [Modulus.of(n) for n in (12, 15, 29, 30, 42, 66)]
+    for n, at in ((42, index), (15, 0)):
+        diag = np.diag(g2_quotient(Modulus.of(n)).entries)
 
-    def moved(stack):
-        values = real(stack)
-        for i, m in enumerate(stack):
-            if np.array_equal(np.diag(m), np.diag(b42)):
-                values[i, index] += by
-        return values
+        def moved(stack):
+            values = real(stack)
+            for i, m in enumerate(stack):
+                if np.array_equal(np.diag(m), diag):
+                    values[i, at] += by
+            return values
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
-    moduli = [Modulus.of(n) for n in (12, 29, 30, 42, 66)]
-    with pytest.raises(ArithmeticError, match=rf"^n=42: {what}"):
-        g2_residual_degrees(moduli)
-    with pytest.raises(ArithmeticError, match=rf"^n=42: {what}"):
-        g2_spectra(moduli)
+        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        with pytest.raises(ArithmeticError, match=rf"^n={n}: {what}"):
+            g2_residual_degrees(moduli)
+        with pytest.raises(ArithmeticError, match=rf"^n={n}: {what}"):
+            g2_spectra(moduli)
 
 
 def test_full_spectrum_rejects_small_n():
