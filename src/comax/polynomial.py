@@ -411,18 +411,16 @@ def _structured_residues(
     modulo prime j % c, and per row whether it is complete.
 
     The supports must be positive, distinct within a matrix and fill at
-    least half of the 2**omega masks.  A cell disjoint from no other is
-    isolated: it stays out of the Wiedemann space and adds the factor
-    (x - its diagonal).  The matrices are laid out over all 2**omega masks;
-    a mask that is no cell gets e = 0 and diagonal 0, and the projections u
-    and v are 0 there and at the isolated cells, so the Krylov space is
-    that of the other d cells.  Then B x = diagonal * x + Z(e * x) read at
-    the complement mask, which is the reversed index, with Z the subset-sum
-    transform (``_krylov_sequence``).  Berlekamp-Massey on s_j = u^T B^j v,
-    j < 2w, gives the generator f of the sequence; f divides the minimal
-    polynomial of B mod p, which divides its characteristic polynomial, so
-    deg f = d means f is that polynomial and the row is complete.  Rows go
-    through in slices of ``_BATCH_CELLS`` mask entries.
+    least half of the 2**omega masks.  The matrices are laid out over all
+    2**omega masks; a mask that is no cell gets e = 0 and diagonal 0, and
+    the projections u and v are 0 there, so the Krylov space is that of the
+    w cells.  Then B x = diagonal * x + Z(e * x) read at the complement
+    mask, which is the reversed index, with Z the subset-sum transform
+    (``_krylov_sequence``).  Berlekamp-Massey on s_j = u^T B^j v, j < 2w,
+    gives the generator f of the sequence; f divides the minimal polynomial
+    of B mod p, which divides its characteristic polynomial, so deg f = w
+    means f is that polynomial and the row is complete.  Rows go through in
+    slices of ``_BATCH_CELLS`` mask entries.
     """
     k, w, _ = stack.shape
     masks = np.asarray(supports)
@@ -434,21 +432,17 @@ def _structured_residues(
         raise ValueError("supports must be distinct and fill half of their masks")
     masks = masks.astype(np.int64)
     disjoint = (masks[:, :, None] & masks[:, None, :]) == 0
-    isolated = ~disjoint.any(axis=1)
     first = disjoint.argmax(axis=1)[:, None, :]
-    column = np.where(isolated, 0, np.take_along_axis(stack, first, axis=1)[:, 0])
+    column = np.take_along_axis(stack, first, axis=1)[:, 0]
     diagonal = stack.diagonal(axis1=1, axis2=2)
     built = np.where(disjoint, column[:, None, :], 0)
     built[:, range(w), range(w)] = diagonal
     if not np.array_equal(built, stack):
         raise ValueError("matrices must be 0 where supports meet and one value per column elsewhere")
-    e, diag = (np.zeros((k, size), dtype=np.int64) for _ in range(2))
-    np.put_along_axis(e, masks, column, axis=1)
-    np.put_along_axis(diag, masks, diagonal, axis=1)
-    live = np.zeros((k, size), dtype=bool)
-    np.put_along_axis(live, masks, ~isolated, axis=1)
-    u, v = (np.where(live, proj, 0) for proj in _projections(size))
-    factors = np.flatnonzero(isolated.any(axis=0))
+    e, diag, u, v = (np.zeros((k, size), dtype=np.int64) for _ in range(4))
+    pu, pv = _projections(size)
+    for laid, cell in ((e, column), (diag, diagonal), (u, pu[masks]), (v, pv[masks])):
+        np.put_along_axis(laid, masks, cell, axis=1)
     c = len(primes)
     residues = np.empty((k * c, w + 1), dtype=np.int64)
     complete = np.empty(k * c, dtype=bool)
@@ -460,12 +454,7 @@ def _structured_residues(
         seq = _krylov_sequence(e[i] % p, diag[i] % p, u[i], v[i], p, 2 * w)
         # poly is x**(w - deg f) * f, its leading coefficient not yet 1
         poly, degree = _berlekamp_massey(seq, p, w)
-        complete[j] = degree == w - isolated[i].sum(axis=1)
-        for f in factors:  # each isolated cell turns one factor x into (x - t)
-            t = diagonal[i, f, None] % p
-            down = np.zeros_like(poly)
-            down[:, :-1] = poly[:, 1:]
-            poly = np.where(isolated[i, f, None], (poly - t * down) % p, poly)
+        complete[j] = degree == w
         lead = [pow(a, -1, q) for a, q in zip(poly[:, -1].tolist(), p[:, 0].tolist())]
         residues[j] = poly * np.array(lead, dtype=np.int64)[:, None] % p
     return residues, complete

@@ -17,22 +17,22 @@ The Laplacian spectrum of the induced subgraph G2 therefore splits into
   * the spectrum of a w x w quotient matrix B over the w nonempty cells.
 B has B[i][i] = N_{S_i} and B[i][j] = -|C_{S_j}| for disjoint S_i, S_j; it
 is the diagonal similarity D^-1 M D (D = diag(sqrt of cell sizes)) of the
-symmetric quotient M, so its spectrum is real.  The characteristic
-polynomial of B is exact; the numeric eigenvalues come from eigvalsh of M.
-From omega = 6 on, the charpoly comes from the structured kernel, which
-multiplies by B through its supports in O(omega * 2^omega) steps; the cell
-of rad(n) of a non-squarefree n meets every other cell, and only adds the
-factor x.  Smaller quotients take the dense kernel.
+symmetric quotient M, so its spectrum is real.  The cell of rad(n) of a
+non-squarefree n meets every support, so its n / rad(n) - 1 vertices are
+isolated and its row and column of B are 0: the exact charpoly is that of
+the core, the cells with a neighbour, times x, and the numeric eigenvalues
+come from eigvalsh of M.  From omega = 6 on, the core's charpoly comes from
+the structured kernel, which multiplies by B through its supports in
+O(omega * 2^omega) steps; smaller cores take the dense kernel.
 
 The scan needs only the residual degree, and ``g2_residual_degrees``
 decides it without the exact charpoly for most n.  Every row of B sums to
-zero, B 1 = 0, so 0 is always a root.  With at most two distinct primes
-(w <= 3) B is [[0]], or a 2 x 2 block with eigenvalues 0 and its trace
-plus, for non-squarefree n, the isolated cell of rad(n): the residual
-degree is 0 and no charpoly is taken.  Above, when 0 is a simple root and
-the charpoly modulo one prime is nonzero at every other rounded eigenvalue,
-0 is the only integer root and the residual degree is w - 1.  Any other
-modulus takes the exact path of ``g2_spectra``.
+zero, B 1 = 0, so 0 is always a root.  A core of at most two cells (at
+most two distinct primes) is integral: the residual degree is 0 and no
+charpoly is taken.  Above, when 0 is a simple root of the core and its
+charpoly modulo one prime is nonzero at every other rounded eigenvalue, 0
+is the only integer root and the residual degree is the core size less 1.
+Any other modulus takes the exact path of ``g2_spectra``.
 
 The full graph is the join of a clique on the units with (G2 plus the
 isolated zero vertex), which contributes eigenvalue n with multiplicity
@@ -229,10 +229,13 @@ def _times_eps(norm: int) -> str:
 
 def _size_groups(moduli: Sequence[Modulus]) -> list[tuple]:
     """The quotients of ``moduli`` grouped by size w > 0: per group, the
-    member indices, the members, their ``_cells``, the (members, w, w)
-    int64 stack of their quotients B, their eigensolver error bounds tol and
-    the eigenvalues, ascending, of one stacked ``eigvalsh`` of their
-    symmetric quotients M.
+    member indices, the members, their ``_cells``, the int64 stack of their
+    quotients B over the core, their eigensolver error bounds tol and the
+    eigenvalues, ascending, of one stacked ``eigvalsh`` of their symmetric
+    quotients M over all w cells.
+
+    The core is the cells with a neighbour: all but the cell of rad(n) of a
+    non-squarefree n, the last label, which is a zero row and column of M.
 
     Every bound tol = w * ||B||_inf * eps is checked to be below 1/2 (so
     rounding reaches every integer eigenvalue) before any array is built;
@@ -257,15 +260,17 @@ def _size_groups(moduli: Sequence[Modulus]) -> list[tuple]:
     groups = []
     for w, members in by_size.items():
         ms, cs = [moduli[i] for i in members], [cells[i] for i in members]
-        bits, degs = (np.array([[c[k] for c in row] for row in cs]) for k in (1, 3))
-        # the cell of degree 0, rad(n)'s for non-squarefree n, has no
-        # neighbour: its size, which may pass any float, enters no entry
-        sizes = np.array([[c[2] if c[3] else 0 for c in row] for row in cs])
+        # one w is one omega, and 2**omega - 2 cells (squarefree) or one more
+        core = w - (cs[0][-1][3] == 0)
+        bits, sizes, degs = (
+            np.array([[c[k] for c in row[:core]] for row in cs], dtype=np.int64) for k in (1, 2, 3)
+        )
         joined = (bits[:, :, None] & bits[:, None, :]) == 0
         b = np.where(joined, -sizes[:, None, :], 0)
         f = sizes.astype(np.float64)
-        sym = np.where(joined, -np.sqrt(f[:, :, None] * f[:, None, :]), 0.0)
-        b[:, range(w), range(w)] = sym[:, range(w), range(w)] = degs
+        sym = np.zeros((len(ms), w, w))
+        sym[:, :core, :core] = np.where(joined, -np.sqrt(f[:, :, None] * f[:, None, :]), 0.0)
+        b[:, range(core), range(core)] = sym[:, range(core), range(core)] = degs
         values = np.linalg.eigvalsh(sym)
         tol = np.array([tols[i] for i in members])
         # in Python floats and ints, since n - phi(n) - 1 may pass any float
@@ -308,16 +313,19 @@ def _full_spectra(
     moduli: Sequence[Modulus], cells: list, b: np.ndarray, tols: np.ndarray, values: np.ndarray
 ) -> list[SpectrumMultiset]:
     """G2 spectra of moduli whose quotients have one size, from one exact
-    charpoly call on their stack ``b`` and their eigenvalues: the structured
-    kernel, which reads the cells' supports, from ``_STRUCTURED_OMEGA``
+    charpoly call on their core stack ``b`` and their eigenvalues: the
+    structured kernel, which reads the supports, from ``_STRUCTURED_OMEGA``
     distinct primes on (one size means one omega), the dense one below."""
+    core = b.shape[1]
     try:
         if moduli and moduli[0].omega >= _STRUCTURED_OMEGA:
-            polys = structured_char_polys(b, [[c[1] for c in row] for row in cells])
+            polys = structured_char_polys(b, [[c[1] for c in row[:core]] for row in cells])
         else:
             polys = char_polys(b)
     except CharPolyError as exc:
         raise ArithmeticError(f"n={moduli[exc.index].n}: {exc.what}") from exc
+    if values.shape[1] > core:  # the zero row and column of rad(n)'s cell
+        polys = [p * IntPoly((0, 1)) for p in polys]
     rows = zip(moduli, cells, polys, values.tolist(), tols.tolist())
     return [_split_spectrum(*row) for row in rows]
 
@@ -327,16 +335,16 @@ def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
     gives it, deciding most quotients without their exact charpoly.
 
     ``_size_groups`` builds, refuses, solves and checks the quotients as for
-    ``g2_spectra``.  A group of w <= 3, whose members have at most two
-    distinct primes, is then integral without a charpoly: B 1 = 0, so B is
-    [[0]] (w = 1), has eigenvalues 0 and trace(B) (w = 2), or is such a
-    block plus the degree-0 cell of rad(n) (w = 3, n non-squarefree).
-    Every larger group takes its charpolys p modulo one word prime q
-    (``char_polys_mod``).  p(0) = 0; if c_1 is nonzero mod q, 0 is a simple
-    root; and if p(r) is nonzero mod q at every nonzero rounded eigenvalue
-    r, the complete list of integer-root candidates while tol < 1/2, then 0
-    is the only integer root and the residual degree is exactly w - 1.
-    Every other modulus goes through ``_full_spectra``.
+    ``g2_spectra``; w below is the size of their core.  A group of w <= 2,
+    whose members have at most two distinct primes, is then integral
+    without a charpoly: B 1 = 0, so the core is empty, [[0]] or has the
+    eigenvalues 0 and trace(B).  Every larger group takes its charpolys p
+    modulo one word prime q (``char_polys_mod``).  p(0) = 0; if c_1 is
+    nonzero mod q, 0 is a simple root; and if p(r) is nonzero mod q at
+    every nonzero rounded eigenvalue r, the complete list of integer-root
+    candidates while tol < 1/2, then 0 is the only integer root and the
+    residual degree is exactly w - 1, as for rad(n) when the core is
+    k * B_rad(n).  Every other modulus goes through ``_full_spectra``.
 
     Raises ArithmeticError naming the modulus if an invariant of
     ``g2_spectra`` fails, or if the residues are not monic, c_(w-1) is not
@@ -345,7 +353,7 @@ def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
     degrees = [0] * len(moduli)
     for members, ms, cells, b, tols, values in _size_groups(moduli):
         w = b.shape[1]
-        if w <= 3:
+        if w <= 2:
             continue
         prime, residues = char_polys_mod(b)
         trace = np.trace(b, axis1=1, axis2=2)

@@ -372,8 +372,8 @@ def test_quotients_with_six_primes_or_more_take_the_structured_kernel(monkeypatc
     monkeypatch.setattr(spectra, "char_polys", recording_dense)
     monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
     g2_spectra([Modulus.of(n) for n in (12, 2310, 30030, 60060, 510510)])
-    assert sorted(sizes["dense"]) == [3, 30]
-    assert sorted(sizes["structured"]) == [62, 63, 126]
+    assert sorted(sizes["dense"]) == [2, 30]
+    assert sorted(sizes["structured"]) == [62, 62, 126]
 
 
 def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
@@ -393,7 +393,7 @@ def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
     assert not calls
     monkeypatch.setattr(polynomial, "_projections", lambda size: (np.zeros(size, dtype=np.int64),) * 2)
     assert g2_spectra(moduli) == want
-    assert set(calls) == {62, 63}
+    assert set(calls) == {62}
 
 
 def test_g2_spectra_names_the_modulus_whose_structured_charpoly_fails(monkeypatch):
@@ -440,7 +440,9 @@ def test_g2_residual_degrees_match_g2_spectrum():
     ]
     family = [Modulus.of((t + 1) * (2 * t + 1) * (4 * t * t + 1)) for t in FAMILY_TS]
     assert all(m.omega == 3 for m in family)
-    for batch in (moduli, family):
+    non_squarefree = [m for m in map(Modulus.of, range(3, 5001)) if not m.is_squarefree]
+    assert len(non_squarefree) == 1958
+    for batch in (moduli, family, non_squarefree):
         want = [g2_spectrum(m).residual.degree for m in batch]
         assert g2_residual_degrees(batch) == want
     assert g2_residual_degrees(family) == [4] * len(FAMILY_TS)
@@ -459,15 +461,68 @@ def test_one_prime_rule_leaves_only_the_family_to_the_full_path(monkeypatch):
         return real(moduli, *rest)
 
     monkeypatch.setattr(spectra, "_full_spectra", recording)
-    # the scan's moduli: a non-squarefree quotient has a zero cell, so 0 is a
-    # double root there and every such modulus takes the full path
+    # the scan's moduli
     g2_residual_degrees([m for m in map(Modulus.of, range(3, 5001)) if m.is_squarefree])
     assert sorted(full) == [30, 255]
 
 
+def test_one_prime_rule_sends_a_non_squarefree_core_as_it_sends_its_radical(monkeypatch):
+    # the core of n is k * B_rad(n), and the cell of rad(n) stays out of it:
+    # a non-squarefree n takes the full path exactly when rad(n) does
+    full = []
+    real = spectra._full_spectra
+
+    def recording(moduli, *rest):
+        full.extend(m.n for m in moduli)
+        return real(moduli, *rest)
+
+    monkeypatch.setattr(spectra, "_full_spectra", recording)
+    g2_residual_degrees([m for m in map(Modulus.of, range(3, 5001)) if not m.is_squarefree])
+    want = [
+        m.n for m in map(Modulus.of, range(3, 5001)) if not m.is_squarefree and m.radical in (30, 255)
+    ]
+    assert len(want) == 47
+    assert sorted(full) == want
+
+
+def test_the_cell_of_rad_n_is_a_zero_row_of_m_and_no_row_of_the_kernels(monkeypatch):
+    # eigvalsh sees all w cells, rad(n)'s as a zero last row and column, so
+    # its input and the printed floats stay as they were; the exact kernels
+    # see only the w - 1 cells of the core
+    solved, kernels = [], []
+    real_eigvalsh = np.linalg.eigvalsh
+    dense, structured = spectra.char_polys, spectra.structured_char_polys
+
+    def recording_eigvalsh(stack):
+        solved.append(np.array(stack))
+        return real_eigvalsh(stack)
+
+    def recording_dense(stack):
+        kernels.append(np.shape(stack))
+        return dense(stack)
+
+    def recording_structured(stack, supports):
+        kernels.append(np.shape(stack))
+        return structured(stack, supports)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(spectra, "char_polys", recording_dense)
+    monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
+    for n in (84, 5040, 720720):
+        m = Modulus.of(n)
+        w = len(spectra._cells(m))
+        solved.clear()
+        kernels.clear()
+        g2_spectrum(m)
+        [stack] = solved
+        assert stack.shape == (1, w, w), n
+        assert not stack[:, -1].any() and not stack[:, :, -1].any(), n
+        assert kernels == [(1, w - 1, w - 1)], n
+
+
 def test_at_most_two_primes_take_no_charpoly(monkeypatch):
-    # B 1 = 0: B = [[0]], a 2 x 2 block with eigenvalues 0 and trace(B), or
-    # that block plus the isolated cell of rad(n); every degree is 0
+    # B 1 = 0: the core of B is empty, [[0]] or a 2 x 2 block with
+    # eigenvalues 0 and trace(B); every degree is 0
     def no_charpoly(*args):
         raise AssertionError("a quotient with at most two primes took a charpoly")
 
