@@ -8,6 +8,7 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, TextIO
@@ -279,7 +280,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call of the process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="comax",
         description="Exact Laplacian spectra of comaximal graphs of Z_n",

@@ -29,25 +29,17 @@ from .oracle import (
 from .ring_divisors import Modulus
 from .spectra import SpectrumMultiset
 
-_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class TheoremReport:
     """One checked law: a claimed value, an independently computed value,
-    and whether they agree (exact for integers, 1e-6 for floats)."""
+    and whether they agree, decided exactly."""
 
     theorem: str
     claimed: object
     computed: object
     agrees: bool
     note: str = ""
-
-
-def _values_agree(claimed, computed) -> bool:
-    if isinstance(claimed, int) and isinstance(computed, int):
-        return claimed == computed
-    return abs(float(claimed) - float(computed)) <= _TOL
 
 
 def algebraic_connectivity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:
@@ -62,7 +54,7 @@ def algebraic_connectivity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremRep
         theorem="algebraic-connectivity",
         claimed=claimed,
         computed=computed,
-        agrees=_values_agree(claimed, computed),
+        agrees=claimed == computed,
         note="complete graph (prime n)" if m.is_prime else "",
     )
 
@@ -135,8 +127,11 @@ def second_largest_report(m: Modulus, spectrum: SpectrumMultiset) -> TheoremRepo
         raise ValueError(f"second-largest law applies to composite n, got prime {m.n}")
     lam2 = spectrum.largest_below_radius()
     is_pq = m.omega == 2 and m.is_squarefree
-    equal = _values_agree(lam2, m.n - 1)
-    within = lam2 <= m.n - 1 or equal
+    # every G2 eigenvalue is at most its n - phi(n) - 1 vertices, so after
+    # the shift by phi(n) nothing below the radius exceeds n - 1, and only
+    # an exact integer eigenvalue can equal it
+    equal = spectrum.multiplicity_of(m.n - 1) > 0
+    within = lam2 <= m.n - 1
     return TheoremReport(
         theorem="second-largest-eigenvalue",
         claimed=f"== {m.n - 1}" if is_pq else f"< {m.n - 1}",

@@ -19,16 +19,21 @@ feed the one recombination, which checks every result:
     are disjoint, and then depends on j alone, as the G2 quotients' do.  A
     product with such a matrix is a subset-sum transform over the 2**omega
     masks, and Wiedemann's method (IEEE Trans. Inf. Theory 32, 1986) with
-    Berlekamp-Massey gives the charpoly modulo each prime from 2w products.
-    A matrix for which Berlekamp-Massey finds a generator of lower degree
-    modulo some prime (a repeated eigenvalue, or an unlucky projection)
-    takes the dense kernel instead.
-Integer roots are then split off by exact synthetic division at caller-supplied
-candidates.
+    Berlekamp-Massey gives the charpoly modulo each prime.  E B is
+    symmetric for E the diagonal of column values, so the symmetric form of
+    the method (Eberly & Kaltofen, ISSAC 1997) reads the 2w terms off w
+    products.  A matrix for which Berlekamp-Massey finds a generator of
+    lower degree modulo some prime (a repeated eigenvalue, a column value
+    that the prime divides, or an unlucky start vector) takes the dense
+    kernel instead.
+Integer roots are then split off at caller-supplied candidates: those where
+the polynomial vanishes modulo one word prime are decided by exact synthetic
+division.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -395,12 +400,12 @@ def structured_char_polys(
     return _recombine(stack, primes, residues)
 
 
-def _projections(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Wiedemann's projections u and v over the ``size`` support masks: two
-    fixed integer sequences of the mask index below 2**16, so that every run
-    takes the same path."""
+def _projections(size: int) -> np.ndarray:
+    """Wiedemann's start vector v over the ``size`` support masks: a fixed
+    integer sequence of the mask index below 2**16, so that every run takes
+    the same path."""
     masks = np.arange(size, dtype=np.int64)
-    return (masks * 40503 + 12345) % 65521, (masks * masks * 9973 + masks * 31 + 7) % 65519
+    return (masks * 40503 + 12345) % 65521
 
 
 def _structured_residues(
@@ -413,14 +418,22 @@ def _structured_residues(
     The supports must be positive, distinct within a matrix and fill at
     least half of the 2**omega masks.  The matrices are laid out over all
     2**omega masks; a mask that is no cell gets e = 0 and diagonal 0, and
-    the projections u and v are 0 there, so the Krylov space is that of the
-    w cells.  Then B x = diagonal * x + Z(e * x) read at the complement
-    mask, which is the reversed index, with Z the subset-sum transform
-    (``_krylov_sequence``).  Berlekamp-Massey on s_j = u^T B^j v, j < 2w,
-    gives the generator f of the sequence; f divides the minimal polynomial
-    of B mod p, which divides its characteristic polynomial, so deg f = w
-    means f is that polynomial and the row is complete.  Rows go through in
-    slices of ``_BATCH_CELLS`` mask entries.
+    the start vector v is 0 there, so the Krylov space is that of the w
+    cells.  Then B x = diagonal * x + Z(e * x) read at the complement mask,
+    which is the reversed index, with Z the subset-sum transform
+    (``_krylov_sequence``).
+
+    B = diag(diagonal) + A E with A the symmetric 0/1 matrix of disjoint
+    supports and E = diag(e), so E B is symmetric and s_j = v^T E B^j v
+    splits as x_i^T E x_k for any i + k = j, x_k = B^k v: the 2w terms come
+    from w products (the symmetric form of Wiedemann's method; Eberly &
+    Kaltofen, ISSAC 1997).  Berlekamp-Massey on s_j, j < 2w, gives the
+    generator f of the sequence; f divides the minimal polynomial of B mod
+    p, which divides its characteristic polynomial, so deg f = w means f is
+    that polynomial and the row is complete.  The left Krylov vectors
+    (B^T)^k E v = E B^k v lie in the range of E, so a prime dividing some
+    e_j, or a zero e_j, leaves the row incomplete, as a v with v^T E v = 0
+    may.  Rows go through in slices of ``_BATCH_CELLS`` mask entries.
     """
     k, w, _ = stack.shape
     masks = np.asarray(supports)
@@ -439,9 +452,11 @@ def _structured_residues(
     built[:, range(w), range(w)] = diagonal
     if not np.array_equal(built, stack):
         raise ValueError("matrices must be 0 where supports meet and one value per column elsewhere")
-    e, diag, u, v = (np.zeros((k, size), dtype=np.int64) for _ in range(4))
-    pu, pv = _projections(size)
-    for laid, cell in ((e, column), (diag, diagonal), (u, pu[masks]), (v, pv[masks])):
+    # a cell disjoint from every other has no off-diagonal entries, so any
+    # e_j keeps E B symmetric; 1 keeps E regular
+    column = np.where(disjoint.any(axis=1), column, 1)
+    e, diag, v = (np.zeros((k, size), dtype=np.int64) for _ in range(3))
+    for laid, cell in ((e, column), (diag, diagonal), (v, _projections(size)[masks])):
         np.put_along_axis(laid, masks, cell, axis=1)
     c = len(primes)
     residues = np.empty((k * c, w + 1), dtype=np.int64)
@@ -451,7 +466,7 @@ def _structured_residues(
         j = np.arange(s, min(s + batch, k * c))
         i = j // c
         p = np.array(primes, dtype=np.int64)[j % c, None]
-        seq = _krylov_sequence(e[i] % p, diag[i] % p, u[i], v[i], p, 2 * w)
+        seq = _krylov_sequence(e[i] % p, diag[i] % p, v[i], p, w)
         # poly is x**(w - deg f) * f, its leading coefficient not yet 1
         poly, degree = _berlekamp_massey(seq, p, w)
         complete[j] = degree == w
@@ -461,41 +476,52 @@ def _structured_residues(
 
 
 def _krylov_sequence(
-    e: np.ndarray, diag: np.ndarray, u: np.ndarray, v: np.ndarray, p: np.ndarray, terms: int
+    e: np.ndarray, diag: np.ndarray, v: np.ndarray, p: np.ndarray, steps: int
 ) -> np.ndarray:
-    """The (rows, terms) sequences s_j = u^T B^j v mod p of the structured
-    matrices laid out by ``_structured_residues``, every array
-    (rows, 2**omega) with ``e`` and ``diag`` reduced mod p and u, v below
-    2**16.
+    """The (rows, 2 * steps) sequences s_j = v^T E B^j v mod p of the
+    structured matrices laid out by ``_structured_residues``, E = diag(e),
+    every array (rows, 2**omega) with ``e`` and ``diag`` reduced mod p and
+    v below 2**16.
 
-    One product costs one subset-sum transform: y = e * x, then for each
-    bit, y[S | bit] += y[S] over the S without it, in place on slice views;
-    then B x = diag * x + y at the complement mask, reduced mod p once.  The
-    sum a cell reads at its complement runs over the cells disjoint from it,
-    so with its diagonal term it adds at most w products below p**2; the
-    sums at masks no cell reads may wrap, and nothing reads them.
+    Step k takes ex = e * x_k mod p, emits s_(2k - 1) = ex . x_(k-1) and
+    s_(2k) = ex . x_k, and applies B once: ``steps`` products in all, and
+    one more ex for the last term.  Each dot product has at most w nonzero
+    terms below p**2, as ex is 0 off the cells.  One product costs one
+    subset-sum transform: y = ex, then for each bit, y[S | bit] += y[S]
+    over the S without it, in place on slice views; then B x = diag * x + y
+    at the complement mask, reduced mod p once.  The sum a cell reads at
+    its complement runs over the cells disjoint from it, so with its
+    diagonal term it stays below w * p**2; the sums at masks no cell reads
+    may wrap, and nothing reads them.
     """
     rows, size = e.shape
     # masks along axis 0 and rows along axis 1, so that every slice view
     # below is contiguous in runs of at least ``rows``
-    e, diag, u = (np.ascontiguousarray(a.T) for a in (e, diag, u))
+    e, diag = (np.ascontiguousarray(a.T) for a in (e, diag))
     q = p.T
     x = np.ascontiguousarray(v.T) % q
+    last = np.empty_like(x)  # x_(k-1)
     y = np.empty_like(x)
     halves = []
     for bit in range(size.bit_length() - 1):
         pairs = y.reshape(size >> (bit + 1), 2, 1 << bit, rows)
         halves.append((pairs[:, 1], pairs[:, 0]))
     complement = y[::-1]
-    seq = np.empty((terms, rows), dtype=np.int64)
-    for j in range(terms):
-        np.einsum("ij,ij->j", x, u, out=seq[j])
+    seq = np.empty((2 * steps, rows), dtype=np.int64)
+    for k in range(steps + 1):
         np.multiply(e, x, out=y)
+        np.remainder(y, q, out=y)
+        if k:
+            np.einsum("ij,ij->j", y, last, out=seq[2 * k - 1])
+        if k == steps:
+            break
+        np.einsum("ij,ij->j", y, x, out=seq[2 * k])
         for high, low in halves:
             np.add(high, low, out=high)
-        np.multiply(x, diag, out=x)
-        np.add(x, complement, out=x)
-        np.remainder(x, q, out=x)
+        np.multiply(x, diag, out=last)
+        np.add(last, complement, out=last)
+        np.remainder(last, q, out=last)
+        x, last = last, x
     return (seq % q).T
 
 
@@ -536,6 +562,16 @@ def _berlekamp_massey(seq: np.ndarray, p: np.ndarray, w: int) -> tuple[np.ndarra
     return conn[:, ::-1], length
 
 
+def values_mod(coeffs: np.ndarray, points: np.ndarray, q: int) -> np.ndarray:
+    """p(r) mod q at each point r of ``points`` (..., k) for the polynomial
+    rows ``coeffs`` (..., d + 1), constant term first, all int64 in [0, q):
+    Horner over int64, exact while 2 * (q - 1)**2 < 2**63."""
+    acc = np.zeros_like(points)
+    for c in np.moveaxis(coeffs, -1, 0)[::-1]:
+        acc = (acc * points + c[..., None]) % q
+    return acc
+
+
 def extract_integer_roots(
     p: IntPoly, candidates: Iterable[int]
 ) -> tuple[list[tuple[int, int]], IntPoly]:
@@ -543,21 +579,31 @@ def extract_integer_roots(
 
     Returns (roots, residual) with roots as (value, multiplicity) pairs
     sorted ascending, such that prod (x - r)^mult * residual == p.  Only the
-    given candidates are tried, each decided by exact synthetic division, so
-    the residual is free of integer roots exactly when the candidates cover
-    every integer root of p.
+    given candidates, Python ints of any size, are tried.  p is first
+    evaluated at all of them at once modulo one word prime q
+    (``values_mod``); a candidate with p(r) nonzero mod q is a root of no
+    factor of p, and only the others are decided by exact synthetic
+    division.  So the residual is free of integer roots exactly when the
+    candidates cover every integer root of p.
     """
     if not p.is_monic:
         raise ValueError("expected a monic polynomial")
+    tried = sorted(set(candidates))
+    q = _word_primes(2, 1)[0]
+    screen = values_mod(
+        np.array([c % q for c in p.coeffs], dtype=np.int64),
+        np.array([r % q for r in tried], dtype=np.int64),
+        q,
+    )
     roots: list[tuple[int, int]] = []
     rem = p
-    for r in sorted(set(candidates)):
+    for r in itertools.compress(tried, (screen == 0).tolist()):
         mult = 0
         while rem.degree > 0:
-            q, remainder = rem.divide_linear(r)
+            quotient, remainder = rem.divide_linear(r)
             if remainder != 0:
                 break
-            rem = q
+            rem = quotient
             mult += 1
         if mult:
             roots.append((r, mult))

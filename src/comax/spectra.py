@@ -55,6 +55,7 @@ from .polynomial import (
     char_polys_mod,
     extract_integer_roots,
     structured_char_polys,
+    values_mod,
 )
 from .ring_divisors import Modulus
 
@@ -292,8 +293,9 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
     quotient matrix contributes the rest.  The quotients of one size w
     share one stacked ``eigvalsh`` (``_size_groups``, which refuses and
     checks them) and one ``char_polys`` call.  Rounded, each modulus's
-    eigenvalues are the integer-root candidates that exact synthetic
-    division confirms or rejects, and the eigenvalues left after removing
+    eigenvalues are the integer-root candidates that
+    ``extract_integer_roots`` screens modulo one prime and decides by
+    exact synthetic division, and the eigenvalues left after removing
     each confirmed root are the residual roots.  Total size is
     n - phi(n) - 1.
 
@@ -382,12 +384,9 @@ def _zero_is_the_only_integer_root(
     p(0) = 0 known: whether c_1 is nonzero mod ``prime`` and p is nonzero mod
     ``prime`` at each nonzero candidate of that row's ``candidates``.
 
-    Horner over int64: each product is below prime**2, under 2**63.
+    ``values_mod`` over int64: each product is below prime**2, under 2**63.
     """
-    r = candidates % prime
-    acc = np.zeros_like(r)
-    for c in residues[:, ::-1].T:
-        acc = (acc * r + c[:, None]) % prime
+    acc = values_mod(residues, candidates % prime, prime)
     return (residues[:, 1] != 0) & ((acc != 0) | (candidates == 0)).all(axis=1)
 
 

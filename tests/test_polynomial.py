@@ -377,6 +377,58 @@ def test_structured_char_polys_with_repeated_eigenvalues_take_the_dense_kernel(m
     assert got == [char_poly_matrix(generic), IntPoly.from_roots([(5, 2), (7, 2), (9, 2)])]
 
 
+def test_structured_kernel_falls_back_where_its_form_is_degenerate(monkeypatch):
+    # E B is symmetric for E = diag(column values), and the left Krylov
+    # vectors E B^k v lie in the range of E mod p: a prime that divides a
+    # cell size, or a zero column value, leaves that matrix short of degree
+    # w, and it alone goes through the dense kernel
+    dense = []
+    kernel = polynomial._residues
+
+    def recording(stack, primes):
+        dense.append(stack.tolist())
+        return kernel(stack, primes)
+
+    monkeypatch.setattr(polynomial, "_residues", recording)
+    q = polynomial._word_primes(63, 1)[0]  # the first prime at w = 62
+    sixth = 18 * q + 1
+    assert Modulus.of(sixth).is_prime
+    n = 2 * 3 * 5 * 7 * 11 * sixth
+    assert any(size % q == 0 for _, _, size, _ in _cells(Modulus.of(n)))
+    divided, masks = _quotients([n])
+    generic, generic_masks = _quotients([30030])
+    zeroed, zero_masks = _structured(random.Random(6), 6, None)
+    t = 0  # the column of a cell that has disjoint partners
+    assert any(not zero_masks[s] & zero_masks[t] for s in range(62))
+    zeroed = np.array([zeroed])
+    zeroed[0, np.arange(62) != t, t] = 0
+    stack = np.concatenate([generic, divided, zeroed])
+    supports = [generic_masks[0], masks[0], zero_masks]
+    got = structured_char_polys(stack, supports)
+    assert dense == [stack[1:].tolist()]
+    assert got == char_polys(stack)
+
+
+def test_structured_kernel_keeps_a_cell_disjoint_from_every_other(monkeypatch):
+    # the full mask meets every support, so its column has no off-diagonal
+    # entry: its e_j is read as 1, E stays regular and the matrix needs no
+    # dense fallback
+    dense = []
+    kernel = polynomial._residues
+
+    def recording(stack, primes):
+        dense.append(stack.shape)
+        return kernel(stack, primes)
+
+    monkeypatch.setattr(polynomial, "_residues", recording)
+    rows, masks = _structured(random.Random(2), 6, -7)
+    disjoint = [(s, t) for s in range(63) for t in range(63) if not masks[s] & masks[t]]
+    assert all(rows[s][t] for s, t in disjoint)  # no zero column value
+    got = structured_char_polys([rows], [masks])
+    assert not dense
+    assert got == [char_poly_matrix(rows)]
+
+
 def test_structured_char_polys_refuse_other_input():
     rows, masks = _structured(random.Random(5), 3, None)
     stack = np.array([rows])
@@ -424,6 +476,31 @@ def test_extract_integer_roots_only_tries_candidates():
     roots, residual = extract_integer_roots(p, range(0, 6))
     assert roots == [(4, 3)]
     assert residual == IntPoly((-9, 1))
+
+
+def test_extract_integer_roots_screens_candidates_modulo_one_prime(monkeypatch):
+    divided = []
+    divide = IntPoly.divide_linear
+
+    def recording(self, r):
+        divided.append(r)
+        return divide(self, r)
+
+    monkeypatch.setattr(IntPoly, "divide_linear", recording)
+    q = polynomial._word_primes(2, 1)[0]
+    big = 2**64 + 5
+    p = IntPoly.from_roots([(7, 1), (3 * q, 2), (big, 3)]) * IntPoly((1, 1, 1))
+    # 7 + q and 7 - 5q are 7 mod q, and 0 is 3q mod q: the screen lets them
+    # through, and synthetic division rejects them
+    congruent = [7 + q, 7 - 5 * q, 0, big + q * 2**70]
+    others = [1, -4, q + 1, 2**63, 2**80 + 1]
+    roots, residual = extract_integer_roots(p, [big, 7, 3 * q] + congruent + others + [7])
+    assert roots == [(7, 1), (3 * q, 2), (big, 3)]
+    assert residual == IntPoly((1, 1, 1))
+    assert not set(divided) & set(others)
+    assert set(congruent) <= set(divided)
+    # a root of multiplicity m takes m + 1 divisions, the last one with remainder
+    assert divided.count(big) == 4 and divided.count(3 * q) == 3
 
 
 def test_extract_integer_roots_requires_monic():

@@ -366,6 +366,37 @@ def test_cli_spectrum_csv(capsys):
     assert sum(1 for ln in lines[1:] if ln.endswith("false")) == 4
 
 
+# a JSON and a pretty spectrum, a usage error and a verify
+PARSER_RUNS = (
+    ["spectrum", "30", "--format", "json"],
+    ["spectrum", "30"],
+    ["spectrum"],
+    ["verify", "12"],
+)
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_calls_share_one_parser_and_no_state(capsys):
+    cli.build_parser.cache_clear()
+    assert cli.build_parser() is cli.build_parser()
+    shared = [_outcome(argv, capsys) for argv in PARSER_RUNS]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert "usage: comax spectrum" in shared[2][2]
+    fresh = []
+    for argv in PARSER_RUNS:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert shared == fresh
+
+
 def test_cli_spectrum_rejects_small_n():
     code, _, err = run_cli("spectrum", "2")
     assert code == 2

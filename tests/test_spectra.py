@@ -342,6 +342,28 @@ def test_non_squarefree_spectrum_is_that_of_its_radical():
     assert checked == 1166
 
 
+def test_non_roots_never_reach_synthetic_division(monkeypatch):
+    divided, split = [], []
+    divide, extract = IntPoly.divide_linear, spectra.extract_integer_roots
+
+    def recording_divide(self, r):
+        divided.append(r)
+        return divide(self, r)
+
+    def recording_extract(p, candidates):
+        candidates = set(candidates)
+        roots, residual = extract(p, candidates)
+        split.append((candidates, {r for r, _ in roots}))
+        return roots, residual
+
+    monkeypatch.setattr(IntPoly, "divide_linear", recording_divide)
+    monkeypatch.setattr(spectra, "extract_integer_roots", recording_extract)
+    g2_spectrum(Modulus.of(30030))
+    [(candidates, roots)] = split
+    assert len(candidates - roots) > 10
+    assert set(divided) == roots
+
+
 def test_g2_spectra_names_the_modulus_whose_charpoly_fails(monkeypatch):
     kernel = polynomial._char_poly_mod
     w30 = g2_quotient(Modulus.of(30)).w
@@ -377,7 +399,7 @@ def test_quotients_with_six_primes_or_more_take_the_structured_kernel(monkeypatc
 
 
 def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
-    # zero projections make every Krylov sequence 0: Berlekamp-Massey returns
+    # a zero start vector makes every Krylov sequence 0: Berlekamp-Massey returns
     # the generator 1, of degree 0 < w, so each modulus takes the dense kernel
     moduli = [Modulus.of(n) for n in (30030, 39270, 60060)]
     want = g2_spectra(moduli)
@@ -391,7 +413,7 @@ def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
     monkeypatch.setattr(polynomial, "_char_poly_mod", recording)
     assert g2_spectra(moduli) == want
     assert not calls
-    monkeypatch.setattr(polynomial, "_projections", lambda size: (np.zeros(size, dtype=np.int64),) * 2)
+    monkeypatch.setattr(polynomial, "_projections", lambda size: np.zeros(size, dtype=np.int64))
     assert g2_spectra(moduli) == want
     assert set(calls) == {62}
 
