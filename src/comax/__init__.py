@@ -17,10 +17,8 @@ from .polynomial import IntPoly
 from .ring_divisors import Modulus
 from .scan import ScanRecord, scan_range
 from .spectra import (
-    QuotientMatrix,
     SpectrumMultiset,
     full_spectrum,
-    g2_quotient,
     g2_spectrum,
 )
 
@@ -29,11 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "IntPoly",
     "Modulus",
-    "QuotientMatrix",
     "ScanRecord",
     "SpectrumMultiset",
     "full_spectrum",
-    "g2_quotient",
     "g2_spectrum",
     "scan_range",
 ]

@@ -12,12 +12,12 @@ augmenting paths on a vertex-split residual matrix read off it, capped at a
 few hundred vertices.
 Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it.  The one exception is the dense exact
-charpoly kernel ``char_poly_matrix``, which this module and the pipeline's
-quotients with at most five distinct primes use on different matrices;
-from six primes on, production takes the structured kernel and shares no
-kernel with the oracle.  The tests check the dense kernel independently,
-against sympy and against a fraction-free determinant of their own at
-random points.
+charpoly kernel, which this module (``char_poly_matrix``) and the pipeline
+use on different matrices: ``g2_spectra`` takes it for quotients with at
+most five distinct primes (the structured kernel from six on), and the
+scan's one-prime rule takes it modulo one prime at every omega.  The tests
+check the dense kernel independently, against sympy and against a
+fraction-free determinant of their own at random points.
 """
 
 from __future__ import annotations

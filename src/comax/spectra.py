@@ -61,31 +61,12 @@ from .ring_divisors import Modulus
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Quotients of moduli with this many distinct primes or more (w >= 62) take
-# the structured charpoly kernel.  On a 2-CPU VM it took 14 ms for 30030
-# against the dense kernel's 44 ms, but no less for 2310 (omega = 5, 4-5 ms);
-# the smaller quotients stay with the dense kernel, which the scan's
-# one-prime path shares.
+# In ``g2_spectra``, quotients of moduli with this many distinct primes or
+# more (w >= 62) take the structured charpoly kernel.  On a 2-CPU VM it took
+# 14 ms for 30030 against the dense kernel's 44 ms, but no less for 2310
+# (omega = 5, 4-5 ms); the smaller quotients stay with the dense kernel.
+# The scan's one-prime rule takes the dense kernel at every omega.
 _STRUCTURED_OMEGA = 6
-
-
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Integer quotient matrix B of G2 over its nonempty cells.
-
-    ``divisors`` holds the cell labels r_i, ascending (for squarefree n, the
-    proper divisors); ``sizes[i]`` is |C_{r_i}|; the diagonal entry is the
-    cell degree N_{r_i} (every vertex of C_{r_i} has exactly N_{r_i}
-    neighbors in G2), and B[i][j] = -sizes[j] when gcd(r_i, r_j) = 1.
-    """
-
-    divisors: tuple[int, ...]
-    sizes: tuple[int, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def w(self) -> int:
-        return len(self.divisors)
 
 
 def _cells(m: Modulus) -> list[tuple[int, int, int, int]]:
@@ -106,16 +87,6 @@ def _cells(m: Modulus) -> list[tuple[int, int, int, int]]:
     rad = (1 << m.omega) - 1  # the support of rad(n), whose cell holds 0
     cells = [(r, s, size - (s == rad), deg - m.phi) for r, s, size, deg in cells if s]
     return sorted(c for c in cells if c[2])
-
-
-def g2_quotient(m: Modulus) -> QuotientMatrix:
-    """The quotient matrix B of G2 over its ``_cells`` (empty for prime n)."""
-    cells = _cells(m)
-    rows = tuple(
-        tuple(deg if s == t else 0 if s & t else -size for _, t, size, _ in cells)
-        for _, s, _, deg in cells
-    )
-    return QuotientMatrix(tuple(c[0] for c in cells), tuple(c[2] for c in cells), rows)
 
 
 @dataclass(frozen=True)
@@ -292,9 +263,11 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
     Per cell: the cell degree with multiplicity (cell size - 1); the
     quotient matrix contributes the rest.  The quotients of one size w
     share one stacked ``eigvalsh`` (``_size_groups``, which refuses and
-    checks them) and one ``char_polys`` call.  Rounded, each modulus's
-    eigenvalues are the integer-root candidates that
-    ``extract_integer_roots`` screens modulo one prime and decides by
+    checks them) and one exact charpoly call on their core stack: the
+    structured kernel, which reads the supports, from ``_STRUCTURED_OMEGA``
+    distinct primes on (one size means one omega), the dense one below.
+    Rounded, each modulus's eigenvalues are the integer-root candidates
+    that ``extract_integer_roots`` screens modulo one prime and decides by
     exact synthetic division, and the eigenvalues left after removing
     each confirmed root are the residual roots.  Total size is
     n - phi(n) - 1.
@@ -305,31 +278,21 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
     exact coefficient (Vieta).
     """
     out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
-    for members, *group in _size_groups(moduli):
-        for i, s in zip(members, _full_spectra(*group)):
-            out[i] = s
+    for members, ms, cells, b, tols, values in _size_groups(moduli):
+        core = b.shape[1]
+        try:
+            if ms[0].omega >= _STRUCTURED_OMEGA:
+                polys = structured_char_polys(b, [[c[1] for c in row[:core]] for row in cells])
+            else:
+                polys = char_polys(b)
+        except CharPolyError as exc:
+            raise ArithmeticError(f"n={ms[exc.index].n}: {exc.what}") from exc
+        if values.shape[1] > core:  # the zero row and column of rad(n)'s cell
+            polys = [p * IntPoly((0, 1)) for p in polys]
+        rows = zip(ms, cells, polys, values.tolist(), tols.tolist())
+        for i, row in zip(members, rows):
+            out[i] = _split_spectrum(*row)
     return out
-
-
-def _full_spectra(
-    moduli: Sequence[Modulus], cells: list, b: np.ndarray, tols: np.ndarray, values: np.ndarray
-) -> list[SpectrumMultiset]:
-    """G2 spectra of moduli whose quotients have one size, from one exact
-    charpoly call on their core stack ``b`` and their eigenvalues: the
-    structured kernel, which reads the supports, from ``_STRUCTURED_OMEGA``
-    distinct primes on (one size means one omega), the dense one below."""
-    core = b.shape[1]
-    try:
-        if moduli and moduli[0].omega >= _STRUCTURED_OMEGA:
-            polys = structured_char_polys(b, [[c[1] for c in row[:core]] for row in cells])
-        else:
-            polys = char_polys(b)
-    except CharPolyError as exc:
-        raise ArithmeticError(f"n={moduli[exc.index].n}: {exc.what}") from exc
-    if values.shape[1] > core:  # the zero row and column of rad(n)'s cell
-        polys = [p * IntPoly((0, 1)) for p in polys]
-    rows = zip(moduli, cells, polys, values.tolist(), tols.tolist())
-    return [_split_spectrum(*row) for row in rows]
 
 
 def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
@@ -341,19 +304,21 @@ def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
     whose members have at most two distinct primes, is then integral
     without a charpoly: B 1 = 0, so the core is empty, [[0]] or has the
     eigenvalues 0 and trace(B).  Every larger group takes its charpolys p
-    modulo one word prime q (``char_polys_mod``).  p(0) = 0; if c_1 is
-    nonzero mod q, 0 is a simple root; and if p(r) is nonzero mod q at
-    every nonzero rounded eigenvalue r, the complete list of integer-root
-    candidates while tol < 1/2, then 0 is the only integer root and the
-    residual degree is exactly w - 1, as for rad(n) when the core is
-    k * B_rad(n).  Every other modulus goes through ``_full_spectra``.
+    modulo one word prime q (``char_polys_mod``, the dense kernel at every
+    omega).  p(0) = 0; if c_1 is nonzero mod q, 0 is a simple root; and if
+    p(r) is nonzero mod q at every nonzero rounded eigenvalue r, the
+    complete list of integer-root candidates while tol < 1/2, then 0 is the
+    only integer root and the residual degree is exactly w - 1, as for
+    rad(n) when the core is k * B_rad(n).  The moduli this leaves undecided
+    take one ``g2_spectra`` call, and their degree is that of its residual.
 
     Raises ArithmeticError naming the modulus if an invariant of
     ``g2_spectra`` fails, or if the residues are not monic, c_(w-1) is not
     -trace(B) mod q or c_0 is not 0 mod q.
     """
     degrees = [0] * len(moduli)
-    for members, ms, cells, b, tols, values in _size_groups(moduli):
+    undecided: list[int] = []
+    for members, ms, _, b, _, values in _size_groups(moduli):
         w = b.shape[1]
         if w <= 2:
             continue
@@ -366,14 +331,15 @@ def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
         ))
         candidates = np.rint(values).astype(np.int64)
         decided = _zero_is_the_only_integer_root(residues, prime, candidates)
-        for j in np.flatnonzero(decided).tolist():
-            degrees[members[j]] = w - 1
-        full = np.flatnonzero(~decided).tolist()
-        spectra = _full_spectra(
-            [ms[j] for j in full], [cells[j] for j in full], b[full], tols[full], values[full]
-        )
-        for j, s in zip(full, spectra):
-            degrees[members[j]] = s.residual.degree
+        for i, one in zip(members, decided.tolist()):
+            if one:
+                degrees[i] = w - 1
+            else:
+                undecided.append(i)
+    if undecided:
+        spectra = g2_spectra([moduli[i] for i in undecided])
+        for i, s in zip(undecided, spectra):
+            degrees[i] = s.residual.degree
     return degrees
 
 

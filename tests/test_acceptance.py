@@ -28,9 +28,9 @@ from comax.oracle import (
 )
 from comax.ring_divisors import Modulus
 from comax.spectra import (
+    _size_groups,
     closed_form_spectrum,
     full_spectrum,
-    g2_quotient,
 )
 
 TOL = 1e-6
@@ -283,9 +283,10 @@ def test_criterion_09_three_prime_worked_example():
     violations = []
     for p, q, r in [(2, 3, 5), (3, 5, 7)]:
         n = p * q * r
-        qm = g2_quotient(Modulus.of(n))
-        diag = {d: qm.entries[i][i] for i, d in enumerate(qm.divisors)}
-        size = {d: qm.sizes[i] for i, d in enumerate(qm.divisors)}
+        # the cells and the int64 B the pipeline builds (squarefree: B is its core)
+        [(_, _, [cells], [b], _, _)] = _size_groups([Modulus.of(n)])
+        diag = {d: v for (d, _, _, _), v in zip(cells, b.diagonal().tolist())}
+        size = {d: k for d, _, k, _ in cells}
         expected_diag = {
             p: (p - 1) * (q + r - 1),
             q: (q - 1) * (p + r - 1),

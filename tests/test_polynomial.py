@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from comax import polynomial
+from comax import polynomial, spectra
 from comax.polynomial import (
     CharPolyError,
     IntPoly,
@@ -15,7 +15,7 @@ from comax.polynomial import (
     structured_char_polys,
 )
 from comax.ring_divisors import Modulus
-from comax.spectra import _cells, g2_quotient
+from comax.spectra import _cells
 from reference import bareiss_det
 
 
@@ -158,7 +158,8 @@ def test_char_poly_entries_beyond_int64_vs_sympy():
 def test_char_poly_matches_bareiss_at_points_on_quotients():
     rng = random.Random(11)
     for n in (2310, 5040, 15120, 30030):
-        b = g2_quotient(Modulus.of(n)).entries
+        [b], _ = _quotients([n])
+        b = b.tolist()
         p = char_poly_matrix(b)
         for x in (rng.randrange(-n, n) for _ in range(3)):
             shifted = [[(x if i == j else 0) - v for j, v in enumerate(row)]
@@ -243,7 +244,7 @@ def test_char_poly_checks_the_trace(monkeypatch):
 def _batches():
     """One batch per size, each mixing small entries (one prime) with entries
     near 2**62 (many primes), so matrices with very different Hadamard bounds
-    share one list of primes; sizes 3 and 30 add G2 quotients."""
+    share one list of primes; sizes 2 and 30 add cores of G2 quotients."""
     rng = random.Random(8)
     batches = {0: [[], []]}
     for k in (1, 2, 3, 5, 9, 30):
@@ -252,8 +253,10 @@ def _batches():
             for top in (9, 2**62, 9, 2**62 - 1)
         ]
     batches[3].append([[2**62 + 3 * i - j for j in range(3)] for i in range(3)])
-    for n, k in ((12, 3), (2310, 30), (2730, 30)):
-        batches[k].append(g2_quotient(Modulus.of(n)).entries)
+    for n, k in ((12, 2), (2310, 30), (2730, 30)):
+        [b], _ = _quotients([n])
+        assert len(b) == k
+        batches[k].append(b.tolist())
     return batches
 
 
@@ -308,14 +311,15 @@ OMEGA_6_OTHER = (60060, 78540, 87780, 90090, 92820, 103740, 106260, 117810, 1201
 
 
 def _quotients(ns):
-    """The G2 quotients of ``ns`` as one int64 stack, with their cell supports."""
-    moduli = [Modulus.of(n) for n in ns]
-    stack = np.array([g2_quotient(m).entries for m in moduli], dtype=np.int64)
-    return stack, [[s for _, s, _, _ in _cells(m)] for m in moduli]
+    """The int64 stack of the cores of B that the pipeline builds for ``ns``
+    (``_size_groups``, one size), with their cell supports."""
+    [(_, _, cells, stack, _, _)] = spectra._size_groups([Modulus.of(n) for n in ns])
+    return stack, [[s for _, s, _, _ in row[: stack.shape[1]]] for row in cells]
 
 
 def test_structured_char_polys_equal_char_polys_at_six_primes():
-    for ns, sizes in ((OMEGA_6_SQUAREFREE, (62,)), (OMEGA_6_OTHER, (63,))):
+    # rad(n)'s cell of a non-squarefree n is no row of its core
+    for ns, sizes in ((OMEGA_6_SQUAREFREE, (62,)), (OMEGA_6_OTHER, (62,))):
         moduli = [Modulus.of(n) for n in ns]
         assert all(m.omega == 6 for m in moduli)
         assert {m.is_squarefree for m in moduli} == {ns == OMEGA_6_SQUAREFREE}
@@ -334,13 +338,16 @@ def test_structured_residues_equal_the_dense_kernel_modulo_one_prime(n):
     assert got.tolist() == want.tolist()
 
 
+NONZERO = [v for v in range(-50, 51) if v]
+
+
 def _structured(rng, omega, isolated_top):
     """A random matrix of the structured form over the nonempty masks below
     2**omega, in shuffled order; the mask of every prime is left out, or
     kept as an isolated cell with diagonal ``isolated_top``."""
     masks = list(range(1, 2**omega - 1)) + ([2**omega - 1] if isolated_top is not None else [])
     rng.shuffle(masks)
-    column = {s: rng.randrange(-50, 51) for s in masks}
+    column = {s: rng.choice(NONZERO) for s in masks}
     rows = [
         [(rng.randrange(-99, 100) if s != 2**omega - 1 else isolated_top) if s == t
          else (column[t] if not s & t else 0) for t in masks]
@@ -349,13 +356,25 @@ def _structured(rng, omega, isolated_top):
     return rows, masks
 
 
-def test_structured_char_polys_of_random_structured_matrices():
+def test_structured_char_polys_of_random_structured_matrices(monkeypatch):
+    # every column value is nonzero, so no matrix takes the dense fallback
+    dense = []
+    kernel = polynomial._residues
+
+    def recording(stack, primes):
+        dense.append(stack.shape)
+        return kernel(stack, primes)
+
     rng = random.Random(21)
     for omega in (2, 3, 4, 6):
         for top in (None, 0, -7):
             batch = [_structured(rng, omega, top) for _ in range(3)]
             stack = [rows for rows, _ in batch]
-            assert structured_char_polys(stack, [m for _, m in batch]) == char_polys(stack)
+            want = char_polys(stack)
+            with monkeypatch.context() as patched:
+                patched.setattr(polynomial, "_residues", recording)
+                assert structured_char_polys(stack, [m for _, m in batch]) == want
+    assert not dense
 
 
 def test_structured_char_polys_with_repeated_eigenvalues_take_the_dense_kernel(monkeypatch):

@@ -12,34 +12,39 @@ from comax.polynomial import IntPoly, char_poly_matrix
 from comax.ring_divisors import Modulus
 from comax.spectra import (
     SpectrumMultiset,
+    _cells,
     closed_form_spectrum,
     full_spectrum,
-    g2_quotient,
     g2_residual_degrees,
     g2_spectra,
     g2_spectrum,
     spectrum_json_dict,
 )
-from reference import degree
+from reference import adjacent, degree
+
+
+def _core(n: int) -> np.ndarray:
+    """The int64 core of B that the pipeline builds for n (``_size_groups``):
+    its cells in ``_cells`` order, less rad(n)'s isolated cell; 0 x 0 for
+    prime n."""
+    groups = spectra._size_groups([Modulus.of(n)])
+    return groups[0][3][0] if groups else np.zeros((0, 0), dtype=np.int64)
 
 
 def test_g2_quotient_12():
-    # cells by prime support: {2, 4, 8, 10} -> 2, {3, 9} -> 3, {6} -> 6 (0 is not in G2)
-    q = g2_quotient(Modulus.of(12))
-    assert q.divisors == (2, 3, 6)
-    assert q.sizes == (4, 2, 1)
-    assert q.entries == (
-        (2, -2, 0),
-        (-4, 4, 0),
-        (0, 0, 0),
-    )
+    # cells by prime support: {2, 4, 8, 10} -> 2, {3, 9} -> 3, {6} -> 6 (0 is
+    # not in G2); 6's cell meets every support, so it is no row of the core
+    assert _cells(Modulus.of(12)) == [(2, 0b01, 4, 2), (3, 0b10, 2, 4), (6, 0b11, 1, 0)]
+    assert _core(12).tolist() == [[2, -2], [-4, 4]]
 
 
-def test_g2_quotient_cells_by_prime_support():
-    # every cell against a direct count of x in 1..n-1 by rad(gcd(x, n)), and
-    # every cell degree against the G2 degree of each x in the cell: its
-    # degree in the whole graph less the units
-    for n in range(3, 400):
+def test_production_quotient_matches_the_definition():
+    # every cell against a direct count of x in 1..n-1 by rad(gcd(x, n)); for
+    # one vertex x per cell, its neighbours in every other cell against minus
+    # the off-diagonal entries of the core of B, and its G2 degree (its degree
+    # in the whole graph less the units) against the diagonal; rad(n)'s cell
+    # of a non-squarefree n, outside the core, has no neighbour
+    for n in range(3, 401):
         m = Modulus.of(n)
         labels = {
             x: math.prod(p for p in m.distinct_primes if math.gcd(x, n) % p == 0)
@@ -47,16 +52,30 @@ def test_g2_quotient_cells_by_prime_support():
         }
         counts = Counter(labels.values())
         units = counts.pop(1)
-        q = g2_quotient(m)
-        assert dict(zip(q.divisors, q.sizes)) == dict(counts), n
-        assert q.divisors == tuple(sorted(counts))
-        assert q.w <= 2**m.omega - 1
+        cells = _cells(m)
+        assert [(r, size) for r, _, size, _ in cells] == sorted(counts.items()), n
+        assert len(cells) <= 2**m.omega - 1
+        index = {r: i for i, (r, _, _, _) in enumerate(cells)}
+        reps: dict[int, int] = {}
         for x, r in labels.items():
             if r > 1:
-                i = q.divisors.index(r)
-                assert q.entries[i][i] == degree(n, x) - units, (n, x)
-    assert g2_quotient(Modulus.of(55440)).w == 31
-    assert g2_quotient(Modulus.of(720720)).w == 63
+                reps.setdefault(r, x)
+        want = np.zeros((len(cells), len(cells)), dtype=np.int64)
+        for r, x in reps.items():
+            near = Counter(t for y, t in labels.items() if t > 1 and adjacent(n, x, y))
+            assert near[r] == 0, (n, x)  # each cell is a null graph
+            assert sum(near.values()) == degree(n, x) - units, (n, x)
+            for t, k in near.items():
+                want[index[r], index[t]] = -k
+            want[index[r], index[r]] = degree(n, x) - units
+        assert np.diag(want).tolist() == [deg for _, _, _, deg in cells], n
+        core = _core(n)
+        k = len(core)
+        assert k == len(cells) - (not m.is_squarefree), n
+        assert np.array_equal(core, want[:k, :k]), n
+        assert not want[k:].any() and not want[:, k:].any(), n
+    assert len(_cells(Modulus.of(55440))) == 31
+    assert len(_cells(Modulus.of(720720))) == 63
 
 
 @pytest.mark.parametrize("p, a", [(3, 700), (2, 100)])
@@ -64,18 +83,17 @@ def test_prime_power_beyond_float_range_has_its_closed_form(p, a):
     # one cell, of size p^(a-1) - 1 (past the float range at 3^700), and
     # no neighbour in G2: the size must not enter a float or int64 array
     m = Modulus.of(p**a)
-    q = g2_quotient(m)
-    assert q.divisors == (p,)
-    assert q.sizes == (p ** (a - 1) - 1,)
-    assert q.entries == ((0,),)
+    assert _cells(m) == [(p, 1, p ** (a - 1) - 1, 0)]
+    assert _core(p**a).shape == (0, 0)
     assert full_spectrum(m) == closed_form_spectrum(m)
     assert g2_residual_degrees([m]) == [0]
 
 
 def test_g2_quotient_prime_is_empty():
-    q = g2_quotient(Modulus.of(7))
-    assert q.w == 0
-    assert char_poly_matrix(q.entries) == IntPoly.one()
+    m = Modulus.of(7)
+    assert _cells(m) == []
+    assert spectra._size_groups([m]) == []
+    assert char_poly_matrix(()) == IntPoly.one()
 
 
 def test_g2_quotient_pqr_closed_formulas():
@@ -83,16 +101,17 @@ def test_g2_quotient_pqr_closed_formulas():
     # sizes |A_p|=(q-1)(r-1), |A_pq|=r-1 etc.
     for p, q, r in [(2, 3, 5), (3, 5, 7)]:
         n = p * q * r
-        qm = g2_quotient(Modulus.of(n))
-        diag = {d: qm.entries[i][i] for i, d in enumerate(qm.divisors)}
-        size = {d: qm.sizes[i] for i, d in enumerate(qm.divisors)}
+        cells = _cells(Modulus.of(n))
+        diag = {d: deg for d, _, _, deg in cells}
+        size = {d: k for d, _, k, _ in cells}
         assert diag[p] == (p - 1) * (q + r - 1)
         assert diag[q] == (q - 1) * (p + r - 1)
         assert diag[r] == (r - 1) * (p + q - 1)
         # the degree of class p is the total size of its coprime cells
-        row = qm.divisors.index(p)
-        off_diagonal = [b for j, b in enumerate(qm.entries[row]) if j != row]
-        assert -sum(off_diagonal) == diag[p]
+        b = _core(n)
+        row = [d for d, _, _, _ in cells].index(p)
+        assert b[row, row] == diag[p]
+        assert -(b[row].sum() - b[row, row]) == diag[p]
         assert diag[p * q] == (p - 1) * (q - 1)
         assert diag[p * r] == (p - 1) * (r - 1)
         assert diag[q * r] == (q - 1) * (r - 1)
@@ -106,18 +125,15 @@ def test_g2_quotient_pqr_closed_formulas():
 
 def test_g2_quotient_30_diagonal():
     # direct class computation: N_5 = |A_2| + |A_3| + |A_6| = 8 + 4 + 4 = 16
-    q = g2_quotient(Modulus.of(30))
-    assert q.divisors == (2, 3, 5, 6, 10, 15)
-    assert tuple(q.entries[i][i] for i in range(6)) == (7, 12, 16, 2, 4, 8)
+    cells = _cells(Modulus.of(30))
+    assert [r for r, _, _, _ in cells] == [2, 3, 5, 6, 10, 15]
+    assert [deg for _, _, _, deg in cells] == [7, 12, 16, 2, 4, 8]
+    assert np.diag(_core(30)).tolist() == [7, 12, 16, 2, 4, 8]
 
 
 def test_quotient_row_identity():
     for n in range(4, 200):
-        q = g2_quotient(Modulus.of(n))
-        for i in range(q.w):
-            assert q.entries[i][i] == -sum(
-                q.entries[i][j] for j in range(q.w) if j != i
-            )
+        assert not _core(n).sum(axis=1).any(), n
 
 
 def test_g2_spectrum_examples():
@@ -179,15 +195,17 @@ def test_quotient_spectrum_matches_symmetric_form():
     # B is a diagonal similarity of the symmetric quotient M with entries
     # -sqrt(size_i * size_j); their spectra must coincide
     for n in range(4, 201):
-        q = g2_quotient(Modulus.of(n))
-        if q.w == 0:
+        cells = _cells(Modulus.of(n))
+        w = len(cells)
+        if w == 0:
             continue
-        mat = np.zeros((q.w, q.w))
-        for i in range(q.w):
-            mat[i, i] = q.entries[i][i]
-            for j in range(q.w):
-                if i != j and q.entries[i][j] != 0:
-                    mat[i, j] = -math.sqrt(q.sizes[i] * q.sizes[j])
+        # M over all w cells: rad(n)'s cell, outside the core, is a zero row
+        b = _core(n)
+        k = len(b)
+        sizes = np.array([size for _, _, size, _ in cells], dtype=float)
+        mat = np.zeros((w, w))
+        mat[:k, :k] = np.where(b != 0, -np.sqrt(np.outer(sizes[:k], sizes[:k])), 0.0)
+        mat[range(w), range(w)] = [deg for _, _, _, deg in cells]
         sym_eigs = np.linalg.eigvalsh(mat)
         s = g2_spectrum(Modulus.of(n))
         quotient_roots = sorted(
@@ -196,15 +214,15 @@ def test_quotient_spectrum_matches_symmetric_form():
         )
         # remove the class-branch eigenvalues, keeping only quotient roots
         class_part = Counter()
-        for i in range(q.w):
-            if q.sizes[i] - 1 > 0:
-                class_part[q.entries[i][i]] += q.sizes[i] - 1
+        for _, _, size, deg in cells:
+            if size - 1 > 0:
+                class_part[deg] += size - 1
         for v, c in class_part.items():
             for _ in range(c):
                 quotient_roots.remove(
                     min(quotient_roots, key=lambda t: abs(t - v))
                 )
-        assert len(quotient_roots) == q.w
+        assert len(quotient_roots) == w
         assert max(
             abs(a - b) for a, b in zip(sorted(quotient_roots), sym_eigs)
         ) < 1e-7, n
@@ -314,8 +332,8 @@ def test_g2_spectra_match_one_modulus_at_a_time():
         alone = g2_spectrum(m)
         assert batched.integer_part == alone.integer_part, m.n
         assert batched.residual == alone.residual, m.n
-        q = g2_quotient(m)
-        tol = q.w * 2 * max((q.entries[i][i] for i in range(q.w)), default=0) * np.finfo(float).eps
+        cells = _cells(m)
+        tol = len(cells) * 2 * max((c[3] for c in cells), default=0) * np.finfo(float).eps
         assert len(batched.residual_values) == len(alone.residual_values), m.n
         for a, b in zip(batched.residual_values, alone.residual_values):
             assert abs(a - b) <= tol, m.n
@@ -366,7 +384,7 @@ def test_non_roots_never_reach_synthetic_division(monkeypatch):
 
 def test_g2_spectra_names_the_modulus_whose_charpoly_fails(monkeypatch):
     kernel = polynomial._char_poly_mod
-    w30 = g2_quotient(Modulus.of(30)).w
+    w30 = len(_cells(Modulus.of(30)))
 
     def off_by_one_trace(h, mods):
         out = kernel(h, mods)
@@ -420,13 +438,13 @@ def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
 
 def test_g2_spectra_names_the_modulus_whose_structured_charpoly_fails(monkeypatch):
     residues = polynomial._structured_residues
-    b = g2_quotient(Modulus.of(39270)).entries
+    b = _core(39270)
 
     def off_by_one_trace(stack, supports, primes):
         out, complete = residues(stack, supports, primes)
         c = len(primes)
-        for i, m in enumerate(stack.tolist()):
-            if tuple(map(tuple, m)) == b:
+        for i, m in enumerate(stack):
+            if np.array_equal(m, b):
                 rows = slice(i * c, (i + 1) * c)
                 out[rows, -2] = (out[rows, -2] + 1) % np.array(primes)
         return out, complete
@@ -476,13 +494,13 @@ def test_g2_residual_degrees_match_g2_spectrum():
 
 def test_one_prime_rule_leaves_only_the_family_to_the_full_path(monkeypatch):
     full = []
-    real = spectra._full_spectra
+    real = spectra.g2_spectra
 
-    def recording(moduli, *rest):
+    def recording(moduli):
         full.extend(m.n for m in moduli if m.omega >= 3)
-        return real(moduli, *rest)
+        return real(moduli)
 
-    monkeypatch.setattr(spectra, "_full_spectra", recording)
+    monkeypatch.setattr(spectra, "g2_spectra", recording)
     # the scan's moduli
     g2_residual_degrees([m for m in map(Modulus.of, range(3, 5001)) if m.is_squarefree])
     assert sorted(full) == [30, 255]
@@ -492,13 +510,13 @@ def test_one_prime_rule_sends_a_non_squarefree_core_as_it_sends_its_radical(monk
     # the core of n is k * B_rad(n), and the cell of rad(n) stays out of it:
     # a non-squarefree n takes the full path exactly when rad(n) does
     full = []
-    real = spectra._full_spectra
+    real = spectra.g2_spectra
 
-    def recording(moduli, *rest):
+    def recording(moduli):
         full.extend(m.n for m in moduli)
-        return real(moduli, *rest)
+        return real(moduli)
 
-    monkeypatch.setattr(spectra, "_full_spectra", recording)
+    monkeypatch.setattr(spectra, "g2_spectra", recording)
     g2_residual_degrees([m for m in map(Modulus.of, range(3, 5001)) if not m.is_squarefree])
     want = [
         m.n for m in map(Modulus.of, range(3, 5001)) if not m.is_squarefree and m.radical in (30, 255)
@@ -554,7 +572,7 @@ def test_at_most_two_primes_take_no_charpoly(monkeypatch):
     want = [g2_spectrum(m).residual.degree for m in moduli]
     assert want == [0] * len(moduli)
     monkeypatch.setattr(spectra, "char_polys_mod", no_charpoly)
-    monkeypatch.setattr(spectra, "_full_spectra", no_charpoly)
+    monkeypatch.setattr(spectra, "g2_spectra", no_charpoly)
     assert g2_residual_degrees(moduli) == want
 
 
@@ -568,12 +586,12 @@ def test_at_most_two_primes_take_no_charpoly(monkeypatch):
 )
 def test_one_prime_rule_names_the_modulus_whose_residue_fails(monkeypatch, column, what):
     real = spectra.char_polys_mod
-    b42 = g2_quotient(Modulus.of(42)).entries
+    b42 = _core(42)
 
     def corrupted(stack):
         q, residues = real(stack)
-        for i, b in enumerate(stack.tolist()):
-            if tuple(map(tuple, b)) == b42:
+        for i, b in enumerate(stack):
+            if np.array_equal(b, b42):
                 residues[i, column] = (residues[i, column] + 1) % q
         return q, residues
 
@@ -596,7 +614,7 @@ def test_one_prime_rule_names_the_modulus_whose_eigenvalues_fail(monkeypatch, in
     real = np.linalg.eigvalsh
     moduli = [Modulus.of(n) for n in (12, 15, 29, 30, 42, 66)]
     for n, at in ((42, index), (15, 0)):
-        diag = np.diag(g2_quotient(Modulus.of(n)).entries)
+        diag = [deg for _, _, _, deg in _cells(Modulus.of(n))]
 
         def moved(stack):
             values = real(stack)
