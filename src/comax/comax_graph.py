@@ -9,8 +9,8 @@ the prime-support quotient in ``spectra``.  The divisor classes
 A_d = {x : gcd(x, n) = d} appear only in the ``graph n classes`` summary.
 One edge rule serves every graph consumer: a coprimality table over the
 distinct gcd(x, n).  The boolean adjacency matrix indexes it whole and feeds
-the dense Laplacian (float64 with integer entries, built once for the
-eigensolver) and every brute-force oracle; the edge exports read its
+the dense Laplacian (float64 with integer entries, which the eigensolver
+reads without a copy) and every brute-force oracle; the edge exports read its
 upper triangle one row at a time, so they stream in O(n) memory.
 """
 
@@ -37,7 +37,9 @@ def adjacency(m: Modulus, verts: Sequence[int]) -> np.ndarray:
     """Boolean adjacency matrix of the subgraph induced on ``verts``: the gcd
     table indexed by each vertex's position in it, with a False diagonal."""
     table, index = _gcd_table(m, verts)
-    adj = table[np.ix_(index, index)]
+    # table[index][:, index] gathered as rows twice: the table is symmetric,
+    # so the result comes out C-ordered, which the row-wise oracles read fast
+    adj = table[index].T[index]
     np.fill_diagonal(adj, False)
     return adj
 

@@ -15,9 +15,14 @@ no spectral shortcut with it.  The one exception is the dense exact
 charpoly kernel, which this module (``char_poly_matrix``) and the pipeline
 use on different matrices: ``g2_spectra`` takes it for quotients with at
 most five distinct primes (the structured kernel from six on), and the
-scan's one-prime rule takes it modulo one prime at every omega.  The tests
-check the dense kernel independently, against sympy and against a
-fraction-free determinant of their own at random points.
+scan's one-prime rule takes it modulo one prime at every omega.  The kernel
+skips the Hessenberg columns that are already closed and multiplies the
+charpolys of the diagonal blocks they leave.  That is generic Hessenberg
+deflation, which any matrix gets and which reads nothing of the graph; on
+the full Laplacians, with their few distinct eigenvalues, it skips most
+columns.  It is not a spectral shortcut.  The tests check the dense kernel
+independently, against sympy and against a fraction-free determinant of
+their own at random points.
 """
 
 from __future__ import annotations
@@ -49,8 +54,11 @@ def numeric_spectrum(laplacian: np.ndarray) -> tuple[float, ...]:
         raise OracleLimitExceeded(
             f"size {mat.shape[0]} exceeds dense limit {config.DENSE_LIMIT}"
         )
-    if not np.array_equal(mat, mat.T):
-        raise ValueError("matrix must be symmetric")
+    # one 256-row panel at a time: each compares its rows right of the
+    # diagonal with the matching columns, and no n x n temporary is made
+    for i in range(0, mat.shape[0], 256):
+        if not np.array_equal(mat[i : i + 256, i:], mat[i:, i : i + 256].T):
+            raise ValueError("matrix must be symmetric")
     return tuple(float(v) for v in np.linalg.eigvalsh(mat))
 
 
@@ -58,9 +66,11 @@ def exact_char_poly_full(m: Modulus) -> IntPoly:
     """Exact characteristic polynomial of the full n x n Laplacian.
 
     The exact charpoly kernel run on the dense matrix rather than on the
-    quotient; capped (at 64) to keep the dense matrix small.  The float64
-    Laplacian's integer entries are converted to int64 first, as the kernel
-    takes integers only.
+    quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices.  Most
+    Hessenberg columns of these Laplacians close early, so the elimination
+    is cheap; the cap keeps the Hadamard bound, and with it the number of
+    primes, small.  The float64 Laplacian's integer entries are converted to
+    int64 first, as the kernel takes integers only.
     """
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:

@@ -81,6 +81,20 @@ def test_numeric_spectrum_rejects_bad_input(monkeypatch):
         numeric_spectrum(np.zeros((4, 4), dtype=np.int64))
 
 
+def test_numeric_spectrum_refuses_one_asymmetric_pair():
+    # the symmetry check runs in 256-row panels: a lone pair at the far
+    # corner and one across a panel edge are both caught
+    lap = dense_laplacian(Modulus.of(301))
+    assert len(numeric_spectrum(lap)) == 301
+    for i, j in ((0, 300), (255, 256)):
+        bad = lap.copy()
+        bad[i, j] += 1
+        with pytest.raises(ValueError, match="symmetric"):
+            numeric_spectrum(bad)
+        with pytest.raises(ValueError, match="symmetric"):
+            numeric_spectrum(bad.T)
+
+
 def test_dense_spectrum_holds_one_float_laplacian():
     # tracemalloc sees numpy buffers but not the eigensolver's internal
     # working copy: the solve must not copy the float64 Laplacian, and
@@ -114,11 +128,14 @@ def test_exact_char_poly_examples():
 
 def test_exact_char_poly_point_evaluation():
     # the polynomial evaluated at integer points equals the determinant there
-    for n in (4, 6, 9, 10):
+    # 36..64 have few distinct eigenvalues, so most Hessenberg columns close
+    points = {n: (0, 1, 7, -2) for n in (4, 6, 9, 10)}
+    points.update({36: (1, -3), 48: (5, -1), 60: (2, 11), 64: (3, -7)})
+    for n, xs in points.items():
         m = Modulus.of(n)
         p = exact_char_poly_full(m)
         lap = dense_laplacian(m).tolist()
-        for x in (0, 1, 7, -2):
+        for x in xs:
             shifted = [
                 [(x if i == j else 0) - lap[i][j] for j in range(n)]
                 for i in range(n)

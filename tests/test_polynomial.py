@@ -205,6 +205,79 @@ def test_char_poly_multiple_of_first_prime():
         )
 
 
+def _permuted_blocks(rng, sizes, coupled):
+    """Random blocks of the given sizes on the diagonal of one matrix, with
+    random entries above them when ``coupled`` (block upper triangular) and
+    zeros otherwise (block diagonal), its rows and columns shuffled by one
+    permutation; and the blocks."""
+    blocks = [[[rng.randrange(-9, 10) for _ in range(b)] for _ in range(b)] for b in sizes]
+    w = sum(sizes)
+    full = [[0] * w for _ in range(w)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            above = [rng.randrange(-9, 10) if coupled else 0 for _ in range(w - at - len(row))]
+            full[at + i][at:] = row + above
+        at += len(block)
+    perm = list(range(w))
+    rng.shuffle(perm)
+    return [[full[i][j] for j in perm] for i in perm], blocks
+
+
+def _krylov_dimension(matrix):
+    """The rank over Q of e_0, A e_0, ..., A**(w-1) e_0."""
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Matrix(matrix)
+    v = sympy.zeros(len(matrix), 1)
+    v[0] = 1
+    columns = []
+    for _ in range(len(matrix)):
+        columns.append(v)
+        v = a * v
+    return sympy.Matrix.hstack(*columns).rank()
+
+
+def test_char_polys_stack_with_a_column_closed_in_one_matrix_only():
+    # a Krylov space of e_0 of dimension d <= w - 2 closes Hessenberg column
+    # d - 1, within the elimination, in the block matrix alone
+    rng = random.Random(23)
+    for w in (5, 8, 12):
+        for coupled in (False, True):
+            block, _ = _permuted_blocks(rng, (2, w - 4, 2), coupled)
+            dense = [[rng.randrange(-9, 10) for _ in range(w)] for _ in range(w)]
+            assert _krylov_dimension(block) <= w - 2
+            assert _krylov_dimension(dense) == w
+            for stack in ([block, dense], [dense, block]):
+                got = char_polys(stack)
+                assert got == [char_poly_matrix(m) for m in stack]
+                assert [p.coeffs for p in got] == [_sympy_char_poly(m) for m in stack]
+
+
+def test_char_poly_column_closed_modulo_the_first_prime_only():
+    # column 0 below the diagonal holds nonzero multiples of p0: closed modulo
+    # p0 alone, so the other primes must still eliminate it
+    rng = random.Random(29)
+    for w in (3, 6, 10):
+        p0 = polynomial._word_primes(w, 1)[0]
+        m = [[rng.randrange(-9, 10) for _ in range(w)] for _ in range(w)]
+        for i in range(1, w):
+            m[i][0] = p0 * rng.choice((-2, -1, 1, 3))
+        assert len(polynomial._word_primes(w, polynomial._hadamard_bound(np.array([m])))) > 1
+        assert char_poly_matrix(m).coeffs == _sympy_char_poly(m)
+
+
+def test_char_poly_of_permuted_blocks_is_the_product_of_the_blocks():
+    rng = random.Random(31)
+    for sizes in ((1, 3, 4), (2, 2, 2, 5), (5, 1, 1, 6), (3, 3, 3, 3, 3)):
+        for coupled in (False, True):
+            matrix, blocks = _permuted_blocks(rng, sizes, coupled)
+            product = IntPoly.one()
+            for block in blocks:
+                product = product * char_poly_matrix(block)
+            assert char_poly_matrix(matrix) == product
+            assert product.coeffs == _sympy_char_poly(matrix)
+
+
 def test_char_poly_scalar_matrix_near_the_bound():
     # (x - c)^w: the constant term c^w sits just below the bound 2 * (2 + |c|)^w
     for c in (2**40 - 3, -(2**40) + 5, 10**18, 2**63 - 1):
