@@ -13,11 +13,14 @@ few hundred vertices.
 Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it.  The one exception is the dense exact
 charpoly kernel, which this module (``char_poly_matrix``) and the pipeline
-use on different matrices: ``g2_spectra`` takes it for quotients with at
-most five distinct primes (the structured kernel from six on), and the
-scan's one-prime rule takes it modulo one prime at every omega.  The kernel
-skips the Hessenberg columns that are already closed and multiplies the
-charpolys of the diagonal blocks they leave.  That is generic Hessenberg
+use on different matrices.  The one-prime decision, which every spectrum
+and every scan row goes through, takes it modulo one prime at every omega.
+The exact charpoly of a quotient core comes from it for at most five
+distinct primes (the structured kernel from six on): at once for the
+moduli that decision leaves open, and for a decided one only when its
+residual polynomial is read (JSON output, ``verify`` up to n = 64).  The
+kernel skips the Hessenberg columns that are already closed and
+multiplies the charpolys of the diagonal blocks they leave.  That is generic Hessenberg
 deflation, which any matrix gets and which reads nothing of the graph; on
 the full Laplacians, with their few distinct eigenvalues, it skips most
 columns.  It is not a spectral shortcut.  The tests check the dense kernel

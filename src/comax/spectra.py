@@ -25,14 +25,17 @@ come from eigvalsh of M.  From omega = 6 on, the core's charpoly comes from
 the structured kernel, which multiplies by B through its supports in
 O(omega * 2^omega) steps; smaller cores take the dense kernel.
 
-The scan needs only the residual degree, and ``g2_residual_degrees``
-decides it without the exact charpoly for most n.  Every row of B sums to
-zero, B 1 = 0, so 0 is always a root.  A core of at most two cells (at
-most two distinct primes) is integral: the residual degree is 0 and no
-charpoly is taken.  Above, when 0 is a simple root of the core and its
-charpoly modulo one prime is nonzero at every other rounded eigenvalue, 0
-is the only integer root and the residual degree is the core size less 1.
-Any other modulus takes the exact path of ``g2_spectra``.
+Every spectrum, printed or scanned, rests on one decision that needs no
+exact charpoly for most n.  Every row of B sums to zero, B 1 = 0, so 0 is
+always a root.  A core of at most two cells (at most two distinct primes)
+is empty or has the roots 0 and trace(B) and no other.  Above, when 0 is a
+simple root of the core and its charpoly modulo one prime is nonzero at
+every other rounded eigenvalue, 0 is the only integer root and the
+residual degree is the core size less 1.  A decided spectrum is built at
+once from the cells and the eigenvalues; the exact residual polynomial is
+taken from the core's charpoly only when something reads it.  Any other
+modulus takes the exact path at once.  The scan reads only the degrees
+off the same decision (``g2_residual_degrees``).
 
 The full graph is the join of a clique on the units with (G2 plus the
 isolated zero vertex), which contributes eigenvalue n with multiplicity
@@ -41,10 +44,11 @@ phi(n), one 0, and shifts everything from G2 up by phi(n).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,11 +65,13 @@ from .ring_divisors import Modulus
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# In ``g2_spectra``, quotients of moduli with this many distinct primes or
-# more (w >= 62) take the structured charpoly kernel.  On a 2-CPU VM it took
-# 14 ms for 30030 against the dense kernel's 44 ms, but no less for 2310
-# (omega = 5, 4-5 ms); the smaller quotients stay with the dense kernel.
-# The scan's one-prime rule takes the dense kernel at every omega.
+# The exact charpoly of a core (``_core_char_polys``: eager for the moduli
+# the one-prime rule leaves undecided, on demand for the residual of a
+# decided one) comes from the structured kernel for moduli with this many
+# distinct primes or more (w >= 62).  On a 2-CPU VM it took 14 ms for 30030
+# against the dense kernel's 44 ms, but no less for 2310 (omega = 5,
+# 4-5 ms); the smaller quotients stay with the dense kernel.  The one-prime
+# rule itself takes the dense kernel, modulo one prime, at every omega.
 _STRUCTURED_OMEGA = 6
 
 
@@ -89,7 +95,7 @@ def _cells(m: Modulus) -> list[tuple[int, int, int, int]]:
     return sorted(c for c in cells if c[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumMultiset:
     """Exact Laplacian spectrum: integer eigenvalues plus a residual polynomial.
 
@@ -97,18 +103,24 @@ class SpectrumMultiset:
     descending eigenvalue.  ``residual`` is a monic integer polynomial with
     no integer roots whose real roots (with multiplicity) are the remaining
     eigenvalues; it is the constant 1 exactly when the spectrum is integral.
-    ``residual_values`` holds those roots numerically, ascending.
+    ``residual_values`` holds those roots numerically, ascending, one per
+    degree of ``residual``.
+
+    The residual may be given as a function of no arguments that computes
+    it: it is then taken on the first read of ``residual`` and kept.  Only
+    ``residual``, ``polynomial`` and equality read it; ``size``,
+    ``is_integral`` and the float views count ``residual_values`` instead.
     """
 
     integer_part: tuple[tuple[int, int], ...]
-    residual: IntPoly
+    _residual: IntPoly | Callable[[], IntPoly] = field(repr=False)
     residual_values: tuple[float, ...] = ()
 
     @classmethod
     def from_counter(
         cls,
         counts: Counter,
-        residual: IntPoly | None = None,
+        residual: IntPoly | Callable[[], IntPoly] | None = None,
         residual_values: tuple[float, ...] = (),
     ) -> "SpectrumMultiset":
         pairs = tuple(
@@ -118,14 +130,29 @@ class SpectrumMultiset:
             pairs, residual if residual is not None else IntPoly.one(), residual_values
         )
 
+    @functools.cached_property
+    def residual(self) -> IntPoly:
+        given = self._residual
+        return given if isinstance(given, IntPoly) else given()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpectrumMultiset):
+            return NotImplemented
+        return (self.integer_part, self.residual_values, self.residual) == (
+            other.integer_part, other.residual_values, other.residual
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.integer_part, self.residual_values))
+
     @property
     def size(self) -> int:
         """Total eigenvalue count (multiplicities plus residual degree)."""
-        return sum(c for _, c in self.integer_part) + self.residual.degree
+        return sum(c for _, c in self.integer_part) + len(self.residual_values)
 
     @property
     def is_integral(self) -> bool:
-        return self.residual.degree == 0
+        return not self.residual_values
 
     @property
     def ascending(self) -> list[tuple[int | float, int]]:
@@ -263,54 +290,98 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
     Per cell: the cell degree with multiplicity (cell size - 1); the
     quotient matrix contributes the rest.  The quotients of one size w
     share one stacked ``eigvalsh`` (``_size_groups``, which refuses and
-    checks them) and one exact charpoly call on their core stack: the
-    structured kernel, which reads the supports, from ``_STRUCTURED_OMEGA``
-    distinct primes on (one size means one omega), the dense one below.
-    Rounded, each modulus's eigenvalues are the integer-root candidates
-    that ``extract_integer_roots`` screens modulo one prime and decides by
-    exact synthetic division, and the eigenvalues left after removing
-    each confirmed root are the residual roots.  Total size is
-    n - phi(n) - 1.
+    checks them) and one ``_one_prime_rule`` call on their core stack.
+
+    A modulus the rule decides knows the integer roots of its core: 0, and
+    trace(B) too for a core of two cells; the cell of rad(n), when isolated,
+    adds one more 0.  Its spectrum is built at once, and its residual, the
+    core's exact charpoly (``_core_char_polys``) divided by those roots, is
+    taken only when read.  The undecided moduli of a group share one
+    ``_core_char_polys`` call: rounded, their eigenvalues are the
+    integer-root candidates that ``extract_integer_roots`` screens modulo
+    one prime and decides by exact synthetic division.  Either way, the
+    eigenvalues left after removing the nearest one to each integer root
+    are the residual roots.  Total size is n - phi(n) - 1.
 
     Raises ArithmeticError naming the modulus if an invariant fails: the
-    checks of ``_size_groups``, its charpoly check, each integer root has a
+    checks of ``_size_groups``, the charpoly checks, each integer root has a
     numeric eigenvalue within the bound, and the residual roots sum to the
-    exact coefficient (Vieta).
+    exact coefficient (Vieta), which for a decided modulus is trace(B) less
+    its decided roots.  Reading a decided residual raises the same way if
+    its charpoly fails a check.
     """
     out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
     for members, ms, cells, b, tols, values in _size_groups(moduli):
         core = b.shape[1]
-        try:
-            if ms[0].omega >= _STRUCTURED_OMEGA:
-                polys = structured_char_polys(b, [[c[1] for c in row[:core]] for row in cells])
+        decided, _ = _one_prime_rule(ms, b, values)
+        exact = np.flatnonzero(~decided).tolist()
+        polys = iter(
+            _core_char_polys([ms[k] for k in exact], [cells[k] for k in exact], b[exact])
+            if exact else ()
+        )
+        traces = np.trace(b, axis1=1, axis2=2).tolist()
+        isolated = values.shape[1] - core  # the zero row and column of rad(n)'s cell
+        rows = zip(members, ms, cells, traces, values.tolist(), tols.tolist())
+        for k, (i, m, cs, trace, vs, tol) in enumerate(rows):
+            if decided[k]:
+                found = [0, trace] if core == 2 else [0] if core else []
+                roots = sorted(Counter(found + [0] * isolated).items())
+                residual = functools.partial(_decided_residual, m, cs, b[k : k + 1], found)
+                exact_sum = trace - sum(found)
             else:
-                polys = char_polys(b)
-        except CharPolyError as exc:
-            raise ArithmeticError(f"n={ms[exc.index].n}: {exc.what}") from exc
-        if values.shape[1] > core:  # the zero row and column of rad(n)'s cell
-            polys = [p * IntPoly((0, 1)) for p in polys]
-        rows = zip(ms, cells, polys, values.tolist(), tols.tolist())
-        for i, row in zip(members, rows):
-            out[i] = _split_spectrum(*row)
+                p = next(polys) * IntPoly((0, 1)) if isolated else next(polys)
+                roots, residual = extract_integer_roots(p, map(round, vs))
+                exact_sum = -residual.coeffs[-2] if residual.degree else 0
+            out[i] = _split_spectrum(m, cs, roots, exact_sum, residual, vs, tol)
     return out
+
+
+def _one_prime_rule(
+    ms: Sequence[Modulus], b: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """Per member of one ``_size_groups`` group, with core stack ``b``
+    (k, w, w) and eigenvalues ``values``: whether the integer roots of its
+    core's charpoly are decided without the exact charpoly, and the checks,
+    in ``_check``'s form, of the residues the decision read.
+
+    A core of w <= 2 cells, of a modulus with at most two distinct primes,
+    is decided with no charpoly and no check: B 1 = 0, so the core is empty
+    or has the roots 0 and trace(B) and no other.  A larger core takes its
+    charpoly p modulo one word prime q (``char_polys_mod``, the dense kernel
+    at every omega), checked monic with c_(w-1) = -trace(B) and c_0 = 0 mod
+    q.  Then if c_1 is nonzero mod q, 0 is a simple root; and if p(r) is
+    nonzero mod q at every nonzero rounded eigenvalue r, the complete list
+    of integer-root candidates while tol < 1/2, then 0 is the only integer
+    root, as for rad(n) when the core is k * B_rad(n).  A member whose
+    residues fail a check is left undecided: the exact path then checks
+    its charpoly, and ``g2_residual_degrees`` raises.
+    """
+    w = b.shape[1]
+    if w <= 2:
+        return np.ones(len(ms), dtype=bool), []
+    prime, residues = char_polys_mod(b)
+    trace = np.trace(b, axis1=1, axis2=2)
+    checks = [
+        (residues[:, w] == 1, "characteristic polynomial residue is not monic"),
+        (residues[:, w - 1] == -trace % prime, "x^(w-1) residue is not -trace"),
+        (residues[:, 0] == 0, "constant residue is not 0"),
+    ]
+    decided = _zero_is_the_only_integer_root(residues, prime, np.rint(values).astype(np.int64))
+    for ok, _ in checks:
+        decided &= ok
+    return decided, checks
 
 
 def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
     """The residual degree of each modulus's G2 spectrum, as ``g2_spectra``
-    gives it, deciding most quotients without their exact charpoly.
+    gives it, with no ``SpectrumMultiset`` for the moduli the one-prime
+    rule decides.
 
     ``_size_groups`` builds, refuses, solves and checks the quotients as for
-    ``g2_spectra``; w below is the size of their core.  A group of w <= 2,
-    whose members have at most two distinct primes, is then integral
-    without a charpoly: B 1 = 0, so the core is empty, [[0]] or has the
-    eigenvalues 0 and trace(B).  Every larger group takes its charpolys p
-    modulo one word prime q (``char_polys_mod``, the dense kernel at every
-    omega).  p(0) = 0; if c_1 is nonzero mod q, 0 is a simple root; and if
-    p(r) is nonzero mod q at every nonzero rounded eigenvalue r, the
-    complete list of integer-root candidates while tol < 1/2, then 0 is the
-    only integer root and the residual degree is exactly w - 1, as for
-    rad(n) when the core is k * B_rad(n).  The moduli this leaves undecided
-    take one ``g2_spectra`` call, and their degree is that of its residual.
+    ``g2_spectra``, and ``_one_prime_rule`` decides them; w below is the
+    size of their core.  A decided core of w <= 2 cells is integral, and a
+    larger one has 0 as its only integer root, so its residual degree is
+    w - 1.  The moduli left undecided take one ``g2_spectra`` call.
 
     Raises ArithmeticError naming the modulus if an invariant of
     ``g2_spectra`` fails, or if the residues are not monic, c_(w-1) is not
@@ -320,26 +391,17 @@ def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
     undecided: list[int] = []
     for members, ms, _, b, _, values in _size_groups(moduli):
         w = b.shape[1]
-        if w <= 2:
-            continue
-        prime, residues = char_polys_mod(b)
-        trace = np.trace(b, axis1=1, axis2=2)
-        _check(ms, (
-            (residues[:, w] == 1, "characteristic polynomial residue is not monic"),
-            (residues[:, w - 1] == -trace % prime, "x^(w-1) residue is not -trace"),
-            (residues[:, 0] == 0, "constant residue is not 0"),
-        ))
-        candidates = np.rint(values).astype(np.int64)
-        decided = _zero_is_the_only_integer_root(residues, prime, candidates)
+        decided, checks = _one_prime_rule(ms, b, values)
+        _check(ms, checks)
         for i, one in zip(members, decided.tolist()):
-            if one:
-                degrees[i] = w - 1
-            else:
+            if not one:
                 undecided.append(i)
+            elif w > 2:
+                degrees[i] = w - 1
     if undecided:
         spectra = g2_spectra([moduli[i] for i in undecided])
         for i, s in zip(undecided, spectra):
-            degrees[i] = s.residual.degree
+            degrees[i] = len(s.residual_values)
     return degrees
 
 
@@ -356,16 +418,50 @@ def _zero_is_the_only_integer_root(
     return (residues[:, 1] != 0) & ((acc != 0) | (candidates == 0)).all(axis=1)
 
 
+def _core_char_polys(ms: Sequence[Modulus], cells: list, b: np.ndarray) -> list[IntPoly]:
+    """The exact charpolys of the core stack ``b`` (k, w, w) of moduli
+    ``ms`` with their ``_cells``, one size w and so one omega: the
+    structured kernel, which reads the supports, from ``_STRUCTURED_OMEGA``
+    distinct primes on, the dense one below.  A failed charpoly check
+    raises ArithmeticError naming the modulus."""
+    core = b.shape[1]
+    try:
+        if ms[0].omega >= _STRUCTURED_OMEGA:
+            return structured_char_polys(b, [[c[1] for c in row[:core]] for row in cells])
+        return char_polys(b)
+    except CharPolyError as exc:
+        raise ArithmeticError(f"n={ms[exc.index].n}: {exc.what}") from exc
+
+
+def _decided_residual(m: Modulus, cells: list, b: np.ndarray, roots: list[int]) -> IntPoly:
+    """The residual of a modulus the one-prime rule decided: the exact
+    charpoly of its core ``b`` (1, w, w) divided by x - r for each of the
+    integer ``roots`` the rule found, each division checked exact."""
+    [p] = _core_char_polys([m], [cells], b)
+    for r in roots:
+        p, remainder = p.divide_linear(r)
+        if remainder:
+            raise ArithmeticError(f"n={m.n}: decided integer eigenvalue {r} is not a charpoly root")
+    return p
+
+
 def _split_spectrum(
-    m: Modulus, cells: list, p: IntPoly, values: list[float], tol: float
+    m: Modulus,
+    cells: list,
+    roots: list[tuple[int, int]],
+    exact_sum: int,
+    residual: IntPoly | Callable[[], IntPoly],
+    values: list[float],
+    tol: float,
 ) -> SpectrumMultiset:
-    """G2 spectrum of one modulus from its ``_cells``, its quotient's exact
-    charpoly ``p``, its eigenvalues ``values`` (ascending, consumed) and
-    their error bound ``tol``."""
+    """G2 spectrum of one modulus from its ``_cells``, the integer roots of
+    its quotient's charpoly as ascending (root, multiplicity) pairs, the
+    exact root sum and the residual (or the function that computes it) of
+    the rest, its eigenvalues ``values`` (ascending, consumed) and their
+    error bound ``tol``."""
     counts: Counter = Counter()
     for _, _, size, deg in cells:
         counts[deg] += size - 1
-    roots, residual = extract_integer_roots(p, map(round, values))
     for r, mult in roots:
         for _ in range(mult):
             nearest = min(range(len(values)), key=lambda k: abs(values[k] - r))
@@ -373,7 +469,6 @@ def _split_spectrum(
                 raise ArithmeticError(f"n={m.n}: integer eigenvalue {r} has no numeric match")
             del values[nearest]
         counts[r] += mult
-    exact_sum = -residual.coeffs[-2] if residual.degree else 0
     if abs(math.fsum(values) - exact_sum) > (len(values) + 1) * tol:
         raise ArithmeticError(f"n={m.n}: residual roots disagree with the exact coefficient sum")
     return SpectrumMultiset.from_counter(counts, residual, tuple(values))
@@ -388,7 +483,8 @@ def full_spectrum(m: Modulus) -> SpectrumMultiset:
     """Exact Laplacian spectrum of the comaximal graph of Z_n.
 
     {0: 1} and {n: phi(n)} from the join with the unit clique, plus the G2
-    spectrum shifted up by phi(n).  Total multiplicity is n.
+    spectrum shifted up by phi(n); its residual is shifted
+    (``IntPoly.shift_argument``) only when read.  Total multiplicity is n.
     """
     g2 = g2_spectrum(m)
     counts = Counter({0: 1, m.n: m.phi})
@@ -396,9 +492,13 @@ def full_spectrum(m: Modulus) -> SpectrumMultiset:
         counts[v + m.phi] += c
     return SpectrumMultiset.from_counter(
         counts,
-        g2.residual.shift_argument(m.phi),
+        functools.partial(_shifted_residual, g2, m.phi),
         tuple(v + m.phi for v in g2.residual_values),
     )
+
+
+def _shifted_residual(g2: SpectrumMultiset, phi: int) -> IntPoly:
+    return g2.residual.shift_argument(phi)
 
 
 def closed_form_spectrum(m: Modulus) -> SpectrumMultiset | None:

@@ -366,6 +366,74 @@ def test_cli_spectrum_csv(capsys):
     assert sum(1 for ln in lines[1:] if ln.endswith("false")) == 4
 
 
+@pytest.fixture
+def exact_charpolys(monkeypatch):
+    """The sizes of the core stacks sent to the exact charpoly kernels
+    through ``spectra``, one entry per call."""
+    calls = []
+    dense, structured = spectra.char_polys, spectra.structured_char_polys
+
+    def recording_dense(stack):
+        calls.append(np.shape(stack))
+        return dense(stack)
+
+    def recording_structured(stack, supports):
+        calls.append(np.shape(stack))
+        return structured(stack, supports)
+
+    monkeypatch.setattr(spectra, "char_polys", recording_dense)
+    monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
+    return calls
+
+
+def test_printed_spectra_take_the_exact_charpoly_only_for_the_residual(exact_charpolys, capsys):
+    # pretty and csv print the integer eigenvalues and the residual floats, which
+    # the one-prime rule gives for 30030; JSON prints the exact residual, and
+    # verify (n <= 64) compares it with the dense oracle's charpoly
+    for fmt in ("pretty", "csv"):
+        assert main(["spectrum", "30030", "--format", fmt]) == 0
+        assert exact_charpolys == [], fmt
+    assert main(["spectrum", "30030", "--format", "json"]) == 0
+    assert exact_charpolys == [(1, 62, 62)]
+    exact_charpolys.clear()
+    assert main(["verify", "60"]) == 0
+    assert exact_charpolys == [(1, 6, 6)]
+    capsys.readouterr()
+
+
+def test_undecided_moduli_take_the_exact_charpoly_eagerly(exact_charpolys):
+    # 0 is not the only integer root of the quotients of 30 and 255
+    spectra.g2_spectra([Modulus.of(n) for n in (30, 255, 2310)])
+    assert exact_charpolys == [(2, 6, 6)]
+
+
+def test_a_residual_failing_its_check_fails_where_it_is_read(monkeypatch, capsys):
+    residues = polynomial._structured_residues
+    m = Modulus.of(39270)
+    [b] = [g[3][0] for g in spectra._size_groups([m])]
+
+    def off_by_one_trace(stack, supports, primes):
+        out, complete = residues(stack, supports, primes)
+        for i, core in enumerate(stack):
+            if np.array_equal(core, b):
+                rows = slice(i * len(primes), (i + 1) * len(primes))
+                out[rows, -2] = (out[rows, -2] + 1) % np.array(primes)
+        return out, complete
+
+    monkeypatch.setattr(polynomial, "_structured_residues", off_by_one_trace)
+    s = spectra.g2_spectrum(m)  # decided: no charpoly yet
+    with pytest.raises(ArithmeticError, match=r"^n=39270: x\^\(w-1\) coefficient"):
+        s.residual
+    assert main(["spectrum", "39270", "--format", "pretty"]) == 0
+    capsys.readouterr()
+    assert main(["spectrum", "39270", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "n=39270: x^(w-1) coefficient of the characteristic polynomial is not -trace\n"
+    )
+
+
 # a JSON and a pretty spectrum, a usage error and a verify
 PARSER_RUNS = (
     ["spectrum", "30", "--format", "json"],

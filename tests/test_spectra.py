@@ -23,6 +23,12 @@ from comax.spectra import (
 from reference import adjacent, degree
 
 
+def _undecided(residues, prime, candidates):
+    """``spectra._zero_is_the_only_integer_root`` deciding nothing, so that
+    every core of three cells or more takes the exact path."""
+    return np.zeros(len(residues), dtype=bool)
+
+
 def _core(n: int) -> np.ndarray:
     """The int64 core of B that the pipeline builds for n (``_size_groups``):
     its cells in ``_cells`` order, less rad(n)'s isolated cell; 0 x 0 for
@@ -339,6 +345,31 @@ def test_g2_spectra_match_one_modulus_at_a_time():
             assert abs(a - b) <= tol, m.n
 
 
+# the ladder moduli of the benchmark at seeds 0 and 1
+LADDER = (2310, 5040, 15120, 30030, 2730, 5460, 16380, 39270)
+
+
+def test_decided_spectra_match_the_exact_path(monkeypatch):
+    # the reference decides nothing, so every modulus, the two-cell cores that
+    # never reach _zero_is_the_only_integer_root included, takes the exact path
+    moduli = [Modulus.of(n) for n in [*range(3, 5001), *LADDER, 510510, 720720, 1021020]]
+    ours = g2_spectra(moduli)
+    decided = [not isinstance(s._residual, IntPoly) for s in ours]
+    monkeypatch.setattr(
+        spectra, "_one_prime_rule", lambda ms, b, values: (np.zeros(len(ms), dtype=bool), [])
+    )
+    exact = g2_spectra(moduli)
+    assert all(isinstance(s._residual, IntPoly) for s in exact)
+    for m, a, b in zip(moduli, ours, exact, strict=True):
+        assert a.integer_part == b.integer_part, m.n
+        assert a.residual_values == b.residual_values, m.n
+        assert a.residual == b.residual, m.n
+        assert a.size == b.size and a.is_integral == b.is_integral, m.n
+    # all but the primes (no quotient) and the 49 moduli of radical 30 or 255
+    primes = sum(m.is_prime for m in moduli)
+    assert sum(decided) == len(moduli) - primes - 49
+
+
 def test_non_squarefree_spectrum_is_that_of_its_radical():
     # k = n / rad(n) > 1: the G2 quotient of n is k * B_rad(n) plus an
     # isolated zero cell, so the residual of n is k^d * p_rad(x / k); the scan
@@ -376,6 +407,8 @@ def test_non_roots_never_reach_synthetic_division(monkeypatch):
 
     monkeypatch.setattr(IntPoly, "divide_linear", recording_divide)
     monkeypatch.setattr(spectra, "extract_integer_roots", recording_extract)
+    # the one-prime rule decides 30030; undecided, it takes the exact path
+    monkeypatch.setattr(spectra, "_zero_is_the_only_integer_root", _undecided)
     g2_spectrum(Modulus.of(30030))
     [(candidates, roots)] = split
     assert len(candidates - roots) > 10
@@ -411,7 +444,8 @@ def test_quotients_with_six_primes_or_more_take_the_structured_kernel(monkeypatc
 
     monkeypatch.setattr(spectra, "char_polys", recording_dense)
     monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
-    g2_spectra([Modulus.of(n) for n in (12, 2310, 30030, 60060, 510510)])
+    for s in g2_spectra([Modulus.of(n) for n in (12, 2310, 30030, 60060, 510510)]):
+        s.residual  # each is decided, and its charpoly taken on this read
     assert sorted(sizes["dense"]) == [2, 30]
     assert sorted(sizes["structured"]) == [62, 62, 126]
 
@@ -419,8 +453,13 @@ def test_quotients_with_six_primes_or_more_take_the_structured_kernel(monkeypatc
 def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
     # a zero start vector makes every Krylov sequence 0: Berlekamp-Massey returns
     # the generator 1, of degree 0 < w, so each modulus takes the dense kernel
+    # each modulus is decided; its residual, taken on the first read, is the
+    # structured kernel's, and the one-prime rule's dense run modulo one
+    # prime comes before the recorder
     moduli = [Modulus.of(n) for n in (30030, 39270, 60060)]
     want = g2_spectra(moduli)
+    for s in want:
+        s.residual
     calls = []
     kernel = polynomial._char_poly_mod
 
@@ -428,11 +467,14 @@ def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
         calls.append(h.shape[1])
         return kernel(h, mods)
 
+    got = g2_spectra(moduli)
     monkeypatch.setattr(polynomial, "_char_poly_mod", recording)
-    assert g2_spectra(moduli) == want
+    assert got == want
     assert not calls
     monkeypatch.setattr(polynomial, "_projections", lambda size: np.zeros(size, dtype=np.int64))
-    assert g2_spectra(moduli) == want
+    got = g2_spectra(moduli)
+    calls.clear()
+    assert got == want
     assert set(calls) == {62}
 
 
@@ -451,7 +493,8 @@ def test_g2_spectra_names_the_modulus_whose_structured_charpoly_fails(monkeypatc
 
     monkeypatch.setattr(polynomial, "_structured_residues", off_by_one_trace)
     with pytest.raises(ArithmeticError, match=r"^n=39270: x\^\(w-1\) coefficient"):
-        g2_spectra([Modulus.of(n) for n in (12, 30030, 39270, 43890)])
+        for s in g2_spectra([Modulus.of(n) for n in (12, 30030, 39270, 43890)]):
+            s.residual  # each is decided, and its charpoly taken on this read
 
 
 def test_g2_spectrum_refuses_a_quotient_before_its_charpoly(monkeypatch):
@@ -553,7 +596,7 @@ def test_the_cell_of_rad_n_is_a_zero_row_of_m_and_no_row_of_the_kernels(monkeypa
         w = len(spectra._cells(m))
         solved.clear()
         kernels.clear()
-        g2_spectrum(m)
+        g2_spectrum(m).residual  # each is decided, and its charpoly taken on this read
         [stack] = solved
         assert stack.shape == (1, w, w), n
         assert not stack[:, -1].any() and not stack[:, :, -1].any(), n
