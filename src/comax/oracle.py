@@ -14,9 +14,11 @@ Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it.  The one exception is the dense exact
 charpoly kernel, which this module (``char_poly_matrix``) and the pipeline
 use on different matrices.  The one-prime decision, which every spectrum
-and every scan row goes through, takes it modulo one prime at every omega.
-The exact charpoly of a quotient core comes from it for at most five
-distinct primes (the structured kernel from six on): at once for the
+and every scan row goes through, takes it only for a core with eight or
+more distinct primes that the structured kernel leaves incomplete; it
+takes power traces below eight primes and the structured kernel from
+there on.  The exact charpoly of a quotient core comes from it for at most
+five distinct primes (the structured kernel from six on): at once for the
 moduli that decision leaves open, and for a decided one only when its
 residual polynomial is read (JSON output, ``verify`` up to n = 64).  The
 kernel skips the Hessenberg columns that are already closed and

@@ -16,8 +16,7 @@ feed the one recombination, which checks every result:
     recurrence restarts there.  ``char_polys`` runs the residue matrices
     of a stack of int64 matrices of one size, all modulo one list of
     primes, through one vectorised pass; ``char_poly_matrix`` is its
-    one-matrix case, and ``char_polys_mod`` runs the same pass modulo its
-    first prime alone;
+    one-matrix case;
   * the structured kernel, ``structured_char_polys``, takes matrices whose
     off-diagonal entry (i, j) is 0 unless the bitmask supports of i and j
     are disjoint, and then depends on j alone, as the G2 quotients' do.  A
@@ -30,6 +29,12 @@ feed the one recombination, which checks every result:
     lower degree modulo some prime (a repeated eigenvalue, a column value
     that the prime divides, or an unlucky start vector) takes the dense
     kernel instead.
+Where one prime is enough, ``char_polys_mod`` takes the power-trace kernel:
+the traces of the powers B^t, t <= w + 1, from baby-step/giant-step float64
+matrix products (exact while every partial sum stays below 2**53), then
+Newton's identities.  It makes about 2 sqrt(w) BLAS calls where the dense
+kernel makes about 2w small numpy steps, and ``structured_char_polys_mod``
+is the structured kernel modulo one prime.
 Integer roots are then split off at caller-supplied candidates: those where
 the polynomial vanishes modulo one word prime are decided by exact synthetic
 division.
@@ -37,6 +42,7 @@ division.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -206,9 +212,11 @@ def _word_primes(w: int, bound: int) -> list[int]:
 
 
 # int64 entries per (k, w, w) stack of residue matrices (512 KiB): residues go
-# through _char_poly_mod in slices of this size, and through the structured
-# kernel in slices of this many mask entries, so the working memory stays
-# bounded however many matrices and primes a call needs.
+# through _char_poly_mod in slices of this size, through the structured
+# kernel in slices of this many mask entries and through the power-trace
+# kernel in slices whose baby steps hold about this many float64 entries, so
+# the working memory stays bounded however many matrices and primes a call
+# needs.
 _BATCH_CELLS = 1 << 16
 
 
@@ -298,15 +306,104 @@ def _residues(stack: np.ndarray, primes: list[int]) -> np.ndarray:
     return residues
 
 
-def char_polys_mod(stack: np.ndarray) -> tuple[int, np.ndarray]:
+def char_polys_mod(stack: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Characteristic polynomials of a (k, w, w) int64 stack, w > 0, modulo
-    one word-size prime q, the first prime ``char_polys`` takes for size w.
+    one prime q, the largest with w * q**2 < 2**53 (``_trace_prime``); q > w.
 
-    Returns q and the (k, w + 1) residues in [0, q), constant term first.
-    Unchecked: the caller asserts what it needs of them.
+    Returns q, the (k, w + 1) residues in [0, q), constant term first, and
+    the (k, w + 2) power sums s_t = trace(B^t) mod q, t = 0..w + 1, that
+    they come from.  The residues are monic with x^(w-1) residue -s_1 by
+    construction; s_(w+1) takes no part in them, so the Cayley-Hamilton
+    identity sum_j c_j s_(j+1) = trace(B p(B)) = 0 mod q checks both.
+
+    The power-trace kernel: the power sums come from float64 matrix
+    products (``_power_sums``), exact because every partial sum is an
+    integer below w * q**2 < 2**53 (the word-size residue arithmetic of
+    Dumas, Giorgi & Pernet, "FFLAS-FFPACK", ACM TOMS 2008), and the
+    coefficients from Newton's identities (``_newton``), which divide by
+    1..w.  For a G2 quotient core of a modulus n <= 10**7 with at most seven
+    distinct primes (w <= 126), q > n - phi(n) - 1, the largest integer
+    eigenvalue it can have: q = 8454917 at w = 126, against at most
+    8133749 (n = 9999990), and q > 10**7 for w <= 62.  Unchecked: the
+    caller asserts what it needs of the residues.
+
+    Matrices go through in slices whose baby steps hold at most about
+    ``_BATCH_CELLS`` entries, which also caps the number m of baby steps.
     """
-    q = _word_primes(stack.shape[1], 1)[0]
-    return q, _residues(stack, [q])
+    k, w, _ = stack.shape
+    q = _trace_prime(w)
+    m = max(2, min(math.isqrt(w + 2), _BATCH_CELLS // (w * w)))
+    batch = max(1, _BATCH_CELLS // (m * w * w))
+    sums = np.empty((k, w + 2), dtype=np.int64)
+    for s in range(0, k, batch):
+        sums[s : s + batch] = _power_sums((stack[s : s + batch] % q).astype(np.float64), q, m)
+    return q, _newton(sums, q), sums
+
+
+@functools.cache
+def _trace_prime(w: int) -> int:
+    """The largest prime q with w * q**2 < 2**53.  It exceeds w for every w
+    below 2**17; ValueError beyond, where no such prime does."""
+    q = math.isqrt((2**53 - 1) // w)
+    q -= 1 - q % 2
+    while q > w and not _is_prime(q):
+        q -= 2
+    if q <= w:
+        raise ValueError(f"no prime q > w = {w} has w * q**2 < 2**53")
+    return q
+
+
+def _product_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a @ b mod q for float64 stacks of w x w matrices with integer entries
+    in [0, q), w * q**2 < 2**53: every partial sum of the float64 product is
+    an integer below 2**53, so it is exact in any summation order, and one
+    int64 % reduces it."""
+    return ((a @ b).astype(np.int64) % q).astype(np.float64)
+
+
+def _power_sums(h: np.ndarray, q: int, m: int) -> np.ndarray:
+    """The (k, w + 2) power sums s_t = trace(B^t) mod q, t = 0..w + 1, of
+    the (k, w, w) float64 stack ``h`` with integer entries in [0, q),
+    w * q**2 < 2**53, by m baby and about (w + 2) / m giant steps
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973).
+
+    The baby steps B^i, i < m, are kept transposed; the giant steps
+    G^j = (B^m)^j are streamed, and each gives s_(jm + i) =
+    sum_a sum_b G^j[a, b] B^i[b, a] for every i at once.  An inner sum has
+    w terms below q**2, exact in float64, and is reduced mod q before the w
+    outer terms are added in int64, so every sum stays below 2**53.
+    """
+    k, w, _ = h.shape
+    baby = np.empty((k, w, w, m))  # baby[:, a, b, i] = B^i[b, a]
+    power = h
+    baby[..., 0] = np.eye(w)
+    for i in range(1, m):
+        baby[..., i] = power.transpose(0, 2, 1)
+        power = _product_mod(power, h, q)
+    giant, power = power, np.broadcast_to(np.eye(w), h.shape)
+    sums = np.empty((k, w + 2), dtype=np.int64)
+    for t in range(0, w + 2, m):
+        if t:
+            power = _product_mod(power, giant, q) if t > m else giant
+        rows = (power[:, :, None, :] @ baby)[:, :, 0].astype(np.int64) % q
+        sums[:, t : t + m] = (rows.sum(axis=1) % q)[:, : w + 2 - t]
+    return sums
+
+
+def _newton(sums: np.ndarray, q: int) -> np.ndarray:
+    """The (k, w + 1) charpoly residues mod q, constant term first, of the
+    matrices with the (k, w + 2) power sums ``sums`` mod q, by Newton's
+    identities: for p = x^w + a_1 x^(w-1) + ... + a_w,
+    j a_j = -sum_(i=1..j) a_(j-i) s_i.  Each sum has at most w terms below
+    q**2, and q > w makes j invertible."""
+    k, w = sums.shape[0], sums.shape[1] - 2
+    a = np.zeros((k, w + 1), dtype=np.int64)
+    a[:, 0] = 1
+    back = np.ascontiguousarray(sums[:, w:0:-1])  # back[:, w - i] = s_i
+    for j in range(1, w + 1):
+        acc = np.einsum("ij,ij->i", a[:, :j], back[:, w - j :]) % q
+        a[:, j] = acc * (q - pow(j, -1, q)) % q
+    return a[:, ::-1]
 
 
 class CharPolyError(ArithmeticError):
@@ -415,14 +512,34 @@ def structured_char_polys(
     of this form raises ValueError.
     """
     stack = _int64_stack(np.asarray(matrices))
-    k, w, _ = stack.shape
-    primes = _word_primes(w + 1, _hadamard_bound(stack))
-    c = len(primes)
+    primes = _word_primes(stack.shape[1] + 1, _hadamard_bound(stack))
+    return _recombine(stack, primes, _structured_or_dense(stack, supports, primes))
+
+
+def structured_char_polys_mod(
+    stack: np.ndarray, supports: Sequence[Sequence[int]]
+) -> tuple[int, np.ndarray]:
+    """The charpolys of a (k, w, w) int64 stack of the form of
+    ``structured_char_polys`` modulo one prime q, the first that
+    ``structured_char_polys`` takes for size w: q and the (k, w + 1)
+    residues in [0, q), constant term first, from the structured kernel,
+    or from the dense one for a matrix it leaves incomplete.  Unchecked."""
+    q = _word_primes(stack.shape[1] + 1, 1)[0]
+    return q, _structured_or_dense(stack, supports, [q])
+
+
+def _structured_or_dense(
+    stack: np.ndarray, supports: Sequence[Sequence[int]], primes: list[int]
+) -> np.ndarray:
+    """The (k * c, w + 1) residues of ``_structured_residues``, with every
+    residue of a matrix that any of the c primes leaves incomplete taken
+    from the dense kernel (``_residues``) instead, modulo the same primes."""
+    k, c = len(stack), len(primes)
     residues, complete = _structured_residues(stack, supports, primes)
     dense = np.flatnonzero(~complete.reshape(k, c).all(axis=1))
     if dense.size:
         residues[(dense[:, None] * c + np.arange(c)).ravel()] = _residues(stack[dense], primes)
-    return _recombine(stack, primes, residues)
+    return residues
 
 
 def _projections(size: int) -> np.ndarray:

@@ -29,7 +29,6 @@ import os
 import time
 from array import array
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -117,6 +116,9 @@ def _chunk_rows(
         for ns in tasks:
             yield _compute_chunk(ns, start, timing)
         return
+    # imported here, so that a serial scan and every other command skip it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for ns in tasks:

@@ -29,9 +29,10 @@ Every spectrum, printed or scanned, rests on one decision that needs no
 exact charpoly for most n.  Every row of B sums to zero, B 1 = 0, so 0 is
 always a root.  A core of at most two cells (at most two distinct primes)
 is empty or has the roots 0 and trace(B) and no other.  Above, when 0 is a
-simple root of the core and its charpoly modulo one prime is nonzero at
-every other rounded eigenvalue, 0 is the only integer root and the
-residual degree is the core size less 1.  A decided spectrum is built at
+simple root of the core and its charpoly modulo one prime (power traces
+below omega = 8, the structured kernel from there on) is nonzero at every
+other rounded eigenvalue, 0 is the only integer root and the residual
+degree is the core size less 1.  A decided spectrum is built at
 once from the cells and the eigenvalues; the exact residual polynomial is
 taken from the core's charpoly only when something reads it.  Any other
 modulus takes the exact path at once.  The scan reads only the degrees
@@ -59,6 +60,7 @@ from .polynomial import (
     char_polys_mod,
     extract_integer_roots,
     structured_char_polys,
+    structured_char_polys_mod,
     values_mod,
 )
 from .ring_divisors import Modulus
@@ -70,9 +72,16 @@ _EPS = float(np.finfo(np.float64).eps)
 # decided one) comes from the structured kernel for moduli with this many
 # distinct primes or more (w >= 62).  On a 2-CPU VM it took 14 ms for 30030
 # against the dense kernel's 44 ms, but no less for 2310 (omega = 5,
-# 4-5 ms); the smaller quotients stay with the dense kernel.  The one-prime
-# rule itself takes the dense kernel, modulo one prime, at every omega.
+# 4-5 ms); the smaller quotients stay with the dense kernel.
 _STRUCTURED_OMEGA = 6
+
+# The one-prime rule takes the structured kernel modulo one prime for cores
+# with this many distinct primes or more (w >= 254), and the power-trace
+# kernel of ``char_polys_mod`` below.  One core on a 2-CPU VM, best of 100,
+# power traces against the structured kernel at one prime: 0.95 against
+# 3.4 ms at omega = 6 and 7.1 against 8.1 ms at omega = 7, but 100 against
+# 18 ms at omega = 8.
+_ONE_PRIME_STRUCTURED_OMEGA = 8
 
 
 def _cells(m: Modulus) -> list[tuple[int, int, int, int]]:
@@ -313,7 +322,7 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
     out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
     for members, ms, cells, b, tols, values in _size_groups(moduli):
         core = b.shape[1]
-        decided, _ = _one_prime_rule(ms, b, values)
+        decided, _ = _one_prime_rule(ms, cells, b, values)
         exact = np.flatnonzero(~decided).tolist()
         polys = iter(
             _core_char_polys([ms[k] for k in exact], [cells[k] for k in exact], b[exact])
@@ -337,21 +346,25 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
 
 
 def _one_prime_rule(
-    ms: Sequence[Modulus], b: np.ndarray, values: np.ndarray
+    ms: Sequence[Modulus], cells: list, b: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, list]:
-    """Per member of one ``_size_groups`` group, with core stack ``b``
-    (k, w, w) and eigenvalues ``values``: whether the integer roots of its
-    core's charpoly are decided without the exact charpoly, and the checks,
-    in ``_check``'s form, of the residues the decision read.
+    """Per member of one ``_size_groups`` group, with ``_cells``, core
+    stack ``b`` (k, w, w) and eigenvalues ``values``: whether the integer
+    roots of its core's charpoly are decided without the exact charpoly,
+    and the checks, in ``_check``'s form, of the residues the decision read.
 
     A core of w <= 2 cells, of a modulus with at most two distinct primes,
     is decided with no charpoly and no check: B 1 = 0, so the core is empty
     or has the roots 0 and trace(B) and no other.  A larger core takes its
-    charpoly p modulo one word prime q (``char_polys_mod``, the dense kernel
-    at every omega), checked monic with c_(w-1) = -trace(B) and c_0 = 0 mod
-    q.  Then if c_1 is nonzero mod q, 0 is a simple root; and if p(r) is
-    nonzero mod q at every nonzero rounded eigenvalue r, the complete list
-    of integer-root candidates while tol < 1/2, then 0 is the only integer
+    charpoly p modulo one prime q: from the power-trace kernel
+    (``char_polys_mod``) below ``_ONE_PRIME_STRUCTURED_OMEGA`` distinct
+    primes, from the structured one (``structured_char_polys_mod``) from
+    there on.  p is checked monic with c_(w-1) = -trace(B) and c_0 = 0 mod
+    q, and the power sums that power-trace residues come from are checked
+    against them by Cayley-Hamilton: sum_j c_j s_(j+1) = 0 mod q.  Then if
+    c_1 is nonzero mod q, 0 is a simple root; and if p(r) is nonzero mod q
+    at every nonzero rounded eigenvalue r, the complete list of
+    integer-root candidates while tol < 1/2, then 0 is the only integer
     root, as for rad(n) when the core is k * B_rad(n).  A member whose
     residues fail a check is left undecided: the exact path then checks
     its charpoly, and ``g2_residual_degrees`` raises.
@@ -359,12 +372,19 @@ def _one_prime_rule(
     w = b.shape[1]
     if w <= 2:
         return np.ones(len(ms), dtype=bool), []
-    prime, residues = char_polys_mod(b)
+    if ms[0].omega >= _ONE_PRIME_STRUCTURED_OMEGA:
+        prime, residues = structured_char_polys_mod(b, _supports(cells, w))
+        sum_checks = []
+    else:
+        prime, residues, sums = char_polys_mod(b)
+        cayley_hamilton = (residues * sums[:, 1:]).sum(axis=1) % prime == 0
+        sum_checks = [(cayley_hamilton, "power sums break Cayley-Hamilton")]
     trace = np.trace(b, axis1=1, axis2=2)
     checks = [
         (residues[:, w] == 1, "characteristic polynomial residue is not monic"),
         (residues[:, w - 1] == -trace % prime, "x^(w-1) residue is not -trace"),
         (residues[:, 0] == 0, "constant residue is not 0"),
+        *sum_checks,
     ]
     decided = _zero_is_the_only_integer_root(residues, prime, np.rint(values).astype(np.int64))
     for ok, _ in checks:
@@ -385,13 +405,14 @@ def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
 
     Raises ArithmeticError naming the modulus if an invariant of
     ``g2_spectra`` fails, or if the residues are not monic, c_(w-1) is not
-    -trace(B) mod q or c_0 is not 0 mod q.
+    -trace(B) mod q, c_0 is not 0 mod q or the power sums break
+    Cayley-Hamilton.
     """
     degrees = [0] * len(moduli)
     undecided: list[int] = []
-    for members, ms, _, b, _, values in _size_groups(moduli):
+    for members, ms, cells, b, _, values in _size_groups(moduli):
         w = b.shape[1]
-        decided, checks = _one_prime_rule(ms, b, values)
+        decided, checks = _one_prime_rule(ms, cells, b, values)
         _check(ms, checks)
         for i, one in zip(members, decided.tolist()):
             if not one:
@@ -424,13 +445,17 @@ def _core_char_polys(ms: Sequence[Modulus], cells: list, b: np.ndarray) -> list[
     structured kernel, which reads the supports, from ``_STRUCTURED_OMEGA``
     distinct primes on, the dense one below.  A failed charpoly check
     raises ArithmeticError naming the modulus."""
-    core = b.shape[1]
     try:
         if ms[0].omega >= _STRUCTURED_OMEGA:
-            return structured_char_polys(b, [[c[1] for c in row[:core]] for row in cells])
+            return structured_char_polys(b, _supports(cells, b.shape[1]))
         return char_polys(b)
     except CharPolyError as exc:
         raise ArithmeticError(f"n={ms[exc.index].n}: {exc.what}") from exc
+
+
+def _supports(cells: list, core: int) -> list[list[int]]:
+    """The prime supports of the ``core`` cells of each row of ``_cells``."""
+    return [[c[1] for c in row[:core]] for row in cells]
 
 
 def _decided_residual(m: Modulus, cells: list, b: np.ndarray, roots: list[int]) -> IntPoly:

@@ -346,15 +346,57 @@ def test_char_polys_match_one_matrix_at_a_time():
         char_polys([[[1]], [[1, 2], [3]]])
 
 
-def test_char_polys_mod_are_the_char_polys_modulo_their_first_prime():
+@pytest.mark.parametrize("budget", [polynomial._BATCH_CELLS, 1 << 6])
+def test_char_polys_mod_are_the_char_polys_modulo_their_prime(monkeypatch, budget):
+    # a budget of 64 cells takes two baby steps, and one matrix per slice from w = 5 on
+    monkeypatch.setattr(polynomial, "_BATCH_CELLS", budget)
     for k, batch in _batches().items():
         if not k:
             continue
-        q, residues = char_polys_mod(np.array(batch, dtype=np.int64))
-        assert q == polynomial._word_primes(k, 1)[0], k
+        q, residues, sums = char_polys_mod(np.array(batch, dtype=np.int64))
+        assert q == polynomial._trace_prime(k), k
         assert residues.shape == (len(batch), k + 1), k
         want = [[c % q for c in p.coeffs] for p in char_polys(batch)]
         assert residues.tolist() == want, k
+        traces = [[sum(row[i] for i, row in enumerate(m)) % q for m in batch]]
+        assert sums.shape == (len(batch), k + 2), k
+        assert sums[:, 0].tolist() == [k % q] * len(batch), k
+        assert sums[:, 1:2].T.tolist() == traces, k
+        assert not ((residues * sums[:, 1:]).sum(axis=1) % q).any(), k
+
+
+def _is_prime_by_trial(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_trace_prime_keeps_float64_products_exact_and_exceeds_w():
+    # the prime of char_polys_mod: the largest with w * q**2 < 2**53, and
+    # q > w, so that Newton's identities can divide by 1..w
+    for w in (1, 2, 3, 6, 14, 30, 62, 126, 254, 510, 1022, 10**5):
+        q = polynomial._trace_prime(w)
+        assert w * q**2 < 2**53 and q > w, w
+        assert _is_prime_by_trial(q), w
+        assert not any(map(_is_prime_by_trial, range(q + 1, math.isqrt((2**53 - 1) // w) + 1))), w
+    with pytest.raises(ValueError):
+        polynomial._trace_prime(2**18)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 14, 62, 126])
+def test_char_polys_mod_with_every_entry_at_the_top_of_the_field(w):
+    # every entry q - 1 makes every partial sum of every product as large as
+    # it can be; B = -J mod q has the charpoly x**(w - 1) (x + w)
+    q = polynomial._trace_prime(w)
+    rng = np.random.default_rng(w)
+    stack = np.concatenate([
+        np.full((1, w, w), q - 1, dtype=np.int64),
+        rng.integers(q - 9, q, size=(2, w, w)),
+        rng.integers(0, q, size=(2, w, w)),
+    ])
+    got, residues, sums = char_polys_mod(stack)
+    assert got == q
+    assert residues[0].tolist() == [0] * (w - 1) + [w % q, 1]
+    assert residues.tolist() == polynomial._residues(stack, [q]).tolist()
+    assert not ((residues * sums[:, 1:]).sum(axis=1) % q).any()
 
 
 def test_char_polys_checks_the_trace_of_each_matrix(monkeypatch):
@@ -405,7 +447,8 @@ def test_structured_char_polys_equal_char_polys_at_six_primes():
 def test_structured_residues_equal_the_dense_kernel_modulo_one_prime(n):
     # omega = 7, 8, 9: one prime of the dense kernel checks the structured one
     stack, supports = _quotients([n])
-    q, want = char_polys_mod(stack)
+    q = polynomial._word_primes(stack.shape[1] + 1, 1)[0]
+    want = polynomial._residues(stack, [q])
     got, complete = polynomial._structured_residues(stack, supports, [q])
     assert complete.all()
     assert got.tolist() == want.tolist()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -87,7 +88,7 @@ def sync_pool(monkeypatch):
             future.set_result(fn(*args, **kwargs))
             return future
 
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", SyncPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SyncPool)
     return pools
 
 

@@ -356,7 +356,7 @@ def test_decided_spectra_match_the_exact_path(monkeypatch):
     ours = g2_spectra(moduli)
     decided = [not isinstance(s._residual, IntPoly) for s in ours]
     monkeypatch.setattr(
-        spectra, "_one_prime_rule", lambda ms, b, values: (np.zeros(len(ms), dtype=bool), [])
+        spectra, "_one_prime_rule", lambda ms, cells, b, values: (np.zeros(len(ms), dtype=bool), [])
     )
     exact = g2_spectra(moduli)
     assert all(isinstance(s._residual, IntPoly) for s in exact)
@@ -632,15 +632,96 @@ def test_one_prime_rule_names_the_modulus_whose_residue_fails(monkeypatch, colum
     b42 = _core(42)
 
     def corrupted(stack):
-        q, residues = real(stack)
+        q, residues, sums = real(stack)
         for i, b in enumerate(stack):
             if np.array_equal(b, b42):
                 residues[i, column] = (residues[i, column] + 1) % q
-        return q, residues
+        return q, residues, sums
 
     monkeypatch.setattr(spectra, "char_polys_mod", corrupted)
     with pytest.raises(ArithmeticError, match=rf"^n=42: .*{what}"):
         g2_residual_degrees([Modulus.of(n) for n in (12, 29, 30, 42, 66)])
+
+
+def test_one_prime_rule_checks_the_power_sums_by_cayley_hamilton(monkeypatch):
+    # Newton's identities make every residue monic with c_(w-1) = -s_1, so a
+    # wrong power sum s_(w+1), which they do not read, meets only this check
+    real = spectra.char_polys_mod
+    b42 = _core(42)
+
+    def corrupted(stack):
+        q, residues, sums = real(stack)
+        for i, b in enumerate(stack):
+            if np.array_equal(b, b42):
+                sums[i, -1] = (sums[i, -1] + 1) % q
+        return q, residues, sums
+
+    monkeypatch.setattr(spectra, "char_polys_mod", corrupted)
+    with pytest.raises(ArithmeticError, match=r"^n=42: power sums break Cayley-Hamilton"):
+        g2_residual_degrees([Modulus.of(n) for n in (12, 29, 30, 42, 66)])
+
+
+@pytest.mark.parametrize("n", [42, 2310, 30030])
+def test_a_corrupted_product_of_the_power_trace_kernel_names_its_modulus(monkeypatch, n):
+    # one wrong entry in the last matrix product of the kernel's run for n
+    real = polynomial._product_mod
+    calls = []
+
+    def recording(a, b, q):
+        calls.append(1)
+        return real(a, b, q)
+
+    monkeypatch.setattr(polynomial, "_product_mod", recording)
+    g2_residual_degrees([Modulus.of(n)])
+    last = len(calls)
+    calls.clear()
+
+    def corrupted(a, b, q):
+        out = recording(a, b, q)
+        if len(calls) == last:
+            out[:, 0, 0] = (out[:, 0, 0] + 1) % q
+        return out
+
+    monkeypatch.setattr(polynomial, "_product_mod", corrupted)
+    with pytest.raises(ArithmeticError, match=rf"^n={n}: "):
+        g2_residual_degrees([Modulus.of(n)])
+
+
+def test_one_prime_rule_routes_by_omega(monkeypatch):
+    # below eight primes the decision takes power traces and never the
+    # Hessenberg kernel; from eight on, the structured kernel at one prime,
+    # with the Hessenberg kernel at that prime for a core it leaves incomplete
+    hessenberg, structured = [], []
+    real_hessenberg, real_structured = polynomial._char_poly_mod, polynomial._structured_residues
+
+    def recording_hessenberg(h, mods):
+        hessenberg.append(mods.tolist())
+        return real_hessenberg(h, mods)
+
+    def recording_structured(stack, supports, primes):
+        structured.append(list(primes))
+        return real_structured(stack, supports, primes)
+
+    monkeypatch.setattr(polynomial, "_char_poly_mod", recording_hessenberg)
+    monkeypatch.setattr(polynomial, "_structured_residues", recording_structured)
+    small = [Modulus.of(n) for n in (42, 2310, 5040, 30030, 510510, 1021020)]
+    assert {m.omega for m in small} == {3, 4, 5, 6, 7}
+    degrees = g2_residual_degrees(small)
+    for s in g2_spectra(small):
+        assert not isinstance(s._residual, IntPoly)  # decided, no exact charpoly
+    assert (hessenberg, structured) == ([], [])
+    assert degrees == [5, 29, 13, 61, 125, 125]
+
+    q = polynomial._word_primes(255, 1)[0]  # the first prime at w = 254
+    big = Modulus.of(9699690)
+    assert g2_residual_degrees([big]) == [253]
+    assert (hessenberg, structured) == ([], [[q]])
+    structured.clear()
+    # a zero start vector leaves every row incomplete
+    monkeypatch.setattr(polynomial, "_projections", lambda size: np.zeros(size, dtype=np.int64))
+    assert g2_residual_degrees([big]) == [253]
+    assert structured == [[q]]
+    assert hessenberg and all(mods == [q] for mods in hessenberg)
 
 
 @pytest.mark.parametrize(
