@@ -14,7 +14,7 @@ import sys
 from typing import Callable, TextIO
 
 from . import config, scan as scan_mod
-from .comax_graph import class_summary, dense_laplacian, full_edges, g2_edges
+from .comax_graph import class_summary, full_edges, g2_edges
 from .connectivity import (
     TheoremReport,
     algebraic_connectivity,
@@ -28,10 +28,10 @@ from .connectivity import (
 from .oracle import (
     OracleLimitExceeded,
     count_components,
+    dense_spectrum,
     exact_char_poly_full,
     g2_adjacency,
     min_vertex_cut,
-    numeric_spectrum,
 )
 from .ring_divisors import Modulus
 from .spectra import (
@@ -122,7 +122,7 @@ def _verify_spectrum_vs_oracle(v: _Verifier, m: Modulus, s: SpectrumMultiset) ->
         v.skip(name, f"n exceeds dense limit {config.DENSE_LIMIT}")
         return
     ours = s.values_ascending()
-    dense = numeric_spectrum(dense_laplacian(m))
+    dense = dense_spectrum(m)
     worst = max(abs(a - b) for a, b in zip(ours, dense))
     v.result(name, len(ours) == len(dense) and worst <= _SPECTRUM_TOL,
              f"max deviation {worst:.2e}")

@@ -1,4 +1,4 @@
-"""The comaximal graph of Z_n: adjacency, edges, classes, dense export.
+"""The comaximal graph of Z_n: adjacency, edges, classes.
 
 Vertices are the ring elements 0..n-1.  Two distinct vertices x, y are
 adjacent exactly when the ideals they generate sum to the whole ring, which
@@ -9,9 +9,9 @@ the prime-support quotient in ``spectra``.  The divisor classes
 A_d = {x : gcd(x, n) = d} appear only in the ``graph n classes`` summary.
 One edge rule serves every graph consumer: a coprimality table over the
 distinct gcd(x, n).  The boolean adjacency matrix indexes it whole and feeds
-the dense Laplacian (float64 with integer entries, which the eigensolver
-reads without a copy) and every brute-force oracle; the edge exports read its
-upper triangle one row at a time, so they stream in O(n) memory.
+every brute-force oracle, the dense Laplacian blocks among them; the edge
+exports read its upper triangle one row at a time, so they stream in O(n)
+memory.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import config
 from .ring_divisors import Modulus
 
 
@@ -42,23 +41,6 @@ def adjacency(m: Modulus, verts: Sequence[int]) -> np.ndarray:
     adj = table[index].T[index]
     np.fill_diagonal(adj, False)
     return adj
-
-
-def dense_laplacian(m: Modulus) -> np.ndarray:
-    """Dense Laplacian L = D - A of the comaximal graph (oracle input), built
-    from the boolean gcd adjacency of all n vertices.
-
-    The matrix is float64, the eigensolver's own type, so it reaches
-    ``eigvalsh`` without a copy.  Every entry is an integer of magnitude
-    below n <= ``config.DENSE_LIMIT``, which float64 holds exactly.  Refuses
-    n above that limit.
-    """
-    if m.n > config.DENSE_LIMIT:
-        raise ValueError(f"n={m.n} exceeds dense limit {config.DENSE_LIMIT}")
-    adj = adjacency(m, range(m.n))
-    lap = np.negative(adj, dtype=np.float64)
-    np.fill_diagonal(lap, adj.sum(axis=1))
-    return lap
 
 
 def _edges_among(m: Modulus, verts: Sequence[int]) -> Iterator[tuple[int, int]]:

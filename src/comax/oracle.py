@@ -3,41 +3,61 @@
 Nothing in here knows about the quotient decomposition.  Every dense oracle
 starts from one boolean adjacency matrix computed from element gcds
 (``comax_graph.adjacency``): spectra come from a dense symmetric eigensolver
-or from the exact characteristic polynomial of the full n x n Laplacian
-built on it (float64 with integer entries, which the eigensolver reads
-without a copy and the exact kernel takes as int64), component counts (of
-G2 and of its complement) come from a frontier traversal of that matrix,
-and the minimum vertex cut counts vertex-disjoint paths by shortest
+or from the exact characteristic polynomial of the full Laplacian, component
+counts (of G2 and of its complement) come from a frontier traversal of that
+matrix, and the minimum vertex cut counts vertex-disjoint paths by shortest
 augmenting paths on a vertex-split residual matrix read off it, capped at a
 few hundred vertices.
+
+Both spectral oracles split the Laplacian by negation, x -> -x mod n.  It
+maps every divisor class onto itself, so it is an automorphism, but that is
+not assumed: ``negation_split`` checks it exactly on the adjacency of all n
+vertices, one 256-row panel at a time, and raises if it fails.  The
+orthogonal basis e_x + e_(n-x), e_x - e_(n-x) (x = 1..ceil(n/2) - 1) plus
+the fixed points 0 and, for even n, n/2 (Cvetkovic, Rowlinson & Simic,
+*An Introduction to the Theory of Graph Spectra*, 2010) turns the one
+n x n Laplacian into an even block of size floor(n/2) + 1 and an odd block
+of size ceil(n/2) - 1.  A dense symmetric eigensolve costs about n^3, so the
+two half-size solves cost about a quarter of the one, and the split never
+holds more than the adjacency and one block: about three eighths of one
+float64 n x n Laplacian.  Only this one involution is used: the orbits of
+the whole unit group are the divisor classes, which would rebuild the
+quotient this module exists to check.
+
 Disagreement with the quotient pipeline means a bug, so these paths share
-no spectral shortcut with it.  The one exception is the dense exact
-charpoly kernel, which this module (``char_poly_matrix``) and the pipeline
-use on different matrices.  The one-prime decision, which every spectrum
-and every scan row goes through, takes it only for a core with eight or
-more distinct primes that the structured kernel leaves incomplete; it
-takes power traces below eight primes and the structured kernel from
-there on.  The exact charpoly of a quotient core comes from it for at most
-five distinct primes (the structured kernel from six on): at once for the
-moduli that decision leaves open, and for a decided one only when its
-residual polynomial is read (JSON output, ``verify`` up to n = 64).  The
-kernel skips the Hessenberg columns that are already closed and
-multiplies the charpolys of the diagonal blocks they leave.  That is generic Hessenberg
-deflation, which any matrix gets and which reads nothing of the graph; on
-the full Laplacians, with their few distinct eigenvalues, it skips most
-columns.  It is not a spectral shortcut.  The tests check the dense kernel
-independently, against sympy and against a fraction-free determinant of
-their own at random points.
+no spectral shortcut with it; the pipeline never uses negation.  The one
+exception is the dense exact charpoly kernel, which this module
+(``char_poly_matrix``) and the pipeline use on different matrices.  The
+one-prime decision, which every spectrum and every scan row goes through,
+takes it only for a core with eight or more distinct primes that the
+structured kernel leaves incomplete; it takes power traces below eight
+primes and the structured kernel from there on.  The exact charpoly of a
+quotient core comes from it for at most five distinct primes (the
+structured kernel from six on): at once for the moduli that decision leaves
+open, and for a decided one only when its residual polynomial is read (JSON
+output, ``verify`` up to n = 64).  The kernel skips the Hessenberg columns
+that are already closed and multiplies the charpolys of the diagonal blocks
+they leave.  That is generic Hessenberg deflation, which any matrix gets
+and which reads nothing of the graph; on the Laplacian blocks, with their
+few distinct eigenvalues, it skips most columns.  It is not a spectral
+shortcut.  The tests check the dense kernel independently, against sympy
+and against a fraction-free determinant of their own at random points.
 """
 
 from __future__ import annotations
 
+import heapq
+from typing import Callable, TypeVar
+
 import numpy as np
 
 from . import config
-from .comax_graph import adjacency, dense_laplacian, g2_vertices
+from .comax_graph import adjacency, g2_vertices
 from .polynomial import IntPoly, char_poly_matrix
 from .ring_divisors import Modulus
+
+
+T = TypeVar("T")
 
 
 class OracleLimitExceeded(Exception):
@@ -48,8 +68,8 @@ def numeric_spectrum(laplacian: np.ndarray) -> tuple[float, ...]:
     """All eigenvalues of a dense symmetric integer-valued matrix, ascending,
     from a backward-stable symmetric eigensolver (orthogonal similarity).
 
-    A float64 matrix, such as ``dense_laplacian``'s, is used as it is; any
-    other is converted once.  The solver's working copy is then the only
+    A float64 matrix, such as a block of ``negation_split``, is used as it
+    is; any other is converted once.  The solver's working copy is then the only
     other n x n float array alive.
     """
     mat = np.asarray(laplacian, dtype=np.float64)
@@ -67,20 +87,81 @@ def numeric_spectrum(laplacian: np.ndarray) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linalg.eigvalsh(mat))
 
 
-def exact_char_poly_full(m: Modulus) -> IntPoly:
-    """Exact characteristic polynomial of the full n x n Laplacian.
+def negation_split(
+    m: Modulus, solve: Callable[[np.ndarray], T], symmetric: bool = True
+) -> tuple[T, T]:
+    """``solve`` of the even and of the odd block of the Laplacian of the
+    comaximal graph under negation, x -> -x mod n, in that order.
 
-    The exact charpoly kernel run on the dense matrix rather than on the
+    The boolean adjacency of all n vertices is built once, and negation is
+    checked to map it onto itself exactly, one 256-row panel at a time, so
+    no n x n temporary is made; a mismatch raises ValueError.  With
+    k = ceil(n/2) - 1 pairs {x, n - x}, the even block acts on the fixed
+    point 0, on e_x + e_(n-x) for x = 1..k and, for even n, on the fixed
+    point n/2, in that order; the odd block acts on e_x - e_(n-x), x = 1..k.
+    The odd block L[x, y] - L[x, n - y] is an integer matrix.  In the
+    orthonormal basis (``symmetric``) the even block is L[x, y] + L[x, n - y]
+    between pairs, L[f, g] between fixed points and sqrt(2) L[x, f] between
+    the two.  The similar integer form (``symmetric=False``) sums each
+    row over the columns of an orbit instead: the fixed-point rows are
+    doubled and the pair rows of the fixed-point columns are not scaled.
+    Both blocks are float64 with entries below n in magnitude.  The even
+    block is dropped before the odd one is built, so the call holds the
+    adjacency and one block at a time.  Refuses n above
+    ``config.DENSE_LIMIT``.
+    """
+    n = m.n
+    if n > config.DENSE_LIMIT:
+        raise OracleLimitExceeded(f"n={n} exceeds dense limit {config.DENSE_LIMIT}")
+    adj = adjacency(m, range(n))
+    neg = -np.arange(n) % n
+    for i in range(0, n, 256):
+        if not np.array_equal(adj[neg[i : i + 256]][:, neg], adj[i : i + 256]):
+            raise ValueError("negation is not an automorphism of the adjacency")
+    degree = adj.sum(axis=1)
+    half, k = n // 2, (n - 1) // 2
+    mirror = adj[: half + 1, n - 1 : n - k - 1 : -1]  # column y - 1: adj[x, n - y]
+    even = np.negative(adj[: half + 1, : half + 1], dtype=np.float64)
+    even[:, 1 : k + 1] -= mirror
+    even.flat[:: half + 2] += degree[: half + 1]
+    if symmetric:
+        fixed = [0, half] if n % 2 == 0 else [0]
+        even[1 : k + 1, fixed] *= np.sqrt(2.0)
+        even[fixed, 1 : k + 1] = even[1 : k + 1, fixed].T
+    solved = solve(even)
+    del even
+    odd = np.negative(adj[1 : k + 1, 1 : k + 1], dtype=np.float64)
+    odd += mirror[1 : k + 1]
+    odd.flat[:: k + 1] += degree[1 : k + 1]
+    return solved, solve(odd)
+
+
+def dense_spectrum(m: Modulus) -> tuple[float, ...]:
+    """All n eigenvalues of the Laplacian, ascending: ``numeric_spectrum`` of
+    the two blocks of ``negation_split``, merged."""
+    even, odd = negation_split(m, numeric_spectrum)
+    return tuple(heapq.merge(even, odd))
+
+
+def exact_char_poly_full(m: Modulus) -> IntPoly:
+    """Exact characteristic polynomial of the full n x n Laplacian: the
+    product of those of the integer forms of the two ``negation_split``
+    blocks.
+
+    The exact charpoly kernel runs on the dense blocks rather than on the
     quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices.  Most
-    Hessenberg columns of these Laplacians close early, so the elimination
-    is cheap; the cap keeps the Hadamard bound, and with it the number of
-    primes, small.  The float64 Laplacian's integer entries are converted to
+    Hessenberg columns of these blocks close early, so the elimination is
+    cheap; the cap keeps the Hadamard bound, and with it the number of
+    primes, small.  The float64 blocks' integer entries are converted to
     int64 first, as the kernel takes integers only.
     """
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
         raise OracleLimitExceeded(f"n={m.n} exceeds exact char poly limit {limit}")
-    return char_poly_matrix(dense_laplacian(m).astype(np.int64))
+    even, odd = negation_split(
+        m, lambda block: char_poly_matrix(block.astype(np.int64)), symmetric=False
+    )
+    return even * odd
 
 
 def g2_adjacency(m: Modulus) -> np.ndarray:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 
 def adjacent(n: int, x: int, y: int) -> bool:
     """Whether x and y are adjacent in the comaximal graph of Z_n: x != y and
@@ -30,6 +32,21 @@ def degree(n: int, x: int) -> int:
                 rest //= p
         p += 1
     return count - 1 if d == 1 else count
+
+
+def dense_laplacian(n: int) -> np.ndarray:
+    """The unsplit Laplacian L = D - A of the comaximal graph of Z_n, float64,
+    one row at a time: A[x, y] = 1 when x != y and gcd(x, n), gcd(y, n) are
+    coprime, and D[x, x] the row count of A.  The reference the
+    negation-split oracles are checked against."""
+    g = np.gcd(np.arange(n), n)
+    lap = np.zeros((n, n))
+    for x in range(n):
+        row = np.gcd(g[x], g) == 1
+        row[x] = False
+        lap[x] = np.negative(row, dtype=np.float64)
+        lap[x, x] = row.sum()
+    return lap
 
 
 def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:

@@ -16,15 +16,15 @@ import sys
 import time
 from pathlib import Path
 
-from comax.comax_graph import adjacency, dense_laplacian
+from comax.comax_graph import adjacency
 from comax.connectivity import multiplicity_reports
 from comax.oracle import (
     complement,
     count_components,
+    dense_spectrum,
     exact_char_poly_full,
     g2_adjacency,
     min_vertex_cut,
-    numeric_spectrum,
 )
 from comax.ring_divisors import Modulus
 from comax.spectra import (
@@ -60,7 +60,7 @@ def test_criterion_01_quotient_spectrum_matches_dense_oracle():
     for n in range(3, 201):
         m = Modulus.of(n)
         ours = full_spectrum(m).values_ascending()
-        dense = numeric_spectrum(dense_laplacian(m))
+        dense = dense_spectrum(m)
         if len(ours) != n:
             violations.append((n, "size"))
             continue
@@ -198,7 +198,7 @@ def test_criterion_06_multiplicities():
         if boundary != (per_radical, per_radical - 1, False, ""):
             violations.append((n, "phi-mult boundary", boundary))
         if n <= 200:
-            dense = numeric_spectrum(dense_laplacian(m))
+            dense = dense_spectrum(m)
             count = sum(1 for v in dense if abs(v - m.phi) <= TOL)
             if count != per_radical - 1:
                 violations.append((n, "phi-mult dense", count, per_radical - 1))

@@ -5,21 +5,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from comax import config
+from comax import config, oracle
 from comax.cli import main
 from comax.oracle import (
     OracleLimitExceeded,
     complement,
     count_components,
+    dense_spectrum,
     exact_char_poly_full,
     g2_adjacency,
     min_vertex_cut,
     numeric_spectrum,
 )
-from comax.comax_graph import adjacency, dense_laplacian, g2_vertices
-from comax.polynomial import IntPoly
+from comax.comax_graph import adjacency, g2_vertices
+from comax.polynomial import IntPoly, char_poly_matrix
 from comax.ring_divisors import Modulus
-from reference import adjacent, bareiss_det
+from reference import adjacent, bareiss_det, dense_laplacian
 
 
 def brute_force_vertex_cut(adj: np.ndarray) -> int:
@@ -56,7 +57,7 @@ def test_numeric_spectrum_examples():
     k3 = np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     assert np.allclose(numeric_spectrum(k3), [0, 3, 3])
 
-    z4 = numeric_spectrum(dense_laplacian(Modulus.of(4)))
+    z4 = numeric_spectrum(dense_laplacian(4))
     assert np.allclose(z4, [0, 2, 4, 4])
 
     zeros = numeric_spectrum(np.zeros((5, 5), dtype=np.int64))
@@ -65,7 +66,7 @@ def test_numeric_spectrum_examples():
 
 def test_numeric_spectrum_laplacian_invariants():
     for n in (6, 12, 30, 60):
-        lap = dense_laplacian(Modulus.of(n))
+        lap = dense_laplacian(n)
         s = numeric_spectrum(lap)
         assert len(s) == n
         assert list(s) == sorted(s)
@@ -84,7 +85,7 @@ def test_numeric_spectrum_rejects_bad_input(monkeypatch):
 def test_numeric_spectrum_refuses_one_asymmetric_pair():
     # the symmetry check runs in 256-row panels: a lone pair at the far
     # corner and one across a panel edge are both caught
-    lap = dense_laplacian(Modulus.of(301))
+    lap = dense_laplacian(301)
     assert len(numeric_spectrum(lap)) == 301
     for i, j in ((0, 300), (255, 256)):
         bad = lap.copy()
@@ -99,21 +100,91 @@ def test_dense_spectrum_holds_one_float_laplacian():
     # tracemalloc sees numpy buffers but not the eigensolver's internal
     # working copy: the solve must not copy the float64 Laplacian, and
     # building plus solving must hold it once
-    m = Modulus.of(1155)
-    lap = dense_laplacian(m)
+    lap = dense_laplacian(1155)
     tracemalloc.start()
     try:
         numeric_spectrum(lap)
         solve_peak = tracemalloc.get_traced_memory()[1]
         del lap
         tracemalloc.reset_peak()
-        lap = dense_laplacian(m)
+        lap = dense_laplacian(1155)
         numeric_spectrum(lap)
         both_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert solve_peak < lap.nbytes / 2
     assert both_peak < 1.5 * lap.nbytes
+
+
+def test_split_spectrum_matches_the_unsplit_eigensolver():
+    # odd n have the one fixed point 0, even n also n/2; 3990 is even and
+    # squarefree, 4095 odd, both near the dense limit
+    for n in [*range(3, 301), 2310, 2730, 3990, 4095]:
+        split = dense_spectrum(Modulus.of(n))
+        whole = np.linalg.eigvalsh(dense_laplacian(n))
+        assert len(split) == n, n
+        assert list(split) == sorted(split), n
+        assert np.max(np.abs(np.array(split) - whole)) <= 1e-9 * n, n
+
+
+def test_split_charpoly_equals_the_unsplit_one():
+    for n in range(3, 65):
+        whole = char_poly_matrix(dense_laplacian(n).astype(np.int64))
+        assert exact_char_poly_full(Modulus.of(n)) == whole, n
+
+
+def move_one_edge(monkeypatch, x: int) -> None:
+    """Make the oracles' adjacency drop the first edge at vertex x and join x
+    to its first non-neighbour instead, in both triangles."""
+    real = oracle.adjacency
+
+    def moved(m, verts):
+        adj = real(m, verts)
+        y = int(np.argmax(adj[x]))
+        z = next(v for v in range(len(adj)) if v != x and not adj[x, v])
+        adj[x, y] = adj[y, x] = False
+        adj[x, z] = adj[z, x] = True
+        return adj
+
+    monkeypatch.setattr(oracle, "adjacency", moved)
+
+
+@pytest.mark.parametrize("x", [0, 7, 252, 258, 294])
+def test_negation_split_refuses_a_moved_edge(monkeypatch, x):
+    # the invariance check runs in 256-row panels: a break at a non-unit of
+    # 301 = 7 * 43 in the first row, on either side of the panel edge and
+    # near the last row is caught
+    move_one_edge(monkeypatch, x)
+    with pytest.raises(ValueError, match="negation"):
+        dense_spectrum(Modulus.of(301))
+
+
+def test_exact_split_refuses_a_moved_edge(monkeypatch):
+    move_one_edge(monkeypatch, 5)
+    with pytest.raises(ValueError, match="negation"):
+        exact_char_poly_full(Modulus.of(60))
+
+
+def test_negation_split_refuses_n_above_the_dense_limit(monkeypatch):
+    monkeypatch.setattr(config, "DENSE_LIMIT", 50)
+    with pytest.raises(OracleLimitExceeded):
+        dense_spectrum(Modulus.of(100))
+    monkeypatch.setattr(config, "DENSE_LIMIT", 200)
+    assert len(dense_spectrum(Modulus.of(100))) == 100
+
+
+@pytest.mark.parametrize("n", [1155, 1156])
+def test_split_spectrum_holds_under_half_a_float_laplacian(n):
+    # the adjacency and one half-size float64 block at a time: about three
+    # eighths of the n x n float64 Laplacian the split replaces (tracemalloc
+    # sees numpy buffers, not the eigensolver's internal working copy)
+    tracemalloc.start()
+    try:
+        dense_spectrum(Modulus.of(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2
 
 
 def test_exact_char_poly_examples():
@@ -134,7 +205,7 @@ def test_exact_char_poly_point_evaluation():
     for n, xs in points.items():
         m = Modulus.of(n)
         p = exact_char_poly_full(m)
-        lap = dense_laplacian(m).tolist()
+        lap = dense_laplacian(n).tolist()
         for x in xs:
             shifted = [
                 [(x if i == j else 0) - lap[i][j] for j in range(n)]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from comax import polynomial, spectra
-from comax.comax_graph import dense_laplacian
 from comax.polynomial import IntPoly, char_poly_matrix
 from comax.ring_divisors import Modulus
 from comax.spectra import (
@@ -302,7 +301,7 @@ def test_residual_roots_beyond_small_range():
 
     m = Modulus.of(210)
     ours = full_spectrum(m).values_ascending()
-    dense = oracle.numeric_spectrum(dense_laplacian(m))
+    dense = oracle.dense_spectrum(m)
     assert max(abs(a - b) for a, b in zip(ours, dense)) < 1e-9
 
 
