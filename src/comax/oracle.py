@@ -26,22 +26,16 @@ quotient this module exists to check.
 
 Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it; the pipeline never uses negation.  The one
-exception is the dense exact charpoly kernel, which this module
-(``char_poly_matrix``) and the pipeline use on different matrices.  The
-one-prime decision, which every spectrum and every scan row goes through,
-takes it only for a core with eight or more distinct primes that the
-structured kernel leaves incomplete; it takes power traces below eight
-primes and the structured kernel from there on.  The exact charpoly of a
-quotient core comes from it for at most five distinct primes (the
-structured kernel from six on): at once for the moduli that decision leaves
-open, and for a decided one only when its residual polynomial is read (JSON
-output, ``verify`` up to n = 64).  The kernel skips the Hessenberg columns
-that are already closed and multiplies the charpolys of the diagonal blocks
-they leave.  That is generic Hessenberg deflation, which any matrix gets
-and which reads nothing of the graph; on the Laplacian blocks, with their
-few distinct eigenvalues, it skips most columns.  It is not a spectral
-shortcut.  The tests check the dense kernel independently, against sympy
-and against a fraction-free determinant of their own at random points.
+exception is the dense exact charpoly kernel (``char_poly_matrix``), which
+the pipeline reaches only as the fallback of its structured kernel, for a
+quotient core that kernel leaves incomplete.  The dense kernel skips the
+Hessenberg columns that are already closed and multiplies the charpolys of
+the diagonal blocks they leave.  That is generic Hessenberg deflation,
+which any matrix gets and which reads nothing of the graph; on the
+Laplacian blocks, with their few distinct eigenvalues, it skips most
+columns.  It is not a spectral shortcut.  The tests check the dense
+kernel independently, against sympy and against a fraction-free
+determinant of their own at random points.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ feed the one recombination, which checks every result:
     products.  A matrix for which Berlekamp-Massey finds a generator of
     lower degree modulo some prime (a repeated eigenvalue, a column value
     that the prime divides, or an unlucky start vector) takes the dense
-    kernel instead.
+    kernel instead.  Every exact G2 core charpoly comes from this kernel,
+    so the dense one serves only the oracle and this fallback.
 Where one prime is enough, ``char_polys_mod`` takes the power-trace kernel:
 the traces of the powers B^t, t <= w + 1, from baby-step/giant-step float64
 matrix products (exact while every partial sum stays below 2**53), then
@@ -508,10 +509,13 @@ def structured_char_polys(
     matrix for which any prime leaves them incomplete has all its residues
     taken from the dense kernel instead, modulo the same primes.  The
     Hadamard bound, the CRT and the checks are those of ``char_polys``, and
-    the primes keep w + 1 products below (p - 1)**2 within int64.  Input not
-    of this form raises ValueError.
+    the primes keep w + 1 products below (p - 1)**2 within int64.  A matrix
+    of size 0 has the charpoly 1.  Input not of this form raises ValueError.
     """
-    stack = _int64_stack(np.asarray(matrices))
+    stack = np.asarray(matrices)
+    if not len(stack) or stack.shape[1:] in ((0,), (0, 0)):
+        return [IntPoly.one()] * len(stack)
+    stack = _int64_stack(stack)
     primes = _word_primes(stack.shape[1] + 1, _hadamard_bound(stack))
     return _recombine(stack, primes, _structured_or_dense(stack, supports, primes))
 

@@ -21,9 +21,9 @@ symmetric quotient M, so its spectrum is real.  The cell of rad(n) of a
 non-squarefree n meets every support, so its n / rad(n) - 1 vertices are
 isolated and its row and column of B are 0: the exact charpoly is that of
 the core, the cells with a neighbour, times x, and the numeric eigenvalues
-come from eigvalsh of M.  From omega = 6 on, the core's charpoly comes from
-the structured kernel, which multiplies by B through its supports in
-O(omega * 2^omega) steps; smaller cores take the dense kernel.
+come from eigvalsh of M.  The core's exact charpoly comes from the
+structured kernel, which multiplies by B through its supports in
+O(omega * 2^omega) steps.
 
 Every spectrum, printed or scanned, rests on one decision that needs no
 exact charpoly for most n.  Every row of B sums to zero, B 1 = 0, so 0 is
@@ -32,11 +32,11 @@ is empty or has the roots 0 and trace(B) and no other.  Above, when 0 is a
 simple root of the core and its charpoly modulo one prime (power traces
 below omega = 8, the structured kernel from there on) is nonzero at every
 other rounded eigenvalue, 0 is the only integer root and the residual
-degree is the core size less 1.  A decided spectrum is built at
-once from the cells and the eigenvalues; the exact residual polynomial is
-taken from the core's charpoly only when something reads it.  Any other
-modulus takes the exact path at once.  The scan reads only the degrees
-off the same decision (``g2_residual_degrees``).
+degree is the core size less 1.  A decided spectrum is built at once
+from the cells and the eigenvalues; the exact residual polynomial, 1 for
+a core of at most two cells, is taken from the core's charpoly only when
+something reads it.  Any other modulus takes the exact path at once.  The
+scan reads only the degrees off the same decision (``g2_residual_degrees``).
 
 The full graph is the join of a clique on the units with (G2 plus the
 isolated zero vertex), which contributes eigenvalue n with multiplicity
@@ -56,7 +56,6 @@ import numpy as np
 from .polynomial import (
     CharPolyError,
     IntPoly,
-    char_polys,
     char_polys_mod,
     extract_integer_roots,
     structured_char_polys,
@@ -66,14 +65,6 @@ from .polynomial import (
 from .ring_divisors import Modulus
 
 _EPS = float(np.finfo(np.float64).eps)
-
-# The exact charpoly of a core (``_core_char_polys``: eager for the moduli
-# the one-prime rule leaves undecided, on demand for the residual of a
-# decided one) comes from the structured kernel for moduli with this many
-# distinct primes or more (w >= 62).  On a 2-CPU VM it took 14 ms for 30030
-# against the dense kernel's 44 ms, but no less for 2310 (omega = 5,
-# 4-5 ms); the smaller quotients stay with the dense kernel.
-_STRUCTURED_OMEGA = 6
 
 # The one-prime rule takes the structured kernel modulo one prime for cores
 # with this many distinct primes or more (w >= 254), and the power-trace
@@ -303,12 +294,13 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
 
     A modulus the rule decides knows the integer roots of its core: 0, and
     trace(B) too for a core of two cells; the cell of rad(n), when isolated,
-    adds one more 0.  Its spectrum is built at once, and its residual, the
-    core's exact charpoly (``_core_char_polys``) divided by those roots, is
-    taken only when read.  The undecided moduli of a group share one
-    ``_core_char_polys`` call: rounded, their eigenvalues are the
-    integer-root candidates that ``extract_integer_roots`` screens modulo
-    one prime and decides by exact synthetic division.  Either way, the
+    adds one more 0.  Its spectrum is built at once.  A core of at most two
+    cells has no other root, so its residual is 1; a larger core's, its
+    exact charpoly (``_core_char_polys``) divided by x, is taken only when
+    read.  The undecided moduli of a group share one ``_core_char_polys``
+    call: rounded, their eigenvalues are the integer-root candidates that
+    ``extract_integer_roots`` screens modulo one prime and decides by exact
+    synthetic division.  Either way, the
     eigenvalues left after removing the nearest one to each integer root
     are the residual roots.  Total size is n - phi(n) - 1.
 
@@ -335,7 +327,10 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
             if decided[k]:
                 found = [0, trace] if core == 2 else [0] if core else []
                 roots = sorted(Counter(found + [0] * isolated).items())
-                residual = functools.partial(_decided_residual, m, cs, b[k : k + 1], found)
+                residual = (
+                    functools.partial(_decided_residual, m, cs, b[k : k + 1])
+                    if core > 2 else IntPoly.one()
+                )
                 exact_sum = trace - sum(found)
             else:
                 p = next(polys) * IntPoly((0, 1)) if isolated else next(polys)
@@ -441,14 +436,11 @@ def _zero_is_the_only_integer_root(
 
 def _core_char_polys(ms: Sequence[Modulus], cells: list, b: np.ndarray) -> list[IntPoly]:
     """The exact charpolys of the core stack ``b`` (k, w, w) of moduli
-    ``ms`` with their ``_cells``, one size w and so one omega: the
-    structured kernel, which reads the supports, from ``_STRUCTURED_OMEGA``
-    distinct primes on, the dense one below.  A failed charpoly check
-    raises ArithmeticError naming the modulus."""
+    ``ms`` with their ``_cells``, from the structured kernel, which reads
+    the supports and takes the dense one for a matrix it leaves incomplete.
+    A failed charpoly check raises ArithmeticError naming the modulus."""
     try:
-        if ms[0].omega >= _STRUCTURED_OMEGA:
-            return structured_char_polys(b, _supports(cells, b.shape[1]))
-        return char_polys(b)
+        return structured_char_polys(b, _supports(cells, b.shape[1]))
     except CharPolyError as exc:
         raise ArithmeticError(f"n={ms[exc.index].n}: {exc.what}") from exc
 
@@ -458,15 +450,14 @@ def _supports(cells: list, core: int) -> list[list[int]]:
     return [[c[1] for c in row[:core]] for row in cells]
 
 
-def _decided_residual(m: Modulus, cells: list, b: np.ndarray, roots: list[int]) -> IntPoly:
-    """The residual of a modulus the one-prime rule decided: the exact
-    charpoly of its core ``b`` (1, w, w) divided by x - r for each of the
-    integer ``roots`` the rule found, each division checked exact."""
+def _decided_residual(m: Modulus, cells: list, b: np.ndarray) -> IntPoly:
+    """The residual of a modulus the one-prime rule decided, with a core
+    ``b`` (1, w, w) of w > 2 cells: its exact charpoly divided by x, the
+    division checked exact."""
     [p] = _core_char_polys([m], [cells], b)
-    for r in roots:
-        p, remainder = p.divide_linear(r)
-        if remainder:
-            raise ArithmeticError(f"n={m.n}: decided integer eigenvalue {r} is not a charpoly root")
+    p, remainder = p.divide_linear(0)
+    if remainder:
+        raise ArithmeticError(f"n={m.n}: decided integer eigenvalue 0 is not a charpoly root")
     return p
 
 

@@ -568,6 +568,10 @@ def test_structured_char_polys_refuse_other_input():
     rows, masks = _structured(random.Random(5), 3, None)
     stack = np.array([rows])
     assert structured_char_polys(stack, [masks]) == char_polys(stack)
+    # matrices of size 0, as the empty core of a prime power, have charpoly 1
+    empty = np.zeros((2, 0, 0), dtype=np.int64)
+    assert structured_char_polys(empty, [[], []]) == char_polys(empty) == [IntPoly.one()] * 2
+    assert structured_char_polys([], []) == []
     for bad in ([masks[:-1]], [[0] + masks[1:]], [masks[:-1] + masks[:1]], [[m * 4 for m in masks]]):
         with pytest.raises(ValueError, match="supports"):
             structured_char_polys(stack, bad)

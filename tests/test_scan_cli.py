@@ -369,21 +369,16 @@ def test_cli_spectrum_csv(capsys):
 
 @pytest.fixture
 def exact_charpolys(monkeypatch):
-    """The sizes of the core stacks sent to the exact charpoly kernels
+    """The sizes of the core stacks sent to the exact charpoly kernel
     through ``spectra``, one entry per call."""
     calls = []
-    dense, structured = spectra.char_polys, spectra.structured_char_polys
+    structured = spectra.structured_char_polys
 
-    def recording_dense(stack):
-        calls.append(np.shape(stack))
-        return dense(stack)
-
-    def recording_structured(stack, supports):
+    def recording(stack, supports):
         calls.append(np.shape(stack))
         return structured(stack, supports)
 
-    monkeypatch.setattr(spectra, "char_polys", recording_dense)
-    monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
+    monkeypatch.setattr(spectra, "structured_char_polys", recording)
     return calls
 
 

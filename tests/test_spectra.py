@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from comax import polynomial, spectra
-from comax.polynomial import IntPoly, char_poly_matrix
+from comax.polynomial import IntPoly, char_poly_matrix, char_polys, structured_char_polys
 from comax.ring_divisors import Modulus
 from comax.spectra import (
     SpectrumMultiset,
@@ -349,11 +349,20 @@ LADDER = (2310, 5040, 15120, 30030, 2730, 5460, 16380, 39270)
 
 
 def test_decided_spectra_match_the_exact_path(monkeypatch):
-    # the reference decides nothing, so every modulus, the two-cell cores that
-    # never reach _zero_is_the_only_integer_root included, takes the exact path
+    # the reference decides nothing, so every modulus, the empty and two-cell
+    # cores that never reach _zero_is_the_only_integer_root included, takes
+    # the exact path through the structured kernel
     moduli = [Modulus.of(n) for n in [*range(3, 5001), *LADDER, 510510, 720720, 1021020]]
+    decided = []
+    rule = spectra._one_prime_rule
+
+    def recording(ms, cells, b, values):
+        out = rule(ms, cells, b, values)
+        decided.extend(out[0].tolist())
+        return out
+
+    monkeypatch.setattr(spectra, "_one_prime_rule", recording)
     ours = g2_spectra(moduli)
-    decided = [not isinstance(s._residual, IntPoly) for s in ours]
     monkeypatch.setattr(
         spectra, "_one_prime_rule", lambda ms, cells, b, values: (np.zeros(len(ms), dtype=bool), [])
     )
@@ -415,8 +424,10 @@ def test_non_roots_never_reach_synthetic_division(monkeypatch):
 
 
 def test_g2_spectra_names_the_modulus_whose_charpoly_fails(monkeypatch):
+    # a zero start vector leaves every structured row incomplete, so the core
+    # of 30 takes the dense fallback, which fails its check
     kernel = polynomial._char_poly_mod
-    w30 = len(_cells(Modulus.of(30)))
+    w30 = len(_core(30))
 
     def off_by_one_trace(h, mods):
         out = kernel(h, mods)
@@ -425,28 +436,58 @@ def test_g2_spectra_names_the_modulus_whose_charpoly_fails(monkeypatch):
         return out
 
     monkeypatch.setattr(polynomial, "_char_poly_mod", off_by_one_trace)
+    monkeypatch.setattr(polynomial, "_projections", lambda size: np.zeros(size, dtype=np.int64))
     with pytest.raises(ArithmeticError, match=r"^n=30: x\^\(w-1\) coefficient"):
         g2_spectra([Modulus.of(n) for n in (12, 29, 30, 36)])
 
 
-def test_quotients_with_six_primes_or_more_take_the_structured_kernel(monkeypatch):
-    sizes = {"dense": [], "structured": []}
-    dense, structured = spectra.char_polys, spectra.structured_char_polys
+def test_every_exact_charpoly_takes_the_structured_kernel(monkeypatch):
+    # no core in 3..5000 leaves the structured kernel incomplete, so no
+    # residual read reaches the dense kernel; a core of at most two cells
+    # (omega <= 2) takes no kernel, and the one-prime rule takes power traces
+    hessenberg, structured = [], []
+    real_hessenberg, real_structured = polynomial._char_poly_mod, spectra.structured_char_polys
 
-    def recording_dense(stack):
-        sizes["dense"].append(np.shape(stack)[1])
-        return dense(stack)
+    def recording_hessenberg(h, mods):
+        hessenberg.append(h.shape[1])
+        return real_hessenberg(h, mods)
 
     def recording_structured(stack, supports):
-        sizes["structured"].append(np.shape(stack)[1])
-        return structured(stack, supports)
+        structured.append(np.shape(stack)[1])
+        return real_structured(stack, supports)
 
-    monkeypatch.setattr(spectra, "char_polys", recording_dense)
+    monkeypatch.setattr(polynomial, "_char_poly_mod", recording_hessenberg)
     monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
-    for s in g2_spectra([Modulus.of(n) for n in (12, 2310, 30030, 60060, 510510)]):
-        s.residual  # each is decided, and its charpoly taken on this read
-    assert sorted(sizes["dense"]) == [2, 30]
-    assert sorted(sizes["structured"]) == [62, 62, 126]
+    moduli = [Modulus.of(n) for n in range(3, 5001)]
+    for s in g2_spectra(moduli):
+        s.residual
+    assert hessenberg == []
+    assert set(structured) == {6, 14, 30}
+    # one call per decided core; the 49 undecided moduli, of radical 30 or
+    # 255, take one call per size group, squarefree and not
+    assert len(structured) == sum(m.omega >= 3 for m in moduli) - 47
+
+
+def test_structured_kernel_equals_the_dense_one_on_every_core_to_5000(monkeypatch):
+    # every core of three cells or more in 3..5000 (omega = 3..5), stacked
+    # as the pipeline stacks them, with no row left to the dense fallback
+    incomplete = []
+    real = polynomial._structured_residues
+
+    def recording(stack, supports, primes):
+        residues, complete = real(stack, supports, primes)
+        incomplete.append(int((~complete).sum()))
+        return residues, complete
+
+    monkeypatch.setattr(polynomial, "_structured_residues", recording)
+    cores = 0
+    for _, _, cells, b, _, _ in spectra._size_groups([Modulus.of(n) for n in range(3, 5001)]):
+        w = b.shape[1]
+        if w > 2:
+            assert structured_char_polys(b, spectra._supports(cells, w)) == char_polys(b), w
+            cores += len(b)
+    assert cores == 2101
+    assert sum(incomplete) == 0
 
 
 def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
@@ -478,22 +519,26 @@ def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
 
 
 def test_g2_spectra_names_the_modulus_whose_structured_charpoly_fails(monkeypatch):
+    # 30 is undecided and takes its charpoly at once; 39270 is decided and
+    # takes it when its residual is read; 42 and 30030, 43890 share their sizes
     residues = polynomial._structured_residues
-    b = _core(39270)
+    moduli = [Modulus.of(k) for k in (12, 29, 30, 36, 42, 30030, 39270, 43890)]
+    for n in (30, 39270):
+        b = _core(n)
 
-    def off_by_one_trace(stack, supports, primes):
-        out, complete = residues(stack, supports, primes)
-        c = len(primes)
-        for i, m in enumerate(stack):
-            if np.array_equal(m, b):
-                rows = slice(i * c, (i + 1) * c)
-                out[rows, -2] = (out[rows, -2] + 1) % np.array(primes)
-        return out, complete
+        def off_by_one_trace(stack, supports, primes, b=b):
+            out, complete = residues(stack, supports, primes)
+            c = len(primes)
+            for i, m in enumerate(stack):
+                if np.array_equal(m, b):
+                    rows = slice(i * c, (i + 1) * c)
+                    out[rows, -2] = (out[rows, -2] + 1) % np.array(primes)
+            return out, complete
 
-    monkeypatch.setattr(polynomial, "_structured_residues", off_by_one_trace)
-    with pytest.raises(ArithmeticError, match=r"^n=39270: x\^\(w-1\) coefficient"):
-        for s in g2_spectra([Modulus.of(n) for n in (12, 30030, 39270, 43890)]):
-            s.residual  # each is decided, and its charpoly taken on this read
+        monkeypatch.setattr(polynomial, "_structured_residues", off_by_one_trace)
+        with pytest.raises(ArithmeticError, match=rf"^n={n}: x\^\(w-1\) coefficient"):
+            for s in g2_spectra(moduli):
+                s.residual
 
 
 def test_g2_spectrum_refuses_a_quotient_before_its_charpoly(monkeypatch):
@@ -501,7 +546,6 @@ def test_g2_spectrum_refuses_a_quotient_before_its_charpoly(monkeypatch):
     def no_kernel(*matrices_and_supports):
         raise AssertionError("a charpoly kernel ran on a refused quotient")
 
-    monkeypatch.setattr(spectra, "char_polys", no_kernel)
     monkeypatch.setattr(spectra, "char_polys_mod", no_kernel)
     monkeypatch.setattr(spectra, "structured_char_polys", no_kernel)
     n = 3 * 2**70
@@ -573,22 +617,17 @@ def test_the_cell_of_rad_n_is_a_zero_row_of_m_and_no_row_of_the_kernels(monkeypa
     # see only the w - 1 cells of the core
     solved, kernels = [], []
     real_eigvalsh = np.linalg.eigvalsh
-    dense, structured = spectra.char_polys, spectra.structured_char_polys
+    structured = spectra.structured_char_polys
 
     def recording_eigvalsh(stack):
         solved.append(np.array(stack))
         return real_eigvalsh(stack)
-
-    def recording_dense(stack):
-        kernels.append(np.shape(stack))
-        return dense(stack)
 
     def recording_structured(stack, supports):
         kernels.append(np.shape(stack))
         return structured(stack, supports)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    monkeypatch.setattr(spectra, "char_polys", recording_dense)
     monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
     for n in (84, 5040, 720720):
         m = Modulus.of(n)
