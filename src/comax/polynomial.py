@@ -1,11 +1,14 @@
 """Exact integer polynomials and the exact linear algebra behind them.
 
-Characteristic polynomials are computed multimodularly: the matrix is reduced
-modulo word-size primes, the characteristic polynomial of each residue matrix
-is found over F_p, and the coefficients are recombined by the Chinese
-remainder theorem up to a proven Hadamard bound (the multimodular scheme of
-Dumas, Pernet & Wan, ISSAC 2005).  Two kernels give the residues, and both
-feed the one recombination, which checks every result:
+Two entry points give characteristic polynomials, and each checks its own
+output, raising ``CharPolyError`` with the position of the failing matrix:
+``char_polys`` gives them exactly, multimodularly, and ``char_polys_mod``
+modulo one prime.  ``char_polys`` reduces the matrices modulo word-size
+primes, finds the characteristic polynomial of each residue matrix over
+F_p, and recombines the coefficients by the Chinese remainder theorem up to
+a proven Hadamard bound (the multimodular scheme of Dumas, Pernet & Wan,
+ISSAC 2005).  Both take the dense kernel, or the structured one when given
+the cells' bitmask supports:
   * the dense kernel brings each residue matrix to upper Hessenberg form by
     a similarity over F_p and reads its characteristic polynomial off the
     Hessenberg recurrence (Cohen, *A Course in Computational Algebraic
@@ -13,38 +16,33 @@ feed the one recombination, which checks every result:
     subdiagonal in every matrix of the stack closes a Krylov space: its
     elimination is skipped, and the zero subdiagonal entry splits the
     Hessenberg matrix into diagonal blocks whose charpolys multiply, so the
-    recurrence restarts there.  ``char_polys`` runs the residue matrices
-    of a stack of int64 matrices of one size, all modulo one list of
-    primes, through one vectorised pass; ``char_poly_matrix`` is its
-    one-matrix case;
-  * the structured kernel, ``structured_char_polys``, takes matrices whose
-    off-diagonal entry (i, j) is 0 unless the bitmask supports of i and j
-    are disjoint, and then depends on j alone, as the G2 quotients' do.  A
-    product with such a matrix is a subset-sum transform over the 2**omega
-    masks, and Wiedemann's method (IEEE Trans. Inf. Theory 32, 1986) with
-    Berlekamp-Massey gives the charpoly modulo each prime.  E B is
-    symmetric for E the diagonal of column values, so the symmetric form of
-    the method (Eberly & Kaltofen, ISSAC 1997) reads the 2w terms off w
-    products.  A matrix for which Berlekamp-Massey finds a generator of
-    lower degree modulo some prime (a repeated eigenvalue, a column value
-    that the prime divides, or an unlucky start vector) takes the dense
-    kernel instead.  Every exact G2 core charpoly comes from this kernel,
-    so the dense one serves only the oracle and this fallback.
-Where one prime is enough, ``char_polys_mod`` takes the power-trace kernel:
-the traces of the powers B^t, t <= w + 1, from baby-step/giant-step float64
-matrix products (exact while every partial sum stays below 2**53), then
-Newton's identities.  It makes about 2 sqrt(w) BLAS calls where the dense
-kernel makes about 2w small numpy steps, and ``structured_char_polys_mod``
-is the structured kernel modulo one prime.
-Integer roots are then split off at caller-supplied candidates: those where
-the polynomial vanishes modulo one word prime are decided by exact synthetic
-division.
+    recurrence restarts there.  One vectorised pass runs a stack of int64
+    matrices of one size, all modulo one list of primes.  Modulo one prime,
+    ``char_polys_mod`` takes the power-trace kernel instead: the traces of
+    the powers B^t, t <= w + 1, from baby-step/giant-step float64 matrix
+    products (exact while every partial sum stays below 2**53), then
+    Newton's identities.  It makes about 2 sqrt(w) BLAS calls where the
+    Hessenberg kernel makes about 2w small numpy steps;
+  * the structured kernel takes matrices whose off-diagonal entry (i, j) is
+    0 unless the bitmask supports of i and j are disjoint, and then depends
+    on j alone, as the G2 quotients' do.  A product with such a matrix is a
+    subset-sum transform over the 2**omega masks, and Wiedemann's method
+    (IEEE Trans. Inf. Theory 32, 1986) with Berlekamp-Massey gives the
+    charpoly modulo each prime.  E B is symmetric for E the diagonal of
+    column values, so the symmetric form of the method (Eberly & Kaltofen,
+    ISSAC 1997) reads the 2w terms off w products.  A matrix for which
+    Berlekamp-Massey finds a generator of lower degree modulo some prime (a
+    repeated eigenvalue, a column value that the prime divides, or an
+    unlucky start vector) takes the Hessenberg kernel instead.  Every exact
+    G2 core charpoly comes from this kernel, so the Hessenberg one serves
+    only the oracle and this fallback.
+Integer roots are then split off at caller-supplied candidates, each decided
+by exact synthetic division.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -307,38 +305,59 @@ def _residues(stack: np.ndarray, primes: list[int]) -> np.ndarray:
     return residues
 
 
-def char_polys_mod(stack: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def char_polys_mod(
+    stack: np.ndarray, supports: Sequence[Sequence[int]] | None = None
+) -> tuple[int, np.ndarray]:
     """Characteristic polynomials of a (k, w, w) int64 stack, w > 0, modulo
-    one prime q, the largest with w * q**2 < 2**53 (``_trace_prime``); q > w.
+    one prime q: q and the (k, w + 1) residues in [0, q), constant term
+    first, each checked monic with x^(w-1) residue -trace(B) mod q; a
+    failure raises CharPolyError.
 
-    Returns q, the (k, w + 1) residues in [0, q), constant term first, and
-    the (k, w + 2) power sums s_t = trace(B^t) mod q, t = 0..w + 1, that
-    they come from.  The residues are monic with x^(w-1) residue -s_1 by
-    construction; s_(w+1) takes no part in them, so the Cayley-Hamilton
-    identity sum_j c_j s_(j+1) = trace(B p(B)) = 0 mod q checks both.
+    With ``supports`` (the form of ``char_polys``), q is the first prime
+    that ``char_polys`` takes for size w, and the residues come from the
+    structured kernel, or the dense one for a matrix it leaves incomplete.
 
-    The power-trace kernel: the power sums come from float64 matrix
+    Without, q is the largest prime with w * q**2 < 2**53
+    (``_trace_prime``), and the power-trace kernel gives the residues: the
+    power sums s_t = trace(B^t) mod q, t = 0..w + 1, from float64 matrix
     products (``_power_sums``), exact because every partial sum is an
-    integer below w * q**2 < 2**53 (the word-size residue arithmetic of
-    Dumas, Giorgi & Pernet, "FFLAS-FFPACK", ACM TOMS 2008), and the
-    coefficients from Newton's identities (``_newton``), which divide by
-    1..w.  For a G2 quotient core of a modulus n <= 10**7 with at most seven
-    distinct primes (w <= 126), q > n - phi(n) - 1, the largest integer
-    eigenvalue it can have: q = 8454917 at w = 126, against at most
-    8133749 (n = 9999990), and q > 10**7 for w <= 62.  Unchecked: the
-    caller asserts what it needs of the residues.
-
-    Matrices go through in slices whose baby steps hold at most about
-    ``_BATCH_CELLS`` entries, which also caps the number m of baby steps.
+    integer below 2**53 (Dumas, Giorgi & Pernet, "FFLAS-FFPACK", ACM TOMS
+    2008), then Newton's identities (``_newton``), which divide by
+    1..w < q.  s_(w+1) takes no part in them, so the residues are also
+    checked by Cayley-Hamilton: sum_j c_j s_(j+1) = trace(B p(B)) = 0 mod q.
+    For a G2 quotient core of n <= 10**7 with at most seven distinct primes
+    (w <= 126), q > n - phi(n) - 1, the largest integer eigenvalue it can
+    have: q = 8454917 at w = 126, against at most 8133749 (n = 9999990),
+    and q > 10**7 for w <= 62.  Matrices go through in slices whose baby
+    steps hold at most about ``_BATCH_CELLS`` entries, which also caps the
+    number m of baby steps.
     """
     k, w, _ = stack.shape
-    q = _trace_prime(w)
-    m = max(2, min(math.isqrt(w + 2), _BATCH_CELLS // (w * w)))
-    batch = max(1, _BATCH_CELLS // (m * w * w))
-    sums = np.empty((k, w + 2), dtype=np.int64)
-    for s in range(0, k, batch):
-        sums[s : s + batch] = _power_sums((stack[s : s + batch] % q).astype(np.float64), q, m)
-    return q, _newton(sums, q), sums
+    if supports is None:
+        q = _trace_prime(w)
+        m = max(2, min(math.isqrt(w + 2), _BATCH_CELLS // (w * w)))
+        batch = max(1, _BATCH_CELLS // (m * w * w))
+        sums = np.empty((k, w + 2), dtype=np.int64)
+        for s in range(0, k, batch):
+            sums[s : s + batch] = _power_sums((stack[s : s + batch] % q).astype(np.float64), q, m)
+        residues = _newton(sums, q)
+        cayley_hamilton = (residues * sums[:, 1:]).sum(axis=1) % q == 0
+        sum_checks = [(cayley_hamilton, "power sums break Cayley-Hamilton")]
+    else:
+        q = _word_primes(w + 1, 1)[0]
+        residues = _structured_or_dense(stack, supports, [q])
+        sum_checks = []
+    trace = (stack.diagonal(axis1=1, axis2=2) % q).sum(axis=1) % q
+    checks = [
+        (residues[:, w] == 1, "characteristic polynomial residue is not monic"),
+        (residues[:, w - 1] == -trace % q, "x^(w-1) residue is not -trace"),
+        *sum_checks,
+    ]
+    for ok, what in checks:
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise CharPolyError(int(bad[0]), what)
+    return q, residues
 
 
 @functools.cache
@@ -409,7 +428,7 @@ def _newton(sums: np.ndarray, q: int) -> np.ndarray:
 
 class CharPolyError(ArithmeticError):
     """A characteristic polynomial failed its check; ``index`` is the position
-    of its matrix in the list handed to ``char_polys``."""
+    of its matrix in the list handed to ``char_polys`` or ``char_polys_mod``."""
 
     def __init__(self, index: int, what: str):
         super().__init__(f"matrix {index}: {what}")
@@ -417,30 +436,48 @@ class CharPolyError(ArithmeticError):
         self.what = what
 
 
-def char_polys(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPoly]:
+def char_polys(
+    matrices: Sequence[Sequence[Sequence[int]]], supports: Sequence[Sequence[int]] | None = None
+) -> list[IntPoly]:
     """Monic characteristic polynomials det(xI - B) of int64 matrices of one
     size w, exact.
 
     Multimodular: the (k, w, w) stack is reduced modulo word-size primes p,
-    chosen with w * (p - 1)**2 < 2**63 so that numpy int64 arithmetic stays
-    exact; residue row j, matrix j // c modulo prime j % c, goes through
-    ``_char_poly_mod`` in slices of ``_BATCH_CELLS`` entries.  Reduction mod
-    p commutes with the charpoly and Hessenberg reduction is a similarity
-    over F_p, so every prime is good.  The c primes are one list whose
-    product M exceeds the largest 2 * prod_i (2 + isqrt(||row_i||^2)) of the
-    stack, a Hadamard bound on the sum of the principal minors of each size
-    and hence on every coefficient; one CRT basis reads each coefficient as
-    the residue in (-M/2, M/2].  Each result is checked to be monic of
-    degree w with x^(w-1) coefficient -trace(B); a failure raises
-    CharPolyError.  Ragged or mixed-size input, and any entry that is not an
-    int64 integer (a float, or 2**63 and beyond), raise ValueError.
+    chosen with (w + 1) * (p - 1)**2 < 2**63 so that numpy int64 arithmetic
+    stays exact in either kernel.  The c primes are one list whose product
+    M exceeds the largest 2 * prod_i (2 + isqrt(||row_i||^2)) of the stack,
+    a Hadamard bound on the sum of the principal minors of each size and
+    hence on every coefficient; one CRT basis reads each coefficient as the
+    residue in (-M/2, M/2] (``_recombine``, which checks each result).
+
+    Without ``supports``, residue row j, matrix j // c modulo prime j % c,
+    goes through the dense kernel, ``_char_poly_mod``, in slices of
+    ``_BATCH_CELLS`` entries.  Reduction mod p commutes with the charpoly
+    and Hessenberg reduction is a similarity over F_p, so every prime is
+    good.
+
+    ``supports`` gives each cell of each matrix a bitmask support, with
+    each entry B[i][j], i != j, 0 where the supports of i and j meet and
+    one value e_j per column where they are disjoint.  The G2 quotients have
+    this form, and a product with one costs O(omega * 2**omega), not w**2.
+    The residues modulo each prime then come from ``_structured_residues``;
+    a matrix for which any prime leaves them incomplete has all its
+    residues taken from the dense kernel instead, modulo the same primes.
+
+    A matrix of size 0 has the charpoly 1.  Ragged or mixed-size input, any
+    entry that is not an int64 integer (a float, or 2**63 and beyond) and
+    input not of the form its supports state raise ValueError.
     """
     stack = np.asarray(matrices)
     if not len(stack) or stack.shape[1:] in ((0,), (0, 0)):  # none, or of size 0
         return [IntPoly.one()] * len(stack)
     stack = _int64_stack(stack)
-    primes = _word_primes(stack.shape[1], _hadamard_bound(stack))
-    return _recombine(stack, primes, _residues(stack, primes))
+    primes = _word_primes(stack.shape[1] + 1, _hadamard_bound(stack))
+    if supports is None:
+        residues = _residues(stack, primes)
+    else:
+        residues = _structured_or_dense(stack, supports, primes)
+    return _recombine(stack, primes, residues)
 
 
 def _int64_stack(stack: np.ndarray) -> np.ndarray:
@@ -496,42 +533,6 @@ def char_poly_matrix(matrix: Sequence[Sequence[int]]) -> IntPoly:
     return char_polys([matrix])[0]
 
 
-def structured_char_polys(
-    matrices: Sequence[Sequence[Sequence[int]]], supports: Sequence[Sequence[int]]
-) -> list[IntPoly]:
-    """``char_polys`` of int64 matrices of one size w whose cells carry
-    bitmask supports, with each entry B[i][j], i != j, 0 where the supports
-    of i and j meet and one value e_j per column where they are disjoint.
-    The G2 quotients have this form, and a product with one costs
-    O(omega * 2**omega), not w**2.
-
-    The residues modulo each prime come from ``_structured_residues``; a
-    matrix for which any prime leaves them incomplete has all its residues
-    taken from the dense kernel instead, modulo the same primes.  The
-    Hadamard bound, the CRT and the checks are those of ``char_polys``, and
-    the primes keep w + 1 products below (p - 1)**2 within int64.  A matrix
-    of size 0 has the charpoly 1.  Input not of this form raises ValueError.
-    """
-    stack = np.asarray(matrices)
-    if not len(stack) or stack.shape[1:] in ((0,), (0, 0)):
-        return [IntPoly.one()] * len(stack)
-    stack = _int64_stack(stack)
-    primes = _word_primes(stack.shape[1] + 1, _hadamard_bound(stack))
-    return _recombine(stack, primes, _structured_or_dense(stack, supports, primes))
-
-
-def structured_char_polys_mod(
-    stack: np.ndarray, supports: Sequence[Sequence[int]]
-) -> tuple[int, np.ndarray]:
-    """The charpolys of a (k, w, w) int64 stack of the form of
-    ``structured_char_polys`` modulo one prime q, the first that
-    ``structured_char_polys`` takes for size w: q and the (k, w + 1)
-    residues in [0, q), constant term first, from the structured kernel,
-    or from the dense one for a matrix it leaves incomplete.  Unchecked."""
-    q = _word_primes(stack.shape[1] + 1, 1)[0]
-    return q, _structured_or_dense(stack, supports, [q])
-
-
 def _structured_or_dense(
     stack: np.ndarray, supports: Sequence[Sequence[int]], primes: list[int]
 ) -> np.ndarray:
@@ -558,7 +559,7 @@ def _structured_residues(
     stack: np.ndarray, supports: Sequence[Sequence[int]], primes: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (k * c, w + 1) charpoly residues of a (k, w, w) stack of the form
-    of ``structured_char_polys`` modulo c primes, row j being matrix j // c
+    of ``char_polys`` with supports modulo c primes, row j being matrix j // c
     modulo prime j % c, and per row whether it is complete.
 
     The supports must be positive, distinct within a matrix and fill at
@@ -725,25 +726,15 @@ def extract_integer_roots(
 
     Returns (roots, residual) with roots as (value, multiplicity) pairs
     sorted ascending, such that prod (x - r)^mult * residual == p.  Only the
-    given candidates, Python ints of any size, are tried.  p is first
-    evaluated at all of them at once modulo one word prime q
-    (``values_mod``); a candidate with p(r) nonzero mod q is a root of no
-    factor of p, and only the others are decided by exact synthetic
-    division.  So the residual is free of integer roots exactly when the
-    candidates cover every integer root of p.
+    given candidates, Python ints of any size, are tried, each by exact
+    synthetic division.  So the residual is free of integer roots exactly
+    when the candidates cover every integer root of p.
     """
     if not p.is_monic:
         raise ValueError("expected a monic polynomial")
-    tried = sorted(set(candidates))
-    q = _word_primes(2, 1)[0]
-    screen = values_mod(
-        np.array([c % q for c in p.coeffs], dtype=np.int64),
-        np.array([r % q for r in tried], dtype=np.int64),
-        q,
-    )
     roots: list[tuple[int, int]] = []
     rem = p
-    for r in itertools.compress(tried, (screen == 0).tolist()):
+    for r in sorted(set(candidates)):
         mult = 0
         while rem.degree > 0:
             quotient, remainder = rem.divide_linear(r)

@@ -21,19 +21,22 @@ symmetric quotient M, so its spectrum is real.  The cell of rad(n) of a
 non-squarefree n meets every support, so its n / rad(n) - 1 vertices are
 isolated and its row and column of B are 0: the exact charpoly is that of
 the core, the cells with a neighbour, times x, and the numeric eigenvalues
-come from eigvalsh of M.  The core's exact charpoly comes from the
-structured kernel, which multiplies by B through its supports in
-O(omega * 2^omega) steps.
+come from eigvalsh of M.  The core's charpolys, exact (``char_polys``) or
+modulo one prime (``char_polys_mod``), are taken with its cells' supports
+for the structured kernel, which multiplies by B in O(omega * 2^omega)
+steps; modulo one prime, only from omega = 8 on, and power traces below.
+Both entry points check their own output, and ``_naming`` is the one place
+where a failed check becomes an ArithmeticError naming n, on the scan and
+the spectrum paths alike.
 
 Every spectrum, printed or scanned, rests on one decision that needs no
 exact charpoly for most n.  Every row of B sums to zero, B 1 = 0, so 0 is
 always a root.  A core of at most two cells (at most two distinct primes)
 is empty or has the roots 0 and trace(B) and no other.  Above, when 0 is a
-simple root of the core and its charpoly modulo one prime (power traces
-below omega = 8, the structured kernel from there on) is nonzero at every
-other rounded eigenvalue, 0 is the only integer root and the residual
-degree is the core size less 1.  A decided spectrum is built at once
-from the cells and the eigenvalues; the exact residual polynomial, 1 for
+simple root of the core and its charpoly modulo one prime is nonzero at
+every other rounded eigenvalue, 0 is the only integer root and the
+residual degree is the core size less 1.  A decided spectrum is built at
+once from the cells and the eigenvalues; the exact residual polynomial, 1 for
 a core of at most two cells, is taken from the core's charpoly only when
 something reads it.  Any other modulus takes the exact path at once.  The
 scan reads only the degrees off the same decision (``g2_residual_degrees``).
@@ -56,22 +59,21 @@ import numpy as np
 from .polynomial import (
     CharPolyError,
     IntPoly,
+    char_polys,
     char_polys_mod,
     extract_integer_roots,
-    structured_char_polys,
-    structured_char_polys_mod,
     values_mod,
 )
 from .ring_divisors import Modulus
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# The one-prime rule takes the structured kernel modulo one prime for cores
-# with this many distinct primes or more (w >= 254), and the power-trace
-# kernel of ``char_polys_mod`` below.  One core on a 2-CPU VM, best of 100,
-# power traces against the structured kernel at one prime: 0.95 against
-# 3.4 ms at omega = 6 and 7.1 against 8.1 ms at omega = 7, but 100 against
-# 18 ms at omega = 8.
+# The one-prime rule passes the supports to ``char_polys_mod``, for its
+# structured kernel, for cores with this many distinct primes or more
+# (w >= 254), and takes its power-trace kernel below.  One core on a 2-CPU
+# VM, best of 100, power traces against the structured kernel at one prime:
+# 0.95 against 3.4 ms at omega = 6 and 7.1 against 8.1 ms at omega = 7, but
+# 100 against 18 ms at omega = 8.
 _ONE_PRIME_STRUCTURED_OMEGA = 8
 
 
@@ -296,29 +298,28 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
     trace(B) too for a core of two cells; the cell of rad(n), when isolated,
     adds one more 0.  Its spectrum is built at once.  A core of at most two
     cells has no other root, so its residual is 1; a larger core's, its
-    exact charpoly (``_core_char_polys``) divided by x, is taken only when
-    read.  The undecided moduli of a group share one ``_core_char_polys``
-    call: rounded, their eigenvalues are the integer-root candidates that
-    ``extract_integer_roots`` screens modulo one prime and decides by exact
-    synthetic division.  Either way, the
-    eigenvalues left after removing the nearest one to each integer root
-    are the residual roots.  Total size is n - phi(n) - 1.
+    exact charpoly divided by x, is taken only when read.  The undecided
+    moduli of a group share one ``char_polys`` call with their supports:
+    rounded, their eigenvalues are the integer-root candidates that
+    ``extract_integer_roots`` decides by exact synthetic division.  Either
+    way, the eigenvalues left after removing the nearest one to each integer
+    root are the residual roots.  Total size is n - phi(n) - 1.
 
     Raises ArithmeticError naming the modulus if an invariant fails: the
-    checks of ``_size_groups``, the charpoly checks, each integer root has a
-    numeric eigenvalue within the bound, and the residual roots sum to the
-    exact coefficient (Vieta), which for a decided modulus is trace(B) less
-    its decided roots.  Reading a decided residual raises the same way if
-    its charpoly fails a check.
+    checks of ``_size_groups``, those of the one-prime rule and of the exact
+    charpoly, each integer root has a numeric eigenvalue within the bound,
+    and the residual roots sum to the exact coefficient (Vieta), which for a
+    decided modulus is trace(B) less its decided roots.  Reading a decided
+    residual raises the same way if its charpoly fails a check.
     """
     out = [SpectrumMultiset.from_counter(Counter())] * len(moduli)
     for members, ms, cells, b, tols, values in _size_groups(moduli):
         core = b.shape[1]
-        decided, _ = _one_prime_rule(ms, cells, b, values)
+        decided = _one_prime_rule(ms, cells, b, values)
         exact = np.flatnonzero(~decided).tolist()
+        supports = _supports([cells[k] for k in exact], core)
         polys = iter(
-            _core_char_polys([ms[k] for k in exact], [cells[k] for k in exact], b[exact])
-            if exact else ()
+            _naming(char_polys, [ms[k] for k in exact], b[exact], supports) if exact else ()
         )
         traces = np.trace(b, axis1=1, axis2=2).tolist()
         isolated = values.shape[1] - core  # the zero row and column of rad(n)'s cell
@@ -342,49 +343,30 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
 
 def _one_prime_rule(
     ms: Sequence[Modulus], cells: list, b: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, list]:
+) -> np.ndarray:
     """Per member of one ``_size_groups`` group, with ``_cells``, core
     stack ``b`` (k, w, w) and eigenvalues ``values``: whether the integer
-    roots of its core's charpoly are decided without the exact charpoly,
-    and the checks, in ``_check``'s form, of the residues the decision read.
+    roots of its core's charpoly are decided without the exact charpoly.
 
     A core of w <= 2 cells, of a modulus with at most two distinct primes,
-    is decided with no charpoly and no check: B 1 = 0, so the core is empty
-    or has the roots 0 and trace(B) and no other.  A larger core takes its
-    charpoly p modulo one prime q: from the power-trace kernel
-    (``char_polys_mod``) below ``_ONE_PRIME_STRUCTURED_OMEGA`` distinct
-    primes, from the structured one (``structured_char_polys_mod``) from
-    there on.  p is checked monic with c_(w-1) = -trace(B) and c_0 = 0 mod
-    q, and the power sums that power-trace residues come from are checked
-    against them by Cayley-Hamilton: sum_j c_j s_(j+1) = 0 mod q.  Then if
-    c_1 is nonzero mod q, 0 is a simple root; and if p(r) is nonzero mod q
-    at every nonzero rounded eigenvalue r, the complete list of
-    integer-root candidates while tol < 1/2, then 0 is the only integer
-    root, as for rad(n) when the core is k * B_rad(n).  A member whose
-    residues fail a check is left undecided: the exact path then checks
-    its charpoly, and ``g2_residual_degrees`` raises.
+    is decided with no charpoly: B 1 = 0, so the core is empty or has the
+    roots 0 and trace(B) and no other.  A larger core takes its charpoly p
+    modulo one prime q from ``char_polys_mod``, which checks its residues,
+    with the supports from ``_ONE_PRIME_STRUCTURED_OMEGA`` distinct primes
+    on.  B 1 = 0, so c_0 = 0 mod q is checked too.  Then if c_1 is nonzero
+    mod q, 0 is a simple root; and if p(r) is nonzero mod q at every nonzero
+    rounded eigenvalue r, the complete list of integer-root candidates while
+    tol < 1/2, then 0 is the only integer root, as for rad(n) when the core
+    is k * B_rad(n).  A failed check raises ArithmeticError naming the
+    modulus.
     """
     w = b.shape[1]
     if w <= 2:
-        return np.ones(len(ms), dtype=bool), []
-    if ms[0].omega >= _ONE_PRIME_STRUCTURED_OMEGA:
-        prime, residues = structured_char_polys_mod(b, _supports(cells, w))
-        sum_checks = []
-    else:
-        prime, residues, sums = char_polys_mod(b)
-        cayley_hamilton = (residues * sums[:, 1:]).sum(axis=1) % prime == 0
-        sum_checks = [(cayley_hamilton, "power sums break Cayley-Hamilton")]
-    trace = np.trace(b, axis1=1, axis2=2)
-    checks = [
-        (residues[:, w] == 1, "characteristic polynomial residue is not monic"),
-        (residues[:, w - 1] == -trace % prime, "x^(w-1) residue is not -trace"),
-        (residues[:, 0] == 0, "constant residue is not 0"),
-        *sum_checks,
-    ]
-    decided = _zero_is_the_only_integer_root(residues, prime, np.rint(values).astype(np.int64))
-    for ok, _ in checks:
-        decided &= ok
-    return decided, checks
+        return np.ones(len(ms), dtype=bool)
+    supports = _supports(cells, w) if ms[0].omega >= _ONE_PRIME_STRUCTURED_OMEGA else None
+    prime, residues = _naming(char_polys_mod, ms, b, supports)
+    _check(ms, [(residues[:, 0] == 0, "constant residue is not 0")])
+    return _zero_is_the_only_integer_root(residues, prime, np.rint(values).astype(np.int64))
 
 
 def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
@@ -399,16 +381,13 @@ def g2_residual_degrees(moduli: Sequence[Modulus]) -> list[int]:
     w - 1.  The moduli left undecided take one ``g2_spectra`` call.
 
     Raises ArithmeticError naming the modulus if an invariant of
-    ``g2_spectra`` fails, or if the residues are not monic, c_(w-1) is not
-    -trace(B) mod q, c_0 is not 0 mod q or the power sums break
-    Cayley-Hamilton.
+    ``g2_spectra`` fails, the one-prime checks included.
     """
     degrees = [0] * len(moduli)
     undecided: list[int] = []
     for members, ms, cells, b, _, values in _size_groups(moduli):
         w = b.shape[1]
-        decided, checks = _one_prime_rule(ms, cells, b, values)
-        _check(ms, checks)
+        decided = _one_prime_rule(ms, cells, b, values)
         for i, one in zip(members, decided.tolist()):
             if not one:
                 undecided.append(i)
@@ -434,13 +413,13 @@ def _zero_is_the_only_integer_root(
     return (residues[:, 1] != 0) & ((acc != 0) | (candidates == 0)).all(axis=1)
 
 
-def _core_char_polys(ms: Sequence[Modulus], cells: list, b: np.ndarray) -> list[IntPoly]:
-    """The exact charpolys of the core stack ``b`` (k, w, w) of moduli
-    ``ms`` with their ``_cells``, from the structured kernel, which reads
-    the supports and takes the dense one for a matrix it leaves incomplete.
-    A failed charpoly check raises ArithmeticError naming the modulus."""
+def _naming(kernel: Callable, ms: Sequence[Modulus], b: np.ndarray, supports: list | None):
+    """``kernel(b, supports)``, ``char_polys`` or ``char_polys_mod``, on the
+    core stack ``b`` of moduli ``ms``: the one place where a failed
+    charpoly check, a CharPolyError, becomes an ArithmeticError naming its
+    modulus."""
     try:
-        return structured_char_polys(b, _supports(cells, b.shape[1]))
+        return kernel(b, supports)
     except CharPolyError as exc:
         raise ArithmeticError(f"n={ms[exc.index].n}: {exc.what}") from exc
 
@@ -454,7 +433,7 @@ def _decided_residual(m: Modulus, cells: list, b: np.ndarray) -> IntPoly:
     """The residual of a modulus the one-prime rule decided, with a core
     ``b`` (1, w, w) of w > 2 cells: its exact charpoly divided by x, the
     division checked exact."""
-    [p] = _core_char_polys([m], [cells], b)
+    [p] = _naming(char_polys, [m], b, _supports([cells], b.shape[1]))
     p, remainder = p.divide_linear(0)
     if remainder:
         raise ArithmeticError(f"n={m.n}: decided integer eigenvalue 0 is not a charpoly root")

@@ -372,13 +372,13 @@ def exact_charpolys(monkeypatch):
     """The sizes of the core stacks sent to the exact charpoly kernel
     through ``spectra``, one entry per call."""
     calls = []
-    structured = spectra.structured_char_polys
+    exact = spectra.char_polys
 
     def recording(stack, supports):
         calls.append(np.shape(stack))
-        return structured(stack, supports)
+        return exact(stack, supports)
 
-    monkeypatch.setattr(spectra, "structured_char_polys", recording)
+    monkeypatch.setattr(spectra, "char_polys", recording)
     return calls
 
 

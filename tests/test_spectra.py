@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from comax import polynomial, spectra
-from comax.polynomial import IntPoly, char_poly_matrix, char_polys, structured_char_polys
+from comax.polynomial import IntPoly, char_poly_matrix, char_polys
 from comax.ring_divisors import Modulus
 from comax.spectra import (
     SpectrumMultiset,
@@ -358,13 +358,13 @@ def test_decided_spectra_match_the_exact_path(monkeypatch):
 
     def recording(ms, cells, b, values):
         out = rule(ms, cells, b, values)
-        decided.extend(out[0].tolist())
+        decided.extend(out.tolist())
         return out
 
     monkeypatch.setattr(spectra, "_one_prime_rule", recording)
     ours = g2_spectra(moduli)
     monkeypatch.setattr(
-        spectra, "_one_prime_rule", lambda ms, cells, b, values: (np.zeros(len(ms), dtype=bool), [])
+        spectra, "_one_prime_rule", lambda ms, cells, b, values: np.zeros(len(ms), dtype=bool)
     )
     exact = g2_spectra(moduli)
     assert all(isinstance(s._residual, IntPoly) for s in exact)
@@ -399,7 +399,7 @@ def test_non_squarefree_spectrum_is_that_of_its_radical():
     assert checked == 1166
 
 
-def test_non_roots_never_reach_synthetic_division(monkeypatch):
+def test_undecided_spectra_divide_once_by_each_candidate_that_is_no_root(monkeypatch):
     divided, split = [], []
     divide, extract = IntPoly.divide_linear, spectra.extract_integer_roots
 
@@ -420,7 +420,8 @@ def test_non_roots_never_reach_synthetic_division(monkeypatch):
     g2_spectrum(Modulus.of(30030))
     [(candidates, roots)] = split
     assert len(candidates - roots) > 10
-    assert set(divided) == roots
+    assert set(divided) == candidates
+    assert all(divided.count(r) == 1 for r in candidates - roots)
 
 
 def test_g2_spectra_names_the_modulus_whose_charpoly_fails(monkeypatch):
@@ -446,7 +447,7 @@ def test_every_exact_charpoly_takes_the_structured_kernel(monkeypatch):
     # residual read reaches the dense kernel; a core of at most two cells
     # (omega <= 2) takes no kernel, and the one-prime rule takes power traces
     hessenberg, structured = [], []
-    real_hessenberg, real_structured = polynomial._char_poly_mod, spectra.structured_char_polys
+    real_hessenberg, real_structured = polynomial._char_poly_mod, spectra.char_polys
 
     def recording_hessenberg(h, mods):
         hessenberg.append(h.shape[1])
@@ -457,7 +458,7 @@ def test_every_exact_charpoly_takes_the_structured_kernel(monkeypatch):
         return real_structured(stack, supports)
 
     monkeypatch.setattr(polynomial, "_char_poly_mod", recording_hessenberg)
-    monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
+    monkeypatch.setattr(spectra, "char_polys", recording_structured)
     moduli = [Modulus.of(n) for n in range(3, 5001)]
     for s in g2_spectra(moduli):
         s.residual
@@ -484,7 +485,7 @@ def test_structured_kernel_equals_the_dense_one_on_every_core_to_5000(monkeypatc
     for _, _, cells, b, _, _ in spectra._size_groups([Modulus.of(n) for n in range(3, 5001)]):
         w = b.shape[1]
         if w > 2:
-            assert structured_char_polys(b, spectra._supports(cells, w)) == char_polys(b), w
+            assert char_polys(b, spectra._supports(cells, w)) == char_polys(b), w
             cores += len(b)
     assert cores == 2101
     assert sum(incomplete) == 0
@@ -547,7 +548,7 @@ def test_g2_spectrum_refuses_a_quotient_before_its_charpoly(monkeypatch):
         raise AssertionError("a charpoly kernel ran on a refused quotient")
 
     monkeypatch.setattr(spectra, "char_polys_mod", no_kernel)
-    monkeypatch.setattr(spectra, "structured_char_polys", no_kernel)
+    monkeypatch.setattr(spectra, "char_polys", no_kernel)
     n = 3 * 2**70
     with pytest.raises(ArithmeticError, match=rf"^n={n}: eigensolver error bound .* cannot separate"):
         g2_spectrum(Modulus.of(n))
@@ -617,7 +618,7 @@ def test_the_cell_of_rad_n_is_a_zero_row_of_m_and_no_row_of_the_kernels(monkeypa
     # see only the w - 1 cells of the core
     solved, kernels = [], []
     real_eigvalsh = np.linalg.eigvalsh
-    structured = spectra.structured_char_polys
+    structured = spectra.char_polys
 
     def recording_eigvalsh(stack):
         solved.append(np.array(stack))
@@ -628,7 +629,7 @@ def test_the_cell_of_rad_n_is_a_zero_row_of_m_and_no_row_of_the_kernels(monkeypa
         return structured(stack, supports)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    monkeypatch.setattr(spectra, "structured_char_polys", recording_structured)
+    monkeypatch.setattr(spectra, "char_polys", recording_structured)
     for n in (84, 5040, 720720):
         m = Modulus.of(n)
         w = len(spectra._cells(m))
@@ -657,6 +658,9 @@ def test_at_most_two_primes_take_no_charpoly(monkeypatch):
     assert g2_residual_degrees(moduli) == want
 
 
+ENTRY_POINTS = (g2_spectra, g2_residual_degrees)
+
+
 @pytest.mark.parametrize(
     "column, what",
     [
@@ -666,37 +670,69 @@ def test_at_most_two_primes_take_no_charpoly(monkeypatch):
     ],
 )
 def test_one_prime_rule_names_the_modulus_whose_residue_fails(monkeypatch, column, what):
-    real = spectra.char_polys_mod
+    # a residue of 42 moved inside Newton's identities meets the checks of
+    # char_polys_mod; a constant residue moved after it, the rule's own
     b42 = _core(42)
+    if column:
+        real = polynomial._newton
 
-    def corrupted(stack):
-        q, residues, sums = real(stack)
-        for i, b in enumerate(stack):
-            if np.array_equal(b, b42):
-                residues[i, column] = (residues[i, column] + 1) % q
-        return q, residues, sums
+        def corrupted(sums, q):
+            residues = real(sums, q)
+            at = sums[:, 1] == np.trace(b42) % q  # s_1 = trace(B)
+            assert at.sum() == 1
+            residues[at, column] = (residues[at, column] + 1) % q
+            return residues
 
-    monkeypatch.setattr(spectra, "char_polys_mod", corrupted)
-    with pytest.raises(ArithmeticError, match=rf"^n=42: .*{what}"):
-        g2_residual_degrees([Modulus.of(n) for n in (12, 29, 30, 42, 66)])
+        monkeypatch.setattr(polynomial, "_newton", corrupted)
+    else:
+        real = spectra.char_polys_mod
+
+        def corrupted(stack, supports):
+            q, residues = real(stack, supports)
+            at = np.array([np.array_equal(b, b42) for b in stack])
+            residues[at, 0] = (residues[at, 0] + 1) % q
+            return q, residues
+
+        monkeypatch.setattr(spectra, "char_polys_mod", corrupted)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ArithmeticError, match=rf"^n=42: .*{what}"):
+            entry([Modulus.of(n) for n in (12, 29, 30, 42, 66)])
 
 
 def test_one_prime_rule_checks_the_power_sums_by_cayley_hamilton(monkeypatch):
     # Newton's identities make every residue monic with c_(w-1) = -s_1, so a
     # wrong power sum s_(w+1), which they do not read, meets only this check
-    real = spectra.char_polys_mod
+    real = polynomial._power_sums
     b42 = _core(42)
 
-    def corrupted(stack):
-        q, residues, sums = real(stack)
-        for i, b in enumerate(stack):
-            if np.array_equal(b, b42):
-                sums[i, -1] = (sums[i, -1] + 1) % q
-        return q, residues, sums
+    def corrupted(h, q, m):
+        sums = real(h, q, m)
+        at = np.array([np.array_equal(b, b42 % q) for b in h])
+        sums[at, -1] = (sums[at, -1] + 1) % q
+        return sums
 
-    monkeypatch.setattr(spectra, "char_polys_mod", corrupted)
-    with pytest.raises(ArithmeticError, match=r"^n=42: power sums break Cayley-Hamilton"):
-        g2_residual_degrees([Modulus.of(n) for n in (12, 29, 30, 42, 66)])
+    monkeypatch.setattr(polynomial, "_power_sums", corrupted)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ArithmeticError, match=r"^n=42: power sums break Cayley-Hamilton"):
+            entry([Modulus.of(n) for n in (12, 29, 30, 42, 66)])
+
+
+def test_one_prime_rule_names_the_modulus_whose_structured_residue_fails(monkeypatch):
+    # from eight primes on, the decision takes the structured kernel at one
+    # prime, whose residues char_polys_mod checks as it checks power traces;
+    # the exact charpoly of 30, also from the structured kernel, is left alone
+    real = polynomial._structured_residues
+
+    def corrupted(stack, supports, primes):
+        residues, complete = real(stack, supports, primes)
+        if stack.shape[1] == 254:
+            residues[:, -2] = (residues[:, -2] + 1) % primes[0]
+        return residues, complete
+
+    monkeypatch.setattr(polynomial, "_structured_residues", corrupted)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ArithmeticError, match=r"^n=9699690: x\^\(w-1\) residue is not -trace"):
+            entry([Modulus.of(n) for n in (30, 30030, 9699690)])
 
 
 @pytest.mark.parametrize("n", [42, 2310, 30030])
