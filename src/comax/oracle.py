@@ -28,7 +28,7 @@ Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it; the pipeline never uses negation.  The one
 exception is the dense exact charpoly kernel (``char_poly_matrix``), which
 the pipeline reaches only as the fallback of its structured kernel, for a
-quotient core that kernel leaves incomplete.  The dense kernel skips the
+residue row that kernel leaves incomplete.  The dense kernel skips the
 Hessenberg columns that are already closed and multiplies the charpolys of
 the diagonal blocks they leave.  That is generic Hessenberg deflation,
 which any matrix gets and which reads nothing of the graph; on the

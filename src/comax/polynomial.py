@@ -30,12 +30,12 @@ the cells' bitmask supports:
     (IEEE Trans. Inf. Theory 32, 1986) with Berlekamp-Massey gives the
     charpoly modulo each prime.  E B is symmetric for E the diagonal of
     column values, so the symmetric form of the method (Eberly & Kaltofen,
-    ISSAC 1997) reads the 2w terms off w products.  A matrix for which
-    Berlekamp-Massey finds a generator of lower degree modulo some prime (a
-    repeated eigenvalue, a column value that the prime divides, or an
-    unlucky start vector) takes the Hessenberg kernel instead.  Every exact
-    G2 core charpoly comes from this kernel, so the Hessenberg one serves
-    only the oracle and this fallback.
+    ISSAC 1997) reads the 2w terms off w products.  A residue row it leaves
+    incomplete, where Berlekamp-Massey finds a generator of lower degree
+    modulo that row's prime (a repeated eigenvalue, a column value that the
+    prime divides, or an unlucky start vector), takes the Hessenberg kernel
+    at that prime alone.  Every exact G2 core charpoly comes from this
+    kernel, so the Hessenberg one serves only the oracle and this fallback.
 Integer roots are then split off at caller-supplied candidates, each decided
 by exact synthetic division.
 """
@@ -290,18 +290,19 @@ def _char_poly_mod(h: np.ndarray, mods: np.ndarray) -> np.ndarray:
     return poly[:, w]
 
 
-def _residues(stack: np.ndarray, primes: list[int]) -> np.ndarray:
-    """The (k * c, w + 1) charpoly residues of a (k, w, w) int64 stack modulo
-    c primes: row j is that of matrix j // c modulo prime j % c, computed by
-    ``_char_poly_mod`` in slices of ``_BATCH_CELLS`` entries."""
-    k, w, _ = stack.shape
+def _residues(stack: np.ndarray, primes: list[int], rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), w + 1) charpoly residues of the given rows of a
+    (k, w, w) int64 stack modulo c primes: row j is that of matrix j // c
+    modulo prime j % c, computed by ``_char_poly_mod`` in slices of
+    ``_BATCH_CELLS`` entries."""
+    w = stack.shape[1]
     c = len(primes)
-    residues = np.empty((k * c, w + 1), dtype=np.int64)
+    residues = np.empty((len(rows), w + 1), dtype=np.int64)
     batch = max(1, _BATCH_CELLS // (w * w))
-    for s in range(0, k * c, batch):
-        j = np.arange(s, min(s + batch, k * c))
+    for s in range(0, len(rows), batch):
+        j = rows[s : s + batch]
         mods = np.array(primes, dtype=np.int64)[j % c]
-        residues[j] = _char_poly_mod(stack[j // c] % mods[:, None, None], mods)
+        residues[s : s + batch] = _char_poly_mod(stack[j // c] % mods[:, None, None], mods)
     return residues
 
 
@@ -315,7 +316,8 @@ def char_polys_mod(
 
     With ``supports`` (the form of ``char_polys``), q is the first prime
     that ``char_polys`` takes for size w, and the residues come from the
-    structured kernel, or the dense one for a matrix it leaves incomplete.
+    structured kernel, or the dense one for a residue row it leaves
+    incomplete.
 
     Without, q is the largest prime with w * q**2 < 2**53
     (``_trace_prime``), and the power-trace kernel gives the residues: the
@@ -345,7 +347,7 @@ def char_polys_mod(
         sum_checks = [(cayley_hamilton, "power sums break Cayley-Hamilton")]
     else:
         q = _word_primes(w + 1, 1)[0]
-        residues = _structured_or_dense(stack, supports, [q])
+        residues = _structured_residues(stack, supports, [q])
         sum_checks = []
     trace = (stack.diagonal(axis1=1, axis2=2) % q).sum(axis=1) % q
     checks = [
@@ -460,9 +462,10 @@ def char_polys(
     each entry B[i][j], i != j, 0 where the supports of i and j meet and
     one value e_j per column where they are disjoint.  The G2 quotients have
     this form, and a product with one costs O(omega * 2**omega), not w**2.
-    The residues modulo each prime then come from ``_structured_residues``;
-    a matrix for which any prime leaves them incomplete has all its
-    residues taken from the dense kernel instead, modulo the same primes.
+    The residues modulo each prime then come from ``_structured_residues``,
+    and a residue row it leaves incomplete from the dense kernel at that
+    row's prime alone: residues modulo a prime are unique, so the kernels
+    mix row by row.
 
     A matrix of size 0 has the charpoly 1.  Ragged or mixed-size input, any
     entry that is not an int64 integer (a float, or 2**63 and beyond) and
@@ -474,9 +477,9 @@ def char_polys(
     stack = _int64_stack(stack)
     primes = _word_primes(stack.shape[1] + 1, _hadamard_bound(stack))
     if supports is None:
-        residues = _residues(stack, primes)
+        residues = _residues(stack, primes, np.arange(len(stack) * len(primes)))
     else:
-        residues = _structured_or_dense(stack, supports, primes)
+        residues = _structured_residues(stack, supports, primes)
     return _recombine(stack, primes, residues)
 
 
@@ -533,20 +536,6 @@ def char_poly_matrix(matrix: Sequence[Sequence[int]]) -> IntPoly:
     return char_polys([matrix])[0]
 
 
-def _structured_or_dense(
-    stack: np.ndarray, supports: Sequence[Sequence[int]], primes: list[int]
-) -> np.ndarray:
-    """The (k * c, w + 1) residues of ``_structured_residues``, with every
-    residue of a matrix that any of the c primes leaves incomplete taken
-    from the dense kernel (``_residues``) instead, modulo the same primes."""
-    k, c = len(stack), len(primes)
-    residues, complete = _structured_residues(stack, supports, primes)
-    dense = np.flatnonzero(~complete.reshape(k, c).all(axis=1))
-    if dense.size:
-        residues[(dense[:, None] * c + np.arange(c)).ravel()] = _residues(stack[dense], primes)
-    return residues
-
-
 def _projections(size: int) -> np.ndarray:
     """Wiedemann's start vector v over the ``size`` support masks: a fixed
     integer sequence of the mask index below 2**16, so that every run takes
@@ -557,10 +546,11 @@ def _projections(size: int) -> np.ndarray:
 
 def _structured_residues(
     stack: np.ndarray, supports: Sequence[Sequence[int]], primes: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The (k * c, w + 1) charpoly residues of a (k, w, w) stack of the form
     of ``char_polys`` with supports modulo c primes, row j being matrix j // c
-    modulo prime j % c, and per row whether it is complete.
+    modulo prime j % c.  A residue row it leaves incomplete is taken from the
+    dense kernel (``_residues``) at that row's prime alone.
 
     The supports must be positive, distinct within a matrix and fill at
     least half of the 2**omega masks.  The matrices are laid out over all
@@ -619,7 +609,10 @@ def _structured_residues(
         complete[j] = degree == w
         lead = [pow(a, -1, q) for a, q in zip(poly[:, -1].tolist(), p[:, 0].tolist())]
         residues[j] = poly * np.array(lead, dtype=np.int64)[:, None] % p
-    return residues, complete
+    incomplete = np.flatnonzero(~complete)
+    if incomplete.size:
+        residues[incomplete] = _residues(stack, primes, incomplete)
+    return residues
 
 
 def _krylov_sequence(

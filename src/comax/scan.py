@@ -29,7 +29,7 @@ import os
 import time
 from array import array
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .ring_divisors import Modulus, factorize_range
@@ -62,19 +62,20 @@ class ScanRecord:
 
 def _compute_chunk(
     ns: Sequence[int], start: int, timing: bool
-) -> list[tuple[ScanRecord, int]]:
-    """(record, rad(n)) for each of the consecutive moduli ``ns`` of a range
-    that begins at ``start``, all factorized by one ``factorize_range``
-    sieve, from one ``g2_residual_degrees`` call on the squarefree ones and
-    on the distinct composite radicals below ``start`` of the others, each
-    built from the primes of n without factorizing it again.
+) -> list[tuple[int, str, int, int, int | None, int]]:
+    """(n, factorization, omega, rad(n), residual degree, wall ms) for each
+    of the consecutive moduli ``ns`` of a range that begins at ``start``,
+    all factorized by one ``factorize_range`` sieve, from one
+    ``g2_residual_degrees`` call on the squarefree ones and on the distinct
+    composite radicals below ``start`` of the others, each built from the
+    primes of n without factorizing it again.
 
-    Integrality and the residual degree are those of the G2 spectrum: the
-    full spectrum adds only integer eigenvalues and shifts G2's by phi(n).
-    A prime radical gives residual degree 0.  The record of n is complete
-    unless start <= rad(n) < n; such a record carries rad(n) in place of
-    its residual degree, for ``scan_range`` to fill.  With ``timing`` every
-    modulus is a chunk of its own, so wall_time_ms times one n.
+    The residual degree is that of the G2 spectrum: the full spectrum adds
+    only integer eigenvalues and shifts G2's by phi(n).  A prime radical
+    gives residual degree 0.  The degree is None exactly when
+    start <= rad(n) < n, for ``scan_range`` to fill from rad(n)'s row.
+    With ``timing`` every modulus is a chunk of its own, so the wall ms
+    time one n.
     """
     if timing and len(ns) > 1:
         return [row for n in ns for row in _compute_chunk([n], start, timing)]
@@ -86,27 +87,22 @@ def _compute_chunk(
     found = g2_residual_degrees(batch) if batch else []
     degrees = dict(zip((m.n for m in batch), found))
     elapsed_ms = int((time.perf_counter() - began) * 1000) if timing else 0
-    rows = []
-    for m in moduli:
-        if m.radical < start:
-            degree = degrees.get(m.radical, 0)
-        else:
-            degree = degrees.get(m.n, m.radical)
-        record = ScanRecord(
-            n=m.n,
-            factorization=m.factorization_str(),
-            laplacian_integral=degree == 0,
-            distinct_prime_count=m.omega,
-            residual_degree=degree,
-            wall_time_ms=elapsed_ms,
+    return [
+        (
+            m.n,
+            m.factorization_str(),
+            m.omega,
+            m.radical,
+            degrees.get(m.radical, 0) if m.radical < start else degrees.get(m.n),
+            elapsed_ms,
         )
-        rows.append((record, m.radical))
-    return rows
+        for m in moduli
+    ]
 
 
 def _chunk_rows(
     tasks: Sequence[Sequence[int]], start: int, workers: int, timing: bool
-) -> Iterator[list[tuple[ScanRecord, int]]]:
+) -> Iterator[list[tuple[int, str, int, int, int | None, int]]]:
     """``_compute_chunk`` of each task, in task order, computed in this process
     or, with workers > 1, by a pool of at most one process per CPU and per
     task.  Tasks are submitted through a window of at most 2 * workers
@@ -147,14 +143,11 @@ def scan_range(
     # w = 2^omega - 2, for omega <= 15
     degrees = array("H", [0]) * len(ns)
     for rows in _chunk_rows(tasks, start, workers, timing):
-        for record, rad in rows:
-            if start <= rad < record.n:
+        for n, factorization, omega, rad, degree, ms in rows:
+            if degree is None:
                 degree = degrees[rad - start]
-                record = replace(
-                    record, laplacian_integral=degree == 0, residual_degree=degree
-                )
-            degrees[record.n - start] = record.residual_degree
-            yield record
+            degrees[n - start] = degree
+            yield ScanRecord(n, factorization, degree == 0, omega, degree, ms)
 
 
 def apply_filter(records: Iterable[ScanRecord], which: str) -> Iterator[ScanRecord]:

@@ -295,15 +295,16 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
     checks them) and one ``_one_prime_rule`` call on their core stack.
 
     A modulus the rule decides knows the integer roots of its core: 0, and
-    trace(B) too for a core of two cells; the cell of rad(n), when isolated,
-    adds one more 0.  Its spectrum is built at once.  A core of at most two
-    cells has no other root, so its residual is 1; a larger core's, its
-    exact charpoly divided by x, is taken only when read.  The undecided
-    moduli of a group share one ``char_polys`` call with their supports:
-    rounded, their eigenvalues are the integer-root candidates that
-    ``extract_integer_roots`` decides by exact synthetic division.  Either
-    way, the eigenvalues left after removing the nearest one to each integer
-    root are the residual roots.  Total size is n - phi(n) - 1.
+    trace(B) too for a core of two cells.  Its spectrum is built at once.  A
+    core of at most two cells has no other root, so its residual is 1; a
+    larger core's, its exact charpoly divided by x, is taken only when read.
+    The undecided moduli of a group share one ``char_polys`` call with their
+    supports: rounded, their eigenvalues are the integer-root candidates
+    that ``extract_integer_roots`` decides by exact synthetic division on
+    the core's charpoly.  Either way, the cell of rad(n), when isolated,
+    adds one more 0, and the eigenvalues left after removing the nearest one
+    to each integer root are the residual roots.  Total size is
+    n - phi(n) - 1.
 
     Raises ArithmeticError naming the modulus if an invariant fails: the
     checks of ``_size_groups``, those of the one-prime rule and of the exact
@@ -327,17 +328,18 @@ def g2_spectra(moduli: Sequence[Modulus]) -> list[SpectrumMultiset]:
         for k, (i, m, cs, trace, vs, tol) in enumerate(rows):
             if decided[k]:
                 found = [0, trace] if core == 2 else [0] if core else []
-                roots = sorted(Counter(found + [0] * isolated).items())
+                roots = Counter(found)
                 residual = (
                     functools.partial(_decided_residual, m, cs, b[k : k + 1])
                     if core > 2 else IntPoly.one()
                 )
                 exact_sum = trace - sum(found)
             else:
-                p = next(polys) * IntPoly((0, 1)) if isolated else next(polys)
-                roots, residual = extract_integer_roots(p, map(round, vs))
+                pairs, residual = extract_integer_roots(next(polys), map(round, vs))
+                roots = Counter(dict(pairs))
                 exact_sum = -residual.coeffs[-2] if residual.degree else 0
-            out[i] = _split_spectrum(m, cs, roots, exact_sum, residual, vs, tol)
+            roots += Counter({0: isolated})
+            out[i] = _split_spectrum(m, cs, sorted(roots.items()), exact_sum, residual, vs, tol)
     return out
 
 

@@ -397,7 +397,7 @@ def test_char_polys_mod_with_every_entry_at_the_top_of_the_field(w):
     got, residues = char_polys_mod(stack)
     assert got == q
     assert residues[0].tolist() == [0] * (w - 1) + [w % q, 1]
-    assert residues.tolist() == polynomial._residues(stack, [q]).tolist()
+    assert residues.tolist() == polynomial._residues(stack, [q], np.arange(len(stack))).tolist()
     sums = polynomial._power_sums((stack % q).astype(np.float64), q, max(2, math.isqrt(w + 2)))
     assert not ((residues * sums[:, 1:]).sum(axis=1) % q).any()
 
@@ -447,13 +447,22 @@ def test_structured_char_polys_equal_char_polys_at_six_primes():
 
 
 @pytest.mark.parametrize("n", [510510, 9699690, 223092870])
-def test_structured_residues_equal_the_dense_kernel_modulo_one_prime(n):
-    # omega = 7, 8, 9: one prime of the dense kernel checks the structured one
+def test_structured_residues_equal_the_dense_kernel_modulo_one_prime(monkeypatch, n):
+    # omega = 7, 8, 9: one prime of the dense kernel checks the structured
+    # one, which sends it no row
     stack, supports = _quotients([n])
     q = polynomial._word_primes(stack.shape[1] + 1, 1)[0]
-    want = polynomial._residues(stack, [q])
-    got, complete = polynomial._structured_residues(stack, supports, [q])
-    assert complete.all()
+    want = polynomial._residues(stack, [q], np.arange(len(stack)))
+    dense = []
+    kernel = polynomial._residues
+
+    def recording(stack, primes, rows):
+        dense.extend(rows.tolist())
+        return kernel(stack, primes, rows)
+
+    monkeypatch.setattr(polynomial, "_residues", recording)
+    got = polynomial._structured_residues(stack, supports, [q])
+    assert not dense
     assert got.tolist() == want.tolist()
 
 
@@ -493,7 +502,7 @@ def test_char_polys_mod_names_the_matrix_whose_residue_fails(monkeypatch, kernel
 
     def corrupted(*args):
         out = real(*args)
-        (out[0] if isinstance(out, tuple) else out)[1, column] += 1
+        out[1, column] += 1
         return out
 
     monkeypatch.setattr(polynomial, kernel, corrupted)
@@ -521,13 +530,13 @@ def _structured(rng, omega, isolated_top):
 
 
 def test_structured_char_polys_of_random_structured_matrices(monkeypatch):
-    # every column value is nonzero, so no matrix takes the dense fallback
+    # every column value is nonzero, so no residue row takes the dense fallback
     dense = []
     kernel = polynomial._residues
 
-    def recording(stack, primes):
-        dense.append(stack.shape)
-        return kernel(stack, primes)
+    def recording(stack, primes, rows):
+        dense.extend(rows.tolist())
+        return kernel(stack, primes, rows)
 
     rng = random.Random(21)
     for omega in (2, 3, 4, 6):
@@ -544,33 +553,37 @@ def test_structured_char_polys_of_random_structured_matrices(monkeypatch):
 def test_structured_char_polys_with_repeated_eigenvalues_take_the_dense_kernel(monkeypatch):
     # a diagonal matrix with repeated values is derogatory: its minimal
     # polynomial, and so the generator Berlekamp-Massey finds, falls short of
-    # w, and that matrix alone goes through the dense kernel
+    # w at every prime, and every residue row of that matrix alone goes
+    # through the dense kernel
     dense = []
     kernel = polynomial._residues
 
-    def recording(stack, primes):
-        dense.append(stack.tolist())
-        return kernel(stack, primes)
+    def recording(stack, primes, rows):
+        dense.append((list(primes), rows.tolist()))
+        return kernel(stack, primes, rows)
 
     monkeypatch.setattr(polynomial, "_residues", recording)
     generic, masks = _structured(random.Random(4), 3, None)
     repeated = [[(5, 5, 7, 7, 9, 9)[i] if i == j else 0 for j in range(6)] for i in range(6)]
     got = char_polys([generic, repeated], [masks, [1, 2, 3, 4, 5, 6]])
-    assert dense == [[repeated]]
+    [(primes, rows)] = dense
+    c = len(primes)
+    assert rows == list(range(c, 2 * c))  # matrix 1, every prime
     assert got == [char_poly_matrix(generic), IntPoly.from_roots([(5, 2), (7, 2), (9, 2)])]
 
 
 def test_structured_kernel_falls_back_where_its_form_is_degenerate(monkeypatch):
     # E B is symmetric for E = diag(column values), and the left Krylov
     # vectors E B^k v lie in the range of E mod p: a prime that divides a
-    # cell size, or a zero column value, leaves that matrix short of degree
-    # w, and it alone goes through the dense kernel
+    # cell size leaves that matrix's row at that prime short of degree w, and
+    # a zero column value every row of its matrix; those rows alone go
+    # through the dense kernel
     dense = []
     kernel = polynomial._residues
 
-    def recording(stack, primes):
-        dense.append(stack.tolist())
-        return kernel(stack, primes)
+    def recording(stack, primes, rows):
+        dense.append((list(primes), rows.tolist()))
+        return kernel(stack, primes, rows)
 
     monkeypatch.setattr(polynomial, "_residues", recording)
     q = polynomial._word_primes(63, 1)[0]  # the first prime at w = 62
@@ -588,8 +601,29 @@ def test_structured_kernel_falls_back_where_its_form_is_degenerate(monkeypatch):
     stack = np.concatenate([generic, divided, zeroed])
     supports = [generic_masks[0], masks[0], zero_masks]
     got = char_polys(stack, supports)
-    assert dense == [stack[1:].tolist()]
+    [(primes, rows)] = dense
+    c = len(primes)
+    assert primes[0] == q
+    assert rows == [c] + list(range(2 * c, 3 * c))  # matrix 1 at q, matrix 2 at every prime
     assert got == char_polys(stack)
+
+
+def test_one_prime_that_divides_a_cell_size_costs_one_dense_row(monkeypatch):
+    # 11161543892730 = 2 * 3 * 5 * 7 * 11 * 4831837183: one cell size of its
+    # core is divisible by 268435399, the first of its 91 primes, so one
+    # residue row of the 91 goes through the dense kernel, at that prime
+    dense = []
+    kernel = polynomial._residues
+
+    def recording(stack, primes, rows):
+        dense.extend(primes[j % len(primes)] for j in rows.tolist())
+        return kernel(stack, primes, rows)
+
+    b, supports = _quotients([11161543892730])
+    want = char_polys(b)
+    monkeypatch.setattr(polynomial, "_residues", recording)
+    assert char_polys(b, supports) == want
+    assert dense == [268435399]
 
 
 def test_structured_kernel_keeps_a_cell_disjoint_from_every_other(monkeypatch):
@@ -599,9 +633,9 @@ def test_structured_kernel_keeps_a_cell_disjoint_from_every_other(monkeypatch):
     dense = []
     kernel = polynomial._residues
 
-    def recording(stack, primes):
-        dense.append(stack.shape)
-        return kernel(stack, primes)
+    def recording(stack, primes, rows):
+        dense.extend(rows.tolist())
+        return kernel(stack, primes, rows)
 
     monkeypatch.setattr(polynomial, "_residues", recording)
     rows, masks = _structured(random.Random(2), 6, -7)

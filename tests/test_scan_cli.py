@@ -200,8 +200,9 @@ def test_chunk_factorizes_each_modulus_once(monkeypatch):
     rows = scan._compute_chunk(ns, 1000, False)
     monkeypatch.undo()
     assert calls == [(ns[0], ns[-1])]
-    assert 510 in {rad for _, rad in rows}  # 1020 = 2^2 * 3 * 5 * 17
-    assert [record for record, _ in rows] == [spectrum_record(n) for n in ns]
+    assert 510 in {rad for _, _, _, rad, _, _ in rows}  # 1020 = 2^2 * 3 * 5 * 17
+    records = [ScanRecord(n, f, d == 0, omega, d, ms) for n, f, omega, _, d, ms in rows]
+    assert records == [spectrum_record(n) for n in ns]
 
 
 def test_scan_on_the_full_path_alone_matches_golden(monkeypatch):
@@ -409,12 +410,12 @@ def test_a_residual_failing_its_check_fails_where_it_is_read(monkeypatch, capsys
     [b] = [g[3][0] for g in spectra._size_groups([m])]
 
     def off_by_one_trace(stack, supports, primes):
-        out, complete = residues(stack, supports, primes)
+        out = residues(stack, supports, primes)
         for i, core in enumerate(stack):
             if np.array_equal(core, b):
                 rows = slice(i * len(primes), (i + 1) * len(primes))
                 out[rows, -2] = (out[rows, -2] + 1) % np.array(primes)
-        return out, complete
+        return out
 
     monkeypatch.setattr(polynomial, "_structured_residues", off_by_one_trace)
     s = spectra.g2_spectrum(m)  # decided: no charpoly yet

@@ -472,23 +472,24 @@ def test_every_exact_charpoly_takes_the_structured_kernel(monkeypatch):
 def test_structured_kernel_equals_the_dense_one_on_every_core_to_5000(monkeypatch):
     # every core of three cells or more in 3..5000 (omega = 3..5), stacked
     # as the pipeline stacks them, with no row left to the dense fallback
-    incomplete = []
-    real = polynomial._structured_residues
+    dense = []
+    real = polynomial._residues
 
-    def recording(stack, supports, primes):
-        residues, complete = real(stack, supports, primes)
-        incomplete.append(int((~complete).sum()))
-        return residues, complete
+    def recording(stack, primes, rows):
+        dense.extend(rows.tolist())
+        return real(stack, primes, rows)
 
-    monkeypatch.setattr(polynomial, "_structured_residues", recording)
     cores = 0
     for _, _, cells, b, _, _ in spectra._size_groups([Modulus.of(n) for n in range(3, 5001)]):
         w = b.shape[1]
         if w > 2:
-            assert char_polys(b, spectra._supports(cells, w)) == char_polys(b), w
+            want = char_polys(b)
+            with monkeypatch.context() as patched:
+                patched.setattr(polynomial, "_residues", recording)
+                assert char_polys(b, spectra._supports(cells, w)) == want, w
             cores += len(b)
     assert cores == 2101
-    assert sum(incomplete) == 0
+    assert not dense
 
 
 def test_structured_kernel_falls_back_to_the_dense_one_unchanged(monkeypatch):
@@ -528,13 +529,13 @@ def test_g2_spectra_names_the_modulus_whose_structured_charpoly_fails(monkeypatc
         b = _core(n)
 
         def off_by_one_trace(stack, supports, primes, b=b):
-            out, complete = residues(stack, supports, primes)
+            out = residues(stack, supports, primes)
             c = len(primes)
             for i, m in enumerate(stack):
                 if np.array_equal(m, b):
                     rows = slice(i * c, (i + 1) * c)
                     out[rows, -2] = (out[rows, -2] + 1) % np.array(primes)
-            return out, complete
+            return out
 
         monkeypatch.setattr(polynomial, "_structured_residues", off_by_one_trace)
         with pytest.raises(ArithmeticError, match=rf"^n={n}: x\^\(w-1\) coefficient"):
@@ -724,10 +725,10 @@ def test_one_prime_rule_names_the_modulus_whose_structured_residue_fails(monkeyp
     real = polynomial._structured_residues
 
     def corrupted(stack, supports, primes):
-        residues, complete = real(stack, supports, primes)
+        residues = real(stack, supports, primes)
         if stack.shape[1] == 254:
             residues[:, -2] = (residues[:, -2] + 1) % primes[0]
-        return residues, complete
+        return residues
 
     monkeypatch.setattr(polynomial, "_structured_residues", corrupted)
     for entry in ENTRY_POINTS:
@@ -764,7 +765,7 @@ def test_a_corrupted_product_of_the_power_trace_kernel_names_its_modulus(monkeyp
 def test_one_prime_rule_routes_by_omega(monkeypatch):
     # below eight primes the decision takes power traces and never the
     # Hessenberg kernel; from eight on, the structured kernel at one prime,
-    # with the Hessenberg kernel at that prime for a core it leaves incomplete
+    # with the Hessenberg kernel at that prime for a row it leaves incomplete
     hessenberg, structured = [], []
     real_hessenberg, real_structured = polynomial._char_poly_mod, polynomial._structured_residues
 
