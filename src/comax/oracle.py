@@ -9,24 +9,20 @@ matrix, and the minimum vertex cut counts vertex-disjoint paths by shortest
 augmenting paths on a vertex-split residual matrix read off it, capped at a
 few hundred vertices.
 
-Both spectral oracles split the Laplacian by negation, x -> -x mod n.  It
-maps every divisor class onto itself, so it is an automorphism, but that is
-not assumed: ``negation_split`` checks it exactly on the adjacency of all n
-vertices, one 256-row panel at a time, and raises if it fails.  The
-orthogonal basis e_x + e_(n-x), e_x - e_(n-x) (x = 1..ceil(n/2) - 1) plus
-the fixed points 0 and, for even n, n/2 (Cvetkovic, Rowlinson & Simic,
-*An Introduction to the Theory of Graph Spectra*, 2010) turns the one
-n x n Laplacian into an even block of size floor(n/2) + 1 and an odd block
-of size ceil(n/2) - 1.  A dense symmetric eigensolve costs about n^3, so the
-two half-size solves cost about a quarter of the one, and the split never
-holds more than the adjacency and one block: about three eighths of one
-float64 n x n Laplacian.  Only this one involution is used: the orbits of
-the whole unit group are the divisor classes, which would rebuild the
-quotient this module exists to check.
+Both spectral oracles split the Laplacian by the involutive units
+E = {u : u*u = 1 mod n}, which keep every gcd(x, n) under x -> u x; that
+they are automorphisms is checked, not assumed (``involution_split``).
+Symmetry blocks (Cvetkovic, Rowlinson & Simic, *An Introduction to the
+Theory of Graph Spectra*, 2010), one per character of E, replace the one
+n x n Laplacian: at 2310, 16 blocks of at most 288 rows, where negation
+alone gives two of about 1155.  The whole unit group is not used: its
+orbits are the divisor classes, up to 480 vertices at 2310, and would
+rebuild the quotient this module exists to check; an E-orbit holds at
+most |E| vertices.
 
 Disagreement with the quotient pipeline means a bug, so these paths share
-no spectral shortcut with it; the pipeline never uses negation.  The one
-exception is the dense exact charpoly kernel (``char_poly_matrix``), which
+no spectral shortcut with it; the pipeline never uses E.  The one
+exception is the dense exact charpoly kernel (``char_polys``), which
 the pipeline reaches only as the fallback of its structured kernel, for a
 residue row that kernel leaves incomplete.  The dense kernel skips the
 Hessenberg columns that are already closed and multiplies the charpolys of
@@ -40,18 +36,14 @@ determinant of their own at random points.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, TypeVar
+from typing import Iterator
 
 import numpy as np
 
 from . import config
 from .comax_graph import adjacency, g2_vertices
-from .polynomial import IntPoly, char_poly_matrix
+from .polynomial import IntPoly, char_polys
 from .ring_divisors import Modulus
-
-
-T = TypeVar("T")
 
 
 class OracleLimitExceeded(Exception):
@@ -59,10 +51,11 @@ class OracleLimitExceeded(Exception):
 
 
 def numeric_spectrum(laplacian: np.ndarray) -> tuple[float, ...]:
-    """All eigenvalues of a dense symmetric integer-valued matrix, ascending,
-    from a backward-stable symmetric eigensolver (orthogonal similarity).
+    """All eigenvalues of a dense symmetric matrix, such as a Laplacian,
+    ascending, from a backward-stable symmetric eigensolver (orthogonal
+    similarity).
 
-    A float64 matrix, such as a block of ``negation_split``, is used as it
+    A float64 matrix, such as a block of ``involution_split``, is used as it
     is; any other is converted once.  The solver's working copy is then the only
     other n x n float array alive.
     """
@@ -76,86 +69,137 @@ def numeric_spectrum(laplacian: np.ndarray) -> tuple[float, ...]:
     # one 256-row panel at a time: each compares its rows right of the
     # diagonal with the matching columns, and no n x n temporary is made
     for i in range(0, mat.shape[0], 256):
-        if not np.array_equal(mat[i : i + 256, i:], mat[i:, i : i + 256].T):
+        if (mat[i : i + 256, i:] != mat[i:, i : i + 256].T).any():
             raise ValueError("matrix must be symmetric")
-    return tuple(float(v) for v in np.linalg.eigvalsh(mat))
+    return tuple(np.linalg.eigvalsh(mat).tolist())
 
 
-def negation_split(
-    m: Modulus, solve: Callable[[np.ndarray], T], symmetric: bool = True
-) -> tuple[T, T]:
-    """``solve`` of the even and of the odd block of the Laplacian of the
-    comaximal graph under negation, x -> -x mod n, in that order.
+def _walsh_hadamard(table: np.ndarray) -> np.ndarray:
+    """sum_g (-1)**popcount(c & g) table[g] for every c, along the first
+    axis, whose length is a power of 2: one butterfly pass per bit, in
+    place on the contiguous ``table``, whose dtype must hold +-len(table)."""
+    half = 1
+    while half < len(table):
+        pairs = table.reshape(-1, 2, half * table[0].size)
+        low, high = pairs[:, 0], pairs[:, 1]
+        low += high
+        high *= -2
+        high += low  # (low + high) - 2 high
+        half *= 2
+    return table
 
-    The boolean adjacency of all n vertices is built once, and negation is
-    checked to map it onto itself exactly, one 256-row panel at a time, so
-    no n x n temporary is made; a mismatch raises ValueError.  With
-    k = ceil(n/2) - 1 pairs {x, n - x}, the even block acts on the fixed
-    point 0, on e_x + e_(n-x) for x = 1..k and, for even n, on the fixed
-    point n/2, in that order; the odd block acts on e_x - e_(n-x), x = 1..k.
-    The odd block L[x, y] - L[x, n - y] is an integer matrix.  In the
-    orthonormal basis (``symmetric``) the even block is L[x, y] + L[x, n - y]
-    between pairs, L[f, g] between fixed points and sqrt(2) L[x, f] between
-    the two.  The similar integer form (``symmetric=False``) sums each
-    row over the columns of an orbit instead: the fixed-point rows are
-    doubled and the pair rows of the fixed-point columns are not scaled.
-    Both blocks are float64 with entries below n in magnitude.  The even
-    block is dropped before the odd one is built, so the call holds the
-    adjacency and one block at a time.  Refuses n above
-    ``config.DENSE_LIMIT``.
+
+def involution_split(m: Modulus, symmetric: bool = True) -> Iterator[np.ndarray]:
+    """The blocks of the Laplacian of the comaximal graph under the
+    involutive units E = {u : u*u = 1 mod n}, one per character of E and
+    one at a time, the trivial character's first.
+
+    E acts by x -> u x, which keeps every gcd(x, n).  The boolean adjacency
+    A of all n vertices is built once and checked to be E-invariant
+    exactly, in 256-row panels with no n x n temporary; a mismatch raises
+    ValueError.  Each x is g_x r_x for the least element r_x of its orbit,
+    and A is E-invariant exactly when A[x, y] = A[r_x, g_x y] for every x
+    and each representative's row is fixed by its stabilizer, so the check
+    reads each row about once.
+
+    E is an elementary abelian 2-group, listed so that element b is the
+    product of the generators at the set bits of b; character c is then
+    chi_c(b) = (-1)**popcount(c & b).  The block of chi acts on the orbits
+    O whose stabilizer S_O lies in its kernel, ascending by representative,
+    in the basis sum_g chi(g) e_(g r_O).  With the integer symmetric
+    H[O, O'] = sum_g chi(g) L[r_O, g r_O'] over all of E, the orthonormal
+    form (``symmetric``) is H[O, O'] sqrt(|O| |O'|) / |E|, float64 and
+    exactly symmetric, and the similar integer form (``symmetric=False``)
+    H[O, O'] |O'| / |E|, int64.  Every block holds the orbit of 1, so there
+    are |E| of them, and their sizes sum to n.  The character sums of A
+    over the k orbits come from one Walsh-Hadamard transform of an
+    |E| x k x k table of the smallest integer type that holds +-|E|, and
+    the adjacency is dropped before the first block is built.  Refuses n
+    above ``config.DENSE_LIMIT``.
     """
     n = m.n
     if n > config.DENSE_LIMIT:
         raise OracleLimitExceeded(f"n={n} exceeds dense limit {config.DENSE_LIMIT}")
     adj = adjacency(m, range(n))
-    neg = -np.arange(n) % n
-    for i in range(0, n, 256):
-        if not np.array_equal(adj[neg[i : i + 256]][:, neg], adj[i : i + 256]):
-            raise ValueError("negation is not an automorphism of the adjacency")
-    degree = adj.sum(axis=1)
-    half, k = n // 2, (n - 1) // 2
-    mirror = adj[: half + 1, n - 1 : n - k - 1 : -1]  # column y - 1: adj[x, n - y]
-    even = np.negative(adj[: half + 1, : half + 1], dtype=np.float64)
-    even[:, 1 : k + 1] -= mirror
-    even.flat[:: half + 2] += degree[: half + 1]
-    if symmetric:
-        fixed = [0, half] if n % 2 == 0 else [0]
-        even[1 : k + 1, fixed] *= np.sqrt(2.0)
-        even[fixed, 1 : k + 1] = even[1 : k + 1, fixed].T
-    solved = solve(even)
-    del even
-    odd = np.negative(adj[1 : k + 1, 1 : k + 1], dtype=np.float64)
-    odd += mirror[1 : k + 1]
-    odd.flat[:: k + 1] += degree[1 : k + 1]
-    return solved, solve(odd)
+    units = [1]
+    for u in np.flatnonzero(np.arange(n) ** 2 % n == 1).tolist():
+        if u not in units:
+            units += [v * u % n for v in units]
+    act = np.multiply.outer(units, np.arange(n)) % n  # act[g, x] = g x mod n
+    rep = act.min(axis=0)
+    to_rep = act.argmin(axis=0)  # g_x, an involution: g_x x = r_x
+    # checks[g, x]: row x is compared under g, which is g_x, or for a
+    # representative any element of its stabilizer
+    checks = (to_rep == np.arange(len(units))[:, None]) | ((act == rep) & (to_rep == 0))
+    for g in range(1, len(units)):
+        rows = checks[g].nonzero()[0]
+        for i in range(0, len(rows), 256):
+            panel = rows[i : i + 256]
+            if (adj[panel] != adj[rep[panel]][:, act[g]]).any():
+                raise ValueError(
+                    "an involutive unit is not an automorphism of the adjacency"
+                )
+    reps = (to_rep == 0).nonzero()[0]
+    stab = checks[:, reps]  # stab[g, O]: g fixes r_O
+    rep_rows = adj[reps]
+    degree = rep_rows.sum(axis=1)
+    del adj
+    # sums[c, O', O] = sum_g chi_c(g) A[r_O, g r_O'], and row k sums the
+    # stabilizer: |S_O| where chi_c is trivial on S_O, 0 elsewhere
+    table = [rep_rows.T[act[:, reps]], stab[:, None]]
+    sums = _walsh_hadamard(
+        np.concatenate(table, axis=1, dtype=np.min_scalar_type(-len(units) - 1))
+    )
+    del rep_rows, table
+    stab_size = stab.sum(axis=0)
+    # sqrt(|O| |O'|) / |E| as a row and then a column scaling: each factor
+    # is a power of 2, times sqrt(2) or not, so the block stays exactly
+    # symmetric, and no second block-sized array is made
+    root = np.sqrt(len(units) // stab_size / len(units))
+    for c in range(len(units)):
+        idx = sums[c, -1].nonzero()[0]
+        block = np.negative(
+            sums[c, idx][:, idx].T, dtype=np.float64 if symmetric else np.int64
+        )
+        if symmetric:
+            block *= root[idx]
+            block *= root[idx, None]
+        else:
+            block //= stab_size[idx]
+        block.flat[:: len(idx) + 1] += degree[idx]
+        yield block
+        del block  # before the next one is built
 
 
 def dense_spectrum(m: Modulus) -> tuple[float, ...]:
     """All n eigenvalues of the Laplacian, ascending: ``numeric_spectrum`` of
-    the two blocks of ``negation_split``, merged."""
-    even, odd = negation_split(m, numeric_spectrum)
-    return tuple(heapq.merge(even, odd))
+    each block of ``involution_split``, merged."""
+    spectra = [numeric_spectrum(block) for block in involution_split(m)]
+    return tuple(sorted(sum(spectra, ())))
 
 
 def exact_char_poly_full(m: Modulus) -> IntPoly:
     """Exact characteristic polynomial of the full n x n Laplacian: the
-    product of those of the integer forms of the two ``negation_split``
-    blocks.
+    product of those of the int64 forms of the ``involution_split`` blocks,
+    one ``char_polys`` call per block size.
 
     The exact charpoly kernel runs on the dense blocks rather than on the
     quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices.  Most
     Hessenberg columns of these blocks close early, so the elimination is
     cheap; the cap keeps the Hadamard bound, and with it the number of
-    primes, small.  The float64 blocks' integer entries are converted to
-    int64 first, as the kernel takes integers only.
+    primes, small.
     """
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
         raise OracleLimitExceeded(f"n={m.n} exceeds exact char poly limit {limit}")
-    even, odd = negation_split(
-        m, lambda block: char_poly_matrix(block.astype(np.int64)), symmetric=False
-    )
-    return even * odd
+    by_size: dict[int, list[np.ndarray]] = {}
+    for block in involution_split(m, symmetric=False):
+        by_size.setdefault(len(block), []).append(block)
+    out = IntPoly.one()
+    for blocks in by_size.values():
+        for poly in char_polys(blocks):
+            out = out * poly
+    return out
 
 
 def g2_adjacency(m: Modulus) -> np.ndarray:

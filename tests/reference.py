@@ -38,7 +38,7 @@ def dense_laplacian(n: int) -> np.ndarray:
     """The unsplit Laplacian L = D - A of the comaximal graph of Z_n, float64,
     one row at a time: A[x, y] = 1 when x != y and gcd(x, n), gcd(y, n) are
     coprime, and D[x, x] the row count of A.  The reference the
-    negation-split oracles are checked against."""
+    involution-split oracles are checked against."""
     g = np.gcd(np.arange(n), n)
     lap = np.zeros((n, n))
     for x in range(n):

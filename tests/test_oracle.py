@@ -117,8 +117,9 @@ def test_dense_spectrum_holds_one_float_laplacian():
 
 
 def test_split_spectrum_matches_the_unsplit_eigensolver():
-    # odd n have the one fixed point 0, even n also n/2; 3990 is even and
-    # squarefree, 4095 odd, both near the dense limit
+    # E = {1, -1} at odd prime powers, and up to 16 involutive units below
+    # 301 (at 120, 168, 240, 264 and 280); 2310, 2730, 3990 and 4095 have
+    # 16, and the last two are near the dense limit
     for n in [*range(3, 301), 2310, 2730, 3990, 4095]:
         split = dense_spectrum(Modulus.of(n))
         whole = np.linalg.eigvalsh(dense_laplacian(n))
@@ -133,17 +134,20 @@ def test_split_charpoly_equals_the_unsplit_one():
         assert exact_char_poly_full(Modulus.of(n)) == whole, n
 
 
-def move_one_edge(monkeypatch, x: int) -> None:
-    """Make the oracles' adjacency drop the first edge at vertex x and join x
-    to its first non-neighbour instead, in both triangles."""
+def move_one_edge(monkeypatch, x: int, mirrored: bool = False) -> None:
+    """Make the oracles' adjacency drop the first edge x-y at vertex x and
+    join x to its first non-neighbour z instead, in both triangles; with
+    ``mirrored``, also move -x-(-y) to -x-(-z)."""
     real = oracle.adjacency
 
     def moved(m, verts):
         adj = real(m, verts)
         y = int(np.argmax(adj[x]))
         z = next(v for v in range(len(adj)) if v != x and not adj[x, v])
-        adj[x, y] = adj[y, x] = False
-        adj[x, z] = adj[z, x] = True
+        for sign in (1, -1) if mirrored else (1,):
+            u, v, w = (sign * t % m.n for t in (x, y, z))
+            adj[u, v] = adj[v, u] = False
+            adj[u, w] = adj[w, u] = True
         return adj
 
     monkeypatch.setattr(oracle, "adjacency", moved)
@@ -153,16 +157,48 @@ def move_one_edge(monkeypatch, x: int) -> None:
 def test_negation_split_refuses_a_moved_edge(monkeypatch, x):
     # the invariance check runs in 256-row panels: a break at a non-unit of
     # 301 = 7 * 43 in the first row, on either side of the panel edge and
-    # near the last row is caught
+    # near the last row is caught; negation is one of the involutive units
     move_one_edge(monkeypatch, x)
-    with pytest.raises(ValueError, match="negation"):
+    with pytest.raises(ValueError, match="automorphism"):
         dense_spectrum(Modulus.of(301))
 
 
 def test_exact_split_refuses_a_moved_edge(monkeypatch):
     move_one_edge(monkeypatch, 5)
-    with pytest.raises(ValueError, match="negation"):
+    with pytest.raises(ValueError, match="automorphism"):
         exact_char_poly_full(Modulus.of(60))
+
+
+@pytest.mark.parametrize("n, x", [(301, 7), (2310, 10)])
+def test_split_refuses_a_moved_edge_that_negation_keeps(monkeypatch, n, x):
+    # x-y becomes x-z and -x-(-y) becomes -x-(-z): negation maps the moved
+    # graph onto itself, so only the other involutive units can see the
+    # break (|E| = 4 at 301 = 7 * 43 and 16 at 2310)
+    move_one_edge(monkeypatch, x, mirrored=True)
+    adj = oracle.adjacency(Modulus.of(n), range(n))
+    neg = -np.arange(n) % n
+    assert (adj[neg][:, neg] == adj).all()
+    assert (adj != full_adjacency(n)).sum() == 8
+    with pytest.raises(ValueError, match="automorphism"):
+        dense_spectrum(Modulus.of(n))
+
+
+def test_split_refuses_a_representative_row_its_stabilizer_moves(monkeypatch):
+    # toggling these edges between the orbits {3, 9, 15, 21} and {4, 20} of
+    # Z_24 leaves row 4 unfixed by its stabilizer {1, 7, 13, 19} while every
+    # row that is not a representative still matches its representative's:
+    # only the stabilizer part of the check sees the break
+    real = oracle.adjacency
+
+    def toggled(m, verts):
+        adj = real(m, verts)
+        for u, v in [(3, 4), (4, 21), (9, 20), (15, 20)]:
+            adj[u, v] = adj[v, u] = not adj[u, v]
+        return adj
+
+    monkeypatch.setattr(oracle, "adjacency", toggled)
+    with pytest.raises(ValueError, match="automorphism"):
+        dense_spectrum(Modulus.of(24))
 
 
 def test_negation_split_refuses_n_above_the_dense_limit(monkeypatch):
@@ -173,11 +209,39 @@ def test_negation_split_refuses_n_above_the_dense_limit(monkeypatch):
     assert len(dense_spectrum(Modulus.of(100))) == 100
 
 
-@pytest.mark.parametrize("n", [1155, 1156])
+def involutive_units(n: int) -> list[int]:
+    return [u for u in range(1, n) if u * u % n == 1]
+
+
+def orbits(n: int) -> set[frozenset[int]]:
+    units = involutive_units(n)
+    return {frozenset(u * x % n for u in units) for x in range(n)}
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_split_blocks_partition_the_vertices(symmetric):
+    # one nonempty block per character of E, the trivial one first with a
+    # row per orbit; where E = {1, -1} these are the even and odd blocks
+    for n in [*range(3, 130), 1155, 2310, 4080]:
+        units = involutive_units(n)
+        blocks = list(oracle.involution_split(Modulus.of(n), symmetric=symmetric))
+        sizes = [len(b) for b in blocks]
+        assert sum(sizes) == n, n
+        assert len(sizes) == len(units) and min(sizes) > 0, n
+        assert sizes[0] == len(orbits(n)), n
+        if len(units) == 2:
+            assert sizes == [n // 2 + 1, (n + 1) // 2 - 1], n
+        for b in blocks:
+            assert b.dtype == (np.float64 if symmetric else np.int64), n
+            assert not symmetric or (b == b.T).all(), n
+
+
+@pytest.mark.parametrize("n", [1155, 1156, 2310, 4080])
 def test_split_spectrum_holds_under_half_a_float_laplacian(n):
-    # the adjacency and one half-size float64 block at a time: about three
-    # eighths of the n x n float64 Laplacian the split replaces (tracemalloc
-    # sees numpy buffers, not the eigensolver's internal working copy)
+    # the adjacency, then the orbit table and one float64 block at a time:
+    # below half of the n x n float64 Laplacian the split replaces
+    # (tracemalloc sees numpy buffers, not the eigensolver's internal
+    # working copy)
     tracemalloc.start()
     try:
         dense_spectrum(Modulus.of(n))
