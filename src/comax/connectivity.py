@@ -17,15 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import config
-from .comax_graph import adjacency
-from .oracle import (
-    OracleLimitExceeded,
-    complement,
-    count_components,
-    g2_adjacency,
-    min_vertex_cut,
-)
+from .oracle import complement, count_components, g2_adjacency, vertex_cut
 from .ring_divisors import Modulus
 from .spectra import SpectrumMultiset
 
@@ -63,17 +55,13 @@ def vertex_connectivity(m: Modulus) -> TheoremReport:
     """Minimum vertex cut of the full graph vs the claimed phi(n).
 
     For prime n the graph is complete and the cut is n - 1 by convention,
-    which matches phi.  The max-flow oracle is capped (at 60 vertices).
+    which matches phi.  Composite n above the cut oracle's cap raises.
     """
     if m.is_prime:
         computed = m.n - 1
         note = "complete graph: n-1 by convention"
     else:
-        if m.n > config.FULL_CUT_LIMIT:
-            raise OracleLimitExceeded(
-                f"n={m.n} exceeds vertex cut oracle limit {config.FULL_CUT_LIMIT}"
-            )
-        computed = min_vertex_cut(adjacency(m, range(m.n)))
+        computed = vertex_cut(m)
         note = ""
     return TheoremReport(
         theorem="vertex-connectivity",
@@ -174,16 +162,11 @@ def multiplicity_reports(
 def kappa_g2_bound(m: Modulus) -> TheoremReport:
     """Vertex connectivity of G2 against the bound phi(n / p_max), squarefree n.
 
-    Computed by max-flow on the boolean G2 adjacency; capped (at 128 vertices).
+    Computed by max-flow on G2, which raises above the cut oracle's cap.
     ``agrees`` means the bound holds; the note records tightness.
     """
     bound = g2_kappa_bound_value(m)
-    g2_size = m.n - m.phi - 1
-    if g2_size > config.G2_KAPPA_LIMIT:
-        raise OracleLimitExceeded(
-            f"|V(G2)|={g2_size} exceeds kappa oracle limit {config.G2_KAPPA_LIMIT}"
-        )
-    computed = min_vertex_cut(g2_adjacency(m))
+    computed = vertex_cut(m, g2=True)
     return TheoremReport(
         theorem="kappa-g2-bound",
         claimed=f"<= {bound}",

@@ -6,8 +6,8 @@ starts from one boolean adjacency matrix computed from element gcds
 or from the exact characteristic polynomial of the full Laplacian, component
 counts (of G2 and of its complement) come from a frontier traversal of that
 matrix, and the minimum vertex cut counts vertex-disjoint paths by shortest
-augmenting paths on a vertex-split residual matrix read off it, capped at a
-few hundred vertices.
+augmenting paths on a vertex-split residual matrix read off it, capped at
+``config.VERTEX_CUT_LIMIT`` vertices.  Every oracle size cap is checked here.
 
 Both spectral oracles split the Laplacian by the involutive units
 E = {u : u*u = 1 mod n}, which keep every gcd(x, n) under x -> u x; that
@@ -119,7 +119,7 @@ def involution_split(m: Modulus, symmetric: bool = True) -> Iterator[np.ndarray]
     """
     n = m.n
     if n > config.DENSE_LIMIT:
-        raise OracleLimitExceeded(f"n={n} exceeds dense limit {config.DENSE_LIMIT}")
+        raise OracleLimitExceeded(f"n exceeds dense limit {config.DENSE_LIMIT}")
     adj = adjacency(m, range(n))
     units = [1]
     for u in np.flatnonzero(np.arange(n) ** 2 % n == 1).tolist():
@@ -191,7 +191,7 @@ def exact_char_poly_full(m: Modulus) -> IntPoly:
     """
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
-        raise OracleLimitExceeded(f"n={m.n} exceeds exact char poly limit {limit}")
+        raise OracleLimitExceeded(f"n exceeds exact limit {limit}")
     by_size: dict[int, list[np.ndarray]] = {}
     for block in involution_split(m, symmetric=False):
         by_size.setdefault(len(block), []).append(block)
@@ -269,6 +269,17 @@ def _disjoint_paths(adj: np.ndarray, s: int, t: int, limit: int) -> int:
             x = parent[x]
         flow += 1
     return flow
+
+
+def vertex_cut(m: Modulus, g2: bool = False) -> int:
+    """``min_vertex_cut`` of the graph of Z_n, or with ``g2`` of G2; above
+    ``config.VERTEX_CUT_LIMIT`` vertices, refused from n and phi(n) alone."""
+    size, name = (m.n - m.phi - 1, "|V(G2)|") if g2 else (m.n, "n")
+    if size > config.VERTEX_CUT_LIMIT:
+        raise OracleLimitExceeded(
+            f"{name}={size} exceeds vertex cut limit {config.VERTEX_CUT_LIMIT}"
+        )
+    return min_vertex_cut(adjacency(m, g2_vertices(m) if g2 else range(m.n)))
 
 
 def min_vertex_cut(adj: np.ndarray) -> int:

@@ -531,11 +531,6 @@ def _recombine(stack: np.ndarray, primes: list[int], residues: np.ndarray) -> li
     return out
 
 
-def char_poly_matrix(matrix: Sequence[Sequence[int]]) -> IntPoly:
-    """Monic characteristic polynomial of one integer matrix: ``char_polys([matrix])[0]``."""
-    return char_polys([matrix])[0]
-
-
 def _projections(size: int) -> np.ndarray:
     """Wiedemann's start vector v over the ``size`` support masks: a fixed
     integer sequence of the mask index below 2**16, so that every run takes

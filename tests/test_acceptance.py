@@ -122,7 +122,7 @@ def test_criterion_04_connectivity_equalities():
     start = time.monotonic()
     violations = []
     primes = 0
-    for n in range(3, 61):
+    for n in range(3, 257):
         m = Modulus.of(n)
         adj = adjacency(m, range(n))
         cut = min_vertex_cut(adj)
@@ -139,9 +139,9 @@ def test_criterion_04_connectivity_equalities():
             expected = m.phi
         if not (isinstance(lam, int) and lam == expected):
             violations.append((n, "fiedler", lam, expected))
-    assert primes == 16
+    assert primes == 53
     report(
-        "C4 kappa = phi, lambda_2 = phi (composite) or n (prime), 3..60",
+        "C4 kappa = phi, lambda_2 = phi (composite) or n (prime), 3..256",
         violations,
         time.monotonic() - start,
         120,
@@ -254,11 +254,14 @@ def test_criterion_08_kappa_g2_bound():
     checked = 0
     # composite n has phi(n) <= n - sqrt(n), so |V(G2)| <= 128 forces
     # n <= 129^2
-    for n in range(6, 129**2 + 1):
-        m = Modulus.of(n)
+    every = [m for m in map(Modulus.of, range(6, 129**2 + 1)) if m.n - m.phi - 1 <= 128]
+    # and a few squarefree n whose G2 has 129 to 256 vertices, up to the
+    # vertex cut oracle's cap, which 16637 = 127 * 131 reaches
+    beyond = [Modulus.of(n) for n in (210, 262, 330, 434, 715, 16637)]
+    assert [m.n - m.phi - 1 for m in beyond] == [161, 131, 249, 253, 234, 256]
+    for m in every + beyond:
+        n = m.n
         if m.is_prime or not m.is_squarefree:
-            continue
-        if m.n - m.phi - 1 > 128:
             continue
         checked += 1
         kappa = min_vertex_cut(g2_adjacency(m))
@@ -271,7 +274,7 @@ def test_criterion_08_kappa_g2_bound():
                 violations.append((n, "pq-exact", kappa))
     assert checked > 300
     report(
-        "C8 kappa(G2) <= phi(n/p_max), |V(G2)| <= 128",
+        "C8 kappa(G2) <= phi(n/p_max), |V(G2)| <= 128 and six up to 256",
         violations,
         time.monotonic() - start,
         120,

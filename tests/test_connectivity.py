@@ -45,7 +45,7 @@ def test_vertex_connectivity():
     r12 = vertex_connectivity(Modulus.of(12))
     assert (r12.claimed, r12.computed, r12.agrees) == (4, 4, True)
     with pytest.raises(OracleLimitExceeded):
-        vertex_connectivity(Modulus.of(62))
+        vertex_connectivity(Modulus.of(258))
     # prime n never needs the cut oracle, whatever its size
     r61 = vertex_connectivity(Modulus.of(61))
     assert r61.agrees and r61.computed == 60
@@ -134,6 +134,10 @@ def test_kappa_g2_bound():
 
     r30 = kappa_g2_bound(Modulus.of(30))
     assert r30.computed == 2 and r30.agrees
+
+    # 234 vertices, under the vertex cut oracle's cap of 256
+    r715 = kappa_g2_bound(Modulus.of(715))
+    assert r715.claimed == "<= 40" and r715.computed == 40 and r715.note == "tight"
 
     with pytest.raises(ValueError):
         kappa_g2_bound(Modulus.of(12))

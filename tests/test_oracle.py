@@ -7,6 +7,7 @@ import pytest
 
 from comax import config, oracle
 from comax.cli import main
+from comax.connectivity import kappa_g2_bound, vertex_connectivity
 from comax.oracle import (
     OracleLimitExceeded,
     complement,
@@ -18,7 +19,7 @@ from comax.oracle import (
     numeric_spectrum,
 )
 from comax.comax_graph import adjacency, g2_vertices
-from comax.polynomial import IntPoly, char_poly_matrix
+from comax.polynomial import IntPoly, char_polys
 from comax.ring_divisors import Modulus
 from reference import adjacent, bareiss_det, dense_laplacian
 
@@ -130,7 +131,7 @@ def test_split_spectrum_matches_the_unsplit_eigensolver():
 
 def test_split_charpoly_equals_the_unsplit_one():
     for n in range(3, 65):
-        whole = char_poly_matrix(dense_laplacian(n).astype(np.int64))
+        [whole] = char_polys([dense_laplacian(n).astype(np.int64)])
         assert exact_char_poly_full(Modulus.of(n)) == whole, n
 
 
@@ -154,7 +155,7 @@ def move_one_edge(monkeypatch, x: int, mirrored: bool = False) -> None:
 
 
 @pytest.mark.parametrize("x", [0, 7, 252, 258, 294])
-def test_negation_split_refuses_a_moved_edge(monkeypatch, x):
+def test_involution_split_refuses_a_moved_edge(monkeypatch, x):
     # the invariance check runs in 256-row panels: a break at a non-unit of
     # 301 = 7 * 43 in the first row, on either side of the panel edge and
     # near the last row is caught; negation is one of the involutive units
@@ -201,7 +202,7 @@ def test_split_refuses_a_representative_row_its_stabilizer_moves(monkeypatch):
         dense_spectrum(Modulus.of(24))
 
 
-def test_negation_split_refuses_n_above_the_dense_limit(monkeypatch):
+def test_involution_split_refuses_n_above_the_dense_limit(monkeypatch):
     monkeypatch.setattr(config, "DENSE_LIMIT", 50)
     with pytest.raises(OracleLimitExceeded):
         dense_spectrum(Modulus.of(100))
@@ -424,3 +425,26 @@ def test_g2_oracles_capped_at_dense_limit(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "|V(G2)|=161 exceeds dense limit 100" in captured.err
+
+
+def test_vertex_cut_refuses_above_its_cap_before_building_a_graph(monkeypatch, capsys):
+    # the full graph of 258 = 2 * 3 * 43, the G2 of 2310 (1829 vertices)
+    # and of 514 = 2 * 257 (257 vertices) are refused from n and phi(n)
+    def build(*args):
+        raise AssertionError("a graph was built above the vertex cut limit")
+
+    monkeypatch.setattr(oracle, "adjacency", build)
+    monkeypatch.setattr(oracle, "g2_vertices", build)
+    with pytest.raises(OracleLimitExceeded, match="^n=258 exceeds vertex cut limit 256$"):
+        vertex_connectivity(Modulus.of(258))
+    with pytest.raises(OracleLimitExceeded, match=r"^\|V\(G2\)\|=1829 exceeds vertex cut limit 256$"):
+        kappa_g2_bound(Modulus.of(2310))
+    for n, size in [(2310, 1829), (514, 257)]:
+        assert main(["g2", str(n), "kappa"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"|V(G2)|={size} exceeds vertex cut limit 256\n"
+    monkeypatch.undo()
+    # 16637 = 127 * 131: G2 has exactly 256 vertices, and its cut runs
+    assert main(["g2", "16637", "kappa"]) == 0
+    assert capsys.readouterr().out == "kappa(G2) = 126, bound = 126, tight\n"

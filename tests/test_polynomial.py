@@ -8,7 +8,6 @@ from comax import polynomial, spectra
 from comax.polynomial import (
     CharPolyError,
     IntPoly,
-    char_poly_matrix,
     char_polys,
     char_polys_mod,
     extract_integer_roots,
@@ -16,6 +15,11 @@ from comax.polynomial import (
 from comax.ring_divisors import Modulus
 from comax.spectra import _cells
 from reference import bareiss_det
+
+
+def char_poly(matrix) -> IntPoly:
+    """The characteristic polynomial of one matrix, through ``char_polys``."""
+    return char_polys([matrix])[0]
 
 
 def test_intpoly_basics():
@@ -105,30 +109,30 @@ def _sympy_char_poly(matrix):
 
 def test_char_poly_examples():
     b12 = [[2, -2, 0, 0], [-2, 4, -2, 0], [0, -2, 2, 0], [0, 0, 0, 0]]
-    assert char_poly_matrix(b12).coeffs == (0, 0, 12, -8, 1)
-    assert char_poly_matrix([]) == IntPoly.one()
-    assert char_poly_matrix([[5]]).coeffs == (-5, 1)
+    assert char_poly(b12).coeffs == (0, 0, 12, -8, 1)
+    assert char_poly([]) == IntPoly.one()
+    assert char_poly([[5]]).coeffs == (-5, 1)
     with pytest.raises(ValueError):
-        char_poly_matrix([[1, 2], [3]])
+        char_poly([[1, 2], [3]])
     # a float entry is refused, never truncated
     with pytest.raises(ValueError):
-        char_poly_matrix([[0.5]])
+        char_poly([[0.5]])
     with pytest.raises(ValueError):
-        char_poly_matrix([[2.0, -1.0], [-1.0, 2.25]])
+        char_poly([[2.0, -1.0], [-1.0, 2.25]])
 
 
 def test_char_poly_small_sizes_with_huge_entries():
     big = 2**63 - 1
     for a in (0, 1, -7, big, -big, -big - 1, 2**62 + 5):
-        assert char_poly_matrix([[a]]).coeffs == (-a, 1)
+        assert char_poly([[a]]).coeffs == (-a, 1)
     for a, b, c, d in (
         (1, 2, 3, 4), (big, -big, 2**62 + 5, -3), (-big, big, big, big), (-big - 1, big, 1, 0)
     ):
-        assert char_poly_matrix([[a, b], [c, d]]).coeffs == (a * d - b * c, -(a + d), 1)
+        assert char_poly([[a, b], [c, d]]).coeffs == (a * d - b * c, -(a + d), 1)
     # entries beyond int64 and floats are refused, never wrapped or truncated
     for bad in ([[2**63]], [[-(2**63) - 1]], [[2**70]], [[1, 2**63], [-1, 0]], [[2.0]]):
         with pytest.raises(ValueError):
-            char_poly_matrix(bad)
+            char_poly(bad)
 
 
 def test_char_poly_random_vs_sympy():
@@ -136,7 +140,7 @@ def test_char_poly_random_vs_sympy():
     for _ in range(25):
         k = rng.randrange(1, 13)
         m = [[rng.randrange(-10**6, 10**6 + 1) for _ in range(k)] for _ in range(k)]
-        assert char_poly_matrix(m).coeffs == _sympy_char_poly(m)
+        assert char_poly(m).coeffs == _sympy_char_poly(m)
 
 
 def test_char_poly_entries_beyond_int64_vs_sympy():
@@ -145,13 +149,13 @@ def test_char_poly_entries_beyond_int64_vs_sympy():
         m = [[rng.randrange(-(2**63) + 1, 2**63) for _ in range(k)] for _ in range(k)]
         m[0][0] = 2**63 - 1
         m[k - 1][0] = -(2**63)
-        assert char_poly_matrix(m).coeffs == _sympy_char_poly(m)
+        assert char_poly(m).coeffs == _sympy_char_poly(m)
         # one step past the edge: the kernel takes int64 entries only
         for v in (2**63, 2**70):
             with pytest.raises(ValueError):
-                char_poly_matrix([row[:-1] + [v] for row in m])
+                char_poly([row[:-1] + [v] for row in m])
         with pytest.raises(ValueError):
-            char_poly_matrix([[float(v) for v in row] for row in m])
+            char_poly([[float(v) for v in row] for row in m])
 
 
 def test_char_poly_matches_bareiss_at_points_on_quotients():
@@ -159,7 +163,7 @@ def test_char_poly_matches_bareiss_at_points_on_quotients():
     for n in (2310, 5040, 15120, 30030):
         [b], _ = _quotients([n])
         b = b.tolist()
-        p = char_poly_matrix(b)
+        p = char_poly(b)
         for x in (rng.randrange(-n, n) for _ in range(3)):
             shifted = [[(x if i == j else 0) - v for j, v in enumerate(row)]
                        for i, row in enumerate(b)]
@@ -174,21 +178,21 @@ def test_char_poly_without_hessenberg_pivots():
                   for j in range(w)] for i in range(w)]
         lower = [list(col) for col in zip(*upper)]
         expected = IntPoly.from_roots((d, 1) for d in diag)
-        assert char_poly_matrix(upper) == expected
-        assert char_poly_matrix(lower) == expected
+        assert char_poly(upper) == expected
+        assert char_poly(lower) == expected
         # block diagonal: the charpoly is the product of the blocks'
         a = [[rng.randrange(-9, 10) for _ in range(w)] for _ in range(w)]
         c = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(2)]
         block = [row + [0, 0] for row in a] + [[0] * w + row for row in c]
-        assert char_poly_matrix(block) == char_poly_matrix(a) * char_poly_matrix(c)
+        assert char_poly(block) == char_poly(a) * char_poly(c)
         # a permutation similarity leaves the charpoly unchanged
         perm = list(range(w))
         rng.shuffle(perm)
-        assert char_poly_matrix([[upper[i][j] for j in perm] for i in perm]) == expected
+        assert char_poly([[upper[i][j] for j in perm] for i in perm]) == expected
         perm = list(range(w + 2))
         rng.shuffle(perm)
         permuted = [[block[i][j] for j in perm] for i in perm]
-        assert char_poly_matrix(permuted) == char_poly_matrix(block)
+        assert char_poly(permuted) == char_poly(block)
 
 
 def test_char_poly_multiple_of_first_prime():
@@ -198,8 +202,8 @@ def test_char_poly_multiple_of_first_prime():
         p0 = polynomial._word_primes(w, 1)[0]
         a = [[rng.randrange(-5, 6) for _ in range(w)] for _ in range(w)]
         scaled = [[p0 * v for v in row] for row in a]
-        base = char_poly_matrix(a).coeffs
-        assert char_poly_matrix(scaled).coeffs == tuple(
+        base = char_poly(a).coeffs
+        assert char_poly(scaled).coeffs == tuple(
             c * p0 ** (w - k) for k, c in enumerate(base)
         )
 
@@ -248,7 +252,7 @@ def test_char_polys_stack_with_a_column_closed_in_one_matrix_only():
             assert _krylov_dimension(dense) == w
             for stack in ([block, dense], [dense, block]):
                 got = char_polys(stack)
-                assert got == [char_poly_matrix(m) for m in stack]
+                assert got == [char_poly(m) for m in stack]
                 assert [p.coeffs for p in got] == [_sympy_char_poly(m) for m in stack]
 
 
@@ -262,7 +266,7 @@ def test_char_poly_column_closed_modulo_the_first_prime_only():
         for i in range(1, w):
             m[i][0] = p0 * rng.choice((-2, -1, 1, 3))
         assert len(polynomial._word_primes(w, polynomial._hadamard_bound(np.array([m])))) > 1
-        assert char_poly_matrix(m).coeffs == _sympy_char_poly(m)
+        assert char_poly(m).coeffs == _sympy_char_poly(m)
 
 
 def test_char_poly_of_permuted_blocks_is_the_product_of_the_blocks():
@@ -272,8 +276,8 @@ def test_char_poly_of_permuted_blocks_is_the_product_of_the_blocks():
             matrix, blocks = _permuted_blocks(rng, sizes, coupled)
             product = IntPoly.one()
             for block in blocks:
-                product = product * char_poly_matrix(block)
-            assert char_poly_matrix(matrix) == product
+                product = product * char_poly(block)
+            assert char_poly(matrix) == product
             assert product.coeffs == _sympy_char_poly(matrix)
 
 
@@ -282,11 +286,11 @@ def test_char_poly_scalar_matrix_near_the_bound():
     for c in (2**40 - 3, -(2**40) + 5, 10**18, 2**63 - 1):
         for w in (1, 5, 20):
             m = [[c if i == j else 0 for j in range(w)] for i in range(w)]
-            assert char_poly_matrix(m) == IntPoly.linear_power(c, w)
+            assert char_poly(m) == IntPoly.linear_power(c, w)
     # |c| + 2 just below the first prime p0: one prime would hold |c| but not its sign
     p0 = polynomial._word_primes(1, 1)[0]
     for c in (p0 - 3, 3 - p0):
-        assert char_poly_matrix([[c]]).coeffs == (-c, 1)
+        assert char_poly([[c]]).coeffs == (-c, 1)
 
 
 def test_word_primes_keep_int64_products_exact():
@@ -310,7 +314,7 @@ def test_char_poly_checks_the_trace(monkeypatch):
 
     monkeypatch.setattr(polynomial, "_char_poly_mod", off_by_one_trace)
     with pytest.raises(ArithmeticError):
-        char_poly_matrix([[1, 2], [3, 4]])
+        char_poly([[1, 2], [3, 4]])
 
 
 def _batches():
@@ -336,7 +340,7 @@ def test_char_polys_match_one_matrix_at_a_time():
     batches = _batches()
     assert sorted(batches) == [0, 1, 2, 3, 5, 9, 30]
     for k, batch in batches.items():
-        assert char_polys(batch) == [char_poly_matrix(m) for m in batch], k
+        assert char_polys(batch) == [char_poly(m) for m in batch], k
         assert char_polys(batch[::-1]) == char_polys(batch)[::-1], k
     assert char_polys([]) == []
     with pytest.raises(ValueError):
@@ -569,7 +573,7 @@ def test_structured_char_polys_with_repeated_eigenvalues_take_the_dense_kernel(m
     [(primes, rows)] = dense
     c = len(primes)
     assert rows == list(range(c, 2 * c))  # matrix 1, every prime
-    assert got == [char_poly_matrix(generic), IntPoly.from_roots([(5, 2), (7, 2), (9, 2)])]
+    assert got == [char_poly(generic), IntPoly.from_roots([(5, 2), (7, 2), (9, 2)])]
 
 
 def test_structured_kernel_falls_back_where_its_form_is_degenerate(monkeypatch):
@@ -643,7 +647,7 @@ def test_structured_kernel_keeps_a_cell_disjoint_from_every_other(monkeypatch):
     assert all(rows[s][t] for s, t in disjoint)  # no zero column value
     got = char_polys([rows], [masks])
     assert not dense
-    assert got == [char_poly_matrix(rows)]
+    assert got == [char_poly(rows)]
 
 
 def test_structured_char_polys_refuse_other_input():

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from comax import cli, polynomial, ring_divisors, scan, spectra
+from comax import cli, config, polynomial, ring_divisors, scan, spectra
 from comax.cli import main
+from comax.polynomial import IntPoly
 from comax.ring_divisors import Modulus
 from comax.scan import ScanRecord, apply_filter, scan_range, write_csv, write_json
 
@@ -534,6 +535,59 @@ def test_cli_verify_prime_power_detects_multiplicity_failure():
 def test_cli_verify_rejects_small_n():
     code, _, _ = run_cli("verify", "2")
     assert code == 2
+
+
+def test_verify_charpoly_failure_names_the_lowest_differing_power(monkeypatch, capsys):
+    real = cli.exact_char_poly_full
+    monkeypatch.setattr(cli, "exact_char_poly_full", lambda m: real(m) * IntPoly((1, 1)))
+    assert main(["verify", "12"]) == 1
+    # times (x + 1), c_k becomes c_k + c_(k-1): c_0 = 0 (the eigenvalue 0)
+    # and c_1 stay, and x^2 is the first power to move
+    c = spectra.full_spectrum(Modulus.of(12)).polynomial().coeffs
+    assert c[0] == 0 and c[1] != 0
+    out = capsys.readouterr().out
+    assert (f"[FAIL] charpoly-join-identity: coefficient of x^2: "
+            f"dense determinant {c[2] + c[1]}, join formula {c[2]}\n") in out
+    assert out.endswith("verify 12: FAILED (charpoly-join-identity)\n")
+
+
+def test_verify_closed_form_failure_names_the_first_differing_eigenvalue(monkeypatch, capsys):
+    def moved_zero(m):
+        counts = spectra.closed_form_spectrum(m).as_counter()
+        counts[0] -= 1
+        counts[1] += 1
+        return spectra.SpectrumMultiset.from_counter(counts)
+
+    monkeypatch.setattr(cli, "closed_form_spectrum", moved_zero)
+    assert main(["verify", "12"]) == 1
+    out = capsys.readouterr().out
+    assert ("[FAIL] closed-form-spectrum: at ascending index 0: "
+            "closed form 1, quotient pipeline 0\n") in out
+    assert out.endswith("verify 12: FAILED (closed-form-spectrum)\n")
+
+
+def test_verify_dense_spectrum_failure_names_both_counts(monkeypatch, capsys):
+    real = cli.dense_spectrum
+    monkeypatch.setattr(cli, "dense_spectrum", lambda m: real(m)[:-1])
+    assert main(["verify", "12"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] spectrum-vs-dense-oracle: 12 eigenvalues, dense oracle 11\n" in out
+    assert out.endswith("verify 12: FAILED (spectrum-vs-dense-oracle)\n")
+
+
+def test_verify_skip_lines_are_the_oracle_refusals(monkeypatch, capsys):
+    assert main(["verify", "65"]) == 0
+    assert "\n[skip] charpoly-join-identity: n exceeds exact limit 64\n" in capsys.readouterr().out
+    # above the dense limit the spectrum is not expanded into floats
+    monkeypatch.setattr(config, "DENSE_LIMIT", 60)
+
+    def expand(self):
+        raise AssertionError("spectrum expanded above the dense limit")
+
+    monkeypatch.setattr(spectra.SpectrumMultiset, "values_ascending", expand)
+    assert main(["verify", "65"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("[skip] spectrum-vs-dense-oracle: n exceeds dense limit 60\n")
 
 
 def test_cli_scan_roundtrip(tmp_path: Path):

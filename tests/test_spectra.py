@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from comax import polynomial, spectra
-from comax.polynomial import IntPoly, char_poly_matrix, char_polys
+from comax.polynomial import IntPoly, char_polys
 from comax.ring_divisors import Modulus
 from comax.spectra import (
     SpectrumMultiset,
@@ -98,7 +98,7 @@ def test_g2_quotient_prime_is_empty():
     m = Modulus.of(7)
     assert _cells(m) == []
     assert spectra._size_groups([m]) == []
-    assert char_poly_matrix(()) == IntPoly.one()
+    assert char_polys([()]) == [IntPoly.one()]
 
 
 def test_g2_quotient_pqr_closed_formulas():
