@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
+import math
 import sys
 from typing import Callable, TextIO
 
@@ -118,15 +118,17 @@ class _Verifier:
 
 
 def _first_difference(xs, ys, fill=None) -> tuple[int, object, object] | None:
-    """(i, x, y) at the first index i where two sequences differ, the shorter
-    one reading ``fill`` past its end, or None if they are equal."""
-    pairs = enumerate(itertools.zip_longest(xs, ys, fillvalue=fill))
-    return next(((i, x, y) for i, (x, y) in pairs if x != y), None)
-
-
-def _eigenvalues(s: SpectrumMultiset) -> list[int | str]:
-    """Every eigenvalue, ascending: exact ones as ints, residual roots as text."""
-    return [f"~{v:.6f}" if isinstance(v, float) else v for v, c in s.ascending for _ in range(c)]
+    """(i, x, y) at the first index i where two (value, multiplicity) run lists
+    differ once expanded, the shorter reading ``fill`` past its end; else None."""
+    xs, ys = ((r for r in runs if r[1]) for runs in (xs, ys))
+    end, i = (fill, math.inf), 0
+    (x, cx), (y, cy) = next(xs, end), next(ys, end)
+    while x == y and min(cx, cy) < math.inf:
+        step = min(cx, cy)
+        i, cx, cy = i + step, cx - step, cy - step
+        x, cx = (x, cx) if cx else next(xs, end)
+        y, cy = (y, cy) if cy else next(ys, end)
+    return None if x == y else (i, x, y)
 
 
 def _verify_spectrum_vs_oracle(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
@@ -150,7 +152,7 @@ def _verify_char_poly(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
     except OracleLimitExceeded as exc:
         v.skip(name, str(exc))
         return
-    diff = _first_difference(dense.coeffs, s.polynomial().coeffs, 0)
+    diff = _first_difference(*([(c, 1) for c in p.coeffs] for p in (dense, s.polynomial())), 0)
     v.result(name, diff is None, "dense determinant equals join formula coefficient-for-coefficient"
              if diff is None else "coefficient of x^%d: dense determinant %d, join formula %d" % diff)
 
@@ -161,7 +163,9 @@ def _verify_closed_form(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
     if expected is None:
         v.skip(name, "no closed form for three or more distinct primes")
         return
-    diff = _first_difference(_eigenvalues(expected), _eigenvalues(s))
+    # residual roots as text, so that none equals an integer eigenvalue
+    diff = _first_difference(*([(f"~{e:.6f}" if isinstance(e, float) else e, c)
+                                for e, c in t.ascending] for t in (expected, s)))
     v.result(name, diff is None, "matches spectrum from the quotient pipeline" if diff is None
              else "at ascending index %d: closed form %s, quotient pipeline %s" % diff)
 

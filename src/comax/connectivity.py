@@ -41,12 +41,11 @@ def algebraic_connectivity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremRep
     the computed value is n, so the report honestly disagrees there.
     """
     computed = spectrum.second_smallest()
-    claimed = m.phi
     return TheoremReport(
         theorem="algebraic-connectivity",
-        claimed=claimed,
+        claimed=m.phi,
         computed=computed,
-        agrees=claimed == computed,
+        agrees=m.phi == computed,
         note="complete graph (prime n)" if m.is_prime else "",
     )
 
@@ -57,18 +56,13 @@ def vertex_connectivity(m: Modulus) -> TheoremReport:
     For prime n the graph is complete and the cut is n - 1 by convention,
     which matches phi.  Composite n above the cut oracle's cap raises.
     """
-    if m.is_prime:
-        computed = m.n - 1
-        note = "complete graph: n-1 by convention"
-    else:
-        computed = vertex_cut(m)
-        note = ""
+    computed = m.n - 1 if m.is_prime else vertex_cut(m)
     return TheoremReport(
         theorem="vertex-connectivity",
         claimed=m.phi,
         computed=computed,
         agrees=m.phi == computed,
-        note=note,
+        note="complete graph: n-1 by convention" if m.is_prime else "",
     )
 
 

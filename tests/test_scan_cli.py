@@ -566,6 +566,56 @@ def test_verify_closed_form_failure_names_the_first_differing_eigenvalue(monkeyp
     assert out.endswith("verify 12: FAILED (closed-form-spectrum)\n")
 
 
+def _traced_verify(n):
+    """Exit code of ``comax verify n``, which must trace at most 4 MiB."""
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    return code
+
+
+# 2^24 and the prime 2^24 + 43: one expanded list of eigenvalues alone would
+# take 8n bytes, 128 MiB, where the closed-form check needs a few runs
+@pytest.mark.parametrize("n, code", [(2**24, 1), (2**24 + 43, 0)])
+def test_verify_closed_form_never_expands_the_spectrum(capsys, n, code):
+    # at most two primes, so the closed form is checked; 2^24 fails phi-multiplicity
+    assert _traced_verify(n) == code
+    out = capsys.readouterr().out
+    assert "[ok ] closed-form-spectrum: matches spectrum from the quotient pipeline\n" in out
+
+
+def test_verify_closed_form_failure_inside_a_run_names_its_index(monkeypatch, capsys):
+    # K_p: eigenvalue p with multiplicity p - 1; move its last copy to p + 1
+    p = 2**24 + 43
+
+    def moved_last(m):
+        counts = spectra.closed_form_spectrum(m).as_counter()
+        counts[p] -= 1
+        counts[p + 1] += 1
+        return spectra.SpectrumMultiset.from_counter(counts)
+
+    monkeypatch.setattr(cli, "closed_form_spectrum", moved_last)
+    assert _traced_verify(p) == 1
+    out = capsys.readouterr().out
+    assert (f"[FAIL] closed-form-spectrum: at ascending index {p - 1}: "
+            f"closed form {p + 1}, quotient pipeline {p}\n") in out
+
+
+@pytest.mark.parametrize("xs, ys, fill, want", [
+    ([(0, 1), (2, 3)], [(0, 1), (2, 3)], None, None),
+    ([(0, 1), (2, 3)], [(0, 1), (2, 2), (3, 1)], None, (3, 2, 3)),
+    ([(0, 1), (2, 3)], [(0, 1), (2, 2)], None, (3, 2, None)),
+    ([(2, 0)], [(0, 3), (1, 3)], 0, (3, 0, 1)),  # empty runs are skipped
+    ([(5, 2), (0, 0)], [(5, 2), (0, 4)], 0, None),  # past the end reads fill
+])
+def test_first_difference_walks_runs_as_if_expanded(xs, ys, fill, want):
+    assert cli._first_difference(xs, ys, fill) == want
+
+
 def test_verify_dense_spectrum_failure_names_both_counts(monkeypatch, capsys):
     real = cli.dense_spectrum
     monkeypatch.setattr(cli, "dense_spectrum", lambda m: real(m)[:-1])
