@@ -17,12 +17,14 @@ from typing import Callable, TextIO
 from . import config, scan as scan_mod
 from .comax_graph import class_summary, full_edges, g2_edges
 from .connectivity import (
-    TheoremReport,
+    NotApplicable,
     algebraic_connectivity,
-    g2_connectivity_report,
+    g2_complement_connected,
+    g2_connected,
     g2_kappa_bound_value,
     kappa_g2_bound,
-    multiplicity_reports,
+    phi_multiplicity,
+    radius_multiplicity,
     second_largest_report,
     vertex_connectivity,
 )
@@ -97,26 +99,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Verifier:
-    def __init__(self) -> None:
-        self.failed: list[str] = []
-
-    def result(self, name: str, ok: bool, detail: str = "") -> None:
-        tag = "ok " if ok else "FAIL"
-        print(f"[{tag}] {name}" + (f": {detail}" if detail else ""))
-        if not ok:
-            self.failed.append(name)
-
-    def skip(self, name: str, reason: str) -> None:
-        print(f"[skip] {name}: {reason}")
-
-    def report(self, rep: TheoremReport) -> None:
-        detail = f"claimed {rep.claimed}, computed {rep.computed}"
-        if rep.note:
-            detail += f" ({rep.note})"
-        self.result(rep.theorem, rep.agrees, detail)
-
-
 def _first_difference(xs, ys, fill=None) -> tuple[int, object, object] | None:
     """(i, x, y) at the first index i where two (value, multiplicity) run lists
     differ once expanded, the shorter reading ``fill`` past its end; else None."""
@@ -131,95 +113,78 @@ def _first_difference(xs, ys, fill=None) -> tuple[int, object, object] | None:
     return None if x == y else (i, x, y)
 
 
-def _verify_spectrum_vs_oracle(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
-    name = "spectrum-vs-dense-oracle"
-    try:
-        dense = dense_spectrum(m)
-    except OracleLimitExceeded as exc:
-        v.skip(name, str(exc))
-        return
+def _spectrum_vs_oracle(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
+    dense = dense_spectrum(m)
     ours = s.values_ascending()
+    if len(ours) != len(dense):
+        return False, f"{len(ours)} eigenvalues, dense oracle {len(dense)}"
     worst = max(abs(a - b) for a, b in zip(ours, dense))
-    same = len(ours) == len(dense)
-    v.result(name, same and worst <= _SPECTRUM_TOL, f"max deviation {worst:.2e}"
-             if same else f"{len(ours)} eigenvalues, dense oracle {len(dense)}")
+    return worst <= _SPECTRUM_TOL, f"max deviation {worst:.2e}"
 
 
-def _verify_char_poly(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
-    name = "charpoly-join-identity"
-    try:
-        dense = exact_char_poly_full(m)
-    except OracleLimitExceeded as exc:
-        v.skip(name, str(exc))
-        return
+def _char_poly(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
+    dense = exact_char_poly_full(m)
     diff = _first_difference(*([(c, 1) for c in p.coeffs] for p in (dense, s.polynomial())), 0)
-    v.result(name, diff is None, "dense determinant equals join formula coefficient-for-coefficient"
-             if diff is None else "coefficient of x^%d: dense determinant %d, join formula %d" % diff)
+    if diff is None:
+        return True, "dense determinant equals join formula coefficient-for-coefficient"
+    return False, "coefficient of x^%d: dense determinant %d, join formula %d" % diff
 
 
-def _verify_closed_form(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
-    name = "closed-form-spectrum"
+def _closed_form(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
     expected = closed_form_spectrum(m)
     if expected is None:
-        v.skip(name, "no closed form for three or more distinct primes")
-        return
+        raise NotApplicable("no closed form for three or more distinct primes")
     # residual roots as text, so that none equals an integer eigenvalue
     diff = _first_difference(*([(f"~{e:.6f}" if isinstance(e, float) else e, c)
                                 for e, c in t.ascending] for t in (expected, s)))
-    v.result(name, diff is None, "matches spectrum from the quotient pipeline" if diff is None
-             else "at ascending index %d: closed form %s, quotient pipeline %s" % diff)
+    if diff is None:
+        return True, "matches spectrum from the quotient pipeline"
+    return False, "at ascending index %d: closed form %s, quotient pipeline %s" % diff
 
 
-def _verify_connectivity(v: _Verifier, m: Modulus, s: SpectrumMultiset) -> None:
-    if m.is_prime:
-        v.skip("algebraic-connectivity", "complete graph for prime n")
-    else:
-        v.report(algebraic_connectivity(m, s))
-    try:
-        v.report(vertex_connectivity(m))
-    except OracleLimitExceeded as exc:
-        v.skip("vertex-connectivity", str(exc))
-    if m.is_prime:
-        v.skip("second-largest-eigenvalue", "complete graph for prime n")
-        v.skip("g2-connected-iff-squarefree", "G2 is empty")
-        v.skip("phi-multiplicity", "G2 is empty")
-        radius, _ = multiplicity_reports(m, s)
-        v.report(radius)
-    else:
-        v.report(second_largest_report(m, s))
-        try:
-            first, second = g2_connectivity_report(m)
-        except OracleLimitExceeded as exc:
-            v.skip("g2-connected-iff-squarefree", str(exc))
-            v.skip("g2-complement-connected", str(exc))
-        else:
-            v.report(first)
-            if second is not None:
-                v.report(second)
-            else:
-                v.skip("g2-complement-connected", "claim stated for squarefree n only")
-        radius, phi_mult = multiplicity_reports(m, s)
-        v.report(radius)
-        v.report(phi_mult)
-    if m.is_squarefree and not m.is_prime:
-        try:
-            v.report(kappa_g2_bound(m))
-        except OracleLimitExceeded as exc:
-            v.skip("kappa-g2-bound", str(exc))
-    else:
-        v.skip("kappa-g2-bound", "bound stated for squarefree composite n")
+def _law(law: Callable, skip_at_prime: str = "") -> Callable:
+    """The check of a law of ``connectivity``; with ``skip_at_prime``, skipped
+    at prime n for that reason, where the law returns its boundary value."""
+    def check(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
+        if skip_at_prime and m.is_prime:
+            raise NotApplicable(skip_at_prime)
+        r = law(m, s)
+        note = f" ({r.note})" if r.note else ""
+        return r.agrees, f"claimed {r.claimed}, computed {r.computed}{note}"
+    return check
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     m = _modulus_or_exit(args.n)
-    v = _Verifier()
     spectrum = full_spectrum(m)
-    _verify_spectrum_vs_oracle(v, m, spectrum)
-    _verify_char_poly(v, m, spectrum)
-    _verify_closed_form(v, m, spectrum)
-    _verify_connectivity(v, m, spectrum)
-    if v.failed:
-        print(f"verify {m.n}: FAILED ({', '.join(v.failed)})")
+    # every check in print order: it returns (ok, detail), or raises
+    # NotApplicable or OracleLimitExceeded, whose text is the skip reason;
+    # built per call, so each law is looked up by its name when verify runs
+    checks = (
+        ("spectrum-vs-dense-oracle", _spectrum_vs_oracle),
+        ("charpoly-join-identity", _char_poly),
+        ("closed-form-spectrum", _closed_form),
+        ("algebraic-connectivity", _law(algebraic_connectivity, "complete graph for prime n")),
+        ("vertex-connectivity", _law(vertex_connectivity)),
+        ("second-largest-eigenvalue", _law(second_largest_report)),
+        ("g2-connected-iff-squarefree", _law(g2_connected)),
+        ("g2-complement-connected", _law(g2_complement_connected)),
+        ("spectral-radius-multiplicity", _law(radius_multiplicity)),
+        ("phi-multiplicity", _law(phi_multiplicity, "G2 is empty")),
+        ("kappa-g2-bound", _law(kappa_g2_bound)),
+    )
+    failed = []
+    for name, check in checks:
+        try:
+            ok, detail = check(m, spectrum)
+        except (NotApplicable, OracleLimitExceeded) as exc:
+            print(f"[skip] {name}: {exc}")
+            continue
+        print(f"[{'ok ' if ok else 'FAIL'}] {name}: {detail}")
+        if not ok:
+            failed.append(name)
+    if failed:
+        print(f"verify {m.n}: FAILED ({', '.join(failed)})")
         return EXIT_DISAGREE
     print(f"verify {m.n}: all executed checks agree")
     return EXIT_OK
@@ -271,16 +236,15 @@ def cmd_g2(args: argparse.Namespace) -> int:
         if args.action == "components":
             print(count_components(g2_adjacency(m)))
             return EXIT_OK
-        computed = vertex_cut(m, g2=True)
+        try:
+            r = kappa_g2_bound(m)
+        except NotApplicable:
+            print(f"kappa(G2) = {vertex_cut(m, g2=True)} (no bound: n is not squarefree)")
+        else:
+            print(f"kappa(G2) = {r.computed}, bound = {g2_kappa_bound_value(m)}, {r.note}")
     except OracleLimitExceeded as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    if m.is_squarefree:
-        bound = g2_kappa_bound_value(m)
-        tight = "tight" if computed == bound else "strict"
-        print(f"kappa(G2) = {computed}, bound = {bound}, {tight}")
-    else:
-        print(f"kappa(G2) = {computed} (no bound: n is not squarefree)")
     return EXIT_OK
 
 

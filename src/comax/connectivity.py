@@ -5,16 +5,16 @@ and once from spectra or brute-force oracles, so drift in either path is
 detected rather than assumed away.  Reports never assume the law they
 check.
 
-Boundary cases are real: for prime n the graph is complete, where the
-second-smallest Laplacian eigenvalue is n (not phi(n) = n - 1) and the
-vertex connectivity is n - 1 only by convention; these laws are stated for
-the non-complete (composite) case.  Callers that bundle reports should
-treat structurally inapplicable combinations (prime n with an empty G2,
-non-squarefree n for squarefree-only claims) as skips, not failures.
+Every law takes ``(m, spectrum)``, where a law that reads no spectrum
+accepts None, and raises ``NotApplicable``, with the reason, at an n where
+it is not stated.  At prime n the graph is complete, and two laws return
+their boundary values there instead: the second-smallest eigenvalue is n,
+not phi(n) = n - 1, and the value phi(n) has multiplicity 0, not 1.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .oracle import complement, count_components, g2_adjacency, vertex_cut
@@ -22,16 +22,23 @@ from .ring_divisors import Modulus
 from .spectra import SpectrumMultiset
 
 
+class NotApplicable(ValueError):
+    """Raised by a law at an n where it is not stated."""
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     """One checked law: a claimed value, an independently computed value,
     and whether they agree, decided exactly."""
 
-    theorem: str
     claimed: object
     computed: object
     agrees: bool
     note: str = ""
+
+
+def _equality(claimed: object, computed: object, note: str = "") -> TheoremReport:
+    return TheoremReport(claimed, computed, claimed == computed, note)
 
 
 def algebraic_connectivity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:
@@ -40,63 +47,45 @@ def algebraic_connectivity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremRep
     The claim holds for composite n; for prime n the graph is complete and
     the computed value is n, so the report honestly disagrees there.
     """
-    computed = spectrum.second_smallest()
-    return TheoremReport(
-        theorem="algebraic-connectivity",
-        claimed=m.phi,
-        computed=computed,
-        agrees=m.phi == computed,
-        note="complete graph (prime n)" if m.is_prime else "",
-    )
+    note = "complete graph (prime n)" if m.is_prime else ""
+    return _equality(m.phi, spectrum.second_smallest(), note)
 
 
-def vertex_connectivity(m: Modulus) -> TheoremReport:
+def vertex_connectivity(m: Modulus, spectrum: SpectrumMultiset | None = None) -> TheoremReport:
     """Minimum vertex cut of the full graph vs the claimed phi(n).
 
     For prime n the graph is complete and the cut is n - 1 by convention,
     which matches phi.  Composite n above the cut oracle's cap raises.
     """
-    computed = m.n - 1 if m.is_prime else vertex_cut(m)
-    return TheoremReport(
-        theorem="vertex-connectivity",
-        claimed=m.phi,
-        computed=computed,
-        agrees=m.phi == computed,
-        note="complete graph: n-1 by convention" if m.is_prime else "",
-    )
-
-
-def g2_connectivity_report(
-    m: Modulus,
-) -> tuple[TheoremReport, TheoremReport | None]:
-    """Connectivity of G2 (iff squarefree) and, for squarefree n, of its complement.
-
-    The complement claim is only made where a claim exists: disconnected for
-    a product of two primes, connected for three or more; for non-squarefree
-    n the second report is None.  Both are counted on the boolean G2
-    adjacency, so G2 above the dense limit raises OracleLimitExceeded.
-    """
     if m.is_prime:
-        raise ValueError(f"G2 is empty for prime n={m.n}")
+        return _equality(m.phi, m.n - 1, "complete graph: n-1 by convention")
+    return _equality(m.phi, vertex_cut(m))
+
+
+@functools.lru_cache(maxsize=1)
+def _g2_components(m: Modulus) -> tuple[int, int]:
+    """Components of G2 and of its complement, counted on one boolean G2
+    adjacency, so G2 above the dense limit raises OracleLimitExceeded.  The
+    counts of the last n are kept: the two G2 laws build one adjacency."""
+    if m.is_prime:
+        raise NotApplicable("G2 is empty")
     adj = g2_adjacency(m)
-    comps = count_components(adj)
-    first = TheoremReport(
-        theorem="g2-connected-iff-squarefree",
-        claimed=m.is_squarefree,
-        computed=comps == 1,
-        agrees=m.is_squarefree == (comps == 1),
-    )
+    return count_components(adj), count_components(complement(adj))
+
+
+def g2_connected(m: Modulus, spectrum: SpectrumMultiset | None = None) -> TheoremReport:
+    """G2 is connected iff n is squarefree."""
+    return _equality(m.is_squarefree, _g2_components(m)[0] == 1)
+
+
+def g2_complement_connected(
+    m: Modulus, spectrum: SpectrumMultiset | None = None
+) -> TheoremReport:
+    """The complement of G2 is disconnected for a product of two primes and
+    connected for three or more; stated for squarefree n only."""
     if not m.is_squarefree:
-        return first, None
-    comp_connected = count_components(complement(adj)) == 1
-    claimed = m.omega > 2
-    second = TheoremReport(
-        theorem="g2-complement-connected",
-        claimed=claimed,
-        computed=comp_connected,
-        agrees=claimed == comp_connected,
-    )
-    return first, second
+        raise NotApplicable("claim stated for squarefree n only")
+    return _equality(m.omega > 2, _g2_components(m)[1] == 1)
 
 
 def second_largest_report(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:
@@ -106,7 +95,7 @@ def second_largest_report(m: Modulus, spectrum: SpectrumMultiset) -> TheoremRepo
     not apply.  ``claimed`` states the expected relation to n - 1.
     """
     if m.is_prime:
-        raise ValueError(f"second-largest law applies to composite n, got prime {m.n}")
+        raise NotApplicable("complete graph for prime n")
     lam2 = spectrum.largest_below_radius()
     is_pq = m.omega == 2 and m.is_squarefree
     # every G2 eigenvalue is at most its n - phi(n) - 1 vertices, so after
@@ -115,45 +104,32 @@ def second_largest_report(m: Modulus, spectrum: SpectrumMultiset) -> TheoremRepo
     equal = spectrum.multiplicity_of(m.n - 1) > 0
     within = lam2 <= m.n - 1
     return TheoremReport(
-        theorem="second-largest-eigenvalue",
         claimed=f"== {m.n - 1}" if is_pq else f"< {m.n - 1}",
         computed=lam2,
         agrees=within and (equal == is_pq),
     )
 
 
-def multiplicity_reports(
-    m: Modulus, spectrum: SpectrumMultiset
-) -> tuple[TheoremReport, TheoremReport]:
-    """Multiplicity of the radius n (claimed phi(n)) and of the value phi(n)
-    (claimed n / rad(n)).
+def radius_multiplicity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:
+    """Multiplicity of the spectral radius n against the claimed phi(n)."""
+    return _equality(m.phi, spectrum.multiplicity_of(m.n))
+
+
+def phi_multiplicity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:
+    """Multiplicity of the value phi(n) against the claimed n / rad(n).
 
     The value phi(n) can only come from the kernel of G2: the join shifts
     the G2 spectrum, which lies in [0, n - phi(n) - 1], up by phi(n), and
     adds only one 0 and the radius n, neither equal to phi(n).  So the
     computed multiplicity is the dimension of the G2 kernel, which is the
-    number of components of G2.  The claim
+    number of components of G2, and 0 at prime n.  The claim
     is the classical one and genuinely fails at prime powers, where G2 is a
     null graph on n / rad(n) - 1 vertices.
     """
-    radius = TheoremReport(
-        theorem="spectral-radius-multiplicity",
-        claimed=m.phi,
-        computed=spectrum.multiplicity_of(m.n),
-        agrees=m.phi == spectrum.multiplicity_of(m.n),
-    )
-    claimed_phi_mult = m.n // m.radical
-    computed_phi_mult = spectrum.multiplicity_of(m.phi)
-    phi_report = TheoremReport(
-        theorem="phi-multiplicity",
-        claimed=claimed_phi_mult,
-        computed=computed_phi_mult,
-        agrees=claimed_phi_mult == computed_phi_mult,
-    )
-    return radius, phi_report
+    return _equality(m.n // m.radical, spectrum.multiplicity_of(m.phi))
 
 
-def kappa_g2_bound(m: Modulus) -> TheoremReport:
+def kappa_g2_bound(m: Modulus, spectrum: SpectrumMultiset | None = None) -> TheoremReport:
     """Vertex connectivity of G2 against the bound phi(n / p_max), squarefree n.
 
     Computed by max-flow on G2, which raises above the cut oracle's cap.
@@ -162,7 +138,6 @@ def kappa_g2_bound(m: Modulus) -> TheoremReport:
     bound = g2_kappa_bound_value(m)
     computed = vertex_cut(m, g2=True)
     return TheoremReport(
-        theorem="kappa-g2-bound",
         claimed=f"<= {bound}",
         computed=computed,
         agrees=computed <= bound,
@@ -173,5 +148,5 @@ def kappa_g2_bound(m: Modulus) -> TheoremReport:
 def g2_kappa_bound_value(m: Modulus) -> int:
     """The bound phi(n / p_max) = phi(n) / (p_max - 1) itself (squarefree composite n)."""
     if not m.is_squarefree or m.is_prime:
-        raise ValueError(f"bound defined for squarefree composite n, got {m.n}")
+        raise NotApplicable("bound stated for squarefree composite n")
     return m.phi // (m.distinct_primes[-1] - 1)

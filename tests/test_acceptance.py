@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from comax.comax_graph import adjacency
-from comax.connectivity import multiplicity_reports
+from comax.connectivity import phi_multiplicity, radius_multiplicity
 from comax.oracle import (
     complement,
     count_components,
@@ -185,7 +185,8 @@ def test_criterion_06_multiplicities():
     prime_powers = 0
     for n in range(3, 501):
         m = Modulus.of(n)
-        radius, phi_mult = multiplicity_reports(m, full_spectrum(m))
+        spectrum = full_spectrum(m)
+        radius, phi_mult = radius_multiplicity(m, spectrum), phi_multiplicity(m, spectrum)
         per_radical = n // m.radical
         if not radius.agrees:
             violations.append((n, "radius", radius.computed, radius.claimed))

@@ -1,14 +1,17 @@
 import pytest
 
 from comax.connectivity import (
+    NotApplicable,
     algebraic_connectivity,
-    g2_connectivity_report,
+    g2_complement_connected,
+    g2_connected,
     kappa_g2_bound,
-    multiplicity_reports,
+    phi_multiplicity,
+    radius_multiplicity,
     second_largest_report,
     vertex_connectivity,
 )
-from comax.oracle import OracleLimitExceeded
+from comax.oracle import OracleLimitExceeded, count_components, g2_adjacency
 from comax.ring_divisors import Modulus
 from comax.spectra import full_spectrum
 
@@ -52,26 +55,27 @@ def test_vertex_connectivity():
 
 
 def test_g2_connectivity_reports():
-    first, second = g2_connectivity_report(Modulus.of(30))
+    first, second = (law(Modulus.of(30)) for law in (g2_connected, g2_complement_connected))
     assert first.computed is True and first.agrees
-    assert second is not None and second.computed is True and second.agrees
+    assert second.computed is True and second.agrees
 
-    first, second = g2_connectivity_report(Modulus.of(15))
+    first, second = (law(Modulus.of(15)) for law in (g2_connected, g2_complement_connected))
     assert first.computed is True and first.agrees
-    assert second is not None
     assert second.computed is False and second.agrees  # pq: complement splits
 
-    first, second = g2_connectivity_report(Modulus.of(12))
+    first = g2_connected(Modulus.of(12))
     assert first.computed is False and first.agrees  # not squarefree
-    assert second is None
+    with pytest.raises(NotApplicable, match="^claim stated for squarefree n only$"):
+        g2_complement_connected(Modulus.of(12))
 
-    with pytest.raises(ValueError):
-        g2_connectivity_report(Modulus.of(7))
+    for law in (g2_connected, g2_complement_connected):
+        with pytest.raises(NotApplicable, match="^G2 is empty$"):
+            law(Modulus.of(7))
 
 
 def test_g2_connectivity_single_vertex_boundary():
     # n = 4: G2 is one vertex, hence connected although 4 is not squarefree
-    first, _ = g2_connectivity_report(Modulus.of(4))
+    first = g2_connected(Modulus.of(4))
     assert first.computed is True
     assert not first.agrees
 
@@ -83,7 +87,7 @@ def test_second_largest_report():
     assert r12.computed == 10 and r12.agrees
     r8 = second_largest_report(*with_spectrum(8))
     assert r8.computed == 4 and r8.agrees
-    with pytest.raises(ValueError):
+    with pytest.raises(NotApplicable, match="^complete graph for prime n$"):
         second_largest_report(*with_spectrum(7))
 
 
@@ -96,12 +100,17 @@ def test_second_largest_both_directions():
         assert r.agrees, (n, r)
 
 
+def multiplicities(n: int):
+    m, spectrum = with_spectrum(n)
+    return radius_multiplicity(m, spectrum), phi_multiplicity(m, spectrum)
+
+
 def test_multiplicity_reports():
-    radius, phi_mult = multiplicity_reports(*with_spectrum(12))
+    radius, phi_mult = multiplicities(12)
     assert (radius.claimed, radius.computed, radius.agrees) == (4, 4, True)
     assert (phi_mult.claimed, phi_mult.computed, phi_mult.agrees) == (2, 2, True)
 
-    radius, phi_mult = multiplicity_reports(*with_spectrum(30))
+    radius, phi_mult = multiplicities(30)
     assert (radius.claimed, radius.computed) == (8, 8)
     assert (phi_mult.claimed, phi_mult.computed, phi_mult.agrees) == (1, 1, True)
 
@@ -109,7 +118,7 @@ def test_multiplicity_reports():
 def test_multiplicity_prime_power_boundary():
     # n = 9: spectrum is {9^6, 6^2, 0}, so the value phi(9) = 6 has
     # multiplicity 2 while the n/rad(n) formula claims 3
-    radius, phi_mult = multiplicity_reports(*with_spectrum(9))
+    radius, phi_mult = multiplicities(9)
     assert radius.agrees
     assert phi_mult.claimed == 3
     assert phi_mult.computed == 2
@@ -117,10 +126,13 @@ def test_multiplicity_prime_power_boundary():
     assert phi_mult.note == ""  # a genuine failure, not a value collision
 
 
-def test_multiplicity_never_collides_in_range():
-    for n in range(3, 300):
-        _, phi_mult = multiplicity_reports(*with_spectrum(n))
-        assert phi_mult.note == "", n
+def test_phi_multiplicity_counts_g2_components_in_range():
+    # the value phi(n) comes only from the kernel of G2: its multiplicity is
+    # the number of G2 components, and 0 at prime n, where G2 is empty
+    for n in range(3, 301):
+        m = Modulus.of(n)
+        components = 0 if m.is_prime else count_components(g2_adjacency(m))
+        assert phi_multiplicity(*with_spectrum(n)).computed == components, n
 
 
 def test_kappa_g2_bound():
@@ -139,7 +151,8 @@ def test_kappa_g2_bound():
     r715 = kappa_g2_bound(Modulus.of(715))
     assert r715.claimed == "<= 40" and r715.computed == 40 and r715.note == "tight"
 
-    with pytest.raises(ValueError):
-        kappa_g2_bound(Modulus.of(12))
+    for n in (12, 7):
+        with pytest.raises(NotApplicable, match="^bound stated for squarefree composite n$"):
+            kappa_g2_bound(Modulus.of(n))
     with pytest.raises(OracleLimitExceeded):
         kappa_g2_bound(Modulus.of(2310))

@@ -522,6 +522,14 @@ def test_cli_verify_prime():
     code, out, _ = run_cli("verify", "7")
     assert code == 0, out
     assert "[skip] algebraic-connectivity" in out
+    for line in [
+        "[skip] second-largest-eigenvalue: complete graph for prime n",
+        "[skip] g2-connected-iff-squarefree: G2 is empty",
+        "[skip] g2-complement-connected: G2 is empty",
+        "[skip] phi-multiplicity: G2 is empty",
+        "[skip] kappa-g2-bound: bound stated for squarefree composite n",
+    ]:
+        assert f"\n{line}\n" in out
 
 
 def test_cli_verify_prime_power_detects_multiplicity_failure():
@@ -530,6 +538,38 @@ def test_cli_verify_prime_power_detects_multiplicity_failure():
     code, out, _ = run_cli("verify", "9")
     assert code == 1
     assert "phi-multiplicity" in out
+
+
+VERIFY_CHECKS = [
+    "spectrum-vs-dense-oracle",
+    "charpoly-join-identity",
+    "closed-form-spectrum",
+    "algebraic-connectivity",
+    "vertex-connectivity",
+    "second-largest-eigenvalue",
+    "g2-connected-iff-squarefree",
+    "g2-complement-connected",
+    "spectral-radius-multiplicity",
+    "phi-multiplicity",
+    "kappa-g2-bound",
+]
+
+
+@pytest.mark.parametrize("n", [4, 7, 9, 12, 30, 5460])
+def test_verify_prints_every_check_in_one_order(n, capsys):
+    main(["verify", str(n)])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("] ")[1].split(":")[0] for line in lines[:-1]] == VERIFY_CHECKS
+
+
+def test_verify_complement_skip_above_the_dense_cap_names_the_claim(monkeypatch, capsys):
+    # 5460 = 2^2*3*5*7*13: G2 has 4307 vertices, above the dense cap, but the
+    # complement claim is not stated for non-squarefree n in the first place
+    monkeypatch.setattr(config, "DENSE_LIMIT", 100)
+    assert main(["verify", "5460"]) == 0
+    out = capsys.readouterr().out
+    assert "\n[skip] g2-connected-iff-squarefree: |V(G2)|=4307 exceeds dense limit 100\n" in out
+    assert "\n[skip] g2-complement-connected: claim stated for squarefree n only\n" in out
 
 
 def test_cli_verify_rejects_small_n():
