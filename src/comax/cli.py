@@ -11,7 +11,9 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
+from collections import Counter
 from typing import Callable, TextIO
 
 from . import config, scan as scan_mod
@@ -36,6 +38,7 @@ from .oracle import (
     g2_adjacency,
     vertex_cut,
 )
+from .polynomial import IntPoly, extract_integer_roots
 from .ring_divisors import Modulus
 from .spectra import (
     SpectrumMultiset,
@@ -124,10 +127,21 @@ def _spectrum_vs_oracle(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
 
 def _char_poly(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
     dense = exact_char_poly_full(m)
-    diff = _first_difference(*([(c, 1) for c in p.coeffs] for p in (dense, s.polynomial())), 0)
-    if diff is None:
-        return True, "dense determinant equals join formula coefficient-for-coefficient"
-    return False, "coefficient of x^%d: dense determinant %d, join formula %d" % diff
+    # factor by factor: each dense factor loses the integer eigenvalues of s,
+    # and the roots counted and the product of what is left must be s's
+    counts = Counter(dict(dense.roots))
+    left = IntPoly.one()
+    for factor in dense.factors:
+        roots, rest = extract_integer_roots(factor, (r for r, _ in s.integer_part))
+        counts.update(dict(roots))
+        left = left * rest
+    if sorted(counts.items(), reverse=True) != list(s.integer_part) or left != s.residual:
+        # expanded only to name the first coefficient that differs
+        whole = functools.reduce(operator.mul, dense.factors, IntPoly.from_roots(dense.roots))
+        diff = _first_difference(*([(c, 1) for c in p.coeffs] for p in (whole, s.polynomial())), 0)
+        if diff is not None:
+            return False, "coefficient of x^%d: dense determinant %d, join formula %d" % diff
+    return True, "dense determinant equals join formula coefficient-for-coefficient"
 
 
 def _closed_form(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:

@@ -20,6 +20,20 @@ orbits are the divisor classes, up to 480 vertices at 2310, and would
 rebuild the quotient this module exists to check; an E-orbit holds at
 most |E| vertices.
 
+A block whose entries off the diagonal are all zero has its diagonal as
+its eigenvalues, exactly, and both oracles take them as they are: the
+dense one with no eigensolve, the exact one as integer roots with no
+charpoly.  Every block of a non-trivial character is diagonal: E keeps
+gcd(x, n), so off the diagonal A[r_O, g r_O'] is the same for every g and
+the character sums cancel.  That is tested block by block, not assumed,
+so a block that is not diagonal is still solved.  At 2310 one block of
+288 rows reaches the eigensolver, and for n <= 64 at most one matrix
+reaches the charpoly kernel: ``dense_spectrum(2310)`` takes 23-25 ms
+in process on a 2-CPU Xeon VM, against 32-36 ms for 16 eigensolves.  The
+exact oracle returns its charpoly factored (``FactoredCharPoly``), and
+``verify`` compares it with the spectrum factor by factor, never
+expanding a degree-n product.
+
 Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it; the pipeline never uses E.  The one
 exception is the dense exact charpoly kernel (``char_polys``), which
@@ -27,16 +41,16 @@ the pipeline reaches only as the fallback of its structured kernel, for a
 residue row that kernel leaves incomplete.  The dense kernel skips the
 Hessenberg columns that are already closed and multiplies the charpolys of
 the diagonal blocks they leave.  That is generic Hessenberg deflation,
-which any matrix gets and which reads nothing of the graph; on the
-Laplacian blocks, with their few distinct eigenvalues, it skips most
-columns.  It is not a spectral shortcut.  The tests check the dense
-kernel independently, against sympy and against a fraction-free
-determinant of their own at random points.
+which any matrix gets and which reads nothing of the graph.  It is not a
+spectral shortcut.  The tests check the dense kernel independently,
+against sympy and against a fraction-free determinant of their own at
+random points.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import Counter
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -171,35 +185,56 @@ def involution_split(m: Modulus, symmetric: bool = True) -> Iterator[np.ndarray]
         del block  # before the next one is built
 
 
+def _read_off(block: np.ndarray) -> list | None:
+    """The diagonal of ``block``, its eigenvalues, when every entry off the
+    diagonal is zero; else None."""
+    diagonal = block.diagonal()
+    if np.count_nonzero(block) != np.count_nonzero(diagonal):
+        return None
+    return diagonal.tolist()
+
+
 def dense_spectrum(m: Modulus) -> tuple[float, ...]:
-    """All n eigenvalues of the Laplacian, ascending: ``numeric_spectrum`` of
-    each block of ``involution_split``, merged."""
-    spectra = [numeric_spectrum(block) for block in involution_split(m)]
-    return tuple(sorted(sum(spectra, ())))
+    """All n eigenvalues of the Laplacian, ascending: each block of
+    ``involution_split`` read off where it is diagonal, else its
+    ``numeric_spectrum``, merged."""
+    values: list[float] = []
+    for block in involution_split(m):
+        diagonal = _read_off(block)
+        values += numeric_spectrum(block) if diagonal is None else diagonal
+    return tuple(sorted(values))
 
 
-def exact_char_poly_full(m: Modulus) -> IntPoly:
-    """Exact characteristic polynomial of the full n x n Laplacian: the
-    product of those of the int64 forms of the ``involution_split`` blocks,
+class FactoredCharPoly(NamedTuple):
+    """det(xI - L) = prod (x - r)**mult over ``roots`` times prod ``factors``."""
+
+    roots: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity), ascending
+    factors: tuple[IntPoly, ...]  # monic, one per block not read off
+
+
+def exact_char_poly_full(m: Modulus) -> FactoredCharPoly:
+    """Exact characteristic polynomial of the full n x n Laplacian, factored
+    along the int64 forms of the ``involution_split`` blocks: the roots of
+    those read off their diagonal, and the exact charpolys of the others,
     one ``char_polys`` call per block size.
 
     The exact charpoly kernel runs on the dense blocks rather than on the
-    quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices.  Most
-    Hessenberg columns of these blocks close early, so the elimination is
-    cheap; the cap keeps the Hadamard bound, and with it the number of
-    primes, small.
+    quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices; the cap
+    keeps the Hadamard bound, and with it the number of primes, small.
     """
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
         raise OracleLimitExceeded(f"n exceeds exact limit {limit}")
+    roots: Counter[int] = Counter()
     by_size: dict[int, list[np.ndarray]] = {}
     for block in involution_split(m, symmetric=False):
-        by_size.setdefault(len(block), []).append(block)
-    out = IntPoly.one()
-    for blocks in by_size.values():
-        for poly in char_polys(blocks):
-            out = out * poly
-    return out
+        diagonal = _read_off(block)
+        if diagonal is None:
+            by_size.setdefault(len(block), []).append(block)
+        else:
+            roots.update(diagonal)
+    factors = (poly for blocks in by_size.values() for poly in char_polys(blocks))
+    return FactoredCharPoly(tuple(sorted(roots.items())), tuple(factors))
 
 
 def g2_adjacency(m: Modulus) -> np.ndarray:

@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from comax.polynomial import IntPoly
+
 
 def adjacent(n: int, x: int, y: int) -> bool:
     """Whether x and y are adjacent in the comaximal graph of Z_n: x != y and
@@ -82,3 +84,16 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
             row_r[i] = 0
         prev = piv
     return sign * a[-1][-1]
+
+
+def expanded(factored) -> IntPoly:
+    """A factored characteristic polynomial, (root, multiplicity) pairs
+    ``roots`` times the polynomials ``factors``, multiplied out one linear
+    factor and one polynomial at a time."""
+    out = IntPoly.one()
+    for r, mult in factored.roots:
+        for _ in range(mult):
+            out = out * IntPoly((-r, 1))
+    for factor in factored.factors:
+        out = out * factor
+    return out

@@ -21,7 +21,7 @@ from comax.oracle import (
 from comax.comax_graph import adjacency, g2_vertices
 from comax.polynomial import IntPoly, char_polys
 from comax.ring_divisors import Modulus
-from reference import adjacent, bareiss_det, dense_laplacian
+from reference import adjacent, bareiss_det, dense_laplacian, expanded
 
 
 def brute_force_vertex_cut(adj: np.ndarray) -> int:
@@ -132,7 +132,40 @@ def test_split_spectrum_matches_the_unsplit_eigensolver():
 def test_split_charpoly_equals_the_unsplit_one():
     for n in range(3, 65):
         [whole] = char_polys([dense_laplacian(n).astype(np.int64)])
-        assert exact_char_poly_full(Modulus.of(n)) == whole, n
+        assert expanded(exact_char_poly_full(Modulus.of(n))) == whole, n
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_read_off_blocks_equal_the_eigensolver_bit_for_bit(symmetric):
+    # every block of a non-trivial character is diagonal: E keeps gcd(x, n),
+    # so A[r_O, g r_O'] does not depend on g off the diagonal and the
+    # character sums cancel; its diagonal is what the eigensolver returns
+    for n in [*range(3, 301), 2310, 2730, 4080, 4095]:
+        blocks = list(oracle.involution_split(Modulus.of(n), symmetric=symmetric))
+        read = [oracle._read_off(b) for b in blocks]
+        assert [r is None for r in read] == [True] + [False] * (len(blocks) - 1), n
+        for block, values in zip(blocks[1:], read[1:]):
+            solved = np.array(numeric_spectrum(block))
+            assert np.array(sorted(values), dtype=np.float64).tobytes() == solved.tobytes(), n
+
+
+def test_split_oracles_solve_only_the_blocks_they_cannot_read_off(monkeypatch):
+    solved = []
+    real_solve = oracle.numeric_spectrum
+    monkeypatch.setattr(
+        oracle, "numeric_spectrum", lambda b: solved.append(b.shape) or real_solve(b)
+    )
+    dense_spectrum(Modulus.of(2310))
+    assert solved == [(288, 288)]
+    batches = []
+    real_char_polys = oracle.char_polys
+    monkeypatch.setattr(
+        oracle, "char_polys", lambda bs: batches.append(len(bs)) or real_char_polys(bs)
+    )
+    for n in range(3, 65):
+        batches.clear()
+        factored = exact_char_poly_full(Modulus.of(n))
+        assert sum(batches) <= 1 and len(factored.factors) == sum(batches), n
 
 
 def move_one_edge(monkeypatch, x: int, mirrored: bool = False) -> None:
@@ -219,6 +252,39 @@ def orbits(n: int) -> set[frozenset[int]]:
     return {frozenset(u * x % n for u in units) for x in range(n)}
 
 
+def toggle_an_edge_orbit(monkeypatch, y: int) -> None:
+    """Make the oracles' adjacency toggle every pair {g, g y}, g in E: the
+    E-orbit of the pair {1, y}, for a unit y outside E, so that E still acts
+    by automorphisms and the invariance check passes."""
+    real = oracle.adjacency
+
+    def toggled(m, verts):
+        adj = real(m, verts)
+        for g in involutive_units(m.n):
+            u, v = g, g * y % m.n
+            adj[u, v] = adj[v, u] = not adj[u, v]
+        return adj
+
+    monkeypatch.setattr(oracle, "adjacency", toggled)
+
+
+@pytest.mark.parametrize("n, y", [(15, 2), (60, 7), (64, 3), (301, 2)])
+def test_an_invariant_edge_change_is_solved_not_read_off(monkeypatch, n, y):
+    # H[O(1), O(y)] moves by +-chi(g) for one g, so no block stays diagonal,
+    # and the oracles must solve every block rather than read one off
+    toggle_an_edge_orbit(monkeypatch, y)
+    m = Modulus.of(n)
+    adj = oracle.adjacency(m, range(n))
+    assert (adj != full_adjacency(n)).sum() == 2 * len(involutive_units(n))
+    lap = np.diag(adj.sum(axis=1)) - adj
+    assert all(oracle._read_off(b) is None for b in oracle.involution_split(m))
+    split = np.array(dense_spectrum(m))
+    assert np.max(np.abs(split - np.linalg.eigvalsh(lap))) <= 1e-9 * n
+    if n <= config.EXACT_CHARPOLY_LIMIT:
+        [whole] = char_polys([lap.astype(np.int64)])
+        assert expanded(exact_char_poly_full(m)) == whole
+
+
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_split_blocks_partition_the_vertices(symmetric):
     # one nonempty block per character of E, the trivial one first with a
@@ -253,9 +319,9 @@ def test_split_spectrum_holds_under_half_a_float_laplacian(n):
 
 
 def test_exact_char_poly_examples():
-    assert exact_char_poly_full(Modulus.of(3)).coeffs == (0, 9, -6, 1)
-    assert exact_char_poly_full(Modulus.of(5)) == IntPoly.from_roots([(0, 1), (5, 4)])
-    assert exact_char_poly_full(Modulus.of(6)) == IntPoly.from_roots(
+    assert expanded(exact_char_poly_full(Modulus.of(3))).coeffs == (0, 9, -6, 1)
+    assert expanded(exact_char_poly_full(Modulus.of(5))) == IntPoly.from_roots([(0, 1), (5, 4)])
+    assert expanded(exact_char_poly_full(Modulus.of(6))) == IntPoly.from_roots(
         [(0, 1), (6, 2), (5, 1), (3, 1), (2, 1)]
     )
     with pytest.raises(OracleLimitExceeded):
@@ -263,13 +329,14 @@ def test_exact_char_poly_examples():
 
 
 def test_exact_char_poly_point_evaluation():
-    # the polynomial evaluated at integer points equals the determinant there
-    # 36..64 have few distinct eigenvalues, so most Hessenberg columns close
+    # the polynomial evaluated at integer points equals the determinant there;
+    # all blocks but the trivial character's are read off their diagonal, so
+    # this checks the read-off roots and the one charpoly together
     points = {n: (0, 1, 7, -2) for n in (4, 6, 9, 10)}
     points.update({36: (1, -3), 48: (5, -1), 60: (2, 11), 64: (3, -7)})
     for n, xs in points.items():
         m = Modulus.of(n)
-        p = exact_char_poly_full(m)
+        p = expanded(exact_char_poly_full(m))
         lap = dense_laplacian(n).tolist()
         for x in xs:
             shifted = [

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from comax.cli import main
 from comax.polynomial import IntPoly
 from comax.ring_divisors import Modulus
 from comax.scan import ScanRecord, apply_filter, scan_range, write_csv, write_json
+from reference import expanded
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "scan_3_2000.csv"
 
@@ -579,7 +581,11 @@ def test_cli_verify_rejects_small_n():
 
 def test_verify_charpoly_failure_names_the_lowest_differing_power(monkeypatch, capsys):
     real = cli.exact_char_poly_full
-    monkeypatch.setattr(cli, "exact_char_poly_full", lambda m: real(m) * IntPoly((1, 1)))
+    monkeypatch.setattr(
+        cli,
+        "exact_char_poly_full",
+        lambda m: real(m)._replace(factors=real(m).factors + (IntPoly((1, 1)),)),
+    )
     assert main(["verify", "12"]) == 1
     # times (x + 1), c_k becomes c_k + c_(k-1): c_0 = 0 (the eigenvalue 0)
     # and c_1 stay, and x^2 is the first power to move
@@ -589,6 +595,77 @@ def test_verify_charpoly_failure_names_the_lowest_differing_power(monkeypatch, c
     assert (f"[FAIL] charpoly-join-identity: coefficient of x^2: "
             f"dense determinant {c[2] + c[1]}, join formula {c[2]}\n") in out
     assert out.endswith("verify 12: FAILED (charpoly-join-identity)\n")
+
+
+def moved_multiplicity(monkeypatch) -> None:
+    """The oracle's largest root loses one of its multiplicity, and the
+    integer below it gains one."""
+    real = cli.exact_char_poly_full
+
+    def moved(m):
+        dense = real(m)
+        roots = dict(dense.roots)
+        r = max(roots)
+        roots[r] -= 1
+        roots[r - 1] = roots.get(r - 1, 0) + 1
+        return dense._replace(roots=tuple(sorted(roots.items())))
+
+    monkeypatch.setattr(cli, "exact_char_poly_full", moved)
+
+
+def residual_off_by_one(monkeypatch) -> None:
+    """The join formula's residual with its constant coefficient one higher."""
+    real = cli.full_spectrum
+
+    def shifted(m):
+        s = real(m)
+        c0, *rest = s.residual.coeffs
+        residual = IntPoly((c0 + 1, *rest))
+        return spectra.SpectrumMultiset(s.integer_part, residual, s.residual_values)
+
+    monkeypatch.setattr(cli, "full_spectrum", shifted)
+
+
+@pytest.mark.parametrize("plant", [moved_multiplicity, residual_off_by_one])
+@pytest.mark.parametrize("n", [30, 42, 60])
+def test_verify_charpoly_failure_from_a_planted_factor(monkeypatch, capsys, plant, n):
+    # the n <= 64 whose residual is not 1; each side is expanded here, and
+    # verify must name the first coefficient that differs
+    plant(monkeypatch)
+    m = Modulus.of(n)
+    dense, join = expanded(cli.exact_char_poly_full(m)), cli.full_spectrum(m).polynomial()
+    k, a, b = next((k, a, b) for k, (a, b) in enumerate(
+        itertools.zip_longest(dense.coeffs, join.coeffs, fillvalue=0)) if a != b)
+    assert main(["verify", str(n)]) == 1
+    out = capsys.readouterr().out
+    assert (f"\n[FAIL] charpoly-join-identity: coefficient of x^{k}: "
+            f"dense determinant {a}, join formula {b}\n") in out
+    assert out.endswith(f"verify {n}: FAILED (charpoly-join-identity)\n")
+
+
+def test_an_ok_charpoly_identity_expands_no_product(monkeypatch):
+    spectra_by_n = {n: spectra.full_spectrum(Modulus.of(n)) for n in range(3, 65)}
+    for s in spectra_by_n.values():
+        s.residual  # taken on first read, here before the products are refused
+
+    def refuse(*args):
+        raise AssertionError("a degree-n product was expanded")
+
+    monkeypatch.setattr(spectra.SpectrumMultiset, "polynomial", refuse)
+    monkeypatch.setattr(IntPoly, "from_roots", classmethod(refuse))
+    for n, s in spectra_by_n.items():
+        assert cli._char_poly(Modulus.of(n), s) == (
+            True, "dense determinant equals join formula coefficient-for-coefficient"), n
+
+
+def test_verify_checks_the_charpoly_identity_above_the_exact_limit(monkeypatch, capsys):
+    # omega = 4: residuals that no n under the default exact limit has
+    monkeypatch.setattr(config, "EXACT_CHARPOLY_LIMIT", 1155)
+    for n in (420, 840, 1155):
+        assert Modulus.of(n).omega == 4
+        main(["verify", str(n)])
+        assert ("\n[ok ] charpoly-join-identity: dense determinant equals join formula "
+                "coefficient-for-coefficient\n") in capsys.readouterr().out, n
 
 
 def test_verify_closed_form_failure_names_the_first_differing_eigenvalue(monkeypatch, capsys):
