@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import operator
+import os
 import sys
 from collections import Counter
 from typing import Callable, TextIO
@@ -220,15 +221,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if args.out is not None and args.out.endswith(".json")
         else scan_mod.write_csv
     )
-    try:
-        if args.out is None:
-            total, integral = writer(records, sys.stdout)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                total, integral = writer(records, fh)
-    except OSError as exc:
-        print(f"cannot write scan output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.out is None:
+        total, integral = writer(records, sys.stdout)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            total, integral = writer(records, fh)
     print(
         f"scanned {args.start}..{args.stop}: {total} written, "
         f"{integral} integral, {total - integral} non-integral",
@@ -321,10 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except ArithmeticError as exc:
         print(exc, file=sys.stderr)
         return EXIT_DISAGREE
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # what the write left buffered would fail again in the exit flush
+            sys.stdout = open(os.devnull, "w")
+        print(f"cannot write {args.command} output: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

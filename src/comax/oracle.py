@@ -12,27 +12,21 @@ augmenting paths on a vertex-split residual matrix read off it, capped at
 Both spectral oracles split the Laplacian by the involutive units
 E = {u : u*u = 1 mod n}, which keep every gcd(x, n) under x -> u x; that
 they are automorphisms is checked, not assumed (``involution_split``).
-Symmetry blocks (Cvetkovic, Rowlinson & Simic, *An Introduction to the
-Theory of Graph Spectra*, 2010), one per character of E, replace the one
-n x n Laplacian: at 2310, 16 blocks of at most 288 rows, where negation
-alone gives two of about 1155.  The whole unit group is not used: its
-orbits are the divisor classes, up to 480 vertices at 2310, and would
-rebuild the quotient this module exists to check; an E-orbit holds at
-most |E| vertices.
+The split has one symmetry block per character of E (Cvetkovic,
+Rowlinson & Simic, *An Introduction to the Theory of Graph Spectra*,
+2010), on the E-orbits, of at most |E| vertices each.  The whole unit
+group is not used: its orbits are the divisor classes, up to 480 vertices
+at 2310, and would rebuild the quotient this module exists to check.
 
-A block whose entries off the diagonal are all zero has its diagonal as
-its eigenvalues, exactly, and both oracles take them as they are: the
-dense one with no eigensolve, the exact one as integer roots with no
-charpoly.  Every block of a non-trivial character is diagonal: E keeps
-gcd(x, n), so off the diagonal A[r_O, g r_O'] is the same for every g and
-the character sums cancel.  That is tested block by block, not assumed,
-so a block that is not diagonal is still solved.  At 2310 one block of
-288 rows reaches the eigensolver, and for n <= 64 at most one matrix
-reaches the charpoly kernel: ``dense_spectrum(2310)`` takes 23-25 ms
-in process on a 2-CPU Xeon VM, against 32-36 ms for 16 eigensolves.  The
-exact oracle returns its charpoly factored (``FactoredCharPoly``), and
-``verify`` compares it with the spectrum factor by factor, never
-expanding a degree-n product.
+Every non-trivial character's block is diagonal: E keeps gcd(x, n), so
+off the diagonal the character sums cancel.  That is checked, not
+assumed: one array test over the sums finds the diagonal blocks, whose
+eigenvalues the split returns as exact integers with no block built, and
+every other block is built and solved.  At 2310 one block of 288 rows
+reaches the eigensolver, and for n <= 64 at most one matrix reaches the
+charpoly kernel.  The exact oracle returns its charpoly factored
+(``FactoredCharPoly``), and ``verify`` compares it with the spectrum
+factor by factor, never expanding a degree-n product.
 
 Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it; the pipeline never uses E.  The one
@@ -50,7 +44,7 @@ random points.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,10 +97,18 @@ def _walsh_hadamard(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def involution_split(m: Modulus, symmetric: bool = True) -> Iterator[np.ndarray]:
-    """The blocks of the Laplacian of the comaximal graph under the
-    involutive units E = {u : u*u = 1 mod n}, one per character of E and
-    one at a time, the trivial character's first.
+class InvolutionSplit(NamedTuple):
+    """What ``involution_split`` returns; blocks in character order."""
+
+    roots: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity), ascending
+    exact: tuple[np.ndarray, ...]  # int64 similarity form
+    symmetric: tuple[np.ndarray, ...]  # float64 orthonormal form
+
+
+def involution_split(m: Modulus) -> InvolutionSplit:
+    """The Laplacian of the comaximal graph in one block per character of
+    the involutive units E = {u : u*u = 1 mod n}: the eigenvalues of every
+    diagonal block, read off, and the blocks that must be solved.
 
     E acts by x -> u x, which keeps every gcd(x, n).  The boolean adjacency
     A of all n vertices is built once and checked to be E-invariant
@@ -123,13 +125,18 @@ def involution_split(m: Modulus, symmetric: bool = True) -> Iterator[np.ndarray]
     in the basis sum_g chi(g) e_(g r_O).  With the integer symmetric
     H[O, O'] = sum_g chi(g) L[r_O, g r_O'] over all of E, the orthonormal
     form (``symmetric``) is H[O, O'] sqrt(|O| |O'|) / |E|, float64 and
-    exactly symmetric, and the similar integer form (``symmetric=False``)
+    exactly symmetric, and the similar integer form (``exact``)
     H[O, O'] |O'| / |E|, int64.  Every block holds the orbit of 1, so there
     are |E| of them, and their sizes sum to n.  The character sums of A
     over the k orbits come from one Walsh-Hadamard transform of an
     |E| x k x k table of the smallest integer type that holds +-|E|, and
-    the adjacency is dropped before the first block is built.  Refuses n
-    above ``config.DENSE_LIMIT``.
+    the adjacency is dropped before any block is built.
+
+    One array test over that table finds the diagonal blocks: those where
+    no sum between two distinct orbits is nonzero.  Their eigenvalues,
+    degree - H[O, O] / |S_O|, are exact integers, counted in ``roots``
+    with no block built; every other block is built in both forms.
+    Refuses n above ``config.DENSE_LIMIT``.
     """
     n = m.n
     if n > config.DENSE_LIMIT:
@@ -166,42 +173,38 @@ def involution_split(m: Modulus, symmetric: bool = True) -> Iterator[np.ndarray]
     )
     del rep_rows, table
     stab_size = stab.sum(axis=0)
+    member = sums[:, -1] != 0  # member[c, O]: O is in the block of chi_c
+    # diagonal: no sum links two orbits (E-invariance zeroes those off the block)
+    solved = ((sums[:, :-1] != 0) & ~np.eye(len(reps), dtype=bool)).any(axis=(1, 2))
+    values = degree - sums[:, :-1].diagonal(axis1=1, axis2=2) // stab_size
+    roots = Counter(values[member & ~solved[:, None]].tolist())
     # sqrt(|O| |O'|) / |E| as a row and then a column scaling: each factor
     # is a power of 2, times sqrt(2) or not, so the block stays exactly
     # symmetric, and no second block-sized array is made
     root = np.sqrt(len(units) // stab_size / len(units))
-    for c in range(len(units)):
-        idx = sums[c, -1].nonzero()[0]
-        block = np.negative(
-            sums[c, idx][:, idx].T, dtype=np.float64 if symmetric else np.int64
-        )
-        if symmetric:
-            block *= root[idx]
-            block *= root[idx, None]
-        else:
-            block //= stab_size[idx]
+    exact, symmetric = [], []
+    for c in solved.nonzero()[0]:
+        idx = member[c].nonzero()[0]
+        block = np.negative(sums[c, idx][:, idx].T, dtype=np.int64)
+        block //= stab_size[idx]
         block.flat[:: len(idx) + 1] += degree[idx]
-        yield block
-        del block  # before the next one is built
-
-
-def _read_off(block: np.ndarray) -> list | None:
-    """The diagonal of ``block``, its eigenvalues, when every entry off the
-    diagonal is zero; else None."""
-    diagonal = block.diagonal()
-    if np.count_nonzero(block) != np.count_nonzero(diagonal):
-        return None
-    return diagonal.tolist()
+        exact.append(block)
+        block = np.negative(sums[c, idx][:, idx].T, dtype=np.float64)
+        block *= root[idx]
+        block *= root[idx, None]
+        block.flat[:: len(idx) + 1] += degree[idx]
+        symmetric.append(block)
+    return InvolutionSplit(tuple(sorted(roots.items())), tuple(exact), tuple(symmetric))
 
 
 def dense_spectrum(m: Modulus) -> tuple[float, ...]:
-    """All n eigenvalues of the Laplacian, ascending: each block of
-    ``involution_split`` read off where it is diagonal, else its
-    ``numeric_spectrum``, merged."""
-    values: list[float] = []
-    for block in involution_split(m):
-        diagonal = _read_off(block)
-        values += numeric_spectrum(block) if diagonal is None else diagonal
+    """All n eigenvalues of the Laplacian, ascending: the ``roots`` of
+    ``involution_split`` and the ``numeric_spectrum`` of each of its
+    ``symmetric`` blocks, merged."""
+    split = involution_split(m)
+    values = [float(r) for r, mult in split.roots for _ in range(mult)]
+    for block in split.symmetric:
+        values += numeric_spectrum(block)
     return tuple(sorted(values))
 
 
@@ -209,14 +212,13 @@ class FactoredCharPoly(NamedTuple):
     """det(xI - L) = prod (x - r)**mult over ``roots`` times prod ``factors``."""
 
     roots: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity), ascending
-    factors: tuple[IntPoly, ...]  # monic, one per block not read off
+    factors: tuple[IntPoly, ...]  # monic, one per block solved
 
 
 def exact_char_poly_full(m: Modulus) -> FactoredCharPoly:
     """Exact characteristic polynomial of the full n x n Laplacian, factored
-    along the int64 forms of the ``involution_split`` blocks: the roots of
-    those read off their diagonal, and the exact charpolys of the others,
-    one ``char_polys`` call per block size.
+    along ``involution_split``: its ``roots``, and the exact charpoly of
+    each of its ``exact`` blocks.
 
     The exact charpoly kernel runs on the dense blocks rather than on the
     quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices; the cap
@@ -225,16 +227,8 @@ def exact_char_poly_full(m: Modulus) -> FactoredCharPoly:
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
         raise OracleLimitExceeded(f"n exceeds exact limit {limit}")
-    roots: Counter[int] = Counter()
-    by_size: dict[int, list[np.ndarray]] = {}
-    for block in involution_split(m, symmetric=False):
-        diagonal = _read_off(block)
-        if diagonal is None:
-            by_size.setdefault(len(block), []).append(block)
-        else:
-            roots.update(diagonal)
-    factors = (poly for blocks in by_size.values() for poly in char_polys(blocks))
-    return FactoredCharPoly(tuple(sorted(roots.items())), tuple(factors))
+    roots, exact, _ = involution_split(m)
+    return FactoredCharPoly(roots, tuple(char_polys([block])[0] for block in exact))
 
 
 def g2_adjacency(m: Modulus) -> np.ndarray:

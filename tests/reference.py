@@ -97,3 +97,37 @@ def expanded(factored) -> IntPoly:
     for factor in factored.factors:
         out = out * factor
     return out
+
+
+def involution_blocks(n: int) -> list[np.ndarray]:
+    """The block of the Laplacian for each character chi of the involutive
+    units E = {u : u*u = 1 mod n}, in the integer similarity form
+    H[O, O'] |O'| / |E| with H[O, O'] = sum_g chi(g) L[r_O, g r_O'], over
+    the E-orbits O, ascending by least element r_O, whose stabilizer lies
+    in the kernel of chi.  H is gathered from ``dense_laplacian`` one unit g
+    at a time, with no Walsh-Hadamard transform.
+
+    E is listed as the program lists it: each involution u, ascending, that
+    is not yet in the group generated so far doubles it, so that element b
+    is the product of the generators at the set bits of b, and character c
+    is chi_c(b) = (-1)**popcount(c & b)."""
+    group = [1]
+    for u in range(2, n):
+        if u * u % n == 1 and u not in group:
+            group += [v * u % n for v in group]
+    lap = dense_laplacian(n).astype(np.int64)
+    reps = sorted({min(g * x % n for g in group) for x in range(n)})
+    blocks = []
+    for c in range(len(group)):
+        chi = [(-1) ** bin(c & b).count("1") for b in range(len(group))]
+        members = [
+            r for r in reps
+            if all(chi[b] == 1 for b, g in enumerate(group) if g * r % n == r)
+        ]
+        sizes = np.array([len({g * r % n for g in group}) for r in members])
+        h = sum(
+            chi[b] * lap[np.ix_(members, [g * r % n for r in members])]
+            for b, g in enumerate(group)
+        )
+        blocks.append(h * sizes // len(group))
+    return blocks

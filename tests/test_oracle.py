@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from comax.oracle import (
 from comax.comax_graph import adjacency, g2_vertices
 from comax.polynomial import IntPoly, char_polys
 from comax.ring_divisors import Modulus
-from reference import adjacent, bareiss_det, dense_laplacian, expanded
+from reference import adjacent, bareiss_det, dense_laplacian, expanded, involution_blocks
 
 
 def brute_force_vertex_cut(adj: np.ndarray) -> int:
@@ -135,18 +136,29 @@ def test_split_charpoly_equals_the_unsplit_one():
         assert expanded(exact_char_poly_full(Modulus.of(n))) == whole, n
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_read_off_blocks_equal_the_eigensolver_bit_for_bit(symmetric):
+def test_split_solves_one_block_with_a_row_per_orbit():
     # every block of a non-trivial character is diagonal: E keeps gcd(x, n),
     # so A[r_O, g r_O'] does not depend on g off the diagonal and the
-    # character sums cancel; its diagonal is what the eigensolver returns
+    # character sums cancel; only the trivial block, on every orbit, is left
     for n in [*range(3, 301), 2310, 2730, 4080, 4095]:
-        blocks = list(oracle.involution_split(Modulus.of(n), symmetric=symmetric))
-        read = [oracle._read_off(b) for b in blocks]
-        assert [r is None for r in read] == [True] + [False] * (len(blocks) - 1), n
-        for block, values in zip(blocks[1:], read[1:]):
-            solved = np.array(numeric_spectrum(block))
-            assert np.array(sorted(values), dtype=np.float64).tobytes() == solved.tobytes(), n
+        split = oracle.involution_split(Modulus.of(n))
+        assert [len(b) for b in split.exact] == [len(orbits(n))], n
+        assert [b.shape for b in split.symmetric] == [b.shape for b in split.exact], n
+
+
+def test_split_reads_off_exactly_the_diagonal_reference_blocks():
+    # the reference builds every character's block from the definition:
+    # the split's roots are the diagonals of those that are diagonal, and
+    # its exact blocks are the others, in character order
+    for n in [*range(3, 131), 1155]:
+        split = oracle.involution_split(Modulus.of(n))
+        blocks = involution_blocks(n)
+        diagonal = [np.count_nonzero(b) == np.count_nonzero(b.diagonal()) for b in blocks]
+        roots = Counter(v for b, d in zip(blocks, diagonal) if d for v in b.diagonal().tolist())
+        assert split.roots == tuple(sorted(roots.items())), n
+        others = [b for b, d in zip(blocks, diagonal) if not d]
+        assert len(split.exact) == len(others), n
+        assert all((a == b).all() for a, b in zip(split.exact, others)), n
 
 
 def test_split_oracles_solve_only_the_blocks_they_cannot_read_off(monkeypatch):
@@ -277,7 +289,8 @@ def test_an_invariant_edge_change_is_solved_not_read_off(monkeypatch, n, y):
     adj = oracle.adjacency(m, range(n))
     assert (adj != full_adjacency(n)).sum() == 2 * len(involutive_units(n))
     lap = np.diag(adj.sum(axis=1)) - adj
-    assert all(oracle._read_off(b) is None for b in oracle.involution_split(m))
+    roots, exact, symmetric = oracle.involution_split(m)
+    assert roots == () and len(exact) == len(symmetric) == len(involutive_units(n))
     split = np.array(dense_spectrum(m))
     assert np.max(np.abs(split - np.linalg.eigvalsh(lap))) <= 1e-9 * n
     if n <= config.EXACT_CHARPOLY_LIMIT:
@@ -287,17 +300,15 @@ def test_an_invariant_edge_change_is_solved_not_read_off(monkeypatch, n, y):
 
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_split_blocks_partition_the_vertices(symmetric):
-    # one nonempty block per character of E, the trivial one first with a
-    # row per orbit; where E = {1, -1} these are the even and odd blocks
+    # the roots read off and the rows solved count every vertex once; where
+    # E = {1, -1} the odd block is read off and the even one solved
     for n in [*range(3, 130), 1155, 2310, 4080]:
-        units = involutive_units(n)
-        blocks = list(oracle.involution_split(Modulus.of(n), symmetric=symmetric))
-        sizes = [len(b) for b in blocks]
-        assert sum(sizes) == n, n
-        assert len(sizes) == len(units) and min(sizes) > 0, n
-        assert sizes[0] == len(orbits(n)), n
-        if len(units) == 2:
-            assert sizes == [n // 2 + 1, (n + 1) // 2 - 1], n
+        split = oracle.involution_split(Modulus.of(n))
+        blocks = split.symmetric if symmetric else split.exact
+        read = sum(mult for _, mult in split.roots)
+        assert read + sum(len(b) for b in blocks) == n, n
+        if len(involutive_units(n)) == 2:
+            assert (read, [len(b) for b in blocks]) == ((n + 1) // 2 - 1, [n // 2 + 1]), n
         for b in blocks:
             assert b.dtype == (np.float64 if symmetric else np.int64), n
             assert not symmetric or (b == b.T).all(), n
@@ -305,8 +316,8 @@ def test_split_blocks_partition_the_vertices(symmetric):
 
 @pytest.mark.parametrize("n", [1155, 1156, 2310, 4080])
 def test_split_spectrum_holds_under_half_a_float_laplacian(n):
-    # the adjacency, then the orbit table and one float64 block at a time:
-    # below half of the n x n float64 Laplacian the split replaces
+    # the adjacency, then the orbit table and both forms of the one block
+    # solved: below half of the n x n float64 Laplacian the split replaces
     # (tracemalloc sees numpy buffers, not the eigensolver's internal
     # working copy)
     tracemalloc.start()

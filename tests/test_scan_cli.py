@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -793,6 +794,63 @@ def test_cli_scan_unwritable_path(tmp_path: Path):
         str(tmp_path / "missing" / "scan.csv"),
     )
     assert code == 3
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises, as on a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["spectrum", "30", "--format", f] for f in ("json", "csv", "pretty")),
+        ["graph", "12", "edges"],
+        ["graph", "12", "classes"],
+        *(["g2", "15", action] for action in ("export", "kappa", "components")),
+        ["verify", "12"],
+    ],
+    ids="-".join,
+)
+def test_cli_closed_stdout_exits_3_with_one_line(capsys, argv):
+    with contextlib.redirect_stdout(ClosedStdout()):
+        code = main(argv)
+        sys.stdout.close()  # the stream main put in place of the closed one
+    assert code == 3
+    assert capsys.readouterr().err == f"cannot write {argv[0]} output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        # 879 kB of edges, far more than a pipe buffers: writes go on after
+        # the reader has closed its end
+        (["graph", "600", "edges"], "0 1\n"),
+        # one short line, still in the buffer when the reader closes its end
+        (["spectrum", "30"], None),
+    ],
+    ids=["graph-600-edges", "spectrum-30"],
+)
+def test_cli_stdout_closed_by_its_reader_exits_3(argv, first):
+    # stdout block-buffered, as it is on a pipe by default, so the short
+    # output is still buffered when the command returns
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "comax.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    if first is not None:
+        assert proc.stdout.readline() == first
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert err == f"cannot write {argv[0]} output: [Errno 32] Broken pipe\n"
 
 
 def test_cli_g2(capsys):
