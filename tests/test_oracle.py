@@ -10,6 +10,7 @@ from comax import config, oracle
 from comax.cli import main
 from comax.connectivity import kappa_g2_bound, vertex_connectivity
 from comax.oracle import (
+    FactoredCharPoly,
     OracleLimitExceeded,
     complement,
     count_components,
@@ -159,6 +160,29 @@ def test_split_reads_off_exactly_the_diagonal_reference_blocks():
         others = [b for b, d in zip(blocks, diagonal) if not d]
         assert len(split.exact) == len(others), n
         assert all((a == b).all() for a, b in zip(split.exact, others)), n
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_read_off_blocks_equal_the_eigensolver_bit_for_bit(symmetric):
+    # the split builds no diagonal block, so its roots are checked against
+    # the reference's: every non-trivial character's block is diagonal, and
+    # the eigensolver returns its diagonal from the float64 symmetric form
+    # and from the int64 exact form alike (on a diagonal block the two are
+    # equal); within the exact oracle's cap, the exact form's charpoly
+    # factors into the roots too
+    for n in [*range(3, 301), 2310]:
+        roots = oracle.involution_split(Modulus.of(n)).roots
+        blocks = involution_blocks(n)
+        diagonal = [np.count_nonzero(b) == np.count_nonzero(b.diagonal()) for b in blocks]
+        assert diagonal == [False] + [True] * (len(blocks) - 1), n
+        forms = [b.astype(np.float64) if symmetric else b for b in blocks[1:]]
+        read = np.array([float(r) for r, mult in roots for _ in range(mult)])
+        solved = np.array(sorted(v for b in forms for v in numeric_spectrum(b)))
+        assert read.tobytes() == solved.tobytes(), n
+        if not symmetric and n <= config.EXACT_CHARPOLY_LIMIT:
+            factors = tuple(char_polys([b])[0] for b in forms)
+            whole = expanded(FactoredCharPoly((), factors))
+            assert expanded(FactoredCharPoly(roots, ())) == whole, n
 
 
 def test_split_oracles_solve_only_the_blocks_they_cannot_read_off(monkeypatch):
