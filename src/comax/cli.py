@@ -325,12 +325,20 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_DISAGREE
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError):
-            # what the write left buffered would fail again in the exit flush
-            sys.stdout = open(os.devnull, "w")
         print(f"cannot write {args.command} output: {exc}", file=sys.stderr)
         return EXIT_IO
 
 
+def run() -> None:
+    """The ``comax`` command: ``main``, after which the bytes a closed stdout
+    still buffers go to devnull, so that the exit flush cannot fail."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

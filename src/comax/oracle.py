@@ -21,12 +21,12 @@ at 2310, and would rebuild the quotient this module exists to check.
 Every non-trivial character's block is diagonal: E keeps gcd(x, n), so
 off the diagonal the character sums cancel.  That is checked, not
 assumed: one array test over the sums finds the diagonal blocks, whose
-eigenvalues the split returns as exact integers with no block built, and
-every other block is built and solved.  At 2310 one block of 288 rows
-reaches the eigensolver, and for n <= 64 at most one matrix reaches the
-charpoly kernel.  The exact oracle returns its charpoly factored
-(``FactoredCharPoly``), and ``verify`` compares it with the spectrum
-factor by factor, never expanding a degree-n product.
+eigenvalues the split returns as exact integers with no block built.
+Each other block is returned as its integer sums, and each oracle builds
+the one form it solves: at 2310 one float64 block of 288 rows, and for
+n <= 64 at most one int64 block per n.  The exact oracle returns its
+charpoly factored (``FactoredCharPoly``), and ``verify`` compares it with
+the spectrum factor by factor, never expanding a degree-n product.
 
 Disagreement with the quotient pipeline means a bug, so these paths share
 no spectral shortcut with it; the pipeline never uses E.  The one
@@ -97,12 +97,36 @@ def _walsh_hadamard(table: np.ndarray) -> np.ndarray:
     return table
 
 
-class InvolutionSplit(NamedTuple):
-    """What ``involution_split`` returns; blocks in character order."""
+class SolvedBlock(NamedTuple):
+    """A block of ``involution_split`` that is not diagonal, kept as its
+    integer sums; each oracle builds from them the one form it solves."""
 
+    sums: np.ndarray  # sums[O, O'] = sum_g chi(g) A[r_O, g r_O']
+    degree: np.ndarray  # of each orbit's representative
+    stab: np.ndarray  # |S_O| = |E| / |O|
+
+    def exact(self) -> np.ndarray:
+        """The int64 similarity form H[O, O'] |O'| / |E|."""
+        block = np.negative(self.sums, dtype=np.int64)
+        block //= self.stab
+        block.flat[:: len(block) + 1] += self.degree
+        return block
+
+    def symmetric(self) -> np.ndarray:
+        """The float64 orthonormal form H[O, O'] sqrt(|O| |O'|) / |E|, scaled
+        by rows and then by columns: each factor is a power of 2, times
+        sqrt(2) or not, so the block is exactly symmetric."""
+        root = np.sqrt(1 / self.stab)
+        block = np.negative(self.sums, dtype=np.float64)
+        block *= root
+        block *= root[:, None]
+        block.flat[:: len(block) + 1] += self.degree
+        return block
+
+
+class InvolutionSplit(NamedTuple):
     roots: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity), ascending
-    exact: tuple[np.ndarray, ...]  # int64 similarity form
-    symmetric: tuple[np.ndarray, ...]  # float64 orthonormal form
+    blocks: tuple[SolvedBlock, ...]  # in character order
 
 
 def involution_split(m: Modulus) -> InvolutionSplit:
@@ -122,20 +146,18 @@ def involution_split(m: Modulus) -> InvolutionSplit:
     product of the generators at the set bits of b; character c is then
     chi_c(b) = (-1)**popcount(c & b).  The block of chi acts on the orbits
     O whose stabilizer S_O lies in its kernel, ascending by representative,
-    in the basis sum_g chi(g) e_(g r_O).  With the integer symmetric
-    H[O, O'] = sum_g chi(g) L[r_O, g r_O'] over all of E, the orthonormal
-    form (``symmetric``) is H[O, O'] sqrt(|O| |O'|) / |E|, float64 and
-    exactly symmetric, and the similar integer form (``exact``)
-    H[O, O'] |O'| / |E|, int64.  Every block holds the orbit of 1, so there
-    are |E| of them, and their sizes sum to n.  The character sums of A
-    over the k orbits come from one Walsh-Hadamard transform of an
-    |E| x k x k table of the smallest integer type that holds +-|E|, and
-    the adjacency is dropped before any block is built.
+    in the basis sum_g chi(g) e_(g r_O), with the integer symmetric
+    H[O, O'] = sum_g chi(g) L[r_O, g r_O'] over all of E.  Every block
+    holds the orbit of 1, so there are |E| of them, and their sizes sum to
+    n.  The sums of A over the k orbits come from one Walsh-Hadamard
+    transform of an |E| x k x k table of the smallest integer type that
+    holds +-|E|, built after the adjacency is dropped.
 
     One array test over that table finds the diagonal blocks: those where
     no sum between two distinct orbits is nonzero.  Their eigenvalues,
-    degree - H[O, O] / |S_O|, are exact integers, counted in ``roots``
-    with no block built; every other block is built in both forms.
+    H[O, O] / |S_O| = degree - sum_g chi(g) A[r_O, g r_O] / |S_O|, exact
+    integers, are counted in ``roots`` with no block built; every other
+    block is returned as a ``SolvedBlock`` holding a copy of its sums.
     Refuses n above ``config.DENSE_LIMIT``.
     """
     n = m.n
@@ -178,33 +200,21 @@ def involution_split(m: Modulus) -> InvolutionSplit:
     solved = ((sums[:, :-1] != 0) & ~np.eye(len(reps), dtype=bool)).any(axis=(1, 2))
     values = degree - sums[:, :-1].diagonal(axis1=1, axis2=2) // stab_size
     roots = Counter(values[member & ~solved[:, None]].tolist())
-    # sqrt(|O| |O'|) / |E| as a row and then a column scaling: each factor
-    # is a power of 2, times sqrt(2) or not, so the block stays exactly
-    # symmetric, and no second block-sized array is made
-    root = np.sqrt(len(units) // stab_size / len(units))
-    exact, symmetric = [], []
+    blocks = []
     for c in solved.nonzero()[0]:
         idx = member[c].nonzero()[0]
-        block = np.negative(sums[c, idx][:, idx].T, dtype=np.int64)
-        block //= stab_size[idx]
-        block.flat[:: len(idx) + 1] += degree[idx]
-        exact.append(block)
-        block = np.negative(sums[c, idx][:, idx].T, dtype=np.float64)
-        block *= root[idx]
-        block *= root[idx, None]
-        block.flat[:: len(idx) + 1] += degree[idx]
-        symmetric.append(block)
-    return InvolutionSplit(tuple(sorted(roots.items())), tuple(exact), tuple(symmetric))
+        blocks.append(SolvedBlock(sums[c, idx][:, idx].T, degree[idx], stab_size[idx]))
+    return InvolutionSplit(tuple(sorted(roots.items())), tuple(blocks))
 
 
 def dense_spectrum(m: Modulus) -> tuple[float, ...]:
     """All n eigenvalues of the Laplacian, ascending: the ``roots`` of
-    ``involution_split`` and the ``numeric_spectrum`` of each of its
-    ``symmetric`` blocks, merged."""
+    ``involution_split`` and the ``numeric_spectrum`` of the ``symmetric``
+    form of each of its blocks, merged; one float block is alive at a time."""
     split = involution_split(m)
     values = [float(r) for r, mult in split.roots for _ in range(mult)]
-    for block in split.symmetric:
-        values += numeric_spectrum(block)
+    for block in split.blocks:
+        values += numeric_spectrum(block.symmetric())
     return tuple(sorted(values))
 
 
@@ -218,7 +228,7 @@ class FactoredCharPoly(NamedTuple):
 def exact_char_poly_full(m: Modulus) -> FactoredCharPoly:
     """Exact characteristic polynomial of the full n x n Laplacian, factored
     along ``involution_split``: its ``roots``, and the exact charpoly of
-    each of its ``exact`` blocks.
+    the ``exact`` form of each of its blocks.
 
     The exact charpoly kernel runs on the dense blocks rather than on the
     quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices; the cap
@@ -227,8 +237,8 @@ def exact_char_poly_full(m: Modulus) -> FactoredCharPoly:
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
         raise OracleLimitExceeded(f"n exceeds exact limit {limit}")
-    roots, exact, _ = involution_split(m)
-    return FactoredCharPoly(roots, tuple(char_polys([block])[0] for block in exact))
+    roots, blocks = involution_split(m)
+    return FactoredCharPoly(roots, tuple(char_polys([b.exact()])[0] for b in blocks))
 
 
 def g2_adjacency(m: Modulus) -> np.ndarray:

@@ -36,19 +36,24 @@ def degree(n: int, x: int) -> int:
     return count - 1 if d == 1 else count
 
 
-def dense_laplacian(n: int) -> np.ndarray:
-    """The unsplit Laplacian L = D - A of the comaximal graph of Z_n, float64,
-    one row at a time: A[x, y] = 1 when x != y and gcd(x, n), gcd(y, n) are
-    coprime, and D[x, x] the row count of A.  The reference the
-    involution-split oracles are checked against."""
+def laplacian_rows(n: int, rows: Sequence[int]) -> np.ndarray:
+    """Rows ``rows`` of the unsplit Laplacian L = D - A of the comaximal
+    graph of Z_n, float64, one row at a time: A[x, y] = 1 when x != y and
+    gcd(x, n), gcd(y, n) are coprime, and D[x, x] the row count of A."""
     g = np.gcd(np.arange(n), n)
-    lap = np.zeros((n, n))
-    for x in range(n):
+    lap = np.zeros((len(rows), n))
+    for i, x in enumerate(rows):
         row = np.gcd(g[x], g) == 1
         row[x] = False
-        lap[x] = np.negative(row, dtype=np.float64)
-        lap[x, x] = row.sum()
+        lap[i] = np.negative(row, dtype=np.float64)
+        lap[i, x] = row.sum()
     return lap
+
+
+def dense_laplacian(n: int) -> np.ndarray:
+    """The whole unsplit Laplacian, ``laplacian_rows`` of every vertex: the
+    reference the involution-split oracles are checked against."""
+    return laplacian_rows(n, range(n))
 
 
 def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
@@ -99,13 +104,15 @@ def expanded(factored) -> IntPoly:
     return out
 
 
-def involution_blocks(n: int) -> list[np.ndarray]:
+def involution_blocks(n: int, symmetric: bool = False) -> list[np.ndarray]:
     """The block of the Laplacian for each character chi of the involutive
-    units E = {u : u*u = 1 mod n}, in the integer similarity form
-    H[O, O'] |O'| / |E| with H[O, O'] = sum_g chi(g) L[r_O, g r_O'], over
-    the E-orbits O, ascending by least element r_O, whose stabilizer lies
-    in the kernel of chi.  H is gathered from ``dense_laplacian`` one unit g
-    at a time, with no Walsh-Hadamard transform.
+    units E = {u : u*u = 1 mod n}, over the E-orbits O, ascending by least
+    element r_O, whose stabilizer lies in the kernel of chi.  With
+    H[O, O'] = sum_g chi(g) L[r_O, g r_O'], the block is the integer
+    similarity form H[O, O'] |O'| / |E|, or with ``symmetric`` the float64
+    orthonormal form H[O, O'] sqrt(|O| |O'|) / |E|.  H is gathered from the
+    ``laplacian_rows`` of the representatives one unit g at a time, with no
+    Walsh-Hadamard transform.
 
     E is listed as the program lists it: each involution u, ascending, that
     is not yet in the group generated so far doubles it, so that element b
@@ -115,8 +122,8 @@ def involution_blocks(n: int) -> list[np.ndarray]:
     for u in range(2, n):
         if u * u % n == 1 and u not in group:
             group += [v * u % n for v in group]
-    lap = dense_laplacian(n).astype(np.int64)
     reps = sorted({min(g * x % n for g in group) for x in range(n)})
+    lap = dict(zip(reps, laplacian_rows(n, reps).astype(np.int64)))
     blocks = []
     for c in range(len(group)):
         chi = [(-1) ** bin(c & b).count("1") for b in range(len(group))]
@@ -125,9 +132,13 @@ def involution_blocks(n: int) -> list[np.ndarray]:
             if all(chi[b] == 1 for b, g in enumerate(group) if g * r % n == r)
         ]
         sizes = np.array([len({g * r % n for g in group}) for r in members])
+        rows = np.array([lap[r] for r in members])
         h = sum(
-            chi[b] * lap[np.ix_(members, [g * r % n for r in members])]
+            chi[b] * rows[:, [g * r % n for r in members]]
             for b, g in enumerate(group)
         )
-        blocks.append(h * sizes // len(group))
+        if symmetric:
+            blocks.append(h * np.sqrt(np.outer(sizes, sizes)) / len(group))
+        else:
+            blocks.append(h * sizes // len(group))
     return blocks

@@ -142,9 +142,9 @@ def test_split_solves_one_block_with_a_row_per_orbit():
     # so A[r_O, g r_O'] does not depend on g off the diagonal and the
     # character sums cancel; only the trivial block, on every orbit, is left
     for n in [*range(3, 301), 2310, 2730, 4080, 4095]:
-        split = oracle.involution_split(Modulus.of(n))
-        assert [len(b) for b in split.exact] == [len(orbits(n))], n
-        assert [b.shape for b in split.symmetric] == [b.shape for b in split.exact], n
+        [block] = oracle.involution_split(Modulus.of(n)).blocks
+        k = len(orbits(n))
+        assert block.sums.shape == block.exact().shape == block.symmetric().shape == (k, k), n
 
 
 def test_split_reads_off_exactly_the_diagonal_reference_blocks():
@@ -158,29 +158,34 @@ def test_split_reads_off_exactly_the_diagonal_reference_blocks():
         roots = Counter(v for b, d in zip(blocks, diagonal) if d for v in b.diagonal().tolist())
         assert split.roots == tuple(sorted(roots.items())), n
         others = [b for b, d in zip(blocks, diagonal) if not d]
-        assert len(split.exact) == len(others), n
-        assert all((a == b).all() for a, b in zip(split.exact, others)), n
+        assert len(split.blocks) == len(others), n
+        assert all((a.exact() == b).all() for a, b in zip(split.blocks, others)), n
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_read_off_blocks_equal_the_eigensolver_bit_for_bit(symmetric):
     # the split builds no diagonal block, so its roots are checked against
-    # the reference's: every non-trivial character's block is diagonal, and
-    # the eigensolver returns its diagonal from the float64 symmetric form
-    # and from the int64 exact form alike (on a diagonal block the two are
-    # equal); within the exact oracle's cap, the exact form's charpoly
-    # factors into the roots too
-    for n in [*range(3, 301), 2310]:
-        roots = oracle.involution_split(Modulus.of(n)).roots
-        blocks = involution_blocks(n)
+    # the reference's blocks in the float64 orthonormal form or the int64
+    # similarity form: every non-trivial character's block is diagonal, and
+    # the eigensolver returns the roots from it bit for bit; the trivial
+    # block is the one the split returns, in the same form; within the exact
+    # oracle's cap, the int64 blocks' charpolys factor into the roots too
+    for n in [*range(3, 301), 2310, 2730, 4080, 4095]:
+        roots, [block] = oracle.involution_split(Modulus.of(n))
+        blocks = involution_blocks(n, symmetric=symmetric)
         diagonal = [np.count_nonzero(b) == np.count_nonzero(b.diagonal()) for b in blocks]
         assert diagonal == [False] + [True] * (len(blocks) - 1), n
-        forms = [b.astype(np.float64) if symmetric else b for b in blocks[1:]]
         read = np.array([float(r) for r, mult in roots for _ in range(mult)])
-        solved = np.array(sorted(v for b in forms for v in numeric_spectrum(b)))
+        solved = np.array(sorted(v for b in blocks[1:] for v in numeric_spectrum(b)))
         assert read.tobytes() == solved.tobytes(), n
+        if symmetric:
+            assert block.symmetric().dtype == blocks[0].dtype == np.float64, n
+            assert np.max(np.abs(block.symmetric() - blocks[0])) <= 1e-12 * n, n
+        else:
+            assert block.exact().dtype == blocks[0].dtype == np.int64, n
+            assert (block.exact() == blocks[0]).all(), n
         if not symmetric and n <= config.EXACT_CHARPOLY_LIMIT:
-            factors = tuple(char_polys([b])[0] for b in forms)
+            factors = tuple(char_polys([b])[0] for b in blocks[1:])
             whole = expanded(FactoredCharPoly((), factors))
             assert expanded(FactoredCharPoly(roots, ())) == whole, n
 
@@ -313,8 +318,8 @@ def test_an_invariant_edge_change_is_solved_not_read_off(monkeypatch, n, y):
     adj = oracle.adjacency(m, range(n))
     assert (adj != full_adjacency(n)).sum() == 2 * len(involutive_units(n))
     lap = np.diag(adj.sum(axis=1)) - adj
-    roots, exact, symmetric = oracle.involution_split(m)
-    assert roots == () and len(exact) == len(symmetric) == len(involutive_units(n))
+    roots, blocks = oracle.involution_split(m)
+    assert roots == () and len(blocks) == len(involutive_units(n))
     split = np.array(dense_spectrum(m))
     assert np.max(np.abs(split - np.linalg.eigvalsh(lap))) <= 1e-9 * n
     if n <= config.EXACT_CHARPOLY_LIMIT:
@@ -328,7 +333,7 @@ def test_split_blocks_partition_the_vertices(symmetric):
     # E = {1, -1} the odd block is read off and the even one solved
     for n in [*range(3, 130), 1155, 2310, 4080]:
         split = oracle.involution_split(Modulus.of(n))
-        blocks = split.symmetric if symmetric else split.exact
+        blocks = [b.symmetric() if symmetric else b.exact() for b in split.blocks]
         read = sum(mult for _, mult in split.roots)
         assert read + sum(len(b) for b in blocks) == n, n
         if len(involutive_units(n)) == 2:
@@ -338,10 +343,12 @@ def test_split_blocks_partition_the_vertices(symmetric):
             assert not symmetric or (b == b.T).all(), n
 
 
-@pytest.mark.parametrize("n", [1155, 1156, 2310, 4080])
+@pytest.mark.parametrize("n", [1155, 1156, 2310, 4080, 4093])
 def test_split_spectrum_holds_under_half_a_float_laplacian(n):
-    # the adjacency, then the orbit table and both forms of the one block
-    # solved: below half of the n x n float64 Laplacian the split replaces
+    # the adjacency, then the orbit table, then the sums and the float64
+    # form of the one block solved: below half of the n x n float64
+    # Laplacian the split replaces, also where E = {1, -1} leaves a block of
+    # (n + 1) / 2 rows, as at the prime 4093
     # (tracemalloc sees numpy buffers, not the eigensolver's internal
     # working copy)
     tracemalloc.start()

@@ -817,7 +817,6 @@ class ClosedStdout(io.StringIO):
 def test_cli_closed_stdout_exits_3_with_one_line(capsys, argv):
     with contextlib.redirect_stdout(ClosedStdout()):
         code = main(argv)
-        sys.stdout.close()  # the stream main put in place of the closed one
     assert code == 3
     assert capsys.readouterr().err == f"cannot write {argv[0]} output: [Errno 32] Broken pipe\n"
 
@@ -833,12 +832,16 @@ def test_cli_closed_stdout_exits_3_with_one_line(capsys, argv):
     ],
     ids=["graph-600-edges", "spectrum-30"],
 )
-def test_cli_stdout_closed_by_its_reader_exits_3(argv, first):
+@pytest.mark.parametrize("launch", [["-m", "comax.cli"], "entry point"], ids=["module", "script"])
+def test_cli_stdout_closed_by_its_reader_exits_3(argv, first, launch):
     # stdout block-buffered, as it is on a pipe by default, so the short
-    # output is still buffered when the command returns
+    # output is still buffered when the command returns; run as a module
+    # and as the `comax` script
+    if launch == "entry point":
+        launch = ["-c", entry_point_wrapper()]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "comax.cli", *argv],
+        [sys.executable, *launch, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -901,16 +904,19 @@ def test_cli_graph_exports(capsys):
     assert rows[0]["divisor"] == 1 and rows[0]["size"] == 4
 
 
-def test_console_script_entry_point():
-    # Run the callable that pyproject.toml declares as the `comax` script the
-    # way the generated wrapper does, so no install is needed.
+def entry_point_wrapper() -> str:
+    """The callable that pyproject.toml declares as the `comax` script, run
+    the way the generated wrapper runs it, so no install is needed."""
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["comax"]
     module, _, func = target.partition(":")
-    wrapper = f"import sys\nfrom {module} import {func}\nsys.exit({func}())"
+    return f"import sys\nfrom {module} import {func}\nsys.exit({func}())"
+
+
+def test_console_script_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "spectrum", "6"],
+        [sys.executable, "-c", entry_point_wrapper(), "spectrum", "6"],
         capture_output=True,
         text=True,
     )
