@@ -23,6 +23,7 @@ from .connectivity import (
     NotApplicable,
     algebraic_connectivity,
     g2_complement_connected,
+    g2_components,
     g2_connected,
     g2_kappa_bound_value,
     kappa_g2_bound,
@@ -32,11 +33,13 @@ from .connectivity import (
     vertex_connectivity,
 )
 from .oracle import (
+    InvolutionSplit,
     OracleLimitExceeded,
     count_components,
     dense_spectrum,
     exact_char_poly_full,
     g2_adjacency,
+    involution_split,
     vertex_cut,
 )
 from .polynomial import IntPoly, extract_integer_roots
@@ -117,8 +120,10 @@ def _first_difference(xs, ys, fill=None) -> tuple[int, object, object] | None:
     return None if x == y else (i, x, y)
 
 
-def _spectrum_vs_oracle(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
-    dense = dense_spectrum(m)
+def _spectrum_vs_oracle(
+    m: Modulus, s: SpectrumMultiset, split: InvolutionSplit | None = None
+) -> tuple[bool, str]:
+    dense = dense_spectrum(m, split)
     ours = s.values_ascending()
     if len(ours) != len(dense):
         return False, f"{len(ours)} eigenvalues, dense oracle {len(dense)}"
@@ -126,8 +131,10 @@ def _spectrum_vs_oracle(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
     return worst <= _SPECTRUM_TOL, f"max deviation {worst:.2e}"
 
 
-def _char_poly(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
-    dense = exact_char_poly_full(m)
+def _char_poly(
+    m: Modulus, s: SpectrumMultiset, split: InvolutionSplit | None = None
+) -> tuple[bool, str]:
+    dense = exact_char_poly_full(m, split)
     # factor by factor: each dense factor loses the integer eigenvalues of s,
     # and the roots counted and the product of what is left must be s's
     counts = Counter(dict(dense.roots))
@@ -172,18 +179,29 @@ def _law(law: Callable, skip_at_prime: str = "") -> Callable:
 def cmd_verify(args: argparse.Namespace) -> int:
     m = _modulus_or_exit(args.n)
     spectrum = full_spectrum(m)
+    # one split for both spectral oracles, taken where the dense limit
+    # allows; above it each oracle refuses from n alone
+    split = involution_split(m) if m.n <= config.DENSE_LIMIT else None
+    # one G2 adjacency for both G2 laws; where it is refused, each law
+    # raises its own reason
+    try:
+        components = g2_components(m)
+    except (NotApplicable, OracleLimitExceeded):
+        components = None
     # every check in print order: it returns (ok, detail), or raises
     # NotApplicable or OracleLimitExceeded, whose text is the skip reason;
     # built per call, so each law is looked up by its name when verify runs
     checks = (
-        ("spectrum-vs-dense-oracle", _spectrum_vs_oracle),
-        ("charpoly-join-identity", _char_poly),
+        ("spectrum-vs-dense-oracle", functools.partial(_spectrum_vs_oracle, split=split)),
+        ("charpoly-join-identity", functools.partial(_char_poly, split=split)),
         ("closed-form-spectrum", _closed_form),
         ("algebraic-connectivity", _law(algebraic_connectivity, "complete graph for prime n")),
         ("vertex-connectivity", _law(vertex_connectivity)),
         ("second-largest-eigenvalue", _law(second_largest_report)),
-        ("g2-connected-iff-squarefree", _law(g2_connected)),
-        ("g2-complement-connected", _law(g2_complement_connected)),
+        ("g2-connected-iff-squarefree",
+         _law(functools.partial(g2_connected, components=components))),
+        ("g2-complement-connected",
+         _law(functools.partial(g2_complement_connected, components=components))),
         ("spectral-radius-multiplicity", _law(radius_multiplicity)),
         ("phi-multiplicity", _law(phi_multiplicity, "G2 is empty")),
         ("kappa-g2-bound", _law(kappa_g2_bound)),

@@ -1,9 +1,11 @@
-"""Size caps, each read in one module: ``SCAN_LIMIT`` in ``cli``, the rest in
-``oracle``.  Each comment gives what it bounds and its cost on a 2-CPU Xeon VM."""
+"""Size caps, each checked in one module: ``SCAN_LIMIT`` in ``cli``, the rest in
+``oracle``; ``cli`` also reads ``DENSE_LIMIT``, so that ``verify`` splits only an
+n the dense oracles take.  Each comment gives what it bounds and its cost on a
+2-CPU Xeon VM."""
 
 from __future__ import annotations
 
-DENSE_LIMIT = 4096  # n of the split Laplacian, and |V(G2)|: verify 4095 in 0.46 s at 51 MB
-EXACT_CHARPOLY_LIMIT = 64  # n of the exact dense charpoly: identity at most 1.6 ms at 56..64
-VERTEX_CUT_LIMIT = 256  # vertices of a max-flow cut: at most 27 ms full graph, 0.12 s G2
+DENSE_LIMIT = 4096  # n of the split Laplacian, and |V(G2)|: verify 4095 in 0.25 s at 51 MB
+EXACT_CHARPOLY_LIMIT = 64  # n of the exact dense charpoly: identity at most 1.3 ms at 56..64
+VERTEX_CUT_LIMIT = 256  # vertices of a max-flow cut: at most 10 ms full graph, 0.12 s G2
 SCAN_LIMIT = 10**6  # the last n of `comax scan`: 59-69 s for all of it with two workers

@@ -6,15 +6,16 @@ detected rather than assumed away.  Reports never assume the law they
 check.
 
 Every law takes ``(m, spectrum)``, where a law that reads no spectrum
-accepts None, and raises ``NotApplicable``, with the reason, at an n where
-it is not stated.  At prime n the graph is complete, and two laws return
-their boundary values there instead: the second-smallest eigenvalue is n,
-not phi(n) = n - 1, and the value phi(n) has multiplicity 0, not 1.
+accepts None; the two G2 laws also take the counts of ``g2_components``,
+which ``verify`` counts once for both.  A law raises ``NotApplicable``,
+with the reason, at an n where it is not stated.  At prime n the graph is
+complete, and two laws return their boundary values there instead: the
+second-smallest eigenvalue is n, not phi(n) = n - 1, and the value phi(n)
+has multiplicity 0, not 1.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .oracle import complement, count_components, g2_adjacency, vertex_cut
@@ -62,30 +63,40 @@ def vertex_connectivity(m: Modulus, spectrum: SpectrumMultiset | None = None) ->
     return _equality(m.phi, vertex_cut(m))
 
 
-@functools.lru_cache(maxsize=1)
-def _g2_components(m: Modulus) -> tuple[int, int]:
+def g2_components(m: Modulus) -> tuple[int, int]:
     """Components of G2 and of its complement, counted on one boolean G2
-    adjacency, so G2 above the dense limit raises OracleLimitExceeded.  The
-    counts of the last n are kept: the two G2 laws build one adjacency."""
+    adjacency, so G2 above the dense limit raises OracleLimitExceeded."""
     if m.is_prime:
         raise NotApplicable("G2 is empty")
     adj = g2_adjacency(m)
     return count_components(adj), count_components(complement(adj))
 
 
-def g2_connected(m: Modulus, spectrum: SpectrumMultiset | None = None) -> TheoremReport:
-    """G2 is connected iff n is squarefree."""
-    return _equality(m.is_squarefree, _g2_components(m)[0] == 1)
+def g2_connected(
+    m: Modulus,
+    spectrum: SpectrumMultiset | None = None,
+    components: tuple[int, int] | None = None,
+) -> TheoremReport:
+    """G2 is connected iff n is squarefree.  ``components`` is
+    ``g2_components(m)``, counted here when not given."""
+    if components is None:
+        components = g2_components(m)
+    return _equality(m.is_squarefree, components[0] == 1)
 
 
 def g2_complement_connected(
-    m: Modulus, spectrum: SpectrumMultiset | None = None
+    m: Modulus,
+    spectrum: SpectrumMultiset | None = None,
+    components: tuple[int, int] | None = None,
 ) -> TheoremReport:
     """The complement of G2 is disconnected for a product of two primes and
-    connected for three or more; stated for squarefree n only."""
+    connected for three or more; stated for squarefree n only.
+    ``components`` is ``g2_components(m)``, counted here when not given."""
     if not m.is_squarefree:
         raise NotApplicable("claim stated for squarefree n only")
-    return _equality(m.omega > 2, _g2_components(m)[1] == 1)
+    if components is None:
+        components = g2_components(m)
+    return _equality(m.omega > 2, components[1] == 1)
 
 
 def second_largest_report(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:

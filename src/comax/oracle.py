@@ -9,9 +9,11 @@ matrix, and the minimum vertex cut counts vertex-disjoint paths by shortest
 augmenting paths on a vertex-split residual matrix read off it, capped at
 ``config.VERTEX_CUT_LIMIT`` vertices.  Every oracle size cap is checked here.
 
-Both spectral oracles split the Laplacian by the involutive units
-E = {u : u*u = 1 mod n}, which keep every gcd(x, n) under x -> u x; that
-they are automorphisms is checked, not assumed (``involution_split``).
+Both spectral oracles read one split of the Laplacian by the involutive
+units E = {u : u*u = 1 mod n}, which keep every gcd(x, n) under x -> u x;
+that they are automorphisms is checked, not assumed (``involution_split``).
+``verify`` splits once and hands the split to both; each splits for itself
+only when it is given none.
 The split has one symmetry block per character of E (Cvetkovic,
 Rowlinson & Simic, *An Introduction to the Theory of Graph Spectra*,
 2010), on the E-orbits, of at most |E| vertices each.  The whole unit
@@ -129,6 +131,11 @@ class InvolutionSplit(NamedTuple):
     blocks: tuple[SolvedBlock, ...]  # in character order
 
 
+def _refuse_above_dense_limit(n: int) -> None:
+    if n > config.DENSE_LIMIT:
+        raise OracleLimitExceeded(f"n exceeds dense limit {config.DENSE_LIMIT}")
+
+
 def involution_split(m: Modulus) -> InvolutionSplit:
     """The Laplacian of the comaximal graph in one block per character of
     the involutive units E = {u : u*u = 1 mod n}: the eigenvalues of every
@@ -161,8 +168,7 @@ def involution_split(m: Modulus) -> InvolutionSplit:
     Refuses n above ``config.DENSE_LIMIT``.
     """
     n = m.n
-    if n > config.DENSE_LIMIT:
-        raise OracleLimitExceeded(f"n exceeds dense limit {config.DENSE_LIMIT}")
+    _refuse_above_dense_limit(n)
     adj = adjacency(m, range(n))
     units = [1]
     for u in np.flatnonzero(np.arange(n) ** 2 % n == 1).tolist():
@@ -178,7 +184,7 @@ def involution_split(m: Modulus) -> InvolutionSplit:
         rows = checks[g].nonzero()[0]
         for i in range(0, len(rows), 256):
             panel = rows[i : i + 256]
-            if (adj[panel] != adj[rep[panel]][:, act[g]]).any():
+            if (adj[panel] != adj[rep[panel]].take(act[g], axis=1)).any():
                 raise ValueError(
                     "an involutive unit is not an automorphism of the adjacency"
                 )
@@ -207,11 +213,15 @@ def involution_split(m: Modulus) -> InvolutionSplit:
     return InvolutionSplit(tuple(sorted(roots.items())), tuple(blocks))
 
 
-def dense_spectrum(m: Modulus) -> tuple[float, ...]:
+def dense_spectrum(m: Modulus, split: InvolutionSplit | None = None) -> tuple[float, ...]:
     """All n eigenvalues of the Laplacian, ascending: the ``roots`` of
-    ``involution_split`` and the ``numeric_spectrum`` of the ``symmetric``
-    form of each of its blocks, merged; one float block is alive at a time."""
-    split = involution_split(m)
+    ``split``, which is ``involution_split(m)`` and is taken here when not
+    given, and the ``numeric_spectrum`` of the ``symmetric`` form of each
+    of its blocks, merged; one float block is alive at a time.  Refuses n
+    above ``config.DENSE_LIMIT`` before it splits."""
+    _refuse_above_dense_limit(m.n)
+    if split is None:
+        split = involution_split(m)
     values = [float(r) for r, mult in split.roots for _ in range(mult)]
     for block in split.blocks:
         values += numeric_spectrum(block.symmetric())
@@ -225,10 +235,11 @@ class FactoredCharPoly(NamedTuple):
     factors: tuple[IntPoly, ...]  # monic, one per block solved
 
 
-def exact_char_poly_full(m: Modulus) -> FactoredCharPoly:
+def exact_char_poly_full(m: Modulus, split: InvolutionSplit | None = None) -> FactoredCharPoly:
     """Exact characteristic polynomial of the full n x n Laplacian, factored
-    along ``involution_split``: its ``roots``, and the exact charpoly of
-    the ``exact`` form of each of its blocks.
+    along ``split``, which is ``involution_split(m)`` and is taken here when
+    not given: its ``roots``, and the exact charpoly of the ``exact`` form
+    of each of its blocks.
 
     The exact charpoly kernel runs on the dense blocks rather than on the
     quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices; the cap
@@ -237,7 +248,7 @@ def exact_char_poly_full(m: Modulus) -> FactoredCharPoly:
     limit = config.EXACT_CHARPOLY_LIMIT
     if m.n > limit:
         raise OracleLimitExceeded(f"n exceeds exact limit {limit}")
-    roots, blocks = involution_split(m)
+    roots, blocks = involution_split(m) if split is None else split
     return FactoredCharPoly(roots, tuple(char_polys([b.exact()])[0] for b in blocks))
 
 
@@ -330,7 +341,7 @@ def min_vertex_cut(adj: np.ndarray) -> int:
     degree vertex v: any minimum separator avoiding v is found on a pair
     (v, non-neighbor), and one containing v on a pair of non-adjacent
     neighbors of v.  Pairs whose common-neighborhood size (read off one
-    integer product adj @ adj) already reaches the best cut found so far are
+    product adj @ adj) already reaches the best cut found so far are
     skipped, since the flow between them cannot be smaller; this keeps the
     result exact while avoiding almost every flow computation on dense
     class-structured graphs.
@@ -347,8 +358,10 @@ def min_vertex_cut(adj: np.ndarray) -> int:
     if best == n - 1:
         return n - 1
     v = degree.index(best)  # N(v) separates v from the (nonempty) rest
-    counts = adj.astype(np.int64)
-    common = (counts @ counts).tolist()
+    # a float64 product runs on BLAS, where int64 does not, and is exact:
+    # every partial sum is an integer of at most VERTEX_CUT_LIMIT < 2**53
+    counts = adj.astype(np.float64)
+    common = (counts @ counts).astype(np.int64).tolist()
     for t in np.flatnonzero(~adj[v]).tolist():
         if t == v or common[v][t] >= best:
             continue

@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from comax import cli, config, polynomial, ring_divisors, scan, spectra
+from comax import cli, config, connectivity, oracle, polynomial, ring_divisors, scan, spectra
 from comax.cli import main
 from comax.polynomial import IntPoly
 from comax.ring_divisors import Modulus
@@ -585,7 +586,7 @@ def test_verify_charpoly_failure_names_the_lowest_differing_power(monkeypatch, c
     monkeypatch.setattr(
         cli,
         "exact_char_poly_full",
-        lambda m: real(m)._replace(factors=real(m).factors + (IntPoly((1, 1)),)),
+        lambda m, split: real(m, split)._replace(factors=real(m, split).factors + (IntPoly((1, 1)),)),
     )
     assert main(["verify", "12"]) == 1
     # times (x + 1), c_k becomes c_k + c_(k-1): c_0 = 0 (the eigenvalue 0)
@@ -603,8 +604,8 @@ def moved_multiplicity(monkeypatch) -> None:
     integer below it gains one."""
     real = cli.exact_char_poly_full
 
-    def moved(m):
-        dense = real(m)
+    def moved(m, split=None):
+        dense = real(m, split)
         roots = dict(dense.roots)
         r = max(roots)
         roots[r] -= 1
@@ -736,7 +737,7 @@ def test_first_difference_walks_runs_as_if_expanded(xs, ys, fill, want):
 
 def test_verify_dense_spectrum_failure_names_both_counts(monkeypatch, capsys):
     real = cli.dense_spectrum
-    monkeypatch.setattr(cli, "dense_spectrum", lambda m: real(m)[:-1])
+    monkeypatch.setattr(cli, "dense_spectrum", lambda m, split: real(m, split)[:-1])
     assert main(["verify", "12"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] spectrum-vs-dense-oracle: 12 eigenvalues, dense oracle 11\n" in out
@@ -756,6 +757,68 @@ def test_verify_skip_lines_are_the_oracle_refusals(monkeypatch, capsys):
     assert main(["verify", "65"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("[skip] spectrum-vs-dense-oracle: n exceeds dense limit 60\n")
+
+
+def test_verify_splits_once_and_builds_one_g2_adjacency(monkeypatch, capsys):
+    splits, g2_sizes, handed = [], [], []
+
+    def split(m):
+        splits.append((m.n, real_split(m)))
+        return splits[-1][1]
+
+    def g2(m):
+        g2_sizes.append(m.n)
+        return real_g2(m)
+
+    real_split, real_g2 = oracle.involution_split, connectivity.g2_adjacency
+    # the oracles split through the module's own name when handed none
+    monkeypatch.setattr(oracle, "involution_split", split)
+    monkeypatch.setattr(cli, "involution_split", split)
+    monkeypatch.setattr(connectivity, "g2_adjacency", g2)
+    for name in ("dense_spectrum", "exact_char_poly_full"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda m, split, real=real: handed.append(split) or real(m, split)
+        )
+    ns = [*range(3, 65), 2310, 4080, 4093]
+    for n in ns:
+        main(["verify", str(n)])
+    assert [n for n, _ in splits] == ns
+    # both spectral oracles get the split itself, the charpoly above its
+    # limit too, where it refuses without reading it
+    assert [id(h) for h in handed] == [id(s) for _, s in splits for _ in (0, 1)]
+    assert g2_sizes == [n for n in ns if not Modulus.of(n).is_prime]
+    splits.clear()
+    capsys.readouterr()
+    assert main(["verify", "5460"]) == 0
+    assert splits == []
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "[skip] spectrum-vs-dense-oracle: n exceeds dense limit 4096\n"
+        "[skip] charpoly-join-identity: n exceeds exact limit 64\n"
+    )
+
+
+def test_verify_counts_g2_components_again_after_the_dense_limit_moves(monkeypatch, capsys):
+    main(["verify", "30"])
+    assert "\n[ok ] g2-connected-iff-squarefree: claimed True, computed True\n" in (
+        capsys.readouterr().out
+    )
+    monkeypatch.setattr(config, "DENSE_LIMIT", 10)
+    main(["verify", "30"])
+    out = capsys.readouterr().out
+    assert "\n[skip] g2-connected-iff-squarefree: |V(G2)|=21 exceeds dense limit 10\n" in out
+    assert "\n[skip] g2-complement-connected: |V(G2)|=21 exceeds dense limit 10\n" in out
+
+
+def test_verify_output_of_the_bench_moduli_keeps_its_sha256(capsys):
+    # the inputs of the verify benchmark at seed 0, concatenated
+    codes = {n: main(["verify", str(n)]) for n in [*range(3, 65), 2310]}
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "a6b489d6c20a015b11bdb745e3ba73c2249a93ffbdc6d372d85bd070a05041aa"
+    # only the prime powers fail, on phi-multiplicity: their G2 is a null graph
+    assert {n for n, code in codes.items() if code} == {4, 8, 9, 16, 25, 27, 32, 49, 64}
+    assert set(codes.values()) == {0, 1}
 
 
 def test_cli_scan_roundtrip(tmp_path: Path):
