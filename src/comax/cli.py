@@ -38,7 +38,7 @@ from .oracle import (
     count_components,
     dense_spectrum,
     exact_char_poly_full,
-    g2_adjacency,
+    g2_rows,
     involution_split,
     vertex_cut,
 )
@@ -182,7 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # one split for both spectral oracles, taken where the dense limit
     # allows; above it each oracle refuses from n alone
     split = involution_split(m) if m.n <= config.DENSE_LIMIT else None
-    # one G2 adjacency for both G2 laws; where it is refused, each law
+    # one G2 count for both G2 laws; where it is refused, each law
     # raises its own reason
     try:
         components = g2_components(m)
@@ -263,7 +263,7 @@ def cmd_g2(args: argparse.Namespace) -> int:
         return EXIT_OK
     try:
         if args.action == "components":
-            print(count_components(g2_adjacency(m)))
+            print(count_components(g2_rows(m)))
             return EXIT_OK
         try:
             r = kappa_g2_bound(m)

@@ -8,10 +8,11 @@ The graph is never materialized for spectral work: the spectrum comes from
 the prime-support quotient in ``spectra``.  The divisor classes
 A_d = {x : gcd(x, n) = d} appear only in the ``graph n classes`` summary.
 One edge rule serves every graph consumer: a coprimality table over the
-distinct gcd(x, n).  The boolean adjacency matrix indexes it whole and feeds
-every brute-force oracle, the dense Laplacian blocks among them; the edge
-exports read its upper triangle one row at a time, so they stream in O(n)
-memory.
+distinct gcd(x, n).  ``AdjacencyRows`` builds boolean adjacency rows from it
+on demand, so the brute-force oracles read the graph a panel of rows at a
+time with no n x n array; ``adjacency`` is the call for every row, which
+only the small vertex-cut graphs make.  The edge exports read the table's
+upper triangle one row at a time, so they stream in O(n) memory.
 """
 
 from __future__ import annotations
@@ -32,15 +33,33 @@ def _gcd_table(m: Modulus, verts: Sequence[int]) -> tuple[np.ndarray, np.ndarray
     return np.gcd.outer(labels, labels) == 1, index
 
 
+class AdjacencyRows:
+    """The boolean adjacency of the subgraph induced on ``verts``, row by
+    row: ``rows[pos]`` builds the rows at positions ``pos`` (an int array
+    or a slice) as one gather from the gcd table's columns, with a False
+    diagonal, and ``len(rows)`` is the vertex count.  No n x n array is made
+    unless every row is asked for."""
+
+    def __init__(self, m: Modulus, verts: Sequence[int]):
+        table, self._index = _gcd_table(m, verts)
+        # [i, j]: the i-th distinct gcd is coprime to that of vertex j
+        self._columns = table[:, self._index]
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, pos) -> np.ndarray:
+        pos = np.arange(len(self))[pos]
+        # take: several times faster than fancy indexing for boolean rows
+        rows = self._columns.take(self._index[pos], axis=0)
+        rows[np.arange(len(pos)), pos] = False
+        return rows
+
+
 def adjacency(m: Modulus, verts: Sequence[int]) -> np.ndarray:
-    """Boolean adjacency matrix of the subgraph induced on ``verts``: the gcd
-    table indexed by each vertex's position in it, with a False diagonal."""
-    table, index = _gcd_table(m, verts)
-    # table[index][:, index] gathered as rows twice: the table is symmetric,
-    # so the result comes out C-ordered, which the row-wise oracles read fast
-    adj = table[index].T[index]
-    np.fill_diagonal(adj, False)
-    return adj
+    """Boolean adjacency matrix of the subgraph induced on ``verts``: every
+    row of its ``AdjacencyRows``."""
+    return AdjacencyRows(m, verts)[:]
 
 
 def _edges_among(m: Modulus, verts: Sequence[int]) -> Iterator[tuple[int, int]]:

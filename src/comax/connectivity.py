@@ -7,7 +7,8 @@ check.
 
 Every law takes ``(m, spectrum)``, where a law that reads no spectrum
 accepts None; the two G2 laws also take the counts of ``g2_components``,
-which ``verify`` counts once for both.  A law raises ``NotApplicable``,
+which ``verify`` counts once for both, by traversals of one G2 row source
+that build no G2 matrix.  A law raises ``NotApplicable``,
 with the reason, at an n where it is not stated.  At prime n the graph is
 complete, and two laws return their boundary values there instead: the
 second-smallest eigenvalue is n, not phi(n) = n - 1, and the value phi(n)
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracle import complement, count_components, g2_adjacency, vertex_cut
+from .oracle import count_components, g2_rows, vertex_cut
 from .ring_divisors import Modulus
 from .spectra import SpectrumMultiset
 
@@ -64,12 +65,13 @@ def vertex_connectivity(m: Modulus, spectrum: SpectrumMultiset | None = None) ->
 
 
 def g2_components(m: Modulus) -> tuple[int, int]:
-    """Components of G2 and of its complement, counted on one boolean G2
-    adjacency, so G2 above the dense limit raises OracleLimitExceeded."""
+    """Components of G2 and of its complement, counted by two traversals of
+    the one G2 row source, so G2 above the dense limit raises
+    OracleLimitExceeded."""
     if m.is_prime:
         raise NotApplicable("G2 is empty")
-    adj = g2_adjacency(m)
-    return count_components(adj), count_components(complement(adj))
+    rows = g2_rows(m)
+    return count_components(rows), count_components(rows, complement=True)
 
 
 def g2_connected(

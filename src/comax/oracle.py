@@ -1,13 +1,17 @@
 """Brute-force ground truth on the full graph.
 
-Nothing in here knows about the quotient decomposition.  Every dense oracle
-starts from one boolean adjacency matrix computed from element gcds
-(``comax_graph.adjacency``): spectra come from a dense symmetric eigensolver
-or from the exact characteristic polynomial of the full Laplacian, component
-counts (of G2 and of its complement) come from a frontier traversal of that
-matrix, and the minimum vertex cut counts vertex-disjoint paths by shortest
-augmenting paths on a vertex-split residual matrix read off it, capped at
-``config.VERTEX_CUT_LIMIT`` vertices.  Every oracle size cap is checked here.
+Nothing in here knows about the quotient decomposition.  Every oracle
+reads the graph from one row source over element gcds
+(``comax_graph.AdjacencyRows``), which builds boolean adjacency rows on
+demand.  Spectra come from a dense symmetric eigensolver or from the exact
+characteristic polynomial of the full Laplacian, split by a check that
+keeps the rows of the orbit representatives and reads every other row a
+panel at a time; component counts (of G2 and of its complement) come from
+a frontier traversal that gathers the frontier's rows 256 at a time.  Only
+the minimum vertex cut, capped at ``config.VERTEX_CUT_LIMIT`` vertices,
+builds a matrix of every row (``comax_graph.adjacency``); it counts
+vertex-disjoint paths by shortest augmenting paths on a vertex-split
+residual matrix read off it.  Every oracle size cap is checked here.
 
 Both spectral oracles read one split of the Laplacian by the involutive
 units E = {u : u*u = 1 mod n}, which keep every gcd(x, n) under x -> u x;
@@ -51,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .comax_graph import adjacency, g2_vertices
+from .comax_graph import AdjacencyRows, adjacency, g2_vertices
 from .polynomial import IntPoly, char_polys
 from .ring_divisors import Modulus
 
@@ -142,12 +146,14 @@ def involution_split(m: Modulus) -> InvolutionSplit:
     diagonal block, read off, and the blocks that must be solved.
 
     E acts by x -> u x, which keeps every gcd(x, n).  The boolean adjacency
-    A of all n vertices is built once and checked to be E-invariant
-    exactly, in 256-row panels with no n x n temporary; a mismatch raises
-    ValueError.  Each x is g_x r_x for the least element r_x of its orbit,
-    and A is E-invariant exactly when A[x, y] = A[r_x, g_x y] for every x
-    and each representative's row is fixed by its stabilizer, so the check
-    reads each row about once.
+    A is read from its ``AdjacencyRows``, with no n x n array: the rows of
+    the k orbit representatives are kept, and every row is checked against
+    them, in 256-row panels that are built, compared and dropped, so that
+    E-invariance is checked exactly; a mismatch raises ValueError.  Each x
+    is g_x r_x for the least element r_x of its orbit, and A is E-invariant
+    exactly when A[x, y] = A[r_x, g_x y] for every x and each
+    representative's row is fixed by its stabilizer, so the check reads
+    each row about once.
 
     E is an elementary abelian 2-group, listed so that element b is the
     product of the generators at the set bits of b; character c is then
@@ -157,11 +163,12 @@ def involution_split(m: Modulus) -> InvolutionSplit:
     H[O, O'] = sum_g chi(g) L[r_O, g r_O'] over all of E.  Every block
     holds the orbit of 1, so there are |E| of them, and their sizes sum to
     n.  The sums of A over the k orbits come from one Walsh-Hadamard
-    transform of an |E| x k x k table of the smallest integer type that
-    holds +-|E|, built after the adjacency is dropped.
+    transform of an |E| x (k + 1) x k table of the smallest integer type
+    that holds +-|E|, filled one unit at a time from the representative
+    rows, which are dropped before the transform.
 
-    One array test over that table finds the diagonal blocks: those where
-    no sum between two distinct orbits is nonzero.  Their eigenvalues,
+    One test per character over that table finds the diagonal blocks: those
+    where no sum between two distinct orbits is nonzero.  Their eigenvalues,
     H[O, O] / |S_O| = degree - sum_g chi(g) A[r_O, g r_O] / |S_O|, exact
     integers, are counted in ``roots`` with no block built; every other
     block is returned as a ``SolvedBlock`` holding a copy of its sums.
@@ -169,41 +176,50 @@ def involution_split(m: Modulus) -> InvolutionSplit:
     """
     n = m.n
     _refuse_above_dense_limit(n)
-    adj = adjacency(m, range(n))
+    rows = AdjacencyRows(m, range(n))
     units = [1]
     for u in np.flatnonzero(np.arange(n) ** 2 % n == 1).tolist():
         if u not in units:
             units += [v * u % n for v in units]
-    act = np.multiply.outer(units, np.arange(n)) % n  # act[g, x] = g x mod n
+    # act[g, x] = g x mod n, in the smallest integer type that holds n
+    act = (np.multiply.outer(units, np.arange(n)) % n).astype(np.min_scalar_type(n))
     rep = act.min(axis=0)
     to_rep = act.argmin(axis=0)  # g_x, an involution: g_x x = r_x
     # checks[g, x]: row x is compared under g, which is g_x, or for a
     # representative any element of its stabilizer
     checks = (to_rep == np.arange(len(units))[:, None]) | ((act == rep) & (to_rep == 0))
+    reps = (to_rep == 0).nonzero()[0]
+    orbit = np.searchsorted(reps, rep)  # the position of r_x in reps
+    rep_rows = rows[reps]
     for g in range(1, len(units)):
-        rows = checks[g].nonzero()[0]
-        for i in range(0, len(rows), 256):
-            panel = rows[i : i + 256]
-            if (adj[panel] != adj[rep[panel]].take(act[g], axis=1)).any():
+        perm = act[g].astype(np.intp)
+        checked = checks[g].nonzero()[0]
+        for i in range(0, len(checked), 256):
+            panel = checked[i : i + 256]
+            permuted = rep_rows.take(orbit[panel], axis=0).take(perm, axis=1)
+            if (rows[panel] != permuted).any():
                 raise ValueError(
                     "an involutive unit is not an automorphism of the adjacency"
                 )
-    reps = (to_rep == 0).nonzero()[0]
     stab = checks[:, reps]  # stab[g, O]: g fixes r_O
-    rep_rows = adj[reps]
     degree = rep_rows.sum(axis=1)
-    del adj
     # sums[c, O', O] = sum_g chi_c(g) A[r_O, g r_O'], and row k sums the
-    # stabilizer: |S_O| where chi_c is trivial on S_O, 0 elsewhere
-    table = [rep_rows.T[act[:, reps]], stab[:, None]]
-    sums = _walsh_hadamard(
-        np.concatenate(table, axis=1, dtype=np.min_scalar_type(-len(units) - 1))
-    )
-    del rep_rows, table
+    # stabilizer: |S_O| where chi_c is trivial on S_O, 0 elsewhere; filled
+    # one unit at a time, so no |E| x k x k temporary is made
+    k = len(reps)
+    sums = np.empty((len(units), k + 1, k), np.min_scalar_type(-len(units) - 1))
+    for g, perm in enumerate(act[:, reps]):
+        sums[g, :-1] = rep_rows[:, perm].T
+    sums[:, -1] = stab
+    del rep_rows
+    _walsh_hadamard(sums)
     stab_size = stab.sum(axis=0)
     member = sums[:, -1] != 0  # member[c, O]: O is in the block of chi_c
-    # diagonal: no sum links two orbits (E-invariance zeroes those off the block)
-    solved = ((sums[:, :-1] != 0) & ~np.eye(len(reps), dtype=bool)).any(axis=(1, 2))
+    # diagonal: no sum links two orbits (E-invariance zeroes those off the
+    # block), counted one character at a time for the same reason
+    solved = np.array(
+        [np.count_nonzero(s[:-1]) > np.count_nonzero(s[:-1].diagonal()) for s in sums]
+    )
     values = degree - sums[:, :-1].diagonal(axis1=1, axis2=2) // stab_size
     roots = Counter(values[member & ~solved[:, None]].tolist())
     blocks = []
@@ -252,36 +268,37 @@ def exact_char_poly_full(m: Modulus, split: InvolutionSplit | None = None) -> Fa
     return FactoredCharPoly(roots, tuple(char_polys([b.exact()])[0] for b in blocks))
 
 
-def g2_adjacency(m: Modulus) -> np.ndarray:
-    """Boolean adjacency of G2 (ascending nonzero non-units), capped at the
-    dense limit on its n - phi(n) - 1 vertices."""
+def g2_rows(m: Modulus) -> AdjacencyRows:
+    """The ``AdjacencyRows`` of G2 (ascending nonzero non-units), capped at
+    the dense limit on its n - phi(n) - 1 vertices."""
     size = m.n - m.phi - 1
     if size > config.DENSE_LIMIT:
         raise OracleLimitExceeded(
             f"|V(G2)|={size} exceeds dense limit {config.DENSE_LIMIT}"
         )
-    return adjacency(m, g2_vertices(m))
+    return AdjacencyRows(m, g2_vertices(m))
 
 
-def complement(adj: np.ndarray) -> np.ndarray:
-    """Boolean adjacency of the complement graph (False diagonal)."""
-    out = ~adj
-    np.fill_diagonal(out, False)
-    return out
-
-
-def count_components(adj: np.ndarray) -> int:
-    """Number of connected components of a boolean adjacency matrix, by
-    frontier traversal: each step adds the unseen neighbours of the whole
-    frontier at once."""
-    seen = np.zeros(adj.shape[0], dtype=bool)
+def count_components(rows, complement: bool = False) -> int:
+    """Number of connected components of a graph, or with ``complement`` of
+    its complement, by frontier traversal: each step adds the unseen
+    neighbours of the whole frontier at once, from the frontier's rows
+    gathered 256 at a time.  ``rows[pos]`` gives the boolean adjacency rows
+    at the positions ``pos`` and ``len(rows)`` the vertex count: an
+    ``AdjacencyRows`` or a boolean matrix."""
+    seen = np.zeros(len(rows), dtype=bool)
     count = 0
     while not seen.all():
-        frontier = np.zeros_like(seen)
-        frontier[np.argmin(seen)] = True
-        while frontier.any():
-            seen |= frontier
-            frontier = adj[frontier].any(axis=0) & ~seen
+        frontier = np.array([np.argmin(seen)])
+        while frontier.size:
+            seen[frontier] = True
+            reach = np.zeros_like(seen)
+            for i in range(0, len(frontier), 256):
+                panel = rows[frontier[i : i + 256]]
+                # a row's own vertex is seen, so its diagonal entry is moot
+                reach |= ~panel.all(axis=0) if complement else panel.any(axis=0)
+                del panel  # one panel alive at a time
+            frontier = np.flatnonzero(reach & ~seen)
         count += 1
     return count
 

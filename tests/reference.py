@@ -56,6 +56,34 @@ def dense_laplacian(n: int) -> np.ndarray:
     return laplacian_rows(n, range(n))
 
 
+def g2_component_counts(n: int) -> tuple[int, int]:
+    """Components of G2, the nonzero non-units of Z_n, and of its complement,
+    from the two dense boolean adjacency matrices built from gcds."""
+    g = np.array([math.gcd(x, n) for x in range(1, n) if math.gcd(x, n) != 1])
+    adj = np.gcd.outer(g, g) == 1
+    co = ~adj
+    np.fill_diagonal(adj, False)
+    np.fill_diagonal(co, False)
+    return label_components(adj), label_components(co)
+
+
+def label_components(adj: np.ndarray) -> int:
+    """Connected components of a boolean adjacency matrix by least-label
+    propagation: every vertex takes the least label among itself and its
+    neighbours, 256 rows at a time, until no label moves; each component
+    is then left with one label."""
+    size = len(adj)
+    labels = np.arange(size)
+    while True:
+        least = labels.copy()
+        for i in range(0, size, 256):
+            near = np.where(adj[i : i + 256], labels, size).min(axis=1, initial=size)
+            np.minimum(least[i : i + 256], near, out=least[i : i + 256])
+        if (least == labels).all():
+            return len(np.unique(labels))
+        labels = least
+
+
 def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination.
 

@@ -19,11 +19,10 @@ from pathlib import Path
 from comax.comax_graph import adjacency
 from comax.connectivity import phi_multiplicity, radius_multiplicity
 from comax.oracle import (
-    complement,
     count_components,
     dense_spectrum,
     exact_char_poly_full,
-    g2_adjacency,
+    g2_rows,
     min_vertex_cut,
 )
 from comax.ring_divisors import Modulus
@@ -225,7 +224,7 @@ def test_criterion_07_g2_structure():
         m = Modulus.of(n)
         if m.is_prime:
             continue
-        g2 = g2_adjacency(m)
+        g2 = g2_rows(m)
         comps = count_components(g2)
         if m.omega >= 2:
             if (comps == 1) != m.is_squarefree:
@@ -234,12 +233,12 @@ def test_criterion_07_g2_structure():
                 violations.append((n, "component-count", comps, n // m.radical))
         else:
             prime_powers += 1
-            if g2.sum() // 2 != 0:
-                violations.append((n, "prime-power edges", g2.sum() // 2))
+            if g2[:].sum() // 2 != 0:
+                violations.append((n, "prime-power edges", g2[:].sum() // 2))
             if comps != n // m.radical - 1:
                 violations.append((n, "prime-power components", comps))
         if m.is_squarefree and m.omega >= 3:
-            if count_components(complement(g2)) != 1:
+            if count_components(g2, complement=True) != 1:
                 violations.append((n, "complement-disconnected"))
     assert prime_powers == 17
     report(
@@ -266,7 +265,7 @@ def test_criterion_08_kappa_g2_bound():
         if m.is_prime or not m.is_squarefree:
             continue
         checked += 1
-        kappa = min_vertex_cut(g2_adjacency(m))
+        kappa = min_vertex_cut(g2_rows(m)[:])
         bound = totient(n // m.distinct_primes[-1])
         if kappa > bound:
             violations.append((n, kappa, bound))

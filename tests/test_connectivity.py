@@ -15,7 +15,7 @@ from comax.oracle import (
     OracleLimitExceeded,
     count_components,
     dense_spectrum,
-    g2_adjacency,
+    g2_rows,
 )
 from comax.ring_divisors import Modulus
 from comax.spectra import full_spectrum
@@ -137,7 +137,7 @@ def test_phi_multiplicity_counts_g2_components_in_range():
     # the number of G2 components, and 0 at prime n, where G2 is empty
     for n in range(3, 301):
         m = Modulus.of(n)
-        components = 0 if m.is_prime else count_components(g2_adjacency(m))
+        components = 0 if m.is_prime else count_components(g2_rows(m))
         assert phi_multiplicity(*with_spectrum(n)).computed == components, n
 
 

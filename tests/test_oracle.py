@@ -8,22 +8,28 @@ import pytest
 
 from comax import config, oracle
 from comax.cli import main
-from comax.connectivity import kappa_g2_bound, vertex_connectivity
+from comax.connectivity import g2_components, kappa_g2_bound, vertex_connectivity
 from comax.oracle import (
     FactoredCharPoly,
     OracleLimitExceeded,
-    complement,
     count_components,
     dense_spectrum,
     exact_char_poly_full,
-    g2_adjacency,
+    g2_rows,
     min_vertex_cut,
     numeric_spectrum,
 )
 from comax.comax_graph import adjacency, g2_vertices
 from comax.polynomial import IntPoly, char_polys
 from comax.ring_divisors import Modulus
-from reference import adjacent, bareiss_det, dense_laplacian, expanded, involution_blocks
+from reference import (
+    adjacent,
+    bareiss_det,
+    dense_laplacian,
+    expanded,
+    g2_component_counts,
+    involution_blocks,
+)
 
 
 def brute_force_vertex_cut(adj: np.ndarray) -> int:
@@ -42,7 +48,7 @@ def brute_force_vertex_cut(adj: np.ndarray) -> int:
 
 
 def complete_graph(n: int) -> np.ndarray:
-    return complement(np.zeros((n, n), dtype=bool))
+    return ~np.eye(n, dtype=bool)
 
 
 def graph_from_edges(n: int, edges) -> np.ndarray:
@@ -209,23 +215,40 @@ def test_split_oracles_solve_only_the_blocks_they_cannot_read_off(monkeypatch):
         assert sum(batches) <= 1 and len(factored.factors) == sum(batches), n
 
 
-def move_one_edge(monkeypatch, x: int, mirrored: bool = False) -> None:
-    """Make the oracles' adjacency drop the first edge x-y at vertex x and
-    join x to its first non-neighbour z instead, in both triangles; with
-    ``mirrored``, also move -x-(-y) to -x-(-z)."""
-    real = oracle.adjacency
+def edit_adjacency(monkeypatch, edit, reads: list | None = None) -> None:
+    """Make the oracles' row source of the full graph serve the rows of its
+    adjacency as ``edit(adj, n)`` changes it in place; with ``reads``, also
+    record the positions of every read."""
+    real = oracle.AdjacencyRows
 
-    def moved(m, verts):
-        adj = real(m, verts)
+    class Edited(real):
+        def __init__(self, m, verts):
+            super().__init__(m, verts)
+            self.adj = super().__getitem__(slice(None))
+            edit(self.adj, m.n)
+
+        def __getitem__(self, pos):
+            if reads is not None:
+                reads.append(np.arange(len(self))[pos])
+            return self.adj[pos]
+
+    monkeypatch.setattr(oracle, "AdjacencyRows", Edited)
+
+
+def move_one_edge(monkeypatch, x: int, mirrored: bool = False) -> None:
+    """Make the oracles' adjacency rows drop the first edge x-y at vertex x
+    and join x to its first non-neighbour z instead, in both triangles;
+    with ``mirrored``, also move -x-(-y) to -x-(-z)."""
+
+    def moved(adj, n):
         y = int(np.argmax(adj[x]))
-        z = next(v for v in range(len(adj)) if v != x and not adj[x, v])
+        z = next(v for v in range(n) if v != x and not adj[x, v])
         for sign in (1, -1) if mirrored else (1,):
-            u, v, w = (sign * t % m.n for t in (x, y, z))
+            u, v, w = (sign * t % n for t in (x, y, z))
             adj[u, v] = adj[v, u] = False
             adj[u, w] = adj[w, u] = True
-        return adj
 
-    monkeypatch.setattr(oracle, "adjacency", moved)
+    edit_adjacency(monkeypatch, moved)
 
 
 @pytest.mark.parametrize("x", [0, 7, 252, 258, 294])
@@ -250,7 +273,7 @@ def test_split_refuses_a_moved_edge_that_negation_keeps(monkeypatch, n, x):
     # graph onto itself, so only the other involutive units can see the
     # break (|E| = 4 at 301 = 7 * 43 and 16 at 2310)
     move_one_edge(monkeypatch, x, mirrored=True)
-    adj = oracle.adjacency(Modulus.of(n), range(n))
+    adj = oracle.AdjacencyRows(Modulus.of(n), range(n))[:]
     neg = -np.arange(n) % n
     assert (adj[neg][:, neg] == adj).all()
     assert (adj != full_adjacency(n)).sum() == 8
@@ -263,17 +286,85 @@ def test_split_refuses_a_representative_row_its_stabilizer_moves(monkeypatch):
     # Z_24 leaves row 4 unfixed by its stabilizer {1, 7, 13, 19} while every
     # row that is not a representative still matches its representative's:
     # only the stabilizer part of the check sees the break
-    real = oracle.adjacency
-
-    def toggled(m, verts):
-        adj = real(m, verts)
+    def toggled(adj, n):
         for u, v in [(3, 4), (4, 21), (9, 20), (15, 20)]:
             adj[u, v] = adj[v, u] = not adj[u, v]
-        return adj
 
-    monkeypatch.setattr(oracle, "adjacency", toggled)
+    edit_adjacency(monkeypatch, toggled)
     with pytest.raises(ValueError, match="automorphism"):
         dense_spectrum(Modulus.of(24))
+
+
+def test_split_refuses_a_moved_edge_beyond_the_first_panel(monkeypatch):
+    # 4080 = 2^4 * 3 * 5 * 17 has 32 involutive units; the 378 rows checked
+    # under the first of them after 1, 169, take two panels.  2730, 2873 and
+    # 2754 are rows of that second panel, none a representative, so moving
+    # the edge 2730-2873 to 2730-2754 changes no row that an earlier read
+    # compares: the reads are the representatives, the first panel, and the
+    # second panel, which refuses
+    def moved(adj, n):
+        x, y, z = 2730, 2873, 2754
+        assert adj[x, y] and not adj[x, z]
+        adj[x, y] = adj[y, x] = False
+        adj[x, z] = adj[z, x] = True
+
+    reads = []
+    edit_adjacency(monkeypatch, moved, reads)
+    with pytest.raises(ValueError, match="automorphism"):
+        oracle.involution_split(Modulus.of(4080))
+    reps, first, second = reads
+    assert len(reps) == len(orbits(4080)) == 378
+    assert len(first) == 256 and len(second) == 122
+    assert {2730, 2873, 2754} <= set(second.tolist()) - set(reps.tolist()) - set(first.tolist())
+
+
+@pytest.mark.parametrize("n", [24, 301, 2310, 4080, 4093])
+def test_split_reads_every_row_in_panels(monkeypatch, n):
+    # the rows come from the row source alone: the representatives' rows
+    # once, then panels of at most 256 rows that cover every other vertex
+    reads = []
+    edit_adjacency(monkeypatch, lambda adj, n: None, reads)
+    oracle.involution_split(Modulus.of(n))
+    reps, *panels = reads
+    assert reps.tolist() == sorted(min(o) for o in orbits(n)), n
+    assert all(len(p) <= 256 for p in panels), n
+    assert set(np.concatenate([reps, *panels]).tolist()) == set(range(n)), n
+
+
+@pytest.mark.parametrize("n", [2730, 4080])
+def test_split_holds_the_representative_rows_and_one_table(n):
+    # no n x n array: the k representative rows, the |E| x (k + 1) x k
+    # Walsh-Hadamard table of int8 and one 256-row panel bound the split,
+    # within a quarter; with the n x n adjacency it peaked at 9.5 and
+    # 20.1 MiB here
+    k, units = len(orbits(n)), len(involutive_units(n))
+    bound = k * n + (units + 1) * k * k + 256 * n
+    tracemalloc.start()
+    try:
+        oracle.involution_split(Modulus.of(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * bound, (peak, bound)
+
+
+def test_g2_components_hold_a_panel_not_a_matrix():
+    # |V(G2)| = 3055 at 4080: its adjacency and the complement's were 8.9 MiB
+    # each, and the counts peaked at 23.8 MiB; one 256-row panel is 0.75 MiB
+    tracemalloc.start()
+    try:
+        g2_components(Modulus.of(4080))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_g2_component_counts_equal_the_dense_reference():
+    for n in [*range(4, 601), 2310, 3990, 4080, 4095]:
+        m = Modulus.of(n)
+        if not m.is_prime:
+            assert g2_components(m) == g2_component_counts(n), n
 
 
 def test_involution_split_refuses_n_above_the_dense_limit(monkeypatch):
@@ -294,19 +385,16 @@ def orbits(n: int) -> set[frozenset[int]]:
 
 
 def toggle_an_edge_orbit(monkeypatch, y: int) -> None:
-    """Make the oracles' adjacency toggle every pair {g, g y}, g in E: the
-    E-orbit of the pair {1, y}, for a unit y outside E, so that E still acts
-    by automorphisms and the invariance check passes."""
-    real = oracle.adjacency
+    """Make the oracles' adjacency rows toggle every pair {g, g y}, g in E:
+    the E-orbit of the pair {1, y}, for a unit y outside E, so that E still
+    acts by automorphisms and the invariance check passes."""
 
-    def toggled(m, verts):
-        adj = real(m, verts)
-        for g in involutive_units(m.n):
-            u, v = g, g * y % m.n
+    def toggled(adj, n):
+        for g in involutive_units(n):
+            u, v = g, g * y % n
             adj[u, v] = adj[v, u] = not adj[u, v]
-        return adj
 
-    monkeypatch.setattr(oracle, "adjacency", toggled)
+    edit_adjacency(monkeypatch, toggled)
 
 
 @pytest.mark.parametrize("n, y", [(15, 2), (60, 7), (64, 3), (301, 2)])
@@ -315,7 +403,7 @@ def test_an_invariant_edge_change_is_solved_not_read_off(monkeypatch, n, y):
     # and the oracles must solve every block rather than read one off
     toggle_an_edge_orbit(monkeypatch, y)
     m = Modulus.of(n)
-    adj = oracle.adjacency(m, range(n))
+    adj = oracle.AdjacencyRows(m, range(n))[:]
     assert (adj != full_adjacency(n)).sum() == 2 * len(involutive_units(n))
     lap = np.diag(adj.sum(axis=1)) - adj
     roots, blocks = oracle.involution_split(m)
@@ -433,24 +521,29 @@ def test_min_vertex_cut_double_oracle_structured():
         adj = full_adjacency(n)
         assert min_vertex_cut(adj) == brute_force_vertex_cut(adj)
     for n in (12, 15, 16):
-        adj = g2_adjacency(Modulus.of(n))
+        adj = g2_rows(Modulus.of(n))[:]
         assert min_vertex_cut(adj) == brute_force_vertex_cut(adj)
 
 
 def test_count_components_examples():
-    assert count_components(g2_adjacency(Modulus.of(30))) == 1
-    assert count_components(g2_adjacency(Modulus.of(12))) == 2
+    assert count_components(g2_rows(Modulus.of(30))) == 1
+    assert count_components(g2_rows(Modulus.of(12))) == 2
     assert count_components(np.zeros((5, 5), dtype=bool)) == 5
     assert count_components(np.zeros((0, 0), dtype=bool)) == 0
 
 
 def test_complement():
-    adj = np.zeros((4, 4), dtype=bool)
-    adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = True
-    c = complement(adj)
-    assert c.sum() // 2 == 4
-    assert not c.diagonal().any()
-    assert not c[0, 1] and c[0, 3]
+    # the complement of the edges 0-1 and 2-3 is the 4-cycle 0-2-1-3-0
+    adj = graph_from_edges(4, [(0, 1), (2, 3)])
+    assert count_components(adj) == 2
+    assert count_components(adj, complement=True) == 1
+    # a star's complement isolates its centre and joins its leaves
+    star = graph_from_edges(5, [(0, i) for i in range(1, 5)])
+    assert count_components(star, complement=True) == 2
+    # the row source's complement counts equal its complement matrix's
+    rows = g2_rows(Modulus.of(60))
+    matrix = ~rows[:] & ~np.eye(len(rows), dtype=bool)
+    assert count_components(rows, complement=True) == count_components(matrix) == 1
 
 
 def disjoint_cliques(*sizes: int) -> np.ndarray:
@@ -466,11 +559,11 @@ def disjoint_cliques(*sizes: int) -> np.ndarray:
 def test_count_components_hand_cases():
     assert count_components(np.zeros((0, 0), dtype=bool)) == 0
     assert count_components(np.zeros((5, 5), dtype=bool)) == 5
-    assert count_components(complement(np.zeros((5, 5), dtype=bool))) == 1
+    assert count_components(np.zeros((5, 5), dtype=bool), complement=True) == 1
     two_cliques = disjoint_cliques(3, 4)
     assert count_components(two_cliques) == 2
     # the complement of two disjoint cliques is complete bipartite
-    assert count_components(complement(two_cliques)) == 1
+    assert count_components(two_cliques, complement=True) == 1
     assert count_components(disjoint_cliques(1, 2, 1)) == 3
     # a path 0-1-2-3 is found through several frontier steps
     path = np.zeros((4, 4), dtype=bool)
@@ -514,18 +607,18 @@ def test_count_components_matches_set_traversal():
                 target[u].add(v)
                 target[v].add(u)
                 edges += target is g2
-        adj = g2_adjacency(m)
-        assert adj.shape == (len(verts), len(verts))
-        assert adj.sum() // 2 == edges, n
-        assert count_components(adj) == set_components(g2), n
-        assert count_components(complement(adj)) == set_components(co), n
+        rows = g2_rows(m)
+        assert rows[:].shape == (len(verts), len(verts))
+        assert rows[:].sum() // 2 == edges, n
+        assert count_components(rows) == set_components(g2), n
+        assert count_components(rows, complement=True) == set_components(co), n
 
 
 def test_g2_oracles_capped_at_dense_limit(monkeypatch, capsys):
     monkeypatch.setattr(config, "DENSE_LIMIT", 100)
     with pytest.raises(OracleLimitExceeded):
-        g2_adjacency(Modulus.of(210))  # |V(G2)| = 161
-    assert g2_adjacency(Modulus.of(120)).shape == (87, 87)
+        g2_rows(Modulus.of(210))  # |V(G2)| = 161
+    assert len(g2_rows(Modulus.of(120))) == 87
     assert main(["verify", "210"]) == 0
     out = capsys.readouterr().out
     assert "[skip] g2-connected-iff-squarefree: |V(G2)|=161 exceeds dense limit 100" in out

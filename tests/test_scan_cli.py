@@ -770,11 +770,11 @@ def test_verify_splits_once_and_builds_one_g2_adjacency(monkeypatch, capsys):
         g2_sizes.append(m.n)
         return real_g2(m)
 
-    real_split, real_g2 = oracle.involution_split, connectivity.g2_adjacency
+    real_split, real_g2 = oracle.involution_split, connectivity.g2_rows
     # the oracles split through the module's own name when handed none
     monkeypatch.setattr(oracle, "involution_split", split)
     monkeypatch.setattr(cli, "involution_split", split)
-    monkeypatch.setattr(connectivity, "g2_adjacency", g2)
+    monkeypatch.setattr(connectivity, "g2_rows", g2)
     for name in ("dense_spectrum", "exact_char_poly_full"):
         real = getattr(cli, name)
         monkeypatch.setattr(
