@@ -35,6 +35,7 @@ from .connectivity import (
 from .oracle import (
     InvolutionSplit,
     OracleLimitExceeded,
+    block_power_sums,
     count_components,
     dense_spectrum,
     exact_char_poly_full,
@@ -57,6 +58,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _SPECTRUM_TOL = 1e-6
+_IDENTITY_OK = "dense determinant equals join formula coefficient-for-coefficient"
 
 
 def _modulus_or_exit(raw: int) -> Modulus:
@@ -131,9 +133,43 @@ def _spectrum_vs_oracle(
     return worst <= _SPECTRUM_TOL, f"max deviation {worst:.2e}"
 
 
+def _join_power_sums(
+    s: SpectrumMultiset, roots: tuple[tuple[int, int], ...], size: int
+) -> tuple[int, ...] | None:
+    """The exact power sums p_1..p_size of the join formula's charpoly
+    divided by prod (x - r)**mult over ``roots``: of prod (x - v)**c over
+    the integer part of s less ``roots``, from integer powers, times the
+    residual, from Newton's identities on its coefficients.  None where that
+    quotient is not a monic polynomial of degree ``size``: some c is
+    negative, the residual is not monic, or the degrees differ."""
+    counts = Counter(dict(s.integer_part))
+    counts.subtract(dict(roots))
+    a = s.residual.coeffs[::-1]  # a[i]: the coefficient of x^(d - i)
+    d = len(a) - 1
+    if min(counts.values(), default=0) < 0 or sum(counts.values()) + d != size or a[0] != 1:
+        return None
+    # p_j = -j a_j - sum_(i < j) a_i p_(j-i), with a_j = 0 for j > d
+    sums = []
+    for j in range(1, size + 1):
+        p = -j * a[j] if j <= d else 0
+        sums.append(p - sum(a[i] * sums[j - i - 1] for i in range(1, min(j, d + 1))))
+    for v, c in counts.items():
+        power = 1
+        for j in range(size):
+            power *= v
+            sums[j] += c * power
+    return tuple(sums)
+
+
 def _char_poly(
     m: Modulus, s: SpectrumMultiset, split: InvolutionSplit | None = None
 ) -> tuple[bool, str]:
+    # over Q, monic polynomials of degree W are equal exactly when their
+    # first W power sums are, so equal sums prove the identity; any other
+    # outcome is decided, and named, by the factored comparison below
+    roots, sums = block_power_sums(m, split)
+    if _join_power_sums(s, roots, len(sums)) == sums:
+        return True, _IDENTITY_OK
     dense = exact_char_poly_full(m, split)
     # factor by factor: each dense factor loses the integer eigenvalues of s,
     # and the roots counted and the product of what is left must be s's
@@ -149,7 +185,7 @@ def _char_poly(
         diff = _first_difference(*([(c, 1) for c in p.coeffs] for p in (whole, s.polynomial())), 0)
         if diff is not None:
             return False, "coefficient of x^%d: dense determinant %d, join formula %d" % diff
-    return True, "dense determinant equals join formula coefficient-for-coefficient"
+    return True, _IDENTITY_OK
 
 
 def _closed_form(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:

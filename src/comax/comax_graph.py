@@ -78,7 +78,8 @@ def full_edges(m: Modulus) -> Iterator[tuple[int, int]]:
 
 def g2_vertices(m: Modulus) -> list[int]:
     """Vertices of G2: the nonzero non-units of Z_n, ascending."""
-    return [x for x in range(1, m.n) if math.gcd(x, m.n) != 1]
+    x = np.arange(1, m.n)
+    return x[np.gcd(x, m.n) != 1].tolist()
 
 
 def g2_edges(m: Modulus) -> Iterator[tuple[int, int]]:

@@ -30,21 +30,32 @@ assumed: one array test over the sums finds the diagonal blocks, whose
 eigenvalues the split returns as exact integers with no block built.
 Each other block is returned as its integer sums, and each oracle builds
 the one form it solves: at 2310 one float64 block of 288 rows, and for
-n <= 64 at most one int64 block per n.  The exact oracle returns its
-charpoly factored (``FactoredCharPoly``), and ``verify`` compares it with
-the spectrum factor by factor, never expanding a degree-n product.
+n <= 64 at most one int64 block per n.  The exact oracle gives the charpoly
+in two forms, both along the split.  ``block_power_sums`` gives the exact
+power sums trace(H^j), j = 1..W, of the W x W block diagonal of the solved
+blocks; by Newton's identities over Q they fix the product of the blocks'
+charpolys, so ``verify`` proves the identity by comparing them with the
+spectrum's power sums, and computes no charpoly when it holds.
+``exact_char_poly_full`` gives the charpoly factored
+(``FactoredCharPoly``); ``verify`` takes it only when the power sums
+differ, compares it with the spectrum factor by factor, never expanding a
+degree-n product, and names the first coefficient that differs.
 
 Disagreement with the quotient pipeline means a bug, so these paths share
-no spectral shortcut with it; the pipeline never uses E.  The one
-exception is the dense exact charpoly kernel (``char_polys``), which
-the pipeline reaches only as the fallback of its structured kernel, for a
-residue row that kernel leaves incomplete.  The dense kernel skips the
-Hessenberg columns that are already closed and multiplies the charpolys of
-the diagonal blocks they leave.  That is generic Hessenberg deflation,
-which any matrix gets and which reads nothing of the graph.  It is not a
-spectral shortcut.  The tests check the dense kernel independently,
-against sympy and against a fraction-free determinant of their own at
-random points.
+no spectral shortcut with it; the pipeline never uses E.  The exceptions
+are two generic kernels of ``polynomial``, which read nothing of the graph
+and which the tests check on their own.  The power-trace kernel
+(``_power_sums``) gives the pipeline its charpolys modulo one prime and the
+oracle its power sums modulo several, one prime per copy of the block
+diagonal; the tests check it against exact integer traces of random
+matrices.  The dense exact charpoly kernel (``char_polys``) the pipeline
+reaches only as the fallback of its structured kernel, for a residue row
+that kernel leaves incomplete.  It skips the Hessenberg columns that are
+already closed and multiplies the charpolys of the diagonal blocks they
+leave.  That is generic Hessenberg deflation, which any matrix gets.
+Neither is a spectral shortcut.  The tests check the dense kernel against
+sympy and against a fraction-free determinant of their own at random
+points.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ import numpy as np
 
 from . import config
 from .comax_graph import AdjacencyRows, adjacency, g2_vertices
-from .polynomial import IntPoly, char_polys
+from .polynomial import IntPoly, char_polys, power_sums
 from .ring_divisors import Modulus
 
 
@@ -138,6 +149,11 @@ class InvolutionSplit(NamedTuple):
 def _refuse_above_dense_limit(n: int) -> None:
     if n > config.DENSE_LIMIT:
         raise OracleLimitExceeded(f"n exceeds dense limit {config.DENSE_LIMIT}")
+
+
+def _refuse_above_exact_limit(n: int) -> None:
+    if n > config.EXACT_CHARPOLY_LIMIT:
+        raise OracleLimitExceeded(f"n exceeds exact limit {config.EXACT_CHARPOLY_LIMIT}")
 
 
 def involution_split(m: Modulus) -> InvolutionSplit:
@@ -261,11 +277,39 @@ def exact_char_poly_full(m: Modulus, split: InvolutionSplit | None = None) -> Fa
     quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices; the cap
     keeps the Hadamard bound, and with it the number of primes, small.
     """
-    limit = config.EXACT_CHARPOLY_LIMIT
-    if m.n > limit:
-        raise OracleLimitExceeded(f"n exceeds exact limit {limit}")
+    _refuse_above_exact_limit(m.n)
     roots, blocks = involution_split(m) if split is None else split
     return FactoredCharPoly(roots, tuple(char_polys([b.exact()])[0] for b in blocks))
+
+
+class BlockPowerSums(NamedTuple):
+    """det(xI - L) = prod (x - r)**mult over ``roots`` times the monic
+    polynomial of degree len(sums) whose power sums p_1, p_2, ... are
+    ``sums``, which fix it (Newton's identities)."""
+
+    roots: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity), ascending
+    sums: tuple[int, ...]
+
+
+def block_power_sums(m: Modulus, split: InvolutionSplit | None = None) -> BlockPowerSums:
+    """The characteristic polynomial of the full n x n Laplacian along
+    ``split``, which is ``involution_split(m)`` and is taken here when not
+    given, in power sums: its ``roots``, and the exact trace(H^j),
+    j = 1..W, of the block diagonal H of the ``exact`` forms of its blocks,
+    W the sum of their sizes (``power_sums``).  j runs past each block's own
+    size, so the sums fix the product of the blocks' charpolys.  Refuses n
+    above ``config.EXACT_CHARPOLY_LIMIT`` before it splits.
+    """
+    _refuse_above_exact_limit(m.n)
+    roots, blocks = involution_split(m) if split is None else split
+    size = sum(len(b.degree) for b in blocks)
+    h = np.zeros((size, size), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        end = at + len(b.degree)
+        h[at:end, at:end] = b.exact()
+        at = end
+    return BlockPowerSums(roots, tuple(power_sums(h)) if size else ())
 
 
 def g2_rows(m: Modulus) -> AdjacencyRows:

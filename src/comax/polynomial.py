@@ -38,12 +38,17 @@ the cells' bitmask supports:
     kernel, so the Hessenberg one serves only the oracle and this fallback.
 Integer roots are then split off at caller-supplied candidates, each decided
 by exact synthetic division.
+
+``power_sums`` gives the exact traces of the powers of one matrix from the
+power-trace kernel, at as many primes as a proven bound needs, one per copy
+of the matrix in one stack, recombined by the same Chinese remainder step.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -189,11 +194,12 @@ def _is_prime(n: int) -> bool:
 _PRIMES: dict[int, list[int]] = {}
 
 
-def _word_primes(w: int, bound: int) -> list[int]:
+def _word_primes(w: int, bound: int, limit: int = 2**63) -> list[int]:
     """The fewest of the largest primes below 2**bits whose product exceeds
-    ``bound``, for the largest bits with w * 4**bits < 2**63, so that
-    w * (p - 1)**2 < 2**63 for each of them."""
-    bits = math.isqrt((2**63 - 1) // w).bit_length() - 1
+    ``bound``, for the largest bits with w * 4**bits < ``limit``, so that
+    w * p**2 < limit for each of them: 2**63 keeps the int64 kernels exact,
+    2**53 the float64 products of ``_power_sums``."""
+    bits = math.isqrt((limit - 1) // w).bit_length() - 1
     primes = _PRIMES.get(bits, [])
     count, modulus = 0, 1
     while modulus <= bound:
@@ -330,18 +336,12 @@ def char_polys_mod(
     For a G2 quotient core of n <= 10**7 with at most seven distinct primes
     (w <= 126), q > n - phi(n) - 1, the largest integer eigenvalue it can
     have: q = 8454917 at w = 126, against at most 8133749 (n = 9999990),
-    and q > 10**7 for w <= 62.  Matrices go through in slices whose baby
-    steps hold at most about ``_BATCH_CELLS`` entries, which also caps the
-    number m of baby steps.
+    and q > 10**7 for w <= 62.
     """
     k, w, _ = stack.shape
     if supports is None:
         q = _trace_prime(w)
-        m = max(2, min(math.isqrt(w + 2), _BATCH_CELLS // (w * w)))
-        batch = max(1, _BATCH_CELLS // (m * w * w))
-        sums = np.empty((k, w + 2), dtype=np.int64)
-        for s in range(0, k, batch):
-            sums[s : s + batch] = _power_sums((stack[s : s + batch] % q).astype(np.float64), q, m)
+        sums = _sliced_power_sums(stack, q)
         residues = _newton(sums, q)
         cayley_hamilton = (residues * sums[:, 1:]).sum(axis=1) % q == 0
         sum_checks = [(cayley_hamilton, "power sums break Cayley-Hamilton")]
@@ -375,40 +375,73 @@ def _trace_prime(w: int) -> int:
     return q
 
 
-def _product_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+def _product_mod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     """a @ b mod q for float64 stacks of w x w matrices with integer entries
-    in [0, q), w * q**2 < 2**53: every partial sum of the float64 product is
-    an integer below 2**53, so it is exact in any summation order, and one
-    int64 % reduces it."""
-    return ((a @ b).astype(np.int64) % q).astype(np.float64)
+    below q in absolute value, w * q**2 < 2**53, q one prime or a float64
+    array of a's shape holding each entry's prime: every partial sum of the
+    float64 product is an integer of absolute value below 2**53, so it is
+    exact in any summation order.  Each entry x goes to x - k q for
+    k = rint(x / q), with x / q correctly rounded, so the result is exact
+    and at most q / 2 + 1 in absolute value."""
+    c = a @ b
+    k = c / q
+    np.rint(k, out=k)
+    k *= q
+    c -= k
+    return c
 
 
-def _power_sums(h: np.ndarray, q: int, m: int) -> np.ndarray:
+def _sliced_power_sums(stack: np.ndarray, q) -> np.ndarray:
+    """``_power_sums`` of the (k, w, w) int64 stack, each matrix modulo q,
+    an int, or modulo its own prime q[i] when q is a (k,) array, in slices
+    whose baby steps hold at most about ``_BATCH_CELLS`` entries, which
+    also caps the number m of baby steps."""
+    k, w, _ = stack.shape
+    m = max(2, min(math.isqrt(w + 2), _BATCH_CELLS // (w * w)))
+    batch = max(1, _BATCH_CELLS // (m * w * w))
+    sums = np.empty((k, w + 2), dtype=np.int64)
+    for s in range(0, k, batch):
+        qs = q if np.ndim(q) == 0 else q[s : s + batch]
+        h = stack[s : s + batch] % np.reshape(qs, (-1, 1, 1))
+        sums[s : s + batch] = _power_sums(h.astype(np.float64), qs, m)
+    return sums
+
+
+def _power_sums(h: np.ndarray, q, m: int) -> np.ndarray:
     """The (k, w + 2) power sums s_t = trace(B^t) mod q, t = 0..w + 1, of
     the (k, w, w) float64 stack ``h`` with integer entries in [0, q),
     w * q**2 < 2**53, by m baby and about (w + 2) / m giant steps
-    (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973).
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973).  q is one prime for
+    every matrix, or a (k,) array of one prime per matrix.
 
     The baby steps B^i, i < m, are kept transposed; the giant steps
     G^j = (B^m)^j are streamed, and each gives s_(jm + i) =
-    sum_a sum_b G^j[a, b] B^i[b, a] for every i at once.  An inner sum has
-    w terms below q**2, exact in float64, and is reduced mod q before the w
-    outer terms are added in int64, so every sum stays below 2**53.
+    sum_a sum_b G^j[a, b] B^i[b, a] for every i at once.  The powers are
+    kept with entries below q in absolute value (``_product_mod``), so an
+    inner sum has w terms below q**2, exact in float64, and is reduced mod q
+    before the w outer terms are added in int64: every sum stays below
+    2**53.
     """
     k, w, _ = h.shape
+    modulus = q
+    if np.ndim(q):
+        # each matrix's prime in every entry: against a (k, 1, 1) operand
+        # numpy's inner loops run w entries at a time, several times slower
+        modulus = np.repeat(np.asarray(q, np.float64), w * w).reshape(h.shape)
+    q = np.reshape(q, (-1, 1, 1))
     baby = np.empty((k, w, w, m))  # baby[:, a, b, i] = B^i[b, a]
     power = h
     baby[..., 0] = np.eye(w)
     for i in range(1, m):
         baby[..., i] = power.transpose(0, 2, 1)
-        power = _product_mod(power, h, q)
+        power = _product_mod(power, h, modulus)
     giant, power = power, np.broadcast_to(np.eye(w), h.shape)
     sums = np.empty((k, w + 2), dtype=np.int64)
     for t in range(0, w + 2, m):
         if t:
-            power = _product_mod(power, giant, q) if t > m else giant
+            power = _product_mod(power, giant, modulus) if t > m else giant
         rows = (power[:, :, None, :] @ baby)[:, :, 0].astype(np.int64) % q
-        sums[:, t : t + m] = (rows.sum(axis=1) % q)[:, : w + 2 - t]
+        sums[:, t : t + m] = (rows.sum(axis=1, keepdims=True) % q)[:, 0, : w + 2 - t]
     return sums
 
 
@@ -426,6 +459,24 @@ def _newton(sums: np.ndarray, q: int) -> np.ndarray:
         acc = np.einsum("ij,ij->i", a[:, :j], back[:, w - j :]) % q
         a[:, j] = acc * (q - pow(j, -1, q)) % q
     return a[:, ::-1]
+
+
+def power_sums(matrix: np.ndarray) -> list[int]:
+    """The exact power sums trace(H^j), j = 1..w, of a w x w int64 matrix H,
+    w > 0.
+
+    |trace(H^j)| <= w rho(H)^j <= w ||H||_inf^j, so c primes q with
+    w * q**2 < 2**53, whose product M exceeds 2 w max(1, ||H||_inf)^w, read
+    each sum in (-M/2, M/2] by ``_crt``.  The residues come from
+    ``_power_sums`` with one prime per copy of H, so every prime goes
+    through one call of the kernel, in ``_BATCH_CELLS`` slices.
+    """
+    w = len(matrix)
+    norm = int(np.abs(matrix).sum(axis=1).max())
+    primes = _word_primes(w, 2 * w * max(1, norm) ** w, 2**53)
+    stack = np.broadcast_to(matrix, (len(primes), w, w))
+    residues = _sliced_power_sums(stack, np.array(primes, dtype=np.int64))
+    return _crt(residues[:, 1 : w + 1], primes)[0]
 
 
 class CharPolyError(ArithmeticError):
@@ -503,23 +554,33 @@ def _hadamard_bound(stack: np.ndarray) -> int:
     )
 
 
-def _recombine(stack: np.ndarray, primes: list[int], residues: np.ndarray) -> list[IntPoly]:
-    """The exact characteristic polynomials of a (k, w, w) stack from their
-    (k * c, w + 1) residues modulo c primes (row j: matrix j // c, prime
-    j % c) whose product exceeds ``_hadamard_bound``: one CRT basis, each
-    coefficient read in (-M/2, M/2], each result checked to be monic of
-    degree w with x^(w-1) coefficient -trace(B); a failure raises
-    CharPolyError."""
-    w = stack.shape[1]
+def _crt(residues: np.ndarray, primes: list[int]) -> list[list[int]]:
+    """The integers of each group of c residue rows modulo c primes (row j:
+    group j // c, prime j % c), one per column, each read by one CRT basis
+    in (-M/2, M/2], M the product of the primes."""
     c = len(primes)
     modulus = math.prod(primes)
     basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
     out = []
-    for i, diagonal in enumerate(stack.diagonal(axis1=1, axis2=2).tolist()):
-        coeffs = []
-        for column in zip(*residues[i * c : (i + 1) * c].tolist()):
-            v = sum(r * e for r, e in zip(column, basis)) % modulus
-            coeffs.append(v - modulus if 2 * v > modulus else v)
+    for i in range(0, len(residues), c):
+        values = []
+        for column in zip(*residues[i : i + c].tolist()):
+            v = sum(map(operator.mul, column, basis)) % modulus
+            values.append(v - modulus if 2 * v > modulus else v)
+        out.append(values)
+    return out
+
+
+def _recombine(stack: np.ndarray, primes: list[int], residues: np.ndarray) -> list[IntPoly]:
+    """The exact characteristic polynomials of a (k, w, w) stack from their
+    (k * c, w + 1) residues modulo c primes (row j: matrix j // c, prime
+    j % c) whose product exceeds ``_hadamard_bound``: each coefficient read
+    by ``_crt``, each result checked to be monic of degree w with x^(w-1)
+    coefficient -trace(B); a failure raises CharPolyError."""
+    w = stack.shape[1]
+    diagonals = stack.diagonal(axis1=1, axis2=2).tolist()
+    out = []
+    for i, (coeffs, diagonal) in enumerate(zip(_crt(residues, primes), diagonals)):
         poly = IntPoly(coeffs)
         if not poly.is_monic or poly.degree != w:
             raise CharPolyError(i, "characteristic polynomial must be monic of degree w")

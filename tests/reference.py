@@ -119,6 +119,28 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def exact_traces(matrix: np.ndarray, count: int) -> list[int]:
+    """trace(H^j), j = 1..count, of an integer-typed matrix, in Python ints:
+    one exact product of object arrays per power."""
+    h = np.asarray(matrix).astype(object)
+    power, out = h, []
+    for _ in range(count):
+        out.append(int(power.trace()))
+        power = power.dot(h)
+    return out
+
+
+def block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The int64 matrix with ``blocks`` on its diagonal, in order."""
+    size = sum(len(b) for b in blocks)
+    out = np.zeros((size, size), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
 def expanded(factored) -> IntPoly:
     """A factored characteristic polynomial, (root, multiplicity) pairs
     ``roots`` times the polynomials ``factors``, multiplied out one linear

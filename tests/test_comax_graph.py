@@ -174,6 +174,13 @@ def test_edge_lists():
     assert g2e == [(2, 3), (3, 4)]
 
 
+def test_g2_vertices_are_the_nonzero_non_units_as_python_ints():
+    for n in [*range(3, 61), 210, 2310, 4093]:
+        verts = g2_vertices(Modulus.of(n))
+        assert verts == [x for x in range(1, n) if math.gcd(x, n) != 1], n
+        assert all(type(x) is int for x in verts), n
+
+
 def scalar_edges(n: int, verts: list[int]) -> list[tuple[int, int]]:
     return [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :] if adjacent(n, u, v)]
 

@@ -25,7 +25,9 @@ from comax.ring_divisors import Modulus
 from reference import (
     adjacent,
     bareiss_det,
+    block_diagonal,
     dense_laplacian,
+    exact_traces,
     expanded,
     g2_component_counts,
     involution_blocks,
@@ -474,6 +476,41 @@ def test_exact_char_poly_point_evaluation():
                 for i in range(n)
             ]
             assert p(x) == bareiss_det(shifted)
+
+
+@pytest.mark.parametrize("n", [6, 12, 30, 42])
+def test_block_power_sums_with_the_roots_are_the_laplacians_power_sums(n):
+    # trace(L^j) = sum mult * r**j over the roots + trace(H^j), for the
+    # dense Laplacian itself, j = 1..W
+    m = Modulus.of(n)
+    roots, sums = oracle.block_power_sums(m)
+    laplacian = exact_traces(dense_laplacian(n).astype(np.int64), len(sums))
+    assert [t - sum(c * r**j for r, c in roots) for j, t in enumerate(laplacian, 1)] == list(sums)
+    assert roots == oracle.involution_split(m).roots
+
+
+def test_block_power_sums_read_every_block_on_one_diagonal():
+    # two or three random blocks, so that j runs past each block's size
+    rng = np.random.default_rng(38)
+    for sizes in [(1, 2), (4, 3, 2), (9, 13), (5, 1, 11)]:
+        blocks = tuple(
+            oracle.SolvedBlock(rng.integers(-30, 31, size=(w, w)), rng.integers(0, 30, size=w),
+                               2 ** rng.integers(0, 3, size=w))
+            for w in sizes
+        )
+        split = oracle.InvolutionSplit(((0, 1), (7, 2)), blocks)
+        h = block_diagonal([b.exact() for b in blocks])
+        want = (split.roots, tuple(exact_traces(h, len(h))))
+        assert oracle.block_power_sums(Modulus.of(12), split) == want, sizes
+
+
+def test_block_power_sums_refuse_above_the_exact_limit_before_splitting(monkeypatch):
+    def refuse(m):
+        raise AssertionError("split above the exact limit")
+
+    monkeypatch.setattr(oracle, "involution_split", refuse)
+    with pytest.raises(OracleLimitExceeded, match="^n exceeds exact limit 64$"):
+        oracle.block_power_sums(Modulus.of(65))
 
 
 def test_min_vertex_cut_examples():

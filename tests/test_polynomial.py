@@ -14,7 +14,7 @@ from comax.polynomial import (
 )
 from comax.ring_divisors import Modulus
 from comax.spectra import _cells
-from reference import bareiss_det
+from reference import bareiss_det, block_diagonal, exact_traces
 
 
 def char_poly(matrix) -> IntPoly:
@@ -369,6 +369,46 @@ def test_char_polys_mod_are_the_char_polys_modulo_their_prime(monkeypatch, budge
             assert sums[:, 0].tolist() == [k % q] * len(batch), k
             assert sums[:, 1:2].T.tolist() == traces, k
             assert not ((residues * sums[:, 1:]).sum(axis=1) % q).any(), k
+
+
+@pytest.mark.parametrize("w", [1, 2, 5, 14, 33])
+def test_power_sums_take_one_prime_per_matrix(w):
+    # each matrix of the stack modulo its own prime: every s_t, t = 0..w + 1,
+    # is its exact trace modulo that prime
+    rng = np.random.default_rng(w)
+    primes = polynomial._word_primes(w, 2**100, 2**53)
+    stack = rng.integers(-50, 51, size=(len(primes), w, w))
+    q = np.array(primes, dtype=np.int64)
+    want = [[t % p for t in [w, *exact_traces(b, w + 1)]] for b, p in zip(stack, primes)]
+    for m in {2, max(2, math.isqrt(w + 2))}:
+        sums = polynomial._power_sums((stack % q[:, None, None]).astype(np.float64), q, m)
+        assert sums.tolist() == want, (w, m)
+
+
+@pytest.mark.parametrize("budget", [polynomial._BATCH_CELLS, 1 << 6])
+def test_power_sums_are_exact_past_each_blocks_size(monkeypatch, budget):
+    # random integer matrices with negative entries, alone at sizes 1..33
+    # and as two or three blocks on one diagonal, so that j runs past each
+    # block's size; a budget of 64 cells takes one prime per slice
+    monkeypatch.setattr(polynomial, "_BATCH_CELLS", budget)
+    real, chosen = polynomial._word_primes, []
+    monkeypatch.setattr(
+        polynomial, "_word_primes", lambda *args: chosen.append(real(*args)) or chosen[-1]
+    )
+    rng = np.random.default_rng(38)
+    cases = [[rng.integers(-40, 41, size=(w, w))] for w in range(1, 34)]
+    cases += [
+        [rng.integers(-40, 41, size=(w, w)) for w in sizes]
+        for sizes in [(1, 1), (2, 1), (3, 1, 4), (5, 9), (12, 2, 7), (16, 17)]
+    ]
+    for blocks in cases:
+        h = block_diagonal(blocks)
+        w = len(h)
+        assert polynomial.power_sums(h) == exact_traces(h, w), [len(b) for b in blocks]
+        # |trace(H^j)| <= w ||H||_inf^w < M / 2, with every float64 sum exact
+        norm = int(np.abs(h).sum(axis=1).max())
+        assert math.prod(chosen[-1]) > 2 * w * norm**w
+        assert all(w * q * q < 2**53 for q in chosen[-1])
 
 
 def _is_prime_by_trial(n):

@@ -581,13 +581,22 @@ def test_cli_verify_rejects_small_n():
     assert code == 2
 
 
+def plant_in_split(monkeypatch, plant) -> None:
+    """Both charpoly entries of ``cli`` read ``plant`` of the split they are
+    handed, or of ``involution_split(m)`` when handed none; the dense oracle
+    reads the split itself."""
+    def planted(real):
+        def entry(m, split=None):
+            return real(m, plant(oracle.involution_split(m) if split is None else split))
+        return entry
+
+    for name in ("block_power_sums", "exact_char_poly_full"):
+        monkeypatch.setattr(cli, name, planted(getattr(cli, name)))
+
+
 def test_verify_charpoly_failure_names_the_lowest_differing_power(monkeypatch, capsys):
-    real = cli.exact_char_poly_full
-    monkeypatch.setattr(
-        cli,
-        "exact_char_poly_full",
-        lambda m, split: real(m, split)._replace(factors=real(m, split).factors + (IntPoly((1, 1)),)),
-    )
+    # the root -1 in the split: the dense determinant gains the factor (x + 1)
+    plant_in_split(monkeypatch, lambda split: split._replace(roots=((-1, 1), *split.roots)))
     assert main(["verify", "12"]) == 1
     # times (x + 1), c_k becomes c_k + c_(k-1): c_0 = 0 (the eigenvalue 0)
     # and c_1 stay, and x^2 is the first power to move
@@ -599,20 +608,20 @@ def test_verify_charpoly_failure_names_the_lowest_differing_power(monkeypatch, c
     assert out.endswith("verify 12: FAILED (charpoly-join-identity)\n")
 
 
+def moved_root(split: oracle.InvolutionSplit) -> oracle.InvolutionSplit:
+    """The split's largest root loses one of its multiplicity, and the
+    integer below it gains one."""
+    roots = dict(split.roots)
+    r = max(roots)
+    roots[r] -= 1
+    roots[r - 1] = roots.get(r - 1, 0) + 1
+    return split._replace(roots=tuple(sorted(roots.items())))
+
+
 def moved_multiplicity(monkeypatch) -> None:
     """The oracle's largest root loses one of its multiplicity, and the
-    integer below it gains one."""
-    real = cli.exact_char_poly_full
-
-    def moved(m, split=None):
-        dense = real(m, split)
-        roots = dict(dense.roots)
-        r = max(roots)
-        roots[r] -= 1
-        roots[r - 1] = roots.get(r - 1, 0) + 1
-        return dense._replace(roots=tuple(sorted(roots.items())))
-
-    monkeypatch.setattr(cli, "exact_char_poly_full", moved)
+    integer below it gains one, in the split of both charpoly entries."""
+    plant_in_split(monkeypatch, moved_root)
 
 
 def residual_off_by_one(monkeypatch) -> None:
@@ -658,6 +667,80 @@ def test_an_ok_charpoly_identity_expands_no_product(monkeypatch):
     for n, s in spectra_by_n.items():
         assert cli._char_poly(Modulus.of(n), s) == (
             True, "dense determinant equals join formula coefficient-for-coefficient"), n
+
+
+IDENTITY_OK = "dense determinant equals join formula coefficient-for-coefficient"
+
+
+def test_an_ok_charpoly_identity_runs_no_charpoly_and_divides_no_root(monkeypatch, capsys):
+    # the power sums decide every n <= 64: no Hessenberg charpoly, CRT of
+    # its coefficients or synthetic division by a root is made
+    spectra_by_n = {n: spectra.full_spectrum(Modulus.of(n)) for n in range(3, 65)}
+    monkeypatch.setattr(cli, "full_spectrum", lambda m: spectra_by_n[m.n])
+    calls = []
+
+    def recorder(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for module, name in [(oracle, "char_polys"), (polynomial, "char_polys"),
+                         (polynomial, "_char_poly_mod"), (cli, "extract_integer_roots"),
+                         (polynomial, "extract_integer_roots")]:
+        monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
+    for n in spectra_by_n:
+        main(["verify", str(n)])
+        assert f"\n[ok ] charpoly-join-identity: {IDENTITY_OK}\n" in capsys.readouterr().out, n
+    assert calls == []
+
+
+def changed_block_entry(split: oracle.InvolutionSplit) -> oracle.InvolutionSplit:
+    """The first solved block with its last orbit's diagonal character sum
+    one stabilizer higher: that entry of its exact form, and its trace, one
+    lower."""
+    block, *rest = split.blocks
+    sums = block.sums.copy()
+    sums[-1, -1] += block.stab[-1]
+    return split._replace(blocks=(block._replace(sums=sums), *rest))
+
+
+@pytest.mark.parametrize("n", [4, 12, 30, 42, 60, 62])
+def test_the_power_sums_refuse_every_planted_defect(n):
+    m = Modulus.of(n)
+    s, split = spectra.full_spectrum(m), oracle.involution_split(m)
+    roots, sums = oracle.block_power_sums(m, split)
+    assert cli._join_power_sums(s, roots, len(sums)) == sums
+    planted = [(s, moved_root(split)), (s, changed_block_entry(split))]
+    if s.residual.degree:
+        c0, *rest = s.residual.coeffs
+        off = spectra.SpectrumMultiset(s.integer_part, IntPoly((c0 + 1, *rest)), s.residual_values)
+        planted.append((off, split))
+    assert len(planted) == (3 if n in (30, 42, 60) else 2)
+    for spectrum, planted_split in planted:
+        roots, sums = oracle.block_power_sums(m, planted_split)
+        assert cli._join_power_sums(spectrum, roots, len(sums)) != sums
+        ok, detail = cli._char_poly(m, spectrum, planted_split)
+        assert not ok and detail.startswith("coefficient of x^"), detail
+
+
+def test_the_power_sums_refuse_a_constant_coefficient_alone():
+    # the whole charpoly as the residual, with its constant coefficient one
+    # higher: by Newton's identities only p_W moves
+    m = Modulus.of(30)
+    split = oracle.involution_split(m)
+    (factor,) = oracle.exact_char_poly_full(m, split).factors
+    integer_part = tuple(sorted(split.roots, reverse=True))
+    roots, sums = oracle.block_power_sums(m, split)
+    assert len(sums) == factor.degree == 12
+    exact = spectra.SpectrumMultiset(integer_part, factor)
+    assert cli._join_power_sums(exact, roots, len(sums)) == sums
+    c0, *rest = factor.coeffs
+    off = spectra.SpectrumMultiset(integer_part, IntPoly((c0 + 1, *rest)))
+    join = cli._join_power_sums(off, roots, len(sums))
+    assert join[:-1] == sums[:-1] and join[-1] != sums[-1]
+    # the factored comparison names the first differing coefficient
+    dense, other = (IntPoly.from_roots(split.roots) * p for p in (factor, off.residual))
+    k, a, b = next((k, a, b) for k, (a, b) in enumerate(zip(dense.coeffs, other.coeffs)) if a != b)
+    assert cli._char_poly(m, off, split) == (
+        False, f"coefficient of x^{k}: dense determinant {a}, join formula {b}")
 
 
 def test_verify_checks_the_charpoly_identity_above_the_exact_limit(monkeypatch, capsys):
@@ -775,7 +858,7 @@ def test_verify_splits_once_and_builds_one_g2_adjacency(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "involution_split", split)
     monkeypatch.setattr(cli, "involution_split", split)
     monkeypatch.setattr(connectivity, "g2_rows", g2)
-    for name in ("dense_spectrum", "exact_char_poly_full"):
+    for name in ("dense_spectrum", "block_power_sums"):
         real = getattr(cli, name)
         monkeypatch.setattr(
             cli, name, lambda m, split, real=real: handed.append(split) or real(m, split)
