@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 from collections import Counter
@@ -38,12 +37,11 @@ from .oracle import (
     block_power_sums,
     count_components,
     dense_spectrum,
-    exact_char_poly_full,
     g2_rows,
     involution_split,
     vertex_cut,
 )
-from .polynomial import IntPoly, extract_integer_roots
+from .polynomial import IntPoly
 from .ring_divisors import Modulus
 from .spectra import (
     SpectrumMultiset,
@@ -165,26 +163,16 @@ def _char_poly(
     m: Modulus, s: SpectrumMultiset, split: InvolutionSplit | None = None
 ) -> tuple[bool, str]:
     # over Q, monic polynomials of degree W are equal exactly when their
-    # first W power sums are, so equal sums prove the identity; any other
-    # outcome is decided, and named, by the factored comparison below
+    # first W power sums are, so equal sums prove the identity; otherwise
+    # both sides are expanded, the dense one read off its power sums, to
+    # name the first coefficient that differs
     roots, sums = block_power_sums(m, split)
     if _join_power_sums(s, roots, len(sums)) == sums:
         return True, _IDENTITY_OK
-    dense = exact_char_poly_full(m, split)
-    # factor by factor: each dense factor loses the integer eigenvalues of s,
-    # and the roots counted and the product of what is left must be s's
-    counts = Counter(dict(dense.roots))
-    left = IntPoly.one()
-    for factor in dense.factors:
-        roots, rest = extract_integer_roots(factor, (r for r, _ in s.integer_part))
-        counts.update(dict(roots))
-        left = left * rest
-    if sorted(counts.items(), reverse=True) != list(s.integer_part) or left != s.residual:
-        # expanded only to name the first coefficient that differs
-        whole = functools.reduce(operator.mul, dense.factors, IntPoly.from_roots(dense.roots))
-        diff = _first_difference(*([(c, 1) for c in p.coeffs] for p in (whole, s.polynomial())), 0)
-        if diff is not None:
-            return False, "coefficient of x^%d: dense determinant %d, join formula %d" % diff
+    dense = IntPoly.from_roots(roots) * IntPoly.from_power_sums(sums)
+    diff = _first_difference(*([(c, 1) for c in p.coeffs] for p in (dense, s.polynomial())), 0)
+    if diff is not None:
+        return False, "coefficient of x^%d: dense determinant %d, join formula %d" % diff
     return True, _IDENTITY_OK
 
 

@@ -4,10 +4,10 @@ Nothing in here knows about the quotient decomposition.  Every oracle
 reads the graph from one row source over element gcds
 (``comax_graph.AdjacencyRows``), which builds boolean adjacency rows on
 demand.  Spectra come from a dense symmetric eigensolver or from the exact
-characteristic polynomial of the full Laplacian, split by a check that
-keeps the rows of the orbit representatives and reads every other row a
-panel at a time; component counts (of G2 and of its complement) come from
-a frontier traversal that gathers the frontier's rows 256 at a time.  Only
+power sums of the full Laplacian, split by a check that keeps the rows of
+the orbit representatives and reads every other row a panel at a time;
+component counts (of G2 and of its complement) come from a frontier
+traversal that gathers the frontier's rows 256 at a time.  Only
 the minimum vertex cut, capped at ``config.VERTEX_CUT_LIMIT`` vertices,
 builds a matrix of every row (``comax_graph.adjacency``); it counts
 vertex-disjoint paths by shortest augmenting paths on a vertex-split
@@ -30,32 +30,23 @@ assumed: one array test over the sums finds the diagonal blocks, whose
 eigenvalues the split returns as exact integers with no block built.
 Each other block is returned as its integer sums, and each oracle builds
 the one form it solves: at 2310 one float64 block of 288 rows, and for
-n <= 64 at most one int64 block per n.  The exact oracle gives the charpoly
-in two forms, both along the split.  ``block_power_sums`` gives the exact
-power sums trace(H^j), j = 1..W, of the W x W block diagonal of the solved
+n <= 64 at most one int64 block per n.  The exact oracle,
+``block_power_sums``, gives the charpoly along the split as the exact power
+sums trace(H^j), j = 1..W, of the W x W block diagonal of the solved
 blocks; by Newton's identities over Q they fix the product of the blocks'
 charpolys, so ``verify`` proves the identity by comparing them with the
-spectrum's power sums, and computes no charpoly when it holds.
-``exact_char_poly_full`` gives the charpoly factored
-(``FactoredCharPoly``); ``verify`` takes it only when the power sums
-differ, compares it with the spectrum factor by factor, never expanding a
-degree-n product, and names the first coefficient that differs.
+spectrum's power sums, and computes no charpoly when it holds.  When they
+differ, it reads the coefficients off them (``IntPoly.from_power_sums``)
+to name the first that differs.
 
 Disagreement with the quotient pipeline means a bug, so these paths share
-no spectral shortcut with it; the pipeline never uses E.  The exceptions
-are two generic kernels of ``polynomial``, which read nothing of the graph
-and which the tests check on their own.  The power-trace kernel
+no spectral shortcut with it; the pipeline never uses E.  The exception
+is one generic kernel of ``polynomial``, which reads nothing of the graph
+and which the tests check on their own: the power-trace kernel
 (``_power_sums``) gives the pipeline its charpolys modulo one prime and the
 oracle its power sums modulo several, one prime per copy of the block
 diagonal; the tests check it against exact integer traces of random
-matrices.  The dense exact charpoly kernel (``char_polys``) the pipeline
-reaches only as the fallback of its structured kernel, for a residue row
-that kernel leaves incomplete.  It skips the Hessenberg columns that are
-already closed and multiplies the charpolys of the diagonal blocks they
-leave.  That is generic Hessenberg deflation, which any matrix gets.
-Neither is a spectral shortcut.  The tests check the dense kernel against
-sympy and against a fraction-free determinant of their own at random
-points.
+matrices.  It is not a spectral shortcut.
 """
 
 from __future__ import annotations
@@ -67,7 +58,7 @@ import numpy as np
 
 from . import config
 from .comax_graph import AdjacencyRows, adjacency, g2_vertices
-from .polynomial import IntPoly, char_polys, power_sums
+from .polynomial import power_sums
 from .ring_divisors import Modulus
 
 
@@ -149,11 +140,6 @@ class InvolutionSplit(NamedTuple):
 def _refuse_above_dense_limit(n: int) -> None:
     if n > config.DENSE_LIMIT:
         raise OracleLimitExceeded(f"n exceeds dense limit {config.DENSE_LIMIT}")
-
-
-def _refuse_above_exact_limit(n: int) -> None:
-    if n > config.EXACT_CHARPOLY_LIMIT:
-        raise OracleLimitExceeded(f"n exceeds exact limit {config.EXACT_CHARPOLY_LIMIT}")
 
 
 def involution_split(m: Modulus) -> InvolutionSplit:
@@ -260,28 +246,6 @@ def dense_spectrum(m: Modulus, split: InvolutionSplit | None = None) -> tuple[fl
     return tuple(sorted(values))
 
 
-class FactoredCharPoly(NamedTuple):
-    """det(xI - L) = prod (x - r)**mult over ``roots`` times prod ``factors``."""
-
-    roots: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity), ascending
-    factors: tuple[IntPoly, ...]  # monic, one per block solved
-
-
-def exact_char_poly_full(m: Modulus, split: InvolutionSplit | None = None) -> FactoredCharPoly:
-    """Exact characteristic polynomial of the full n x n Laplacian, factored
-    along ``split``, which is ``involution_split(m)`` and is taken here when
-    not given: its ``roots``, and the exact charpoly of the ``exact`` form
-    of each of its blocks.
-
-    The exact charpoly kernel runs on the dense blocks rather than on the
-    quotient, capped at ``config.EXACT_CHARPOLY_LIMIT`` vertices; the cap
-    keeps the Hadamard bound, and with it the number of primes, small.
-    """
-    _refuse_above_exact_limit(m.n)
-    roots, blocks = involution_split(m) if split is None else split
-    return FactoredCharPoly(roots, tuple(char_polys([b.exact()])[0] for b in blocks))
-
-
 class BlockPowerSums(NamedTuple):
     """det(xI - L) = prod (x - r)**mult over ``roots`` times the monic
     polynomial of degree len(sums) whose power sums p_1, p_2, ... are
@@ -300,7 +264,8 @@ def block_power_sums(m: Modulus, split: InvolutionSplit | None = None) -> BlockP
     size, so the sums fix the product of the blocks' charpolys.  Refuses n
     above ``config.EXACT_CHARPOLY_LIMIT`` before it splits.
     """
-    _refuse_above_exact_limit(m.n)
+    if m.n > config.EXACT_CHARPOLY_LIMIT:
+        raise OracleLimitExceeded(f"n exceeds exact limit {config.EXACT_CHARPOLY_LIMIT}")
     roots, blocks = involution_split(m) if split is None else split
     size = sum(len(b.degree) for b in blocks)
     h = np.zeros((size, size), dtype=np.int64)

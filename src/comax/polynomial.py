@@ -35,13 +35,15 @@ the cells' bitmask supports:
     modulo that row's prime (a repeated eigenvalue, a column value that the
     prime divides, or an unlucky start vector), takes the Hessenberg kernel
     at that prime alone.  Every exact G2 core charpoly comes from this
-    kernel, so the Hessenberg one serves only the oracle and this fallback.
+    kernel, so the Hessenberg one serves only this fallback and the tests,
+    which take ``char_polys`` without supports as their reference.
 Integer roots are then split off at caller-supplied candidates, each decided
 by exact synthetic division.
 
 ``power_sums`` gives the exact traces of the powers of one matrix from the
 power-trace kernel, at as many primes as a proven bound needs, one per copy
-of the matrix in one stack, recombined by the same Chinese remainder step.
+of the matrix in one stack, recombined by the same Chinese remainder step;
+``IntPoly.from_power_sums`` reads a charpoly back off them.
 """
 
 from __future__ import annotations
@@ -103,6 +105,20 @@ class IntPoly:
         for r, mult in roots:
             out = out * cls.linear_power(r, mult)
         return out
+
+    @classmethod
+    def from_power_sums(cls, sums: Sequence[int]) -> "IntPoly":
+        """The monic polynomial x^W + a_1 x^(W-1) + ... + a_W, W = len(sums),
+        whose power sums p_1..p_W are ``sums``, by Newton's identities over
+        Z: j a_j = -sum_(i<j) a_i p_(j-i), a_0 = 1.  A division that is not
+        exact raises ArithmeticError: no monic integer polynomial has them."""
+        a = [1]
+        for j in range(1, len(sums) + 1):
+            q, r = divmod(-sum(a[i] * sums[j - i - 1] for i in range(j)), j)
+            if r:
+                raise ArithmeticError(f"power sums fit no monic integer polynomial at p_{j}")
+            a.append(q)
+        return cls(reversed(a))
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -221,7 +237,8 @@ def _word_primes(w: int, bound: int, limit: int = 2**63) -> list[int]:
 # kernel in slices of this many mask entries and through the power-trace
 # kernel in slices whose baby steps hold about this many float64 entries, so
 # the working memory stays bounded however many matrices and primes a call
-# needs.
+# needs.  One matrix's isqrt(w + 2) baby steps may exceed it: about 1.4 MB
+# at w = 126 and 11 MB at 288.
 _BATCH_CELLS = 1 << 16
 
 
@@ -393,11 +410,11 @@ def _product_mod(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
 
 def _sliced_power_sums(stack: np.ndarray, q) -> np.ndarray:
     """``_power_sums`` of the (k, w, w) int64 stack, each matrix modulo q,
-    an int, or modulo its own prime q[i] when q is a (k,) array, in slices
-    whose baby steps hold at most about ``_BATCH_CELLS`` entries, which
-    also caps the number m of baby steps."""
+    an int, or modulo its own prime q[i] when q is a (k,) array, with
+    m = isqrt(w + 2) baby steps, in slices whose baby steps hold about
+    ``_BATCH_CELLS`` entries, and at least one matrix."""
     k, w, _ = stack.shape
-    m = max(2, min(math.isqrt(w + 2), _BATCH_CELLS // (w * w)))
+    m = max(2, math.isqrt(w + 2))
     batch = max(1, _BATCH_CELLS // (m * w * w))
     sums = np.empty((k, w + 2), dtype=np.int64)
     for s in range(0, k, batch):

@@ -141,17 +141,11 @@ def block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def expanded(factored) -> IntPoly:
-    """A factored characteristic polynomial, (root, multiplicity) pairs
-    ``roots`` times the polynomials ``factors``, multiplied out one linear
-    factor and one polynomial at a time."""
-    out = IntPoly.one()
-    for r, mult in factored.roots:
-        for _ in range(mult):
-            out = out * IntPoly((-r, 1))
-    for factor in factored.factors:
-        out = out * factor
-    return out
+def expanded(roots, sums) -> IntPoly:
+    """A characteristic polynomial given along a split: (root, multiplicity)
+    pairs ``roots`` times the monic polynomial whose power sums are
+    ``sums``."""
+    return IntPoly.from_roots(roots) * IntPoly.from_power_sums(sums)
 
 
 def involution_blocks(n: int, symmetric: bool = False) -> list[np.ndarray]:

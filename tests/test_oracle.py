@@ -10,11 +10,10 @@ from comax import config, oracle
 from comax.cli import main
 from comax.connectivity import g2_components, kappa_g2_bound, vertex_connectivity
 from comax.oracle import (
-    FactoredCharPoly,
     OracleLimitExceeded,
+    block_power_sums,
     count_components,
     dense_spectrum,
-    exact_char_poly_full,
     g2_rows,
     min_vertex_cut,
     numeric_spectrum,
@@ -142,7 +141,7 @@ def test_split_spectrum_matches_the_unsplit_eigensolver():
 def test_split_charpoly_equals_the_unsplit_one():
     for n in range(3, 65):
         [whole] = char_polys([dense_laplacian(n).astype(np.int64)])
-        assert expanded(exact_char_poly_full(Modulus.of(n))) == whole, n
+        assert expanded(*block_power_sums(Modulus.of(n))) == whole, n
 
 
 def test_split_solves_one_block_with_a_row_per_orbit():
@@ -193,9 +192,10 @@ def test_read_off_blocks_equal_the_eigensolver_bit_for_bit(symmetric):
             assert block.exact().dtype == blocks[0].dtype == np.int64, n
             assert (block.exact() == blocks[0]).all(), n
         if not symmetric and n <= config.EXACT_CHARPOLY_LIMIT:
-            factors = tuple(char_polys([b])[0] for b in blocks[1:])
-            whole = expanded(FactoredCharPoly((), factors))
-            assert expanded(FactoredCharPoly(roots, ())) == whole, n
+            whole = IntPoly.one()
+            for b in blocks[1:]:
+                whole = whole * char_polys([b])[0]
+            assert expanded(roots, ()) == whole, n
 
 
 def test_split_oracles_solve_only_the_blocks_they_cannot_read_off(monkeypatch):
@@ -206,15 +206,17 @@ def test_split_oracles_solve_only_the_blocks_they_cannot_read_off(monkeypatch):
     )
     dense_spectrum(Modulus.of(2310))
     assert solved == [(288, 288)]
-    batches = []
-    real_char_polys = oracle.char_polys
+    sizes = []
+    real_power_sums = oracle.power_sums
     monkeypatch.setattr(
-        oracle, "char_polys", lambda bs: batches.append(len(bs)) or real_char_polys(bs)
+        oracle, "power_sums", lambda h: sizes.append(len(h)) or real_power_sums(h)
     )
     for n in range(3, 65):
-        batches.clear()
-        factored = exact_char_poly_full(Modulus.of(n))
-        assert sum(batches) <= 1 and len(factored.factors) == sum(batches), n
+        sizes.clear()
+        m = Modulus.of(n)
+        width = len(block_power_sums(m).sums)
+        assert width == sum(len(b.degree) for b in oracle.involution_split(m).blocks), n
+        assert sizes == ([width] if width else []), n
 
 
 def edit_adjacency(monkeypatch, edit, reads: list | None = None) -> None:
@@ -266,7 +268,7 @@ def test_involution_split_refuses_a_moved_edge(monkeypatch, x):
 def test_exact_split_refuses_a_moved_edge(monkeypatch):
     move_one_edge(monkeypatch, 5)
     with pytest.raises(ValueError, match="automorphism"):
-        exact_char_poly_full(Modulus.of(60))
+        block_power_sums(Modulus.of(60))
 
 
 @pytest.mark.parametrize("n, x", [(301, 7), (2310, 10)])
@@ -414,7 +416,7 @@ def test_an_invariant_edge_change_is_solved_not_read_off(monkeypatch, n, y):
     assert np.max(np.abs(split - np.linalg.eigvalsh(lap))) <= 1e-9 * n
     if n <= config.EXACT_CHARPOLY_LIMIT:
         [whole] = char_polys([lap.astype(np.int64)])
-        assert expanded(exact_char_poly_full(m)) == whole
+        assert expanded(*block_power_sums(m)) == whole
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -451,13 +453,13 @@ def test_split_spectrum_holds_under_half_a_float_laplacian(n):
 
 
 def test_exact_char_poly_examples():
-    assert expanded(exact_char_poly_full(Modulus.of(3))).coeffs == (0, 9, -6, 1)
-    assert expanded(exact_char_poly_full(Modulus.of(5))) == IntPoly.from_roots([(0, 1), (5, 4)])
-    assert expanded(exact_char_poly_full(Modulus.of(6))) == IntPoly.from_roots(
+    assert expanded(*block_power_sums(Modulus.of(3))).coeffs == (0, 9, -6, 1)
+    assert expanded(*block_power_sums(Modulus.of(5))) == IntPoly.from_roots([(0, 1), (5, 4)])
+    assert expanded(*block_power_sums(Modulus.of(6))) == IntPoly.from_roots(
         [(0, 1), (6, 2), (5, 1), (3, 1), (2, 1)]
     )
     with pytest.raises(OracleLimitExceeded):
-        exact_char_poly_full(Modulus.of(65))
+        block_power_sums(Modulus.of(65))
 
 
 def test_exact_char_poly_point_evaluation():
@@ -468,7 +470,7 @@ def test_exact_char_poly_point_evaluation():
     points.update({36: (1, -3), 48: (5, -1), 60: (2, 11), 64: (3, -7)})
     for n, xs in points.items():
         m = Modulus.of(n)
-        p = expanded(exact_char_poly_full(m))
+        p = expanded(*block_power_sums(m))
         lap = dense_laplacian(n).tolist()
         for x in xs:
             shifted = [

@@ -44,6 +44,22 @@ def test_intpoly_mul_and_linear_power():
     assert IntPoly.from_roots([(0, 2), (2, 1), (6, 1)]).coeffs == (0, 0, 12, -8, 1)
 
 
+def test_from_power_sums_is_the_charpoly_of_the_traces():
+    # Newton's identities over Z on the exact traces of random integer
+    # matrices with negative entries give their dense charpoly
+    rng = np.random.default_rng(39)
+    for w in range(1, 34):
+        h = rng.integers(-40, 41, size=(w, w))
+        assert IntPoly.from_power_sums(exact_traces(h, w)) == char_poly(h.tolist()), w
+
+
+def test_from_power_sums_of_nothing_and_of_no_integer_polynomial():
+    assert IntPoly.from_power_sums(()) == IntPoly.one()
+    # p_1 = 1 gives a_1 = -1, and then 2 a_2 = -(p_2 + a_1 p_1) = 1
+    with pytest.raises(ArithmeticError):
+        IntPoly.from_power_sums((1, 0))
+
+
 def test_shift_argument():
     # q(x) = p(x - c) moves every root up by c
     p = IntPoly.from_roots([(1, 1), (4, 2)])
@@ -351,7 +367,7 @@ def test_char_polys_match_one_matrix_at_a_time():
 
 @pytest.mark.parametrize("budget", [polynomial._BATCH_CELLS, 1 << 6])
 def test_char_polys_mod_are_the_char_polys_modulo_their_prime(monkeypatch, budget):
-    # a budget of 64 cells takes two baby steps, and one matrix per slice from w = 5 on
+    # a budget of 64 cells takes one matrix per slice from w = 5 on
     monkeypatch.setattr(polynomial, "_BATCH_CELLS", budget)
     for k, batch in _batches().items():
         if not k:

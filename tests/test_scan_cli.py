@@ -582,16 +582,15 @@ def test_cli_verify_rejects_small_n():
 
 
 def plant_in_split(monkeypatch, plant) -> None:
-    """Both charpoly entries of ``cli`` read ``plant`` of the split they are
+    """The charpoly entry of ``cli`` reads ``plant`` of the split it is
     handed, or of ``involution_split(m)`` when handed none; the dense oracle
     reads the split itself."""
-    def planted(real):
-        def entry(m, split=None):
-            return real(m, plant(oracle.involution_split(m) if split is None else split))
-        return entry
+    real = cli.block_power_sums
 
-    for name in ("block_power_sums", "exact_char_poly_full"):
-        monkeypatch.setattr(cli, name, planted(getattr(cli, name)))
+    def planted(m, split=None):
+        return real(m, plant(oracle.involution_split(m) if split is None else split))
+
+    monkeypatch.setattr(cli, "block_power_sums", planted)
 
 
 def test_verify_charpoly_failure_names_the_lowest_differing_power(monkeypatch, capsys):
@@ -620,7 +619,7 @@ def moved_root(split: oracle.InvolutionSplit) -> oracle.InvolutionSplit:
 
 def moved_multiplicity(monkeypatch) -> None:
     """The oracle's largest root loses one of its multiplicity, and the
-    integer below it gains one, in the split of both charpoly entries."""
+    integer below it gains one, in the split of the charpoly entry."""
     plant_in_split(monkeypatch, moved_root)
 
 
@@ -644,7 +643,7 @@ def test_verify_charpoly_failure_from_a_planted_factor(monkeypatch, capsys, plan
     # verify must name the first coefficient that differs
     plant(monkeypatch)
     m = Modulus.of(n)
-    dense, join = expanded(cli.exact_char_poly_full(m)), cli.full_spectrum(m).polynomial()
+    dense, join = expanded(*cli.block_power_sums(m)), cli.full_spectrum(m).polynomial()
     k, a, b = next((k, a, b) for k, (a, b) in enumerate(
         itertools.zip_longest(dense.coeffs, join.coeffs, fillvalue=0)) if a != b)
     assert main(["verify", str(n)]) == 1
@@ -682,8 +681,7 @@ def test_an_ok_charpoly_identity_runs_no_charpoly_and_divides_no_root(monkeypatc
     def recorder(name, real):
         return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-    for module, name in [(oracle, "char_polys"), (polynomial, "char_polys"),
-                         (polynomial, "_char_poly_mod"), (cli, "extract_integer_roots"),
+    for module, name in [(polynomial, "char_polys"), (polynomial, "_char_poly_mod"),
                          (polynomial, "extract_integer_roots")]:
         monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
     for n in spectra_by_n:
@@ -726,9 +724,9 @@ def test_the_power_sums_refuse_a_constant_coefficient_alone():
     # higher: by Newton's identities only p_W moves
     m = Modulus.of(30)
     split = oracle.involution_split(m)
-    (factor,) = oracle.exact_char_poly_full(m, split).factors
-    integer_part = tuple(sorted(split.roots, reverse=True))
     roots, sums = oracle.block_power_sums(m, split)
+    factor = expanded((), sums)
+    integer_part = tuple(sorted(split.roots, reverse=True))
     assert len(sums) == factor.degree == 12
     exact = spectra.SpectrumMultiset(integer_part, factor)
     assert cli._join_power_sums(exact, roots, len(sums)) == sums
@@ -736,11 +734,28 @@ def test_the_power_sums_refuse_a_constant_coefficient_alone():
     off = spectra.SpectrumMultiset(integer_part, IntPoly((c0 + 1, *rest)))
     join = cli._join_power_sums(off, roots, len(sums))
     assert join[:-1] == sums[:-1] and join[-1] != sums[-1]
-    # the factored comparison names the first differing coefficient
+    # the expanded comparison names the first differing coefficient
     dense, other = (IntPoly.from_roots(split.roots) * p for p in (factor, off.residual))
     k, a, b = next((k, a, b) for k, (a, b) in enumerate(zip(dense.coeffs, other.coeffs)) if a != b)
     assert cli._char_poly(m, off, split) == (
         False, f"coefficient of x^{k}: dense determinant {a}, join formula {b}")
+
+
+@pytest.mark.parametrize("n", [12, 30, 60])
+def test_a_root_moved_into_the_residual_keeps_the_identity(n):
+    # every unit of the split's largest root r moved into the residual as
+    # (x - r)^c: the spectrum's integer part no longer holds the split's
+    # roots, so no power sums are compared, but the expanded charpoly is the
+    # same and the identity holds
+    m = Modulus.of(n)
+    s = spectra.full_spectrum(m)
+    roots, sums = oracle.block_power_sums(m)
+    r = max(dict(roots))
+    c = dict(s.integer_part)[r]
+    rest = tuple(pair for pair in s.integer_part if pair[0] != r)
+    moved = spectra.SpectrumMultiset(rest, s.residual * IntPoly.linear_power(r, c))
+    assert cli._join_power_sums(moved, roots, len(sums)) is None
+    assert cli._char_poly(m, moved) == (True, IDENTITY_OK)
 
 
 def test_verify_checks_the_charpoly_identity_above_the_exact_limit(monkeypatch, capsys):
