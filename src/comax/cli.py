@@ -203,9 +203,12 @@ def _law(law: Callable, skip_at_prime: str = "") -> Callable:
 def cmd_verify(args: argparse.Namespace) -> int:
     m = _modulus_or_exit(args.n)
     spectrum = full_spectrum(m)
-    # one split for both spectral oracles, taken where the dense limit
-    # allows; above it each oracle refuses from n alone
-    split = involution_split(m) if m.n <= config.DENSE_LIMIT else None
+    # one split for both spectral oracles; where it is refused, each oracle
+    # refuses from n alone
+    try:
+        split = involution_split(m)
+    except OracleLimitExceeded:
+        split = None
     # one G2 count for both G2 laws; where it is refused, each law
     # raises its own reason
     try:

@@ -1,7 +1,6 @@
-"""Size caps, each checked in one module: ``SCAN_LIMIT`` in ``cli``, the rest in
-``oracle``; ``cli`` also reads ``DENSE_LIMIT``, so that ``verify`` splits only an
-n the dense oracles take.  Each comment gives what it bounds and its cost on a
-2-CPU Xeon VM."""
+"""Size caps, each checked in one module: ``SCAN_LIMIT`` in ``cli``, every other
+cap in ``oracle``.  Each comment gives what it bounds and its cost on a 2-CPU
+Xeon VM."""
 
 from __future__ import annotations
 

@@ -12,12 +12,9 @@ the cells' bitmask supports:
   * the dense kernel brings each residue matrix to upper Hessenberg form by
     a similarity over F_p and reads its characteristic polynomial off the
     Hessenberg recurrence (Cohen, *A Course in Computational Algebraic
-    Number Theory*, Alg. 2.2.9).  A column already zero below the
-    subdiagonal in every matrix of the stack closes a Krylov space: its
-    elimination is skipped, and the zero subdiagonal entry splits the
-    Hessenberg matrix into diagonal blocks whose charpolys multiply, so the
-    recurrence restarts there.  One vectorised pass runs a stack of int64
-    matrices of one size, all modulo one list of primes.  Modulo one prime,
+    Number Theory*, Alg. 2.2.9), one elimination step and one recurrence
+    step per column.  One vectorised pass runs a stack of int64 matrices of
+    one size, all modulo one list of primes.  Modulo one prime,
     ``char_polys_mod`` takes the power-trace kernel instead: the traces of
     the powers B^t, t <= w + 1, from baby-step/giant-step float64 matrix
     products (exact while every partial sum stays below 2**53), then
@@ -249,17 +246,9 @@ def _char_poly_mod(h: np.ndarray, mods: np.ndarray) -> np.ndarray:
     overwritten.  Each matrix is brought to upper Hessenberg form by a
     similarity over F_p, with its own pivots, and then run through the
     Hessenberg recurrence (Cohen, Alg. 2.2.9).  Returns the (k, w + 1)
-    residues, constant term first.
-
-    A column c with h[c + 1:, c] zero in every matrix of the stack is
-    skipped: the Krylov space built so far is invariant, so the Hessenberg
-    matrix is block upper triangular with a zero subdiagonal entry
-    h[c + 1, c], and its charpoly is the product of those of its diagonal
-    blocks.  The recurrence then restarts its subdiagonal products at
-    c + 1, as every term reaching across the zero entry vanishes.  A column
-    that is zero modulo some primes only takes the general step, with a
-    zero multiplier there.  The check runs only when some pivot is zero, so
-    a stack whose pivots are all nonzero pays nothing for it.
+    residues, constant term first.  A column already zero below its
+    subdiagonal has no pivot: its multiplier is 0, so its step changes
+    nothing, and the recurrence reads its zero subdiagonal entry.
 
     Every product-sum below has at most w terms below (p - 1)**2, so the
     caller's w * (p - 1)**2 < 2**63 keeps the int64 arithmetic exact.
@@ -267,16 +256,11 @@ def _char_poly_mod(h: np.ndarray, mods: np.ndarray) -> np.ndarray:
     k, w, _ = h.shape
     p = mods[:, None]
     primes = mods.tolist()
-    closed = set()  # the c with h[c + 1:, c] zero in every matrix
     for c in range(w - 2):
         r = c + 1
         if not h[:, r, c].all():
-            nonzero = h[:, r:, c] != 0
-            if not nonzero.any():
-                closed.add(c)
-                continue
             # pivot: the first nonzero entry of column c from row r down
-            first = nonzero.argmax(axis=1)
+            first = (h[:, r:, c] != 0).argmax(axis=1)
             swap = np.flatnonzero(first)
             if swap.size:
                 s = r + first[swap]
@@ -290,23 +274,18 @@ def _char_poly_mod(h: np.ndarray, mods: np.ndarray) -> np.ndarray:
         h[:, :, r] += (h[:, :, r + 1 :] @ u[:, :, None])[:, :, 0]
         h[:, :, r] %= p
     # poly[:, m] is the charpoly of the leading m x m block; run[:, i] holds
-    # the product of the subdiagonal entries h[j, j-1] for i < j < m.  A
-    # closed column c makes run[:, i] zero for every i <= c once m > c + 1,
-    # so the products restart at lo = c + 1 and only rows lo..m-2 are read.
+    # the product of the subdiagonal entries h[j, j-1] for i < j < m
     poly = np.zeros((k, w + 1, w + 1), dtype=np.int64)
     poly[:, 0, 0] = 1
     run = np.zeros((k, w), dtype=np.int64)
-    lo = 0
     for m in range(1, w + 1):
-        if m - 2 in closed:
-            lo = m - 1
-        elif m > 1:
-            run[:, lo : m - 2] *= h[:, m - 1, m - 2, None]
-            run[:, lo : m - 2] %= p
+        if m > 1:
+            run[:, : m - 2] *= h[:, m - 1, m - 2, None]
+            run[:, : m - 2] %= p
             run[:, m - 2] = h[:, m - 1, m - 2]
-        t = h[:, lo : m - 1, m - 1] * run[:, lo : m - 1] % p
+        t = h[:, : m - 1, m - 1] * run[:, : m - 1] % p
         acc = h[:, m - 1, m - 1, None] * poly[:, m - 1, :m]
-        acc += (t[:, None, :] @ poly[:, lo : m - 1, :m])[:, 0]
+        acc += (t[:, None, :] @ poly[:, : m - 1, :m])[:, 0]
         poly[:, m, 1 : m + 1] = poly[:, m - 1, :m]
         poly[:, m, :m] -= acc % p
         poly[:, m, :m] %= p

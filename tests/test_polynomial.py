@@ -285,6 +285,37 @@ def test_char_poly_column_closed_modulo_the_first_prime_only():
         assert char_poly(m).coeffs == _sympy_char_poly(m)
 
 
+def test_char_polys_with_every_column_closed():
+    # an upper-triangular matrix is zero below the diagonal in every column,
+    # so no elimination step has a pivot: its charpoly is read off the
+    # diagonal, alone and stacked with a matrix that pivots everywhere
+    rng = random.Random(37)
+    for w in range(1, 13):
+        upper = [[rng.randrange(-9, 10) if j >= i else 0 for j in range(w)] for i in range(w)]
+        dense = [[rng.randrange(-9, 10) for _ in range(w)] for _ in range(w)]
+        expected = IntPoly.from_roots((upper[i][i], 1) for i in range(w))
+        assert char_polys([upper]) == [expected]
+        for stack, at in (([upper, dense], 0), ([dense, upper], 1)):
+            got = char_polys(stack)
+            assert got[at] == expected
+            assert got[1 - at].coeffs == _sympy_char_poly(dense)
+
+
+def test_dense_residue_row_of_the_core_of_11161543892730():
+    # the structured kernel leaves this core's row at its first prime
+    # incomplete; modulo that prime the core is upper triangular, so the
+    # dense kernel's residues are the product of x - b_ii mod p
+    p = 268435399
+    stack = spectra._size_groups([Modulus.of(11161543892730)])[0][3]
+    w = stack.shape[1]
+    assert polynomial._word_primes(w + 1, 1)[0] == p
+    reduced = stack[0] % p
+    assert np.array_equal(reduced, np.triu(reduced))
+    expected = IntPoly.from_roots((int(d), 1) for d in stack[0].diagonal())
+    got = polynomial._residues(stack, [p], np.arange(1))
+    assert got[0].tolist() == [c % p for c in expected.coeffs]
+
+
 def test_char_poly_of_permuted_blocks_is_the_product_of_the_blocks():
     rng = random.Random(31)
     for sizes in ((1, 3, 4), (2, 2, 2, 5), (5, 1, 1, 6), (3, 3, 3, 3, 3)):
