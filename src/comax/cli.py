@@ -8,6 +8,7 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -32,13 +33,13 @@ from .connectivity import (
     vertex_connectivity,
 )
 from .oracle import (
-    InvolutionSplit,
     OracleLimitExceeded,
+    TwinSplit,
     block_power_sums,
     count_components,
     dense_spectrum,
     g2_rows,
-    involution_split,
+    twin_split,
     vertex_cut,
 )
 from .polynomial import IntPoly
@@ -66,6 +67,22 @@ def _modulus_or_exit(raw: int) -> Modulus:
     return Modulus.of(raw)
 
 
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's limit on int-to-str digits for the block; before 3.10.7
+    there is none."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 def _render_pretty(m: Modulus) -> str:
     return " ".join(
         f"~{v:.6f}" if isinstance(v, float) else f"{v}^{c}" if c > 1 else f"{v}"
@@ -85,19 +102,10 @@ def _render_csv(m: Modulus, out: TextIO) -> None:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     m = _modulus_or_exit(args.n)
     if args.format == "json":
-        data = spectrum_json_dict(m)
         # the residual's exact coefficients pass Python's default limit on
-        # int-to-str digits from omega = 10 on; before 3.10.7 there is none
-        set_limit = getattr(sys, "set_int_max_str_digits", None)
-        if set_limit is None:
-            json.dump(data, sys.stdout, indent=1)
-        else:
-            limit = sys.get_int_max_str_digits()
-            set_limit(0)
-            try:
-                json.dump(data, sys.stdout, indent=1)
-            finally:
-                set_limit(limit)
+        # int-to-str digits from omega = 10 on
+        with _any_int_digits():
+            json.dump(spectrum_json_dict(m), sys.stdout, indent=1)
         sys.stdout.write("\n")
     elif args.format == "csv":
         _render_csv(m, sys.stdout)
@@ -121,7 +129,7 @@ def _first_difference(xs, ys, fill=None) -> tuple[int, object, object] | None:
 
 
 def _spectrum_vs_oracle(
-    m: Modulus, s: SpectrumMultiset, split: InvolutionSplit | None = None
+    m: Modulus, s: SpectrumMultiset, split: TwinSplit | None = None
 ) -> tuple[bool, str]:
     dense = dense_spectrum(m, split)
     ours = s.values_ascending()
@@ -159,21 +167,41 @@ def _join_power_sums(
     return tuple(sums)
 
 
+def _low_coefficients(roots, count: int) -> list[int]:
+    """The coefficients of x^0..x^(count - 1) of prod (x - r)**mult over the
+    (root, multiplicity) pairs ``roots``."""
+    out = [1] + [0] * (count - 1)
+    for r, mult in roots:
+        factor = [math.comb(mult, j) * (-r) ** (mult - j) for j in range(min(mult + 1, count))]
+        out = [sum(out[j - i] * f for i, f in enumerate(factor[: j + 1])) for j in range(count)]
+    return out
+
+
 def _char_poly(
-    m: Modulus, s: SpectrumMultiset, split: InvolutionSplit | None = None
+    m: Modulus, s: SpectrumMultiset, split: TwinSplit | None = None
 ) -> tuple[bool, str]:
     # over Q, monic polynomials of degree W are equal exactly when their
     # first W power sums are, so equal sums prove the identity; otherwise
-    # both sides are expanded, the dense one read off its power sums, to
-    # name the first coefficient that differs
+    # the first coefficient that differs is named.  Both sides share the
+    # factor C of the integer roots they have in common, so they differ by
+    # C (R1 - R2): the first difference is at the order of C plus that of
+    # R1 - R2, and C is expanded only up to it
     roots, sums = block_power_sums(m, split)
     if _join_power_sums(s, roots, len(sums)) == sums:
         return True, _IDENTITY_OK
-    dense = IntPoly.from_roots(roots) * IntPoly.from_power_sums(sums)
-    diff = _first_difference(*([(c, 1) for c in p.coeffs] for p in (dense, s.polynomial())), 0)
-    if diff is not None:
-        return False, "coefficient of x^%d: dense determinant %d, join formula %d" % diff
-    return True, _IDENTITY_OK
+    ours, theirs = Counter(dict(roots)), Counter(dict(s.integer_part))
+    common = ours & theirs
+    rest = (IntPoly.from_roots((ours - common).items()) * IntPoly.from_power_sums(sums),
+            IntPoly.from_roots((theirs - common).items()) * s.residual)
+    diff = _first_difference(*([(c, 1) for c in p.coeffs] for p in rest), 0)
+    if diff is None:
+        return True, _IDENTITY_OK
+    k = common.get(0, 0) + diff[0]
+    c = _low_coefficients(common.items(), k + 1)
+    a, b = (sum(c[i] * p.coeffs[k - i] for i in range(k + 1) if k - i < len(p.coeffs))
+            for p in rest)
+    with _any_int_digits():
+        return False, f"coefficient of x^{k}: dense determinant {a}, join formula {b}"
 
 
 def _closed_form(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
@@ -206,7 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # one split for both spectral oracles; where it is refused, each oracle
     # refuses from n alone
     try:
-        split = involution_split(m)
+        split = twin_split(m)
     except OracleLimitExceeded:
         split = None
     # one G2 count for both G2 laws; where it is refused, each law

@@ -4,7 +4,6 @@ Xeon VM."""
 
 from __future__ import annotations
 
-DENSE_LIMIT = 4096  # n of the split Laplacian, and |V(G2)|: verify 4095 in 0.21 s at 37 MB
-EXACT_CHARPOLY_LIMIT = 64  # n of the exact oracle: identity (power sums) at most 1.8 ms at 56..64
+DENSE_LIMIT = 2**15  # n of the twin split, and |V(G2)|: verify 30030 in 1.0 s at 59 MB
 VERTEX_CUT_LIMIT = 256  # vertices of a max-flow cut: at most 10 ms full graph, 0.12 s G2
 SCAN_LIMIT = 10**6  # the last n of `comax scan`: 59-69 s for all of it with two workers

@@ -3,50 +3,43 @@
 Nothing in here knows about the quotient decomposition.  Every oracle
 reads the graph from one row source over element gcds
 (``comax_graph.AdjacencyRows``), which builds boolean adjacency rows on
-demand.  Spectra come from a dense symmetric eigensolver or from the exact
-power sums of the full Laplacian, split by a check that keeps the rows of
-the orbit representatives and reads every other row a panel at a time;
-component counts (of G2 and of its complement) come from a frontier
-traversal that gathers the frontier's rows 256 at a time.  Only
-the minimum vertex cut, capped at ``config.VERTEX_CUT_LIMIT`` vertices,
-builds a matrix of every row (``comax_graph.adjacency``); it counts
-vertex-disjoint paths by shortest augmenting paths on a vertex-split
-residual matrix read off it.  Every oracle size cap is checked here.
+demand.  Spectra come from a dense symmetric eigensolver or from exact
+power sums, along a split of the full Laplacian checked against every row
+a panel at a time; component counts (of G2 and of its complement) come
+from a frontier traversal that gathers the frontier's rows 256 at a time.
+Only the minimum vertex cut, capped at ``config.VERTEX_CUT_LIMIT``
+vertices, builds a matrix of every row (``comax_graph.adjacency``); it
+counts vertex-disjoint paths by shortest augmenting paths on a
+vertex-split residual matrix read off it.  Every oracle size cap is
+checked here.
 
-Both spectral oracles read one split of the Laplacian by the involutive
-units E = {u : u*u = 1 mod n}, which keep every gcd(x, n) under x -> u x;
-that they are automorphisms is checked, not assumed (``involution_split``).
-``verify`` splits once and hands the split to both; each splits for itself
-only when it is given none.
-The split has one symmetry block per character of E (Cvetkovic,
-Rowlinson & Simic, *An Introduction to the Theory of Graph Spectra*,
-2010), on the E-orbits, of at most |E| vertices each.  The whole unit
-group is not used: its orbits are the divisor classes, up to 480 vertices
-at 2310, and would rebuild the quotient this module exists to check.
+Both spectral oracles read one split of the Laplacian by the divisor
+classes A_d = {x : gcd(x, n) = d}, taken from the gcds of 0..n-1
+(``twin_split``).  That they are twin classes, each independent or a
+clique and joined to each other class wholly or not at all, is checked
+against every row, not assumed.  ``verify`` splits once and hands the split
+to both; each splits for itself only when it is given none.  The vectors
+that sum to 0 on a class give its |A_d| - 1 eigenvalues exactly, read off
+its degree, and the class-constant vectors give the tau(n) x tau(n)
+integer quotient Q.  The dense oracle, ``dense_spectrum``, merges the
+read-off eigenvalues with those of Q's symmetric form; the exact oracle,
+``block_power_sums``, gives them with the exact power sums trace(Q^j),
+j = 1..tau(n), which by Newton's identities over Q fix charpoly(Q), so
+``verify`` proves the identity by comparing them with the spectrum's power
+sums, and computes no charpoly when it holds.  When they differ, it reads
+the coefficients off them (``IntPoly.from_power_sums``) to name the first
+that differs.
 
-Every non-trivial character's block is diagonal: E keeps gcd(x, n), so
-off the diagonal the character sums cancel.  That is checked, not
-assumed: one array test over the sums finds the diagonal blocks, whose
-eigenvalues the split returns as exact integers with no block built.
-Each other block is returned as its integer sums, and each oracle builds
-the one form it solves: at 2310 one float64 block of 288 rows, and for
-n <= 64 at most one int64 block per n.  The exact oracle,
-``block_power_sums``, gives the charpoly along the split as the exact power
-sums trace(H^j), j = 1..W, of the W x W block diagonal of the solved
-blocks; by Newton's identities over Q they fix the product of the blocks'
-charpolys, so ``verify`` proves the identity by comparing them with the
-spectrum's power sums, and computes no charpoly when it holds.  When they
-differ, it reads the coefficients off them (``IntPoly.from_power_sums``)
-to name the first that differs.
-
-Disagreement with the quotient pipeline means a bug, so these paths share
-no spectral shortcut with it; the pipeline never uses E.  The exception
-is one generic kernel of ``polynomial``, which reads nothing of the graph
-and which the tests check on their own: the power-trace kernel
-(``_power_sums``) gives the pipeline its charpolys modulo one prime and the
-oracle its power sums modulo several, one prime per copy of the block
-diagonal; the tests check it against exact integer traces of random
-matrices.  It is not a spectral shortcut.
+For squarefree n each class is one cell of the pipeline's quotient, so Q
+restricted to G2 is the pipeline's B, with its sizes and degrees counted
+here by brute force from the rows rather than taken from ``spectra``'s
+closed forms; for other n the classes are finer than the cells.  The float
+comparison thus checks the cells, the join and the eigensolver's
+consistency; the exact identity is the strong check, deciding every
+multiplicity and the residual exactly.  The one kernel shared with the
+pipeline is ``polynomial``'s power-trace kernel (``_power_sums``), which
+reads nothing of the graph and which the tests check on their own against
+exact integer traces of random matrices; it is not a spectral shortcut.
 """
 
 from __future__ import annotations
@@ -71,9 +64,8 @@ def numeric_spectrum(laplacian: np.ndarray) -> tuple[float, ...]:
     ascending, from a backward-stable symmetric eigensolver (orthogonal
     similarity).
 
-    A float64 matrix, such as a block of ``involution_split``, is used as it
-    is; any other is converted once.  The solver's working copy is then the only
-    other n x n float array alive.
+    A float64 matrix is used as it is; any other is converted once.  The
+    solver's working copy is then the only other n x n float array alive.
     """
     mat = np.asarray(laplacian, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -90,160 +82,93 @@ def numeric_spectrum(laplacian: np.ndarray) -> tuple[float, ...]:
     return tuple(np.linalg.eigvalsh(mat).tolist())
 
 
-def _walsh_hadamard(table: np.ndarray) -> np.ndarray:
-    """sum_g (-1)**popcount(c & g) table[g] for every c, along the first
-    axis, whose length is a power of 2: one butterfly pass per bit, in
-    place on the contiguous ``table``, whose dtype must hold +-len(table)."""
-    half = 1
-    while half < len(table):
-        pairs = table.reshape(-1, 2, half * table[0].size)
-        low, high = pairs[:, 0], pairs[:, 1]
-        low += high
-        high *= -2
-        high += low  # (low + high) - 2 high
-        half *= 2
-    return table
-
-
-class SolvedBlock(NamedTuple):
-    """A block of ``involution_split`` that is not diagonal, kept as its
-    integer sums; each oracle builds from them the one form it solves."""
-
-    sums: np.ndarray  # sums[O, O'] = sum_g chi(g) A[r_O, g r_O']
-    degree: np.ndarray  # of each orbit's representative
-    stab: np.ndarray  # |S_O| = |E| / |O|
-
-    def exact(self) -> np.ndarray:
-        """The int64 similarity form H[O, O'] |O'| / |E|."""
-        block = np.negative(self.sums, dtype=np.int64)
-        block //= self.stab
-        block.flat[:: len(block) + 1] += self.degree
-        return block
-
-    def symmetric(self) -> np.ndarray:
-        """The float64 orthonormal form H[O, O'] sqrt(|O| |O'|) / |E|, scaled
-        by rows and then by columns: each factor is a power of 2, times
-        sqrt(2) or not, so the block is exactly symmetric."""
-        root = np.sqrt(1 / self.stab)
-        block = np.negative(self.sums, dtype=np.float64)
-        block *= root
-        block *= root[:, None]
-        block.flat[:: len(block) + 1] += self.degree
-        return block
-
-
-class InvolutionSplit(NamedTuple):
-    roots: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity), ascending
-    blocks: tuple[SolvedBlock, ...]  # in character order
-
-
 def _refuse_above_dense_limit(n: int) -> None:
     if n > config.DENSE_LIMIT:
         raise OracleLimitExceeded(f"n exceeds dense limit {config.DENSE_LIMIT}")
 
 
-def involution_split(m: Modulus) -> InvolutionSplit:
-    """The Laplacian of the comaximal graph in one block per character of
-    the involutive units E = {u : u*u = 1 mod n}: the eigenvalues of every
-    diagonal block, read off, and the blocks that must be solved.
+class TwinSplit(NamedTuple):
+    roots: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity), ascending
+    quotient: np.ndarray  # Q, int64, tau(n) x tau(n), by ascending divisor
+    sizes: np.ndarray  # |A_d|, by ascending divisor
 
-    E acts by x -> u x, which keeps every gcd(x, n).  The boolean adjacency
-    A is read from its ``AdjacencyRows``, with no n x n array: the rows of
-    the k orbit representatives are kept, and every row is checked against
-    them, in 256-row panels that are built, compared and dropped, so that
-    E-invariance is checked exactly; a mismatch raises ValueError.  Each x
-    is g_x r_x for the least element r_x of its orbit, and A is E-invariant
-    exactly when A[x, y] = A[r_x, g_x y] for every x and each
-    representative's row is fixed by its stabilizer, so the check reads
-    each row about once.
+    def symmetric(self) -> np.ndarray:
+        """The float64 form of Q similar to it by diag(|A_d|)**(1/2):
+        -A[r_d, r_e] sqrt(|A_d| |A_e|) off the diagonal and Q[d, d] on it,
+        exactly symmetric, since the outer product of the sizes is."""
+        sym = np.sign(self.quotient) * np.sqrt(np.multiply.outer(self.sizes, self.sizes))
+        sym.flat[:: len(sym) + 1] = self.quotient.diagonal()
+        return sym
 
-    E is an elementary abelian 2-group, listed so that element b is the
-    product of the generators at the set bits of b; character c is then
-    chi_c(b) = (-1)**popcount(c & b).  The block of chi acts on the orbits
-    O whose stabilizer S_O lies in its kernel, ascending by representative,
-    in the basis sum_g chi(g) e_(g r_O), with the integer symmetric
-    H[O, O'] = sum_g chi(g) L[r_O, g r_O'] over all of E.  Every block
-    holds the orbit of 1, so there are |E| of them, and their sizes sum to
-    n.  The sums of A over the k orbits come from one Walsh-Hadamard
-    transform of an |E| x (k + 1) x k table of the smallest integer type
-    that holds +-|E|, filled one unit at a time from the representative
-    rows, which are dropped before the transform.
 
-    One test per character over that table finds the diagonal blocks: those
-    where no sum between two distinct orbits is nonzero.  Their eigenvalues,
-    H[O, O] / |S_O| = degree - sum_g chi(g) A[r_O, g r_O] / |S_O|, exact
-    integers, are counted in ``roots`` with no block built; every other
-    block is returned as a ``SolvedBlock`` holding a copy of its sums.
+def twin_split(m: Modulus) -> TwinSplit:
+    """The Laplacian of the comaximal graph split by its divisor classes
+    A_d = {x : gcd(x, n) = d}, d | n, with 0 in A_n: the eigenvalues read
+    off the vectors that sum to 0 on each class, and the tau(n) x tau(n)
+    quotient Q that L is on the class-constant vectors.
+
+    The classes come from ``np.gcd`` over 0..n-1, each represented by its
+    least element r_d.  The boolean adjacency A is read from its
+    ``AdjacencyRows``, with no n x n array, and two things are checked
+    exactly; a mismatch raises ValueError.  First, each representative's
+    row is class-constant, with c[d, e] neighbours in A_e: 0 or |A_e| for
+    e != d, and 0 or |A_d| - 1 in its own class, symmetrically in d and e.
+    Second, in 256-row panels that are built, compared and dropped, every
+    row x equals its representative's row with the positions x and r_d
+    swapped, which changes nothing unless A_d is a clique.  The classes are
+    then twin classes: each is independent or a clique, and joined to each
+    other class wholly or not at all.
+
+    On the class-constant vectors L acts as Q = diag(deg) - c, so
+    Q[d, e] = -|A_e| A[r_d, r_e] off the diagonal and deg_d, less
+    |A_d| - 1 on a clique, on it.  On a vector that sums to 0 on A_d and
+    vanishes off it, L is rho_d = deg_d on an independent class and
+    deg_d + 1 on a clique; each class adds rho_d with multiplicity
+    |A_d| - 1 to ``roots`` (equitable partitions: Godsil & Royle,
+    *Algebraic Graph Theory*, 2001, 9.3).  So
+    det(xI - L) = charpoly(Q) prod_d (x - rho_d)**(|A_d| - 1).
     Refuses n above ``config.DENSE_LIMIT``.
     """
     n = m.n
     _refuse_above_dense_limit(n)
     rows = AdjacencyRows(m, range(n))
-    units = [1]
-    for u in np.flatnonzero(np.arange(n) ** 2 % n == 1).tolist():
-        if u not in units:
-            units += [v * u % n for v in units]
-    # act[g, x] = g x mod n, in the smallest integer type that holds n
-    act = (np.multiply.outer(units, np.arange(n)) % n).astype(np.min_scalar_type(n))
-    rep = act.min(axis=0)
-    to_rep = act.argmin(axis=0)  # g_x, an involution: g_x x = r_x
-    # checks[g, x]: row x is compared under g, which is g_x, or for a
-    # representative any element of its stabilizer
-    checks = (to_rep == np.arange(len(units))[:, None]) | ((act == rep) & (to_rep == 0))
-    reps = (to_rep == 0).nonzero()[0]
-    orbit = np.searchsorted(reps, rep)  # the position of r_x in reps
-    rep_rows = rows[reps]
-    for g in range(1, len(units)):
-        perm = act[g].astype(np.intp)
-        checked = checks[g].nonzero()[0]
-        for i in range(0, len(checked), 256):
-            panel = checked[i : i + 256]
-            permuted = rep_rows.take(orbit[panel], axis=0).take(perm, axis=1)
-            if (rows[panel] != permuted).any():
-                raise ValueError(
-                    "an involutive unit is not an automorphism of the adjacency"
-                )
-    stab = checks[:, reps]  # stab[g, O]: g fixes r_O
-    degree = rep_rows.sum(axis=1)
-    # sums[c, O', O] = sum_g chi_c(g) A[r_O, g r_O'], and row k sums the
-    # stabilizer: |S_O| where chi_c is trivial on S_O, 0 elsewhere; filled
-    # one unit at a time, so no |E| x k x k temporary is made
-    k = len(reps)
-    sums = np.empty((len(units), k + 1, k), np.min_scalar_type(-len(units) - 1))
-    for g, perm in enumerate(act[:, reps]):
-        sums[g, :-1] = rep_rows[:, perm].T
-    sums[:, -1] = stab
-    del rep_rows
-    _walsh_hadamard(sums)
-    stab_size = stab.sum(axis=0)
-    member = sums[:, -1] != 0  # member[c, O]: O is in the block of chi_c
-    # diagonal: no sum links two orbits (E-invariance zeroes those off the
-    # block), counted one character at a time for the same reason
-    solved = np.array(
-        [np.count_nonzero(s[:-1]) > np.count_nonzero(s[:-1].diagonal()) for s in sums]
+    _, reps, cls, sizes = np.unique(
+        np.gcd(np.arange(n), n), return_index=True, return_inverse=True, return_counts=True
     )
-    values = degree - sums[:, :-1].diagonal(axis1=1, axis2=2) // stab_size
-    roots = Counter(values[member & ~solved[:, None]].tolist())
-    blocks = []
-    for c in solved.nonzero()[0]:
-        idx = member[c].nonzero()[0]
-        blocks.append(SolvedBlock(sums[c, idx][:, idx].T, degree[idx], stab_size[idx]))
-    return InvolutionSplit(tuple(sorted(roots.items())), tuple(blocks))
+    rep_rows = rows[reps]
+    order = np.argsort(cls, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    counts = np.add.reduceat(rep_rows[:, order], starts, axis=1, dtype=np.int64)
+    full = sizes - np.eye(len(sizes), dtype=np.int64)  # a wholly joined class
+    link = counts == full
+    if not ((counts == 0) | link).all() or (link != link.T).any():
+        raise ValueError("a divisor class is not a twin class of the adjacency")
+    for i in range(0, n, 256):
+        panel = np.arange(i, min(i + 256, n))
+        expected = rep_rows.take(cls[panel], axis=0)
+        at, r = np.arange(len(panel)), reps[cls[panel]]
+        expected[at, panel], expected[at, r] = expected[at, r], expected[at, panel]
+        expected ^= rows[panel]  # in place: two panels alive, not three
+        if expected.any():
+            raise ValueError("a divisor class is not a twin class of the adjacency")
+    degree = counts.sum(axis=1)
+    quotient = np.diag(degree) - counts
+    roots = Counter()
+    for rho, mult in zip((degree + link.diagonal()).tolist(), (sizes - 1).tolist()):
+        roots[rho] += mult
+    return TwinSplit(tuple(sorted((r, c) for r, c in roots.items() if c)), quotient, sizes)
 
 
-def dense_spectrum(m: Modulus, split: InvolutionSplit | None = None) -> tuple[float, ...]:
+def dense_spectrum(m: Modulus, split: TwinSplit | None = None) -> tuple[float, ...]:
     """All n eigenvalues of the Laplacian, ascending: the ``roots`` of
-    ``split``, which is ``involution_split(m)`` and is taken here when not
-    given, and the ``numeric_spectrum`` of the ``symmetric`` form of each
-    of its blocks, merged; one float block is alive at a time.  Refuses n
-    above ``config.DENSE_LIMIT`` before it splits."""
+    ``split``, which is ``twin_split(m)`` and is taken here when not given,
+    merged with the ``numeric_spectrum`` of the ``symmetric`` form of its
+    quotient.  Refuses n above ``config.DENSE_LIMIT`` before it splits."""
     _refuse_above_dense_limit(m.n)
     if split is None:
-        split = involution_split(m)
+        split = twin_split(m)
     values = [float(r) for r, mult in split.roots for _ in range(mult)]
-    for block in split.blocks:
-        values += numeric_spectrum(block.symmetric())
-    return tuple(sorted(values))
+    return tuple(sorted(values + list(numeric_spectrum(split.symmetric()))))
 
 
 class BlockPowerSums(NamedTuple):
@@ -255,26 +180,16 @@ class BlockPowerSums(NamedTuple):
     sums: tuple[int, ...]
 
 
-def block_power_sums(m: Modulus, split: InvolutionSplit | None = None) -> BlockPowerSums:
+def block_power_sums(m: Modulus, split: TwinSplit | None = None) -> BlockPowerSums:
     """The characteristic polynomial of the full n x n Laplacian along
-    ``split``, which is ``involution_split(m)`` and is taken here when not
-    given, in power sums: its ``roots``, and the exact trace(H^j),
-    j = 1..W, of the block diagonal H of the ``exact`` forms of its blocks,
-    W the sum of their sizes (``power_sums``).  j runs past each block's own
-    size, so the sums fix the product of the blocks' charpolys.  Refuses n
-    above ``config.EXACT_CHARPOLY_LIMIT`` before it splits.
+    ``split``, which is ``twin_split(m)`` and is taken here when not given,
+    in power sums: its ``roots``, and the exact trace(Q^j), j = 1..tau(n),
+    of its quotient (``power_sums``).  Refuses n above
+    ``config.DENSE_LIMIT`` before it splits.
     """
-    if m.n > config.EXACT_CHARPOLY_LIMIT:
-        raise OracleLimitExceeded(f"n exceeds exact limit {config.EXACT_CHARPOLY_LIMIT}")
-    roots, blocks = involution_split(m) if split is None else split
-    size = sum(len(b.degree) for b in blocks)
-    h = np.zeros((size, size), dtype=np.int64)
-    at = 0
-    for b in blocks:
-        end = at + len(b.degree)
-        h[at:end, at:end] = b.exact()
-        at = end
-    return BlockPowerSums(roots, tuple(power_sums(h)) if size else ())
+    _refuse_above_dense_limit(m.n)
+    roots, quotient, _ = twin_split(m) if split is None else split
+    return BlockPowerSums(roots, tuple(power_sums(quotient)))
 
 
 def g2_rows(m: Modulus) -> AdjacencyRows:

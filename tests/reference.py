@@ -52,7 +52,7 @@ def laplacian_rows(n: int, rows: Sequence[int]) -> np.ndarray:
 
 def dense_laplacian(n: int) -> np.ndarray:
     """The whole unsplit Laplacian, ``laplacian_rows`` of every vertex: the
-    reference the involution-split oracles are checked against."""
+    reference the split oracles are checked against."""
     return laplacian_rows(n, range(n))
 
 
@@ -148,41 +148,40 @@ def expanded(roots, sums) -> IntPoly:
     return IntPoly.from_roots(roots) * IntPoly.from_power_sums(sums)
 
 
-def involution_blocks(n: int, symmetric: bool = False) -> list[np.ndarray]:
-    """The block of the Laplacian for each character chi of the involutive
-    units E = {u : u*u = 1 mod n}, over the E-orbits O, ascending by least
-    element r_O, whose stabilizer lies in the kernel of chi.  With
-    H[O, O'] = sum_g chi(g) L[r_O, g r_O'], the block is the integer
-    similarity form H[O, O'] |O'| / |E|, or with ``symmetric`` the float64
-    orthonormal form H[O, O'] sqrt(|O| |O'|) / |E|.  H is gathered from the
-    ``laplacian_rows`` of the representatives one unit g at a time, with no
-    Walsh-Hadamard transform.
-
-    E is listed as the program lists it: each involution u, ascending, that
-    is not yet in the group generated so far doubles it, so that element b
-    is the product of the generators at the set bits of b, and character c
-    is chi_c(b) = (-1)**popcount(c & b)."""
-    group = [1]
-    for u in range(2, n):
-        if u * u % n == 1 and u not in group:
-            group += [v * u % n for v in group]
-    reps = sorted({min(g * x % n for g in group) for x in range(n)})
-    lap = dict(zip(reps, laplacian_rows(n, reps).astype(np.int64)))
+def class_blocks(n: int, symmetric: bool = False) -> list[np.ndarray]:
+    """The Laplacian L of the comaximal graph of Z_n along its divisor
+    classes A_d = {x : gcd(x, n) = d}, d ascending, each with its least
+    element r_d, from ``laplacian_rows`` 256 rows at a time: first the
+    quotient on the class-constant vectors, then one block for each class of
+    two or more vertices, on the vectors e_x - e_r, x in A_d less r = r_d,
+    whose column x holds (L (e_x - e_r))[x'] for x' in A_d less r.  The
+    quotient is the integer form sum_(y in A_e) L[r_d, y], or with
+    ``symmetric`` the float64 orthonormal form
+    sum_(x in A_d, y in A_e) L[x, y] / sqrt(|A_d| |A_e|); the class blocks
+    are int64, or with ``symmetric`` float64."""
+    classes: dict[int, list[int]] = {}
+    for x in range(n):
+        classes.setdefault(math.gcd(x, n), []).append(x)
+    members = [classes[d] for d in sorted(classes)]
+    indicator = np.zeros((n, len(members)))
+    for c, xs in enumerate(members):
+        indicator[xs, c] = 1
+    dtype = np.float64 if symmetric else np.int64
+    quotient = np.zeros((len(members), len(members)))
     blocks = []
-    for c in range(len(group)):
-        chi = [(-1) ** bin(c & b).count("1") for b in range(len(group))]
-        members = [
-            r for r in reps
-            if all(chi[b] == 1 for b, g in enumerate(group) if g * r % n == r)
-        ]
-        sizes = np.array([len({g * r % n for g in group}) for r in members])
-        rows = np.array([lap[r] for r in members])
-        h = sum(
-            chi[b] * rows[:, [g * r % n for r in members]]
-            for b, g in enumerate(group)
-        )
-        if symmetric:
-            blocks.append(h * np.sqrt(np.outer(sizes, sizes)) / len(group))
-        else:
-            blocks.append(h * sizes // len(group))
-    return blocks
+    for c, (r, *rest) in enumerate(members):
+        block = np.zeros((len(rest), len(rest)))
+        for i in range(0, len(rest) + 1, 256):
+            xs = members[c][i : i + 256]  # r first, at i = 0
+            rows = laplacian_rows(n, xs)
+            by_class = rows @ indicator
+            quotient[c] += by_class.sum(axis=0) if symmetric else by_class[0] * (i == 0)
+            if rest:
+                at = slice(max(i - 1, 0), i - 1 + len(xs))
+                block[at] = (rows[:, rest] - rows[:, [r]])[1 if i == 0 else 0 :]
+        if rest:
+            blocks.append(block.astype(dtype))
+    if symmetric:
+        sizes = np.array([len(xs) for xs in members])
+        quotient /= np.sqrt(np.multiply.outer(sizes, sizes))
+    return [quotient.astype(dtype), *blocks]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -25,11 +26,11 @@ from reference import (
     adjacent,
     bareiss_det,
     block_diagonal,
+    class_blocks,
     dense_laplacian,
     exact_traces,
     expanded,
     g2_component_counts,
-    involution_blocks,
 )
 
 
@@ -127,9 +128,8 @@ def test_dense_spectrum_holds_one_float_laplacian():
 
 
 def test_split_spectrum_matches_the_unsplit_eigensolver():
-    # E = {1, -1} at odd prime powers, and up to 16 involutive units below
-    # 301 (at 120, 168, 240, 264 and 280); 2310, 2730, 3990 and 4095 have
-    # 16, and the last two are near the dense limit
+    # every n to 300, and 2310, 2730, 3990 and 4095, with 32, 32, 32 and 24
+    # divisor classes, the last two near the dense cap of earlier splits
     for n in [*range(3, 301), 2310, 2730, 3990, 4095]:
         split = dense_spectrum(Modulus.of(n))
         whole = np.linalg.eigvalsh(dense_laplacian(n))
@@ -144,58 +144,67 @@ def test_split_charpoly_equals_the_unsplit_one():
         assert expanded(*block_power_sums(Modulus.of(n))) == whole, n
 
 
+def divisor_classes(n: int) -> dict[int, list[int]]:
+    """A_d = {x : gcd(x, n) = d} for each divisor d of n, from scalar gcds."""
+    classes: dict[int, list[int]] = {}
+    for x in range(n):
+        classes.setdefault(math.gcd(x, n), []).append(x)
+    return classes
+
+
 def test_split_solves_one_block_with_a_row_per_orbit():
-    # every block of a non-trivial character is diagonal: E keeps gcd(x, n),
-    # so A[r_O, g r_O'] does not depend on g off the diagonal and the
-    # character sums cancel; only the trivial block, on every orbit, is left
+    # the orbits of the unit group are the divisor classes: the one block
+    # the split solves, its quotient, has a row per class in both forms, and
+    # its class sizes are those counted from scalar gcds
     for n in [*range(3, 301), 2310, 2730, 4080, 4095]:
-        [block] = oracle.involution_split(Modulus.of(n)).blocks
-        k = len(orbits(n))
-        assert block.sums.shape == block.exact().shape == block.symmetric().shape == (k, k), n
+        split = oracle.twin_split(Modulus.of(n))
+        classes = divisor_classes(n)
+        k = len(classes)
+        assert split.quotient.shape == split.symmetric().shape == (k, k), n
+        assert split.sizes.tolist() == [len(classes[d]) for d in sorted(classes)], n
 
 
 def test_split_reads_off_exactly_the_diagonal_reference_blocks():
-    # the reference builds every character's block from the definition:
-    # the split's roots are the diagonals of those that are diagonal, and
-    # its exact blocks are the others, in character order
+    # the reference builds every block from the definition: each class
+    # block is diagonal, the split's roots are their diagonals, and its
+    # quotient is the reference's integer quotient
     for n in [*range(3, 131), 1155]:
-        split = oracle.involution_split(Modulus.of(n))
-        blocks = involution_blocks(n)
-        diagonal = [np.count_nonzero(b) == np.count_nonzero(b.diagonal()) for b in blocks]
-        roots = Counter(v for b, d in zip(blocks, diagonal) if d for v in b.diagonal().tolist())
+        split = oracle.twin_split(Modulus.of(n))
+        quotient, *blocks = class_blocks(n)
+        assert all((b == np.diag(b.diagonal())).all() for b in blocks), n
+        roots = Counter(v for b in blocks for v in b.diagonal().tolist())
         assert split.roots == tuple(sorted(roots.items())), n
-        others = [b for b, d in zip(blocks, diagonal) if not d]
-        assert len(split.blocks) == len(others), n
-        assert all((a.exact() == b).all() for a, b in zip(split.blocks, others)), n
+        assert (split.quotient == quotient).all(), n
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_read_off_blocks_equal_the_eigensolver_bit_for_bit(symmetric):
-    # the split builds no diagonal block, so its roots are checked against
-    # the reference's blocks in the float64 orthonormal form or the int64
-    # similarity form: every non-trivial character's block is diagonal, and
-    # the eigensolver returns the roots from it bit for bit; the trivial
-    # block is the one the split returns, in the same form; within the exact
-    # oracle's cap, the int64 blocks' charpolys factor into the roots too
+    # the split builds no class block, so its roots are checked against the
+    # reference's class blocks, int64 or float64: each is diagonal, and up
+    # to n = 300 the eigensolver returns the roots from them bit for bit
+    # (above, the unit class alone has up to 1727 rows, and a diagonal
+    # block's eigenvalues are its diagonal); the quotient is the
+    # reference's in the same form; up to 64 the int64 class blocks'
+    # charpolys multiply to the roots' polynomial too
     for n in [*range(3, 301), 2310, 2730, 4080, 4095]:
-        roots, [block] = oracle.involution_split(Modulus.of(n))
-        blocks = involution_blocks(n, symmetric=symmetric)
-        diagonal = [np.count_nonzero(b) == np.count_nonzero(b.diagonal()) for b in blocks]
-        assert diagonal == [False] + [True] * (len(blocks) - 1), n
-        read = np.array([float(r) for r, mult in roots for _ in range(mult)])
-        solved = np.array(sorted(v for b in blocks[1:] for v in numeric_spectrum(b)))
+        split = oracle.twin_split(Modulus.of(n))
+        quotient, *blocks = class_blocks(n, symmetric=symmetric)
+        assert all((b == np.diag(b.diagonal())).all() for b in blocks), n
+        read = np.array([float(r) for r, mult in split.roots for _ in range(mult)])
+        solved = np.array(sorted(v for b in blocks for v in (
+            numeric_spectrum(b) if n <= 300 else b.diagonal().astype(np.float64).tolist())))
         assert read.tobytes() == solved.tobytes(), n
         if symmetric:
-            assert block.symmetric().dtype == blocks[0].dtype == np.float64, n
-            assert np.max(np.abs(block.symmetric() - blocks[0])) <= 1e-12 * n, n
+            assert split.symmetric().dtype == quotient.dtype == np.float64, n
+            assert np.max(np.abs(split.symmetric() - quotient)) <= 1e-12 * n, n
         else:
-            assert block.exact().dtype == blocks[0].dtype == np.int64, n
-            assert (block.exact() == blocks[0]).all(), n
-        if not symmetric and n <= config.EXACT_CHARPOLY_LIMIT:
+            assert split.quotient.dtype == quotient.dtype == np.int64, n
+            assert (split.quotient == quotient).all(), n
+        if not symmetric and n <= 64:
             whole = IntPoly.one()
-            for b in blocks[1:]:
+            for b in blocks:
                 whole = whole * char_polys([b])[0]
-            assert expanded(roots, ()) == whole, n
+            assert expanded(split.roots, ()) == whole, n
 
 
 def test_split_oracles_solve_only_the_blocks_they_cannot_read_off(monkeypatch):
@@ -205,7 +214,7 @@ def test_split_oracles_solve_only_the_blocks_they_cannot_read_off(monkeypatch):
         oracle, "numeric_spectrum", lambda b: solved.append(b.shape) or real_solve(b)
     )
     dense_spectrum(Modulus.of(2310))
-    assert solved == [(288, 288)]
+    assert solved == [(32, 32)]
     sizes = []
     real_power_sums = oracle.power_sums
     monkeypatch.setattr(
@@ -215,8 +224,8 @@ def test_split_oracles_solve_only_the_blocks_they_cannot_read_off(monkeypatch):
         sizes.clear()
         m = Modulus.of(n)
         width = len(block_power_sums(m).sums)
-        assert width == sum(len(b.degree) for b in oracle.involution_split(m).blocks), n
-        assert sizes == ([width] if width else []), n
+        assert width == len(oracle.twin_split(m).quotient) == len(divisor_classes(n)), n
+        assert sizes == [width], n
 
 
 def edit_adjacency(monkeypatch, edit, reads: list | None = None) -> None:
@@ -257,55 +266,61 @@ def move_one_edge(monkeypatch, x: int, mirrored: bool = False) -> None:
 
 @pytest.mark.parametrize("x", [0, 7, 252, 258, 294])
 def test_involution_split_refuses_a_moved_edge(monkeypatch, x):
-    # the invariance check runs in 256-row panels: a break at a non-unit of
-    # 301 = 7 * 43 in the first row, on either side of the panel edge and
-    # near the last row is caught; negation is one of the involutive units
+    # the twin check runs in 256-row panels: a break at a non-unit of
+    # 301 = 7 * 43 in the first row (0, alone in its class), at a class
+    # representative (7), on either side of the panel edge and near the
+    # last row is caught
     move_one_edge(monkeypatch, x)
-    with pytest.raises(ValueError, match="automorphism"):
+    with pytest.raises(ValueError, match="twin class"):
         dense_spectrum(Modulus.of(301))
 
 
 def test_exact_split_refuses_a_moved_edge(monkeypatch):
     move_one_edge(monkeypatch, 5)
-    with pytest.raises(ValueError, match="automorphism"):
+    with pytest.raises(ValueError, match="twin class"):
         block_power_sums(Modulus.of(60))
 
 
 @pytest.mark.parametrize("n, x", [(301, 7), (2310, 10)])
 def test_split_refuses_a_moved_edge_that_negation_keeps(monkeypatch, n, x):
-    # x-y becomes x-z and -x-(-y) becomes -x-(-z): negation maps the moved
-    # graph onto itself, so only the other involutive units can see the
-    # break (|E| = 4 at 301 = 7 * 43 and 16 at 2310)
+    # x-y becomes x-z and -x-(-y) becomes -x-(-z): negation, a unit, maps
+    # the moved graph onto itself, so a check by that symmetry alone would
+    # pass it; the twin check compares every row with its class
+    # representative's and refuses
     move_one_edge(monkeypatch, x, mirrored=True)
     adj = oracle.AdjacencyRows(Modulus.of(n), range(n))[:]
     neg = -np.arange(n) % n
     assert (adj[neg][:, neg] == adj).all()
     assert (adj != full_adjacency(n)).sum() == 8
-    with pytest.raises(ValueError, match="automorphism"):
+    with pytest.raises(ValueError, match="twin class"):
         dense_spectrum(Modulus.of(n))
 
 
 def test_split_refuses_a_representative_row_its_stabilizer_moves(monkeypatch):
-    # toggling these edges between the orbits {3, 9, 15, 21} and {4, 20} of
-    # Z_24 leaves row 4 unfixed by its stabilizer {1, 7, 13, 19} while every
-    # row that is not a representative still matches its representative's:
-    # only the stabilizer part of the check sees the break
-    def toggled(adj, n):
-        for u, v in [(3, 4), (4, 21), (9, 20), (15, 20)]:
-            adj[u, v] = adj[v, u] = not adj[u, v]
+    # row 0 of Z_24 alone drops its edge to the unit 1: the units, which fix
+    # 0 and permute its neighbours in A_1, no longer fix its row, which is
+    # not class-constant; every row is still its representative's (0 is
+    # the representative of {0}, and row 1 is unedited), so only the first
+    # check sees the break, before any panel is read
+    def dropped(adj, n):
+        adj[0, 1] = False
 
-    edit_adjacency(monkeypatch, toggled)
-    with pytest.raises(ValueError, match="automorphism"):
+    reads = []
+    edit_adjacency(monkeypatch, dropped, reads)
+    with pytest.raises(ValueError, match="twin class"):
         dense_spectrum(Modulus.of(24))
+    [reps] = reads
+    classes = divisor_classes(24)
+    assert reps.tolist() == [min(classes[d]) for d in sorted(classes)]
 
 
 def test_split_refuses_a_moved_edge_beyond_the_first_panel(monkeypatch):
-    # 4080 = 2^4 * 3 * 5 * 17 has 32 involutive units; the 378 rows checked
-    # under the first of them after 1, 169, take two panels.  2730, 2873 and
-    # 2754 are rows of that second panel, none a representative, so moving
+    # 4080 = 2^4 * 3 * 5 * 17: 2730 and 2754 lie in the eleventh 256-row
+    # panel (2560..2815) and 2873 in the twelfth, and none is a class
+    # representative (each class's least element is its divisor), so moving
     # the edge 2730-2873 to 2730-2754 changes no row that an earlier read
-    # compares: the reads are the representatives, the first panel, and the
-    # second panel, which refuses
+    # compares: the reads are the representatives, ten panels that pass and
+    # the eleventh, which refuses
     def moved(adj, n):
         x, y, z = 2730, 2873, 2754
         assert adj[x, y] and not adj[x, z]
@@ -314,38 +329,41 @@ def test_split_refuses_a_moved_edge_beyond_the_first_panel(monkeypatch):
 
     reads = []
     edit_adjacency(monkeypatch, moved, reads)
-    with pytest.raises(ValueError, match="automorphism"):
-        oracle.involution_split(Modulus.of(4080))
-    reps, first, second = reads
-    assert len(reps) == len(orbits(4080)) == 378
-    assert len(first) == 256 and len(second) == 122
-    assert {2730, 2873, 2754} <= set(second.tolist()) - set(reps.tolist()) - set(first.tolist())
+    with pytest.raises(ValueError, match="twin class"):
+        oracle.twin_split(Modulus.of(4080))
+    reps, *panels = reads
+    assert len(reps) == len(divisor_classes(4080)) == 40
+    assert [len(p) for p in panels] == [256] * 11
+    assert {2730, 2873, 2754}.isdisjoint(reps.tolist())
+    assert {2730, 2754} <= set(panels[-1].tolist())
+    assert {2730, 2873, 2754}.isdisjoint(np.concatenate(panels[:-1]).tolist())
 
 
 @pytest.mark.parametrize("n", [24, 301, 2310, 4080, 4093])
 def test_split_reads_every_row_in_panels(monkeypatch, n):
     # the rows come from the row source alone: the representatives' rows
-    # once, then panels of at most 256 rows that cover every other vertex
+    # once, by ascending divisor, then panels of at most 256 rows that cover every vertex in order
     reads = []
     edit_adjacency(monkeypatch, lambda adj, n: None, reads)
-    oracle.involution_split(Modulus.of(n))
+    oracle.twin_split(Modulus.of(n))
     reps, *panels = reads
-    assert reps.tolist() == sorted(min(o) for o in orbits(n)), n
+    classes = divisor_classes(n)
+    assert reps.tolist() == [min(classes[d]) for d in sorted(classes)], n
     assert all(len(p) <= 256 for p in panels), n
-    assert set(np.concatenate([reps, *panels]).tolist()) == set(range(n)), n
+    assert np.concatenate(panels).tolist() == list(range(n)), n
 
 
 @pytest.mark.parametrize("n", [2730, 4080])
 def test_split_holds_the_representative_rows_and_one_table(n):
-    # no n x n array: the k representative rows, the |E| x (k + 1) x k
-    # Walsh-Hadamard table of int8 and one 256-row panel bound the split,
-    # within a quarter; with the n x n adjacency it peaked at 9.5 and
-    # 20.1 MiB here
-    k, units = len(orbits(n)), len(involutive_units(n))
-    bound = k * n + (units + 1) * k * k + 256 * n
+    # no n x n array: the k representative rows, as read and grouped by
+    # class, the row source's k x n table, two 256-row panels (the one read
+    # and the one it is compared in place with) and a few int64 vectors of
+    # length n bound the split, within a quarter
+    k = len(divisor_classes(n))
+    bound = (3 * k + 2 * 256 + 64) * n
     tracemalloc.start()
     try:
-        oracle.involution_split(Modulus.of(n))
+        oracle.twin_split(Modulus.of(n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -379,68 +397,64 @@ def test_involution_split_refuses_n_above_the_dense_limit(monkeypatch):
     assert len(dense_spectrum(Modulus.of(100))) == 100
 
 
-def involutive_units(n: int) -> list[int]:
-    return [u for u in range(1, n) if u * u % n == 1]
-
-
-def orbits(n: int) -> set[frozenset[int]]:
-    units = involutive_units(n)
-    return {frozenset(u * x % n for u in units) for x in range(n)}
-
-
-def toggle_an_edge_orbit(monkeypatch, y: int) -> None:
-    """Make the oracles' adjacency rows toggle every pair {g, g y}, g in E:
-    the E-orbit of the pair {1, y}, for a unit y outside E, so that E still
-    acts by automorphisms and the invariance check passes."""
+def toggle_a_class(monkeypatch, y: int) -> None:
+    """Make the oracles' adjacency rows toggle every pair inside the class
+    of y and every pair between it and 0: for a unit y the units' clique
+    becomes independent and 0 isolated, and every class is still a twin
+    class, so the check passes."""
 
     def toggled(adj, n):
-        for g in involutive_units(n):
-            u, v = g, g * y % n
-            adj[u, v] = adj[v, u] = not adj[u, v]
+        members = np.flatnonzero(np.gcd(np.arange(n), n) == math.gcd(y, n))
+        inside = np.ix_(members, members)
+        adj[inside] = ~adj[inside]
+        np.fill_diagonal(adj, False)
+        adj[0, members] = adj[members, 0] = ~adj[0, members]
 
     edit_adjacency(monkeypatch, toggled)
 
 
 @pytest.mark.parametrize("n, y", [(15, 2), (60, 7), (64, 3), (301, 2)])
 def test_an_invariant_edge_change_is_solved_not_read_off(monkeypatch, n, y):
-    # H[O(1), O(y)] moves by +-chi(g) for one g, so no block stays diagonal,
-    # and the oracles must solve every block rather than read one off
-    toggle_an_edge_orbit(monkeypatch, y)
+    # the change keeps every class a twin class, so the oracles must take
+    # the roots and the quotient from the edited rows, not from the ring:
+    # the units read as an independent class, of degree n - phi - 1, and 0
+    # as an isolated vertex, whose row of the quotient is zero
+    toggle_a_class(monkeypatch, y)
     m = Modulus.of(n)
     adj = oracle.AdjacencyRows(m, range(n))[:]
-    assert (adj != full_adjacency(n)).sum() == 2 * len(involutive_units(n))
+    assert (adj != full_adjacency(n)).sum() == m.phi * (m.phi + 1)
     lap = np.diag(adj.sum(axis=1)) - adj
-    roots, blocks = oracle.involution_split(m)
-    assert roots == () and len(blocks) == len(involutive_units(n))
+    roots, quotient, _ = oracle.twin_split(m)
+    assert dict(roots)[n - m.phi - 1] >= m.phi - 1
+    assert not quotient[-1].any()
     split = np.array(dense_spectrum(m))
     assert np.max(np.abs(split - np.linalg.eigvalsh(lap))) <= 1e-9 * n
-    if n <= config.EXACT_CHARPOLY_LIMIT:
+    if n <= 64:
         [whole] = char_polys([lap.astype(np.int64)])
         assert expanded(*block_power_sums(m)) == whole
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_split_blocks_partition_the_vertices(symmetric):
-    # the roots read off and the rows solved count every vertex once; where
-    # E = {1, -1} the odd block is read off and the even one solved
+    # the roots read off and the quotient's rows count every vertex once;
+    # at a prime the units' clique gives n - 2 roots n, and the quotient has
+    # the two rows of the units and of 0
     for n in [*range(3, 130), 1155, 2310, 4080]:
-        split = oracle.involution_split(Modulus.of(n))
-        blocks = [b.symmetric() if symmetric else b.exact() for b in split.blocks]
+        split = oracle.twin_split(Modulus.of(n))
+        block = split.symmetric() if symmetric else split.quotient
         read = sum(mult for _, mult in split.roots)
-        assert read + sum(len(b) for b in blocks) == n, n
-        if len(involutive_units(n)) == 2:
-            assert (read, [len(b) for b in blocks]) == ((n + 1) // 2 - 1, [n // 2 + 1]), n
-        for b in blocks:
-            assert b.dtype == (np.float64 if symmetric else np.int64), n
-            assert not symmetric or (b == b.T).all(), n
+        assert read + len(block) == n, n
+        if Modulus.of(n).is_prime:
+            assert (split.roots, len(block)) == (((n, n - 2),), 2), n
+        assert block.dtype == (np.float64 if symmetric else np.int64), n
+        assert not symmetric or (block == block.T).all(), n
 
 
 @pytest.mark.parametrize("n", [1155, 1156, 2310, 4080, 4093])
 def test_split_spectrum_holds_under_half_a_float_laplacian(n):
-    # the adjacency, then the orbit table, then the sums and the float64
-    # form of the one block solved: below half of the n x n float64
-    # Laplacian the split replaces, also where E = {1, -1} leaves a block of
-    # (n + 1) / 2 rows, as at the prime 4093
+    # the representative rows, the row panels and the quotient of tau(n)
+    # rows: below half of the n x n float64 Laplacian the split replaces,
+    # also at the prime 4093
     # (tracemalloc sees numpy buffers, not the eigensolver's internal
     # working copy)
     tracemalloc.start()
@@ -452,20 +466,21 @@ def test_split_spectrum_holds_under_half_a_float_laplacian(n):
     assert peak < n * n * 8 / 2
 
 
-def test_exact_char_poly_examples():
+def test_exact_char_poly_examples(monkeypatch):
     assert expanded(*block_power_sums(Modulus.of(3))).coeffs == (0, 9, -6, 1)
     assert expanded(*block_power_sums(Modulus.of(5))) == IntPoly.from_roots([(0, 1), (5, 4)])
     assert expanded(*block_power_sums(Modulus.of(6))) == IntPoly.from_roots(
         [(0, 1), (6, 2), (5, 1), (3, 1), (2, 1)]
     )
+    monkeypatch.setattr(config, "DENSE_LIMIT", 64)
     with pytest.raises(OracleLimitExceeded):
         block_power_sums(Modulus.of(65))
 
 
 def test_exact_char_poly_point_evaluation():
     # the polynomial evaluated at integer points equals the determinant there;
-    # all blocks but the trivial character's are read off their diagonal, so
-    # this checks the read-off roots and the one charpoly together
+    # all eigenvalues but the quotient's are read off the classes' degrees,
+    # so this checks the read-off roots and the one charpoly together
     points = {n: (0, 1, 7, -2) for n in (4, 6, 9, 10)}
     points.update({36: (1, -3), 48: (5, -1), 60: (2, 11), 64: (3, -7)})
     for n, xs in points.items():
@@ -482,36 +497,34 @@ def test_exact_char_poly_point_evaluation():
 
 @pytest.mark.parametrize("n", [6, 12, 30, 42])
 def test_block_power_sums_with_the_roots_are_the_laplacians_power_sums(n):
-    # trace(L^j) = sum mult * r**j over the roots + trace(H^j), for the
-    # dense Laplacian itself, j = 1..W
+    # trace(L^j) = sum mult * r**j over the roots + trace(Q^j), for the
+    # dense Laplacian itself, j = 1..tau(n)
     m = Modulus.of(n)
     roots, sums = oracle.block_power_sums(m)
     laplacian = exact_traces(dense_laplacian(n).astype(np.int64), len(sums))
     assert [t - sum(c * r**j for r, c in roots) for j, t in enumerate(laplacian, 1)] == list(sums)
-    assert roots == oracle.involution_split(m).roots
+    assert roots == oracle.twin_split(m).roots
 
 
 def test_block_power_sums_read_every_block_on_one_diagonal():
-    # two or three random blocks, so that j runs past each block's size
+    # a handed split's quotient is read as it is: two or three random
+    # blocks on one diagonal, so that j runs past each block's size
     rng = np.random.default_rng(38)
     for sizes in [(1, 2), (4, 3, 2), (9, 13), (5, 1, 11)]:
-        blocks = tuple(
-            oracle.SolvedBlock(rng.integers(-30, 31, size=(w, w)), rng.integers(0, 30, size=w),
-                               2 ** rng.integers(0, 3, size=w))
-            for w in sizes
-        )
-        split = oracle.InvolutionSplit(((0, 1), (7, 2)), blocks)
-        h = block_diagonal([b.exact() for b in blocks])
+        h = block_diagonal([rng.integers(-30, 31, size=(w, w)) for w in sizes])
+        split = oracle.TwinSplit(((0, 1), (7, 2)), h, np.ones(len(h), dtype=np.int64))
         want = (split.roots, tuple(exact_traces(h, len(h))))
         assert oracle.block_power_sums(Modulus.of(12), split) == want, sizes
 
 
 def test_block_power_sums_refuse_above_the_exact_limit_before_splitting(monkeypatch):
+    # the exact oracle runs wherever the split runs: its limit is the dense one
     def refuse(m):
-        raise AssertionError("split above the exact limit")
+        raise AssertionError("split above the dense limit")
 
-    monkeypatch.setattr(oracle, "involution_split", refuse)
-    with pytest.raises(OracleLimitExceeded, match="^n exceeds exact limit 64$"):
+    monkeypatch.setattr(oracle, "twin_split", refuse)
+    monkeypatch.setattr(config, "DENSE_LIMIT", 64)
+    with pytest.raises(OracleLimitExceeded, match="^n exceeds dense limit 64$"):
         oracle.block_power_sums(Modulus.of(65))
 
 

@@ -583,12 +583,12 @@ def test_cli_verify_rejects_small_n():
 
 def plant_in_split(monkeypatch, plant) -> None:
     """The charpoly entry of ``cli`` reads ``plant`` of the split it is
-    handed, or of ``involution_split(m)`` when handed none; the dense oracle
+    handed, or of ``twin_split(m)`` when handed none; the dense oracle
     reads the split itself."""
     real = cli.block_power_sums
 
     def planted(m, split=None):
-        return real(m, plant(oracle.involution_split(m) if split is None else split))
+        return real(m, plant(oracle.twin_split(m) if split is None else split))
 
     monkeypatch.setattr(cli, "block_power_sums", planted)
 
@@ -607,7 +607,7 @@ def test_verify_charpoly_failure_names_the_lowest_differing_power(monkeypatch, c
     assert out.endswith("verify 12: FAILED (charpoly-join-identity)\n")
 
 
-def moved_root(split: oracle.InvolutionSplit) -> oracle.InvolutionSplit:
+def moved_root(split: oracle.TwinSplit) -> oracle.TwinSplit:
     """The split's largest root loses one of its multiplicity, and the
     integer below it gains one."""
     roots = dict(split.roots)
@@ -690,23 +690,21 @@ def test_an_ok_charpoly_identity_runs_no_charpoly_and_divides_no_root(monkeypatc
     assert calls == []
 
 
-def changed_block_entry(split: oracle.InvolutionSplit) -> oracle.InvolutionSplit:
-    """The first solved block with its last orbit's diagonal character sum
-    one stabilizer higher: that entry of its exact form, and its trace, one
-    lower."""
-    block, *rest = split.blocks
-    sums = block.sums.copy()
-    sums[-1, -1] += block.stab[-1]
-    return split._replace(blocks=(block._replace(sums=sums), *rest))
+def changed_quotient_entry(split: oracle.TwinSplit) -> oracle.TwinSplit:
+    """The split's quotient with its last diagonal entry, that of the class
+    {0}, one lower, and with it its trace."""
+    quotient = split.quotient.copy()
+    quotient[-1, -1] -= 1
+    return split._replace(quotient=quotient)
 
 
 @pytest.mark.parametrize("n", [4, 12, 30, 42, 60, 62])
 def test_the_power_sums_refuse_every_planted_defect(n):
     m = Modulus.of(n)
-    s, split = spectra.full_spectrum(m), oracle.involution_split(m)
+    s, split = spectra.full_spectrum(m), oracle.twin_split(m)
     roots, sums = oracle.block_power_sums(m, split)
     assert cli._join_power_sums(s, roots, len(sums)) == sums
-    planted = [(s, moved_root(split)), (s, changed_block_entry(split))]
+    planted = [(s, moved_root(split)), (s, changed_quotient_entry(split))]
     if s.residual.degree:
         c0, *rest = s.residual.coeffs
         off = spectra.SpectrumMultiset(s.integer_part, IntPoly((c0 + 1, *rest)), s.residual_values)
@@ -723,11 +721,11 @@ def test_the_power_sums_refuse_a_constant_coefficient_alone():
     # the whole charpoly as the residual, with its constant coefficient one
     # higher: by Newton's identities only p_W moves
     m = Modulus.of(30)
-    split = oracle.involution_split(m)
+    split = oracle.twin_split(m)
     roots, sums = oracle.block_power_sums(m, split)
     factor = expanded((), sums)
     integer_part = tuple(sorted(split.roots, reverse=True))
-    assert len(sums) == factor.degree == 12
+    assert len(sums) == factor.degree == 8
     exact = spectra.SpectrumMultiset(integer_part, factor)
     assert cli._join_power_sums(exact, roots, len(sums)) == sums
     c0, *rest = factor.coeffs
@@ -758,9 +756,28 @@ def test_a_root_moved_into_the_residual_keeps_the_identity(n):
     assert cli._char_poly(m, moved) == (True, IDENTITY_OK)
 
 
-def test_verify_checks_the_charpoly_identity_above_the_exact_limit(monkeypatch, capsys):
-    # omega = 4: residuals that no n under the default exact limit has
-    monkeypatch.setattr(config, "EXACT_CHARPOLY_LIMIT", 1155)
+def changed_quotient(monkeypatch) -> None:
+    """The oracle's quotient with one entry changed, in the split of the
+    charpoly entry."""
+    plant_in_split(monkeypatch, changed_quotient_entry)
+
+
+@pytest.mark.parametrize("plant", [moved_multiplicity, residual_off_by_one, changed_quotient])
+@pytest.mark.parametrize("n", [30, 2310, 30030])
+def test_verify_fails_the_identity_on_a_planted_defect(monkeypatch, capsys, plant, n):
+    # at a small n, above the old exact limit of 64, and near the dense
+    # limit, where the sides have degree 30030 and only their common
+    # factor's lowest coefficients are expanded
+    plant(monkeypatch)
+    assert main(["verify", str(n)]) == 1
+    out = capsys.readouterr().out
+    assert "\n[FAIL] charpoly-join-identity: coefficient of x^" in out
+    assert out.endswith(f"verify {n}: FAILED (charpoly-join-identity)\n")
+
+
+def test_verify_checks_the_charpoly_identity_above_the_exact_limit(capsys):
+    # omega = 4: residuals that no n up to 64, the exact oracle's old
+    # limit, has; the identity now runs wherever the split runs
     for n in (420, 840, 1155):
         assert Modulus.of(n).omega == 4
         main(["verify", str(n)])
@@ -843,8 +860,9 @@ def test_verify_dense_spectrum_failure_names_both_counts(monkeypatch, capsys):
 
 
 def test_verify_skip_lines_are_the_oracle_refusals(monkeypatch, capsys):
+    monkeypatch.setattr(config, "DENSE_LIMIT", 64)
     assert main(["verify", "65"]) == 0
-    assert "\n[skip] charpoly-join-identity: n exceeds exact limit 64\n" in capsys.readouterr().out
+    assert "\n[skip] charpoly-join-identity: n exceeds dense limit 64\n" in capsys.readouterr().out
     # above the dense limit the spectrum is not expanded into floats
     monkeypatch.setattr(config, "DENSE_LIMIT", 60)
 
@@ -868,10 +886,10 @@ def test_verify_splits_once_and_builds_one_g2_adjacency(monkeypatch, capsys):
         g2_sizes.append(m.n)
         return real_g2(m)
 
-    real_split, real_g2 = oracle.involution_split, connectivity.g2_rows
+    real_split, real_g2 = oracle.twin_split, connectivity.g2_rows
     # the oracles split through the module's own name when handed none
-    monkeypatch.setattr(oracle, "involution_split", split)
-    monkeypatch.setattr(cli, "involution_split", split)
+    monkeypatch.setattr(oracle, "twin_split", split)
+    monkeypatch.setattr(cli, "twin_split", split)
     monkeypatch.setattr(connectivity, "g2_rows", g2)
     for name in ("dense_spectrum", "block_power_sums"):
         real = getattr(cli, name)
@@ -882,10 +900,11 @@ def test_verify_splits_once_and_builds_one_g2_adjacency(monkeypatch, capsys):
     for n in ns:
         main(["verify", str(n)])
     assert [n for n, _ in splits] == ns
-    # both spectral oracles get the split itself, the charpoly above its
-    # limit too, where it refuses without reading it
+    # both spectral oracles get the split itself
     assert [id(h) for h in handed] == [id(s) for _, s in splits for _ in (0, 1)]
     assert g2_sizes == [n for n in ns if not Modulus.of(n).is_prime]
+    # above the dense limit no split is made, and both oracles refuse
+    monkeypatch.setattr(config, "DENSE_LIMIT", 4096)
     splits.clear()
     capsys.readouterr()
     assert main(["verify", "5460"]) == 0
@@ -893,7 +912,7 @@ def test_verify_splits_once_and_builds_one_g2_adjacency(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith(
         "[skip] spectrum-vs-dense-oracle: n exceeds dense limit 4096\n"
-        "[skip] charpoly-join-identity: n exceeds exact limit 64\n"
+        "[skip] charpoly-join-identity: n exceeds dense limit 4096\n"
     )
 
 
@@ -913,7 +932,7 @@ def test_verify_output_of_the_bench_moduli_keeps_its_sha256(capsys):
     # the inputs of the verify benchmark at seed 0, concatenated
     codes = {n: main(["verify", str(n)]) for n in [*range(3, 65), 2310]}
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "a6b489d6c20a015b11bdb745e3ba73c2249a93ffbdc6d372d85bd070a05041aa"
+    assert digest == "bdac75b336d6445411920132f5fad0a32e497bbf43cbb1959d69628c6b7fd6e6"
     # only the prime powers fail, on phi-multiplicity: their G2 is a null graph
     assert {n for n, code in codes.items() if code} == {4, 8, 9, 16, 25, 27, 32, 49, 64}
     assert set(codes.values()) == {0, 1}
