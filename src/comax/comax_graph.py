@@ -77,9 +77,11 @@ def full_edges(m: Modulus) -> Iterator[tuple[int, int]]:
 
 
 def g2_vertices(m: Modulus) -> list[int]:
-    """Vertices of G2: the nonzero non-units of Z_n, ascending."""
-    x = np.arange(1, m.n)
-    return x[np.gcd(x, m.n) != 1].tolist()
+    """Vertices of G2: the nonzero non-units of Z_n, ascending.  Built from
+    the nonzero multiples of each prime of n, so it costs O(|V(G2)|), not
+    O(n)."""
+    multiples = [np.arange(p, m.n, p) for p, _ in m.factorization]
+    return np.unique(np.concatenate(multiples)).tolist()
 
 
 def g2_edges(m: Modulus) -> Iterator[tuple[int, int]]:

@@ -1,7 +1,8 @@
 """Brute-force ground truth on the full graph.
 
-Nothing in here knows about the quotient decomposition.  Every oracle
-reads the graph from one row source over element gcds
+Nothing in here is taken from ``spectra``'s closed forms: the classes,
+their sizes and degrees are counted from the rows and checked against every
+row.  Every oracle reads the graph from one row source over element gcds
 (``comax_graph.AdjacencyRows``), which builds boolean adjacency rows on
 demand.  Spectra come from a dense symmetric eigensolver or from exact
 power sums, along a split of the full Laplacian checked against every row
@@ -194,7 +195,8 @@ def block_power_sums(m: Modulus, split: TwinSplit | None = None) -> BlockPowerSu
 
 def g2_rows(m: Modulus) -> AdjacencyRows:
     """The ``AdjacencyRows`` of G2 (ascending nonzero non-units), capped at
-    the dense limit on its n - phi(n) - 1 vertices."""
+    the dense limit on its n - phi(n) - 1 vertices; built in O(|V(G2)|), so
+    n itself may reach the cap squared (at p^2)."""
     size = m.n - m.phi - 1
     if size > config.DENSE_LIMIT:
         raise OracleLimitExceeded(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 
@@ -179,6 +180,21 @@ def test_g2_vertices_are_the_nonzero_non_units_as_python_ints():
         verts = g2_vertices(Modulus.of(n))
         assert verts == [x for x in range(1, n) if math.gcd(x, n) != 1], n
         assert all(type(x) is int for x in verts), n
+
+
+def test_g2_vertices_cost_scales_with_g2_not_with_n():
+    # at p^2, G2 is the p - 1 multiples of p while n = p^2: a build over
+    # 1..n-1 traces two int64 arrays of n (268 MB here), the multiples of the
+    # primes about 1.3 MB
+    p = 4093
+    tracemalloc.start()
+    try:
+        verts = g2_vertices(Modulus.of(p * p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verts == list(range(p, p * p, p))
+    assert peak < 8 * 2**20, peak
 
 
 def scalar_edges(n: int, verts: list[int]) -> list[tuple[int, int]]:
