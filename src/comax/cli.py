@@ -23,7 +23,6 @@ from .connectivity import (
     NotApplicable,
     algebraic_connectivity,
     g2_complement_connected,
-    g2_components,
     g2_connected,
     g2_kappa_bound_value,
     kappa_g2_bound,
@@ -38,7 +37,7 @@ from .oracle import (
     block_power_sums,
     count_components,
     dense_spectrum,
-    g2_rows,
+    g2_classes,
     twin_split,
     vertex_cut,
 )
@@ -200,8 +199,16 @@ def _char_poly(
     c = _low_coefficients(common.items(), k + 1)
     a, b = (sum(c[i] * p.coeffs[k - i] for i in range(k + 1) if k - i < len(p.coeffs))
             for p in rest)
+    return False, f"coefficient of x^{k}: dense determinant {_brief(a)}, join formula {_brief(b)}"
+
+
+def _brief(value: int) -> str:
+    """``value`` in full up to 50 digits, else its first and last ten and
+    its digit count: a fail line near the dense limit stays short."""
     with _any_int_digits():
-        return False, f"coefficient of x^{k}: dense determinant {a}, join formula {b}"
+        text = str(value)
+    digits = len(text.lstrip("-"))
+    return text if digits <= 50 else f"{text[:10 + (value < 0)]}...{text[-10:]} ({digits} digits)"
 
 
 def _closed_form(m: Modulus, s: SpectrumMultiset) -> tuple[bool, str]:
@@ -237,12 +244,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         split = twin_split(m)
     except OracleLimitExceeded:
         split = None
-    # one G2 count for both G2 laws; where it is refused, each law
-    # raises its own reason
+    # one set of G2 classes for the three G2 laws, the split's where there
+    # is one; where they are refused, each law raises its own reason
     try:
-        components = g2_components(m)
-    except (NotApplicable, OracleLimitExceeded):
-        components = None
+        g2 = None if m.is_prime else g2_classes(m, split)
+    except OracleLimitExceeded:
+        g2 = None
     # every check in print order: it returns (ok, detail), or raises
     # NotApplicable or OracleLimitExceeded, whose text is the skip reason;
     # built per call, so each law is looked up by its name when verify runs
@@ -251,15 +258,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("charpoly-join-identity", functools.partial(_char_poly, split=split)),
         ("closed-form-spectrum", _closed_form),
         ("algebraic-connectivity", _law(algebraic_connectivity, "complete graph for prime n")),
-        ("vertex-connectivity", _law(vertex_connectivity)),
+        ("vertex-connectivity", _law(functools.partial(vertex_connectivity, split=split))),
         ("second-largest-eigenvalue", _law(second_largest_report)),
-        ("g2-connected-iff-squarefree",
-         _law(functools.partial(g2_connected, components=components))),
-        ("g2-complement-connected",
-         _law(functools.partial(g2_complement_connected, components=components))),
+        ("g2-connected-iff-squarefree", _law(functools.partial(g2_connected, g2=g2))),
+        ("g2-complement-connected", _law(functools.partial(g2_complement_connected, g2=g2))),
         ("spectral-radius-multiplicity", _law(radius_multiplicity)),
         ("phi-multiplicity", _law(phi_multiplicity, "G2 is empty")),
-        ("kappa-g2-bound", _law(kappa_g2_bound)),
+        ("kappa-g2-bound", _law(functools.partial(kappa_g2_bound, g2=g2))),
     )
     failed = []
     for name, check in checks:
@@ -317,13 +322,14 @@ def cmd_g2(args: argparse.Namespace) -> int:
             print(f"{u} {w}")
         return EXIT_OK
     try:
+        g2 = g2_classes(m)
         if args.action == "components":
-            print(count_components(g2_rows(m)))
+            print(count_components(g2))
             return EXIT_OK
         try:
-            r = kappa_g2_bound(m)
+            r = kappa_g2_bound(m, g2=g2)
         except NotApplicable:
-            print(f"kappa(G2) = {vertex_cut(m, g2=True)} (no bound: n is not squarefree)")
+            print(f"kappa(G2) = {vertex_cut(g2)} (no bound: n is not squarefree)")
         else:
             print(f"kappa(G2) = {r.computed}, bound = {g2_kappa_bound_value(m)}, {r.note}")
     except OracleLimitExceeded as exc:

@@ -10,9 +10,9 @@ A_d = {x : gcd(x, n) = d} appear only in the ``graph n classes`` summary.
 One edge rule serves every graph consumer: a coprimality table over the
 distinct gcd(x, n).  ``AdjacencyRows`` builds boolean adjacency rows from it
 on demand, so the brute-force oracles read the graph a panel of rows at a
-time with no n x n array; ``adjacency`` is the call for every row, which
-only the small vertex-cut graphs make.  The edge exports read the table's
-upper triangle one row at a time, so they stream in O(n) memory.
+time with no n x n array, and check its divisor classes against every row.
+The edge exports read the table's upper triangle one row at a time, so they
+stream in O(n) memory.
 """
 
 from __future__ import annotations
@@ -49,17 +49,11 @@ class AdjacencyRows:
         return len(self._index)
 
     def __getitem__(self, pos) -> np.ndarray:
-        pos = np.arange(len(self))[pos]
+        pos = np.arange(*pos.indices(len(self))) if isinstance(pos, slice) else pos
         # take: several times faster than fancy indexing for boolean rows
         rows = self._columns.take(self._index[pos], axis=0)
         rows[np.arange(len(pos)), pos] = False
         return rows
-
-
-def adjacency(m: Modulus, verts: Sequence[int]) -> np.ndarray:
-    """Boolean adjacency matrix of the subgraph induced on ``verts``: every
-    row of its ``AdjacencyRows``."""
-    return AdjacencyRows(m, verts)[:]
 
 
 def _edges_among(m: Modulus, verts: Sequence[int]) -> Iterator[tuple[int, int]]:

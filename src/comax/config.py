@@ -4,7 +4,6 @@ Xeon VM."""
 
 from __future__ import annotations
 
-DENSE_LIMIT = 2**15  # n of the twin split: verify 30030 in 0.9 s at 59 MB; and |V(G2)|:
-# its worst n, 32749^2, verify in 1.4 s at 41 MB (G2 edgeless, one traversal per vertex)
-VERTEX_CUT_LIMIT = 256  # vertices of a max-flow cut: at most 10 ms full graph, 0.12 s G2
+DENSE_LIMIT = 2**15  # n of the twin split: verify 30030 in 0.7 s at 54 MB; and |V(G2)| of
+# G2's own class check: its worst n, 32749^2, verify in 0.33 s at 43 MB (G2 edgeless)
 SCAN_LIMIT = 10**6  # the last n of `comax scan`: 59-69 s for all of it with two workers

@@ -6,20 +6,21 @@ detected rather than assumed away.  Reports never assume the law they
 check.
 
 Every law takes ``(m, spectrum)``, where a law that reads no spectrum
-accepts None; the two G2 laws also take the counts of ``g2_components``,
-which ``verify`` counts once for both, by traversals of one G2 row source
-that build no G2 matrix.  A law raises ``NotApplicable``,
-with the reason, at an n where it is not stated.  At prime n the graph is
-complete, and two laws return their boundary values there instead: the
-second-smallest eigenvalue is n, not phi(n) = n - 1, and the value phi(n)
-has multiplicity 0, not 1.
+accepts None.  The connectivity laws read the checked twin classes of
+``oracle``: ``vertex_connectivity`` takes the twin split, and the three G2
+laws take G2's classes, which ``verify`` hands them from its one split, so
+that no G2 row is read again; each takes its own when given none.  A law
+raises ``NotApplicable``, with the reason, at an n where it is not stated.
+At prime n the graph is complete, and two laws return their boundary
+values there instead: the second-smallest eigenvalue is n, not
+phi(n) = n - 1, and the value phi(n) has multiplicity 0, not 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracle import count_components, g2_rows, vertex_cut
+from .oracle import TwinClasses, TwinSplit, count_components, g2_classes, twin_split, vertex_cut
 from .ring_divisors import Modulus
 from .spectra import SpectrumMultiset
 
@@ -53,52 +54,47 @@ def algebraic_connectivity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremRep
     return _equality(m.phi, spectrum.second_smallest(), note)
 
 
-def vertex_connectivity(m: Modulus, spectrum: SpectrumMultiset | None = None) -> TheoremReport:
-    """Minimum vertex cut of the full graph vs the claimed phi(n).
+def vertex_connectivity(
+    m: Modulus, spectrum: SpectrumMultiset | None = None, split: TwinSplit | None = None
+) -> TheoremReport:
+    """Minimum vertex cut of the full graph vs the claimed phi(n), on the
+    classes of ``split``, which is ``twin_split(m)`` and is taken here when
+    not given.
 
     For prime n the graph is complete and the cut is n - 1 by convention,
-    which matches phi.  Composite n above the cut oracle's cap raises.
+    which matches phi.  Composite n above the dense limit raises.
     """
     if m.is_prime:
         return _equality(m.phi, m.n - 1, "complete graph: n-1 by convention")
-    return _equality(m.phi, vertex_cut(m))
+    return _equality(m.phi, vertex_cut((twin_split(m) if split is None else split).classes))
 
 
-def g2_components(m: Modulus) -> tuple[int, int]:
-    """Components of G2 and of its complement, counted by two traversals of
-    the one G2 row source, so G2 above the dense limit raises
-    OracleLimitExceeded."""
+def _g2(m: Modulus, g2: TwinClasses | None) -> TwinClasses:
+    """G2's classes: ``g2``, or when it is None ``g2_classes(m)``, which
+    raise OracleLimitExceeded above the dense limit.  At prime n G2 is
+    empty, and no G2 law is stated."""
     if m.is_prime:
         raise NotApplicable("G2 is empty")
-    rows = g2_rows(m)
-    return count_components(rows), count_components(rows, complement=True)
+    return g2_classes(m) if g2 is None else g2
 
 
 def g2_connected(
-    m: Modulus,
-    spectrum: SpectrumMultiset | None = None,
-    components: tuple[int, int] | None = None,
+    m: Modulus, spectrum: SpectrumMultiset | None = None, g2: TwinClasses | None = None
 ) -> TheoremReport:
-    """G2 is connected iff n is squarefree.  ``components`` is
-    ``g2_components(m)``, counted here when not given."""
-    if components is None:
-        components = g2_components(m)
-    return _equality(m.is_squarefree, components[0] == 1)
+    """G2 is connected iff n is squarefree.  ``g2`` is ``g2_classes(m)``,
+    taken here when not given."""
+    return _equality(m.is_squarefree, count_components(_g2(m, g2)) == 1)
 
 
 def g2_complement_connected(
-    m: Modulus,
-    spectrum: SpectrumMultiset | None = None,
-    components: tuple[int, int] | None = None,
+    m: Modulus, spectrum: SpectrumMultiset | None = None, g2: TwinClasses | None = None
 ) -> TheoremReport:
     """The complement of G2 is disconnected for a product of two primes and
-    connected for three or more; stated for squarefree n only.
-    ``components`` is ``g2_components(m)``, counted here when not given."""
+    connected for three or more; stated for squarefree n only.  ``g2`` is
+    ``g2_classes(m)``, taken here when not given."""
     if not m.is_squarefree:
         raise NotApplicable("claim stated for squarefree n only")
-    if components is None:
-        components = g2_components(m)
-    return _equality(m.omega > 2, components[1] == 1)
+    return _equality(m.omega > 2, count_components(_g2(m, g2), complement=True) == 1)
 
 
 def second_largest_report(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:
@@ -142,14 +138,17 @@ def phi_multiplicity(m: Modulus, spectrum: SpectrumMultiset) -> TheoremReport:
     return _equality(m.n // m.radical, spectrum.multiplicity_of(m.phi))
 
 
-def kappa_g2_bound(m: Modulus, spectrum: SpectrumMultiset | None = None) -> TheoremReport:
+def kappa_g2_bound(
+    m: Modulus, spectrum: SpectrumMultiset | None = None, g2: TwinClasses | None = None
+) -> TheoremReport:
     """Vertex connectivity of G2 against the bound phi(n / p_max), squarefree n.
 
-    Computed by max-flow on G2, which raises above the cut oracle's cap.
-    ``agrees`` means the bound holds; the note records tightness.
+    Computed by the class cut on ``g2``, which is ``g2_classes(m)`` and is
+    taken here when not given.  ``agrees`` means the bound holds; the note
+    records tightness.
     """
     bound = g2_kappa_bound_value(m)
-    computed = vertex_cut(m, g2=True)
+    computed = vertex_cut(_g2(m, g2))
     return TheoremReport(
         claimed=f"<= {bound}",
         computed=computed,

@@ -4,32 +4,25 @@ Nothing in here is taken from ``spectra``'s closed forms: the classes,
 their sizes and degrees are counted from the rows and checked against every
 row.  Every oracle reads the graph from one row source over element gcds
 (``comax_graph.AdjacencyRows``), which builds boolean adjacency rows on
-demand.  Spectra come from a dense symmetric eigensolver or from exact
-power sums, along a split of the full Laplacian checked against every row
-a panel at a time; component counts (of G2 and of its complement) come
-from a frontier traversal that gathers the frontier's rows 256 at a time.
-Only the minimum vertex cut, capped at ``config.VERTEX_CUT_LIMIT``
-vertices, builds a matrix of every row (``comax_graph.adjacency``); it
-counts vertex-disjoint paths by shortest augmenting paths on a
-vertex-split residual matrix read off it.  Every oracle size cap is
-checked here.
+demand, through one check: ``twin_classes`` splits an ascending vertex list
+by the divisor classes A_d = {x : gcd(x, n) = d} and checks every row
+against its class, a panel at a time, with no square array.  What it
+returns, ``TwinClasses``, is the graph from then on.  ``verify`` checks the
+rows of 0..n-1 once (``twin_split``) and hands the result to every oracle;
+each checks for itself only when it is given none.  Every oracle size cap
+is checked here.
 
-Both spectral oracles read one split of the Laplacian by the divisor
-classes A_d = {x : gcd(x, n) = d}, taken from the gcds of 0..n-1
-(``twin_split``).  That they are twin classes, each independent or a
-clique and joined to each other class wholly or not at all, is checked
-against every row, not assumed.  ``verify`` splits once and hands the split
-to both; each splits for itself only when it is given none.  The vectors
-that sum to 0 on a class give its |A_d| - 1 eigenvalues exactly, read off
-its degree, and the class-constant vectors give the tau(n) x tau(n)
-integer quotient Q.  The dense oracle, ``dense_spectrum``, merges the
-read-off eigenvalues with those of Q's symmetric form; the exact oracle,
-``block_power_sums``, gives them with the exact power sums trace(Q^j),
-j = 1..tau(n), which by Newton's identities over Q fix charpoly(Q), so
-``verify`` proves the identity by comparing them with the spectrum's power
-sums, and computes no charpoly when it holds.  When they differ, it reads
-the coefficients off them (``IntPoly.from_power_sums``) to name the first
-that differs.
+The spectral oracles read the split of the Laplacian along the classes.
+The vectors that sum to 0 on a class give its |A_d| - 1 eigenvalues
+exactly, read off its degree, and the class-constant vectors give the
+tau(n) x tau(n) integer quotient Q.  The dense oracle, ``dense_spectrum``,
+merges the read-off eigenvalues with those of Q's symmetric form; the exact
+oracle, ``block_power_sums``, gives them with the exact power sums
+trace(Q^j), j = 1..tau(n), which by Newton's identities over Q fix
+charpoly(Q), so ``verify`` proves the identity by comparing them with the
+spectrum's power sums, and computes no charpoly when it holds.  When they
+differ, it reads the coefficients off them (``IntPoly.from_power_sums``) to
+name the first that differs.
 
 For squarefree n each class is one cell of the pipeline's quotient, so Q
 restricted to G2 is the pipeline's B, with its sizes and degrees counted
@@ -41,17 +34,21 @@ multiplicity and the residual exactly.  The one kernel shared with the
 pipeline is ``polynomial``'s power-trace kernel (``_power_sums``), which
 reads nothing of the graph and which the tests check on their own against
 exact integer traces of random matrices; it is not a spectral shortcut.
+
+The component counts of G2 and of its complement, and the minimum vertex
+cuts, run on the tau(n) classes (G2's are the split's less the units and
+{0}), the cuts by a max-flow with the class sizes as vertex capacities.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import config
-from .comax_graph import AdjacencyRows, adjacency, g2_vertices
+from .comax_graph import AdjacencyRows, g2_vertices
 from .polynomial import power_sums
 from .ring_divisors import Modulus
 
@@ -88,53 +85,52 @@ def _refuse_above_dense_limit(n: int) -> None:
         raise OracleLimitExceeded(f"n exceeds dense limit {config.DENSE_LIMIT}")
 
 
+class TwinClasses(NamedTuple):
+    """A graph given by its twin classes: class i holds ``sizes[i]``
+    vertices, each with the same neighbours outside it; off the diagonal
+    ``link[i, j]`` says whether classes i and j are wholly joined, and on it
+    whether class i is a clique, which is moot for a single vertex.  With
+    every size 1 it is any graph, ``link`` its adjacency."""
+
+    sizes: np.ndarray  # int64
+    link: np.ndarray  # bool, symmetric
+
+
 class TwinSplit(NamedTuple):
     roots: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity), ascending
     quotient: np.ndarray  # Q, int64, tau(n) x tau(n), by ascending divisor
-    sizes: np.ndarray  # |A_d|, by ascending divisor
+    classes: TwinClasses  # of the full graph, by ascending divisor
 
     def symmetric(self) -> np.ndarray:
         """The float64 form of Q similar to it by diag(|A_d|)**(1/2):
         -A[r_d, r_e] sqrt(|A_d| |A_e|) off the diagonal and Q[d, d] on it,
         exactly symmetric, since the outer product of the sizes is."""
-        sym = np.sign(self.quotient) * np.sqrt(np.multiply.outer(self.sizes, self.sizes))
+        sizes = self.classes.sizes
+        sym = np.sign(self.quotient) * np.sqrt(np.multiply.outer(sizes, sizes))
         sym.flat[:: len(sym) + 1] = self.quotient.diagonal()
         return sym
 
 
-def twin_split(m: Modulus) -> TwinSplit:
-    """The Laplacian of the comaximal graph split by its divisor classes
-    A_d = {x : gcd(x, n) = d}, d | n, with 0 in A_n: the eigenvalues read
-    off the vectors that sum to 0 on each class, and the tau(n) x tau(n)
-    quotient Q that L is on the class-constant vectors.
+def twin_classes(m: Modulus, verts: Sequence[int]) -> TwinClasses:
+    """The subgraph of the comaximal graph induced on the ascending
+    ``verts``, split by its divisor classes A_d, ascending, with
+    gcd(0, n) = n, each represented by its least element r_d.
 
-    The classes come from ``np.gcd`` over 0..n-1, each represented by its
-    least element r_d.  The boolean adjacency A is read from its
-    ``AdjacencyRows``, with no n x n array, and two things are checked
-    exactly; a mismatch raises ValueError.  First, each representative's
-    row is class-constant, with c[d, e] neighbours in A_e: 0 or |A_e| for
-    e != d, and 0 or |A_d| - 1 in its own class, symmetrically in d and e.
-    Second, in 256-row panels that are built, compared and dropped, every
-    row x equals its representative's row with the positions x and r_d
-    swapped, which changes nothing unless A_d is a clique.  The classes are
-    then twin classes: each is independent or a clique, and joined to each
-    other class wholly or not at all.
-
-    On the class-constant vectors L acts as Q = diag(deg) - c, so
-    Q[d, e] = -|A_e| A[r_d, r_e] off the diagonal and deg_d, less
-    |A_d| - 1 on a clique, on it.  On a vector that sums to 0 on A_d and
-    vanishes off it, L is rho_d = deg_d on an independent class and
-    deg_d + 1 on a clique; each class adds rho_d with multiplicity
-    |A_d| - 1 to ``roots`` (equitable partitions: Godsil & Royle,
-    *Algebraic Graph Theory*, 2001, 9.3).  So
-    det(xI - L) = charpoly(Q) prod_d (x - rho_d)**(|A_d| - 1).
-    Refuses n above ``config.DENSE_LIMIT``.
+    The boolean adjacency A is read from its ``AdjacencyRows``, and two
+    things are checked exactly; a mismatch raises ValueError.  First, each
+    representative's row is class-constant, with c[d, e] neighbours in A_e:
+    0 or |A_e| for e != d, and 0 or |A_d| - 1 in its own class,
+    symmetrically in d and e.  Second, in 256-row panels that are built,
+    compared and dropped, every row x with the positions x and r_d swapped,
+    which changes nothing unless A_d is a clique, equals its
+    representative's row.  The classes are then twin classes: each is
+    independent or a clique, and joined to each other class wholly or not
+    at all.
     """
-    n = m.n
-    _refuse_above_dense_limit(n)
-    rows = AdjacencyRows(m, range(n))
+    rows = AdjacencyRows(m, verts)
     _, reps, cls, sizes = np.unique(
-        np.gcd(np.arange(n), n), return_index=True, return_inverse=True, return_counts=True
+        np.gcd(np.asarray(verts, dtype=np.int64), m.n),
+        return_index=True, return_inverse=True, return_counts=True,
     )
     rep_rows = rows[reps]
     order = np.argsort(cls, kind="stable")
@@ -144,20 +140,41 @@ def twin_split(m: Modulus) -> TwinSplit:
     link = counts == full
     if not ((counts == 0) | link).all() or (link != link.T).any():
         raise ValueError("a divisor class is not a twin class of the adjacency")
-    for i in range(0, n, 256):
-        panel = np.arange(i, min(i + 256, n))
-        expected = rep_rows.take(cls[panel], axis=0)
+    for i in range(0, len(rows), 256):
+        panel = np.arange(i, min(i + 256, len(rows)))
+        got = rows[panel]
         at, r = np.arange(len(panel)), reps[cls[panel]]
-        expected[at, panel], expected[at, r] = expected[at, r], expected[at, panel]
-        expected ^= rows[panel]  # in place: two panels alive, not three
-        if expected.any():
+        got[at, panel], got[at, r] = got[at, r], got[at, panel]
+        for j in range(0, len(panel), 32):  # one panel alive, and 32 rows
+            got[j : j + 32] ^= rep_rows.take(cls[panel[j : j + 32]], axis=0)
+        if got.any():
             raise ValueError("a divisor class is not a twin class of the adjacency")
+        del got  # before the next panel is built
+    return TwinClasses(sizes, link)
+
+
+def twin_split(m: Modulus) -> TwinSplit:
+    """The Laplacian of the comaximal graph split along the
+    ``twin_classes`` of 0..n-1.  On the class-constant vectors it acts as
+    the tau(n) x tau(n) quotient Q = diag(deg) - c, with c[d, e] the
+    neighbours of r_d in A_e, so Q[d, e] = -|A_e| A[r_d, r_e] off the
+    diagonal and deg_d, less |A_d| - 1 on a clique, on it.  On a vector
+    that sums to 0 on A_d and vanishes off it, L is rho_d = deg_d on an
+    independent class and deg_d + 1 on a clique; each class adds rho_d with
+    multiplicity |A_d| - 1 to ``roots`` (equitable partitions: Godsil &
+    Royle, *Algebraic Graph Theory*, 2001, 9.3).  So
+    det(xI - L) = charpoly(Q) prod_d (x - rho_d)**(|A_d| - 1).  Refuses n
+    above ``config.DENSE_LIMIT``."""
+    _refuse_above_dense_limit(m.n)
+    classes = twin_classes(m, range(m.n))
+    sizes, link = classes
+    counts = np.where(link, sizes - np.eye(len(sizes), dtype=np.int64), 0)
     degree = counts.sum(axis=1)
     quotient = np.diag(degree) - counts
     roots = Counter()
     for rho, mult in zip((degree + link.diagonal()).tolist(), (sizes - 1).tolist()):
         roots[rho] += mult
-    return TwinSplit(tuple(sorted((r, c) for r, c in roots.items() if c)), quotient, sizes)
+    return TwinSplit(tuple(sorted((r, c) for r, c in roots.items() if c)), quotient, classes)
 
 
 def dense_spectrum(m: Modulus, split: TwinSplit | None = None) -> tuple[float, ...]:
@@ -193,59 +210,55 @@ def block_power_sums(m: Modulus, split: TwinSplit | None = None) -> BlockPowerSu
     return BlockPowerSums(roots, tuple(power_sums(quotient)))
 
 
-def g2_rows(m: Modulus) -> AdjacencyRows:
-    """The ``AdjacencyRows`` of G2 (ascending nonzero non-units), capped at
-    the dense limit on its n - phi(n) - 1 vertices; built in O(|V(G2)|), so
-    n itself may reach the cap squared (at p^2)."""
+def g2_classes(m: Modulus, split: TwinSplit | None = None) -> TwinClasses:
+    """The twin classes of G2, the nonzero non-units: those of ``split``, a
+    ``twin_split(m)``, less its first and last, the units and {0}.  With no
+    split, G2's own rows are checked over ``g2_vertices``, which is built in
+    O(|V(G2)|), so n may reach the cap squared; refused above
+    ``config.DENSE_LIMIT`` vertices from n - phi(n) - 1 alone."""
+    if split is not None:
+        sizes, link = split.classes
+        return TwinClasses(sizes[1:-1], link[1:-1, 1:-1])
     size = m.n - m.phi - 1
     if size > config.DENSE_LIMIT:
-        raise OracleLimitExceeded(
-            f"|V(G2)|={size} exceeds dense limit {config.DENSE_LIMIT}"
-        )
-    return AdjacencyRows(m, g2_vertices(m))
+        raise OracleLimitExceeded(f"|V(G2)|={size} exceeds dense limit {config.DENSE_LIMIT}")
+    return twin_classes(m, g2_vertices(m))
 
 
-def count_components(rows, complement: bool = False) -> int:
-    """Number of connected components of a graph, or with ``complement`` of
-    its complement, by frontier traversal: each step adds the unseen
-    neighbours of the whole frontier at once, from the frontier's rows
-    gathered 256 at a time.  ``rows[pos]`` gives the boolean adjacency rows
-    at the positions ``pos`` and ``len(rows)`` the vertex count: an
-    ``AdjacencyRows`` or a boolean matrix."""
-    seen = np.zeros(len(rows), dtype=bool)
-    count = 0
-    while not seen.all():
-        frontier = np.array([np.argmin(seen)])
-        while frontier.size:
-            seen[frontier] = True
-            reach = np.zeros_like(seen)
-            for i in range(0, len(frontier), 256):
-                panel = rows[frontier[i : i + 256]]
-                # a row's own vertex is seen, so its diagonal entry is moot
-                reach |= ~panel.all(axis=0) if complement else panel.any(axis=0)
-                del panel  # one panel alive at a time
-            frontier = np.flatnonzero(reach & ~seen)
-        count += 1
-    return count
+def count_components(classes: TwinClasses, complement: bool = False) -> int:
+    """Connected components of the graph of ``classes``, or with
+    ``complement`` of its complement: the same classes, every link negated.
+    Classes joined by links, found by squaring the class graph's
+    reachability until it is closed, make one component; a class joined to
+    no other is |A_d| isolated vertices when it is independent."""
+    sizes, link = classes
+    if complement:
+        link = ~link
+    between = link & ~np.eye(len(sizes), dtype=bool)
+    reach = between | np.eye(len(sizes), dtype=bool)
+    while ((wider := reach @ reach) != reach).any():
+        reach = wider
+    least = ~np.tril(reach, -1).any(axis=1)  # the least class of each component
+    spread = ~between.any(axis=1) & ~link.diagonal()
+    return int(np.where(spread, sizes, 1)[least].sum())
 
 
-def _disjoint_paths(adj: np.ndarray, s: int, t: int, limit: int) -> int:
-    """Max internally vertex-disjoint s-t paths, truncated at ``limit``.
-
-    Vertex splitting (v_in = 2v, v_out = 2v + 1, one unit through each
-    vertex) turns them into unit flow from s_out to t_in.  Each round finds
-    one shortest augmenting path by frontier BFS on the residual capacity
-    matrix and reverses it.
-    """
-    n = adj.shape[0]
-    cap = np.zeros((2 * n, 2 * n), dtype=np.int8)
-    cap[2 * np.arange(n), 2 * np.arange(n) + 1] = 1
-    u, v = np.nonzero(adj)
-    cap[2 * u + 1, 2 * v] = 1
+def _class_flow(sizes: np.ndarray, between: np.ndarray, s: int, t: int, limit: int) -> int:
+    """Max internally vertex-disjoint paths from a vertex of class s to one
+    of class t, two classes not joined, truncated at ``limit``: flow from
+    s_out to t_in with c_in = 2c, c_out = 2c + 1 and capacity |A_c| between
+    them (``limit`` on a link, as good as unbounded).  Each round finds one
+    shortest augmenting path by frontier BFS on the residual capacity
+    matrix and pushes its bottleneck."""
+    k = len(sizes)
+    cap = np.zeros((2 * k, 2 * k), dtype=np.int64)
+    cap[2 * np.arange(k), 2 * np.arange(k) + 1] = sizes
+    u, v = np.nonzero(between)
+    cap[2 * u + 1, 2 * v] = limit
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < limit:
-        parent = np.full(2 * n, -1)
+        parent = np.full(2 * k, -1)
         parent[source] = source
         frontier = np.array([source])
         while frontier.size and parent[sink] < 0:
@@ -255,64 +268,45 @@ def _disjoint_paths(adj: np.ndarray, s: int, t: int, limit: int) -> int:
             frontier = new
         if parent[sink] < 0:
             break
-        x = sink
-        while x != source:
-            cap[parent[x], x] -= 1
-            cap[x, parent[x]] += 1
-            x = parent[x]
-        flow += 1
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        tails, heads = path[1:], path[:-1]
+        push = min(limit - flow, int(cap[tails, heads].min()))
+        cap[tails, heads] -= push
+        cap[heads, tails] += push
+        flow += push
     return flow
 
 
-def vertex_cut(m: Modulus, g2: bool = False) -> int:
-    """``min_vertex_cut`` of the graph of Z_n, or with ``g2`` of G2; above
-    ``config.VERTEX_CUT_LIMIT`` vertices, refused from n and phi(n) alone."""
-    size, name = (m.n - m.phi - 1, "|V(G2)|") if g2 else (m.n, "n")
-    if size > config.VERTEX_CUT_LIMIT:
-        raise OracleLimitExceeded(
-            f"{name}={size} exceeds vertex cut limit {config.VERTEX_CUT_LIMIT}"
-        )
-    return min_vertex_cut(adjacency(m, g2_vertices(m) if g2 else range(m.n)))
-
-
-def min_vertex_cut(adj: np.ndarray) -> int:
-    """Vertex connectivity of the graph with boolean adjacency ``adj``, by
-    Menger max-flow over non-adjacent pairs.
-
-    Complete graphs return n - 1 by convention (no separating set exists);
-    disconnected graphs return 0.  The pair search is reduced to a minimum
-    degree vertex v: any minimum separator avoiding v is found on a pair
-    (v, non-neighbor), and one containing v on a pair of non-adjacent
-    neighbors of v.  Pairs whose common-neighborhood size (read off one
-    product adj @ adj) already reaches the best cut found so far are
-    skipped, since the flow between them cannot be smaller; this keeps the
-    result exact while avoiding almost every flow computation on dense
-    class-structured graphs.
-    """
-    n = adj.shape[0]
-    if n > config.VERTEX_CUT_LIMIT:
-        raise OracleLimitExceeded(
-            f"{n} vertices exceeds vertex cut limit {config.VERTEX_CUT_LIMIT}"
-        )
-    if n <= 1 or count_components(adj) > 1:
+def vertex_cut(classes: TwinClasses) -> int:
+    """Vertex connectivity of the graph of ``classes`` by Menger max-flow
+    over non-adjacent pairs; |V| - 1 for a complete graph by convention, 0
+    for a disconnected one.  A minimal separator is a union of whole twin
+    classes, so two classes not joined are cut by ``_class_flow``, and two
+    twins of an independent class A_d only by N(A_d), of weight deg_d, no
+    less than the least degree.  The pairs are reduced to a vertex v of
+    least degree: a minimum separator avoiding v is found on a pair (v,
+    non-neighbour), one containing v on two non-adjacent neighbours of v.
+    Pairs whose common neighbours already reach the best cut are skipped,
+    since the flow between them cannot be smaller."""
+    sizes, link = classes
+    between = link & ~np.eye(len(sizes), dtype=bool)
+    total = int(sizes.sum())
+    if total <= 1 or count_components(classes) > 1:
         return 0
-    degree = adj.sum(axis=1).tolist()
-    best = min(degree)
-    if best == n - 1:
-        return n - 1
-    v = degree.index(best)  # N(v) separates v from the (nonempty) rest
-    # a float64 product runs on BLAS, where int64 does not, and is exact:
-    # every partial sum is an integer of at most VERTEX_CUT_LIMIT < 2**53
-    counts = adj.astype(np.float64)
-    common = (counts @ counts).astype(np.int64).tolist()
-    for t in np.flatnonzero(~adj[v]).tolist():
-        if t == v or common[v][t] >= best:
-            continue
-        best = min(best, _disjoint_paths(adj, v, t, best))
-    nb = sorted(np.flatnonzero(adj[v]).tolist(), key=degree.__getitem__)
-    for i, x in enumerate(nb):
-        for y in nb[i + 1 :]:
-            if adj[x, y] or common[x][y] >= best:
-                continue
-            best = min(best, _disjoint_paths(adj, x, y, best))
+    degree = between @ sizes + np.where(link.diagonal(), sizes - 1, 0)
+    best = int(degree.min())
+    if best == total - 1:
+        return best
+    d = int(degree.argmin())  # N(v) separates v from the (nonempty) rest
+    common = ((between * sizes) @ between.T).tolist()
+    for e in np.flatnonzero(~link[d]).tolist():
+        if e != d and common[d][e] < best:
+            best = min(best, _class_flow(sizes, between, d, e, best))
+    near = sorted(np.flatnonzero(between[d]).tolist(), key=degree.__getitem__)
+    for i, c in enumerate(near):
+        for e in near[i + 1 :]:
+            if not link[c, e] and common[c][e] < best:
+                best = min(best, _class_flow(sizes, between, c, e, best))
     return best

@@ -16,14 +16,15 @@ import sys
 import time
 from pathlib import Path
 
-from comax.comax_graph import adjacency
+from comax.comax_graph import AdjacencyRows, g2_vertices
 from comax.connectivity import phi_multiplicity, radius_multiplicity
 from comax.oracle import (
     block_power_sums,
     count_components,
     dense_spectrum,
-    g2_rows,
-    min_vertex_cut,
+    g2_classes,
+    twin_split,
+    vertex_cut,
 )
 from comax.ring_divisors import Modulus
 from comax.spectra import (
@@ -124,8 +125,8 @@ def test_criterion_04_connectivity_equalities():
     primes = 0
     for n in range(3, 257):
         m = Modulus.of(n)
-        adj = adjacency(m, range(n))
-        cut = min_vertex_cut(adj)
+        adj = AdjacencyRows(m, range(n))[:]
+        cut = vertex_cut(twin_split(m).classes)
         lam = full_spectrum(m).second_smallest()
         if cut != m.phi:
             violations.append((n, "cut", cut, m.phi))
@@ -224,7 +225,7 @@ def test_criterion_07_g2_structure():
         m = Modulus.of(n)
         if m.is_prime:
             continue
-        g2 = g2_rows(m)
+        g2 = g2_classes(m)
         comps = count_components(g2)
         if m.omega >= 2:
             if (comps == 1) != m.is_squarefree:
@@ -233,8 +234,9 @@ def test_criterion_07_g2_structure():
                 violations.append((n, "component-count", comps, n // m.radical))
         else:
             prime_powers += 1
-            if g2[:].sum() // 2 != 0:
-                violations.append((n, "prime-power edges", g2[:].sum() // 2))
+            edges = AdjacencyRows(m, g2_vertices(m))[:].sum() // 2
+            if edges != 0:
+                violations.append((n, "prime-power edges", edges))
             if comps != n // m.radical - 1:
                 violations.append((n, "prime-power components", comps))
         if m.is_squarefree and m.omega >= 3:
@@ -257,7 +259,7 @@ def test_criterion_08_kappa_g2_bound():
     # n <= 129^2
     every = [m for m in map(Modulus.of, range(6, 129**2 + 1)) if m.n - m.phi - 1 <= 128]
     # and a few squarefree n whose G2 has 129 to 256 vertices, up to the
-    # vertex cut oracle's cap, which 16637 = 127 * 131 reaches
+    # old cap of the dense max-flow, which 16637 = 127 * 131 reaches
     beyond = [Modulus.of(n) for n in (210, 262, 330, 434, 715, 16637)]
     assert [m.n - m.phi - 1 for m in beyond] == [161, 131, 249, 253, 234, 256]
     for m in every + beyond:
@@ -265,7 +267,7 @@ def test_criterion_08_kappa_g2_bound():
         if m.is_prime or not m.is_squarefree:
             continue
         checked += 1
-        kappa = min_vertex_cut(g2_rows(m)[:])
+        kappa = vertex_cut(g2_classes(m))
         bound = totient(n // m.distinct_primes[-1])
         if kappa > bound:
             violations.append((n, kappa, bound))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 
 from comax.comax_graph import (
-    adjacency,
+    AdjacencyRows,
     class_summary,
     full_edges,
     g2_edges,
@@ -13,6 +13,11 @@ from comax.comax_graph import (
 )
 from comax.ring_divisors import Modulus
 from reference import adjacent, degree, dense_laplacian
+
+
+def full_adjacency(n: int) -> np.ndarray:
+    """Every row of the comaximal graph of Z_n from its row source."""
+    return AdjacencyRows(Modulus.of(n), range(n))[:]
 
 
 def ideal_sum_is_whole_ring(n: int, x: int, y: int) -> bool:
@@ -34,7 +39,7 @@ def ideal_sum_is_whole_ring(n: int, x: int, y: int) -> bool:
 
 
 def test_adjacent_examples():
-    adj = adjacency(Modulus.of(6), range(6))
+    adj = full_adjacency(6)
     assert adj[1, 4]  # unit adjacent to everything
     assert not adj[0, 2]  # zero sees only units
     assert adj[2, 3]
@@ -46,7 +51,7 @@ def test_adjacent_matches_ideal_sum_oracle_exhaustive():
     # pins both the program's adjacency and the scalar reference the other
     # tests build on to the ring definition
     for n in range(3, 61):
-        adj = adjacency(Modulus.of(n), range(n))
+        adj = full_adjacency(n)
         for x in range(n):
             for y in range(x + 1, n):
                 whole = ideal_sum_is_whole_ring(n, x, y)
@@ -61,7 +66,7 @@ def test_adjacent_matches_ideal_sum_oracle_sampled():
         y = rng.randrange(n)
         if x == y:
             continue
-        adj = adjacency(Modulus.of(n), range(n))
+        adj = full_adjacency(n)
         assert adj[x, y] == ideal_sum_is_whole_ring(n, x, y), (n, x, y)
 
 
@@ -99,7 +104,7 @@ def test_class_summary_matches_definition():
 
 
 def test_degree_examples():
-    assert adjacency(Modulus.of(6), range(6)).sum(axis=1).tolist() == [2, 5, 3, 4, 3, 5]
+    assert full_adjacency(6).sum(axis=1).tolist() == [2, 5, 3, 4, 3, 5]
     assert degree(6, 1) == 5
     assert degree(6, 0) == 2
     by_enumeration = sum(1 for y in range(12) if adjacent(12, 3, y))
@@ -113,7 +118,7 @@ def test_degree_matches_enumeration():
     # n * prod_{p | gcd(x, n)} (1 - 1/p), less 1 for units, and both against
     # a count of the reference adjacency
     for n in range(3, 80):
-        diagonal = adjacency(Modulus.of(n), range(n)).sum(axis=1).tolist()
+        diagonal = full_adjacency(n).sum(axis=1).tolist()
         for x in range(n):
             by_enumeration = sum(1 for y in range(n) if adjacent(n, x, y))
             assert diagonal[x] == degree(n, x) == by_enumeration, (n, x)
@@ -121,7 +126,7 @@ def test_degree_matches_enumeration():
 
 def test_no_adjacency_within_a_class():
     for n in (12, 30, 36, 60):
-        adj = adjacency(Modulus.of(n), range(n))
+        adj = full_adjacency(n)
         byclass: dict[int, list[int]] = {}
         for x in range(n):
             byclass.setdefault(math.gcd(x, n), []).append(x)
@@ -135,7 +140,7 @@ def test_no_adjacency_within_a_class():
 
 def test_between_class_adjacency_is_all_or_nothing():
     for n in (12, 30, 36, 45):
-        adj = adjacency(Modulus.of(n), range(n))
+        adj = full_adjacency(n)
         byclass: dict[int, list[int]] = {}
         for x in range(n):
             byclass.setdefault(math.gcd(x, n), []).append(x)
@@ -229,3 +234,22 @@ def test_class_summary_schema():
     assert by_div[2]["neighbors"] == [1, 3]
     assert by_div[12]["neighbors"] == [1]
     assert by_div[6]["neighbors"] == [1]
+
+
+def test_adjacency_rows_read_slices_and_positions_alike():
+    # a slice is turned into its positions, and an int array is used as it
+    # is: both give the rows of the whole matrix at those positions, with a
+    # False diagonal, in order, also for a G2 vertex list
+    for m in (Modulus.of(30), Modulus.of(360)):
+        for verts in (range(m.n), g2_vertices(m)):
+            rows = AdjacencyRows(m, verts)
+            whole = rows[:]
+            size = len(verts)
+            assert whole.shape == (size, size) and not whole.diagonal().any()
+            ref = np.array([[adjacent(m.n, x, y) for y in verts] for x in verts])
+            assert (whole == ref).all()
+            for pos in (slice(3, 17), slice(None, None, 5), slice(size - 4, None)):
+                picked = np.arange(size)[pos]
+                assert rows[pos].tobytes() == rows[picked].tobytes() == whole[picked].tobytes()
+            shuffled = np.random.default_rng(m.n).permutation(size)[:40]
+            assert rows[shuffled].tobytes() == whole[shuffled].tobytes()

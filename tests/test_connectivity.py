@@ -11,11 +11,13 @@ from comax.connectivity import (
     second_largest_report,
     vertex_connectivity,
 )
+from comax import config
 from comax.oracle import (
     OracleLimitExceeded,
     count_components,
     dense_spectrum,
-    g2_rows,
+    g2_classes,
+    twin_split,
 )
 from comax.ring_divisors import Modulus
 from comax.spectra import full_spectrum
@@ -52,8 +54,11 @@ def test_vertex_connectivity():
     assert (r5.claimed, r5.computed, r5.agrees) == (4, 4, True)
     r12 = vertex_connectivity(Modulus.of(12))
     assert (r12.claimed, r12.computed, r12.agrees) == (4, 4, True)
-    with pytest.raises(OracleLimitExceeded):
-        vertex_connectivity(Modulus.of(258))
+    r258 = vertex_connectivity(Modulus.of(258))
+    assert (r258.claimed, r258.computed, r258.agrees) == (84, 84, True)
+    # above the dense limit, from n alone: 32770 = 2 * 5 * 29 * 113
+    with pytest.raises(OracleLimitExceeded, match="^n exceeds dense limit 32768$"):
+        vertex_connectivity(Modulus.of(config.DENSE_LIMIT + 2))
     # prime n never needs the cut oracle, whatever its size
     r61 = vertex_connectivity(Modulus.of(61))
     assert r61.agrees and r61.computed == 60
@@ -137,7 +142,7 @@ def test_phi_multiplicity_counts_g2_components_in_range():
     # the number of G2 components, and 0 at prime n, where G2 is empty
     for n in range(3, 301):
         m = Modulus.of(n)
-        components = 0 if m.is_prime else count_components(g2_rows(m))
+        components = 0 if m.is_prime else count_components(g2_classes(m))
         assert phi_multiplicity(*with_spectrum(n)).computed == components, n
 
 
@@ -153,12 +158,33 @@ def test_kappa_g2_bound():
     r30 = kappa_g2_bound(Modulus.of(30))
     assert r30.computed == 2 and r30.agrees
 
-    # 234 vertices, under the vertex cut oracle's cap of 256
+    # 234 vertices, under the old dense max-flow's cap of 256
     r715 = kappa_g2_bound(Modulus.of(715))
     assert r715.claimed == "<= 40" and r715.computed == 40 and r715.note == "tight"
 
     for n in (12, 7):
         with pytest.raises(NotApplicable, match="^bound stated for squarefree composite n$"):
             kappa_g2_bound(Modulus.of(n))
-    with pytest.raises(OracleLimitExceeded):
-        kappa_g2_bound(Modulus.of(2310))
+    # 1829 vertices, above that cap
+    r2310 = kappa_g2_bound(Modulus.of(2310))
+    assert r2310.claimed == "<= 48" and r2310.computed == 48 and r2310.note == "tight"
+    # 43890 = 2 * 3 * 5 * 7 * 11 * 19: its G2 of 35249 vertices is above the
+    # dense limit, refused from n and phi(n)
+    with pytest.raises(OracleLimitExceeded, match=r"^\|V\(G2\)\|=35249 exceeds dense limit 32768$"):
+        kappa_g2_bound(Modulus.of(43890))
+
+
+def test_connectivity_census_to_1000():
+    # kappa = phi(n) and the bound on kappa(G2) at every composite n up to
+    # 1000, from the classes of one split each, as verify reads them
+    checked = 0
+    for n in range(4, 1001):
+        m = Modulus.of(n)
+        if m.is_prime:
+            continue
+        split = twin_split(m)
+        assert vertex_connectivity(m, split=split).agrees, n
+        if m.is_squarefree:
+            assert kappa_g2_bound(m, g2=g2_classes(m, split)).agrees, n
+            checked += 1
+    assert checked == 439  # 605 squarefree n in 4..1000, less 166 primes

@@ -9,17 +9,18 @@ import pytest
 
 from comax import config, oracle
 from comax.cli import main
-from comax.connectivity import g2_components, kappa_g2_bound, vertex_connectivity
+from comax.connectivity import kappa_g2_bound, vertex_connectivity
 from comax.oracle import (
     OracleLimitExceeded,
+    TwinClasses,
     block_power_sums,
     count_components,
     dense_spectrum,
-    g2_rows,
-    min_vertex_cut,
+    g2_classes,
     numeric_spectrum,
+    vertex_cut,
 )
-from comax.comax_graph import adjacency, g2_vertices
+from comax.comax_graph import AdjacencyRows, g2_vertices
 from comax.polynomial import IntPoly, char_polys
 from comax.ring_divisors import Modulus
 from reference import (
@@ -31,22 +32,28 @@ from reference import (
     exact_traces,
     expanded,
     g2_component_counts,
+    label_components,
 )
 
 
 def brute_force_vertex_cut(adj: np.ndarray) -> int:
     """Exhaustive subset-removal search; only sane for tiny graphs."""
     n = adj.shape[0]
-    if count_components(adj) > 1:
+    if label_components(adj) > 1:
         return 0
     if adj.sum() == n * (n - 1):
         return n - 1
     for k in range(1, n - 1):
         for removed in itertools.combinations(range(n), k):
             keep = [v for v in range(n) if v not in removed]
-            if count_components(adj[np.ix_(keep, keep)]) > 1:
+            if label_components(adj[np.ix_(keep, keep)]) > 1:
                 return k
     return n - 1
+
+
+def unit_classes(adj: np.ndarray) -> TwinClasses:
+    """Any graph as a class graph: one vertex per class."""
+    return TwinClasses(np.ones(len(adj), dtype=np.int64), adj)
 
 
 def complete_graph(n: int) -> np.ndarray:
@@ -61,7 +68,7 @@ def graph_from_edges(n: int, edges) -> np.ndarray:
 
 
 def full_adjacency(n: int) -> np.ndarray:
-    return adjacency(Modulus.of(n), range(n))
+    return AdjacencyRows(Modulus.of(n), range(n))[:]
 
 
 def test_numeric_spectrum_examples():
@@ -161,7 +168,7 @@ def test_split_solves_one_block_with_a_row_per_orbit():
         classes = divisor_classes(n)
         k = len(classes)
         assert split.quotient.shape == split.symmetric().shape == (k, k), n
-        assert split.sizes.tolist() == [len(classes[d]) for d in sorted(classes)], n
+        assert split.classes.sizes.tolist() == [len(classes[d]) for d in sorted(classes)], n
 
 
 def test_split_reads_off_exactly_the_diagonal_reference_blocks():
@@ -370,12 +377,19 @@ def test_split_holds_the_representative_rows_and_one_table(n):
     assert peak < 1.25 * bound, (peak, bound)
 
 
+def g2_counts(g2: TwinClasses) -> tuple[int, int]:
+    return count_components(g2), count_components(g2, complement=True)
+
+
 def test_g2_components_hold_a_panel_not_a_matrix():
     # |V(G2)| = 3055 at 4080: its adjacency and the complement's were 8.9 MiB
-    # each, and the counts peaked at 23.8 MiB; one 256-row panel is 0.75 MiB
+    # each; G2's own class check holds one 256-row panel of 0.75 MiB, and
+    # the counts read its 38 classes.  A small G2 first, so that the lazy
+    # imports of the first call are not counted
+    g2_counts(g2_classes(Modulus.of(60)))
     tracemalloc.start()
     try:
-        g2_components(Modulus.of(4080))
+        g2_counts(g2_classes(Modulus.of(4080)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -383,10 +397,13 @@ def test_g2_components_hold_a_panel_not_a_matrix():
 
 
 def test_g2_component_counts_equal_the_dense_reference():
+    # from the split's classes and from G2's own rows alike
     for n in [*range(4, 601), 2310, 3990, 4080, 4095]:
         m = Modulus.of(n)
         if not m.is_prime:
-            assert g2_components(m) == g2_component_counts(n), n
+            split = oracle.twin_split(m)
+            assert g2_counts(g2_classes(m, split)) == g2_component_counts(n), n
+            assert g2_counts(g2_classes(m)) == g2_component_counts(n), n
 
 
 def test_involution_split_refuses_n_above_the_dense_limit(monkeypatch):
@@ -512,7 +529,7 @@ def test_block_power_sums_read_every_block_on_one_diagonal():
     rng = np.random.default_rng(38)
     for sizes in [(1, 2), (4, 3, 2), (9, 13), (5, 1, 11)]:
         h = block_diagonal([rng.integers(-30, 31, size=(w, w)) for w in sizes])
-        split = oracle.TwinSplit(((0, 1), (7, 2)), h, np.ones(len(h), dtype=np.int64))
+        split = oracle.TwinSplit(((0, 1), (7, 2)), h, unit_classes(np.eye(len(h), dtype=bool)))
         want = (split.roots, tuple(exact_traces(h, len(h))))
         assert oracle.block_power_sums(Modulus.of(12), split) == want, sizes
 
@@ -531,26 +548,34 @@ def test_block_power_sums_refuse_above_the_exact_limit_before_splitting(monkeypa
 def test_min_vertex_cut_examples():
     k4_minus_edge = complete_graph(4)
     k4_minus_edge[0, 1] = k4_minus_edge[1, 0] = False
-    assert min_vertex_cut(k4_minus_edge) == 2
+    assert vertex_cut(unit_classes(k4_minus_edge)) == 2
 
-    assert min_vertex_cut(full_adjacency(6)) == 2
+    assert vertex_cut(unit_classes(full_adjacency(6))) == 2
 
     star = graph_from_edges(5, [(0, i) for i in range(1, 5)])
-    assert min_vertex_cut(star) == 1
+    assert vertex_cut(unit_classes(star)) == 1
 
     # two triangles sharing vertex 4: the pair (0, 2) has one common
     # neighbour, one less than the minimum degree, and its flow is the cut
     bowtie = graph_from_edges(5, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
-    assert min_vertex_cut(bowtie) == 1
+    assert vertex_cut(unit_classes(bowtie)) == 1
+
+    # both minimum separators, {0, 2, 3} and {0, 2, 5}, hold vertex 0, the
+    # first of least degree: only a pair of its neighbours (1 and 4, or 6
+    # and 7) finds the cut of 3, and every pair (0, t) reads 4
+    edges = [(0, 1), (0, 4), (0, 6), (0, 7), (1, 2), (1, 3), (1, 7), (2, 3), (2, 4),
+             (2, 5), (2, 6), (2, 7), (3, 5), (3, 7), (4, 5), (4, 6), (5, 6)]
+    both_sides = graph_from_edges(8, edges)
+    assert vertex_cut(unit_classes(both_sides)) == brute_force_vertex_cut(both_sides) == 3
 
 
 def test_min_vertex_cut_conventions():
-    assert min_vertex_cut(complete_graph(5)) == 4
+    assert vertex_cut(unit_classes(complete_graph(5))) == 4
     disconnected = graph_from_edges(4, [(0, 1), (2, 3)])
-    assert min_vertex_cut(disconnected) == 0
-    assert min_vertex_cut(np.zeros((1, 1), dtype=bool)) == 0
-    with pytest.raises(OracleLimitExceeded):
-        min_vertex_cut(np.zeros((300, 300), dtype=bool))
+    assert vertex_cut(unit_classes(disconnected)) == 0
+    assert vertex_cut(unit_classes(np.zeros((1, 1), dtype=bool))) == 0
+    # the cut has no cap of its own: its class graph's source has
+    assert vertex_cut(unit_classes(np.zeros((300, 300), dtype=bool))) == 0
 
 
 def test_min_vertex_cut_double_oracle_random():
@@ -562,40 +587,91 @@ def test_min_vertex_cut_double_oracle_random():
             for v in range(u + 1, n):
                 if rng.random() < 0.45:
                     adj[u, v] = adj[v, u] = True
-        assert min_vertex_cut(adj) == brute_force_vertex_cut(adj), (
+        assert vertex_cut(unit_classes(adj)) == brute_force_vertex_cut(adj), (
             n,
             np.argwhere(np.triu(adj)).tolist(),
         )
 
 
 def test_min_vertex_cut_double_oracle_structured():
+    # the comaximal graphs as they are, one vertex per class, and along
+    # their divisor classes
     for n in (6, 10, 12):
         adj = full_adjacency(n)
-        assert min_vertex_cut(adj) == brute_force_vertex_cut(adj)
+        assert vertex_cut(unit_classes(adj)) == brute_force_vertex_cut(adj)
+        assert vertex_cut(oracle.twin_split(Modulus.of(n)).classes) == brute_force_vertex_cut(adj)
     for n in (12, 15, 16):
-        adj = g2_rows(Modulus.of(n))[:]
-        assert min_vertex_cut(adj) == brute_force_vertex_cut(adj)
+        m = Modulus.of(n)
+        adj = AdjacencyRows(m, g2_vertices(m))[:]
+        assert vertex_cut(unit_classes(adj)) == brute_force_vertex_cut(adj)
+        assert vertex_cut(g2_classes(m)) == brute_force_vertex_cut(adj)
+
+
+def expand(classes: TwinClasses) -> np.ndarray:
+    """The adjacency of the graph of ``classes``, class by class: each
+    vertex joined to the whole of every linked class, and to the rest of
+    its own class when that is a clique."""
+    sizes, link = classes
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    adj = link[np.ix_(owner, owner)]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def random_class_graph(rng: random.Random) -> TwinClasses:
+    """4 to 8 classes of 1 to 4 vertices, at most one of them a clique,
+    linked at random with a density of 0.3 to 0.8, with at most 13 vertices
+    in all, so that the exhaustive search stays quick."""
+    while True:
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(4, 8))]
+        if sum(sizes) <= 13:
+            break
+    k, density = len(sizes), rng.uniform(0.3, 0.8)
+    link = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(i + 1, k):
+            link[i, j] = link[j, i] = rng.random() < density
+    if rng.random() < 0.5:
+        c = rng.randrange(k)
+        link[c, c] = True
+    return TwinClasses(np.array(sizes, dtype=np.int64), link)
+
+
+def test_class_graph_oracles_equal_the_exhaustive_search_on_its_expansion():
+    # the blow-up double oracle: the counts and the cut read the classes,
+    # and the references the expanded graph, vertex by vertex
+    rng = random.Random(42)
+    for _ in range(200):
+        classes = random_class_graph(rng)
+        adj = expand(classes)
+        co = ~adj
+        np.fill_diagonal(co, False)
+        seen = (classes.sizes.tolist(), np.argwhere(np.triu(classes.link)).tolist())
+        assert count_components(classes) == label_components(adj), seen
+        assert count_components(classes, complement=True) == label_components(co), seen
+        assert vertex_cut(classes) == brute_force_vertex_cut(adj), seen
 
 
 def test_count_components_examples():
-    assert count_components(g2_rows(Modulus.of(30))) == 1
-    assert count_components(g2_rows(Modulus.of(12))) == 2
-    assert count_components(np.zeros((5, 5), dtype=bool)) == 5
-    assert count_components(np.zeros((0, 0), dtype=bool)) == 0
+    assert count_components(g2_classes(Modulus.of(30))) == 1
+    assert count_components(g2_classes(Modulus.of(12))) == 2
+    assert count_components(unit_classes(np.zeros((5, 5), dtype=bool))) == 5
+    assert count_components(unit_classes(np.zeros((0, 0), dtype=bool))) == 0
 
 
 def test_complement():
     # the complement of the edges 0-1 and 2-3 is the 4-cycle 0-2-1-3-0
     adj = graph_from_edges(4, [(0, 1), (2, 3)])
-    assert count_components(adj) == 2
-    assert count_components(adj, complement=True) == 1
+    assert count_components(unit_classes(adj)) == 2
+    assert count_components(unit_classes(adj), complement=True) == 1
     # a star's complement isolates its centre and joins its leaves
     star = graph_from_edges(5, [(0, i) for i in range(1, 5)])
-    assert count_components(star, complement=True) == 2
-    # the row source's complement counts equal its complement matrix's
-    rows = g2_rows(Modulus.of(60))
+    assert count_components(unit_classes(star), complement=True) == 2
+    # the class graph's complement counts equal its complement matrix's
+    m = Modulus.of(60)
+    rows = AdjacencyRows(m, g2_vertices(m))
     matrix = ~rows[:] & ~np.eye(len(rows), dtype=bool)
-    assert count_components(rows, complement=True) == count_components(matrix) == 1
+    assert count_components(g2_classes(m), complement=True) == label_components(matrix) == 1
 
 
 def disjoint_cliques(*sizes: int) -> np.ndarray:
@@ -609,19 +685,27 @@ def disjoint_cliques(*sizes: int) -> np.ndarray:
 
 
 def test_count_components_hand_cases():
-    assert count_components(np.zeros((0, 0), dtype=bool)) == 0
-    assert count_components(np.zeros((5, 5), dtype=bool)) == 5
-    assert count_components(np.zeros((5, 5), dtype=bool), complement=True) == 1
+    def count(adj, complement=False):
+        return count_components(unit_classes(adj), complement)
+
+    assert count(np.zeros((0, 0), dtype=bool)) == 0
+    assert count(np.zeros((5, 5), dtype=bool)) == 5
+    assert count(np.zeros((5, 5), dtype=bool), complement=True) == 1
     two_cliques = disjoint_cliques(3, 4)
-    assert count_components(two_cliques) == 2
+    assert count(two_cliques) == 2
     # the complement of two disjoint cliques is complete bipartite
-    assert count_components(two_cliques, complement=True) == 1
-    assert count_components(disjoint_cliques(1, 2, 1)) == 3
-    # a path 0-1-2-3 is found through several frontier steps
+    assert count(two_cliques, complement=True) == 1
+    assert count(disjoint_cliques(1, 2, 1)) == 3
+    # a path 0-1-2-3 is closed by more than one squaring
     path = np.zeros((4, 4), dtype=bool)
     for u in range(3):
         path[u, u + 1] = path[u + 1, u] = True
-    assert count_components(path) == 1
+    assert count(path) == 1
+    # as classes: an independent class joined to none is one component per
+    # vertex, a clique or a single vertex one, and the complement swaps them
+    alone = TwinClasses(np.array([3, 2, 1]), np.diag([False, True, False]))
+    assert count_components(alone) == 3 + 1 + 1
+    assert count_components(alone, complement=True) == 1
 
 
 def set_components(adj: dict) -> int:
@@ -642,6 +726,14 @@ def set_components(adj: dict) -> int:
     return count
 
 
+def class_edges(classes: TwinClasses) -> int:
+    """The edges of the graph of ``classes``: |A_d| |A_e| for each linked
+    pair, and |A_d| (|A_d| - 1) / 2 in each clique."""
+    sizes, link = classes
+    pairs = np.triu(link, 1) * np.multiply.outer(sizes, sizes)
+    return int(pairs.sum() + (link.diagonal() * sizes * (sizes - 1) // 2).sum())
+
+
 def test_count_components_matches_set_traversal():
     # the reference graphs are filled pair by pair from the scalar reference
     # ``adjacent``, which the ideal-sum tests pin to the ring definition
@@ -659,18 +751,19 @@ def test_count_components_matches_set_traversal():
                 target[u].add(v)
                 target[v].add(u)
                 edges += target is g2
-        rows = g2_rows(m)
-        assert rows[:].shape == (len(verts), len(verts))
-        assert rows[:].sum() // 2 == edges, n
-        assert count_components(rows) == set_components(g2), n
-        assert count_components(rows, complement=True) == set_components(co), n
+        classes = g2_classes(m, oracle.twin_split(m))
+        assert AdjacencyRows(m, verts)[:].sum() // 2 == edges, n
+        assert classes.sizes.sum() == len(verts), n
+        assert class_edges(classes) == edges, n
+        assert count_components(classes) == set_components(g2), n
+        assert count_components(classes, complement=True) == set_components(co), n
 
 
 def test_g2_oracles_capped_at_dense_limit(monkeypatch, capsys):
     monkeypatch.setattr(config, "DENSE_LIMIT", 100)
     with pytest.raises(OracleLimitExceeded):
-        g2_rows(Modulus.of(210))  # |V(G2)| = 161
-    assert len(g2_rows(Modulus.of(120))) == 87
+        g2_classes(Modulus.of(210))  # |V(G2)| = 161
+    assert g2_classes(Modulus.of(120)).sizes.sum() == 87
     assert main(["verify", "210"]) == 0
     out = capsys.readouterr().out
     assert "[skip] g2-connected-iff-squarefree: |V(G2)|=161 exceeds dense limit 100" in out
@@ -682,23 +775,69 @@ def test_g2_oracles_capped_at_dense_limit(monkeypatch, capsys):
 
 
 def test_vertex_cut_refuses_above_its_cap_before_building_a_graph(monkeypatch, capsys):
-    # the full graph of 258 = 2 * 3 * 43, the G2 of 2310 (1829 vertices)
-    # and of 514 = 2 * 257 (257 vertices) are refused from n and phi(n)
+    # with the dense limit at 256: the full graph of 258 = 2 * 3 * 43, the
+    # G2 of 2310 (1829 vertices) and of 514 = 2 * 257 (257 vertices) are
+    # refused from n and phi(n), before any row or vertex list is built
     def build(*args):
-        raise AssertionError("a graph was built above the vertex cut limit")
+        raise AssertionError("a graph was built above the dense limit")
 
-    monkeypatch.setattr(oracle, "adjacency", build)
+    monkeypatch.setattr(config, "DENSE_LIMIT", 256)
+    monkeypatch.setattr(oracle, "AdjacencyRows", build)
     monkeypatch.setattr(oracle, "g2_vertices", build)
-    with pytest.raises(OracleLimitExceeded, match="^n=258 exceeds vertex cut limit 256$"):
+    with pytest.raises(OracleLimitExceeded, match="^n exceeds dense limit 256$"):
         vertex_connectivity(Modulus.of(258))
-    with pytest.raises(OracleLimitExceeded, match=r"^\|V\(G2\)\|=1829 exceeds vertex cut limit 256$"):
+    with pytest.raises(OracleLimitExceeded, match=r"^\|V\(G2\)\|=1829 exceeds dense limit 256$"):
         kappa_g2_bound(Modulus.of(2310))
     for n, size in [(2310, 1829), (514, 257)]:
         assert main(["g2", str(n), "kappa"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"|V(G2)|={size} exceeds vertex cut limit 256\n"
-    monkeypatch.undo()
-    # 16637 = 127 * 131: G2 has exactly 256 vertices, and its cut runs
+        assert captured.err == f"|V(G2)|={size} exceeds dense limit 256\n"
+    monkeypatch.setattr(oracle, "AdjacencyRows", AdjacencyRows)
+    monkeypatch.setattr(oracle, "g2_vertices", g2_vertices)
+    # 16637 = 127 * 131: G2 has exactly 256 vertices, and its cut runs on
+    # G2's own rows, n being above the limit
     assert main(["g2", "16637", "kappa"]) == 0
     assert capsys.readouterr().out == "kappa(G2) = 126, bound = 126, tight\n"
+    # and at the real limit every one of them runs
+    monkeypatch.undo()
+    assert vertex_connectivity(Modulus.of(258)).computed == 84
+    assert kappa_g2_bound(Modulus.of(2310)).computed == 48
+    assert main(["g2", "514", "kappa"]) == 0
+    assert capsys.readouterr().out == "kappa(G2) = 1, bound = 1, tight\n"
+
+
+def move_a_g2_edge(monkeypatch, x: int, y: int, z: int) -> None:
+    """Make G2's own row source drop the edge x-y and join x to z instead,
+    in both triangles; x, y and z are vertices, not positions."""
+    real = oracle.AdjacencyRows
+
+    class Moved(real):
+        def __init__(self, m, verts):
+            super().__init__(m, verts)
+            self.adj = super().__getitem__(slice(None))
+            at = {v: i for i, v in enumerate(verts)}
+            i, j, k = at[x], at[y], at[z]
+            assert self.adj[i, j] and not self.adj[i, k]
+            self.adj[i, j] = self.adj[j, i] = False
+            self.adj[i, k] = self.adj[k, i] = True
+
+        def __getitem__(self, pos):
+            return self.adj[pos]
+
+    monkeypatch.setattr(oracle, "AdjacencyRows", Moved)
+
+
+def test_g2_check_refuses_a_moved_edge_above_the_split_cap(monkeypatch):
+    # 44869 = 11 * 4079 is above the dense limit, and its G2 of 4088
+    # vertices, K_{4078, 10}, is not: G2's own rows are checked.  The edge
+    # 22-4079 moves to 22-33, inside the independent class A_11, and the
+    # check refuses; so do the G2 laws and the G2 command that read it
+    m = Modulus.of(44869)
+    assert m.n > config.DENSE_LIMIT >= m.n - m.phi - 1 == 4088
+    assert g2_counts(g2_classes(m)) == (1, 2)
+    move_a_g2_edge(monkeypatch, 22, 4079, 33)
+    with pytest.raises(ValueError, match="twin class"):
+        g2_classes(m)
+    with pytest.raises(ValueError, match="twin class"):
+        kappa_g2_bound(m)

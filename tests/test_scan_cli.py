@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -649,8 +650,17 @@ def test_verify_charpoly_failure_from_a_planted_factor(monkeypatch, capsys, plan
     assert main(["verify", str(n)]) == 1
     out = capsys.readouterr().out
     assert (f"\n[FAIL] charpoly-join-identity: coefficient of x^{k}: "
-            f"dense determinant {a}, join formula {b}\n") in out
+            f"dense determinant {shown(a)}, join formula {shown(b)}\n") in out
     assert out.endswith(f"verify {n}: FAILED (charpoly-join-identity)\n")
+
+
+def shown(value: int) -> str:
+    """A coefficient as a fail line prints it: in full up to 50 digits, else
+    its first and last ten digits and its digit count."""
+    digits = str(abs(value))
+    if len(digits) <= 50:
+        return str(value)
+    return f"{'-' * (value < 0)}{digits[:10]}...{digits[-10:]} ({len(digits)} digits)"
 
 
 def test_an_ok_charpoly_identity_expands_no_product(monkeypatch):
@@ -775,6 +785,21 @@ def test_verify_fails_the_identity_on_a_planted_defect(monkeypatch, capsys, plan
     assert out.endswith(f"verify {n}: FAILED (charpoly-join-identity)\n")
 
 
+def test_a_fail_line_at_30030_prints_long_coefficients_by_their_ends(monkeypatch, capsys):
+    # the changed-quotient plant at 30030 differs at the constant
+    # coefficient, whose dense value has over 127,000 digits: the line still
+    # names x^0, and prints that value as its first and last ten digits and
+    # its digit count
+    changed_quotient(monkeypatch)
+    assert main(["verify", "30030"]) == 1
+    [line] = (ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]"))
+    assert len(line) < 400, len(line)
+    match = re.fullmatch(
+        r"\[FAIL\] charpoly-join-identity: coefficient of x\^0: "
+        r"dense determinant -?\d{10}\.\.\.\d{10} \((\d+) digits\), join formula 0", line)
+    assert match and int(match[1]) > 127_000, line
+
+
 def test_verify_checks_the_charpoly_identity_above_the_exact_limit(capsys):
     # omega = 4: residuals that no n up to 64, the exact oracle's old
     # limit, has; the identity now runs wherever the split runs
@@ -876,21 +901,21 @@ def test_verify_skip_lines_are_the_oracle_refusals(monkeypatch, capsys):
 
 
 def test_verify_splits_once_and_builds_one_g2_adjacency(monkeypatch, capsys):
-    splits, g2_sizes, handed = [], [], []
+    splits, checks, handed = [], [], []
 
     def split(m):
         splits.append((m.n, real_split(m)))
         return splits[-1][1]
 
-    def g2(m):
-        g2_sizes.append(m.n)
-        return real_g2(m)
+    def classes(m, verts):
+        checks.append((m.n, len(verts)))
+        return real_classes(m, verts)
 
-    real_split, real_g2 = oracle.twin_split, connectivity.g2_rows
+    real_split, real_classes = oracle.twin_split, oracle.twin_classes
     # the oracles split through the module's own name when handed none
     monkeypatch.setattr(oracle, "twin_split", split)
     monkeypatch.setattr(cli, "twin_split", split)
-    monkeypatch.setattr(connectivity, "g2_rows", g2)
+    monkeypatch.setattr(oracle, "twin_classes", classes)
     for name in ("dense_spectrum", "block_power_sums"):
         real = getattr(cli, name)
         monkeypatch.setattr(
@@ -902,18 +927,27 @@ def test_verify_splits_once_and_builds_one_g2_adjacency(monkeypatch, capsys):
     assert [n for n, _ in splits] == ns
     # both spectral oracles get the split itself
     assert [id(h) for h in handed] == [id(s) for _, s in splits for _ in (0, 1)]
-    assert g2_sizes == [n for n in ns if not Modulus.of(n).is_prime]
-    # above the dense limit no split is made, and both oracles refuse
+    # every row is checked once, by the split: the cuts and the G2 laws read
+    # its classes, and no G2 row source is built
+    assert checks == [(n, n) for n in ns]
+    # above the dense limit no split is made, and both oracles refuse; where
+    # G2 is under it, its own rows are checked once for the three G2 laws:
+    # 4097 = 17 * 241 has 256 of them, 5460 has 4307
     monkeypatch.setattr(config, "DENSE_LIMIT", 4096)
     splits.clear()
+    checks.clear()
     capsys.readouterr()
     assert main(["verify", "5460"]) == 0
+    assert main(["verify", "4097"]) == 0
     assert splits == []
+    assert checks == [(4097, 256)]
     out = capsys.readouterr().out
     assert out.startswith(
         "[skip] spectrum-vs-dense-oracle: n exceeds dense limit 4096\n"
         "[skip] charpoly-join-identity: n exceeds dense limit 4096\n"
     )
+    assert "\n[skip] g2-connected-iff-squarefree: |V(G2)|=4307 exceeds dense limit 4096\n" in out
+    assert "\n[ok ] kappa-g2-bound: claimed <= 16, computed 16 (tight)\nverify 4097: " in out
 
 
 def test_verify_counts_g2_components_again_after_the_dense_limit_moves(monkeypatch, capsys):
@@ -932,7 +966,7 @@ def test_verify_output_of_the_bench_moduli_keeps_its_sha256(capsys):
     # the inputs of the verify benchmark at seed 0, concatenated
     codes = {n: main(["verify", str(n)]) for n in [*range(3, 65), 2310]}
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "bdac75b336d6445411920132f5fad0a32e497bbf43cbb1959d69628c6b7fd6e6"
+    assert digest == "7172b0df4f42b3d15c54d2840312a4f4fada5c250664d6f93608ed4164747919"
     # only the prime powers fail, on phi-multiplicity: their G2 is a null graph
     assert {n for n, code in codes.items() if code} == {4, 8, 9, 16, 25, 27, 32, 49, 64}
     assert set(codes.values()) == {0, 1}
